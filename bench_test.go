@@ -101,8 +101,8 @@ func BenchmarkPersistenceRestart(b *testing.B) { benchExperiment(b, "persistence
 
 // BenchmarkLoadTestServing runs the serving pipeline load experiment:
 // single-flight coalescing, blocked multi-RHS solves, and admission
-// shedding against the unbatched single-solve baseline (see
-// internal/bench.LoadTest).
+// shedding in the one production configuration, under open-loop
+// overload (see internal/bench.LoadTest).
 func BenchmarkLoadTestServing(b *testing.B) { benchExperiment(b, "loadtest") }
 
 // BenchmarkSupernodalSubstitution runs the supernodal panel experiment:
@@ -192,26 +192,25 @@ func BenchmarkKernelSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSolveSparse is BenchmarkKernelSolve through the
-// reach-based sparse path: a single-seed right-hand side touching only
-// its dependency closure instead of all n rows. Compare ns/op and
-// allocs/op against BenchmarkKernelSolve for the per-query win.
-func BenchmarkKernelSolveSparse(b *testing.B) {
+// BenchmarkKernelSolveRHS is BenchmarkKernelSolve through the
+// workspace-taking entry point: the same single-seed right-hand side as
+// a support list, on whichever route the solver picks for it (the
+// sparsesolve experiment has the forced kernel-vs-kernel numbers).
+// Compare ns/op and allocs/op against BenchmarkKernelSolve for the
+// per-query win.
+func BenchmarkKernelSolveRHS(b *testing.B) {
 	_, ems := benchEMS(b)
 	ord := order.Markowitz(ems.Matrices[0].Pattern())
 	s, err := lu.FactorizeOrdered(ems.Matrices[0], ord.Ordering)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var ws lu.SparseSolveWorkspace
-	bIdx := []int{3}
-	bVal := []float64{0.15}
+	var ws lu.SolveWorkspace
+	rhs := []lu.RHS{{Idx: []int{3}, Val: []float64{0.15}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := s.SolveSparse(bIdx, bVal, 0, &ws); !ok {
-			b.Fatal("uncapped sparse solve aborted")
-		}
+		s.SolveRHS(rhs, true, &ws)
 	}
 }
 

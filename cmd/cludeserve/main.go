@@ -64,10 +64,10 @@
 //
 // The query path is the admission-controlled pipeline of
 // docs/SERVING.md: identical concurrent queries coalesce into one
-// solve, compatible queued queries solve as one blocked multi-RHS
-// substitution (-solve-batch), and when the bounded queue (-queue) is
-// full the server sheds load immediately with HTTP 429 and a
-// Retry-After header instead of letting the backlog grow. A
+// solve, compatible queued queries are answered by one solver call
+// that picks the substitution route itself, and when the bounded queue
+// (-queue) is full the server sheds load immediately with HTTP 429 and
+// a Retry-After header instead of letting the backlog grow. A
 // -query-timeout bounds each query's time in the pipeline.
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains
@@ -107,51 +107,86 @@ import (
 // log line; override with -ldflags "-X main.version=v1.2.3".
 var version = "dev"
 
+// options holds every command-line setting of cludeserve.
+type options struct {
+	addr      string
+	scale     string
+	alpha     float64
+	workers   int
+	factorW   int
+	cacheSize int
+	maxSnaps  int
+	queueLen  int
+	queryTO   time.Duration
+
+	streaming  bool
+	algName    string
+	batchSize  int
+	flushMS    int
+	checkpoint int
+	histBase   int
+	histBudget int64
+
+	dataDir   string
+	fsyncMode string
+	snapEvery uint64
+
+	traceBuf    int
+	slowQueryMS int
+	traceSample float64
+	debugAddr   string
+	logFormat   string
+}
+
+// defineFlags registers cludeserve's flags on fs and returns the
+// options they fill once fs is parsed. The solve route has no flag: the
+// solver picks it per query group (docs/SERVING.md, "Solve routes").
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.scale, "scale", "small", "dataset scale: tiny | small | medium | paper")
+	fs.Float64Var(&o.alpha, "alpha", 0.95, "CLUDE/CINC clustering threshold")
+	fs.IntVar(&o.workers, "workers", 0, "query pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.factorW, "factor-workers", 0, "offline factorization pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cacheSize, "cache", 4096, "LRU result-cache entries")
+	fs.IntVar(&o.maxSnaps, "snapshots", 0, "snapshot store bound (0 = retain the whole sequence)")
+	fs.IntVar(&o.queueLen, "queue", 0, "admission queue depth; a full queue sheds with HTTP 429 (0 = 8x workers)")
+	fs.DurationVar(&o.queryTO, "query-timeout", 0, "per-query deadline covering queue wait and solve (0 = none)")
+
+	fs.BoolVar(&o.streaming, "stream", false, "streaming mode: live edge-delta ingestion via POST /v1/update")
+	fs.StringVar(&o.algName, "alg", "CLUDE", "streaming maintenance strategy: BF | INC | CINC | CLUDE")
+	fs.IntVar(&o.batchSize, "batch", 64, "streaming: events per ingest batch")
+	fs.IntVar(&o.flushMS, "flush-ms", 200, "streaming: max linger before a partial batch commits (0 = size-only)")
+	fs.IntVar(&o.checkpoint, "checkpoint", 0, "streaming: pin a factor clone every k versions (0 = never)")
+	fs.IntVar(&o.histBase, "history-base", 0, "streaming: delta-compressed history — pin a base clone every k versions and serve the versions between them by Bennett delta replay (0 = disabled; replaces -checkpoint)")
+	fs.Int64Var(&o.histBudget, "history-budget", 0, "streaming: byte budget for LRU-cached materialized history versions (0 = 64 MiB default)")
+
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: WAL + factor snapshots (streaming), snapshot spill (both modes); empty = memory only")
+	fs.StringVar(&o.fsyncMode, "fsync", "always", "WAL fsync policy: always | none")
+	fs.Uint64Var(&o.snapEvery, "snapshot-every", 32, "streaming: background factor snapshot every k versions")
+
+	fs.IntVar(&o.traceBuf, "trace-buffer", 256, "retained-trace ring size; 0 disables tracing entirely")
+	fs.IntVar(&o.slowQueryMS, "slow-query-ms", 20, "retain (and rate-limitedly log) every trace at least this slow; 0 disables slow retention")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0.001, "fraction of healthy, fast traces to retain anyway [0,1]")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "opt-in debug listener (pprof + expvar), kept off the public mux; empty = disabled")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text | json")
+	return o
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		scale     = flag.String("scale", "small", "dataset scale: tiny | small | medium | paper")
-		alpha     = flag.Float64("alpha", 0.95, "CLUDE/CINC clustering threshold")
-		workers   = flag.Int("workers", 0, "query pool size (0 = GOMAXPROCS)")
-		factorW   = flag.Int("factor-workers", 0, "offline factorization pool size (0 = GOMAXPROCS)")
-		cacheSize = flag.Int("cache", 4096, "LRU result-cache entries")
-		maxSnaps  = flag.Int("snapshots", 0, "snapshot store bound (0 = retain the whole sequence)")
-		reachFrac = flag.Float64("sparse-frac", 0, "reach-fraction cap of the sparse solve path (0 = default heuristic, >=1 = always sparse, <0 = always dense)")
-		queueLen  = flag.Int("queue", 0, "admission queue depth; a full queue sheds with HTTP 429 (0 = 8x workers)")
-		batchMax  = flag.Int("solve-batch", 0, "max queued queries grouped into one blocked multi-RHS solve (0 = default, 1 = disable batching)")
-		queryTO   = flag.Duration("query-timeout", 0, "per-query deadline covering queue wait and solve (0 = none)")
-		panelMinW = flag.Int("panel-min-width", 0, "min mean panel width for the supernodal blocked-solve route (0 = auto heuristic, <0 = disable panels)")
-
-		streaming  = flag.Bool("stream", false, "streaming mode: live edge-delta ingestion via POST /v1/update")
-		algName    = flag.String("alg", "CLUDE", "streaming maintenance strategy: BF | INC | CINC | CLUDE")
-		batchSize  = flag.Int("batch", 64, "streaming: events per ingest batch")
-		flushMS    = flag.Int("flush-ms", 200, "streaming: max linger before a partial batch commits (0 = size-only)")
-		checkpoint = flag.Int("checkpoint", 0, "streaming: pin a factor clone every k versions (0 = never)")
-		histBase   = flag.Int("history-base", 0, "streaming: delta-compressed history — pin a base clone every k versions and serve the versions between them by Bennett delta replay (0 = disabled; replaces -checkpoint)")
-		histBudget = flag.Int64("history-budget", 0, "streaming: byte budget for LRU-cached materialized history versions (0 = 64 MiB default)")
-
-		dataDir   = flag.String("data-dir", "", "durability directory: WAL + factor snapshots (streaming), snapshot spill (both modes); empty = memory only")
-		fsyncMode = flag.String("fsync", "always", "WAL fsync policy: always | none")
-		snapEvery = flag.Uint64("snapshot-every", 32, "streaming: background factor snapshot every k versions")
-
-		traceBuf    = flag.Int("trace-buffer", 256, "retained-trace ring size; 0 disables tracing entirely")
-		slowQueryMS = flag.Int("slow-query-ms", 20, "retain (and rate-limitedly log) every trace at least this slow; 0 disables slow retention")
-		traceSample = flag.Float64("trace-sample", 0.001, "fraction of healthy, fast traces to retain anyway [0,1]")
-		debugAddr   = flag.String("debug-addr", "", "opt-in debug listener (pprof + expvar), kept off the public mux; empty = disabled")
-		logFormat   = flag.String("log-format", "text", "log output format: text | json")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	switch *logFormat {
+	switch o.logFormat {
 	case "json":
 		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	case "text":
 		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	default:
-		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat))
+		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", o.logFormat))
 	}
 
-	d, err := bench.DatasetsFor(bench.Scale(*scale))
+	d, err := bench.DatasetsFor(bench.Scale(o.scale))
 	if err != nil {
 		fatal(err)
 	}
@@ -169,50 +204,47 @@ func main() {
 	// One tracer serves every pipeline; nil (with -trace-buffer 0)
 	// keeps each of them on the untraced fast path.
 	var tracer *trace.Tracer
-	if *traceBuf > 0 {
+	if o.traceBuf > 0 {
 		tracer = trace.New(trace.Config{
-			Buffer:   *traceBuf,
-			Slow:     time.Duration(*slowQueryMS) * time.Millisecond,
-			Sample:   *traceSample,
+			Buffer:   o.traceBuf,
+			Slow:     time.Duration(o.slowQueryMS) * time.Millisecond,
+			Sample:   o.traceSample,
 			OnRetain: slowQueryLogger(time.Second),
 		})
 	}
 
 	scfg := serve.Config{
-		MaxSnapshots:    snapshotBound(*maxSnaps, egs.Len()),
-		Workers:         *workers,
-		CacheSize:       *cacheSize,
-		Damping:         d.Damping,
-		SparseReachFrac: *reachFrac,
-		QueueDepth:      *queueLen,
-		BatchMax:        *batchMax,
-		PanelMinWidth:   *panelMinW,
-		QueryTimeout:    *queryTO,
-		Tracer:          tracer,
+		MaxSnapshots: snapshotBound(o.maxSnaps, egs.Len()),
+		Workers:      o.workers,
+		CacheSize:    o.cacheSize,
+		Damping:      d.Damping,
+		QueueDepth:   o.queueLen,
+		QueryTimeout: o.queryTO,
+		Tracer:       tracer,
 	}
-	if *streaming {
-		scfg.HistoryBase = *histBase
-		scfg.HistoryBudgetBytes = *histBudget
+	if o.streaming {
+		scfg.HistoryBase = o.histBase
+		scfg.HistoryBudgetBytes = o.histBudget
 	}
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		// Evicted pinned snapshots spill to disk instead of vanishing,
 		// in both modes.
-		scfg.SpillDir = filepath.Join(*dataDir, "spill")
+		scfg.SpillDir = filepath.Join(o.dataDir, "spill")
 	}
 	eng := serve.New(scfg)
 
 	var st *store.Store
-	if *streaming && *dataDir != "" {
-		policy, perr := store.ParseSyncPolicy(*fsyncMode)
+	if o.streaming && o.dataDir != "" {
+		policy, perr := store.ParseSyncPolicy(o.fsyncMode)
 		if perr != nil {
 			eng.Close()
 			fatal(perr)
 		}
-		st, err = store.Open(*dataDir, store.Options{
+		st, err = store.Open(o.dataDir, store.Options{
 			Sync:          policy,
-			SnapshotEvery: *snapEvery,
+			SnapshotEvery: o.snapEvery,
 			OnStage:       api.ChainStageHooks(api.StoreStageHook(reg), api.StoreTraceHook(tracer)),
-			History:       *histBase > 0,
+			History:       o.histBase > 0,
 		})
 		if err != nil {
 			eng.Close()
@@ -222,14 +254,14 @@ func main() {
 
 	var stream *core.Stream
 	var batcher *core.Batcher
-	if *streaming {
-		stream, batcher, err = startStream(eng, st, reg, tracer, egs, d.Damping, *algName, *alpha, *batchSize, *flushMS, *checkpoint, *histBase)
+	if o.streaming {
+		stream, batcher, err = startStream(eng, st, reg, tracer, egs, d.Damping, o)
 		if err == nil {
 			// katz queries answer from the live builder's graph.
 			eng.AttachGraphs(api.StreamGraphs(stream))
 		}
 	} else {
-		err = factorOffline(eng, egs, d.Damping, *alpha, *factorW)
+		err = factorOffline(eng, egs, d.Damping, o.alpha, o.factorW)
 		eng.AttachGraphs(api.EGSGraphs(egs))
 	}
 	if err != nil {
@@ -245,20 +277,20 @@ func main() {
 		Registry: reg,
 		Tracer:   tracer,
 	})
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: o.addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		// The debug listener is its own server on its own mux: pprof
 		// and expvar never appear on the public address.
 		go func() {
-			slog.Info("debug server listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, debugMux()); err != nil {
+			slog.Info("debug server listening", "addr", o.debugAddr)
+			if err := http.ListenAndServe(o.debugAddr, debugMux()); err != nil {
 				slog.Error("debug server", "err", err)
 			}
 		}()
 	}
-	slog.Info("serving", "addr", *addr, "version", version, "tracing", tracer != nil)
+	slog.Info("serving", "addr", o.addr, "version", version, "tracing", tracer != nil)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -372,21 +404,21 @@ func factorOffline(eng *serve.Engine, egs *graph.EGS, damping, alpha float64, fa
 // layer's live source, and return the ingest batcher POST /v1/update
 // feeds. A fatal dataset mismatch aside, a recovered boot serves the
 // exact factors the crashed process last published.
-func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, egs *graph.EGS, damping float64, algName string, alpha float64, batchSize, flushMS, checkpoint, histBase int) (*core.Stream, *core.Batcher, error) {
+func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, egs *graph.EGS, damping float64, o *options) (*core.Stream, *core.Batcher, error) {
 	cfg := core.StreamConfig{
-		Algorithm: core.Algorithm(strings.ToUpper(algName)),
-		Alpha:     alpha,
+		Algorithm: core.Algorithm(strings.ToUpper(o.algName)),
+		Alpha:     o.alpha,
 		Initial:   egs.Snapshots[0],
 		Derive:    graph.RWRMatrix(damping),
 		OnStage:   api.IngestStageHook(reg),
 		OnBatch:   api.IngestTraceHook(tracer),
 	}
 	switch {
-	case histBase > 0:
+	case o.histBase > 0:
 		// Delta-compressed history: bases pin every histBase versions,
 		// everything between is materialized on demand by replaying the
 		// recorded Bennett deltas. Subsumes -checkpoint.
-		if checkpoint > 0 {
+		if o.checkpoint > 0 {
 			slog.Warn("-history-base set; ignoring -checkpoint (history pins its own bases)")
 		}
 		if st != nil {
@@ -400,8 +432,8 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 			eng.OnHistoryTrim(st.TrimHistory)
 		}
 		cfg.OnHistory = eng.HistoryHook()
-	case checkpoint > 0:
-		cfg.OnPublish = eng.CheckpointEvery(uint64(checkpoint))
+	case o.checkpoint > 0:
+		cfg.OnPublish = eng.CheckpointEvery(uint64(o.checkpoint))
 	}
 	t0 := time.Now()
 	var stream *core.Stream
@@ -428,15 +460,15 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 		}
 	}
 	eng.AttachLive(stream)
-	retention := fmt.Sprintf("checkpoint every %d", checkpoint)
-	if histBase > 0 {
-		retention = fmt.Sprintf("history base every %d", histBase)
+	retention := fmt.Sprintf("checkpoint every %d", o.checkpoint)
+	if o.histBase > 0 {
+		retention = fmt.Sprintf("history base every %d", o.histBase)
 	}
 	slog.Info("streaming",
 		"alg", string(cfg.Algorithm), "n", stream.N(),
 		"boot", time.Since(t0).Round(time.Millisecond),
-		"batch", batchSize, "linger_ms", flushMS, "retention", retention)
-	return stream, stream.NewBatcher(batchSize, time.Duration(flushMS)*time.Millisecond), nil
+		"batch", o.batchSize, "linger_ms", o.flushMS, "retention", retention)
+	return stream, stream.NewBatcher(o.batchSize, time.Duration(o.flushMS)*time.Millisecond), nil
 }
 
 // fatal matches cludebench's exit convention.

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func small(t *testing.T) Datasets {
@@ -83,41 +85,64 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	}
 }
 
+// TestFig7ShapeCLUDEWins pins the shape Fig7 plots — clustering turns
+// most full decompositions into Bennett updates, and CLUDE's frozen
+// USSP structure makes those updates cheaper than CINC's accreting
+// lists — on the work counts core.Result reports, which no scheduler
+// can move. (The wall-clock ratio the figure prints rests on a BF run
+// of a few milliseconds at this scale, so with `go test ./...` running
+// packages side by side it swung by 2x between runs; the wall-clock
+// ordering itself is tracked by the benchmark's ludem_batch workload.)
 func TestFig7ShapeCLUDEWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if raceEnabled {
-		// Race instrumentation slows the linked-list container far
-		// more than the array containers, so the speedup shape this
-		// test asserts does not hold under -race (seed behavior, not a
-		// regression).
-		t.Skip("wall-clock shape assertions are unreliable under the race detector")
-	}
-	// The paper's headline: CLUDE beats INC in speedup at moderate α.
 	d := small(t)
-	tables, err := Fig7(d)
-	if err != nil {
-		t.Fatal(err)
+	sum := func(xs []int) (s int) {
+		for _, x := range xs {
+			s += x
+		}
+		return s
 	}
-	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			// At this tiny scale (T=10, negligible drift) INC can
-			// legitimately lead — the paper's INC penalty needs
-			// cumulative drift, demonstrated at small/medium scale in
-			// EXPERIMENTS.md. The scale-robust invariant is that every
-			// incremental algorithm beats recomputing from scratch.
-			for col, name := range map[int]string{1: "INC", 2: "CINC", 3: "CLUDE"} {
-				v, err := strconv.ParseFloat(row[col], 64)
-				if err != nil {
-					t.Fatalf("%s: bad cell %q", tbl.Title, row[col])
+	for _, ds := range []string{"Wikipedia", "DBLP"} {
+		ems, err := emsByName(d, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(alg core.Algorithm, alpha float64) *core.Result {
+			t.Helper()
+			r, err := core.Run(ems, alg, core.Options{Workers: d.Workers, Alpha: alpha})
+			if err != nil {
+				t.Fatalf("%s %s alpha=%v: %v", ds, alg, alpha, err)
+			}
+			return r
+		}
+		// Full decompositions: one per cluster plus Bennett fallbacks.
+		fullLU := func(r *core.Result) int { return len(r.Clusters) + r.Refactorizations }
+
+		T := ems.Len()
+		if got := fullLU(run(core.BF, 0)); got != T {
+			t.Errorf("%s: BF ran %d full decompositions, want one per matrix (%d)", ds, got, T)
+		}
+		if got := fullLU(run(core.INC, 0)); got != 1 {
+			t.Errorf("%s: INC ran %d full decompositions, want 1", ds, got)
+		}
+		for i, alpha := range d.Alphas {
+			cinc, clude := run(core.CINC, alpha), run(core.CLUDE, alpha)
+			for _, r := range []*core.Result{cinc, clude} {
+				if got := fullLU(r); got > T || (i == 0 && got >= T) {
+					t.Errorf("%s alpha=%v: %s ran %d full decompositions of %d matrices — clustering saved nothing",
+						ds, alpha, r.Algorithm, got, T)
 				}
-				// Allow ~parity at the tightest alpha, where clusters
-				// shrink toward singletons and the algorithms approach
-				// BF by construction.
-				if v < 0.7 {
-					t.Errorf("%s alpha=%s: %s speedup %.2f far below BF parity", tbl.Title, row[0], name, v)
-				}
+			}
+			// Same clusters, but CLUDE updates inside one frozen union
+			// structure: no larger than what CINC's lists accrete, and
+			// no more elimination steps per update.
+			if c, k := sum(clude.StructureSizes), sum(cinc.StructureSizes); c > k {
+				t.Errorf("%s alpha=%v: CLUDE structures total %d entries, CINC %d", ds, alpha, c, k)
+			}
+			if c, k := clude.Bennett.StepsTouched, cinc.Bennett.StepsTouched; c > k {
+				t.Errorf("%s alpha=%v: CLUDE touched %d elimination steps, CINC %d", ds, alpha, c, k)
 			}
 		}
 	}

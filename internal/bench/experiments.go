@@ -42,7 +42,7 @@ func Registry() []Experiment {
 		{"sparsesolve", "Serving layer: reach-based sparse vs dense solve latency vs cluster count", SparseSolve},
 		{"streaming", "Streaming engine: update throughput vs live query latency vs batch size; publish-path allocations", Streaming},
 		{"persistence", "Durability: warm restart vs cold refactorization; WAL fsync ingest cost (beyond the paper)", Persistence},
-		{"loadtest", "Serving pipeline under load: coalesce/batch/shed vs the unbatched single-solve path (beyond the paper)", LoadTest},
+		{"loadtest", "Serving pipeline under load: coalescing, blocked solves and shedding in the production configuration (beyond the paper)", LoadTest},
 		{"supernodal", "Query path: supernodal panel-packed vs scalar blocked substitution on community factors (beyond the paper)", Supernodal},
 		{"history", "Serving layer: delta-compressed factor history — resident bytes and materialization latency vs base spacing (beyond the paper)", History},
 	}

@@ -18,47 +18,44 @@ import (
 )
 
 // LoadTest benchmarks the admission-controlled serving pipeline under
-// load (see docs/SERVING.md), isolating what each stage buys. Client
-// behavior is open-loop: arrivals are paced by a clock, not by
+// load (see docs/SERVING.md) in its one production configuration — the
+// zero serve.Config every cludeserve runs: coalescing on, a worker
+// gather of up to 8, and lu.Solver.SolveRHS picking every solve route.
+// Client behavior is open-loop: arrivals are paced by a clock, not by
 // completions, so overload shows up as queue pressure and shedding
 // instead of silently slowing the clients down. Five tables:
 //
 //  1. A *stampede* — hot keys arrive in bursts of duplicates at ~4x
-//     the single-solve capacity, the thundering-herd shape of
-//     trending queries and expiring cache entries. The unbatched
-//     PR 2 path (NoSingleFlight, BatchMax 1) must solve or shed every
-//     duplicate, because under backlog a burst is fully in flight
-//     before its first solve lands in the cache. Single-flight
-//     collapses each burst to one solve, so goodput per core must
-//     clear ≥ 2x the baseline at an equal-or-better answered p99.
-//     A fourth config (+panels, PanelMinWidth 1) routes the blocked
-//     groups through the supernodal panel path; its "panel blocks"
-//     column shows the routing firing under load (the substitution
-//     win itself is isolated by the supernodal experiment).
+//     the closed-loop capacity, the thundering-herd shape of trending
+//     queries and expiring cache entries. Under backlog a burst is
+//     fully in flight before its first solve lands in the cache;
+//     single-flight collapses each burst to one solve ("coalesced" vs
+//     "cold solves"), and the "blocks" / "panel blocks" columns show
+//     the backlog forming multi-RHS groups and how they were routed.
 //  2. A *distinct* overload — no duplicates, all against the hottest
-//     snapshot, ~2x capacity — where coalescing has nothing to do
-//     and the gain is the blocked multi-RHS solve alone
-//     (lu.Solver.SolveBlock amortizing factor traversal over the
-//     backlog), modest by design.
-//  3. An *overload sweep* of the full pipeline from 0.25x to 2x
-//     capacity: below capacity nothing sheds; at 2x the excess is
-//     shed promptly (ErrOverloaded) while the p99 of answered
-//     queries stays bounded by the queue instead of the backlog.
-//  4. A *tracing overhead* A/B at 2x capacity: the full pipeline with
-//     the request tracer off vs on at production settings (20ms slow
-//     threshold, 1% sampling). Pooled spans, inline attributes and
-//     clock-read sharing keep the marginal cost ~0.3 us per query —
-//     within a 2% answered-throughput delta once client-side tracing
-//     work overlaps with the solve worker (>= 2 cores); single-core
-//     hosts measure the full tracing share of CPU instead.
+//     snapshot, ~2x capacity — where coalescing has nothing to do and
+//     the backlog is absorbed by blocked solves alone.
+//  3. An *overload sweep* from 0.25x to 2x capacity: below capacity
+//     nothing sheds; at 2x the excess is shed promptly (ErrOverloaded)
+//     while the p99 of answered queries stays bounded by the queue
+//     instead of the backlog.
+//  4. A *tracing overhead* A/B at 2x capacity: the request tracer off
+//     vs on at production settings (20ms slow threshold, 1% sampling).
+//     Pooled spans, inline attributes and clock-read sharing keep the
+//     marginal cost ~0.3 us per query — within a 2% answered-throughput
+//     delta once client-side tracing work overlaps with the solve
+//     worker (>= 2 cores); single-core hosts measure the full tracing
+//     share of CPU instead.
 //  5. A *stage breakdown* of the 2x run from the engine's per-stage
 //     histograms (serve.Stats.QueryStages, the same data /v1/metrics
 //     exposes): where a query's time goes across
 //     resolve/coalesce/admit/batch/solve under saturation.
 //
-// The sparse reach-based path is disabled throughout: the Wiki graph
-// is a single strongly-connected blob with full reach, and the sparse
-// path has its own experiment (sparsesolve) on community graphs.
+// The multiples that justified each pipeline stage when it landed
+// (coalescing and blocking over the unbatched engine, panels over the
+// scalar block) were one-off A/B proofs; they stay recorded in
+// CHANGES.md and docs/SERVING.md, and the kernels' own crossovers are
+// re-measured by the sparsesolve and supernodal experiments.
 func LoadTest(d Datasets) ([]*Table, error) {
 	_, ems, err := wikiEMS(d)
 	if err != nil {
@@ -83,59 +80,34 @@ func LoadTest(d Datasets) ([]*Table, error) {
 		workers: workers,
 	}
 
-	// Calibrate capacity: closed-loop saturation of the unbatched
-	// engine measures its sustainable solve throughput.
-	capRes, err := lt.closedLoop(serve.Config{NoSingleFlight: true, BatchMax: 1, SparseReachFrac: -1}, 2*workers, 400)
+	// Calibrate capacity: closed-loop saturation with unique queries
+	// measures the sustainable solve throughput.
+	capRes, err := lt.closedLoop(2*workers, 400)
 	if err != nil {
 		return nil, err
 	}
 	capacity := capRes.qps()
 
-	configs := []struct {
-		name string
-		cfg  serve.Config
-	}{
-		{"pr2-unbatched", serve.Config{NoSingleFlight: true, BatchMax: 1, SparseReachFrac: -1, PanelMinWidth: -1}},
-		{"+coalesce", serve.Config{BatchMax: 1, SparseReachFrac: -1, PanelMinWidth: -1}},
-		{"+coalesce+block", serve.Config{BatchMax: 16, SparseReachFrac: -1, PanelMinWidth: -1}},
-		{"+coalesce+block+panels", serve.Config{BatchMax: 16, SparseReachFrac: -1, PanelMinWidth: 1}},
-	}
-
 	burst := 8
 	stampede := &Table{
 		Title: fmt.Sprintf("Stampede: bursts of %d duplicate queries offered at 4x capacity (~%s qps, Wiki n=%d T=%d, workers=%d)",
 			burst, f(capacity), ems.N(), ems.Len(), workers),
-		Header: []string{"config", "offered qps", "goodput/core", "shed frac", "ans p50", "ans p99", "coalesced", "blocks", "panel blocks", "cold solves", "goodput/core speedup"},
+		Header: []string{"config", "offered qps", "goodput/core", "shed frac", "ans p50", "ans p99", "coalesced", "blocks", "panel blocks", "cold solves"},
 	}
-	var baseGPC float64
-	for _, c := range configs {
-		r, err := lt.openLoadReps(c.cfg, 4*capacity, burst, -1, 2)
-		if err != nil {
-			return nil, err
-		}
-		gpc := r.goodputPerCore(workers)
-		if baseGPC == 0 {
-			baseGPC = gpc
-		}
-		stampede.Rows = append(stampede.Rows, append(r.cells(c.name, workers), f(gpc/baseGPC)+"x"))
+	r, err := lt.openLoadReps(nil, 4*capacity, burst, -1, 2)
+	if err != nil {
+		return nil, err
 	}
+	stampede.Rows = append(stampede.Rows, r.cells("production", workers))
 
 	distinct := &Table{
-		Title:  "Distinct overload: unique hottest-snapshot queries offered at 2x capacity (nothing to coalesce; gain is the blocked solve)",
+		Title:  "Distinct overload: unique hottest-snapshot queries offered at 2x capacity (nothing to coalesce; the backlog solves in blocks)",
 		Header: stampede.Header,
 	}
-	baseGPC = 0
-	for _, c := range configs {
-		r, err := lt.openLoadReps(c.cfg, 2*capacity, 1, lt.T-1, 3)
-		if err != nil {
-			return nil, err
-		}
-		gpc := r.goodputPerCore(workers)
-		if baseGPC == 0 {
-			baseGPC = gpc
-		}
-		distinct.Rows = append(distinct.Rows, append(r.cells(c.name, workers), f(gpc/baseGPC)+"x"))
+	if r, err = lt.openLoadReps(nil, 2*capacity, 1, lt.T-1, 3); err != nil {
+		return nil, err
 	}
+	distinct.Rows = append(distinct.Rows, r.cells("production", workers))
 
 	sweep := &Table{
 		Title:  "Overload sweep (full pipeline): excess load sheds fast and answered latency stays queue-bounded",
@@ -143,7 +115,7 @@ func LoadTest(d Datasets) ([]*Table, error) {
 	}
 	var last *openResult
 	for _, frac := range []float64{0.25, 0.5, 2.0} {
-		r, err := lt.openLoad(serve.Config{BatchMax: 16, SparseReachFrac: -1}, frac*capacity, 1, -1)
+		r, err := lt.openLoad(nil, frac*capacity, 1, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -183,17 +155,14 @@ func LoadTest(d Datasets) ([]*Table, error) {
 	// median over adjacent pairs discards that outlier where a pooled
 	// total would absorb it.
 	tc := trace.New(trace.Config{Buffer: 1024, Slow: 20 * time.Millisecond, Sample: 0.01})
-	offCfg := serve.Config{BatchMax: 16, SparseReachFrac: -1}
-	onCfg := offCfg
-	onCfg.Tracer = tc
 	var offRun, onRun *openResult
 	var pairDeltas []float64
 	for rep := 0; rep < 5; rep++ {
-		off, err := lt.openLoad(offCfg, 2*capacity, 1, -1)
+		off, err := lt.openLoad(nil, 2*capacity, 1, -1)
 		if err != nil {
 			return nil, err
 		}
-		on, err := lt.openLoad(onCfg, 2*capacity, 1, -1)
+		on, err := lt.openLoad(tc, 2*capacity, 1, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +212,7 @@ func LoadTest(d Datasets) ([]*Table, error) {
 }
 
 // loadTester shares the pinned solvers and workload parameters across
-// the configurations under test.
+// the runs.
 type loadTester struct {
 	solvers []*lu.Solver
 	damping float64
@@ -251,19 +220,22 @@ type loadTester struct {
 	workers int
 }
 
-// newEngine builds one engine under test around the shared solvers.
-func (lt *loadTester) newEngine(cfg serve.Config) *serve.Engine {
-	cfg.Workers = lt.workers
-	cfg.Damping = lt.damping
-	cfg.MaxSnapshots = lt.T
-	// A bounded queue that absorbs arrival jitter (time.Sleep
-	// granularity bunches paced arrivals) but keeps worst-case
-	// waiting at a few dozen solves; beyond it, excess load sheds.
-	cfg.QueueDepth = 64
-	// Tiny cache relative to the key space: bursts are absorbed by
-	// coalescing (or not), never by pure cache capacity.
-	cfg.CacheSize = 32
-	eng := serve.New(cfg)
+// newEngine builds one engine under test around the shared solvers;
+// tracer is nil except on the traced side of the tracing A/B.
+func (lt *loadTester) newEngine(tracer *trace.Tracer) *serve.Engine {
+	eng := serve.New(serve.Config{
+		Workers:      lt.workers,
+		Damping:      lt.damping,
+		MaxSnapshots: lt.T,
+		// A bounded queue that absorbs arrival jitter (time.Sleep
+		// granularity bunches paced arrivals) but keeps worst-case
+		// waiting at a few dozen solves; beyond it, excess load sheds.
+		QueueDepth: 64,
+		// Tiny cache relative to the key space: bursts are absorbed by
+		// coalescing, never by pure cache capacity.
+		CacheSize: 32,
+		Tracer:    tracer,
+	})
 	// Engines only read pinned solvers, so the runs can share them.
 	for i, s := range lt.solvers {
 		eng.Pin(i, s)
@@ -305,9 +277,9 @@ func (r *closedLoopResult) qps() float64 { return float64(r.total) / r.wall.Seco
 
 // closedLoop saturates the engine with clients that issue unique
 // queries back to back, measuring sustainable throughput.
-func (lt *loadTester) closedLoop(cfg serve.Config, clients, perClient int) (*closedLoopResult, error) {
+func (lt *loadTester) closedLoop(clients, perClient int) (*closedLoopResult, error) {
 	errc := make(chan error, clients)
-	eng := lt.newEngine(cfg)
+	eng := lt.newEngine(nil)
 	defer eng.Close()
 	var wg sync.WaitGroup
 	t0 := time.Now()
@@ -372,10 +344,10 @@ func (r *openResult) cells(name string, workers int) []string {
 // openLoadReps runs openLoad reps times against fresh engines and
 // pools the outcomes, damping GC- and scheduler-induced tail noise
 // on small machines.
-func (lt *loadTester) openLoadReps(cfg serve.Config, rate float64, burst, snap, reps int) (*openResult, error) {
+func (lt *loadTester) openLoadReps(tracer *trace.Tracer, rate float64, burst, snap, reps int) (*openResult, error) {
 	var sum *openResult
 	for rep := 0; rep < reps; rep++ {
-		r, err := lt.openLoad(cfg, rate, burst, snap)
+		r, err := lt.openLoad(tracer, rate, burst, snap)
 		if err != nil {
 			return nil, err
 		}
@@ -418,8 +390,8 @@ func sortLats(r *openResult) {
 // burst is in flight before its first solve can land in the cache,
 // which is exactly the window single-flight coalescing exists for.
 // snap pins every query's snapshot (< 0 draws them at random).
-func (lt *loadTester) openLoad(cfg serve.Config, rate float64, burst, snap int) (*openResult, error) {
-	eng := lt.newEngine(cfg)
+func (lt *loadTester) openLoad(tracer *trace.Tracer, rate float64, burst, snap int) (*openResult, error) {
+	eng := lt.newEngine(tracer)
 	defer eng.Close()
 
 	total := int(rate / 2) // ~0.5 s of offered traffic

@@ -2,40 +2,46 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lu"
-	"repro/internal/measures"
+	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
-// SparseSolve measures the reach-based sparse-RHS solve path against
-// the dense forward/backward substitution for single-seed queries —
-// the serving layer's hot path.
+// SparseSolve measures the reach-restricted substitution kernel
+// (Factors.SolveReachInPlace behind two sparse.ReachWorkspace probes)
+// against the dense one (Factors.SolveInPlace) for single-seed
+// right-hand sides — the two routes lu.Solver.SolveRHS chooses between
+// at k = 1. Both kernels are forced, uncapped, on the permuted factors
+// directly, so every row reports both sides whatever the dispatcher
+// would have picked; the "routed reach" column then says what share of
+// the same seeds SolveRHS does send down the reach route, which is what
+// keeps its 0.25·n reach cap checkable against the measured crossover.
 //
 // Two sweeps on the DBLP-like generator:
 //
 //  1. Community count with fully partitioned communities (no
 //     cross-community papers): a seed's dependency closure stays
-//     inside its community, so the reach — and the sparse path's work
-//     — shrinks as 1/C while the dense path still sweeps all of n.
-//     This is the clustered regime the sparse path exists for.
+//     inside its community, so the reach — and the reach kernel's work
+//     — shrinks as 1/C while the dense kernel still sweeps all of n.
+//     This is the clustered regime the reach route exists for.
 //  2. Cross-community linkage at a fixed community count: every added
-//     bridge inflates the reach toward n, degrading the sparse path
-//     below the dense one — the data behind the
-//     measures.DefaultReachFraction fallback threshold.
+//     bridge inflates the reach toward n, degrading the reach kernel
+//     below the dense one — the data behind the reach cap.
 func SparseSolve(d Datasets) ([]*Table, error) {
+	cols := []string{"fill |L+U+D|", "avg reach frac",
+		"dense/query", "sparse/query", "speedup", "routed reach"}
 	clusters := &Table{
-		Title: fmt.Sprintf("Single-seed solve: sparse vs dense vs community count (DBLP-like, n=%d, disjoint communities)", d.DBLP.N),
-		Header: []string{"communities", "fill |L+U+D|", "avg reach frac",
-			"dense/query", "sparse/query", "speedup"},
+		Title:  fmt.Sprintf("Single-seed solve: sparse vs dense vs community count (DBLP-like, n=%d, disjoint communities)", d.DBLP.N),
+		Header: append([]string{"communities"}, cols...),
 	}
 	bridges := &Table{
-		Title: fmt.Sprintf("Single-seed solve: sparse vs dense vs cross-community linkage (DBLP-like, n=%d, 8 communities)", d.DBLP.N),
-		Header: []string{"cross frac", "fill |L+U+D|", "avg reach frac",
-			"dense/query", "sparse/query", "speedup"},
+		Title:  fmt.Sprintf("Single-seed solve: sparse vs dense vs cross-community linkage (DBLP-like, n=%d, 8 communities)", d.DBLP.N),
+		Header: append([]string{"cross frac"}, cols...),
 	}
 	verify := &Table{
 		Title:  "Sparse-path checksum (max |sparse − dense| over sampled queries; must be 0)",
@@ -67,10 +73,11 @@ func SparseSolve(d Datasets) ([]*Table, error) {
 	return []*Table{clusters, bridges, verify}, nil
 }
 
-// sparseVsDense times both solve paths over a sampled single-seed
-// query stream on the last snapshot of one generator configuration,
-// returning the result row (led by the caller's sweep label) and the
-// checksum row.
+// sparseVsDense times both kernels over a sampled single-seed stream
+// on the last snapshot of one generator configuration, returning the
+// result row (led by the caller's sweep label) and the checksum row.
+// Seeds are positions in the permuted system: the kernels never see
+// the ordering, so the numbers isolate pure substitution.
 func sparseVsDense(d Datasets, cfg gen.DBLPConfig, label string) (row, check []string, err error) {
 	egs, err := gen.DBLPSim(cfg)
 	if err != nil {
@@ -82,8 +89,9 @@ func sparseVsDense(d Datasets, cfg gen.DBLPConfig, label string) (row, check []s
 	if err != nil {
 		return nil, nil, err
 	}
+	fac := solver.F
 	n := a.N()
-	me := measures.NewSolverEngine(d.Damping, solver)
+	restart := 1 - d.Damping
 
 	rng := xrand.New(77)
 	q := minInt(n, 200)
@@ -93,61 +101,85 @@ func sparseVsDense(d Datasets, cfg gen.DBLPConfig, label string) (row, check []s
 	}
 	const reps = 5
 
-	// Dense path: one workspace, reusable result buffer.
-	var dws lu.SolveWorkspace
+	// Dense kernel: one reusable vector, cleared per query.
 	dense := make([]float64, n)
+	solveDense := func(p int) {
+		for i := range dense {
+			dense[i] = 0
+		}
+		dense[p] = restart
+		fac.SolveInPlace(dense)
+	}
 	t0 := time.Now()
 	for r := 0; r < reps; r++ {
-		for _, u := range seeds {
-			dense = me.RWRInto(dense, u, &dws)
+		for _, p := range seeds {
+			solveDense(p)
 		}
 	}
 	denseT := time.Since(t0) / time.Duration(reps*q)
 
-	// Sparse path, uncapped so the table reports the true reach.
-	var sws lu.SparseSolveWorkspace
+	// Reach kernel, uncapped so the table reports the true reach: two
+	// symbolic probes, the restricted substitution, and the re-zeroing
+	// that keeps the scatter vector reusable.
+	var fwd, bwd sparse.ReachWorkspace
+	lsucc, usucc := fac.LSucc, fac.USucc
+	x := make([]float64, n)
+	solveReach := func(p int) []int {
+		freach, _ := fwd.Reach(n, []int{p}, lsucc, 0)
+		breach, _ := bwd.Reach(n, freach, usucc, 0)
+		x[p] = restart
+		fac.SolveReachInPlace(x, freach, breach)
+		return breach
+	}
 	rows := 0
 	t1 := time.Now()
 	for r := 0; r < reps; r++ {
 		rows = 0
-		for _, u := range seeds {
-			sp, ok := me.RWRSparse(u, 1, &sws)
-			if !ok {
-				return nil, nil, fmt.Errorf("bench: uncapped sparse solve fell back (%s)", label)
+		for _, p := range seeds {
+			breach := solveReach(p)
+			rows += len(breach)
+			for _, i := range breach {
+				x[i] = 0
 			}
-			rows += len(sp.Idx)
 		}
 	}
 	sparseT := time.Since(t1) / time.Duration(reps*q)
 
 	// Correctness spot check outside the timed loops.
 	maxDiff := 0.0
-	for _, u := range seeds[:minInt(q, 20)] {
-		ref := me.RWRWith(u, &dws)
-		sp, _ := me.RWRSparse(u, 1, &sws)
-		got := sp.Dense(nil)
-		for i := range ref {
-			if diff := abs64(got[i] - ref[i]); diff > maxDiff {
+	for _, p := range seeds[:minInt(q, 20)] {
+		solveDense(p)
+		for _, i := range solveReach(p) {
+			dense[i] -= x[i]
+			x[i] = 0
+		}
+		for _, v := range dense {
+			if diff := math.Abs(v); diff > maxDiff {
 				maxDiff = diff
 			}
+		}
+	}
+
+	// What the dispatcher does with the same stream.
+	var ws lu.SolveWorkspace
+	rhs := []lu.RHS{{Idx: []int{0}, Val: []float64{restart}}}
+	routed := 0
+	for _, p := range seeds {
+		rhs[0].Idx[0] = solver.O.Row[p]
+		if solver.SolveRHS(rhs, true, &ws).Route == lu.RouteReach {
+			routed++
 		}
 	}
 
 	reachFrac := float64(rows) / float64(q*n)
 	row = []string{
 		label,
-		fmt.Sprint(solver.F.Size()),
+		fmt.Sprint(fac.Size()),
 		f(reachFrac),
 		durUS(denseT),
 		durUS(sparseT),
 		f(speedup(denseT, sparseT)),
+		f(float64(routed) / float64(q)),
 	}
 	return row, []string{label, f(maxDiff)}, nil
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

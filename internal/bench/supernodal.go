@@ -28,12 +28,15 @@ import (
 //  2. RHS count at a fixed structure: the dense rank-panel update
 //     amortizes the panel gather over k right-hand sides, so the
 //     speedup must grow with k (the acceptance gate is >= 2x at
-//     k >= 8).
+//     k >= 8). Both kernels are forced at every k; the "routed" column
+//     is what lu.Solver.SolveRHS picks for a frozen block of that
+//     width, which keeps its mean-width thresholds (>= 1.5, and
+//     mean width x k >= 8) checkable against the measured crossover.
 //  3. Relaxation 0–4: each tolerated structure mismatch widens panels
 //     (fewer, denser blocks) at the price of packed explicit zeros —
 //     the fill-vs-width trade the relax knob exists for.
 //  4. The panel width histogram of the default build, the shape behind
-//     the mean-width heuristic (serve.Config.PanelMinWidth).
+//     the dispatcher's mean-width thresholds.
 //
 // The checksum table holds every panel answer bit-identical to the
 // scalar path (max |panel − scalar| must be 0): routing is purely an
@@ -50,7 +53,7 @@ func Supernodal(d Datasets) ([]*Table, error) {
 	rhsSweep := &Table{
 		Title: fmt.Sprintf("Panel speedup vs RHS count (DBLP-like, n=%d, %d communities, relax=%d; acceptance: >= 2x at k >= 8)",
 			scfg.N, scfg.Communities, lu.DefaultPanelRelax),
-		Header: []string{"rhs k", "scalar/block", "panel/block", "speedup"},
+		Header: []string{"rhs k", "scalar/block", "panel/block", "speedup", "routed"},
 	}
 	relaxSweep := &Table{
 		Title: fmt.Sprintf("Relaxation sweep (DBLP-like, n=%d, %d communities, k=%d): panel width vs packed fill vs speedup",
@@ -70,7 +73,7 @@ func Supernodal(d Datasets) ([]*Table, error) {
 	for _, comm := range []int{1, 2, 4, 8} {
 		cfg := scfg
 		cfg.Communities = comm
-		sf, err := supernodalFactors(d, cfg)
+		_, sf, err := supernodalFactors(d, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -92,18 +95,24 @@ func Supernodal(d Datasets) ([]*Table, error) {
 	}
 
 	// Sweeps 2–4 share the default-structure factors.
-	f0, err := supernodalFactors(d, scfg)
+	s0, f0, err := supernodalFactors(d, scfg)
 	if err != nil {
 		return nil, err
 	}
 	ps0 := lu.NewPanelSet(f0, lu.DefaultPanelRelax, 0)
+	var ws lu.SolveWorkspace
 	for _, k := range []int{1, 2, 4, 8, 16, 32} {
 		scalarT, panelT, diff := panelVsScalar(f0, ps0, k)
+		rhs := make([]lu.RHS, k)
+		for r := range rhs {
+			rhs[r] = lu.RHS{Idx: []int{r % f0.Dim()}, Val: []float64{0.15}}
+		}
 		rhsSweep.Rows = append(rhsSweep.Rows, []string{
 			fmt.Sprint(k),
 			durUS(scalarT),
 			durUS(panelT),
 			f2(speedup(scalarT, panelT)) + "x",
+			string(s0.SolveRHS(rhs, true, &ws).Route),
 		})
 		verify.Rows = append(verify.Rows, []string{fmt.Sprintf("default k=%d", k), f(diff)})
 	}
@@ -153,24 +162,24 @@ func supernodalConfig(d Datasets) gen.DBLPConfig {
 }
 
 // supernodalFactors factorizes the last snapshot of one DBLP generator
-// configuration under the Markowitz ordering and returns the static
-// container the panel layer packs.
-func supernodalFactors(d Datasets, cfg gen.DBLPConfig) (*lu.StaticFactors, error) {
+// configuration under the Markowitz ordering and returns the solver
+// with the static container the panel layer packs.
+func supernodalFactors(d Datasets, cfg gen.DBLPConfig) (*lu.Solver, *lu.StaticFactors, error) {
 	egs, err := gen.DBLPSim(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ems := graph.DeriveEMS(egs, graph.SymmetricWalkMatrix(d.Damping))
 	a := ems.Matrices[ems.Len()-1]
 	solver, err := lu.FactorizeOrdered(a, orderOf(a))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f, ok := solver.F.(*lu.StaticFactors)
 	if !ok {
-		return nil, fmt.Errorf("bench: supernodal expects StaticFactors, got %T", solver.F)
+		return nil, nil, fmt.Errorf("bench: supernodal expects StaticFactors, got %T", solver.F)
 	}
-	return f, nil
+	return solver, f, nil
 }
 
 // panelVsScalar times one blocked substitution of k right-hand sides
@@ -203,7 +212,7 @@ func panelVsScalar(f *lu.StaticFactors, ps *lu.PanelSet, k int) (scalarT, panelT
 	// interleaving keeps a mid-measurement clock or load shift from
 	// skewing the ratio (both sides sample the same conditions).
 	reps := maxInt(10, 640/k)
-	var ws lu.BlockWorkspace
+	var ws lu.SolveWorkspace
 
 	reset()
 	f.SolveBlockInPlace(work) // warm caches and page in the factors

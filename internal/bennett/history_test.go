@@ -137,7 +137,7 @@ func TestMaterializeBitIdentical(t *testing.T) {
 // TestMaterializeZeroAlloc pins the satellite contract: repeated
 // MaterializeInto on a warm workspace and recycled destination
 // performs zero steady-state allocations (same style as the
-// BlockWorkspace shrink-reuse tests).
+// lu.SolveWorkspace shrink-reuse tests).
 func TestMaterializeZeroAlloc(t *testing.T) {
 	rng := xrand.New(911)
 	for _, dynamic := range []bool{false, true} {

@@ -30,4 +30,22 @@
 //     to the traditional incremental algorithm (INC/CINC); incremental
 //     updates must scan and splice lists to insert new fill, which is
 //     the dominating cost the paper profiles at ~70% of Bennett time.
+//
+// Solving. A Solver couples either container with its ordering and is
+// the one way to solve A·x = b on maintained factors (§2.2:
+// x = Q·solve(P·b)). Solver.Solve(b) is the allocating convenience for
+// one dense right-hand side. Solver.SolveRHS is the entry point for
+// everything else: it takes k ≥ 1 right-hand sides (support lists or
+// dense vectors) and one SolveWorkspace, checks the input once, picks
+// the substitution route itself — reach-restricted, dense, scalar
+// block, or packed supernodal panels — from the support's capped reach
+// probe, k, the container type and the packed set's mean panel width,
+// and returns a Report naming the route. The thresholds are unexported
+// constants beside the dispatcher in solve.go; the only thing a caller
+// states is whether the factors are frozen. The kernels the routes run
+// (SolveInPlace, SolveReachInPlace, SolveBlockInPlace on both
+// containers, PanelSet.SolveBlockInPlace) are exported for the bench
+// sweeps that justify those thresholds, and all of them execute, per
+// right-hand side, the same floating-point operations in the same
+// order, so every route returns the same bits.
 package lu

@@ -7,9 +7,8 @@ import (
 )
 
 // The helpers in this file are conveniences a downstream user of the
-// factorization needs in practice: determinants (free from D), batched
-// and refined solves, and a cheap condition diagnostic. None of them
-// alter the factors.
+// factorization needs in practice: determinants (free from D) and a
+// cheap condition diagnostic. None of them alter the factors.
 
 // LogDet returns log|det(A)| and the sign of the determinant computed
 // from the pivots of the (reordered) factorization, adjusted by the
@@ -58,44 +57,6 @@ func permSign(p sparse.Perm) int {
 		}
 	}
 	return sign
-}
-
-// SolveMany solves A·X = B column by column, reusing the factors. Each
-// element of bs is one right-hand side; the result has the same shape.
-// This is the "many queries per snapshot" pattern the paper motivates
-// (one b per measure query).
-func (s *Solver) SolveMany(bs [][]float64) [][]float64 {
-	out := make([][]float64, len(bs))
-	for i, b := range bs {
-		out[i] = s.Solve(b)
-	}
-	return out
-}
-
-// SolveRefined performs one step of iterative refinement: solve, form
-// the residual r = b − A·x against the *original* matrix a, solve the
-// correction, and return x + δ along with the final residual ∞-norm.
-// Useful after long Bennett update chains to squeeze accumulated
-// update error back to solver precision.
-func (s *Solver) SolveRefined(a *sparse.CSR, b []float64) ([]float64, float64) {
-	x := s.Solve(b)
-	ax := a.MulVec(x)
-	r := make([]float64, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	d := s.Solve(r)
-	for i := range x {
-		x[i] += d[i]
-	}
-	ax = a.MulVec(x)
-	res := 0.0
-	for i := range b {
-		if v := math.Abs(b[i] - ax[i]); v > res {
-			res = v
-		}
-	}
-	return x, res
 }
 
 // PivotRange returns the smallest and largest pivot magnitudes — a

@@ -70,59 +70,6 @@ func TestPermSign(t *testing.T) {
 	}
 }
 
-func TestSolveMany(t *testing.T) {
-	rng := xrand.New(2001)
-	n := 20
-	a := randomDominant(rng, n, 4*n)
-	s, err := FactorizeOrdered(a, sparse.IdentityOrdering(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := make([][]float64, 3)
-	want := make([][]float64, 3)
-	for k := range bs {
-		want[k] = make([]float64, n)
-		for i := range want[k] {
-			want[k][i] = rng.Float64()
-		}
-		bs[k] = a.MulVec(want[k])
-	}
-	got := s.SolveMany(bs)
-	for k := range got {
-		if sparse.NormInfDiff(got[k], want[k]) > 1e-8 {
-			t.Fatalf("rhs %d wrong", k)
-		}
-	}
-}
-
-func TestSolveRefinedImproves(t *testing.T) {
-	rng := xrand.New(2002)
-	n := 30
-	a := randomDominant(rng, n, 5*n)
-	s, err := FactorizeOrdered(a, sparse.IdentityOrdering(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perturb the factors slightly to mimic accumulated update error.
-	sf := s.F.(*StaticFactors)
-	for i := range sf.LVal {
-		sf.LVal[i] *= 1 + 1e-7
-	}
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.Float64()
-	}
-	b := a.MulVec(want)
-	plain := s.Solve(b)
-	refined, res := s.SolveRefined(a, b)
-	if sparse.NormInfDiff(refined, want) > sparse.NormInfDiff(plain, want) {
-		t.Error("refinement made the solution worse")
-	}
-	if res > 1e-9 {
-		t.Errorf("refined residual %g too large", res)
-	}
-}
-
 func TestPivotRange(t *testing.T) {
 	rng := xrand.New(2003)
 	a := randomDominant(rng, 15, 40)

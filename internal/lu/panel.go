@@ -29,9 +29,9 @@ package lu
 //     global ascending-column order of the scalar row sweep.
 //
 // A PanelSet snapshots the factor *values* at build time, so it is only
-// valid while the factors are not refilled or Bennett-updated; the
-// serving layer therefore builds panels lazily on pinned (frozen)
-// solvers only and never on a live source's hot factors.
+// valid while the factors are not refilled or Bennett-updated;
+// Solver.SolveRHS therefore builds panels lazily on solvers its caller
+// declares frozen and never on a live source's hot factors.
 
 import (
 	"sort"
@@ -366,14 +366,14 @@ func (ps *PanelSet) PackTime() time.Duration { return ps.packTime }
 //     panel's elements again after its own rect update, so per
 //     element the divide still lands after its last L update and
 //     before its first U update — the scalar schedule.
-func (ps *PanelSet) SolveBlockInPlace(xs [][]float64, ws *BlockWorkspace) {
+func (ps *PanelSet) SolveBlockInPlace(xs [][]float64, ws *SolveWorkspace) {
 	for _, x := range xs {
 		if len(x) != ps.n {
 			panic("lu: panel SolveBlockInPlace dimension mismatch")
 		}
 	}
 	if ws == nil {
-		ws = &BlockWorkspace{}
+		ws = &SolveWorkspace{}
 	}
 	k := len(xs)
 	n := ps.n
@@ -841,15 +841,14 @@ func (ps *PanelSet) forwardRect(X []float64, pn *panel, jj, k int, ll []float64,
 	}
 }
 
-// PanelsBuild returns the solver's packed panel set, building it with
+// panelsBuild returns the solver's packed panel set, building it with
 // the default relaxation on first call; built reports whether *this*
 // call did the build (so exactly one caller can account the packing
-// cost). The set snapshots the factor values, so PanelsBuild must only
+// cost). The set snapshots the factor values, so panelsBuild must only
 // be used on solvers whose factors are frozen — pinned snapshots, not
 // a live source's hot factors. Solvers over DynamicFactors have no
-// panel form: the result is nil (with built true on the first call)
-// and the panel solve entry points fall back to the scalar path.
-func (s *Solver) PanelsBuild() (ps *PanelSet, built bool) {
+// panel form: the result is nil (with built true on the first call).
+func (s *Solver) panelsBuild() (ps *PanelSet, built bool) {
 	s.panelOnce.Do(func() {
 		if f, ok := s.F.(*StaticFactors); ok {
 			s.panels = NewPanelSet(f, DefaultPanelRelax, DefaultPanelMaxWidth)
@@ -857,62 +856,4 @@ func (s *Solver) PanelsBuild() (ps *PanelSet, built bool) {
 		built = true
 	})
 	return s.panels, built
-}
-
-// Panels is PanelsBuild without the build report.
-func (s *Solver) Panels() *PanelSet { ps, _ := s.PanelsBuild(); return ps }
-
-// SolveBlockPanels is SolveBlock routed through the packed panel set:
-// the same permutation/workspace contract, with PanelSet's kernels
-// doing the three sweeps. Answers are bit-identical to SolveBlock —
-// and to k independent SolveWith calls. Falls back to SolveBlock when
-// the solver has no panel form (DynamicFactors).
-func (s *Solver) SolveBlockPanels(dsts, bs [][]float64, ws *BlockWorkspace) [][]float64 {
-	ps := s.Panels()
-	if ps == nil {
-		return s.SolveBlock(dsts, bs, ws)
-	}
-	if ws == nil {
-		ws = &BlockWorkspace{}
-	}
-	k := len(bs)
-	n := len(s.O.Row)
-	if dsts == nil {
-		dsts = make([][]float64, k)
-	}
-	cols := ws.vectors(k, n)
-	for r, b := range bs {
-		w := cols[r]
-		for i, v := range s.O.Row {
-			w[i] = b[v] // b' = P·b
-		}
-	}
-	ps.SolveBlockInPlace(cols, ws)
-	for r := range bs {
-		dst := dsts[r]
-		if cap(dst) < n {
-			dst = make([]float64, n)
-		}
-		dst = dst[:n]
-		w := cols[r]
-		for i, v := range s.O.Col {
-			dst[v] = w[i] // x = Q·x'
-		}
-		dsts[r] = dst
-	}
-	return dsts
-}
-
-// SolvePanels is SolveWith routed through the packed panel set: one
-// right-hand side, caller-owned scratch, fresh result, bit-identical
-// to SolveWith (and Solve) for the same b. Falls back to the scalar
-// path when the solver has no panel form.
-func (s *Solver) SolvePanels(b []float64, ws *BlockWorkspace) []float64 {
-	if ws == nil {
-		ws = &BlockWorkspace{}
-	}
-	one := ws.one[:1]
-	one[0] = b
-	defer func() { ws.one[0] = nil }()
-	return s.SolveBlockPanels(nil, one, ws)[0]
 }

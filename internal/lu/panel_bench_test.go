@@ -59,7 +59,7 @@ func benchmarkSubstitution(b *testing.B, k int, panels bool) {
 		work[r] = make([]float64, f.Dim())
 	}
 	var ps *lu.PanelSet
-	var ws lu.BlockWorkspace
+	var ws lu.SolveWorkspace
 	if panels {
 		ps = lu.NewPanelSet(f, lu.DefaultPanelRelax, 0)
 	}
@@ -76,8 +76,8 @@ func benchmarkSubstitution(b *testing.B, k int, panels bool) {
 	}
 }
 
-func BenchmarkSolveBlockScalarK8(b *testing.B) { benchmarkSubstitution(b, 8, false) }
-func BenchmarkSolveBlockPanelsK8(b *testing.B) { benchmarkSubstitution(b, 8, true) }
+func BenchmarkScalarBlockK8(b *testing.B) { benchmarkSubstitution(b, 8, false) }
+func BenchmarkPanelBlockK8(b *testing.B)  { benchmarkSubstitution(b, 8, true) }
 
-func BenchmarkSolveBlockScalarK16(b *testing.B) { benchmarkSubstitution(b, 16, false) }
-func BenchmarkSolveBlockPanelsK16(b *testing.B) { benchmarkSubstitution(b, 16, true) }
+func BenchmarkScalarBlockK16(b *testing.B) { benchmarkSubstitution(b, 16, false) }
+func BenchmarkPanelBlockK16(b *testing.B)  { benchmarkSubstitution(b, 16, true) }

@@ -1,64 +1,53 @@
-// Property tests of the supernodal panel solve path: SolvePanels must
-// reproduce SolveWith and SolveBlockPanels must reproduce SolveBlock
-// bit for bit — across every factor state the pipelines produce
-// (BF/INC/CINC/CLUDE, including the DynamicFactors fallback), after
-// randomized Bennett update sequences, for relaxation widths 0–4, and
-// for every block width the serving layer batches (1–32 right-hand
-// sides). Routing through panels must be purely an execution-schedule
-// decision, exactly like blocking and the sparse path before it.
+// Property tests of the supernodal panel route: the packed strategy
+// must reproduce Solve bit for bit at every width — across every factor
+// state the pipelines produce (BF/INC/CINC/CLUDE; the dispatcher keeps
+// DynamicFactors solvers on the scalar block), after randomized Bennett
+// update sequences, for relaxation widths 0–4, and for every block
+// width the serving layer batches (1–32 right-hand sides). Routing
+// through panels must be purely an execution-schedule decision, exactly
+// like blocking and the reach route before it.
 package lu_test
 
 import (
 	"testing"
 
-	"repro/internal/bennett"
 	"repro/internal/core"
 	"repro/internal/lu"
 	"repro/internal/order"
-	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
 // panelKs are the RHS counts the panel contract is checked at.
 var panelKs = []int{1, 2, 3, 8, 17, 32}
 
-// checkPanelsMatchScalar solves the block through the panel path and
-// the scalar paths and asserts bit-identity of every element.
-func checkPanelsMatchScalar(t *testing.T, tag string, s *lu.Solver, bs [][]float64, bws *lu.BlockWorkspace) {
+// checkPanelsMatchScalar solves the block through the packed strategy
+// and asserts bit-identity with Solve on every element. A solver with
+// no panel form (DynamicFactors) must instead be kept on the scalar
+// route by the dispatcher even when declared frozen.
+func checkPanelsMatchScalar(t *testing.T, tag string, s *lu.Solver, bs [][]float64, ws *lu.SolveWorkspace) {
 	t.Helper()
-	var sws lu.SolveWorkspace
-	want := make([][]float64, len(bs))
-	for r, b := range bs {
-		want[r] = s.SolveWith(b, &sws)
-	}
-	got := s.SolveBlockPanels(nil, bs, bws)
-	for r := range bs {
-		for i := range want[r] {
-			if got[r][i] != want[r][i] {
-				t.Fatalf("%s: panels k=%d rhs %d differs at %d: %v vs %v",
-					tag, len(bs), r, i, got[r][i], want[r][i])
-			}
+	want := solveAll(s, bs)
+	rhs := denseBlock(bs)
+	if !s.ForcePanel(rhs, ws) {
+		rep := s.SolveRHS(rhs, true, ws)
+		if rep.Route == lu.RoutePanel || rep.Packed != nil {
+			t.Fatalf("%s: solver without a panel form reported %+v", tag, rep)
 		}
 	}
-	one := s.SolvePanels(bs[0], bws)
-	for i := range want[0] {
-		if one[i] != want[0][i] {
-			t.Fatalf("%s: SolvePanels differs at %d: %v vs %v", tag, i, one[i], want[0][i])
-		}
-	}
+	assertBlockEquals(t, tag+" panels", rhs, want)
 }
 
 // checkPanelSetMatchesFactors compares a packed set against the source
 // container's scalar block sweep on copies of the same vectors — the
 // factor-level form of the contract, exercised per relaxation.
-func checkPanelSetMatchesFactors(t *testing.T, tag string, f *lu.StaticFactors, ps *lu.PanelSet, xs [][]float64, bws *lu.BlockWorkspace) {
+func checkPanelSetMatchesFactors(t *testing.T, tag string, f *lu.StaticFactors, ps *lu.PanelSet, xs [][]float64, ws *lu.SolveWorkspace) {
 	t.Helper()
 	want := make([][]float64, len(xs))
 	for r, x := range xs {
 		want[r] = append([]float64(nil), x...)
 	}
 	f.SolveBlockInPlace(want)
-	ps.SolveBlockInPlace(xs, bws)
+	ps.SolveBlockInPlace(xs, ws)
 	for r := range xs {
 		for i := range want[r] {
 			if xs[r][i] != want[r][i] {
@@ -69,11 +58,11 @@ func checkPanelSetMatchesFactors(t *testing.T, tag string, f *lu.StaticFactors, 
 	}
 }
 
-// TestSolvePanelsMatchesSolveWithAcrossAlgorithms pins every factor
-// state the four pipelines emit and replays random blocks through the
-// panel path and the scalar path. INC/CINC retain DynamicFactors
-// solvers, so this also covers the transparent fallback.
-func TestSolvePanelsMatchesSolveWithAcrossAlgorithms(t *testing.T) {
+// TestPanelRouteMatchesSolveAcrossAlgorithms pins every factor state
+// the four pipelines emit and replays random blocks through the panel
+// strategy and Solve. INC/CINC retain DynamicFactors solvers, so this
+// also covers the dispatcher keeping them on the scalar block.
+func TestPanelRouteMatchesSolveAcrossAlgorithms(t *testing.T) {
 	ems := testEMS(t)
 	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
 		alg := alg
@@ -87,11 +76,11 @@ func TestSolvePanelsMatchesSolveWithAcrossAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := xrand.New(59)
-			var bws lu.BlockWorkspace // shared across widths on purpose
+			var ws lu.SolveWorkspace // shared across widths on purpose
 			for _, s := range solvers {
 				for _, k := range panelKs {
 					bs := blockRHS(rng, k, s.F.Dim())
-					checkPanelsMatchScalar(t, string(alg), s, bs, &bws)
+					checkPanelsMatchScalar(t, string(alg), s, bs, &ws)
 				}
 			}
 		})
@@ -113,7 +102,7 @@ func TestPanelSolveRelaxationWidths(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(67)
-	var bws lu.BlockWorkspace
+	var ws lu.SolveWorkspace
 	n := ems.N()
 	for relax := 0; relax <= 4; relax++ {
 		for _, maxWidth := range []int{0, 4} {
@@ -123,7 +112,7 @@ func TestPanelSolveRelaxationWidths(t *testing.T) {
 			}
 			for _, k := range panelKs {
 				xs := blockRHS(rng, k, n)
-				checkPanelSetMatchesFactors(t, "relax", static, ps, xs, &bws)
+				checkPanelSetMatchesFactors(t, "relax", static, ps, xs, &ws)
 			}
 		}
 	}
@@ -133,55 +122,17 @@ func TestPanelSolveRelaxationWidths(t *testing.T) {
 // through randomized Bennett jumps, repacking after each (panels
 // snapshot values, so an update invalidates the previous set), cycling
 // the relaxation, and checks the contract after every jump. The
-// dynamic container rides along through the solver-level fallback.
+// dynamic container rides along through the dispatcher's scalar route.
 func TestPanelSolveAfterRandomBennettSequences(t *testing.T) {
-	ems := testEMS(t)
-
-	union := ems.Matrices[0].Pattern()
-	for _, m := range ems.Matrices[1:] {
-		union = union.Union(m.Pattern())
-	}
-	ord := order.Markowitz(union).Ordering
-	perm := make([]*sparse.CSR, ems.Len())
-	for i, m := range ems.Matrices {
-		perm[i] = m.Permute(ord)
-	}
-	static := lu.NewStaticFactors(lu.Symbolic(union.Permute(ord)))
-	if err := static.Factorize(perm[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	ord2 := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
-	perm2 := make([]*sparse.CSR, ems.Len())
-	for i, m := range ems.Matrices {
-		perm2[i] = m.Permute(ord2)
-	}
-	seed := lu.NewStaticFactors(lu.Symbolic(perm2[0].Pattern()))
-	if err := seed.Factorize(perm2[0]); err != nil {
-		t.Fatal(err)
-	}
-	dynamic := lu.NewDynamicFactors(seed)
-	dSolver := &lu.Solver{F: dynamic, O: ord2}
-
-	rng := xrand.New(97)
-	var bws lu.BlockWorkspace
-	cur, cur2 := 0, 0
+	p := newBennettPair(t, 97)
+	n := p.static.Dim()
+	var ws lu.SolveWorkspace
 	for step := 0; step < 12; step++ {
-		next := rng.Intn(ems.Len())
-		if err := bennett.UpdateStatic(static, sparse.Delta(perm[cur], perm[next]), nil); err != nil {
-			t.Fatal(err)
-		}
-		cur = next
-		next2 := rng.Intn(ems.Len())
-		if err := bennett.UpdateDynamic(dynamic, sparse.Delta(perm2[cur2], perm2[next2]), nil); err != nil {
-			t.Fatal(err)
-		}
-		cur2 = next2
-
-		k := 1 + rng.Intn(8)
-		ps := lu.NewPanelSet(static, step%5, 0)
-		checkPanelSetMatchesFactors(t, "bennett", static, ps, blockRHS(rng, k, ems.N()), &bws)
-		checkPanelsMatchScalar(t, "dynamic-fallback", dSolver, blockRHS(rng, k, ems.N()), &bws)
+		p.step(t)
+		k := 1 + p.rng.Intn(8)
+		ps := lu.NewPanelSet(p.static, step%5, 0)
+		checkPanelSetMatchesFactors(t, "bennett", p.static, ps, blockRHS(p.rng, k, n), &ws)
+		checkPanelsMatchScalar(t, "dynamic", p.dSolver, blockRHS(p.rng, k, n), &ws)
 	}
 }
 
@@ -227,11 +178,12 @@ func TestPanelSetStats(t *testing.T) {
 	}
 }
 
-// TestBlockWorkspaceShrinkGrowReuse is the satellite alloc-regression
-// contract: a workspace warmed at width k must solve at any width <= k
-// — including shrink-then-regrow sequences — without allocating, on
-// both the scalar and the panel path.
-func TestBlockWorkspaceShrinkGrowReuse(t *testing.T) {
+// TestSolveWorkspaceShrinkGrowReuse is the alloc-regression contract:
+// a workspace warmed at width k must solve at any width <= k —
+// including shrink-then-regrow sequences — without allocating, on the
+// scalar and the panel strategy alike, and the reach strategy must be
+// allocation-free once warm.
+func TestSolveWorkspaceShrinkGrowReuse(t *testing.T) {
 	ems := testEMS(t)
 	ord := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
 	s, err := lu.FactorizeOrdered(ems.Matrices[0], ord)
@@ -240,26 +192,37 @@ func TestBlockWorkspaceShrinkGrowReuse(t *testing.T) {
 	}
 	n := ems.N()
 	rng := xrand.New(29)
-	var bws lu.BlockWorkspace
+	var ws lu.SolveWorkspace
 	dsts := make([][]float64, 16)
 	for r := range dsts {
 		dsts[r] = make([]float64, n)
 	}
-	s.Panels() // pack outside the measured region
+	block := func(k int) []lu.RHS {
+		rhs := denseBlock(blockRHS(rng, k, n))
+		for r := range rhs {
+			rhs[r].X = dsts[r]
+		}
+		return rhs
+	}
+	s.PanelsBuild() // pack outside the measured region
 
 	// Warm at 16, shrink to 2, then measure regrowth to 16: the
 	// workspace must serve hidden capacity, not reallocate it.
 	for _, k := range []int{16, 2} {
-		s.SolveBlock(dsts[:k], blockRHS(rng, k, n), &bws)
-		s.SolveBlockPanels(dsts[:k], blockRHS(rng, k, n), &bws)
+		s.ForceBlock(block(k), &ws)
+		s.ForcePanel(block(k), &ws)
 	}
-	bs := blockRHS(rng, 16, n)
+	rhs := block(16)
+	one := lu.RHS{Idx: []int{3}, Val: []float64{0.15}}
+	s.ForceReach(&one, 0, &ws)
 	for name, solve := range map[string]func(){
-		"SolveBlock":       func() { s.SolveBlock(dsts, bs, &bws) },
-		"SolveBlockPanels": func() { s.SolveBlockPanels(dsts, bs, &bws) },
+		"block": func() { s.ForceBlock(rhs, &ws) },
+		"panel": func() { s.ForcePanel(rhs, &ws) },
+		"reach": func() { s.ForceReach(&one, 0, &ws) },
+		"entry": func() { s.SolveRHS(rhs, true, &ws) },
 	} {
 		if allocs := testing.AllocsPerRun(20, solve); allocs > 0 {
-			t.Errorf("%s after shrink/grow: %v allocs per block, want 0", name, allocs)
+			t.Errorf("%s after shrink/grow: %v allocs per solve, want 0", name, allocs)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package lu
 // MaterializeInto) instead recycles one destination container across
 // many materializations, so these CloneInto variants copy into existing
 // backing arrays whenever their capacity suffices — the same shrink-
-// reuse idiom as SolveWorkspace.vector. The copied container is
+// reuse idiom as SolveWorkspace.vectors. The copied container is
 // bit-identical to src.Clone(): same lengths, same values, same node
 // pool layout for the dynamic container (replayed Bennett updates
 // splice nodes deterministically, so layout identity is what makes

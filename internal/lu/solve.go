@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/sparse"
@@ -63,24 +64,26 @@ var (
 //
 //	A^O·(Q⁻¹x) = P·b   ⇒   x = Q·solve(P·b)
 //
-// (§2.2 of the paper). Applying the permutations costs O(n) on the
-// dense paths and O(|support|) on the sparse path.
+// (§2.2 of the paper). There is one way to solve: Solve(b) is the
+// allocating convenience for a single dense right-hand side, and
+// SolveRHS is the workspace-taking entry point that answers k ≥ 1
+// right-hand sides and picks the substitution route itself.
 //
-// F and O must not be replaced after the first SolveSparse call: the
-// sparse path caches the inverse row permutation and the adjacency
-// accessors on first use (concurrent solves on one Solver are safe; the
-// factor containers are only read).
+// F and O must not be replaced after the first SolveRHS call: it caches
+// the inverse row permutation and the adjacency accessors on first use
+// (concurrent solves on one Solver are safe; the factor containers are
+// only read).
 type Solver struct {
 	F Factors
 	O sparse.Ordering
 
-	// Lazily built sparse-path plumbing (see sparsePrep).
-	sparseOnce sync.Once
-	rowInv     sparse.Perm
-	lsucc      func(int) []int
-	usucc      func(int) []int
+	// Lazily built support-list plumbing (see prep).
+	prepOnce sync.Once
+	rowInv   sparse.Perm
+	lsucc    func(int) []int
+	usucc    func(int) []int
 
-	// Lazily packed supernodal panels (see PanelsBuild). Only built
+	// Lazily packed supernodal panels (see panelsBuild). Only built
 	// for frozen StaticFactors; nil after the once for anything else.
 	panelOnce sync.Once
 	panels    *PanelSet
@@ -100,146 +103,208 @@ func (s *Solver) Clone() *Solver {
 	return &Solver{F: s.F.Clone(), O: s.O}
 }
 
-// SolveWorkspace holds the permuted intermediate vector of a solve so
-// query-serving workers answering many right-hand sides allocate only
-// the result, not the scratch. The zero value is ready to use; a
-// workspace must not be shared between concurrent solves.
-type SolveWorkspace struct {
-	w []float64
+// RHS is one right-hand side of a SolveRHS call and, after the call,
+// its solution.
+type RHS struct {
+	// Idx and Val give the right-hand side as a support list: entry
+	// Idx[i] carries Val[i], duplicate indices accumulate (matching a
+	// dense scatter), every other entry is zero. Ignored when B is set.
+	Idx []int
+	Val []float64
+	// B, when non-nil, is the right-hand side as a dense vector.
+	B []float64
+
+	// X receives the solution on every route but RouteReach: its
+	// capacity is reused (nil allocates) and every position is
+	// overwritten. X may alias B — B is consumed by the permutation
+	// before X is written.
+	X []float64
+	// XIdx and XVal receive the solution on RouteReach, restricted to
+	// its support (original numbering, unsorted): every index not
+	// listed is an exact zero of the solution, and X is left untouched.
+	// They alias the workspace and stay valid until its next solve.
+	XIdx []int
+	XVal []float64
 }
 
-// vector returns the scratch vector, reusing capacity across dimension
-// changes (serving workers hop between snapshots of different sizes;
-// shrinking must not churn allocations). SolveWith overwrites every
-// position before reading it, so stale values are harmless.
-func (ws *SolveWorkspace) vector(n int) []float64 {
-	if cap(ws.w) < n {
-		ws.w = make([]float64, n)
-	}
-	ws.w = ws.w[:n]
-	return ws.w
+// Route names the substitution strategy a SolveRHS call took. Every
+// route yields the same bits — per right-hand side, each executes the
+// floating-point operations of SolveInPlace in SolveInPlace's order —
+// so the choice is purely an execution-schedule decision.
+type Route string
+
+const (
+	// RouteReach is the Gilbert–Peierls sparse-RHS solve: only the
+	// rows reachable from the support in the factors' dependency
+	// graphs are touched (SolveReachInPlace).
+	RouteReach Route = "reach"
+	// RouteDense is one full substitution (SolveInPlace).
+	RouteDense Route = "dense"
+	// RouteBlock is one traversal of the factors shared by all k
+	// right-hand sides (Factors.SolveBlockInPlace).
+	RouteBlock Route = "block"
+	// RoutePanel is RouteBlock through the packed supernodal panels
+	// (PanelSet.SolveBlockInPlace).
+	RoutePanel Route = "panel"
+)
+
+// Report says what a SolveRHS call did, so callers can account for the
+// route without knowing how it was picked.
+type Report struct {
+	Route Route
+	// ReachRows is the number of rows RouteReach touched.
+	ReachRows int
+	// ProbeAborted reports that the symbolic reach probe ran into its
+	// cap — before any numeric work — and the call fell back to
+	// RouteDense.
+	ProbeAborted bool
+	// Packed is the panel set this call built and cached on the solver;
+	// nil unless this very call paid the packing, so exactly one caller
+	// per solver can account its cost.
+	Packed *PanelSet
 }
 
-// SolveWith is Solve with caller-owned scratch: it permutes b into the
-// workspace, solves in place, and scatters into a fresh result. The
-// returned vector is bit-identical to Solve's for the same b.
-func (s *Solver) SolveWith(b []float64, ws *SolveWorkspace) []float64 {
-	return s.SolveInto(nil, b, ws)
-}
+// The route policy. Each threshold keeps the value its bench sweep
+// justified (docs/PERFORMANCE.md, "Solve routes"):
+const (
+	// reachCapFrac caps the reach probe at this fraction of n. Past
+	// roughly a quarter of the rows the dense loops' sequential sweeps
+	// beat the reach route's index indirection (sparsesolve sweep).
+	reachCapFrac = 0.25
+	// panelMinMeanWidth and panelMinWork gate the packed panels: below
+	// a mean panel width of 1.5 nothing merged, and below mean width ×
+	// k = 8 the dense-block amortization does not pay for the lane
+	// interleave (supernodal sweep).
+	panelMinMeanWidth = 1.5
+	panelMinWork      = 8
+)
 
-// SolveInto is SolveWith writing the result into caller-owned dst,
-// reusing its capacity when possible (nil dst allocates). dst may alias
-// b: b is fully consumed by the permutation before dst is written.
-// Every position of dst is overwritten. The result is bit-identical to
-// Solve's for the same b.
-func (s *Solver) SolveInto(dst, b []float64, ws *SolveWorkspace) []float64 {
-	n := len(s.O.Row)
-	w := ws.vector(n)
-	for i, v := range s.O.Row {
-		w[i] = b[v] // b' = P·b
-	}
-	s.F.SolveInPlace(w)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i, v := range s.O.Col {
-		dst[v] = w[i] // x = Q·x'
-	}
-	return dst
-}
-
-// SolveBatch solves A·X = B for many right-hand sides through one
-// workspace — the batched multi-source path of the serving layer (one
-// b per measure query, factors reused across all of them).
-func (s *Solver) SolveBatch(bs [][]float64, ws *SolveWorkspace) [][]float64 {
-	out := make([][]float64, len(bs))
-	for i, b := range bs {
-		out[i] = s.SolveWith(b, ws)
-	}
-	return out
-}
-
-// SparseSolveWorkspace holds every piece of scratch a reach-based solve
-// needs — two reach traversals, the dense-scattered value vector, and
-// the output buffers — so a steady-state query worker performs no
-// per-query allocation. The zero value is ready to use; a workspace
-// must not be shared between concurrent solves but may be reused across
-// solvers of different dimensions (capacity is kept on shrink).
+// SolveRHS solves A·x = b for every right-hand side in rhs, writing
+// each solution into its RHS, and reports the route it chose from what
+// it can observe:
 //
-// Invariant: between calls, x is all-zero on every position it has ever
-// exposed; SolveSparse restores this by re-zeroing exactly the touched
-// reach set.
-type SparseSolveWorkspace struct {
-	fwd, bwd sparse.ReachWorkspace
-	x        []float64
-	seeds    []int
-	outIdx   []int
-	outVal   []float64
-}
-
-// dense returns the all-zero dense scratch vector of dimension n.
-func (ws *SparseSolveWorkspace) dense(n int) []float64 {
-	if cap(ws.x) < n {
-		ws.x = make([]float64, n)
+//   - k = 1, support list: probe the reach with a cap of 0.25·n and
+//     take RouteReach when it fits, RouteDense when the probe aborts
+//     (or the support alone exceeds the cap).
+//   - k = 1, dense vector: RouteDense (the reach is all of n).
+//   - k ≥ 2: one blocked traversal — RoutePanel when frozen is set, the
+//     factors are *StaticFactors, and the solver's packed set (built on
+//     first need) has mean width ≥ 1.5 and mean width × k ≥ 8;
+//     RouteBlock otherwise.
+//
+// frozen states that the factor values will never change again (a
+// pinned or materialized solver): the packed panels snapshot values,
+// so a live source's solver must pass false.
+//
+// It panics when a dense right-hand side's length is not the system
+// dimension, a support list's Idx and Val differ in length, or a
+// support index lies outside [0, n).
+func (s *Solver) SolveRHS(rhs []RHS, frozen bool, ws *SolveWorkspace) Report {
+	n := s.F.Dim()
+	for r := range rhs {
+		checkRHS(&rhs[r], r, n)
 	}
-	// Growing within capacity is safe: every previously exposed
-	// position was re-zeroed after the solve that touched it.
-	ws.x = ws.x[:n]
-	return ws.x
+	s.prep()
+	k := len(rhs)
+	var rep Report
+	switch {
+	case k == 0:
+	case k == 1:
+		r := &rhs[0]
+		if r.B == nil {
+			maxReach := int(reachCapFrac * float64(n))
+			if maxReach < 1 {
+				maxReach = 1
+			}
+			if len(r.Idx) <= maxReach && s.solveReach(r, maxReach, ws) {
+				rep.Route, rep.ReachRows = RouteReach, len(r.XIdx)
+				return rep
+			}
+			rep.ProbeAborted = true
+		}
+		s.solveBlock(rhs, nil, ws)
+		rep.Route = RouteDense
+	default:
+		var ps *PanelSet
+		if frozen {
+			var built bool
+			if ps, built = s.panelsBuild(); built {
+				rep.Packed = ps
+			}
+			if ps != nil {
+				if mw := ps.MeanWidth(); mw < panelMinMeanWidth || mw*float64(k) < panelMinWork {
+					ps = nil
+				}
+			}
+		}
+		s.solveBlock(rhs, ps, ws)
+		rep.Route = RouteBlock
+		if ps != nil {
+			rep.Route = RoutePanel
+		}
+	}
+	return rep
 }
 
-// sparsePrep lazily builds the sparse-path plumbing shared by every
-// SolveSparse call on this solver: the inverse row permutation (so the
-// right-hand-side permutation costs O(|support|), not O(n)) and the
-// bound adjacency accessors (so the reach traversals allocate nothing
-// per query).
-func (s *Solver) sparsePrep() {
-	s.sparseOnce.Do(func() {
+// checkRHS is the one input check of the one entry point.
+func checkRHS(r *RHS, pos, n int) {
+	if r.B != nil {
+		if len(r.B) != n {
+			panic(fmt.Sprintf("lu: SolveRHS right-hand side %d has length %d, system dimension is %d", pos, len(r.B), n))
+		}
+		return
+	}
+	if len(r.Idx) != len(r.Val) {
+		panic(fmt.Sprintf("lu: SolveRHS right-hand side %d has %d support indices but %d values", pos, len(r.Idx), len(r.Val)))
+	}
+	for _, u := range r.Idx {
+		if u < 0 || u >= n {
+			panic(fmt.Sprintf("lu: SolveRHS right-hand side %d has support index %d outside [0,%d)", pos, u, n))
+		}
+	}
+}
+
+// prep lazily builds the plumbing shared by every SolveRHS call on
+// this solver: the inverse row permutation (so permuting a support
+// list costs O(|support|), not O(n)) and the bound adjacency accessors
+// (so the reach traversals allocate nothing per query).
+func (s *Solver) prep() {
+	s.prepOnce.Do(func() {
 		s.rowInv = s.O.Row.Inverse()
 		s.lsucc = s.F.LSucc
 		s.usucc = s.F.USucc
 	})
 }
 
-// SolveSparse solves A·x = b for a sparse right-hand side given as
-// support/value pairs (duplicate indices accumulate, matching a dense
-// scatter), touching only the rows reachable from the support in the
-// factors' dependency graphs — the Gilbert–Peierls sparse-RHS solve.
-// It returns the solution's support (original numbering, unsorted) and
-// the matching values; every index not listed is an exact zero of the
-// solution. On the returned support the values are bit-identical to
-// the dense Solve path. The returned slices alias the workspace and
-// stay valid until its next solve.
-//
-// maxReach caps the number of rows the solve may touch: when the reach
-// would exceed it the symbolic probe aborts early — before any numeric
-// work — and SolveSparse returns ok = false, in which case the caller
-// should take the dense path. maxReach <= 0 means unlimited.
-func (s *Solver) SolveSparse(bIdx []int, bVal []float64, maxReach int, ws *SparseSolveWorkspace) (idx []int, val []float64, ok bool) {
-	s.sparsePrep()
+// solveReach is the reach-restricted strategy for one support-list
+// right-hand side. maxReach caps the number of rows the solve may
+// touch (<= 0 means unlimited): when the reach would exceed it the
+// symbolic probe aborts early — before any numeric work — and
+// solveReach returns false with the workspace still reusable. On the
+// returned support the values are bit-identical to the dense route.
+func (s *Solver) solveReach(r *RHS, maxReach int, ws *SolveWorkspace) bool {
 	n := s.F.Dim()
 
 	// Permute the support: supp(P·b) = P⁻¹ applied entrywise.
 	ws.seeds = ws.seeds[:0]
-	for _, u := range bIdx {
+	for _, u := range r.Idx {
 		ws.seeds = append(ws.seeds, s.rowInv[u])
 	}
 	// Symbolic phase: forward reach of the support under L, then
 	// backward reach of that under U. Both abort early past maxReach.
 	freach, ok := ws.fwd.Reach(n, ws.seeds, s.lsucc, maxReach)
 	if !ok {
-		return nil, nil, false
+		return false
 	}
 	breach, ok := ws.bwd.Reach(n, freach, s.usucc, maxReach)
 	if !ok {
-		return nil, nil, false
+		return false
 	}
 
 	// Numeric phase on the reach set only.
 	x := ws.dense(n)
-	for k, u := range bIdx {
-		x[s.rowInv[u]] += bVal[k] // b' = P·b, sparse scatter
+	for i, u := range r.Idx {
+		x[s.rowInv[u]] += r.Val[i] // b' = P·b, sparse scatter
 	}
 	s.F.SolveReachInPlace(x, freach, breach)
 
@@ -252,7 +317,52 @@ func (s *Solver) SolveSparse(bIdx []int, bVal []float64, maxReach int, ws *Spars
 		ws.outVal = append(ws.outVal, x[i])
 		x[i] = 0
 	}
-	return ws.outIdx, ws.outVal, true
+	r.XIdx, r.XVal = ws.outIdx, ws.outVal
+	return true
+}
+
+// solveBlock is the full-substitution strategy for k ≥ 1 right-hand
+// sides: permute each into a workspace vector, run one kernel over all
+// of them — the packed panels when ps is non-nil, the container's
+// scalar block sweep for k ≥ 2, SolveInPlace for a lone vector — and
+// scatter each solution into its X.
+func (s *Solver) solveBlock(rhs []RHS, ps *PanelSet, ws *SolveWorkspace) {
+	n := s.F.Dim()
+	cols := ws.vectors(len(rhs), n)
+	for r := range rhs {
+		w := cols[r]
+		if b := rhs[r].B; b != nil {
+			for i, v := range s.O.Row {
+				w[i] = b[v] // b' = P·b
+			}
+			continue
+		}
+		for i := range w {
+			w[i] = 0
+		}
+		for i, u := range rhs[r].Idx {
+			w[s.rowInv[u]] += rhs[r].Val[i]
+		}
+	}
+	switch {
+	case ps != nil:
+		ps.SolveBlockInPlace(cols, ws)
+	case len(cols) == 1:
+		s.F.SolveInPlace(cols[0])
+	default:
+		s.F.SolveBlockInPlace(cols)
+	}
+	for r := range rhs {
+		x := rhs[r].X
+		if cap(x) < n {
+			x = make([]float64, n)
+		}
+		x = x[:n]
+		for i, v := range s.O.Col {
+			x[v] = cols[r][i] // x = Q·x'
+		}
+		rhs[r].X = x
+	}
 }
 
 // FactorizeOrdered is the one-call convenience used throughout the

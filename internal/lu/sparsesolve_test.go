@@ -1,8 +1,10 @@
-// Property tests of the reach-based sparse solve path: SolveSparse
+// Property tests of the reach-restricted route: the reach strategy
 // must reproduce the dense Solve bit for bit on its reported support
 // and the dense solution must be exactly zero everywhere else — across
 // every factor state the pipelines produce (BF/INC/CINC/CLUDE) and
-// after randomized Bennett update sequences on both containers.
+// after randomized Bennett update sequences on both containers. The
+// dispatcher tests at the end hold SolveRHS's route report and input
+// check to account.
 //
 // External test package: the scenarios drive internal/core and
 // internal/bennett, which import lu.
@@ -11,13 +13,11 @@ package lu_test
 import (
 	"testing"
 
-	"repro/internal/bennett"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/order"
-	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
@@ -34,9 +34,10 @@ func testEMS(t *testing.T) *graph.EMS {
 	return graph.DeriveEMS(egs, graph.RWRMatrix(0.85))
 }
 
-// checkSparseMatchesDense solves one right-hand side through both
-// paths and asserts the bit-identity contract.
-func checkSparseMatchesDense(t *testing.T, tag string, s *lu.Solver, bIdx []int, bVal []float64, ws *lu.SparseSolveWorkspace) {
+// checkSparseMatchesDense solves one support-list right-hand side
+// through the uncapped reach strategy and through Solve, and asserts
+// the bit-identity contract.
+func checkSparseMatchesDense(t *testing.T, tag string, s *lu.Solver, bIdx []int, bVal []float64, ws *lu.SolveWorkspace) {
 	t.Helper()
 	n := s.F.Dim()
 	b := make([]float64, n)
@@ -45,18 +46,18 @@ func checkSparseMatchesDense(t *testing.T, tag string, s *lu.Solver, bIdx []int,
 	}
 	dense := s.Solve(b)
 
-	idx, val, ok := s.SolveSparse(bIdx, bVal, 0, ws)
-	if !ok {
-		t.Fatalf("%s: unlimited SolveSparse aborted", tag)
+	r := lu.RHS{Idx: bIdx, Val: bVal}
+	if !s.ForceReach(&r, 0, ws) {
+		t.Fatalf("%s: unlimited reach solve aborted", tag)
 	}
 	onSupport := make([]bool, n)
-	for k, u := range idx {
+	for k, u := range r.XIdx {
 		if onSupport[u] {
 			t.Fatalf("%s: duplicate support index %d", tag, u)
 		}
 		onSupport[u] = true
-		if val[k] != dense[u] {
-			t.Fatalf("%s: x[%d] = %v sparse vs %v dense", tag, u, val[k], dense[u])
+		if r.XVal[k] != dense[u] {
+			t.Fatalf("%s: x[%d] = %v sparse vs %v dense", tag, u, r.XVal[k], dense[u])
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -81,10 +82,10 @@ func randomRHS(rng *xrand.Rand, n int) ([]int, []float64) {
 	return idx, val
 }
 
-// TestSolveSparseMatchesDenseAcrossAlgorithms pins every factor state
+// TestReachRouteMatchesDenseAcrossAlgorithms pins every factor state
 // the four pipelines emit and replays random right-hand sides through
 // both solve paths.
-func TestSolveSparseMatchesDenseAcrossAlgorithms(t *testing.T) {
+func TestReachRouteMatchesDenseAcrossAlgorithms(t *testing.T) {
 	ems := testEMS(t)
 	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
 		alg := alg
@@ -101,7 +102,7 @@ func TestSolveSparseMatchesDenseAcrossAlgorithms(t *testing.T) {
 				t.Fatalf("retained %d solvers, want %d", len(solvers), ems.Len())
 			}
 			rng := xrand.New(31)
-			var ws lu.SparseSolveWorkspace // shared across all solves on purpose
+			var ws lu.SolveWorkspace // shared across all solves on purpose
 			for _, s := range solvers {
 				for q := 0; q < 8; q++ {
 					bIdx, bVal := randomRHS(rng, s.F.Dim())
@@ -112,134 +113,191 @@ func TestSolveSparseMatchesDenseAcrossAlgorithms(t *testing.T) {
 	}
 }
 
-// TestSolveSparseAfterRandomBennettSequences drives both containers
+// TestReachRouteAfterRandomBennettSequences drives both containers
 // through randomized jumps across the sequence (each jump one Bennett
-// update batch, splicing fill into the dynamic container) and checks
-// the contract after every jump.
-func TestSolveSparseAfterRandomBennettSequences(t *testing.T) {
-	ems := testEMS(t)
-
-	// Static container over the USSP of the whole sequence, so any
-	// jump's delta stays within the frozen structure (the CLUDE setup).
-	union := ems.Matrices[0].Pattern()
-	for _, m := range ems.Matrices[1:] {
-		union = union.Union(m.Pattern())
-	}
-	ord := order.Markowitz(union).Ordering
-	perm := make([]*sparse.CSR, ems.Len())
-	for i, m := range ems.Matrices {
-		perm[i] = m.Permute(ord)
-	}
-	static := lu.NewStaticFactors(lu.Symbolic(union.Permute(ord)))
-	if err := static.Factorize(perm[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dynamic container from the first matrix's own pattern (the INC
-	// setup): updates splice genuinely new fill into the lists, which
-	// must keep the column indices coherent.
-	ord2 := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
-	perm2 := make([]*sparse.CSR, ems.Len())
-	for i, m := range ems.Matrices {
-		perm2[i] = m.Permute(ord2)
-	}
-	seed := lu.NewStaticFactors(lu.Symbolic(perm2[0].Pattern()))
-	if err := seed.Factorize(perm2[0]); err != nil {
-		t.Fatal(err)
-	}
-	dynamic := lu.NewDynamicFactors(seed)
-
-	sSolver := &lu.Solver{F: static, O: ord}
-	dSolver := &lu.Solver{F: dynamic, O: ord2}
-
-	rng := xrand.New(99)
-	var ws lu.SparseSolveWorkspace
-	cur, cur2 := 0, 0
+// update batch, splicing fill into the dynamic container, which must
+// keep the column indices coherent) and checks the contract after
+// every jump.
+func TestReachRouteAfterRandomBennettSequences(t *testing.T) {
+	p := newBennettPair(t, 99)
+	n := p.static.Dim()
+	var ws lu.SolveWorkspace
 	for step := 0; step < 12; step++ {
-		next := rng.Intn(ems.Len())
-		if err := bennett.UpdateStatic(static, sparse.Delta(perm[cur], perm[next]), nil); err != nil {
-			t.Fatal(err)
-		}
-		cur = next
-		next2 := rng.Intn(ems.Len())
-		if err := bennett.UpdateDynamic(dynamic, sparse.Delta(perm2[cur2], perm2[next2]), nil); err != nil {
-			t.Fatal(err)
-		}
-		cur2 = next2
-
+		p.step(t)
 		for q := 0; q < 4; q++ {
-			bIdx, bVal := randomRHS(rng, ems.N())
-			checkSparseMatchesDense(t, "static", sSolver, bIdx, bVal, &ws)
-			bIdx, bVal = randomRHS(rng, ems.N())
-			checkSparseMatchesDense(t, "dynamic", dSolver, bIdx, bVal, &ws)
+			bIdx, bVal := randomRHS(p.rng, n)
+			checkSparseMatchesDense(t, "static", p.sSolver, bIdx, bVal, &ws)
+			bIdx, bVal = randomRHS(p.rng, n)
+			checkSparseMatchesDense(t, "dynamic", p.dSolver, bIdx, bVal, &ws)
 		}
 	}
 }
 
-// TestSolveSparseReachCap: a cap below the true reach must abort before
+// TestReachRouteCap: a cap below the true reach must abort before
 // numeric work and leave the workspace reusable; a generous cap must
 // succeed.
-func TestSolveSparseReachCap(t *testing.T) {
+func TestReachRouteCap(t *testing.T) {
 	ems := testEMS(t)
 	ord := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
 	s, err := lu.FactorizeOrdered(ems.Matrices[0], ord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ws lu.SparseSolveWorkspace
-	idx, _, ok := s.SolveSparse([]int{3}, []float64{0.15}, 0, &ws)
-	if !ok {
+	var ws lu.SolveWorkspace
+	r := lu.RHS{Idx: []int{3}, Val: []float64{0.15}}
+	if !s.ForceReach(&r, 0, &ws) {
 		t.Fatal("unlimited solve aborted")
 	}
-	reach := len(idx)
+	reach := len(r.XIdx)
 	if reach < 2 {
 		t.Skipf("degenerate reach %d", reach)
 	}
-	if _, _, ok := s.SolveSparse([]int{3}, []float64{0.15}, reach-1, &ws); ok {
+	if s.ForceReach(&r, reach-1, &ws) {
 		t.Fatalf("cap %d below reach %d did not abort", reach-1, reach)
 	}
 	// The workspace must still produce correct answers after an abort.
 	checkSparseMatchesDense(t, "post-abort", s, []int{3}, []float64{0.15}, &ws)
-	if idx2, _, ok := s.SolveSparse([]int{3}, []float64{0.15}, reach, &ws); !ok || len(idx2) != reach {
-		t.Fatalf("cap == reach failed (ok=%v len=%d want %d)", ok, len(idx2), reach)
+	if ok := s.ForceReach(&r, reach, &ws); !ok || len(r.XIdx) != reach {
+		t.Fatalf("cap == reach failed (ok=%v len=%d want %d)", ok, len(r.XIdx), reach)
 	}
 }
 
-// TestSolveIntoMatchesSolveWith: SolveInto must be bit-identical to
-// SolveWith, reuse dst capacity, and tolerate dst aliasing b.
-func TestSolveIntoMatchesSolveWith(t *testing.T) {
+// communitySolver factorizes the last snapshot of a DBLP-like stream
+// with fully disjoint communities under the Markowitz ordering: a
+// seed's dependency closure stays inside its community, so the reach
+// route applies, and the coauthor cliques give the packed panels real
+// width.
+func communitySolver(t testing.TB, communities int) *lu.Solver {
+	t.Helper()
+	egs, err := gen.DBLPSim(gen.DBLPConfig{
+		N: 600, T: 80, Communities: communities, InitialPapers: 500,
+		PapersPerDay: 4, MaxCoauthors: 7, CrossCommunity: 0, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ems := graph.DeriveEMS(egs, graph.SymmetricWalkMatrix(0.85))
+	a := ems.Matrices[ems.Len()-1]
+	s, err := lu.FactorizeOrdered(a, order.Markowitz(a.Pattern()).Ordering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSolveRHSRouteReport is the dispatcher's table: for each route it
+// can choose, an input that takes it, the report it must file, and the
+// same bits as Solve.
+func TestSolveRHSRouteReport(t *testing.T) {
+	comm := communitySolver(t, 8) // clustered static factors
+	wikiEMS := testEMS(t)
+	wiki, err := lu.FactorizeOrdered(wikiEMS.Matrices[0], order.Markowitz(wikiEMS.Matrices[0].Pattern()).Ordering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := &lu.Solver{F: lu.NewDynamicFactors(wiki.F.(*lu.StaticFactors)), O: wiki.O}
+
+	seedsOf := func(n, k int) []lu.RHS {
+		rhs := make([]lu.RHS, k)
+		for r := range rhs {
+			rhs[r] = lu.RHS{Idx: []int{(37*r + 5) % n}, Val: []float64{0.15}}
+		}
+		return rhs
+	}
+	uniform := func(n int) []lu.RHS {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 0.15 / float64(n)
+		}
+		return []lu.RHS{{B: b}}
+	}
+	for _, tc := range []struct {
+		name    string
+		s       *lu.Solver
+		rhs     []lu.RHS
+		frozen  bool
+		route   lu.Route
+		aborted bool
+		packed  bool
+	}{
+		{"support list on disjoint communities", comm, seedsOf(comm.F.Dim(), 1), true, lu.RouteReach, false, false},
+		{"support list on a single blob", wiki, seedsOf(wiki.F.Dim(), 1), true, lu.RouteDense, true, false},
+		{"dense vector never probes", comm, uniform(comm.F.Dim()), true, lu.RouteDense, false, false},
+		{"live factors never pack", comm, seedsOf(comm.F.Dim(), 8), false, lu.RouteBlock, false, false},
+		{"dynamic factors have no panels", dyn, seedsOf(dyn.F.Dim(), 8), true, lu.RouteBlock, false, false},
+		{"frozen static block packs once", comm, seedsOf(comm.F.Dim(), 8), true, lu.RoutePanel, false, true},
+		{"second block reuses the set", comm, seedsOf(comm.F.Dim(), 8), true, lu.RoutePanel, false, false},
+		{"narrow block stays scalar", comm, seedsOf(comm.F.Dim(), 2), true, lu.RouteBlock, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ws lu.SolveWorkspace
+			n := tc.s.F.Dim()
+			rep := tc.s.SolveRHS(tc.rhs, tc.frozen, &ws)
+			if rep.Route != tc.route || rep.ProbeAborted != tc.aborted || (rep.Packed != nil) != tc.packed {
+				t.Fatalf("report %+v, want route=%s aborted=%v packed=%v", rep, tc.route, tc.aborted, tc.packed)
+			}
+			for r := range tc.rhs {
+				b := tc.rhs[r].B
+				if b == nil {
+					b = make([]float64, n)
+					for i, u := range tc.rhs[r].Idx {
+						b[u] += tc.rhs[r].Val[i]
+					}
+				}
+				want := tc.s.Solve(b)
+				got := tc.rhs[r].X
+				if rep.Route == lu.RouteReach {
+					if rep.ReachRows != len(tc.rhs[r].XIdx) || rep.ReachRows == 0 || rep.ReachRows > n/4 {
+						t.Fatalf("ReachRows=%d with %d support entries (n=%d)", rep.ReachRows, len(tc.rhs[r].XIdx), n)
+					}
+					got = make([]float64, n)
+					for i, u := range tc.rhs[r].XIdx {
+						got[u] = tc.rhs[r].XVal[i]
+					}
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("rhs %d differs from Solve at %d: %v vs %v", r, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSolveRHSInputCheck: the one entry point rejects, with both sizes
+// named, what the old entry points index-panicked on or silently
+// truncated.
+func TestSolveRHSInputCheck(t *testing.T) {
 	ems := testEMS(t)
-	ord := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
-	s, err := lu.FactorizeOrdered(ems.Matrices[0], ord)
+	s, err := lu.FactorizeOrdered(ems.Matrices[0], order.Markowitz(ems.Matrices[0].Pattern()).Ordering)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := ems.N()
-	var ws lu.SolveWorkspace
-	b := make([]float64, n)
-	b[7] = 0.15
-	b[31] = 0.05
-	want := s.SolveWith(b, &ws)
-
-	dst := make([]float64, 0, n)
-	got := s.SolveInto(dst, b, &ws)
-	if &got[0] != &dst[:1][0] {
-		t.Error("SolveInto did not reuse dst capacity")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SolveInto differs at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-
-	// Aliasing: build b in place and solve over itself.
-	alias := make([]float64, n)
-	alias[7] = 0.15
-	alias[31] = 0.05
-	got2 := s.SolveInto(alias, alias, &ws)
-	for i := range want {
-		if got2[i] != want[i] {
-			t.Fatalf("aliased SolveInto differs at %d: %v vs %v", i, got2[i], want[i])
-		}
+	for _, tc := range []struct {
+		name string
+		rhs  []lu.RHS
+		want string
+	}{
+		{"short dense vector", []lu.RHS{{B: make([]float64, n-1)}},
+			"lu: SolveRHS right-hand side 0 has length 149, system dimension is 150"},
+		{"long dense vector in a block", []lu.RHS{{B: make([]float64, n)}, {B: make([]float64, n+1)}},
+			"lu: SolveRHS right-hand side 1 has length 151, system dimension is 150"},
+		{"support index past n", []lu.RHS{{Idx: []int{n}, Val: []float64{1}}},
+			"lu: SolveRHS right-hand side 0 has support index 150 outside [0,150)"},
+		{"negative support index", []lu.RHS{{Idx: []int{-1}, Val: []float64{1}}},
+			"lu: SolveRHS right-hand side 0 has support index -1 outside [0,150)"},
+		{"ragged support list", []lu.RHS{{Idx: []int{1, 2}, Val: []float64{1}}},
+			"lu: SolveRHS right-hand side 0 has 2 support indices but 1 values"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			s.SolveRHS(tc.rhs, true, &lu.SolveWorkspace{})
+		})
 	}
 }

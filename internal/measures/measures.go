@@ -77,37 +77,15 @@ func (e *Engine) dim() int {
 // RWR returns the stationary distribution of a random walk with
 // restart from node u (paper Eq. 1): solves A·x = (1−d)·e_u.
 func (e *Engine) RWR(u int) []float64 {
-	return e.RWRWith(u, nil)
-}
-
-// RWRWith is RWR with caller-owned solve scratch (nil ws allocates).
-// Query-serving workers keep one workspace each and pass it here so
-// the per-query cost is one result allocation plus the substitution.
-func (e *Engine) RWRWith(u int, ws *lu.SolveWorkspace) []float64 {
-	b := sparse.Basis(e.dim(), u, 1-e.D)
-	return e.solve(b, ws)
+	return e.solveOne(Query{Seeds: []int{u}})
 }
 
 // PPR returns the Personalized PageRank for a seed set with uniform
-// seed mass: solves A·x = (1−d)·q where q is uniform over seeds.
+// seed mass: solves A·x = (1−d)·q where q is uniform over seeds. A
+// repeated seed weighs proportionally; an empty set scores zero
+// everywhere.
 func (e *Engine) PPR(seeds []int) []float64 {
-	return e.PPRWith(seeds, nil)
-}
-
-// PPRWith is PPR with caller-owned solve scratch (nil ws allocates).
-func (e *Engine) PPRWith(seeds []int, ws *lu.SolveWorkspace) []float64 {
-	n := e.dim()
-	b := make([]float64, n)
-	if len(seeds) == 0 {
-		return b
-	}
-	w := (1 - e.D) / float64(len(seeds))
-	for _, s := range seeds {
-		// Accumulate so a repeated seed weighs proportionally instead
-		// of silently dropping restart mass.
-		b[s] += w
-	}
-	return e.solve(b, ws)
+	return e.solveOne(Query{Seeds: seeds})
 }
 
 // PageRank returns the global PageRank vector: PPR with a uniform
@@ -115,45 +93,7 @@ func (e *Engine) PPRWith(seeds []int, ws *lu.SolveWorkspace) []float64 {
 // convention of graph.RWRMatrix (the score vector is normalized to sum
 // to 1 before returning, the usual practical fix).
 func (e *Engine) PageRank() []float64 {
-	return e.PageRankWith(nil)
-}
-
-// PageRankWith is PageRank with caller-owned solve scratch (nil ws
-// allocates).
-func (e *Engine) PageRankWith(ws *lu.SolveWorkspace) []float64 {
-	n := e.dim()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = (1 - e.D) / float64(n)
-	}
-	x := e.solve(b, ws)
-	if s := sparse.Sum(x); s > 0 {
-		sparse.Scale(x, 1/s)
-	}
-	return x
-}
-
-// MultiRWR answers RWR from every source through one workspace — the
-// batched multi-source path: the factors are reused across all solves
-// and the O(n) scratch is allocated once. Row i of the result is
-// RWR(sources[i]).
-func (e *Engine) MultiRWR(sources []int, ws *lu.SolveWorkspace) [][]float64 {
-	if ws == nil {
-		ws = &lu.SolveWorkspace{}
-	}
-	out := make([][]float64, len(sources))
-	for i, u := range sources {
-		out[i] = e.RWRWith(u, ws)
-	}
-	return out
-}
-
-// solve dispatches to the workspace path when scratch is supplied.
-func (e *Engine) solve(b []float64, ws *lu.SolveWorkspace) []float64 {
-	if ws != nil {
-		return e.Solver.SolveWith(b, ws)
-	}
-	return e.Solver.Solve(b)
+	return e.solveOne(Query{Global: true})
 }
 
 // DHT returns the d-discounted hitting time from every node to target

@@ -296,10 +296,10 @@ func TestTopKTieBreakAscending(t *testing.T) {
 	}
 }
 
-// TestSolverEngineWorkspaceVariants checks that the workspace-reusing
-// query paths (the serving layer's hot path) are bit-identical to the
-// allocating ones, including through a graph-free solver engine.
-func TestSolverEngineWorkspaceVariants(t *testing.T) {
+// TestSolverEngineBatchMatchesEngine checks that the workspace-reusing
+// batch path (the serving layer's hot path) is bit-identical to the
+// allocating calls, including through a graph-free solver engine.
+func TestSolverEngineBatchMatchesEngine(t *testing.T) {
 	g := testGraph(t)
 	e, err := NewEngine(g, 0.85, nil)
 	if err != nil {
@@ -307,35 +307,31 @@ func TestSolverEngineWorkspaceVariants(t *testing.T) {
 	}
 	se := NewSolverEngine(0.85, e.Solver)
 	var ws lu.SolveWorkspace
-	for u := 0; u < g.N(); u++ {
-		a := e.RWR(u)
-		b := se.RWRWith(u, &ws)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("RWRWith(%d) differs at %d: %v vs %v", u, i, a[i], b[i])
+	same := func(tag string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s differs at %d: %v vs %v", tag, i, got[i], want[i])
 			}
 		}
 	}
-	pa := e.PPR([]int{0, 2})
-	pb := se.PPRWith([]int{0, 2}, &ws)
-	ga := e.PageRank()
-	gb := se.PageRankWith(&ws)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("PPRWith differs at %d", i)
-		}
-		if ga[i] != gb[i] {
-			t.Fatalf("PageRankWith differs at %d", i)
-		}
+	for u := 0; u < g.N(); u++ {
+		qs := []Query{{Seeds: []int{u}}}
+		se.Batch(qs, true, &ws)
+		same("RWR", qs[0].Scores, e.RWR(u))
 	}
-	multi := se.MultiRWR([]int{1, 1, 3}, nil)
-	one := e.RWR(1)
-	three := e.RWR(3)
-	for i := range one {
-		if multi[0][i] != one[i] || multi[1][i] != one[i] || multi[2][i] != three[i] {
-			t.Fatalf("MultiRWR differs at %d", i)
-		}
-	}
+	qs := []Query{{Seeds: []int{0, 2}}}
+	se.Batch(qs, true, &ws)
+	same("PPR", qs[0].Scores, e.PPR([]int{0, 2}))
+	qs = []Query{{Global: true}}
+	se.Batch(qs, true, &ws)
+	same("PageRank", qs[0].Scores, e.PageRank())
+
+	multi := []Query{{Seeds: []int{1}}, {Seeds: []int{1}}, {Seeds: []int{3}}}
+	se.Batch(multi, true, &ws)
+	same("multi[0]", multi[0].Scores, e.RWR(1))
+	same("multi[1]", multi[1].Scores, e.RWR(1))
+	same("multi[2]", multi[2].Scores, e.RWR(3))
 }
 
 // TestTopKNaNSortsLast: NaN scores must sort after every real score

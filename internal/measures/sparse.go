@@ -3,25 +3,14 @@ package measures
 import (
 	"math"
 	"sort"
-
-	"repro/internal/lu"
 )
 
-// This file is the measure-level face of the reach-based sparse solve
-// path (internal/lu.Solver.SolveSparse): single-seed RWR and
-// small-seed-set PPR right-hand sides reach only a fraction of the
-// rows of clustered, low-fill factors, so the fast paths here answer
-// in time proportional to that reach instead of n — and TopK/Ranks can
-// be fed straight from the sparse support without ever materializing
-// the full score vector.
-
-// DefaultReachFraction is the reach-fraction threshold above which the
-// sparse fast paths fall back to the dense solve. Past roughly a
-// quarter of the rows, the dense loops' sequential array sweeps beat
-// the sparse path's index indirection, so chasing the reach further
-// buys nothing (the "sparsesolve" bench experiment plots the
-// crossover; tune per deployment via the callers' maxFrac argument).
-const DefaultReachFraction = 0.25
+// This file is the measure-level face of the reach-restricted solve
+// route: single-seed RWR and small-seed-set PPR right-hand sides reach
+// only a fraction of the rows of clustered, low-fill factors, so the
+// solver answers them on their support alone — and top-k can be fed
+// straight from that support without ever materializing the full score
+// vector.
 
 // SparseScores is a measure result restricted to its support: Val[k]
 // is the score of node Idx[k] and every node not listed scores exactly
@@ -33,152 +22,14 @@ type SparseScores struct {
 	Val []float64
 }
 
-// ReachFraction returns |support| / n, the quantity the dense-fallback
-// heuristic thresholds and the serving layer reports in its stats.
-func (sp SparseScores) ReachFraction() float64 {
-	if sp.N == 0 {
-		return 0
-	}
-	return float64(len(sp.Idx)) / float64(sp.N)
-}
-
-// Dense scatters the sparse scores into a full vector, reusing dst's
-// capacity when possible (nil allocates). The result is bit-identical
-// to the dense path's vector: on-support values are bit-equal by the
-// SolveSparse contract and every off-support position is zero.
-func (sp SparseScores) Dense(dst []float64) []float64 {
-	if cap(dst) < sp.N {
-		dst = make([]float64, sp.N)
-	} else {
-		dst = dst[:sp.N]
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
+// Dense scatters the sparse scores into a fresh full vector. The result
+// is bit-identical to the dense route's vector: on-support values are
+// bit-equal by the lu.RouteReach contract and every off-support
+// position is zero.
+func (sp SparseScores) Dense() []float64 {
+	dst := make([]float64, sp.N)
 	for k, u := range sp.Idx {
 		dst[u] = sp.Val[k]
-	}
-	return dst
-}
-
-// reachCap translates a fraction-of-n threshold into the row cap
-// SolveSparse aborts at. frac <= 0 selects DefaultReachFraction;
-// frac >= 1 disables the fallback (unlimited reach).
-func reachCap(n int, frac float64) int {
-	if frac <= 0 {
-		frac = DefaultReachFraction
-	}
-	if frac >= 1 {
-		return 0
-	}
-	cap := int(frac * float64(n))
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
-}
-
-// RWRSparse answers RWR from u through the reach-based sparse solve.
-// When the reach exceeds maxFrac of n (<= 0 picks
-// DefaultReachFraction, >= 1 disables the cap) it returns ok = false
-// after only the cheap symbolic probe — the caller should then take
-// the dense path (RWRWith / RWRInto). On success the scores are
-// bit-identical to RWR's on the support and exactly zero off it.
-func (e *Engine) RWRSparse(u int, maxFrac float64, ws *lu.SparseSolveWorkspace) (SparseScores, bool) {
-	n := e.dim()
-	bIdx := [1]int{u}
-	bVal := [1]float64{1 - e.D}
-	idx, val, ok := e.Solver.SolveSparse(bIdx[:], bVal[:], reachCap(n, maxFrac), ws)
-	if !ok {
-		return SparseScores{}, false
-	}
-	return SparseScores{N: n, Idx: idx, Val: val}, true
-}
-
-// PPRSparse is the sparse fast path of PPR: uniform restart mass over
-// the seed set, solved over the union reach of the seeds. Duplicate
-// seeds accumulate exactly as in PPRWith. Seed sets already larger
-// than the reach cap skip straight to ok = false.
-func (e *Engine) PPRSparse(seeds []int, maxFrac float64, ws *lu.SparseSolveWorkspace) (SparseScores, bool) {
-	n := e.dim()
-	if len(seeds) == 0 {
-		return SparseScores{N: n}, true // matches PPR's all-zero answer
-	}
-	cap := reachCap(n, maxFrac)
-	if cap > 0 && len(seeds) > cap {
-		return SparseScores{}, false
-	}
-	w := (1 - e.D) / float64(len(seeds))
-	var bVal []float64
-	if len(seeds) <= 8 {
-		var buf [8]float64
-		bVal = buf[:len(seeds)]
-	} else {
-		bVal = make([]float64, len(seeds))
-	}
-	for i := range bVal {
-		bVal[i] = w
-	}
-	idx, val, ok := e.Solver.SolveSparse(seeds, bVal, cap, ws)
-	if !ok {
-		return SparseScores{}, false
-	}
-	return SparseScores{N: n, Idx: idx, Val: val}, true
-}
-
-// RWRInto is RWRWith writing into caller-owned dst (reusing its
-// capacity; nil allocates) — the zero-garbage dense path of a serving
-// worker. dst must not alias the workspace.
-func (e *Engine) RWRInto(dst []float64, u int, ws *lu.SolveWorkspace) []float64 {
-	dst = zeroed(dst, e.dim())
-	dst[u] = 1 - e.D
-	return e.Solver.SolveInto(dst, dst, ws)
-}
-
-// PPRInto is PPRWith writing into caller-owned dst.
-func (e *Engine) PPRInto(dst []float64, seeds []int, ws *lu.SolveWorkspace) []float64 {
-	dst = zeroed(dst, e.dim())
-	if len(seeds) == 0 {
-		return dst
-	}
-	w := (1 - e.D) / float64(len(seeds))
-	for _, s := range seeds {
-		dst[s] += w
-	}
-	return e.Solver.SolveInto(dst, dst, ws)
-}
-
-// PageRankInto is PageRankWith writing into caller-owned dst.
-func (e *Engine) PageRankInto(dst []float64, ws *lu.SolveWorkspace) []float64 {
-	n := e.dim()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = (1 - e.D) / float64(n)
-	}
-	dst = e.Solver.SolveInto(dst, dst, ws)
-	s := 0.0
-	for _, v := range dst {
-		s += v
-	}
-	if s > 0 {
-		for i := range dst {
-			dst[i] *= 1 / s
-		}
-	}
-	return dst
-}
-
-// zeroed returns dst resized to n and cleared, reusing capacity.
-func zeroed(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
 	}
 	return dst
 }
@@ -267,17 +118,4 @@ func TopKSparse(sp SparseScores, k int) ([]int, []float64) {
 		return len(nodes) < k
 	})
 	return nodes, scores
-}
-
-// RanksSparse converts a sparse measure result into the full 1-based
-// rank vector, identical to Ranks on the equivalent dense vector.
-func RanksSparse(sp SparseScores) []int {
-	ranks := make([]int, sp.N)
-	r := 0
-	mergeRanked(sp, func(id int, _ float64) bool {
-		r++
-		ranks[id] = r
-		return true
-	})
-	return ranks
 }

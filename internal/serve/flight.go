@@ -23,7 +23,8 @@ import (
 // flight that will carry the answer back to every waiter.
 type task struct {
 	q       Query
-	seeds   []int // canonical ppr seed set (sorted, deduplicated)
+	seeds   []int  // canonical restart set: ppr's seed set (sorted, deduplicated) or the rwr/topk source
+	source  [1]int // backs seeds for the single-source measures
 	damping float64
 
 	fl        *flight
@@ -82,6 +83,8 @@ func (t *task) canonicalize(n int) error {
 		if q.Measure == MeasureTopK && q.K <= 0 {
 			return fmt.Errorf("serve: topk needs k > 0, got %d", q.K)
 		}
+		t.source[0] = q.Source
+		t.seeds = t.source[:]
 	case MeasurePPR:
 		if len(q.Sources) == 0 {
 			return fmt.Errorf("serve: ppr needs a non-empty seed set")

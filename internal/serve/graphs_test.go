@@ -223,6 +223,9 @@ func TestStageTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The worker observes the solve stage after it has released the
+	// group's waiters, so the last answer can return a moment earlier.
+	waitFor(t, func() bool { return eng.Stats().QueryStages["solve"].Count >= 2 }, "solve-stage observations")
 	st := eng.Stats()
 	stages := st.QueryStages
 	if stages == nil {

@@ -355,8 +355,7 @@ func TestHistoryEvictedResidentStaysValid(t *testing.T) {
 	}
 
 	q := Query{Snapshot: int(vs[0]), Measure: MeasureRWR, Source: 5}
-	var ws lu.SolveWorkspace
-	got := measures.NewSolverEngine(testDamping, held).RWRWith(q.Source, &ws)
+	got := measures.NewSolverEngine(testDamping, held).RWR(q.Source)
 	_, want := coldAnswer(q, ref[vs[0]])
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("version %d: held solver corrupted after eviction (factors recycled under an in-flight reference)", vs[0])

@@ -202,7 +202,7 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 func TestBackpressureShedsPromptly(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng, _, ref := pinnedEngine(t, Config{
-		Workers: 1, QueueDepth: 1, BatchMax: 1, CacheSize: 8,
+		Workers: 1, QueueDepth: 1, CacheSize: 8,
 	})
 	g := newGatedLive(ref[0].Clone(), 2) // call 1: resolve; call 2: worker solve
 	eng.AttachLive(g)
@@ -366,7 +366,7 @@ func TestPublishMidFlightCannotFillStaleCache(t *testing.T) {
 // path.
 func TestBlockedGroupBitIdentical(t *testing.T) {
 	eng, _, ref := pinnedEngine(t, Config{
-		Workers: 1, BatchMax: 8, QueueDepth: 16, CacheSize: 512,
+		Workers: 1, QueueDepth: 16, CacheSize: 512,
 	})
 	defer eng.Close()
 	g := newGatedLive(ref[9].Clone(), 2)

@@ -34,8 +34,8 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	cf("clude_blocked_rhs_total", "Right-hand sides carried by blocked dispatches.", &e.blockedRHS)
 	cf("clude_panel_solves_total", "Blocked dispatches routed through the supernodal panel-packed substitution (clude_panel_solves_total + clude_scalar_block_solves_total == clude_block_solves_total).", &e.panelSolves)
 	cf("clude_panel_rhs_total", "Right-hand sides carried by panel-routed dispatches.", &e.panelRHS)
-	cf("clude_scalar_block_solves_total", "Blocked dispatches routed through the classic column-by-column SolveBlock.", &e.scalarBlocks)
-	cf("clude_single_groups_total", "Route groups that degenerated to one query and took the classic per-query path.", &e.singleGroups)
+	cf("clude_scalar_block_solves_total", "Blocked dispatches routed through the factor container's scalar block sweep.", &e.scalarBlocks)
+	cf("clude_single_groups_total", "Route groups of one query (reach-restricted or dense solve).", &e.singleGroups)
 	cf("clude_panel_packs_total", "Packed panel sets built (one per pinned solver that ever took the panel route).", &e.panelPacks)
 	cf("clude_panel_cols_covered_total", "Columns held in panels of width >= 2 across built panel sets.", &e.panelCols)
 	r.CounterFunc("clude_panel_pack_seconds_total", "Cumulative wall time spent packing panel sets (paid once per pinned solver, off the publish path).", nil,

@@ -9,16 +9,18 @@ import (
 	"repro/internal/lu"
 )
 
-// Tests of the supernodal panel route through the batched worker path:
-// the routing decision is observable (every gathered group lands in
-// exactly one of SingleGroups / PanelSolves / ScalarBlockSolves),
-// panel-routed blocks are bit-identical to the scalar route and to cold
-// single solves, and the per-worker block scratch reuses capacity as
-// batch widths jitter (the PR 3 shrink-reuse contract, extended to
-// BlockWorkspace and the pooled header).
+// Tests of how the worker books the route lu.Solver.SolveRHS reports:
+// every gathered group lands in exactly one of SingleGroups /
+// PanelSolves / ScalarBlockSolves, panel-routed blocks are
+// bit-identical to scalar-routed ones and to cold single solves, live
+// groups never pack, and the per-worker scratch reuses capacity as
+// batch widths jitter. Routes are picked by input, as in production:
+// the community engine's factors have wide panels and small reaches,
+// the Wiki-like engine's have neither, and a live source is never
+// frozen.
 
-// blockedQueries is a route-compatible query set against one pinned
-// snapshot, wide enough to form a single block under BatchMax >= len.
+// blockedQueries is a route-compatible query set against one snapshot
+// (negative: the live source), exactly as wide as one worker gather.
 func blockedQueries(snap int) []Query {
 	return []Query{
 		{Snapshot: snap, Measure: MeasureRWR, Source: 3},
@@ -32,12 +34,14 @@ func blockedQueries(snap int) []Query {
 	}
 }
 
-// runBlockedGroup wedges the engine's single worker on a gated live
-// query, piles qs behind it so they gather into one batch, and returns
-// the responses.
-func runBlockedGroup(t *testing.T, eng *Engine, ref map[int]*lu.Solver, qs []Query) []*Response {
+// runBlockedGroup attaches live as a gated live source, wedges the
+// engine's single worker on a live query against it, piles qs behind
+// it so they gather into one batch, and returns the responses.
+func runBlockedGroup(t *testing.T, eng *Engine, live *lu.Solver, qs []Query) []*Response {
 	t.Helper()
-	g := newGatedLive(ref[9].Clone(), 2)
+	// View call 1 is the gating query's resolve; call 2 is the worker's
+	// solve view — the point to wedge so followers pile up in the queue.
+	g := newGatedLive(live, 2)
 	eng.AttachLive(g)
 
 	liveDone := make(chan error, 1)
@@ -73,22 +77,22 @@ func runBlockedGroup(t *testing.T, eng *Engine, ref map[int]*lu.Solver, qs []Que
 	return resps
 }
 
-// TestPanelRoutedGroupBitIdentical forces the supernodal route
-// (PanelMinWidth 1 accepts any packed set) and holds every answer of a
-// panel-routed block against an independent cold solve, then reruns the
-// identical scenario with panels disabled and compares the two engines'
+// TestPanelRoutedGroupBitIdentical queues a full gather of distinct
+// queries against one pinned snapshot of the community engine — wide
+// panels, frozen static factors: the supernodal route — and holds
+// every answer against an independent cold solve. It then reruns the
+// identical queries against the same factors attached as a live source
+// — never frozen: the scalar block — and compares the two engines'
 // answers byte for byte: routing is purely an execution-schedule
 // decision.
 func TestPanelRoutedGroupBitIdentical(t *testing.T) {
 	const snap = 4
-	qs := blockedQueries(snap)
+	cfg := Config{Workers: 1, QueueDepth: 16, CacheSize: 512}
 
-	eng, _, ref := pinnedEngine(t, Config{
-		Workers: 1, BatchMax: len(qs), QueueDepth: 2 * len(qs), CacheSize: 512,
-		PanelMinWidth: 1,
-	})
+	eng, _, ref := communityEngine(t, cfg)
 	defer eng.Close()
-	panel := runBlockedGroup(t, eng, ref, qs)
+	qs := blockedQueries(snap)
+	panel := runBlockedGroup(t, eng, ref[5].Clone(), qs)
 
 	st := eng.Stats()
 	if st.BlockSolves != 1 || st.BlockedRHS != int64(len(qs)) {
@@ -101,131 +105,157 @@ func TestPanelRoutedGroupBitIdentical(t *testing.T) {
 	if st.PanelPacks != 1 {
 		t.Fatalf("PanelPacks=%d, want exactly one lazy pack for the one solver used", st.PanelPacks)
 	}
-	// The gated live query degenerated to a group of one — the routing
-	// decision the satellite makes observable.
+	// The gated live query was a group of one.
 	if st.SingleGroups < 1 {
 		t.Fatalf("SingleGroups=%d, want the live single counted", st.SingleGroups)
 	}
-	if st.PanelSolves+st.ScalarBlockSolves != st.BlockSolves {
-		t.Fatalf("routing not exhaustive: %d + %d != %d", st.PanelSolves, st.ScalarBlockSolves, st.BlockSolves)
-	}
-
 	for i, q := range qs {
 		wantNodes, wantScores := coldAnswer(q, ref[snap])
 		sameAnswer(t, q.Measure+" panel", panel[i], wantNodes, wantScores)
 	}
 
-	// Scalar twin: identical queries, panels disabled.
-	eng2, _, ref2 := pinnedEngine(t, Config{
-		Workers: 1, BatchMax: len(qs), QueueDepth: 2 * len(qs), CacheSize: 512,
-		PanelMinWidth: -1,
-	})
+	// Scalar twin: the same factors, live.
+	eng2, _, ref2 := communityEngine(t, cfg)
 	defer eng2.Close()
-	scalar := runBlockedGroup(t, eng2, ref2, qs)
+	scalar := runBlockedGroup(t, eng2, ref2[snap].Clone(), blockedQueries(-1))
 
 	st2 := eng2.Stats()
-	if st2.PanelSolves != 0 || st2.PanelPacks != 0 || st2.ScalarBlockSolves != 1 {
-		t.Fatalf("disabled panels: PanelSolves=%d PanelPacks=%d ScalarBlockSolves=%d",
-			st2.PanelSolves, st2.PanelPacks, st2.ScalarBlockSolves)
+	if st2.BlockSolves < 1 {
+		t.Fatalf("BlockSolves=%d, want the live block to have formed", st2.BlockSolves)
+	}
+	if st2.PanelSolves != 0 || st2.PanelPacks != 0 {
+		t.Fatalf("live block packed panels: PanelSolves=%d PanelPacks=%d", st2.PanelSolves, st2.PanelPacks)
+	}
+	if st2.ScalarBlockSolves != st2.BlockSolves {
+		t.Fatalf("ScalarBlockSolves=%d != BlockSolves=%d on a live-only load", st2.ScalarBlockSolves, st2.BlockSolves)
 	}
 	for i, q := range qs {
+		if !scalar[i].Live {
+			t.Fatalf("twin query %d was not answered live", i)
+		}
 		sameAnswer(t, q.Measure+" panel-vs-scalar", panel[i], scalar[i].Nodes, scalar[i].Scores)
 	}
 }
 
-// TestPanelRouteLiveNeverPacks pins the same factors as a live source
-// and asserts live blocks always take the scalar route (a live source's
-// factors mutate in place; a packed value snapshot would go stale).
-func TestPanelRouteLiveNeverPacks(t *testing.T) {
-	eng, _, ref := pinnedEngine(t, Config{
-		Workers: 1, BatchMax: 8, QueueDepth: 32, CacheSize: 512,
-		PanelMinWidth: 1,
-	})
-	defer eng.Close()
-
-	// View call 1 is the first query's resolve; call 2 is the worker's
-	// solve view — the point to wedge so followers pile up in the queue.
-	g := newGatedLive(ref[9].Clone(), 2)
-	eng.AttachLive(g)
-
-	// Wedge the worker on the first live query, then pile compatible
-	// live queries behind it so they gather into one live block.
-	first := make(chan error, 1)
-	go func() {
-		_, err := eng.Query(context.Background(), Query{Snapshot: -1, Measure: MeasureRWR, Source: 1})
-		first <- err
-	}()
-	<-g.entered
-
-	const k = 4
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = eng.Query(context.Background(), Query{Snapshot: -1, Measure: MeasureRWR, Source: 10 + i})
-		}()
-	}
-	waitFor(t, func() bool { return eng.Stats().Admitted == int64(1+k) }, "live group admission")
-	close(g.release)
-	wg.Wait()
-	if err := <-first; err != nil {
-		t.Fatal(err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("live query %d: %v", i, err)
-		}
-	}
-
-	st := eng.Stats()
-	if st.BlockSolves < 1 {
-		t.Fatalf("BlockSolves=%d, want the live block to have formed", st.BlockSolves)
-	}
-	if st.PanelSolves != 0 || st.PanelPacks != 0 {
-		t.Fatalf("live block packed panels: PanelSolves=%d PanelPacks=%d", st.PanelSolves, st.PanelPacks)
-	}
-	if st.ScalarBlockSolves != st.BlockSolves {
-		t.Fatalf("ScalarBlockSolves=%d != BlockSolves=%d on a live-only load", st.ScalarBlockSolves, st.BlockSolves)
-	}
-}
-
-// blockGroupTasks builds a route-compatible unkeyed task group of width
-// k directly (no cache fill, no flight table), the harness the alloc
-// regression drives serveBlock with.
-func blockGroupTasks(k int) []*task {
+// groupTasks builds a route-compatible unkeyed RWR task group of width
+// k directly (no cache fill, no flight table), the harness that drives
+// solveGroup without the queue. live marks the group as a live
+// source's, which is all the solver is told about the factors.
+func groupTasks(k int, live bool) []*task {
 	ts := make([]*task, k)
 	for i := range ts {
-		ts[i] = &task{
+		t := &task{
 			q:       Query{Measure: MeasureRWR, Source: i % 64},
 			damping: testDamping,
 			fl:      newFlight(),
+			live:    live,
 		}
+		t.source[0] = t.q.Source
+		t.seeds = t.source[:]
+		ts[i] = t
 	}
 	return ts
 }
 
-// TestServeBlockScratchReuseAcrossWidths is the satellite's alloc-count
-// regression on the batched worker path: after a warm-up at the widest
-// batch, serveBlock's only steady-state allocations are the k
-// cache-owned solution vectors — the pooled header, the BlockWorkspace
-// column vectors and the panel gather scratch all survive shrinking and
-// regrowing batch widths (the BlockWorkspace grow path copies up to
-// capacity, not length, mirroring the Workspace.vector fix).
-func TestServeBlockScratchReuseAcrossWidths(t *testing.T) {
+// TestRouteCountersFollowTheReport drives solveGroup with one group per
+// route the solver can choose and checks that exactly the counters of
+// that route move — the identities /v1/stats and /v1/metrics promise.
+func TestRouteCountersFollowTheReport(t *testing.T) {
+	eng, _, cref := communityEngine(t, Config{Workers: 1})
+	defer eng.Close()
+	_, _, wref := pinnedEngine(t, Config{Workers: 1})
+	community, blob := cref[0], wref[0]
+	pagerank := func() []*task {
+		ts := groupTasks(1, false)
+		ts[0].q.Measure, ts[0].seeds = MeasurePageRank, nil
+		return ts
+	}
+
+	type delta struct {
+		single, sparse, fallbacks, dense             int64
+		blocks, blockedRHS, panels, panelRHS, scalar int64
+		packs                                        int64
+	}
+	w := &workerScratch{}
 	for _, tc := range []struct {
-		name     string
-		minWidth int
+		name   string
+		group  []*task
+		solver *lu.Solver
+		want   delta
 	}{
-		{"panels", 1},
-		{"scalar", -1},
+		{"single seed inside a community: reach", groupTasks(1, false), community,
+			delta{single: 1, sparse: 1}},
+		{"single seed on a blob: probe abort, dense", groupTasks(1, false), blob,
+			delta{single: 1, fallbacks: 1, dense: 1}},
+		{"pagerank: dense without a probe", pagerank(), community,
+			delta{single: 1, dense: 1}},
+		{"live block: scalar, never packs", groupTasks(8, true), community,
+			delta{blocks: 1, blockedRHS: 8, scalar: 1, dense: 8}},
+		{"first wide pinned block: packs, panels", groupTasks(8, false), community,
+			delta{blocks: 1, blockedRHS: 8, panels: 1, panelRHS: 8, dense: 8, packs: 1}},
+		{"second wide pinned block: panels, no second pack", groupTasks(8, false), community,
+			delta{blocks: 1, blockedRHS: 8, panels: 1, panelRHS: 8, dense: 8}},
+		{"narrow pinned block: scalar", groupTasks(2, false), community,
+			delta{blocks: 1, blockedRHS: 2, scalar: 1, dense: 2}},
+		{"wide pinned block on narrow panels: packs, stays scalar", groupTasks(8, false), blob,
+			delta{blocks: 1, blockedRHS: 8, scalar: 1, dense: 8, packs: 1}},
+	} {
+		before := eng.Stats()
+		eng.solveGroup(tc.group, tc.solver, w)
+		after := eng.Stats()
+		got := delta{
+			single:     after.SingleGroups - before.SingleGroups,
+			sparse:     after.SparseSolves - before.SparseSolves,
+			fallbacks:  after.SparseFallbacks - before.SparseFallbacks,
+			dense:      after.DenseSolves - before.DenseSolves,
+			blocks:     after.BlockSolves - before.BlockSolves,
+			blockedRHS: after.BlockedRHS - before.BlockedRHS,
+			panels:     after.PanelSolves - before.PanelSolves,
+			panelRHS:   after.PanelRHS - before.PanelRHS,
+			scalar:     after.ScalarBlockSolves - before.ScalarBlockSolves,
+			packs:      after.PanelPacks - before.PanelPacks,
+		}
+		if got != tc.want {
+			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
+		}
+		if after.PanelSolves+after.ScalarBlockSolves != after.BlockSolves {
+			t.Errorf("%s: panel %d + scalar %d != block %d", tc.name, after.PanelSolves, after.ScalarBlockSolves, after.BlockSolves)
+		}
+		if after.SparseSolves+after.DenseSolves != after.ColdSolves {
+			t.Errorf("%s: sparse %d + dense %d != cold %d", tc.name, after.SparseSolves, after.DenseSolves, after.ColdSolves)
+		}
+		// Every answer, whatever the route, is the cold answer.
+		for _, tk := range tc.group {
+			q := tk.q
+			_, want := coldAnswer(q, tc.solver)
+			for i := range want {
+				if tk.fl.ans.scores[i] != want[i] {
+					t.Fatalf("%s: %s(%d) differs from the cold solve at %d", tc.name, q.Measure, q.Source, i)
+				}
+			}
+		}
+	}
+	if st := eng.Stats(); st.AvgReachFrac <= 0 || st.AvgReachFrac > 0.25 {
+		t.Errorf("avg reach fraction %v outside (0, 0.25] after one reach solve", st.AvgReachFrac)
+	}
+}
+
+// TestSolveGroupScratchReuseAcrossWidths is the alloc-count regression
+// on the batched worker path: after a warm-up at the widest batch,
+// solveGroup's only steady-state allocations are the k cache-owned
+// solution vectors — the pooled query and right-hand-side headers, the
+// workspace column vectors and the panel gather scratch all survive
+// shrinking and regrowing batch widths.
+func TestSolveGroupScratchReuseAcrossWidths(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		live bool
+	}{
+		{"panels", false},
+		{"scalar", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, _, ref := pinnedEngine(t, Config{
-				Workers: 1, BatchMax: 16, QueueDepth: 16, PanelMinWidth: tc.minWidth,
-			})
+			eng, _, ref := communityEngine(t, Config{Workers: 1, QueueDepth: 16})
 			defer eng.Close()
 			solver := ref[0]
 			w := &workerScratch{}
@@ -236,19 +266,19 @@ func TestServeBlockScratchReuseAcrossWidths(t *testing.T) {
 			groups := make([][]*task, len(widths))
 			totalRHS := 0
 			for i, k := range widths {
-				groups[i] = blockGroupTasks(k)
+				groups[i] = groupTasks(k, tc.live)
 				totalRHS += k
 			}
 			// Warm-up: builds the panel set (panels run) and sizes every
 			// scratch to the maximum width.
-			eng.serveBlock(blockGroupTasks(16), solver, w)
+			eng.solveGroup(groupTasks(16, tc.live), solver, w)
 
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for i := range groups {
-				eng.serveBlock(groups[i], solver, w)
+				eng.solveGroup(groups[i], solver, w)
 			}
 			runtime.ReadMemStats(&m1)
 			got := int64(m1.Mallocs - m0.Mallocs)
@@ -258,8 +288,12 @@ func TestServeBlockScratchReuseAcrossWidths(t *testing.T) {
 			// any workspace churn trips it.
 			limit := int64(totalRHS) + int64(totalRHS)/2
 			if got > limit {
-				t.Fatalf("serveBlock allocated %d times over %d RHS (limit %d): block scratch is churning",
+				t.Fatalf("solveGroup allocated %d times over %d RHS (limit %d): block scratch is churning",
 					got, totalRHS, limit)
+			}
+			st := eng.Stats()
+			if packed := st.PanelSolves > 0; packed == tc.live {
+				t.Fatalf("live=%v group: PanelSolves=%d ScalarBlockSolves=%d", tc.live, st.PanelSolves, st.ScalarBlockSolves)
 			}
 		})
 	}

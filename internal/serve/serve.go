@@ -15,16 +15,16 @@
 // The hot path is a three-stage pipeline (see docs/SERVING.md):
 //
 //	Query ──resolve──▶ coalesce ──admit──▶ batch ──▶ solve ──▶ cache
-//	        (route,     (single-   (bounded  (group   (blocked   (one fill
-//	         validate)   flight)    queue,    by       multi-RHS   per
-//	                               shedding)  solver)  SolveBlock) flight)
+//	        (route,     (single-   (bounded  (group   (one       (one fill
+//	         validate)   flight)    queue,    by       SolveRHS    per
+//	                               shedding)  solver)  per group)  flight)
 //
 // Identical concurrent queries share one solve and one cache fill
 // (single-flight coalescing, keyed by the generation-tagged cache
 // key); compatible queued queries against the same factors are solved
-// in one blocked traversal (lu.Solver.SolveBlock); and when the
-// admission queue is full, excess queries fail fast with
-// ErrOverloaded instead of building an unbounded backlog.
+// by one lu.Solver.SolveRHS call, which picks the substitution route
+// itself; and when the admission queue is full, excess queries fail
+// fast with ErrOverloaded instead of building an unbounded backlog.
 package serve
 
 import (
@@ -88,45 +88,14 @@ type Config struct {
 	// (A = I − d·W). Queries may omit it (0) or must match it: the
 	// factors cannot answer a different damping.
 	Damping float64
-	// SparseReachFrac tunes the reach-based solve path for
-	// single-source and seed-set queries: when the reach of the
-	// right-hand side exceeds this fraction of n, the worker falls
-	// back to the dense substitution (dense wins at high fill). 0
-	// means measures.DefaultReachFraction; >= 1 never falls back;
-	// negative disables the sparse path entirely.
-	SparseReachFrac float64
 	// QueueDepth bounds the admission queue between callers and the
 	// worker pool. A query that finds the queue full is shed
 	// immediately with ErrOverloaded — the engine never builds a
 	// backlog deeper than this. <= 0 means 8×Workers.
 	QueueDepth int
-	// BatchMax caps how many compatible queued queries one worker
-	// gathers into a single blocked multi-RHS solve. <= 0 means 8;
-	// 1 disables batching (every query solves alone, the pre-blocking
-	// behavior).
-	BatchMax int
 	// QueryTimeout, when positive, is a per-request deadline applied
 	// to every Query on top of the caller's context.
 	QueryTimeout time.Duration
-	// PanelMinWidth tunes the supernodal panel route for blocked
-	// multi-RHS solves over pinned (frozen) static factors. The packed
-	// panel set is built lazily on first use and cached on the pinned
-	// solver (lu.Solver.PanelsBuild), so Pin never waits on packing;
-	// live sources never pack (their factors mutate in place, see
-	// lu.PanelSet). 0 (the default) is the auto heuristic: a group of
-	// k >= 2 takes the packed path when the set's mean panel width is
-	// >= 1.5 and meanWidth·k >= 8 (the point where the dense-block
-	// amortization beats the gather overhead); >= 1 requires the mean
-	// panel width to reach the value instead; negative disables the
-	// panel route entirely (every block takes the scalar SolveBlock).
-	// Both routes are bit-identical; this is purely a scheduling knob.
-	PanelMinWidth int
-	// NoSingleFlight disables query coalescing: identical concurrent
-	// queries each solve independently, as the engine behaved before
-	// single-flight landed. The cache still works. This exists for
-	// benchmarking the coalescing win (internal/bench "loadtest") and
-	// for debugging; production configs should leave it false.
-	NoSingleFlight bool
 	// SpillDir, when non-empty, turns eviction from the bounded
 	// snapshot store into disk spilling: evicted snapshots are written
 	// there (see internal/store's solver codec) and transparently
@@ -223,13 +192,12 @@ type Stats struct {
 	// multi-RHS dispatches (groups of ≥ 2 compatible queries solved in
 	// one factor traversal), BlockedRHS the total right-hand sides
 	// they carried — BlockedRHS/BlockSolves is the mean block width.
-	// Every blocked dispatch is routed exactly once: PanelSolves took
-	// the supernodal panel-packed substitution (Config.PanelMinWidth),
-	// ScalarBlockSolves the classic column-by-column SolveBlock —
+	// Every blocked dispatch is routed exactly once (lu.Report.Route):
+	// PanelSolves took the supernodal panel-packed substitution,
+	// ScalarBlockSolves the container's column-by-column block sweep —
 	// PanelSolves + ScalarBlockSolves == BlockSolves. SingleGroups
-	// counts route groups that degenerated to one query and took the
-	// classic per-query path (sparse-capable), so the panel-vs-scalar
-	// routing decision is observable for every gathered group.
+	// counts route groups of one query (sparse-capable), so the routing
+	// decision is observable for every gathered group.
 	BlockSolves       int64 `json:"block_solves"`
 	BlockedRHS        int64 `json:"blocked_rhs"`
 	PanelSolves       int64 `json:"panel_solves"`
@@ -265,8 +233,8 @@ type Stats struct {
 
 	// Solve-path breakdown of the cold solves: SparseSolves answered
 	// through the reach-based path, DenseSolves through the full
-	// substitution (PageRank always; others on fallback, when the
-	// sparse path is disabled, or when solved as part of a block),
+	// substitution (PageRank always; others on fallback or when solved
+	// as part of a block),
 	// KatzSolves through the graph-backed Katz factorization.
 	// SparseFallbacks counts sparse attempts whose symbolic probe
 	// exceeded the reach cap (each also appears in DenseSolves).
@@ -367,9 +335,8 @@ func (s Stats) HitRate() float64 {
 
 // Engine serves measure queries from pinned per-snapshot solvers.
 type Engine struct {
-	cfg      Config
-	batchMax int
-	cache    *lruCache
+	cfg   Config
+	cache *lruCache
 
 	mu     sync.RWMutex
 	snaps  map[int]snapEntry
@@ -479,13 +446,8 @@ func New(cfg Config) *Engine {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8 * cfg.Workers
 	}
-	batchMax := cfg.BatchMax
-	if batchMax <= 0 {
-		batchMax = 8
-	}
 	e := &Engine{
 		cfg:          cfg,
-		batchMax:     batchMax,
 		cache:        newLRUCache(cfg.CacheSize),
 		snaps:        make(map[int]snapEntry),
 		latest:       -1,
@@ -722,22 +684,7 @@ func (e *Engine) dispatch(ctx context.Context, q Query, tr *trace.Trace) (*Respo
 	}
 	t.tr = tr
 
-	if t.keyed && e.cfg.NoSingleFlight {
-		if ans, ok := e.cache.get(t.flightKey); ok {
-			e.admitted.Add(1)
-			e.hits.Add(1)
-			if t.live {
-				e.liveQueries.Add(1)
-			}
-			tr.Root().SetBool("cache_hit", true)
-			e.traceDone(tr, nil)
-			return respond(t.snap, q.Measure, t.damping, ans, true, t.version, t.live), nil
-		}
-		// Solve independently: no flight registration, but the answer
-		// still fills the cache under its key.
-		t.flightKey = ""
-		t.fl = newFlight()
-	} else if t.keyed {
+	if t.keyed {
 		fl, leader, ans, hit := e.joinFlight(t)
 		if hit {
 			e.admitted.Add(1)

@@ -19,7 +19,9 @@ const testDamping = 0.85
 // pinnedEngine runs CLUDE over a tiny Wiki-like EMS with RetainFactors
 // and pins every snapshot into a fresh serve engine. It also returns
 // an independent reference clone of each snapshot's solver so tests
-// can recompute answers cold, outside the engine.
+// can recompute answers cold, outside the engine. The Wiki-like graph
+// is one blob: every reach probe on it aborts, so single queries take
+// the dense route, and its panels are too narrow to pack.
 func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.Solver) {
 	t.Helper()
 	egs, err := gen.WikiSim(gen.WikiConfig{
@@ -29,11 +31,33 @@ func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.So
 	if err != nil {
 		t.Fatal(err)
 	}
-	ems := graph.DeriveEMS(egs, graph.RWRMatrix(testDamping))
+	return pinEMS(t, cfg, graph.DeriveEMS(egs, graph.RWRMatrix(testDamping)))
+}
+
+// communityEngine is pinnedEngine over a DBLP-like sequence of eight
+// fully disjoint communities — the other side of every route
+// threshold: a seed's reach stays inside its community (the reach
+// route), and the coauthor cliques give the packed panels real width
+// (the panel route for wide blocks).
+func communityEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.Solver) {
+	t.Helper()
+	egs, err := gen.DBLPSim(gen.DBLPConfig{
+		N: 320, T: 6, Communities: 8, InitialPapers: 300,
+		PapersPerDay: 4, MaxCoauthors: 7, CrossCommunity: 0, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pinEMS(t, cfg, graph.DeriveEMS(egs, graph.SymmetricWalkMatrix(testDamping)))
+}
+
+// pinEMS factors ems with CLUDE and pins every snapshot.
+func pinEMS(t *testing.T, cfg Config, ems *graph.EMS) (*Engine, *graph.EMS, map[int]*lu.Solver) {
+	t.Helper()
 	cfg.Damping = testDamping
 	eng := New(cfg)
 	ref := make(map[int]*lu.Solver, ems.Len())
-	_, err = core.Run(ems, core.CLUDE, core.Options{
+	_, err := core.Run(ems, core.CLUDE, core.Options{
 		Alpha:         0.95,
 		RetainFactors: true,
 		OnFactors: func(i int, s *lu.Solver) {
@@ -52,16 +76,15 @@ func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.So
 // the serving engine and its cache.
 func coldAnswer(q Query, s *lu.Solver) ([]int, []float64) {
 	me := measures.NewSolverEngine(testDamping, s)
-	var ws lu.SolveWorkspace
 	switch q.Measure {
 	case MeasureRWR:
-		return nil, me.RWRWith(q.Source, &ws)
+		return nil, me.RWR(q.Source)
 	case MeasurePPR:
-		return nil, me.PPRWith(q.Sources, &ws)
+		return nil, me.PPR(q.Sources)
 	case MeasurePageRank:
-		return nil, me.PageRankWith(&ws)
+		return nil, me.PageRank()
 	case MeasureTopK:
-		full := me.RWRWith(q.Source, &ws)
+		full := me.RWR(q.Source)
 		nodes := measures.TopK(full, q.K)
 		scores := make([]float64, len(nodes))
 		for i, v := range nodes {
@@ -420,90 +443,84 @@ func TestLatestSurvivesOutOfOrderEviction(t *testing.T) {
 	}
 }
 
-// TestSparsePathStatsAndEquivalence pins the same factors into three
-// engines — sparse path forced (never fall back), default heuristic
-// (real fallback decisions), and sparse disabled — and checks that (a)
-// every configuration's answers equal an independent cold dense solve
-// bit for bit, (b) the path counters add up, and (c) the forced-sparse
-// engine actually took the reach-based path and measured a reach
-// fraction.
+// TestSparsePathStatsAndEquivalence runs the same query shapes on both
+// sides of the solver's reach threshold — disjoint communities, where
+// every seeded query takes the reach-restricted route, and the
+// Wiki-like blob, where every probe aborts and the dense substitution
+// answers — and checks that (a) every answer equals an independent
+// cold dense solve bit for bit, (b) the path counters add up, and (c)
+// the community engine actually took the reach route and measured a
+// reach fraction while the blob engine recorded real fallbacks.
 func TestSparsePathStatsAndEquivalence(t *testing.T) {
-	forced, ems, ref := pinnedEngine(t, Config{Workers: 2, SparseReachFrac: 1})
-	defer forced.Close()
-	heuristic, _, _ := pinnedEngine(t, Config{Workers: 2}) // SparseReachFrac 0 = default
-	defer heuristic.Close()
-	disabled, _, _ := pinnedEngine(t, Config{Workers: 2, SparseReachFrac: -1})
-	defer disabled.Close()
+	reach, cems, cref := communityEngine(t, Config{Workers: 2})
+	defer reach.Close()
+	blob, wems, wref := pinnedEngine(t, Config{Workers: 2})
+	defer blob.Close()
 
 	ctx := context.Background()
-	n := ems.N()
-	queries := []Query{
-		{Snapshot: 0, Measure: MeasureRWR, Source: 3},
-		{Snapshot: 1, Measure: MeasureRWR, Source: n - 1},
-		{Snapshot: 2, Measure: MeasureTopK, Source: 5, K: 7},
-		{Snapshot: 3, Measure: MeasurePPR, Sources: []int{2, 9, 40}},
-		{Snapshot: 4, Measure: MeasurePageRank},
+	queriesFor := func(n int, seeds []int) []Query {
+		return []Query{
+			{Snapshot: 0, Measure: MeasureRWR, Source: 3},
+			{Snapshot: 1, Measure: MeasureRWR, Source: n - 1},
+			{Snapshot: 2, Measure: MeasureTopK, Source: 5, K: 7},
+			{Snapshot: 3, Measure: MeasurePPR, Sources: seeds},
+			{Snapshot: 4, Measure: MeasurePageRank},
+		}
 	}
-	for _, q := range queries {
-		nodes, scores := coldAnswer(q, ref[q.Snapshot])
-		for name, eng := range map[string]*Engine{"forced": forced, "heuristic": heuristic, "disabled": disabled} {
-			a, err := eng.Query(ctx, q)
+	const seeded = 4 // every query above but pagerank
+	for _, side := range []struct {
+		name  string
+		eng   *Engine
+		n     int
+		seeds []int // one seed keeps the community-side reach inside one community
+		ref   map[int]*lu.Solver
+	}{
+		{"communities", reach, cems.N(), []int{2}, cref},
+		{"blob", blob, wems.N(), []int{2, 9, 40}, wref},
+	} {
+		for _, q := range queriesFor(side.n, side.seeds) {
+			nodes, scores := coldAnswer(q, side.ref[q.Snapshot])
+			a, err := side.eng.Query(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a.Scores) != len(scores) || len(a.Nodes) != len(nodes) {
-				t.Fatalf("%s %+v: shape mismatch vs cold", name, q)
-			}
-			for i := range scores {
-				if a.Scores[i] != scores[i] {
-					t.Fatalf("%s %+v: score[%d] = %v, cold %v", name, q, i, a.Scores[i], scores[i])
-				}
-			}
-			for i := range nodes {
-				if a.Nodes[i] != nodes[i] {
-					t.Fatalf("%s %+v: node[%d] = %d, cold %d", name, q, i, a.Nodes[i], nodes[i])
-				}
-			}
+			sameAnswer(t, side.name+" "+q.Measure, a, nodes, scores)
 		}
 	}
 
-	fst := forced.Stats()
-	// With the cap disabled (frac >= 1) every rwr/topk/ppr cold solve is
-	// sparse; only pagerank is dense.
-	if want := int64(len(queries) - 1); fst.SparseSolves != want {
-		t.Errorf("forced engine: %d sparse solves, want %d", fst.SparseSolves, want)
+	rst := reach.Stats()
+	// Inside a community every rwr/topk/ppr cold solve fits the reach
+	// cap; only pagerank is dense, and it never probes.
+	if rst.SparseSolves != seeded {
+		t.Errorf("community engine: %d sparse solves, want %d", rst.SparseSolves, seeded)
 	}
-	if fst.DenseSolves != 1 {
-		t.Errorf("forced engine: %d dense solves, want 1 (pagerank)", fst.DenseSolves)
+	if rst.DenseSolves != 1 {
+		t.Errorf("community engine: %d dense solves, want 1 (pagerank)", rst.DenseSolves)
 	}
-	if fst.SparseFallbacks != 0 {
-		t.Errorf("forced engine: %d fallbacks, want 0", fst.SparseFallbacks)
+	if rst.SparseFallbacks != 0 {
+		t.Errorf("community engine: %d fallbacks, want 0", rst.SparseFallbacks)
 	}
-	if fst.SparseSolves+fst.DenseSolves != fst.ColdSolves {
-		t.Errorf("sparse %d + dense %d != cold %d", fst.SparseSolves, fst.DenseSolves, fst.ColdSolves)
+	if rst.SparseSolves+rst.DenseSolves != rst.ColdSolves {
+		t.Errorf("sparse %d + dense %d != cold %d", rst.SparseSolves, rst.DenseSolves, rst.ColdSolves)
 	}
-	if fst.AvgReachFrac <= 0 || fst.AvgReachFrac > 1 {
-		t.Errorf("forced engine: avg reach fraction %v outside (0,1]", fst.AvgReachFrac)
-	}
-
-	hst := heuristic.Stats()
-	if hst.SparseSolves+hst.DenseSolves != hst.ColdSolves {
-		t.Errorf("heuristic engine: sparse %d + dense %d != cold %d",
-			hst.SparseSolves, hst.DenseSolves, hst.ColdSolves)
-	}
-	if hst.SparseFallbacks > hst.DenseSolves {
-		t.Errorf("heuristic engine: %d fallbacks exceed %d dense solves",
-			hst.SparseFallbacks, hst.DenseSolves)
+	if rst.AvgReachFrac <= 0 || rst.AvgReachFrac > 0.25 {
+		t.Errorf("community engine: avg reach fraction %v outside (0, 0.25]", rst.AvgReachFrac)
 	}
 
-	dst := disabled.Stats()
-	if dst.SparseSolves != 0 || dst.SparseFallbacks != 0 {
-		t.Errorf("disabled engine took the sparse path: %+v", dst)
+	bst := blob.Stats()
+	// On the blob the probes make real decisions: a hub's reach is
+	// nearly everything (abort, dense), a dangling node's a single row.
+	// Every seeded cold solve is booked as exactly one of the two.
+	if bst.SparseFallbacks == 0 {
+		t.Errorf("blob engine recorded no probe abort: %+v", bst)
 	}
-	if dst.DenseSolves != dst.ColdSolves {
-		t.Errorf("disabled engine: dense %d != cold %d", dst.DenseSolves, dst.ColdSolves)
+	if bst.SparseSolves+bst.SparseFallbacks != seeded {
+		t.Errorf("blob engine: %d sparse + %d fallbacks != %d seeded queries", bst.SparseSolves, bst.SparseFallbacks, seeded)
 	}
-	if dst.AvgReachFrac != 0 {
-		t.Errorf("disabled engine reported reach fraction %v", dst.AvgReachFrac)
+	if bst.DenseSolves != bst.SparseFallbacks+1 {
+		t.Errorf("blob engine: %d dense solves, want %d fallbacks + pagerank", bst.DenseSolves, bst.SparseFallbacks)
+	}
+	if bst.SparseSolves+bst.DenseSolves != bst.ColdSolves {
+		t.Errorf("blob engine: sparse %d + dense %d != cold %d", bst.SparseSolves, bst.DenseSolves, bst.ColdSolves)
 	}
 }

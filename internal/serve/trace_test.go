@@ -47,7 +47,7 @@ func hasSpan(td *trace.TraceData, name string) bool {
 // flight, and asserts the follower's retained trace records a link to
 // the leader's root span — and a coalesce wait instead of solve spans.
 func TestTraceCoalescedFollowerLinksLeader(t *testing.T) {
-	eng, tc := tracedEngine(t, Config{Workers: 1, QueueDepth: 1, BatchMax: 1, CacheSize: 8})
+	eng, tc := tracedEngine(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 8})
 	defer eng.Close()
 	_, _, ref := pinnedEngine(t, Config{Workers: 1})
 	g := newGatedLive(ref[0].Clone(), 2) // call 1: leader resolve; call 2: worker solve
@@ -109,7 +109,7 @@ func TestTraceCoalescedFollowerLinksLeader(t *testing.T) {
 func TestTraceShedQueryRetained(t *testing.T) {
 	tc := trace.New(trace.Config{Buffer: 64, Sample: 0})
 	eng, _, ref := pinnedEngine(t, Config{
-		Workers: 1, QueueDepth: 1, BatchMax: 1, CacheSize: 8, Tracer: tc,
+		Workers: 1, QueueDepth: 1, CacheSize: 8, Tracer: tc,
 	})
 	defer eng.Close()
 	g := newGatedLive(ref[0].Clone(), 2)

@@ -6,44 +6,31 @@ import (
 
 	"repro/internal/lu"
 	"repro/internal/measures"
-	"repro/internal/sparse"
 )
 
 // The batching stage: each worker drains the admission queue, groups
-// compatible queued queries — same factors, hence same route — and
-// solves a group of k right-hand sides through one blocked factor
-// traversal (lu.Solver.SolveBlock). A group that degenerates to a
-// single query takes the classic per-query path, which includes the
-// reach-based sparse solve; blocks are always dense (a block exists
-// because load is high, and amortizing the factor walk across k dense
-// substitutions is the better trade than k independent sparse probes).
-// Both paths produce bit-identical answers, so batching is purely an
-// execution-schedule decision.
+// compatible queued queries — same factors, hence one solver — and
+// answers a group of k ≥ 1 through one measures.Engine.Batch call. The
+// substitution route (reach-restricted, dense, scalar block, packed
+// panels) is lu.Solver.SolveRHS's decision, made from what it observes
+// about the group and the factors; this layer only states whether the
+// factors are frozen and books the route the report names. Every route
+// produces bit-identical answers, so batching and routing are purely
+// execution-schedule decisions.
 
-// workerScratch is the per-worker reusable state: dense solve scratch,
-// sparse (reach-based) solve scratch, blocked solve scratch, and a
-// dense result buffer for answers that never enter the cache (top-k's
-// full vector), so a steady-state worker's per-query allocation is
-// only what the cache must own.
+// batchMax bounds how many queued tasks one worker drains per gather:
+// it keeps a deep backlog shared between workers instead of letting the
+// first one to wake take it all. It bounds a queue drain; it does not
+// pick a solve route.
+const batchMax = 8
+
+// workerScratch is the per-worker reusable state: the solver workspace
+// (which also pools the dense scratch of top-k answers) and the query
+// header of the current group, so a steady-state worker's per-query
+// allocation is only what the cache must own.
 type workerScratch struct {
-	ws  lu.SolveWorkspace
-	sws lu.SparseSolveWorkspace
-	bws lu.BlockWorkspace
-	buf []float64
-	hdr [][]float64 // pooled block header (see headers)
-}
-
-// headers returns a k-slot right-hand-side header, reusing capacity as
-// the batch width jitters query to query (the lu.BlockWorkspace twin of
-// this pooling lives in vectors/scratch). Only the header is pooled —
-// the vectors it points at are cache-owned and always fresh. Every slot
-// is overwritten by the caller before the block solves.
-func (w *workerScratch) headers(k int) [][]float64 {
-	if cap(w.hdr) < k {
-		w.hdr = make([][]float64, k)
-	}
-	w.hdr = w.hdr[:k]
-	return w.hdr
+	ws lu.SolveWorkspace
+	qs []measures.Query
 }
 
 // worker owns one scratch set and drains the admission queue in
@@ -83,7 +70,7 @@ func (e *Engine) dequeued(t *task) {
 // deeper the backlog, the wider the blocks, the higher the throughput.
 func (e *Engine) gather(first *task) []*task {
 	batch := []*task{first}
-	for len(batch) < e.batchMax {
+	for len(batch) < batchMax {
 		select {
 		case t := <-e.queue:
 			e.dequeued(t)
@@ -213,212 +200,69 @@ func (e *Engine) fallbackPinned(t *task, w *workerScratch) {
 	e.solveGroup([]*task{t}, entry.s, w)
 }
 
-// solveGroup answers a route group against its resolved solver: alone
-// through the classic path (sparse-capable), together through one
-// blocked traversal.
+// solveGroup answers a route group of any size against its resolved
+// solver through one Batch call and books the route it took: exactly
+// one of sparse / dense / block per group, blocks split once more into
+// panel and scalar, and a lazily packed panel set accounted to the one
+// group whose call built it.
 func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) {
 	if len(group) == 1 {
-		// A group of one takes the classic path — a routing decision
-		// like panel-vs-scalar, so it is counted, not silent.
 		e.singleGroups.Add(1)
-		e.serveSingle(group[0], solver, w)
-		return
+		if group[0].q.Measure == MeasureKatz {
+			e.serveKatz(group[0])
+			return
+		}
 	}
-	e.serveBlock(group, solver, w)
-}
+	w.qs = w.qs[:0]
+	for _, t := range group {
+		mq := measures.Query{Seeds: t.seeds, Global: t.q.Measure == MeasurePageRank}
+		if t.q.Measure == MeasureTopK {
+			mq.TopK = t.q.K
+		}
+		w.qs = append(w.qs, mq)
+	}
+	// Live factors are Bennett-updated in place, so they are never
+	// frozen; pinned and materialized solvers are.
+	me := measures.NewSolverEngine(group[0].damping, solver)
+	rep := me.Batch(w.qs, !group[0].live, &w.ws)
 
-// panelSet resolves the panel-vs-scalar routing decision for a blocked
-// group of k right-hand sides: the packed panel set when the group
-// should take the supernodal route, nil for the scalar SolveBlock. Live
-// groups never pack (the source's factors are Bennett-updated in
-// place, which would invalidate the packed value snapshot); pinned
-// solvers pack lazily on the first group that asks — a one-time cost
-// this accounting attributes to exactly one group — and solvers over
-// DynamicFactors have no panel form. See Config.PanelMinWidth for the
-// width heuristic; both answers are bit-identical either way.
-func (e *Engine) panelSet(t *task, solver *lu.Solver, k int) *lu.PanelSet {
-	minW := e.cfg.PanelMinWidth
-	if minW < 0 || t.live {
-		return nil
-	}
-	ps, built := solver.PanelsBuild()
-	if built && ps != nil {
+	k := int64(len(group))
+	if ps := rep.Packed; ps != nil {
 		e.panelPacks.Add(1)
 		e.panelCols.Add(int64(ps.ColsCovered()))
 		e.panelPackNS.Add(int64(ps.PackTime()))
 	}
-	if ps == nil {
-		return nil
-	}
-	mw := ps.MeanWidth()
-	if minW == 0 {
-		if mw < 1.5 || mw*float64(k) < 8 {
-			return nil
+	switch rep.Route {
+	case lu.RouteReach:
+		e.sparseSolves.Add(1)
+		e.reachRows.Add(int64(rep.ReachRows))
+		e.reachDen.Add(int64(solver.F.Dim()))
+		group[0].solveSpan.SetString("path", "sparse")
+	case lu.RouteDense:
+		if rep.ProbeAborted {
+			e.sparseFallbacks.Add(1)
 		}
-	} else if mw < float64(minW) {
-		return nil
-	}
-	return ps
-}
-
-// recordSparse accounts one reach-based solve in the stats.
-func (e *Engine) recordSparse(sp measures.SparseScores) {
-	e.sparseSolves.Add(1)
-	e.reachRows.Add(int64(len(sp.Idx)))
-	e.reachDen.Add(int64(sp.N))
-}
-
-// trySparse attempts one reach-based solve, keeping the stats honest:
-// a hit is recorded as a sparse solve, a reach-cap abort as a fallback
-// (the caller then performs — and records — a dense solve).
-func (e *Engine) trySparse(enabled bool, solve func() (measures.SparseScores, bool)) (measures.SparseScores, bool) {
-	if !enabled {
-		return measures.SparseScores{}, false
-	}
-	sp, ok := solve()
-	if !ok {
-		e.sparseFallbacks.Add(1)
-		return measures.SparseScores{}, false
-	}
-	e.recordSparse(sp)
-	return sp, true
-}
-
-// serveSingle answers one validated query against a resolved solver.
-// Single-source and seed-set measures go through the reach-based
-// sparse solve first and fall back to the dense substitution when the
-// reach probe exceeds the configured fraction of n; both paths produce
-// bit-identical answers (the stress test holds every response against
-// an independent cold dense solve).
-func (e *Engine) serveSingle(t *task, solver *lu.Solver, w *workerScratch) {
-	if t.q.Measure == MeasureKatz {
-		e.serveKatz(t)
-		return
-	}
-	me := measures.NewSolverEngine(t.damping, solver)
-	frac := e.cfg.SparseReachFrac
-	useSparse := frac >= 0
-	sparsePath := false
-	var ans answer
-	switch t.q.Measure {
-	case MeasureRWR:
-		if sp, ok := e.trySparse(useSparse, func() (measures.SparseScores, bool) {
-			return me.RWRSparse(t.q.Source, frac, &w.sws)
-		}); ok {
-			sparsePath = true
-			ans.scores = sp.Dense(nil)
-		} else {
-			e.denseSolves.Add(1)
-			ans.scores = me.RWRWith(t.q.Source, &w.ws)
-		}
-	case MeasurePPR:
-		if sp, ok := e.trySparse(useSparse, func() (measures.SparseScores, bool) {
-			return me.PPRSparse(t.seeds, frac, &w.sws)
-		}); ok {
-			sparsePath = true
-			ans.scores = sp.Dense(nil)
-		} else {
-			e.denseSolves.Add(1)
-			ans.scores = me.PPRWith(t.seeds, &w.ws)
-		}
-	case MeasurePageRank:
-		// The right-hand side is dense (uniform restart): the reach is
-		// all of n by construction, so this measure is always dense.
 		e.denseSolves.Add(1)
-		ans.scores = me.PageRankWith(&w.ws)
-	case MeasureTopK:
-		if sp, ok := e.trySparse(useSparse, func() (measures.SparseScores, bool) {
-			return me.RWRSparse(t.q.Source, frac, &w.sws)
-		}); ok {
-			sparsePath = true
-			// Top-k straight from the sparse support: the full score
-			// vector is never materialized.
-			ans.nodes, ans.scores = measures.TopKSparse(sp, t.q.K)
+		group[0].solveSpan.SetString("path", "dense")
+	default:
+		panels := rep.Route == lu.RoutePanel
+		if panels {
+			e.panelSolves.Add(1)
+			e.panelRHS.Add(k)
 		} else {
-			e.denseSolves.Add(1)
-			w.buf = me.RWRInto(w.buf, t.q.Source, &w.ws)
-			ans.nodes = measures.TopK(w.buf, t.q.K)
-			ans.scores = make([]float64, len(ans.nodes))
-			for i, v := range ans.nodes {
-				ans.scores[i] = w.buf[v]
-			}
+			e.scalarBlocks.Add(1)
+		}
+		e.blockSolves.Add(1)
+		e.blockedRHS.Add(k)
+		e.denseSolves.Add(k)
+		for _, t := range group {
+			t.solveSpan.SetString("path", "block")
+			t.solveSpan.SetInt("block_width", k)
+			t.solveSpan.SetBool("panels", panels)
 		}
 	}
-	if sparsePath {
-		t.solveSpan.SetString("path", "sparse")
-	} else {
-		t.solveSpan.SetString("path", "dense")
-	}
-	e.finish(t, ans, nil)
-}
-
-// serveBlock answers k ≥ 2 compatible queries through one blocked
-// multi-RHS solve. Each right-hand side is built by the exact formula
-// of its measure's single-query path (measures.RWRWith / PPRWith /
-// PageRankWith), and SolveBlock executes each vector's floating-point
-// operations in the single-solve order — so every answer is
-// bit-identical to the unbatched path, and a cache entry filled by a
-// block is indistinguishable from one filled by a lone solve.
-func (e *Engine) serveBlock(group []*task, solver *lu.Solver, w *workerScratch) {
-	n := solver.F.Dim()
-	k := len(group)
-	bs := w.headers(k)
 	for r, t := range group {
-		// Fresh vectors, not workspace: the solutions land in the cache
-		// and must be owned by it.
-		b := make([]float64, n)
-		restart := 1 - t.damping
-		switch t.q.Measure {
-		case MeasureRWR, MeasureTopK:
-			b[t.q.Source] = restart
-		case MeasurePPR:
-			wgt := restart / float64(len(t.seeds))
-			for _, s := range t.seeds {
-				b[s] += wgt
-			}
-		case MeasurePageRank:
-			for i := range b {
-				b[i] = restart / float64(n)
-			}
-		}
-		bs[r] = b
-	}
-	panels := e.panelSet(group[0], solver, k) != nil
-	for _, t := range group {
-		t.solveSpan.SetString("path", "block")
-		t.solveSpan.SetInt("block_width", int64(k))
-		t.solveSpan.SetBool("panels", panels)
-	}
-	if panels {
-		solver.SolveBlockPanels(bs, bs, &w.bws)
-		e.panelSolves.Add(1)
-		e.panelRHS.Add(int64(k))
-	} else {
-		solver.SolveBlock(bs, bs, &w.bws)
-		e.scalarBlocks.Add(1)
-	}
-	e.blockSolves.Add(1)
-	e.blockedRHS.Add(int64(k))
-	e.denseSolves.Add(int64(k))
-	for r, t := range group {
-		x := bs[r]
-		var ans answer
-		switch t.q.Measure {
-		case MeasureTopK:
-			ans.nodes = measures.TopK(x, t.q.K)
-			ans.scores = make([]float64, len(ans.nodes))
-			for i, v := range ans.nodes {
-				ans.scores[i] = x[v]
-			}
-		case MeasurePageRank:
-			// The normalization PageRankWith applies, verbatim.
-			if s := sparse.Sum(x); s > 0 {
-				sparse.Scale(x, 1/s)
-			}
-			ans.scores = x
-		default:
-			ans.scores = x
-		}
-		e.finish(t, ans, nil)
+		e.finish(t, answer{nodes: w.qs[r].Nodes, scores: w.qs[r].Scores}, nil)
+		w.qs[r] = measures.Query{} // the answer is the cache's now
 	}
 }
