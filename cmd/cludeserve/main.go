@@ -94,9 +94,11 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/lu"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -184,6 +186,19 @@ func main() {
 		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	default:
 		fatal(fmt.Errorf("unknown -log-format %q (want text or json)", o.logFormat))
+	}
+
+	if o.debugAddr != "" {
+		// The debug listener is its own server on its own mux: pprof
+		// and expvar never appear on the public address. It starts
+		// before the dataset is built and factored, so the LUDEM run
+		// that is the whole of set-up can be profiled on this binary.
+		go func() {
+			slog.Info("debug server listening", "addr", o.debugAddr)
+			if err := http.ListenAndServe(o.debugAddr, debugMux()); err != nil {
+				slog.Error("debug server", "err", err)
+			}
+		}()
 	}
 
 	d, err := bench.DatasetsFor(bench.Scale(o.scale))
@@ -280,16 +295,6 @@ func main() {
 	srv := &http.Server{Addr: o.addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	if o.debugAddr != "" {
-		// The debug listener is its own server on its own mux: pprof
-		// and expvar never appear on the public address.
-		go func() {
-			slog.Info("debug server listening", "addr", o.debugAddr)
-			if err := http.ListenAndServe(o.debugAddr, debugMux()); err != nil {
-				slog.Error("debug server", "err", err)
-			}
-		}()
-	}
 	slog.Info("serving", "addr", o.addr, "version", version, "tracing", tracer != nil)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -386,15 +391,35 @@ func factorOffline(eng *serve.Engine, egs *graph.EGS, damping, alpha float64, fa
 	ems := graph.DeriveEMS(egs, graph.RWRMatrix(damping))
 	slog.Info("factoring snapshots", "count", ems.Len(), "n", ems.N(), "alg", "CLUDE", "alpha", alpha)
 	t0 := time.Now()
-	if _, err := core.Run(ems, core.CLUDE, core.Options{
+	// What each retained clone owns, and the index structure it shares
+	// with the rest of its cluster (counted once per cluster below).
+	owned, shared := make([]int64, ems.Len()), make([]int64, ems.Len())
+	res, err := core.Run(ems, core.CLUDE, core.Options{
 		Alpha:         alpha,
 		Workers:       factorW,
 		RetainFactors: true,
-		OnFactors:     eng.OnFactors(),
-	}); err != nil {
+		OnFactors: func(i int, s *lu.Solver) {
+			owned[i], shared[i] = lu.MemBytes(s.F)
+			eng.Pin(i, s)
+		},
+	})
+	if err != nil {
 		return err
 	}
-	slog.Info("pinned snapshots", "count", len(eng.Snapshots()), "elapsed", time.Since(t0).Round(time.Millisecond))
+	pinned := eng.Snapshots()
+	var retained int64
+	lastCluster := -1
+	for _, i := range pinned {
+		retained += owned[i]
+		if c := cluster.Covering(res.Clusters, i); c != lastCluster {
+			retained += shared[i]
+			lastCluster = c
+		}
+	}
+	tm := res.Times
+	slog.Info("pinned snapshots", "count", len(pinned), "elapsed", time.Since(t0).Round(time.Millisecond),
+		"clusters", len(res.Clusters), "cluster_ms", tm.Clustering.Milliseconds(), "order_ms", tm.Ordering.Milliseconds(),
+		"lu_ms", tm.FullLU.Milliseconds(), "bennett_ms", tm.Bennett.Milliseconds(), "retained_mb", retained>>20)
 	return nil
 }
 

@@ -146,7 +146,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, resp)
+	writeResponse(w, resp)
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

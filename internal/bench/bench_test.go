@@ -164,8 +164,13 @@ func TestTablePrintAligned(t *testing.T) {
 
 // TestHistoryReductionShape pins the history experiment's acceptance
 // shape at a depth >= 64 run: base+delta retention at spacing 8 must
-// shrink resident bytes by a multiple of clone-per-checkpoint, and the
-// latency table must cover real replay depths.
+// shrink resident bytes well below clone-per-checkpoint, and the
+// latency table must cover real replay depths. The bar was 3x while
+// every clone carried its own copy of the index structure; clones now
+// share it, which made clone-per-checkpoint itself ~3x cheaper on this
+// run, and what the delta log still saves is the values of the
+// versions between bases (the structure is paid once per structural
+// version on both sides).
 func TestHistoryReductionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -185,7 +190,7 @@ func TestHistoryReductionShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bad reduction cell %q", row[len(row)-1])
 		}
-		if red < 3.0 {
+		if red < 1.5 {
 			t.Errorf("spacing %s: resident-bytes reduction %.1fx below the compression the feature exists for", row[0], red)
 		}
 	}

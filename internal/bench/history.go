@@ -17,7 +17,11 @@ import (
 //
 //   - resident bytes: full clones at every version (the old
 //     CheckpointEvery(1) path) vs. base clones + the Bennett delta log
-//     at several base spacings — the memory the feature exists to save;
+//     at several base spacings — the memory the feature exists to save.
+//     A clone owns its values and shares its index structure with every
+//     other clone of the same structural run (lu.MemBytes), so both
+//     sides pay for values per retained version and for the structure
+//     once per structural version;
 //   - materialization latency vs. replay depth: what a query for a
 //     non-resident version pays to clone its base and replay the
 //     recorded rank-1 terms — the latency the savings cost.
@@ -43,7 +47,7 @@ func History(d Datasets) ([]*Table, error) {
 	log := bennett.NewHistoryLog()
 	var (
 		recs       []bennett.VersionRecord
-		sizes      []int64
+		sizes      []int64 // per version: what a clone of it owns, plus the structure when it starts one
 		bases      = map[uint64]lu.Factors{}
 		structural int
 	)
@@ -54,10 +58,12 @@ func History(d Datasets) ([]*Table, error) {
 		OnHistory: func(s *lu.Solver, rec bennett.VersionRecord) {
 			log.Record(rec)
 			recs = append(recs, rec)
-			sizes = append(sizes, lu.MemBytes(s.F))
+			size, structure := lu.MemBytes(s.F)
 			if rec.Structural {
 				structural++
+				size += structure
 			}
+			sizes = append(sizes, size)
 			if rec.Structural || rec.Version%cloneEvery == 0 {
 				bases[rec.Version] = s.Clone().F
 			}
@@ -142,22 +148,19 @@ func History(d Datasets) ([]*Table, error) {
 	if runLen > 0 {
 		base := bases[baseVer]
 		var mw bennett.MaterializeWorkspace
-		var dst lu.Factors
 		for _, depth := range []int{0, 1, 2, 4, 8, 16, 32, 64} {
 			if depth > runLen {
 				break
 			}
 			target := baseVer + uint64(depth)
 			// Warm once (allocates the workspace), then time.
-			f, err := mw.MaterializeInto(dst, base, log, baseVer, target, nil)
-			if err != nil {
+			if _, err := mw.Materialize(base, log, baseVer, target, nil); err != nil {
 				return nil, fmt.Errorf("bench: history depth %d: %w", depth, err)
 			}
-			dst = f
 			reps := 0
 			t0 := time.Now()
 			for time.Since(t0) < 30*time.Millisecond || reps < 5 {
-				if dst, err = mw.MaterializeInto(dst, base, log, baseVer, target, nil); err != nil {
+				if _, err := mw.Materialize(base, log, baseVer, target, nil); err != nil {
 					return nil, err
 				}
 				reps++

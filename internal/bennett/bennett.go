@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/lu"
@@ -56,6 +58,13 @@ type scratch struct {
 	// not propagated, but they must still be zeroed by reset so a
 	// reused scratch is indistinguishable from a fresh one.
 	dirtyY, dirtyZ []int
+	// unit is the one-entry vector e_Key of the term being applied.
+	unit [1]sparse.Entry
+	// rescan makes rank1Static run staticExtras at every two-sided step
+	// instead of only when its count says a support position lies
+	// outside the structure. Tests set it (export_test.go) to hold the
+	// counted path against the exhaustive one; production never does.
+	rescan bool
 }
 
 func newScratch(n int) *scratch {
@@ -191,28 +200,47 @@ func (w *Workspace) grab(n int) *scratch {
 	return w.sc
 }
 
-// UpdateStatic is the package-level UpdateStatic with this workspace's
-// scratch.
-func (w *Workspace) UpdateStatic(f *lu.StaticFactors, delta []sparse.Entry, st *Stats) error {
+// ApplyTerms applies pre-split rank-1 terms (SplitTerms) to f in place,
+// in order: the one loop behind the live update path, the streaming
+// engine (which splits a delta once and hands the same terms to its
+// history record) and history replay — which is what makes replayed
+// factors bit-identical to live ones. f must be one of the two lu
+// containers. On a warm workspace it allocates nothing.
+func (w *Workspace) ApplyTerms(f lu.Factors, terms []Rank1Term, st *Stats) error {
 	if st == nil {
 		st = &Stats{}
 	}
 	sc := w.grab(f.Dim())
-	return applyDelta(delta, sc, st, func(sigma float64, sc *scratch, st *Stats) error {
-		return rank1Static(f, sigma, sc, st)
-	})
+	for _, t := range terms {
+		sc.reset()
+		sc.loadTerm(t)
+		st.Rank1Updates++
+		var err error
+		switch c := f.(type) {
+		case *lu.StaticFactors:
+			err = rank1Static(c, 1, sc, st)
+		case *lu.DynamicFactors:
+			err = rank1Dynamic(c, 1, sc, st)
+		default:
+			err = fmt.Errorf("bennett: cannot update container type %T", f)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// UpdateStatic is the package-level UpdateStatic with this workspace's
+// scratch.
+func (w *Workspace) UpdateStatic(f *lu.StaticFactors, delta []sparse.Entry, st *Stats) error {
+	return w.ApplyTerms(f, SplitTerms(delta), st)
 }
 
 // UpdateDynamic is the package-level UpdateDynamic with this
 // workspace's scratch.
 func (w *Workspace) UpdateDynamic(d *lu.DynamicFactors, delta []sparse.Entry, st *Stats) error {
-	if st == nil {
-		st = &Stats{}
-	}
-	sc := w.grab(d.Dim())
-	return applyDelta(delta, sc, st, func(sigma float64, sc *scratch, st *Stats) error {
-		return rank1Dynamic(d, sigma, sc, st)
-	})
+	return w.ApplyTerms(d, SplitTerms(delta), st)
 }
 
 // UpdateStatic applies ∆A (entries of A_new − A_old, in the reordered
@@ -258,9 +286,9 @@ func Rank1Dynamic(d *lu.DynamicFactors, sigma float64, y, z []sparse.Entry, st *
 // Rank1Term is one pre-split rank-1 update of a delta sequence:
 // A ← A + w·e_Keyᵀ when ByCol (W keyed by row), or A ← A + e_Key·wᵀ
 // otherwise (W keyed by column; either way the varying index lives in
-// the entries' Row field). SplitTerms produces them, applyTerms and the
-// history replay path consume them; a term's W slice is immutable once
-// built so terms can be shared between the log and concurrent readers.
+// the entries' Row field). SplitTerms produces them, ApplyTerms consumes
+// them; a term's W slice is immutable once built so terms can be shared
+// between the log and concurrent readers.
 type Rank1Term struct {
 	Key   int
 	ByCol bool
@@ -279,68 +307,100 @@ func SplitTerms(delta []sparse.Entry) []Rank1Term {
 	if len(delta) == 0 {
 		return nil
 	}
-	rowSet := map[int]struct{}{}
-	colSet := map[int]struct{}{}
-	for _, e := range delta {
-		rowSet[e.Row] = struct{}{}
-		colSet[e.Col] = struct{}{}
+	rows, cols := make([]int, len(delta)), make([]int, len(delta))
+	for k, e := range delta {
+		rows[k], cols[k] = e.Row, e.Col
 	}
-	byCol := len(colSet) < len(rowSet)
+	slices.Sort(rows)
+	slices.Sort(cols)
+	rows, cols = slices.Compact(rows), slices.Compact(cols)
+	byCol := len(cols) < len(rows)
+	keys := rows
+	if byCol {
+		keys = cols
+	}
+	group := func(e sparse.Entry) int {
+		if byCol {
+			return sort.SearchInts(keys, e.Col)
+		}
+		return sort.SearchInts(keys, e.Row)
+	}
 
-	groups := map[int][]sparse.Entry{}
+	// A counting sort by key keeps every group in delta order, and all W
+	// slices are carved from one array. pos[g] starts as group g's first
+	// slot and, advanced once per entry placed, ends as its end.
+	pos := make([]int, len(keys)+1)
 	for _, e := range delta {
+		pos[group(e)+1]++
+	}
+	for g := range keys {
+		pos[g+1] += pos[g]
+	}
+	w := make([]sparse.Entry, len(delta))
+	for _, e := range delta {
+		g := group(e)
 		if byCol {
 			// z = e_c, y holds the column entries keyed by row.
-			groups[e.Col] = append(groups[e.Col], sparse.Entry{Row: e.Row, Val: e.Val})
+			w[pos[g]] = sparse.Entry{Row: e.Row, Val: e.Val}
 		} else {
 			// y = e_r, z holds the row entries keyed by column.
-			groups[e.Row] = append(groups[e.Row], sparse.Entry{Row: e.Col, Val: e.Val})
+			w[pos[g]] = sparse.Entry{Row: e.Col, Val: e.Val}
 		}
+		pos[g]++
 	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	terms := make([]Rank1Term, 0, len(keys))
-	for _, k := range keys {
-		terms = append(terms, Rank1Term{Key: k, ByCol: byCol, W: groups[k]})
+	terms := make([]Rank1Term, len(keys))
+	lo := 0
+	for g, k := range keys {
+		terms[g] = Rank1Term{Key: k, ByCol: byCol, W: w[lo:pos[g]:pos[g]]}
+		lo = pos[g]
 	}
 	return terms
 }
 
-// loadTerm loads a pre-split term into the scratch. The one-element
-// unit buffer is caller-owned so replay loops allocate nothing.
-func (sc *scratch) loadTerm(t Rank1Term, unit *[1]sparse.Entry) {
-	unit[0] = sparse.Entry{Row: t.Key, Val: 1}
+// loadTerm loads a pre-split term into the scratch.
+func (sc *scratch) loadTerm(t Rank1Term) {
+	sc.unit[0] = sparse.Entry{Row: t.Key, Val: 1}
 	if t.ByCol {
-		sc.load(t.W, unit[:])
+		sc.load(t.W, sc.unit[:])
 	} else {
-		sc.load(unit[:], t.W)
+		sc.load(sc.unit[:], t.W)
 	}
 }
 
-// applyDelta splits ∆A into rank-1 terms and applies them
-// sequentially — the live update path. The history replay path runs
-// the identical per-term loop (MaterializeInto), which is what makes
-// replayed factors bit-identical to live ones.
-func applyDelta(delta []sparse.Entry, sc *scratch, st *Stats, run func(float64, *scratch, *Stats) error) error {
-	var unit [1]sparse.Entry
-	for _, t := range SplitTerms(delta) {
-		sc.reset()
-		sc.loadTerm(t, &unit)
-		st.Rank1Updates++
-		if err := run(1, sc, st); err != nil {
-			return err
+// cursor looks positions up in one sorted structural index list, for
+// queries that arrive in ascending order. When the queries are many
+// relative to the list it walks (one merged pass over both), otherwise
+// it binary-searches what is left of the list; either way it finds the
+// same positions.
+type cursor struct {
+	idx  []int
+	at   int
+	walk bool
+}
+
+func newCursor(idx []int, queries int) cursor {
+	return cursor{idx: idx, walk: len(idx) <= queries*bits.Len(uint(len(idx)))}
+}
+
+// find returns the position of j in the list and whether it is there.
+func (c *cursor) find(j int) (int, bool) {
+	if c.walk {
+		for c.at < len(c.idx) && c.idx[c.at] < j {
+			c.at++
 		}
+	} else {
+		c.at += sort.SearchInts(c.idx[c.at:], j)
 	}
-	return nil
+	return c.at, c.at < len(c.idx) && c.idx[c.at] == j
 }
 
 // rank1Static runs the Bennett recurrence (see doc.go) against the
-// frozen arrays of a StaticFactors. All passes are merged walks of
-// sorted index slices; out-of-structure positions must carry negligible
-// values or the update fails with ErrOutOfPattern.
+// frozen arrays of a StaticFactors. All passes are walks of sorted index
+// slices; out-of-structure positions must carry negligible values or the
+// update fails with ErrOutOfPattern. The divisions by d' are per entry
+// on purpose: multiplying by a reciprocal would round differently, and
+// the factors must stay bit-identical to history replay and to every
+// earlier build.
 func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) error {
 	n := f.Dim()
 	py, pz := 0, 0
@@ -374,9 +434,16 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		rows := f.LRowIdx[lo:hi]
 		vals := f.LVal[lo:hi]
 		sc.newIdx = sc.newIdx[:0]
+		// outside counts the support positions beyond i that column i
+		// does not hold: the support tail's length minus those met on
+		// the structural walk (inY before setY can promote). Zero — the
+		// rule inside a USSP — means staticExtras has nothing to find.
+		outside := 0
 		switch {
 		case zi != 0 && yi != 0:
+			outside = len(sc.ysupp) - py
 			for p, j := range rows {
+				outside -= b2i(sc.inY[j])
 				lv := vals[p]
 				vals[p] = (di*lv + sigma*zi*sc.y[j]) / dip
 				if lv != 0 {
@@ -388,12 +455,13 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 			// whole column we visit just the support — a direct indexed
 			// access the frozen array structure affords (and the
 			// linked-list container cannot; see paper §4 profiling).
-			for _, j := range sc.ysupp[py:] {
+			tail := sc.ysupp[py:]
+			cur := newCursor(rows, len(tail))
+			for _, j := range tail {
 				if sc.y[j] == 0 {
 					continue
 				}
-				p := sort.SearchInts(rows, j)
-				if p < len(rows) && rows[p] == j {
+				if p, ok := cur.find(j); ok {
 					vals[p] += sigma * zi * sc.y[j] / di
 					continue
 				}
@@ -415,7 +483,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		// marked inY must be reachable from ysupp or reset() cannot
 		// clear them and a reused scratch would be corrupted.
 		sc.ysupp = mergeTail(sc.ysupp, py, sc.newIdx)
-		if zi != 0 && yi != 0 {
+		if outside != 0 || (sc.rescan && zi != 0 && yi != 0) {
 			// Out-of-structure positions: supp(y) ∩ (i, n) \ rows.
 			// (The yi == 0 case checked them inline above. Freshly
 			// promoted positions come from rows, so they are covered
@@ -430,9 +498,12 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		cols := f.UColIdx[ulo:uhi]
 		uvals := f.UVal[ulo:uhi]
 		sc.newIdx = sc.newIdx[:0]
+		outside = 0
 		switch {
 		case yi != 0 && zi != 0:
+			outside = len(sc.zsupp) - pz
 			for p, j := range cols {
+				outside -= b2i(sc.inZ[j])
 				uv := uvals[p]
 				uvals[p] = (di*uv + sigma*yi*sc.z[j]) / dip
 				if uv != 0 {
@@ -440,12 +511,13 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 				}
 			}
 		case yi != 0: // zi == 0: only positions with z_j != 0 move
-			for _, j := range sc.zsupp[pz:] {
+			tail := sc.zsupp[pz:]
+			cur := newCursor(cols, len(tail))
+			for _, j := range tail {
 				if sc.z[j] == 0 {
 					continue
 				}
-				p := sort.SearchInts(cols, j)
-				if p < len(cols) && cols[p] == j {
+				if p, ok := cur.find(j); ok {
 					uvals[p] += sigma * yi * sc.z[j] / di
 					continue
 				}
@@ -465,7 +537,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		}
 		// Same ordering as the L phase: merge before the error exit.
 		sc.zsupp = mergeTail(sc.zsupp, pz, sc.newIdx)
-		if yi != 0 && zi != 0 {
+		if outside != 0 || (sc.rescan && yi != 0 && zi != 0) {
 			if err := staticExtras(sc.zsupp[pz:], cols, sc.z, sigma*yi/dip, st); err != nil {
 				return err
 			}
@@ -475,6 +547,15 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		f.D[i] = dip
 	}
 	return nil
+}
+
+// b2i is 1 for true: the compiler turns it into the flag's byte, so
+// counting support members costs no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // staticExtras scans the sorted support tail against the sorted

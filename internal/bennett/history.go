@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/lu"
-	"repro/internal/sparse"
 )
 
 // This file is the delta-compressed version history: instead of
@@ -14,11 +13,11 @@ import (
 // clone-per-checkpoint economy, O(|factors|) bytes per version), a
 // HistoryLog keeps the validated rank-1 term sequence each version
 // applied to its predecessor — typically a few short sparse vectors —
-// and MaterializeInto rebuilds any version on demand by cloning a base
-// and replaying the terms into a pooled container. Replay runs the
-// exact per-term loop the live update path runs (same scratch code,
-// same term order, same arithmetic), so a materialized container is
-// bit-identical to the full clone it replaces.
+// and Materialize rebuilds any version on demand by cloning a base and
+// replaying the terms onto the clone. Replay runs the exact per-term
+// loop the live update path runs (same scratch code, same term order,
+// same arithmetic), so a materialized container is bit-identical to the
+// full clone it replaces.
 
 // ErrHistoryGap reports that the log is missing a record needed to
 // cover the requested version range (trimmed, or never recorded).
@@ -174,62 +173,36 @@ func (l *HistoryLog) CopyRange(dst []VersionRecord, fromVer, toVer uint64) ([]Ve
 	return dst, nil
 }
 
-// MaterializeWorkspace pools everything a replay needs — the dense
-// recurrence scratch, the unit-vector buffer, and the record staging
-// slice — so repeated materializations on a warm workspace allocate
-// nothing in steady state. Not safe for concurrent use; keep one per
-// materializing goroutine.
+// MaterializeWorkspace pools what a replay needs besides the result —
+// the dense recurrence scratch and the record staging slice — so a warm
+// workspace allocates only the container it hands back. Not safe for
+// concurrent use; keep one per materializing goroutine.
 type MaterializeWorkspace struct {
 	ws     Workspace
-	unit   [1]sparse.Entry
 	recbuf []VersionRecord
 }
 
-// MaterializeInto rebuilds the factors of version toVer by cloning
-// base (the retained factors of version fromVer) into dst and
-// replaying the log's records fromVer+1..toVer. dst is reused when it
-// is a container of base's concrete type (pass nil to allocate a
-// fresh one); the materialized container is returned. The result is
-// bit-identical to the full clone retained at toVer: replay runs the
-// same per-term scratch loop as the live update path, and for the
-// dynamic container even the node-pool layout reproduces exactly
-// because splices append deterministically.
-func (mw *MaterializeWorkspace) MaterializeInto(dst, base lu.Factors, log *HistoryLog, fromVer, toVer uint64, st *Stats) (lu.Factors, error) {
-	if st == nil {
-		st = &Stats{}
-	}
+// Materialize rebuilds the factors of version toVer: it clones base
+// (the retained factors of version fromVer) and replays the log's
+// records fromVer+1..toVer onto the clone. The result is always a new
+// container — a static one shares base's index structure and owns only
+// its values, so there is nothing to recycle, and handing out a used
+// container would rewrite values under whoever still solves against it.
+// It is bit-identical to the full clone retained at toVer: replay runs
+// the same per-term loop as the live update path (Workspace.ApplyTerms),
+// and for the dynamic container even the node-pool layout reproduces
+// exactly because splices append deterministically.
+func (mw *MaterializeWorkspace) Materialize(base lu.Factors, log *HistoryLog, fromVer, toVer uint64, st *Stats) (lu.Factors, error) {
 	recs, err := log.CopyRange(mw.recbuf[:0], fromVer, toVer)
 	mw.recbuf = recs[:0]
 	if err != nil {
 		return nil, err
 	}
-	out := lu.CloneFactorsInto(dst, base)
-	sc := mw.ws.grab(out.Dim())
-	switch f := out.(type) {
-	case *lu.StaticFactors:
-		for _, rec := range recs {
-			for _, t := range rec.Terms {
-				sc.reset()
-				sc.loadTerm(t, &mw.unit)
-				st.Rank1Updates++
-				if err := rank1Static(f, 1, sc, st); err != nil {
-					return nil, fmt.Errorf("bennett: replaying version %d: %w", rec.Version, err)
-				}
-			}
+	out := base.Clone()
+	for _, rec := range recs {
+		if err := mw.ws.ApplyTerms(out, rec.Terms, st); err != nil {
+			return nil, fmt.Errorf("bennett: replaying version %d: %w", rec.Version, err)
 		}
-	case *lu.DynamicFactors:
-		for _, rec := range recs {
-			for _, t := range rec.Terms {
-				sc.reset()
-				sc.loadTerm(t, &mw.unit)
-				st.Rank1Updates++
-				if err := rank1Dynamic(f, 1, sc, st); err != nil {
-					return nil, fmt.Errorf("bennett: replaying version %d: %w", rec.Version, err)
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("bennett: cannot replay onto container type %T", out)
 	}
 	return out, nil
 }

@@ -46,12 +46,15 @@ type Options struct {
 	// Callbacks never run concurrently with each other.
 	OnFactors func(i int, s *lu.Solver)
 	// RetainFactors changes the OnFactors contract: each callback
-	// receives a deep clone of the solver, valid indefinitely — the
+	// receives a clone of the solver, valid indefinitely — the
 	// engine's in-place update path never touches it. This is the
-	// pin-per-snapshot mode the serving layer builds on (clone cost is
-	// O(structure size) per snapshot, paid inside the emitting worker,
-	// so clones of independent clusters proceed in parallel). Ignored
-	// when OnFactors is nil.
+	// pin-per-snapshot mode the serving layer builds on. A CLUDE clone
+	// copies the factor values only: a cluster's snapshots share the
+	// one USSP index structure, in memory as in the paper (INC/CINC's
+	// linked-list container has no frozen part and is copied whole).
+	// The copy is made inside the emitting worker, so clones of
+	// independent clusters proceed in parallel. Ignored when OnFactors
+	// is nil.
 	RetainFactors bool
 	// MeasureQuality computes |s̃p(A_i^{O_i})| for every matrix after
 	// the run (outside the timed section) so quality-loss can be

@@ -423,20 +423,19 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 // engine's refactorInPlace).
 func (s *Stream) update(cur *sparse.CSR) error {
 	curP := cur.PermuteInv(s.ord, s.colInv)
-	delta := sparse.Delta(s.prev, curP)
-	var err error
+	// Split once: the terms applied here are the very slice the history
+	// record carries (immutable from now on).
+	terms := bennett.SplitTerms(sparse.Delta(s.prev, curP))
+	var fac lu.Factors = s.static
 	if s.dyn != nil {
-		err = s.benWS.UpdateDynamic(s.dyn, delta, &s.stats.Bennett)
-	} else {
-		err = s.benWS.UpdateStatic(s.static, delta, &s.stats.Bennett)
+		fac = s.dyn
 	}
-	s.stepStructural, s.stepTerms = false, nil
-	if err == nil {
-		s.stepTerms = bennett.SplitTerms(delta)
-	} else {
+	err := s.benWS.ApplyTerms(fac, terms, &s.stats.Bennett)
+	s.stepStructural, s.stepTerms = false, terms
+	if err != nil {
 		// Numerical fallback: the published values come from a full
 		// refactorization, not the rank-1 algebra — no replayable delta.
-		s.stepStructural = true
+		s.stepStructural, s.stepTerms = true, nil
 		s.stats.Refactorizations++
 		if s.dyn == nil {
 			// The USSP still covers curP; refill the same container.
@@ -678,7 +677,8 @@ type ReplayOptions struct {
 	// OnFactors receives every version in order, i = 0..T-1, with the
 	// same validity contract as Options.OnFactors.
 	OnFactors func(i int, s *lu.Solver)
-	// RetainFactors hands OnFactors a deep clone, valid indefinitely.
+	// RetainFactors hands OnFactors a clone (lu.Solver.Clone), valid
+	// indefinitely.
 	RetainFactors bool
 }
 

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -112,12 +111,7 @@ func DBLPSim(cfg DBLPConfig) (*graph.EGS, error) {
 		for e := range edges {
 			es = append(es, graph.Edge{From: e.u, To: e.v})
 		}
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].From != es[j].From {
-				return es[i].From < es[j].From
-			}
-			return es[i].To < es[j].To
-		})
+		// graph.New sorts and dedups per vertex; map order does not show.
 		return graph.New(n, false, es)
 	}
 

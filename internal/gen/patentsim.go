@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -120,14 +119,9 @@ func PatentSim(cfg PatentConfig) (*PatentData, error) {
 				granted = append(granted, v)
 			}
 		}
-		es := append([]graph.Edge(nil), edges...)
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].From != es[j].From {
-				return es[i].From < es[j].From
-			}
-			return es[i].To < es[j].To
-		})
-		snaps = append(snaps, graph.New(n, true, es))
+		// graph.New copies what it keeps and orders it per vertex, so the
+		// growing citation list is handed over as it is.
+		snaps = append(snaps, graph.New(n, true, edges))
 	}
 	egs, err := graph.NewEGS(snaps)
 	if err != nil {

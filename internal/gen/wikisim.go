@@ -104,12 +104,7 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 		for a := range edges {
 			es = append(es, graph.Edge{From: a.u, To: a.v})
 		}
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].From != es[j].From {
-				return es[i].From < es[j].From
-			}
-			return es[i].To < es[j].To
-		})
+		// graph.New sorts and dedups per vertex; map order does not show.
 		return graph.New(n, true, es)
 	}
 

@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -34,11 +35,10 @@ type Graph struct {
 // normalized to canonical orientation and mirrored in the adjacency
 // structure.
 func New(n int, directed bool, edges []Edge) *Graph {
-	g := &Graph{n: n, directed: directed}
-	adjSet := make([][]int, n)
-	add := func(u, v int) {
-		adjSet[u] = append(adjSet[u], v)
-	}
+	g := &Graph{n: n, directed: directed, adj: make([][]int, n), inDeg: make([]int, n)}
+	// Count first, so every adjacency list is carved out of one array
+	// instead of grown by append.
+	start := make([]int, n+1)
 	for _, e := range edges {
 		if e.From == e.To {
 			continue
@@ -46,28 +46,38 @@ func New(n int, directed bool, edges []Edge) *Graph {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n))
 		}
-		if directed {
-			add(e.From, e.To)
-		} else {
-			add(e.From, e.To)
-			add(e.To, e.From)
+		start[e.From+1]++
+		if !directed {
+			start[e.To+1]++
 		}
 	}
-	g.adj = make([][]int, n)
-	g.inDeg = make([]int, n)
-	for u := range adjSet {
-		sort.Ints(adjSet[u])
-		prev := -1
-		for _, v := range adjSet[u] {
-			if v != prev {
-				g.adj[u] = append(g.adj[u], v)
-				g.inDeg[v]++
-				prev = v
-			}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	flat := make([]int, start[n])
+	next := append([]int(nil), start[:n]...)
+	for _, e := range edges {
+		if e.From == e.To {
+			continue
+		}
+		flat[next[e.From]] = e.To
+		next[e.From]++
+		if !directed {
+			flat[next[e.To]] = e.From
+			next[e.To]++
 		}
 	}
-	for u := range g.adj {
-		g.edges += len(g.adj[u])
+	for u := 0; u < n; u++ {
+		list := flat[start[u]:start[u+1]]
+		sort.Ints(list)
+		list = slices.Compact(list)
+		for _, v := range list {
+			g.inDeg[v]++
+		}
+		if len(list) > 0 {
+			g.adj[u] = slices.Clip(list)
+		}
+		g.edges += len(list)
 	}
 	if !directed {
 		g.edges /= 2

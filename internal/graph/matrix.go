@@ -25,10 +25,11 @@ func RWRMatrix(d float64) Deriver {
 	}
 	return func(g *Graph) *sparse.CSR {
 		c := sparse.NewCOO(g.N())
+		c.Reserve(g.N() + g.NumEdges())
+		// Column by column, diagonal first: every row then receives its
+		// entries in ascending column order and ToCSR has nothing to sort.
 		for i := 0; i < g.N(); i++ {
 			c.Add(i, i, 1)
-		}
-		for i := 0; i < g.N(); i++ {
 			out := g.OutNeighbors(i)
 			if len(out) == 0 {
 				continue
@@ -58,10 +59,12 @@ func SymmetricWalkMatrix(d float64) Deriver {
 			panic("graph: SymmetricWalkMatrix requires an undirected graph")
 		}
 		c := sparse.NewCOO(g.N())
+		c.Reserve(g.N() + 2*g.NumEdges())
+		// Vertex by vertex, diagonal first: row i has its lower entries
+		// from the earlier vertices, then the diagonal, then its upper
+		// entries — ascending, so ToCSR has nothing to sort.
 		for i := 0; i < g.N(); i++ {
 			c.Add(i, i, 1)
-		}
-		for i := 0; i < g.N(); i++ {
 			di := g.OutDegree(i)
 			for _, j := range g.OutNeighbors(i) {
 				if j < i {
@@ -94,6 +97,7 @@ func LaplacianMatrix(eps float64) Deriver {
 			panic("graph: LaplacianMatrix requires an undirected graph")
 		}
 		c := sparse.NewCOO(g.N())
+		c.Reserve(g.N() + 2*g.NumEdges())
 		for i := 0; i < g.N(); i++ {
 			c.Add(i, i, float64(g.OutDegree(i))+eps)
 			for _, j := range g.OutNeighbors(i) {

@@ -16,9 +16,11 @@ type Factors interface {
 	Size() int
 	SolveInPlace(b []float64)
 	Reconstruct() *sparse.CSR
-	// Clone returns a deep copy sharing no mutable state with the
-	// receiver; the copy stays valid while the original keeps being
-	// updated in place.
+	// Clone returns a copy sharing no mutable state with the receiver;
+	// the copy stays valid while the original keeps being updated in
+	// place. What never changes after construction may be shared: a
+	// static container's clone owns its values and shares the frozen
+	// index structure (see MemBytes for who pays for what).
 	Clone() Factors
 
 	// LSucc returns the rows fed by column j of L — the successors of j
@@ -96,9 +98,9 @@ func (s *Solver) Solve(b []float64) []float64 {
 	return s.O.Col.Scatter(bp)
 }
 
-// Clone deep-copies the factors so the returned solver stays valid
-// after the original's factors are updated in place. The ordering is
-// shared: it is immutable once constructed.
+// Clone copies the factors (Factors.Clone) so the returned solver stays
+// valid after the original's factors are updated in place. The ordering
+// is shared: it is immutable once constructed.
 func (s *Solver) Clone() *Solver {
 	return &Solver{F: s.F.Clone(), O: s.O}
 }

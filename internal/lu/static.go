@@ -24,7 +24,9 @@ const PivotTolerance = 1e-12
 // This is the CLUDE container: constructed once per cluster from the
 // universal symbolic sparsity pattern (USSP), then refilled numerically
 // for each matrix in the cluster, with Bennett updates touching values
-// only. The structure never changes after NewStaticFactors.
+// only. The structure never changes after NewStaticFactors, which is
+// what lets clones share it (see Clone): the index arrays below are
+// read-only for everyone, the receiver included.
 type StaticFactors struct {
 	n int
 
@@ -138,28 +140,18 @@ func NewStaticFactors(s *SymbolicLU) *StaticFactors {
 // Dim returns the matrix dimension n.
 func (f *StaticFactors) Dim() int { return f.n }
 
-// Clone returns a deep copy of the container. The index structure is
-// frozen anyway, but copying it too keeps the clone fully independent
-// of the receiver's lifetime.
+// Clone returns a container with its own values (LVal, UVal, D) that
+// shares the receiver's index structure. Nothing writes an index array
+// after NewStaticFactors / AssembleStatic — factorizations and Bennett
+// updates touch values only — so the clone shares no mutable state, and
+// a cluster's retained snapshots hold the USSP structure once between
+// them, as the paper's one-structure-per-cluster argument has it.
 func (f *StaticFactors) Clone() Factors {
-	c := &StaticFactors{
-		n:       f.n,
-		LColPtr: append([]int(nil), f.LColPtr...),
-		LRowIdx: append([]int(nil), f.LRowIdx...),
-		LVal:    append([]float64(nil), f.LVal...),
-		URowPtr: append([]int(nil), f.URowPtr...),
-		UColIdx: append([]int(nil), f.UColIdx...),
-		UVal:    append([]float64(nil), f.UVal...),
-		D:       append([]float64(nil), f.D...),
-
-		LRowPtr:  append([]int(nil), f.LRowPtr...),
-		LRowCols: append([]int(nil), f.LRowCols...),
-		LRowPos:  append([]int(nil), f.LRowPos...),
-		UColPtr:  append([]int(nil), f.UColPtr...),
-		UColRows: append([]int(nil), f.UColRows...),
-		UColPos:  append([]int(nil), f.UColPos...),
-	}
-	return c
+	c := *f
+	c.LVal = append([]float64(nil), f.LVal...)
+	c.UVal = append([]float64(nil), f.UVal...)
+	c.D = append([]float64(nil), f.D...)
+	return &c
 }
 
 // Size returns the structural size |sp(L)| + |sp(U)| + n, i.e. the

@@ -1,10 +1,6 @@
 package lu
 
-import (
-	"container/heap"
-
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // SymbolicLU is the result of the SD-phase: the symbolic sparsity
 // pattern s̃p(A) = sp(A) ∪ fp(A) of Equations 2–3, split into the
@@ -39,26 +35,27 @@ func Symbolic(p *sparse.Pattern) *SymbolicLU {
 	for i := range mark {
 		mark[i] = -1
 	}
-	var h intHeap
+	var h sparse.MinHeap[column]
+	var lr, ur []int // scratch: row i's lower and upper patterns as they pop
 	for i := 0; i < n; i++ {
 		h = h[:0]
 		for _, j := range p.Row(i) {
 			if mark[j] != i {
 				mark[j] = i
-				h = append(h, j)
+				h = append(h, column(j))
 			}
 		}
-		heap.Init(&h)
-		var lr, ur []int
-		for h.Len() > 0 {
-			j := heap.Pop(&h).(int)
+		h.Init()
+		lr, ur = lr[:0], ur[:0]
+		for len(h) > 0 {
+			j := int(h.Pop())
 			switch {
 			case j < i:
 				lr = append(lr, j)
 				for _, k := range s.urows[j] {
 					if mark[k] != i {
 						mark[k] = i
-						heap.Push(&h, k)
+						h.Push(column(k))
 					}
 				}
 			case j > i:
@@ -66,8 +63,11 @@ func Symbolic(p *sparse.Pattern) *SymbolicLU {
 			}
 			// j == i (the diagonal) is implicit.
 		}
-		s.lrows[i] = lr
-		s.urows[i] = ur
+		// One exact-size array holds both halves of the row.
+		row := append(make([]int, 0, len(lr)+len(ur)), lr...)
+		row = append(row, ur...)
+		s.lrows[i] = row[:len(lr):len(lr)]
+		s.urows[i] = row[len(lr):]
 	}
 	return s
 }
@@ -135,17 +135,7 @@ func SymbolicSize(p *sparse.Pattern, o sparse.Ordering) int {
 	return Symbolic(p.Permute(o)).Size()
 }
 
-// intHeap is a min-heap of ints (container/heap plumbing).
-type intHeap []int
+// column is a column index in Symbolic's queue.
+type column int
 
-func (h intHeap) Len() int            { return len(h) }
-func (h intHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+func (a column) Less(b column) bool { return a < b }

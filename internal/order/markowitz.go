@@ -1,10 +1,6 @@
 package order
 
-import (
-	"container/heap"
-
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // Markowitz computes the Markowitz ordering O*(A) of a pattern with a
 // structurally non-zero diagonal (the evolving-graph matrices always
@@ -37,129 +33,189 @@ type pivotCand struct {
 	v    int
 }
 
-type candHeap []pivotCand
-
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
+// Less orders candidates by (cost, v): a total order, so the heap's
+// minimum is unique.
+func (a pivotCand) Less(b pivotCand) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
 	}
-	return h[i].v < h[j].v
-}
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(pivotCand)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.v < b.v
 }
 
-// eliminate runs the greedy symbolic elimination shared by Markowitz
-// and MinDegree. The active submatrix is kept as per-vertex hash sets
-// of rows and columns (for the symmetric case a single set per vertex).
-func eliminate(p *sparse.Pattern, symmetric bool) Result {
+// elimGraph is the active submatrix of a symbolic elimination: per
+// vertex, the unsorted off-diagonal columns of its row and rows of its
+// column (one shared list per vertex in the symmetric case). The
+// diagonal is implicit. Membership during fill is answered by a stamped
+// mark array, so nothing is hashed.
+type elimGraph struct {
+	row, col [][]int
+	mark     []int // mark[j] == stamp: j is in the row being filled
+	stamp    int
+}
+
+// newElimGraph loads p (plus its transpose when symmetric) without
+// duplicates. Each list is carved out of one backing array with its
+// capacity capped at its length, so the first fill-in of a vertex moves
+// that list alone.
+func newElimGraph(p *sparse.Pattern, symmetric bool) *elimGraph {
 	n := p.N()
-	rowSet := make([]map[int]struct{}, n) // rowSet[i]: active columns j with (i,j)
-	colSet := make([]map[int]struct{}, n) // colSet[j]: active rows i with (i,j)
-	for i := 0; i < n; i++ {
-		rowSet[i] = make(map[int]struct{}, 8)
-		if !symmetric {
-			colSet[i] = make(map[int]struct{}, 8)
-		}
-	}
+	g := &elimGraph{mark: make([]int, n)}
+	rowCnt, colCnt := make([]int, n), make([]int, n)
 	if symmetric {
-		colSet = rowSet
+		colCnt = rowCnt
 	}
-	addEntry := func(i, j int) {
-		rowSet[i][j] = struct{}{}
-		colSet[j][i] = struct{}{}
-	}
+	// First pass counts (over-counting duplicates of the symmetrized
+	// pattern, which only leaves slack), second pass fills deduplicated.
 	for i := 0; i < n; i++ {
-		addEntry(i, i) // diagonal is structurally required
 		for _, j := range p.Row(i) {
-			addEntry(i, j)
-			if symmetric {
-				addEntry(j, i)
+			if j != i {
+				rowCnt[i]++
+				colCnt[j]++
 			}
 		}
 	}
+	carve := func(cnt []int) [][]int {
+		total := 0
+		for _, c := range cnt {
+			total += c
+		}
+		back := make([]int, total)
+		lists := make([][]int, n)
+		at := 0
+		for v, c := range cnt {
+			lists[v] = back[at : at : at+c]
+			at += c
+		}
+		return lists
+	}
+	g.row = carve(rowCnt)
+	g.col = g.row
+	if !symmetric {
+		g.col = carve(colCnt)
+	}
+	for i := 0; i < n; i++ {
+		if symmetric {
+			// Entries (j, i) of earlier rows already put j into row i.
+			g.stamp++
+			for _, j := range g.row[i] {
+				g.mark[j] = g.stamp
+			}
+			for _, j := range p.Row(i) {
+				if j != i && g.mark[j] != g.stamp {
+					g.mark[j] = g.stamp
+					g.row[i] = append(g.row[i], j)
+					g.row[j] = append(g.row[j], i)
+				}
+			}
+			continue
+		}
+		for _, j := range p.Row(i) {
+			if j != i {
+				g.row[i] = append(g.row[i], j)
+				g.col[j] = append(g.col[j], i)
+			}
+		}
+	}
+	return g
+}
 
+// drop removes v from the unsorted list by swapping the last element
+// into its place.
+func drop(list []int, v int) []int {
+	for k, x := range list {
+		if x == v {
+			last := len(list) - 1
+			list[k] = list[last]
+			return list[:last]
+		}
+	}
+	return list
+}
+
+// eliminate runs the greedy symbolic elimination shared by Markowitz
+// and MinDegree over an elimGraph. The pivot at every step is the live
+// vertex with the smallest (cost, index) — a total order — so the
+// sequence does not depend on how the graph or the heap store things:
+// stale heap entries are skipped on pop (lazy deletion), and every live
+// vertex always has an entry carrying its current cost.
+func eliminate(p *sparse.Pattern, symmetric bool) Result {
+	n := p.N()
+	g := newElimGraph(p, symmetric)
 	cost := func(v int) int {
 		if symmetric {
-			d := len(rowSet[v]) - 1
+			d := len(g.row[v])
 			return d * d
 		}
-		return (len(rowSet[v]) - 1) * (len(colSet[v]) - 1)
+		return len(g.row[v]) * len(g.col[v])
 	}
 
 	curCost := make([]int, n)
 	eliminated := make([]bool, n)
-	h := make(candHeap, 0, n)
+	h := make(sparse.MinHeap[pivotCand], n, 2*n)
 	for v := 0; v < n; v++ {
 		curCost[v] = cost(v)
-		h = append(h, pivotCand{curCost[v], v})
+		h[v] = pivotCand{curCost[v], v}
 	}
-	heap.Init(&h)
+	h.Init()
+
+	recost := func(touched []int) {
+		for _, u := range touched {
+			if nc := cost(u); nc != curCost[u] {
+				curCost[u] = nc
+				h.Push(pivotCand{nc, u})
+			}
+		}
+	}
 
 	pivots := make([]int, 0, n)
 	sspSize := 0
-	touched := make(map[int]struct{}, 64)
-
 	for len(pivots) < n {
-		cand := heap.Pop(&h).(pivotCand)
+		cand := h.Pop()
 		v := cand.v
 		if eliminated[v] || cand.cost != curCost[v] {
 			continue // stale heap entry (lazy deletion)
 		}
 		eliminated[v] = true
 		pivots = append(pivots, v)
-		r := rowSet[v]
-		c := colSet[v]
-		sspSize += len(r) + len(c) - 1
+		r, c := g.row[v], g.col[v]
+		sspSize += len(r) + len(c) + 1
 
-		// Fill: every active (i, v) × (v, j) pair creates (i, j).
-		clear(touched)
-		for i := range c {
-			if i == v {
-				continue
-			}
-			for j := range r {
-				if j == v {
+		// Fill: every active (i, v) × (v, j) pair creates (i, j). Marking
+		// row i once answers all of its membership tests; v leaves the
+		// row in the same pass.
+		for _, i := range c {
+			g.stamp++
+			g.mark[i] = g.stamp // the diagonal (i, i) is always present
+			ri := g.row[i]
+			for k := 0; k < len(ri); {
+				if ri[k] == v {
+					ri[k] = ri[len(ri)-1]
+					ri = ri[:len(ri)-1]
 					continue
 				}
-				if _, ok := rowSet[i][j]; !ok {
-					rowSet[i][j] = struct{}{}
-					colSet[j][i] = struct{}{}
+				g.mark[ri[k]] = g.stamp
+				k++
+			}
+			for _, j := range r {
+				if g.mark[j] != g.stamp {
+					ri = append(ri, j)
+					g.col[j] = append(g.col[j], i) // j != i: i is marked
 				}
 			}
+			g.row[i] = ri
 		}
-		// Detach v and record vertices whose degrees changed.
-		for j := range r {
-			if j != v {
-				delete(colSet[j], v)
-				touched[j] = struct{}{}
-			}
-		}
-		for i := range c {
-			if i != v {
-				delete(rowSet[i], v)
-				touched[i] = struct{}{}
-			}
-		}
-		rowSet[v] = nil
 		if !symmetric {
-			colSet[v] = nil
+			for _, j := range r {
+				g.col[j] = drop(g.col[j], v)
+			}
 		}
-		for u := range touched {
-			if eliminated[u] {
-				continue
-			}
-			if nc := cost(u); nc != curCost[u] {
-				curCost[u] = nc
-				heap.Push(&h, pivotCand{nc, u})
-			}
+		g.row[v], g.col[v] = nil, nil
+
+		// Only the neighbours' degrees changed. A vertex in both r and c
+		// is re-costed twice; the second time finds nothing new.
+		recost(r)
+		if !symmetric {
+			recost(c)
 		}
 	}
 	return Result{Ordering: sparse.SymmetricOrdering(pivots), SSPSize: sspSize}

@@ -13,8 +13,8 @@ import (
 )
 
 // Delta-compressed version history (Config.HistoryBase): instead of
-// pinning a deep factor clone per retained version, the engine pins a
-// full clone only at *bases* — every HistoryBase-th version plus every
+// pinning a factor clone per retained version, the engine pins a
+// clone only at *bases* — every HistoryBase-th version plus every
 // structural version — and keeps the Bennett rank-1 term sequence of
 // every version in a bennett.HistoryLog. A query addressing a non-base
 // version materializes its factors on demand: clone the nearest
@@ -25,21 +25,35 @@ import (
 // version share one replay through a per-version single-flight, on top
 // of the ordinary query coalescing.
 //
-// Memory economy: a depth-D history at base spacing S retains D/S full
+// Memory economy: a depth-D history at base spacing S retains D/S
 // clones plus D delta records (each a few sparse vectors), instead of
-// D clones — resident bytes shrink by roughly S× while every version
-// stays queryable. Replay depth (at most S−1) is the latency price,
-// paid only on materialization misses; the history benchmark
-// (internal/bench "history") measures both sides of the trade.
+// D clones. A static clone owns its values and shares the index
+// structure with every other clone of the same structural run, so what
+// shrinks by roughly S× is the values — the structure is paid once per
+// structural version either way — while every version stays queryable.
+// Replay depth (at most S−1) is the latency price, paid only on
+// materialization misses; the history benchmark (internal/bench
+// "history") measures both sides of the trade.
 
 // defaultHistoryBudget bounds materialized-solver residency when
 // Config.HistoryBudgetBytes is unset.
 const defaultHistoryBudget = 64 << 20
 
 // histResident is one materialized (non-base) solver held by the LRU.
+// A static container owns only its values; its index structure is the
+// base's, shared by every version materialized from that base.
 type histResident struct {
 	s     *lu.Solver
-	bytes int64
+	base  uint64 // version it was replayed from
+	owned int64  // bytes this resident alone keeps alive
+}
+
+// histStructure is the index structure residents of one base share,
+// charged to the budget once for as long as any of them is resident
+// (they keep it alive even if the base itself is evicted meanwhile).
+type histStructure struct {
+	residents int
+	bytes     int64
 }
 
 // histFlight is the per-version single-flight for materialization:
@@ -66,11 +80,12 @@ type histState struct {
 	log    *bennett.HistoryLog
 	budget int64
 
-	mu        sync.Mutex
-	residents map[uint64]*histResident
-	lruOrder  []uint64 // least recently used first
-	bytes     int64
-	inflight  map[uint64]*histFlight
+	mu         sync.Mutex
+	residents  map[uint64]*histResident
+	structures map[uint64]*histStructure // by base version
+	lruOrder   []uint64                  // least recently used first
+	bytes      int64                     // residents' owned bytes + structures' bytes
+	inflight   map[uint64]*histFlight
 
 	// onTrim, when set (OnHistoryTrim, before serving starts), is
 	// called with each new retention floor so the owner can compact
@@ -90,10 +105,11 @@ func newHistState(budget int64) *histState {
 		budget = defaultHistoryBudget
 	}
 	return &histState{
-		log:       bennett.NewHistoryLog(),
-		budget:    budget,
-		residents: make(map[uint64]*histResident),
-		inflight:  make(map[uint64]*histFlight),
+		log:        bennett.NewHistoryLog(),
+		budget:     budget,
+		residents:  make(map[uint64]*histResident),
+		structures: make(map[uint64]*histStructure),
+		inflight:   make(map[uint64]*histFlight),
 	}
 }
 
@@ -384,6 +400,7 @@ func (e *Engine) historySolver(v uint64) (s *lu.Solver, err error) {
 	// including a panic inside the replay — so a failed materialization
 	// can never wedge the version's single-flight: waiters always get
 	// an answer or an error, and the next query retries fresh.
+	var base uint64
 	defer func() {
 		if r := recover(); r != nil {
 			s, err = nil, fmt.Errorf("serve: materializing version %d: panic: %v", v, r)
@@ -391,13 +408,13 @@ func (e *Engine) historySolver(v uint64) (s *lu.Solver, err error) {
 		h.mu.Lock()
 		delete(h.inflight, v)
 		if err == nil && s != nil {
-			h.installLocked(v, s)
+			h.installLocked(v, base, s)
 		}
 		h.mu.Unlock()
 		fl.s, fl.err = s, err
 		close(fl.done)
 	}()
-	s, err = e.materialize(v)
+	s, base, err = e.materialize(v)
 	return s, err
 }
 
@@ -408,15 +425,16 @@ func (e *Engine) historySolver(v uint64) (s *lu.Solver, err error) {
 // delta chain while the spill file exists. The container is always
 // newly allocated (never an evicted resident's — see histState): once
 // returned it is immutable, so solvers bound to it stay valid for as
-// long as any task holds them.
-func (e *Engine) materialize(v uint64) (*lu.Solver, error) {
+// long as any task holds them. The base version replayed from is
+// returned beside the solver.
+func (e *Engine) materialize(v uint64) (*lu.Solver, uint64, error) {
 	b, ok := e.findHistoryBase(v)
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownSnapshot, int(v))
+		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownSnapshot, int(v))
 	}
 	base, err := e.historyBaseSolver(int(b))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	h := e.hist
 	f, merr := func() (lu.Factors, error) {
@@ -424,17 +442,17 @@ func (e *Engine) materialize(v uint64) (*lu.Solver, error) {
 		// Unlock via defer: a panicking replay (surfaced to the query as
 		// an error by historySolver) must not leave the workspace locked.
 		defer h.matMu.Unlock()
-		return h.mw.MaterializeInto(nil, base.F, h.log, b, v, nil)
+		return h.mw.Materialize(base.F, h.log, b, v, nil)
 	}()
 	if merr != nil {
-		return nil, fmt.Errorf("serve: materializing version %d from base %d: %w", v, b, merr)
+		return nil, 0, fmt.Errorf("serve: materializing version %d from base %d: %w", v, b, merr)
 	}
 	h.materializations.Add(1)
 	// The depth histogram reuses the duration-typed histogram with one
 	// second per replayed version, so the exposed le bounds read as
 	// (power-of-two) depths.
 	h.replayDepth.Observe(time.Duration(v-b) * time.Second)
-	return &lu.Solver{F: f, O: base.O}, nil
+	return &lu.Solver{F: f, O: base.O}, b, nil
 }
 
 // historyBaseSolver fetches a base's pinned solver, reloading and
@@ -465,20 +483,30 @@ func (h *histState) touchLocked(v uint64) {
 	}
 }
 
-// installLocked adds a materialized solver to the LRU and evicts past
-// the byte budget (never the entry just installed: one oversized
-// resident is better than thrashing). Eviction only drops the LRU's
-// reference — the container is NOT recycled, because tasks that bound
-// the resident's solver at resolve time may still be queued or solving
-// against it; the GC reclaims it once they finish. Callers hold h.mu.
-func (h *histState) installLocked(v uint64, s *lu.Solver) {
+// installLocked adds a solver materialized from base to the LRU and
+// evicts past the byte budget (never the entry just installed: one
+// oversized resident is better than thrashing). A resident is charged
+// what it owns; the index structure it shares with its base is charged
+// once per base while any resident of that base remains. Eviction only
+// drops the LRU's reference — the container is NOT recycled, because
+// tasks that bound the resident's solver at resolve time may still be
+// queued or solving against it; the GC reclaims it once they finish.
+// Callers hold h.mu.
+func (h *histState) installLocked(v, base uint64, s *lu.Solver) {
 	if _, ok := h.residents[v]; ok {
 		return // lost a (theoretical) race; keep the first
 	}
-	bytes := lu.MemBytes(s.F)
-	h.residents[v] = &histResident{s: s, bytes: bytes}
+	owned, shared := lu.MemBytes(s.F)
+	h.residents[v] = &histResident{s: s, base: base, owned: owned}
 	h.lruOrder = append(h.lruOrder, v)
-	h.bytes += bytes
+	h.bytes += owned
+	st := h.structures[base]
+	if st == nil {
+		st = &histStructure{bytes: shared}
+		h.structures[base] = st
+		h.bytes += shared
+	}
+	st.residents++
 	for h.bytes > h.budget && len(h.lruOrder) > 1 {
 		old := h.lruOrder[0]
 		if old == v {
@@ -487,7 +515,13 @@ func (h *histState) installLocked(v uint64, s *lu.Solver) {
 		h.lruOrder = h.lruOrder[1:]
 		r := h.residents[old]
 		delete(h.residents, old)
-		h.bytes -= r.bytes
+		h.bytes -= r.owned
+		if st := h.structures[r.base]; st.residents == 1 {
+			delete(h.structures, r.base)
+			h.bytes -= st.bytes
+		} else {
+			st.residents--
+		}
 		h.evictions.Add(1)
 	}
 }

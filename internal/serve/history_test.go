@@ -229,8 +229,8 @@ func TestHistoryMaterializationSingleFlight(t *testing.T) {
 }
 
 // TestHistoryBudgetEviction forces a one-byte residency budget:
-// every new materialization must evict its predecessor, and the
-// recycled containers keep answers bit-identical.
+// every new materialization must evict its predecessor, and answers
+// stay bit-identical.
 func TestHistoryBudgetEviction(t *testing.T) {
 	eng := New(Config{Workers: 1, HistoryBase: 8, HistoryBudgetBytes: 1, Damping: testDamping})
 	defer eng.Close()
@@ -268,6 +268,79 @@ func TestHistoryBudgetEviction(t *testing.T) {
 	}
 	if st.HistoryEvictions == 0 {
 		t.Error("no evictions under a 1-byte budget")
+	}
+}
+
+// TestHistoryResidentBytesChargeStructureOncePerBase pins what the LRU's
+// byte figure (clude_history_resident_bytes, the HistoryBudgetBytes
+// currency) means now that a materialized static container shares its
+// base's index structure: every resident pays for the values it owns,
+// each base's structure is charged once while any of its versions is
+// resident, and evicting the last of them gives both back.
+func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
+	eng := New(Config{Workers: 1, HistoryBase: 8, Damping: testDamping})
+	defer eng.Close()
+	_, last := historyStream(t, core.CLUDE, eng, 24)
+
+	pinned := make(map[int]bool)
+	for _, s := range eng.Snapshots() {
+		pinned[s] = true
+	}
+	var want int64
+	var served []uint64
+	perBase := map[uint64]int{}
+	for v := uint64(1); v <= last; v++ {
+		b, ok := eng.findHistoryBase(v)
+		if pinned[int(v)] || !ok {
+			continue
+		}
+		if _, err := eng.Query(context.Background(), Query{Snapshot: int(v), Measure: MeasureRWR, Source: 2}); err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		served = append(served, v)
+		eng.hist.mu.Lock()
+		r := eng.hist.residents[v]
+		eng.hist.mu.Unlock()
+		if r == nil || r.base != b {
+			t.Fatalf("version %d: resident %+v, want one replayed from base %d", v, r, b)
+		}
+		owned, shared := lu.MemBytes(r.s.F)
+		if shared == 0 || owned == 0 {
+			t.Fatalf("version %d: owned %d shared %d bytes; a static resident has both", v, owned, shared)
+		}
+		want += owned
+		if perBase[b]++; perBase[b] == 1 {
+			want += shared
+		}
+		if got := eng.Stats().HistoryResidentBytes; got != want {
+			t.Fatalf("after version %d (base %d, its resident #%d): resident bytes %d, want %d", v, b, perBase[b], got, want)
+		}
+	}
+	shareable := false
+	for _, k := range perBase {
+		shareable = shareable || k > 1
+	}
+	if !shareable {
+		t.Fatal("no base served two versions; the once-per-base rule was not exercised")
+	}
+
+	// Under a one-byte budget every installation evicts the previous
+	// resident, and with it — being the last of its base — the structure.
+	tight := New(Config{Workers: 1, HistoryBase: 8, HistoryBudgetBytes: 1, Damping: testDamping})
+	defer tight.Close()
+	historyStream(t, core.CLUDE, tight, 24) // the same seeded stream, so the same versions
+	for _, v := range served {
+		if _, err := tight.Query(context.Background(), Query{Snapshot: int(v), Measure: MeasureRWR, Source: 2}); err != nil {
+			t.Fatalf("tight budget, version %d: %v", v, err)
+		}
+		h := tight.hist
+		h.mu.Lock()
+		owned, shared := lu.MemBytes(h.residents[v].s.F)
+		got, residents, structures := h.bytes, len(h.residents), len(h.structures)
+		h.mu.Unlock()
+		if residents != 1 || structures != 1 || got != owned+shared {
+			t.Fatalf("tight budget, version %d: %d residents, %d structures, %d bytes; want 1, 1, %d", v, residents, structures, got, owned+shared)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 )
 
 // This file is the hot-publish half of the serving layer: instead of
-// pinning per-snapshot deep clones (Pin + core.Options.RetainFactors),
+// pinning per-snapshot clones (Pin + core.Options.RetainFactors),
 // an Engine can attach a *live source* — a streaming maintenance engine
 // (core.Stream) that updates one set of factors in place and exposes
 // them through a read-locked view. Queries for the latest state then
@@ -54,7 +54,7 @@ func (e *Engine) liveSource() (LiveSource, uint64) {
 }
 
 // CheckpointEvery returns a publish callback (the core.StreamConfig
-// OnPublish shape) that pins a deep clone of every k-th version into
+// OnPublish shape) that pins a clone of every k-th version into
 // the snapshot store, keyed by version. This is the deliberate,
 // amortized exception to the zero-copy publish path: the live head
 // stays copy-free while every k-th state becomes queryable history,

@@ -110,10 +110,15 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 	eng, _, ref := pinnedEngine(t, Config{Workers: 2, CacheSize: 4096})
 	defer eng.Close()
 
-	const rounds = 8
+	// Eight rounds, and on a box so loaded that 32 goroutines released
+	// together still ran one after the other (about one run in a hundred
+	// here), more of them until some query has joined a flight: the
+	// per-round contract below is what is under test, the closing
+	// "anything coalesced at all" check only that the soak reached it.
+	const rounds, maxRounds = 8, 64
 	const writers = 24
 	const cancels = 8
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < rounds || (r < maxRounds && eng.Stats().Coalesced == 0); r++ {
 		// A fresh key every round, across measures.
 		q := Query{Snapshot: r % 10}
 		switch r % 3 {

@@ -81,7 +81,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 			}
 			return float64(v)
 		})
-	r.GaugeFunc("clude_history_resident_bytes", "Bytes retained by materialized (non-base) history solvers, against the HistoryBudgetBytes bound.", nil,
+	r.GaugeFunc("clude_history_resident_bytes", "Bytes retained by materialized (non-base) history solvers — the values each owns, plus once per base the index structure its versions share — against the HistoryBudgetBytes bound.", nil,
 		func() float64 {
 			e.hist.mu.Lock()
 			defer e.hist.mu.Unlock()

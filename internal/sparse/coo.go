@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,6 +28,10 @@ func NewCOO(n int) *COO {
 	}
 	return &COO{n: n}
 }
+
+// Reserve makes room for k more entries, so a builder whose size is
+// known up front (a deriver walking a graph) appends without regrowing.
+func (c *COO) Reserve(k int) { c.entries = slices.Grow(c.entries, k) }
 
 // N returns the matrix dimension.
 func (c *COO) N() int { return c.n }
@@ -72,7 +77,12 @@ func (c *COO) ToCSR() *CSR {
 		lo, hi := rowCount[i], rowCount[i+1]
 		row := colIdx[lo:hi]
 		rv := vals[lo:hi]
-		sort.Sort(&pairSorter{row, rv})
+		// Rows that arrived in column order (builders that emit them so
+		// pay nothing here) are left alone; sort.Sort would not move
+		// them either, duplicates included.
+		if !sort.IntsAreSorted(row) {
+			sort.Sort(&pairSorter{row, rv})
+		}
 		outPtr[i] = w
 		for k := 0; k < len(row); {
 			j := row[k]

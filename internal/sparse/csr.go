@@ -141,9 +141,29 @@ func (m *CSR) PermuteInv(o Ordering, colNewOf Perm) *CSR {
 			seg[k-lo] = colNewOf[m.colIdx[k]]
 			segv[k-lo] = m.vals[k]
 		}
-		sort.Sort(&pairSorter{seg, segv})
+		sortRow(seg, segv)
 	}
 	return &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// sortRow sorts one permuted row by column, carrying the values along.
+// A permuted row has no duplicate columns, so every correct sort gives
+// the same row; graph matrices have short rows, which a plain insertion
+// sort orders without the per-row allocation and interface calls of
+// sort.Sort. The rare long row (a hub) still goes through sort.Sort.
+func sortRow(idx []int, val []float64) {
+	if len(idx) > 24 {
+		sort.Sort(&pairSorter{idx, val})
+		return
+	}
+	for i := 1; i < len(idx); i++ {
+		j, v := idx[i], val[i]
+		k := i
+		for ; k > 0 && idx[k-1] > j; k-- {
+			idx[k], val[k] = idx[k-1], val[k-1]
+		}
+		idx[k], val[k] = j, v
+	}
 }
 
 // MulVec computes y = A·x into a new slice.

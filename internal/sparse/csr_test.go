@@ -122,11 +122,21 @@ func TestTransposeEntry(t *testing.T) {
 
 func TestPermuteMatchesDense(t *testing.T) {
 	rng := xrand.New(9)
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		n := 2 + rng.Intn(20)
-		m := randomCSR(rng, n, 3*n)
+		nnz := 3 * n
+		if trial >= 10 {
+			// Rows long enough to leave sortRow's short-row path, and the
+			// stored rows must come out in column order either way.
+			n, nnz = 60, 2400
+		}
+		m := randomCSR(rng, n, nnz)
 		o := Ordering{Row: Perm(rng.Perm(n)), Col: Perm(rng.Perm(n))}
 		p := m.Permute(o)
+		rowPtr, colIdx, vals := p.Arrays()
+		if _, err := CSRFromArrays(n, rowPtr, colIdx, vals); p.NNZ() != m.NNZ() || err != nil {
+			t.Fatalf("trial %d: permuted matrix has %d entries (want %d), arrays valid: %v", trial, p.NNZ(), m.NNZ(), err)
+		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if got, want := p.At(i, j), m.At(o.Row[i], o.Col[j]); got != want {
@@ -287,5 +297,46 @@ func TestPermuteInvMatchesPermute(t *testing.T) {
 		if !want.EqualApprox(got, 0) {
 			t.Fatalf("PermuteInv differs from Permute")
 		}
+	}
+}
+
+// TestToCSRSortedRowsSumInArrivalOrder: a row whose entries arrive in
+// column order is not sorted again, so duplicates are summed left to
+// right as they came — the order floating point cares about, and the
+// one ToCSR has always produced for such rows (its sort leaves sorted
+// input where it is). Long rows, so the check is not about a small-row
+// special case of the sort.
+func TestToCSRSortedRowsSumInArrivalOrder(t *testing.T) {
+	const n, width = 64, 40
+	c := NewCOO(n)
+	c.Reserve(3 * width)
+	want := make([]float64, width)
+	for j := 0; j < width; j++ {
+		// (big + small) − big and (big − big) + small differ in the last
+		// bits; only the arrival order gives the first.
+		terms := []float64{1e16, float64(j) + 0.5, -1e16}
+		sum := 0.0
+		for _, v := range terms {
+			c.Add(7, j, v)
+			sum += v
+		}
+		want[j] = sum
+	}
+	// An unsorted row beside it still comes out sorted and merged.
+	c.Add(9, 5, 1)
+	c.Add(9, 2, 2)
+	c.Add(9, 5, 3)
+	m := c.ToCSR()
+	cols, vals := m.Row(7)
+	if len(cols) != width {
+		t.Fatalf("row 7 has %d entries, want %d", len(cols), width)
+	}
+	for j := range cols {
+		if cols[j] != j || vals[j] != want[j] {
+			t.Fatalf("row 7 entry %d: (%d, %v), want (%d, %v)", j, cols[j], vals[j], j, want[j])
+		}
+	}
+	if cols, vals := m.Row(9); len(cols) != 2 || cols[0] != 2 || cols[1] != 5 || vals[0] != 2 || vals[1] != 4 {
+		t.Errorf("row 9 = %v %v, want [2 5] [2 4]", cols, vals)
 	}
 }
