@@ -11,16 +11,21 @@ package repro
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/bench"
 	"repro/internal/bennett"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lu"
+	"repro/internal/measures"
 	"repro/internal/order"
+	"repro/internal/serve"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -213,6 +218,69 @@ func BenchmarkKernelSolveRHS(b *testing.B) {
 		s.SolveRHS(rhs, true, &ws)
 	}
 }
+
+// BenchmarkKernelTopK is the selection behind a topk answer at the
+// serving benchmark's shape: the ten best of a 2000-score rwr vector.
+func BenchmarkKernelTopK(b *testing.B) {
+	rng := xrand.New(9)
+	x := make([]float64, 2000)
+	for i := range x {
+		x[i] = rng.Float64() * rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = measures.TopK(x, 10)
+	}
+}
+
+// BenchmarkKernelCachedHit is one repeated rwr question through the
+// HTTP handler: resolve, cache hit, and the entry's stored body written
+// as it is. Its B/op must not grow with the answer (a 1000-score vector
+// here): a hit that re-encoded or copied the vector would show up as
+// tens of kilobytes.
+func BenchmarkKernelCachedHit(b *testing.B) {
+	_, ems := benchEMS(b)
+	s, err := lu.FactorizeOrdered(ems.Matrices[0], order.Markowitz(ems.Matrices[0].Pattern()).Ordering)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := serve.New(serve.Config{Damping: 0.85, Workers: 1})
+	defer eng.Close()
+	eng.Pin(0, s)
+	srv := api.New(api.Options{Engine: eng})
+	req := httptest.NewRequest(http.MethodGet, "/v1/query?measure=rwr&source=3&snapshot=0", nil)
+	var w discardResponse
+	for i := 0; i < 3; i++ { // miss, first hit (stores the body), stored hit
+		srv.ServeHTTP(&w, req)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.ServeHTTP(&w, req)
+	}
+	if w.status != 0 || w.bytes == 0 {
+		b.Fatalf("status %d, %d body bytes", w.status, w.bytes)
+	}
+}
+
+// discardResponse is an http.ResponseWriter that counts and drops the
+// body, so the benchmark measures the handler and not a recorder's
+// growing buffer.
+type discardResponse struct {
+	h      http.Header
+	status int
+	bytes  int
+}
+
+func (d *discardResponse) Header() http.Header {
+	if d.h == nil {
+		d.h = make(http.Header)
+	}
+	return d.h
+}
+func (d *discardResponse) Write(p []byte) (int, error) { d.bytes += len(p); return len(p), nil }
+func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 
 // BenchmarkKernelBennettStatic measures one EMS step applied to a
 // static USSP container (the CLUDE inner loop).

@@ -276,7 +276,7 @@ func main() {
 			eng.AttachGraphs(api.StreamGraphs(stream))
 		}
 	} else {
-		err = factorOffline(eng, egs, d.Damping, o.alpha, o.factorW)
+		err = factorOffline(eng, scfg, egs, o.alpha, o.factorW)
 		eng.AttachGraphs(api.EGSGraphs(egs))
 	}
 	if err != nil {
@@ -386,19 +386,32 @@ func snapshotBound(flagVal, seqLen int) int {
 }
 
 // factorOffline is the classic mode: run CLUDE over the materialized
-// sequence and pin every snapshot.
-func factorOffline(eng *serve.Engine, egs *graph.EGS, damping, alpha float64, factorW int) error {
-	ems := graph.DeriveEMS(egs, graph.RWRMatrix(damping))
+// sequence and pin every snapshot the store will keep. Without a spill
+// directory the store drops all but the last MaxSnapshots before the
+// listener opens, so only those are cloned and pinned at all; with one,
+// every snapshot is pinned and the evicted ones spill.
+func factorOffline(eng *serve.Engine, scfg serve.Config, egs *graph.EGS, alpha float64, factorW int) error {
+	ems := graph.DeriveEMS(egs, graph.RWRMatrix(scfg.Damping))
 	slog.Info("factoring snapshots", "count", ems.Len(), "n", ems.N(), "alg", "CLUDE", "alpha", alpha)
 	t0 := time.Now()
+	// The first snapshot worth pinning: everything when evictions spill.
+	firstKept := 0
+	if scfg.SpillDir == "" {
+		firstKept = ems.Len() - scfg.MaxSnapshots
+	}
 	// What each retained clone owns, and the index structure it shares
 	// with the rest of its cluster (counted once per cluster below).
 	owned, shared := make([]int64, ems.Len()), make([]int64, ems.Len())
 	res, err := core.Run(ems, core.CLUDE, core.Options{
-		Alpha:         alpha,
-		Workers:       factorW,
-		RetainFactors: true,
+		Alpha:   alpha,
+		Workers: factorW,
 		OnFactors: func(i int, s *lu.Solver) {
+			if i < firstKept {
+				return
+			}
+			// The run updates s in place for the next snapshot; the store
+			// keeps a clone (values only: a cluster shares its structure).
+			s = s.Clone()
 			owned[i], shared[i] = lu.MemBytes(s.F)
 			eng.Pin(i, s)
 		},

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/gen"
+	"repro/internal/serve"
 )
 
 func newFlagSet() (*flag.FlagSet, *options) {
@@ -64,5 +70,68 @@ func TestRouteKnobFlagsAreGone(t *testing.T) {
 	fs.VisitAll(func(*flag.Flag) { n++ })
 	if n != 24 {
 		t.Errorf("cludeserve defines %d flags, want 24", n)
+	}
+}
+
+// TestFactorOfflineClonesOnlyWhatIsKept: with a bounded store and no
+// spill directory the offline run pins — and so clones — just the tail
+// the store will still hold when the listener opens; with a spill
+// directory every snapshot passes through the store, as before. Either
+// way the retained snapshots answer exactly what a keep-everything run
+// answers for them.
+func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
+	d, err := bench.DatasetsFor(bench.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	egs, err := gen.WikiSim(d.Wiki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T, keep := egs.Len(), 3
+	run := func(scfg serve.Config) *serve.Engine {
+		scfg.Damping, scfg.Workers = d.Damping, 1
+		eng := serve.New(scfg)
+		t.Cleanup(eng.Close)
+		if err := factorOffline(eng, scfg, egs, 0.95, 1); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	all := run(serve.Config{MaxSnapshots: T})
+	tail := run(serve.Config{MaxSnapshots: keep})
+	spill := run(serve.Config{MaxSnapshots: keep, SpillDir: t.TempDir()})
+
+	if st := all.Stats(); st.SnapshotsPinned != int64(T) || st.SnapshotsEvicted != 0 {
+		t.Errorf("unbounded store: %d pins, %d evictions, want %d and 0", st.SnapshotsPinned, st.SnapshotsEvicted, T)
+	}
+	if st := tail.Stats(); st.SnapshotsPinned != int64(keep) || st.SnapshotsEvicted != 0 {
+		t.Errorf("bounded store: %d pins, %d evictions, want %d and 0", st.SnapshotsPinned, st.SnapshotsEvicted, keep)
+	}
+	if st := spill.Stats(); st.SnapshotsPinned < int64(T) || st.SnapshotsEvicted != int64(T-keep) {
+		t.Errorf("spilling store: %d pins, %d evictions, want at least %d and %d", st.SnapshotsPinned, st.SnapshotsEvicted, T, T-keep)
+	}
+	ctx := context.Background()
+	for i := 0; i < T; i++ {
+		q := serve.Query{Snapshot: i, Measure: serve.MeasureRWR, Source: 2}
+		want, err := all.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tail.Query(ctx, q)
+		if i < T-keep {
+			if !errors.Is(err, serve.ErrUnknownSnapshot) {
+				t.Errorf("snapshot %d of a %d-snapshot store: err %v, want ErrUnknownSnapshot", i, keep, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := range want.Scores {
+			if got.Scores[u] != want.Scores[u] {
+				t.Fatalf("snapshot %d: score %d is %v from the tail-only run, %v from the keep-everything run", i, u, got.Scores[u], want.Scores[u])
+			}
+		}
 	}
 }

@@ -136,7 +136,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.opt.Engine.Query(r.Context(), q)
+	// QueryShared: the answer is only serialized here, so the score
+	// vector is read in place and a repeated hit brings its bytes along.
+	resp, err := s.opt.Engine.QueryShared(r.Context(), q)
 	if err != nil {
 		if errors.Is(err, serve.ErrOverloaded) {
 			// Shedding is instantaneous, so the client may retry as

@@ -27,12 +27,24 @@ var responseBuffers = sync.Pool{New: func() any { return new([]byte) }}
 // writeResponse writes resp as writeJSON would, byte for byte. A
 // non-finite score — which encoding/json refuses — is handed to
 // writeJSON itself, so that case behaves as it always has.
+//
+// A cache hit is encoded once per cache entry: the first hit of a key
+// leaves its bytes on the entry and every later hit writes them as they
+// are — no float is formatted and the score vector is not read. Misses
+// and coalesced answers (cache_hit: false) are never stored, so a
+// workload that never repeats a question holds no bodies.
 func writeResponse(w http.ResponseWriter, resp *serve.Response) {
+	if body := resp.HitBody(); body != nil {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body) // a failed write means the client left; nothing to report to
+		return
+	}
 	bp := responseBuffers.Get().(*[]byte)
 	b, ok := appendResponse((*bp)[:0], resp)
 	if ok {
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(b) // a failed write means the client left; nothing to report to
+		_, _ = w.Write(b)
+		resp.StoreHitBody(b)
 	}
 	*bp = b
 	responseBuffers.Put(bp)

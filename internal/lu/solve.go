@@ -3,6 +3,7 @@ package lu
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sparse"
 )
@@ -89,6 +90,13 @@ type Solver struct {
 	// for frozen StaticFactors; nil after the once for anything else.
 	panelOnce sync.Once
 	panels    *PanelSet
+
+	// probe is the reach probe's abort streak and the support-list
+	// solves still to run without probing (see probeDue): streak<<8 |
+	// skips. It only schedules probes — every route returns the same
+	// bits — so concurrent solves update it with plain atomic loads and
+	// stores and a lost update costs at most one probe.
+	probe atomic.Uint32
 }
 
 // Solve returns x with A·x = b, leaving b untouched.
@@ -160,6 +168,11 @@ type Report struct {
 	// cap — before any numeric work — and the call fell back to
 	// RouteDense.
 	ProbeAborted bool
+	// ProbeSkipped reports that a k = 1 support-list solve went to
+	// RouteDense without probing, because the solver's recent probes all
+	// aborted (see probeSuspendAfter). Every k = 1 support-list solve is
+	// exactly one of RouteReach, ProbeAborted and ProbeSkipped.
+	ProbeSkipped bool
 	// Packed is the panel set this call built and cached on the solver;
 	// nil unless this very call paid the packing, so exactly one caller
 	// per solver can account its cost.
@@ -173,6 +186,19 @@ const (
 	// roughly a quarter of the rows the dense loops' sequential sweeps
 	// beat the reach route's index indirection (sparsesolve sweep).
 	reachCapFrac = 0.25
+	// probeSuspendAfter and probeMaxSkip stop a solver whose reach never
+	// fits from paying for the probe on every solve: from the
+	// probeSuspendAfter-th consecutive abort on, the next 1, 2, 4, …
+	// support-list solves (at most probeMaxSkip) go dense unprobed, then
+	// one probe runs again, and the first probe that fits clears the
+	// streak. A solver that always aborts settles at one probe per
+	// probeMaxSkip+1 solves; one whose seeds mostly fit never reaches a
+	// streak. The rule is adaptive because nothing symbolic predicts the
+	// abort: on the Wiki-like factors the elimination tree's longest path
+	// (477 rows) is under the cap (500) while 803 of 2000 seeds exceed it
+	// on forward reach alone.
+	probeSuspendAfter = 2
+	probeMaxSkip      = 63
 	// panelMinMeanWidth and panelMinWork gate the packed panels: below
 	// a mean panel width of 1.5 nothing merged, and below mean width ×
 	// k = 8 the dense-block amortization does not pay for the lane
@@ -187,7 +213,9 @@ const (
 //
 //   - k = 1, support list: probe the reach with a cap of 0.25·n and
 //     take RouteReach when it fits, RouteDense when the probe aborts
-//     (or the support alone exceeds the cap).
+//     (or the support alone exceeds the cap) — or, unprobed, while this
+//     solver's probes are suspended after aborting twice or more in a
+//     row (probeSuspendAfter).
 //   - k = 1, dense vector: RouteDense (the reach is all of n).
 //   - k ≥ 2: one blocked traversal — RoutePanel when frozen is set, the
 //     factors are *StaticFactors, and the solver's packed set (built on
@@ -218,11 +246,19 @@ func (s *Solver) SolveRHS(rhs []RHS, frozen bool, ws *SolveWorkspace) Report {
 			if maxReach < 1 {
 				maxReach = 1
 			}
-			if len(r.Idx) <= maxReach && s.solveReach(r, maxReach, ws) {
+			switch {
+			case len(r.Idx) > maxReach:
+				rep.ProbeAborted = true
+			case !s.probeDue():
+				rep.ProbeSkipped = true
+			case s.solveReach(r, maxReach, ws):
+				s.probe.Store(0)
 				rep.Route, rep.ReachRows = RouteReach, len(r.XIdx)
 				return rep
+			default:
+				s.probeAborted()
+				rep.ProbeAborted = true
 			}
-			rep.ProbeAborted = true
 		}
 		s.solveBlock(rhs, nil, ws)
 		rep.Route = RouteDense
@@ -246,6 +282,33 @@ func (s *Solver) SolveRHS(rhs []RHS, frozen bool, ws *SolveWorkspace) Report {
 		}
 	}
 	return rep
+}
+
+// probeDue reports whether this support-list solve should probe its
+// reach, consuming one suspended solve when it should not.
+func (s *Solver) probeDue() bool {
+	v := s.probe.Load()
+	if v&0xff == 0 {
+		return true
+	}
+	s.probe.Store(v - 1)
+	return false
+}
+
+// probeAborted extends the abort streak and, from probeSuspendAfter
+// consecutive aborts on, suspends probing for a doubling number of
+// solves.
+func (s *Solver) probeAborted() {
+	streak := s.probe.Load()>>8 + 1
+	var skips uint32
+	if streak >= probeSuspendAfter {
+		skips = 1 << (streak - probeSuspendAfter)
+		if skips >= probeMaxSkip {
+			// Hold the streak where the skip count saturates.
+			skips, streak = probeMaxSkip, streak-1
+		}
+	}
+	s.probe.Store(streak<<8 | skips)
 }
 
 // checkRHS is the one input check of the one entry point.

@@ -11,6 +11,7 @@
 package lu_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/order"
+	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
@@ -299,5 +301,157 @@ func TestSolveRHSInputCheck(t *testing.T) {
 			}()
 			s.SolveRHS(tc.rhs, true, &lu.SolveWorkspace{})
 		})
+	}
+}
+
+// supportSolve answers one support-list right-hand side through SolveRHS
+// and returns the report and the solution as a full vector.
+func supportSolve(s *lu.Solver, seed int, ws *lu.SolveWorkspace) (lu.Report, []float64) {
+	rhs := []lu.RHS{{Idx: []int{seed}, Val: []float64{0.15}}}
+	rep := s.SolveRHS(rhs, true, ws)
+	x := rhs[0].X
+	if rep.Route == lu.RouteReach {
+		x = make([]float64, s.F.Dim())
+		for i, u := range rhs[0].XIdx {
+			x[u] = rhs[0].XVal[i]
+		}
+	}
+	return rep, x
+}
+
+// TestProbeSuspensionOnABlob: on Wiki-like factors all but a stray
+// reach probe abort, so over a serving-sized stream the solver probes
+// at most a tenth of its support-list solves, reports each unprobed one
+// as skipped rather than aborted, and returns Solve's bits on every
+// one of them.
+func TestProbeSuspensionOnABlob(t *testing.T) {
+	ems := testEMS(t)
+	a := ems.Matrices[0]
+	s, err := lu.FactorizeOrdered(a, order.Markowitz(a.Pattern()).Ordering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.F.Dim()
+	var ws lu.SolveWorkspace
+	const solves = 2000
+	var reach, aborted, skipped int
+	for q := 0; q < solves; q++ {
+		seed := (37*q + 5) % n
+		rep, x := supportSolve(s, seed, &ws)
+		outcome := byte('r')
+		switch {
+		case rep.Route == lu.RouteReach:
+			reach++
+		case rep.Route == lu.RouteDense && rep.ProbeAborted && !rep.ProbeSkipped:
+			aborted++
+			outcome = 'a'
+		case rep.Route == lu.RouteDense && rep.ProbeSkipped && !rep.ProbeAborted:
+			skipped++
+			outcome = 's'
+		default:
+			t.Fatalf("solve %d: report %+v is none of reach / aborted / skipped", q, rep)
+		}
+		if q%97 == 0 {
+			b := make([]float64, n)
+			b[seed] = 0.15
+			for i, want := range s.Solve(b) {
+				if x[i] != want {
+					t.Fatalf("solve %d (%c): x[%d] = %v, Solve gives %v", q, outcome, i, x[i], want)
+				}
+			}
+		}
+	}
+	if reach+aborted+skipped != solves || (reach+aborted)*10 > solves {
+		t.Fatalf("%d probes ran (%d fit) and %d were skipped over %d support-list solves; want at most a tenth probed",
+			reach+aborted, reach, skipped, solves)
+	}
+}
+
+// TestProbeSuspensionSparesCommunities: where seeds' reaches fit the
+// cap, no streak builds, and every support-list solve stays on the
+// reach route however long the stream — the suspension must not cost
+// the clustered case its route.
+func TestProbeSuspensionSparesCommunities(t *testing.T) {
+	s := communitySolver(t, 8)
+	n := s.F.Dim()
+	var ws lu.SolveWorkspace
+	for q := 0; q < 600; q++ {
+		seed := (37*q + 5) % n
+		rep, x := supportSolve(s, seed, &ws)
+		if rep.Route != lu.RouteReach || rep.ProbeAborted || rep.ProbeSkipped {
+			t.Fatalf("solve %d (seed %d): report %+v, want the reach route", q, seed, rep)
+		}
+		if q%53 == 0 {
+			b := make([]float64, n)
+			b[seed] = 0.15
+			for i, want := range s.Solve(b) {
+				if x[i] != want {
+					t.Fatalf("solve %d: x[%d] = %v, Solve gives %v", q, i, x[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeSuspensionSchedule pins the rule itself: two aborts in a row
+// arm it, the solves skipped between probes double from 1 up to 63, and
+// one probe that fits clears the streak, so a solver is never parked on
+// the dense route by its past.
+func TestProbeSuspensionSchedule(t *testing.T) {
+	// Two disjoint halves under one ordering: a chain, whose single-seed
+	// reach is its tail, and a small clique. Seeds at the head of the
+	// chain abort, seeds in the clique fit.
+	const chain, clique = 40, 4
+	n := chain + clique
+	c := sparse.NewCOO(n)
+	for i := 0; i < n; i++ {
+		c.Add(i, i, 1)
+	}
+	for i := 1; i < chain; i++ {
+		c.Add(i, i-1, -0.5)
+	}
+	for i := chain; i < n; i++ {
+		for j := chain; j < n; j++ {
+			if i != j {
+				c.Add(i, j, -0.1)
+			}
+		}
+	}
+	s, err := lu.FactorizeOrdered(c.ToCSR(), sparse.IdentityOrdering(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws lu.SolveWorkspace
+	routes := func(seeds ...int) string {
+		var out []byte
+		for _, seed := range seeds {
+			rep, _ := supportSolve(s, seed, &ws)
+			switch {
+			case rep.Route == lu.RouteReach:
+				out = append(out, 'r')
+			case rep.ProbeSkipped:
+				out = append(out, 's')
+			case rep.ProbeAborted:
+				out = append(out, 'a')
+			}
+		}
+		return string(out)
+	}
+	const head, fits = 0, chain + 1
+	// Abort, abort, skip, abort, skip — then the skip that was still owed
+	// lands on a seed that would have fit, the next probe fits and clears
+	// the streak, and the following aborts start counting from one again.
+	if got, want := routes(head, head, head, head, head, fits, fits, head, head, head), "aasassraas"; got != want {
+		t.Fatalf("routes %q, want %q", got, want)
+	}
+	// From there an all-abort stream skips 2, 4, … 32, then 63 for good.
+	heads := make([]int, 400)
+	got := routes(heads...)
+	want := ""
+	for _, skips := range []int{2, 4, 8, 16, 32, 63, 63, 63} {
+		want += "a" + strings.Repeat("s", skips)
+	}
+	if !strings.HasPrefix(got, want) {
+		t.Fatalf("all-abort stream routes\n%q, want it to begin\n%q", got, want)
 	}
 }

@@ -333,31 +333,42 @@ func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
 	return nil
 }
 
-// SolveInPlace solves L·D·U·x = b, overwriting b with x.
+// SolveInPlace solves L·D·U·x = b, overwriting b with x. Each column of
+// L and row of U is sliced once, so the inner loops range over equal-
+// length index and value slices: no pointer-array reload and no bounds
+// check on them per entry (the scattered b[r] keeps its own).
 func (f *StaticFactors) SolveInPlace(b []float64) {
 	if len(b) != f.n {
 		panic("lu: SolveInPlace dimension mismatch")
 	}
 	n := f.n
 	// Forward: L y = b (unit lower, by columns).
+	lptr := f.LColPtr[:n+1]
 	for j := 0; j < n; j++ {
 		bj := b[j]
 		if bj == 0 {
 			continue
 		}
-		for p := f.LColPtr[j]; p < f.LColPtr[j+1]; p++ {
-			b[f.LRowIdx[p]] -= f.LVal[p] * bj
+		lo, hi := lptr[j], lptr[j+1]
+		rows := f.LRowIdx[lo:hi]
+		vals := f.LVal[lo:hi][:len(rows)]
+		for p, r := range rows {
+			b[r] -= vals[p] * bj
 		}
 	}
 	// Diagonal: D z = y.
-	for i := 0; i < n; i++ {
-		b[i] /= f.D[i]
+	for i, d := range f.D[:n] {
+		b[i] /= d
 	}
 	// Backward: U x = z (unit upper, by rows).
+	uptr := f.URowPtr[:n+1]
 	for i := n - 1; i >= 0; i-- {
+		lo, hi := uptr[i], uptr[i+1]
+		cols := f.UColIdx[lo:hi]
+		vals := f.UVal[lo:hi][:len(cols)]
 		s := b[i]
-		for p := f.URowPtr[i]; p < f.URowPtr[i+1]; p++ {
-			s -= f.UVal[p] * b[f.UColIdx[p]]
+		for p, c := range cols {
+			s -= vals[p] * b[c]
 		}
 		b[i] = s
 	}

@@ -15,7 +15,6 @@ package measures
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -289,16 +288,20 @@ func abs(x float64) float64 {
 // is part of the contract: serving-layer tests compare cached and
 // fresh responses for equality, which needs a total, input-independent
 // order (the previous selection sort left ties in whatever order its
-// swaps had shuffled the index array into).
+// swaps had shuffled the index array into). It is a bounded selection
+// (topSelector): one comparison per entry that misses the cut and
+// O(log k) per entry that makes it, not a sort of all n.
 func TopK(x []float64, k int) []int {
-	idx := rankedIndices(x)
-	if k > len(idx) {
-		k = len(idx)
+	sel := newTopSelector(k, len(x))
+	for i, v := range x {
+		sel.offer(i, v)
 	}
-	if k < 0 {
-		k = 0
+	best := sel.ranked()
+	idx := make([]int, len(best))
+	for i, e := range best {
+		idx[i] = e.id
 	}
-	return idx[:k]
+	return idx
 }
 
 // Ranks converts scores into 1-based ranks (highest score → rank 1;
@@ -312,26 +315,15 @@ func Ranks(x []float64) []int {
 	return ranks
 }
 
-// rankedIndices sorts all indices by (score descending, id ascending).
-// NaN scores sort after every real score (and by id among themselves):
-// a bare `>` comparator is not a strict weak order in their presence,
-// and sort.Slice would then place even the non-NaN elements in
-// input-dependent positions.
+// rankedIndices sorts all indices by spLess — the full ranking only
+// Ranks needs.
 func rankedIndices(x []float64) []int {
 	idx := make([]int, len(x))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		xa, xb := x[idx[a]], x[idx[b]]
-		an, bn := math.IsNaN(xa), math.IsNaN(xb)
-		if an != bn {
-			return bn
-		}
-		if !an && xa != xb {
-			return xa > xb
-		}
-		return idx[a] < idx[b]
+		return spLess(spEntry{idx[a], x[idx[a]]}, spEntry{idx[b], x[idx[b]]})
 	})
 	return idx
 }

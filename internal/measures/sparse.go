@@ -2,7 +2,8 @@ package measures
 
 import (
 	"math"
-	"sort"
+
+	"repro/internal/sparse"
 )
 
 // This file is the measure-level face of the reach-restricted solve
@@ -40,10 +41,12 @@ type spEntry struct {
 	val float64
 }
 
-// spLess is rankedIndices' comparator on explicit pairs: score
-// descending, NaN after every real score, ties by ascending id. Using
-// the identical strict weak order is what makes the sparse rankings
-// bit-compatible with the dense ones.
+// spLess is the one ranking order of the package — TopK, TopKSparse and
+// Ranks all sort by it: score descending, NaN after every real score
+// (a bare `>` is not a strict weak order in their presence), ties by
+// ascending id. It is total over distinct ids, which is what makes the
+// sparse rankings bit-compatible with the dense ones and a bounded
+// selection agree with a full sort.
 func spLess(a, b spEntry) bool {
 	an, bn := math.IsNaN(a.val), math.IsNaN(b.val)
 	if an != bn {
@@ -55,67 +58,87 @@ func spLess(a, b spEntry) bool {
 	return a.id < b.id
 }
 
-// mergeRanked enumerates the nodes of sp in exactly the order
-// rankedIndices produces on the equivalent dense vector, calling emit
-// for each until emit returns false or all n nodes are emitted. It
-// merges the sorted explicit entries with the ascending stream of
-// off-support nodes (implicit score 0).
-func mergeRanked(sp SparseScores, emit func(id int, val float64) bool) {
-	ents := make([]spEntry, len(sp.Idx))
-	for k, u := range sp.Idx {
-		ents[k] = spEntry{id: u, val: sp.Val[k]}
-	}
-	sort.Slice(ents, func(i, j int) bool { return spLess(ents[i], ents[j]) })
-	onSupport := append([]int(nil), sp.Idx...)
-	sort.Ints(onSupport)
+// Less makes spEntry a sparse.MinHeap element ordered worst first: a is
+// "smaller" when it ranks after b under spLess, so the root of a heap
+// of kept entries is the one the next better candidate displaces.
+func (a spEntry) Less(b spEntry) bool { return spLess(b, a) }
 
-	gap, gi := 0, 0 // next off-support candidate; pointer into onSupport
-	nextGap := func() int {
-		for gi < len(onSupport) && gap == onSupport[gi] {
-			gap++
-			gi++
-		}
-		return gap
+// topSelector is the one bounded selection behind TopK and TopKSparse:
+// it keeps the k entries ranking first under spLess out of however many
+// are offered, in O(log k) per offer that makes the cut and one
+// comparison per offer that does not. With k at or above the number of
+// offers it is a heapsort, so there is no cut-over to a full sort.
+type topSelector struct {
+	k int
+	h sparse.MinHeap[spEntry]
+}
+
+// newTopSelector returns a selector of the k best, k clamped to [0, n]
+// for n candidates.
+func newTopSelector(k, n int) topSelector {
+	if k > n {
+		k = n
 	}
-	ei := 0
-	for emitted := 0; emitted < sp.N; emitted++ {
-		g := nextGap()
-		useEntry := ei < len(ents) && (g >= sp.N || spLess(ents[ei], spEntry{id: g, val: 0}))
-		var id int
-		var val float64
-		if useEntry {
-			id, val = ents[ei].id, ents[ei].val
-			ei++
-		} else {
-			id, val = g, 0
-			gap++
-		}
-		if !emit(id, val) {
-			return
-		}
+	if k < 0 {
+		k = 0
 	}
+	return topSelector{k: k, h: make(sparse.MinHeap[spEntry], 0, k)}
+}
+
+func (s *topSelector) offer(id int, val float64) {
+	e := spEntry{id: id, val: val}
+	switch {
+	case len(s.h) < s.k:
+		s.h.Push(e)
+	case s.k > 0 && s.h[0].Less(e):
+		s.h.ReplaceMin(e)
+	}
+}
+
+// ranked empties the selector and returns what it kept, best first.
+func (s *topSelector) ranked() []spEntry {
+	out := s.h
+	for n := len(out) - 1; n >= 0; n-- {
+		out[n] = s.h.Pop() // the worst left; Pop has just vacated slot n
+	}
+	return out
 }
 
 // TopKSparse returns the top-k node ids and their scores from a sparse
 // measure result — identical, node for node and bit for bit, to
 // TopK on the equivalent dense vector followed by a score gather, but
-// in O(r log r + k) for support size r instead of O(n log n).
+// in O(r log k + k) for support size r instead of O(n log k): the
+// candidates are the support's entries plus the k lowest off-support
+// ids (implicit score 0, which rank among themselves by id, so no later
+// one can make the cut).
 func TopKSparse(sp SparseScores, k int) ([]int, []float64) {
-	if k > sp.N {
-		k = sp.N
+	sel := newTopSelector(k, sp.N)
+	k = sel.k
+	for i, u := range sp.Idx {
+		sel.offer(u, sp.Val[i])
 	}
-	if k < 0 {
-		k = 0
+	// The k lowest off-support ids all lie below k + |support|.
+	limit := k + len(sp.Idx)
+	if limit > sp.N {
+		limit = sp.N
 	}
-	nodes := make([]int, 0, k)
-	scores := make([]float64, 0, k)
-	if k == 0 {
-		return nodes, scores
+	onSupport := make([]bool, limit)
+	for _, u := range sp.Idx {
+		if u < limit {
+			onSupport[u] = true
+		}
 	}
-	mergeRanked(sp, func(id int, val float64) bool {
-		nodes = append(nodes, id)
-		scores = append(scores, val)
-		return len(nodes) < k
-	})
+	for id, zeros := 0, 0; id < limit && zeros < k; id++ {
+		if !onSupport[id] {
+			sel.offer(id, 0)
+			zeros++
+		}
+	}
+	best := sel.ranked()
+	nodes := make([]int, len(best))
+	scores := make([]float64, len(best))
+	for i, e := range best {
+		nodes[i], scores[i] = e.id, e.val
+	}
 	return nodes, scores
 }

@@ -4,11 +4,12 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // answer is one cached query result. Scores and Nodes are immutable
-// once stored; readers receive copies so a caller mutating its
-// response cannot corrupt the cache.
+// once stored: Engine.Query hands out copies, Engine.QueryShared the
+// slices themselves under a read-only contract.
 type answer struct {
 	scores []float64
 	nodes  []int // top-k ids; nil for full-vector measures
@@ -27,6 +28,42 @@ type lruCache struct {
 type cacheEntry struct {
 	key string
 	ans answer
+
+	// body is the encoded response every hit of this key gets, stored by
+	// the first hit (Response.StoreHitBody) and immutable afterwards. The
+	// cache holds it as opaque bytes: it lives and dies with the entry,
+	// so LRU eviction and purgePrefix drop it, and a re-pinned snapshot's
+	// new generation can never reach it. Entries that are never hit never
+	// carry one.
+	body atomic.Pointer[[]byte]
+}
+
+// HitBody returns the encoded body an earlier hit of this answer's cache
+// entry stored, or nil: always nil unless r came from QueryShared with
+// CacheHit set. The bytes are shared and must not be written.
+func (r *Response) HitBody() []byte {
+	if r.hit == nil {
+		return nil
+	}
+	if p := r.hit.body.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// StoreHitBody keeps a copy of body as the encoded form of r's cache
+// entry, to be returned by HitBody on every later hit of the key. It
+// does nothing unless r is a QueryShared cache hit; the first store
+// wins. Every hit of one key has the same body by construction — the
+// key carries the factors' generation or version, measure, payload and
+// damping, and only hits say cache_hit: true — which is what makes the
+// bytes reusable.
+func (r *Response) StoreHitBody(body []byte) {
+	if r.hit == nil {
+		return
+	}
+	b := append([]byte(nil), body...)
+	r.hit.body.CompareAndSwap(nil, &b)
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -37,17 +74,17 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// get returns the cached answer for key, promoting it to most recently
-// used.
-func (c *lruCache) get(key string) (answer, bool) {
+// get returns the cached entry for key (nil on a miss), promoting it to
+// most recently used.
+func (c *lruCache) get(key string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return answer{}, false
+		return nil
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).ans, true
+	return el.Value.(*cacheEntry)
 }
 
 // put stores the answer for key, evicting the least recently used

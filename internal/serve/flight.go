@@ -135,27 +135,27 @@ func newFlight() *flight { return &flight{done: make(chan struct{})} }
 
 // joinFlight is the single-flight admission point for a keyed task.
 // Under flightMu it either joins an existing flight for the key
-// (leader false), hits the cache (hit true), or registers a new flight
+// (leader false), hits the cache (hit non-nil), or registers a new flight
 // with the caller as leader. The cache recheck happens under the same
 // lock that finish holds while deregistering — and finish fills the
 // cache *before* deregistering — so the window "flight gone but cache
 // not yet filled" cannot be observed: a query always either coalesces
 // or sees the finished flight's cache entry (unless the LRU evicted
 // it, in which case recomputing is correct, merely redundant).
-func (e *Engine) joinFlight(t *task) (fl *flight, leader bool, ans answer, hit bool) {
+func (e *Engine) joinFlight(t *task) (fl *flight, leader bool, hit *cacheEntry) {
 	key := t.flightKey
 	e.flightMu.Lock()
 	defer e.flightMu.Unlock()
 	if fl := e.flights[key]; fl != nil {
-		return fl, false, answer{}, false
+		return fl, false, nil
 	}
-	if ans, ok := e.cache.get(key); ok {
-		return nil, false, ans, true
+	if hit := e.cache.get(key); hit != nil {
+		return nil, false, hit
 	}
 	fl = newFlight()
 	fl.lead = t.tr.Context()
 	e.flights[key] = fl
-	return fl, true, answer{}, false
+	return fl, true, nil
 }
 
 // finish completes a task's flight: publish the answer (filling the

@@ -43,6 +43,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	cf("clude_sparse_solves_total", "Cold solves answered through the reach-based sparse path.", &e.sparseSolves)
 	cf("clude_dense_solves_total", "Cold solves answered through the dense substitution.", &e.denseSolves)
 	cf("clude_sparse_fallbacks_total", "Sparse attempts aborted at the reach cap (each also counts one dense solve).", &e.sparseFallbacks)
+	cf("clude_sparse_probes_skipped_total", "Single support-list solves sent dense without a reach probe while their solver's probes were suspended after repeated aborts (clude_sparse_solves_total + clude_sparse_fallbacks_total + clude_sparse_probes_skipped_total == rwr/ppr/topk queries solved alone).", &e.sparseProbesSkipped)
 	cf("clude_katz_solves_total", "Cold solves answered by the graph-backed Katz factorization.", &e.katzSolves)
 	cf("clude_snapshots_pinned_total", "Snapshot pins into the bounded store.", &e.pinCount)
 	cf("clude_snapshots_evicted_total", "Snapshot evictions from the bounded store.", &e.snapEvicted)

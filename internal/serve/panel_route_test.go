@@ -172,7 +172,7 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 	}
 
 	type delta struct {
-		single, sparse, fallbacks, dense             int64
+		single, sparse, fallbacks, skipped, dense    int64
 		blocks, blockedRHS, panels, panelRHS, scalar int64
 		packs                                        int64
 	}
@@ -187,6 +187,10 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 			delta{single: 1, sparse: 1}},
 		{"single seed on a blob: probe abort, dense", groupTasks(1, false), blob,
 			delta{single: 1, fallbacks: 1, dense: 1}},
+		{"second single seed on the blob: second abort arms the suspension", groupTasks(1, false), blob,
+			delta{single: 1, fallbacks: 1, dense: 1}},
+		{"third single seed on the blob: dense unprobed, not a fallback", groupTasks(1, false), blob,
+			delta{single: 1, skipped: 1, dense: 1}},
 		{"pagerank: dense without a probe", pagerank(), community,
 			delta{single: 1, dense: 1}},
 		{"live block: scalar, never packs", groupTasks(8, true), community,
@@ -207,6 +211,7 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 			single:     after.SingleGroups - before.SingleGroups,
 			sparse:     after.SparseSolves - before.SparseSolves,
 			fallbacks:  after.SparseFallbacks - before.SparseFallbacks,
+			skipped:    after.SparseProbesSkipped - before.SparseProbesSkipped,
 			dense:      after.DenseSolves - before.DenseSolves,
 			blocks:     after.BlockSolves - before.BlockSolves,
 			blockedRHS: after.BlockedRHS - before.BlockedRHS,

@@ -161,6 +161,10 @@ type Response struct {
 	// only when Live is true.
 	Live    bool   `json:"live,omitempty"`
 	Version uint64 `json:"version"`
+
+	// hit is the cache entry a QueryShared hit was read from (see
+	// HitBody); nil on every other answer and on everything Query returns.
+	hit *cacheEntry
 }
 
 // Stats is a point-in-time snapshot of the engine's counters.
@@ -237,14 +241,19 @@ type Stats struct {
 	// as part of a block),
 	// KatzSolves through the graph-backed Katz factorization.
 	// SparseFallbacks counts sparse attempts whose symbolic probe
-	// exceeded the reach cap (each also appears in DenseSolves).
+	// exceeded the reach cap, SparseProbesSkipped the single
+	// support-list solves that went dense unprobed because their
+	// solver's probes kept aborting (each of either also appears in
+	// DenseSolves): SparseSolves + SparseFallbacks + SparseProbesSkipped
+	// is the number of rwr/ppr/topk queries solved alone.
 	// AvgReachFrac is the mean fraction of rows the sparse solves
 	// touched.
-	SparseSolves    int64   `json:"sparse_solves"`
-	DenseSolves     int64   `json:"dense_solves"`
-	SparseFallbacks int64   `json:"sparse_fallbacks"`
-	KatzSolves      int64   `json:"katz_solves"`
-	AvgReachFrac    float64 `json:"avg_reach_frac"`
+	SparseSolves        int64   `json:"sparse_solves"`
+	DenseSolves         int64   `json:"dense_solves"`
+	SparseFallbacks     int64   `json:"sparse_fallbacks"`
+	SparseProbesSkipped int64   `json:"sparse_probes_skipped"`
+	KatzSolves          int64   `json:"katz_solves"`
+	AvgReachFrac        float64 `json:"avg_reach_frac"`
 
 	// QueryStages breaks the pipeline down per stage (resolve,
 	// coalesce, admit, batch, solve — see hist.go for exact stage
@@ -380,6 +389,7 @@ type Engine struct {
 	// row and dimension totals of sparse solves, so AvgReachFrac is an
 	// exact ratio without float atomics.
 	sparseSolves, denseSolves, sparseFallbacks atomic.Int64
+	sparseProbesSkipped                        atomic.Int64
 	reachRows, reachDen                        atomic.Int64
 
 	// Live source (see live.go). Guarded by mu; read once per query and
@@ -562,40 +572,41 @@ func (e *Engine) Stats() Stats {
 	e.mu.RUnlock()
 	lat := e.lat.Snapshot()
 	st := Stats{
-		Queries:           e.queries.Load(),
-		CacheHits:         e.hits.Load(),
-		CacheMisses:       e.misses.Load(),
-		ColdSolves:        e.solves.Load(),
-		Rejected:          e.rejected.Load(),
-		SnapshotsPinned:   e.pinCount.Load(),
-		SnapshotsEvicted:  e.snapEvicted.Load(),
-		CacheEvictions:    e.cacheEvicted.Load(),
-		CacheEntries:      e.cache.len(),
-		Retained:          retained,
-		Workers:           e.cfg.Workers,
-		Admitted:          e.admitted.Load(),
-		Coalesced:         e.coalesced.Load(),
-		Shed:              e.shed.Load(),
-		BlockSolves:       e.blockSolves.Load(),
-		BlockedRHS:        e.blockedRHS.Load(),
-		PanelSolves:       e.panelSolves.Load(),
-		PanelRHS:          e.panelRHS.Load(),
-		ScalarBlockSolves: e.scalarBlocks.Load(),
-		SingleGroups:      e.singleGroups.Load(),
-		PanelPacks:        e.panelPacks.Load(),
-		PanelColsCovered:  e.panelCols.Load(),
-		PanelPackUS:       e.panelPackNS.Load() / 1e3,
-		LatencyCount:      lat.Total,
-		LatencyP50us:      lat.QuantileUS(0.50),
-		LatencyP95us:      lat.QuantileUS(0.95),
-		LatencyP99us:      lat.QuantileUS(0.99),
-		SparseSolves:      e.sparseSolves.Load(),
-		DenseSolves:       e.denseSolves.Load(),
-		SparseFallbacks:   e.sparseFallbacks.Load(),
-		KatzSolves:        e.katzSolves.Load(),
-		SnapshotsSpilled:  e.spillWrites.Load(),
-		SpillReloads:      e.spillLoads.Load(),
-		SpillErrors:       e.spillErrors.Load(),
+		Queries:             e.queries.Load(),
+		CacheHits:           e.hits.Load(),
+		CacheMisses:         e.misses.Load(),
+		ColdSolves:          e.solves.Load(),
+		Rejected:            e.rejected.Load(),
+		SnapshotsPinned:     e.pinCount.Load(),
+		SnapshotsEvicted:    e.snapEvicted.Load(),
+		CacheEvictions:      e.cacheEvicted.Load(),
+		CacheEntries:        e.cache.len(),
+		Retained:            retained,
+		Workers:             e.cfg.Workers,
+		Admitted:            e.admitted.Load(),
+		Coalesced:           e.coalesced.Load(),
+		Shed:                e.shed.Load(),
+		BlockSolves:         e.blockSolves.Load(),
+		BlockedRHS:          e.blockedRHS.Load(),
+		PanelSolves:         e.panelSolves.Load(),
+		PanelRHS:            e.panelRHS.Load(),
+		ScalarBlockSolves:   e.scalarBlocks.Load(),
+		SingleGroups:        e.singleGroups.Load(),
+		PanelPacks:          e.panelPacks.Load(),
+		PanelColsCovered:    e.panelCols.Load(),
+		PanelPackUS:         e.panelPackNS.Load() / 1e3,
+		LatencyCount:        lat.Total,
+		LatencyP50us:        lat.QuantileUS(0.50),
+		LatencyP95us:        lat.QuantileUS(0.95),
+		LatencyP99us:        lat.QuantileUS(0.99),
+		SparseSolves:        e.sparseSolves.Load(),
+		DenseSolves:         e.denseSolves.Load(),
+		SparseFallbacks:     e.sparseFallbacks.Load(),
+		SparseProbesSkipped: e.sparseProbesSkipped.Load(),
+		KatzSolves:          e.katzSolves.Load(),
+		SnapshotsSpilled:    e.spillWrites.Load(),
+		SpillReloads:        e.spillLoads.Load(),
+		SpillErrors:         e.spillErrors.Load(),
 	}
 	if den := e.reachDen.Load(); den > 0 {
 		st.AvgReachFrac = float64(e.reachRows.Load()) / float64(den)
@@ -623,8 +634,28 @@ func (e *Engine) Stats() Stats {
 // Query answers q, blocking until the answer is computed (or shared
 // from an identical in-flight query), the context is cancelled, the
 // per-request deadline expires, the admission queue sheds the query,
-// or the engine closes.
+// or the engine closes. The caller owns the returned Scores and Nodes.
 func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
+	resp, err := e.QueryShared(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	resp.Scores = append([]float64(nil), resp.Scores...)
+	if resp.Nodes != nil {
+		resp.Nodes = append([]int(nil), resp.Nodes...)
+	}
+	resp.hit = nil
+	return resp, nil
+}
+
+// QueryShared is Query without the copies, for a caller that only
+// serializes the answer: Scores and Nodes alias the cache entry every
+// other reader of the key sees and must not be written. A cache hit
+// additionally carries its entry's encoded body (Response.HitBody,
+// Response.StoreHitBody), so a transport can encode a key's hit once
+// and write the same bytes on every later hit without touching the
+// vector at all.
+func (e *Engine) QueryShared(ctx context.Context, q Query) (*Response, error) {
 	e.queries.Add(1)
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -685,8 +716,8 @@ func (e *Engine) dispatch(ctx context.Context, q Query, tr *trace.Trace) (*Respo
 	t.tr = tr
 
 	if t.keyed {
-		fl, leader, ans, hit := e.joinFlight(t)
-		if hit {
+		fl, leader, hit := e.joinFlight(t)
+		if hit != nil {
 			e.admitted.Add(1)
 			e.hits.Add(1)
 			if t.live {
@@ -694,7 +725,7 @@ func (e *Engine) dispatch(ctx context.Context, q Query, tr *trace.Trace) (*Respo
 			}
 			tr.Root().SetBool("cache_hit", true)
 			e.traceDone(tr, nil)
-			return respond(t.snap, q.Measure, t.damping, ans, true, t.version, t.live), nil
+			return respond(t.snap, q.Measure, t.damping, hit.ans, hit, t.version, t.live), nil
 		}
 		t.fl = fl
 		if !leader {
@@ -769,7 +800,7 @@ func (e *Engine) await(ctx context.Context, t *task) (*Response, error) {
 			e.liveQueries.Add(1)
 		}
 		done(nil)
-		return respond(fl.snap, t.q.Measure, t.damping, fl.ans, false, fl.version, fl.live), nil
+		return respond(fl.snap, t.q.Measure, t.damping, fl.ans, nil, fl.version, fl.live), nil
 	case <-ctx.Done():
 		done(ctx.Err())
 		return nil, ctx.Err()
@@ -871,22 +902,23 @@ func (e *Engine) resolve(q Query) (*task, error) {
 	return t, nil
 }
 
-// respond builds a Response around copies of the (possibly cached, and
-// therefore shared) answer slices.
-func respond(snap int, measure string, damping float64, ans answer, hit bool, version uint64, live bool) *Response {
-	r := &Response{
+// respond builds a Response around the answer's own slices, which the
+// cache and every other waiter of the flight share: Query copies them
+// before they reach a caller that may write. hit is the cache entry the
+// answer was read from — nil for a solved or coalesced answer, so only
+// dispatch's hit path ever says cache_hit: true.
+func respond(snap int, measure string, damping float64, ans answer, hit *cacheEntry, version uint64, live bool) *Response {
+	return &Response{
 		Snapshot: snap,
 		Measure:  measure,
 		Damping:  damping,
-		Scores:   append([]float64(nil), ans.scores...),
-		CacheHit: hit,
+		Nodes:    ans.nodes,
+		Scores:   ans.scores,
+		CacheHit: hit != nil,
 		Live:     live,
 		Version:  version,
+		hit:      hit,
 	}
-	if ans.nodes != nil {
-		r.Nodes = append([]int(nil), ans.nodes...)
-	}
-	return r
 }
 
 // pinnedPrefix is the cache-key namespace of a pinned snapshot: the

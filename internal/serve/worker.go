@@ -239,8 +239,11 @@ func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) 
 		e.reachDen.Add(int64(solver.F.Dim()))
 		group[0].solveSpan.SetString("path", "sparse")
 	case lu.RouteDense:
-		if rep.ProbeAborted {
+		switch {
+		case rep.ProbeAborted:
 			e.sparseFallbacks.Add(1)
+		case rep.ProbeSkipped:
+			e.sparseProbesSkipped.Add(1)
 		}
 		e.denseSolves.Add(1)
 		group[0].solveSpan.SetString("path", "dense")

@@ -40,6 +40,14 @@ func (h *MinHeap[T]) Pop() T {
 	return x
 }
 
+// ReplaceMin overwrites the smallest element with x and restores the
+// heap order: a Pop followed by a Push in one sift. The heap must not
+// be empty.
+func (h MinHeap[T]) ReplaceMin(x T) {
+	h[0] = x
+	h.down(0)
+}
+
 func (h MinHeap[T]) down(i int) {
 	n := len(h)
 	for {
