@@ -385,19 +385,27 @@ func snapshotBound(flagVal, seqLen int) int {
 	return seqLen
 }
 
+// pinStore is what factorOffline needs of the serving engine; the test
+// puts a fingerprinting one in its place.
+type pinStore interface {
+	Pin(i int, s *lu.Solver)
+	Snapshots() []int
+}
+
 // factorOffline is the classic mode: run CLUDE over the materialized
 // sequence and pin every snapshot the store will keep. Without a spill
 // directory the store drops all but the last MaxSnapshots before the
-// listener opens, so only those are cloned and pinned at all; with one,
-// every snapshot is pinned and the evicted ones spill.
-func factorOffline(eng *serve.Engine, scfg serve.Config, egs *graph.EGS, alpha float64, factorW int) error {
+// listener opens, so the run is told to start there (core.Options.First):
+// the clusters that end before it are never decomposed, and only the
+// kept snapshots are cloned and pinned. With a spill directory every
+// snapshot is decomposed and pinned, and the evicted ones spill.
+func factorOffline(eng pinStore, scfg serve.Config, egs *graph.EGS, alpha float64, factorW int) error {
 	ems := graph.DeriveEMS(egs, graph.RWRMatrix(scfg.Damping))
 	slog.Info("factoring snapshots", "count", ems.Len(), "n", ems.N(), "alg", "CLUDE", "alpha", alpha)
 	t0 := time.Now()
-	// The first snapshot worth pinning: everything when evictions spill.
-	firstKept := 0
+	first := 0
 	if scfg.SpillDir == "" {
-		firstKept = ems.Len() - scfg.MaxSnapshots
+		first = max(0, ems.Len()-scfg.MaxSnapshots)
 	}
 	// What each retained clone owns, and the index structure it shares
 	// with the rest of its cluster (counted once per cluster below).
@@ -405,10 +413,8 @@ func factorOffline(eng *serve.Engine, scfg serve.Config, egs *graph.EGS, alpha f
 	res, err := core.Run(ems, core.CLUDE, core.Options{
 		Alpha:   alpha,
 		Workers: factorW,
+		First:   first,
 		OnFactors: func(i int, s *lu.Solver) {
-			if i < firstKept {
-				return
-			}
 			// The run updates s in place for the next snapshot; the store
 			// keeps a clone (values only: a cluster shares its structure).
 			s = s.Clone()
@@ -429,9 +435,13 @@ func factorOffline(eng *serve.Engine, scfg serve.Config, egs *graph.EGS, alpha f
 			lastCluster = c
 		}
 	}
+	// clusters is what the planner made of the whole sequence; the
+	// decomposed_* pair is what the phase times were spent on.
+	decomposed := res.Clusters[cluster.Covering(res.Clusters, first):]
 	tm := res.Times
 	slog.Info("pinned snapshots", "count", len(pinned), "elapsed", time.Since(t0).Round(time.Millisecond),
-		"clusters", len(res.Clusters), "cluster_ms", tm.Clustering.Milliseconds(), "order_ms", tm.Ordering.Milliseconds(),
+		"clusters", len(res.Clusters), "decomposed_clusters", len(decomposed), "decomposed_snapshots", ems.Len()-decomposed[0].Start,
+		"cluster_ms", tm.Clustering.Milliseconds(), "order_ms", tm.Ordering.Milliseconds(),
 		"lu_ms", tm.FullLU.Milliseconds(), "bennett_ms", tm.Bennett.Milliseconds(), "retained_mb", retained>>20)
 	return nil
 }

@@ -1,16 +1,24 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"io"
+	"log/slog"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/gen"
+	"repro/internal/lu"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func newFlagSet() (*flag.FlagSet, *options) {
@@ -73,12 +81,34 @@ func TestRouteKnobFlagsAreGone(t *testing.T) {
 	}
 }
 
+// fingerprintStore is a serve.Engine that also records the SHA-256 of
+// every solver pinned into it, ordering and factor bits, as the store
+// codec spells them.
+type fingerprintStore struct {
+	*serve.Engine
+	sums map[int]string
+}
+
+func (f fingerprintStore) Pin(i int, s *lu.Solver) {
+	h := sha256.New()
+	if err := store.WriteSolver(h, s); err != nil {
+		panic(err)
+	}
+	f.sums[i] = hex.EncodeToString(h.Sum(nil))
+	f.Engine.Pin(i, s)
+}
+
+// pinnedLine matches the numbers of the start-up "pinned snapshots" log
+// line that say how much of the sequence was decomposed.
+var pinnedLine = regexp.MustCompile(`msg="pinned snapshots" count=(\d+) .* clusters=(\d+) decomposed_clusters=(\d+) decomposed_snapshots=(\d+) `)
+
 // TestFactorOfflineClonesOnlyWhatIsKept: with a bounded store and no
-// spill directory the offline run pins — and so clones — just the tail
-// the store will still hold when the listener opens; with a spill
+// spill directory the offline run decomposes — and clones, and pins —
+// just the clusters that reach into the tail the store will still hold
+// when the listener opens, and says so in its log line; with a spill
 // directory every snapshot passes through the store, as before. Either
-// way the retained snapshots answer exactly what a keep-everything run
-// answers for them.
+// way the retained snapshots carry exactly the factor bits of a
+// keep-everything run and answer exactly what it answers.
 func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 	d, err := bench.DatasetsFor(bench.Tiny)
 	if err != nil {
@@ -88,19 +118,46 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	T, keep := egs.Len(), 3
-	run := func(scfg serve.Config) *serve.Engine {
+	// Tiny plans two clusters, [0,7) and [7,10): keeping two snapshots
+	// skips the first and enters the second past its start.
+	T, keep := egs.Len(), 2
+	var logged bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	// run returns the store and the log line's count, clusters,
+	// decomposed_clusters and decomposed_snapshots.
+	run := func(scfg serve.Config) (fingerprintStore, [4]int) {
 		scfg.Damping, scfg.Workers = d.Damping, 1
-		eng := serve.New(scfg)
+		eng := fingerprintStore{serve.New(scfg), map[int]string{}}
 		t.Cleanup(eng.Close)
+		logged.Reset()
 		if err := factorOffline(eng, scfg, egs, 0.95, 1); err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		m := pinnedLine.FindStringSubmatch(logged.String())
+		if m == nil {
+			t.Fatalf("no pinned-snapshots line with the decomposed counts in %q", logged.String())
+		}
+		var nums [4]int
+		for k := range nums {
+			nums[k], _ = strconv.Atoi(m[k+1])
+		}
+		return eng, nums
 	}
-	all := run(serve.Config{MaxSnapshots: T})
-	tail := run(serve.Config{MaxSnapshots: keep})
-	spill := run(serve.Config{MaxSnapshots: keep, SpillDir: t.TempDir()})
+	all, allLine := run(serve.Config{MaxSnapshots: T})
+	tail, tailLine := run(serve.Config{MaxSnapshots: keep})
+	spill, spillLine := run(serve.Config{MaxSnapshots: keep, SpillDir: t.TempDir()})
+
+	clusters := allLine[1]
+	if want := [4]int{T, clusters, clusters, T}; allLine != want || clusters < 2 {
+		t.Errorf("unbounded store logged count, clusters, decomposed_clusters, decomposed_snapshots = %v, want %v with at least 2 clusters", allLine, want)
+	}
+	if spillLine != [4]int{keep, clusters, clusters, T} {
+		t.Errorf("spilling store logged %v, want all %d clusters and %d snapshots decomposed", spillLine, clusters, T)
+	}
+	if tailLine[0] != keep || tailLine[1] != clusters || tailLine[2] >= clusters || tailLine[3] <= keep || tailLine[3] >= T {
+		t.Errorf("bounded store logged %v: want %d pinned of %d planned clusters, fewer decomposed, and a decomposed cluster that starts between the sequence's start and snapshot %d", tailLine, keep, clusters, T-keep)
+	}
 
 	if st := all.Stats(); st.SnapshotsPinned != int64(T) || st.SnapshotsEvicted != 0 {
 		t.Errorf("unbounded store: %d pins, %d evictions, want %d and 0", st.SnapshotsPinned, st.SnapshotsEvicted, T)
@@ -110,6 +167,9 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 	}
 	if st := spill.Stats(); st.SnapshotsPinned < int64(T) || st.SnapshotsEvicted != int64(T-keep) {
 		t.Errorf("spilling store: %d pins, %d evictions, want at least %d and %d", st.SnapshotsPinned, st.SnapshotsEvicted, T, T-keep)
+	}
+	if len(tail.sums) != keep {
+		t.Errorf("bounded store was handed %d snapshots, want %d", len(tail.sums), keep)
 	}
 	ctx := context.Background()
 	for i := 0; i < T; i++ {
@@ -127,6 +187,9 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tail.sums[i] != all.sums[i] || spill.sums[i] != all.sums[i] {
+			t.Errorf("snapshot %d: pinned factors differ from the keep-everything run's (tail-only %.8s, spilling %.8s, all %.8s)", i, tail.sums[i], spill.sums[i], all.sums[i])
 		}
 		for u := range want.Scores {
 			if got.Scores[u] != want.Scores[u] {

@@ -119,33 +119,6 @@ func (sc *scratch) reset() {
 	sc.dirtyZ = sc.dirtyZ[:0]
 }
 
-// setY writes a propagated y value, promoting j into the support when
-// it is significant and recording it as dirty otherwise.
-func (sc *scratch) setY(j int, v float64) {
-	if !sc.inY[j] {
-		if math.Abs(v) > PropagationCutoff {
-			sc.inY[j] = true
-			sc.newIdx = append(sc.newIdx, j)
-		} else {
-			sc.dirtyY = append(sc.dirtyY, j)
-		}
-	}
-	sc.y[j] = v
-}
-
-// setZ is the z-vector analogue of setY.
-func (sc *scratch) setZ(j int, v float64) {
-	if !sc.inZ[j] {
-		if math.Abs(v) > PropagationCutoff {
-			sc.inZ[j] = true
-			sc.newIdx = append(sc.newIdx, j)
-		} else {
-			sc.dirtyZ = append(sc.dirtyZ, j)
-		}
-	}
-	sc.z[j] = v
-}
-
 // mergeTail merges the sorted, disjoint list add into the sorted slice
 // supp, where every element of add is greater than supp[from-1] (all
 // insertions land in the tail). Returns the grown slice.
@@ -436,20 +409,12 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		sc.newIdx = sc.newIdx[:0]
 		// outside counts the support positions beyond i that column i
 		// does not hold: the support tail's length minus those met on
-		// the structural walk (inY before setY can promote). Zero — the
-		// rule inside a USSP — means staticExtras has nothing to find.
+		// the structural walk (members before the step can promote). Zero
+		// — the rule inside a USSP — means staticExtras has nothing to find.
 		outside := 0
 		switch {
 		case zi != 0 && yi != 0:
-			outside = len(sc.ysupp) - py
-			for p, j := range rows {
-				outside -= b2i(sc.inY[j])
-				lv := vals[p]
-				vals[p] = (di*lv + sigma*zi*sc.y[j]) / dip
-				if lv != 0 {
-					sc.setY(j, sc.y[j]-yi*lv)
-				}
-			}
+			outside = len(sc.ysupp) - py - sc.sweepUpdate(rows, vals, sc.y, sc.inY, &sc.dirtyY, di, sigma*zi, dip, yi)
 		case zi != 0: // yi == 0: dip == di; only positions with y_j != 0 move
 			// No y propagation happens here, so instead of walking the
 			// whole column we visit just the support — a direct indexed
@@ -473,11 +438,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 				return fmt.Errorf("%w (L position %d,%d, value %g)", ErrOutOfPattern, j, i, v)
 			}
 		default: // yi != 0, zi == 0: L unchanged, only y propagates
-			for p, j := range rows {
-				if lv := vals[p]; lv != 0 {
-					sc.setY(j, sc.y[j]-yi*lv)
-				}
-			}
+			sc.sweepPropagate(rows, vals, sc.y, sc.inY, &sc.dirtyY, yi)
 		}
 		// Merge the promotions before any error exit below: positions
 		// marked inY must be reachable from ysupp or reset() cannot
@@ -501,15 +462,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		outside = 0
 		switch {
 		case yi != 0 && zi != 0:
-			outside = len(sc.zsupp) - pz
-			for p, j := range cols {
-				outside -= b2i(sc.inZ[j])
-				uv := uvals[p]
-				uvals[p] = (di*uv + sigma*yi*sc.z[j]) / dip
-				if uv != 0 {
-					sc.setZ(j, sc.z[j]-zi*uv)
-				}
-			}
+			outside = len(sc.zsupp) - pz - sc.sweepUpdate(cols, uvals, sc.z, sc.inZ, &sc.dirtyZ, di, sigma*yi, dip, zi)
 		case yi != 0: // zi == 0: only positions with z_j != 0 move
 			tail := sc.zsupp[pz:]
 			cur := newCursor(cols, len(tail))
@@ -529,11 +482,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 				return fmt.Errorf("%w (U position %d,%d, value %g)", ErrOutOfPattern, i, j, v)
 			}
 		default: // zi != 0, yi == 0: U unchanged, z propagates
-			for p, j := range cols {
-				if uv := uvals[p]; uv != 0 {
-					sc.setZ(j, sc.z[j]-zi*uv)
-				}
-			}
+			sc.sweepPropagate(cols, uvals, sc.z, sc.inZ, &sc.dirtyZ, zi)
 		}
 		// Same ordering as the L phase: merge before the error exit.
 		sc.zsupp = mergeTail(sc.zsupp, pz, sc.newIdx)
@@ -547,15 +496,6 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		f.D[i] = dip
 	}
 	return nil
-}
-
-// b2i is 1 for true: the compiler turns it into the flag's byte, so
-// counting support members costs no branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // staticExtras scans the sorted support tail against the sorted

@@ -38,9 +38,20 @@ type Options struct {
 	// between per-snapshot steps and Run returns the context's error.
 	// Nil means context.Background() (never cancelled).
 	Context context.Context
+	// First is the first matrix index the caller will read; zero means
+	// the whole sequence. The α-clusters of the paper are independent —
+	// each has its own ordering, USSP and Bennett chain — so a cluster
+	// that ends at or before First is planned (Result.Clusters is the
+	// whole sequence's, and every later cluster is what it would have
+	// been) but never ordered, decomposed or updated; a cluster that
+	// straddles First runs its chain from its own start, as the factors
+	// of its later members require. OnFactors fires for i = First..T-1,
+	// bit-identical to the same snapshots of a First = 0 run. INC is one
+	// cluster, so it skips nothing. Outside [0, T) is an error.
+	First int
 	// OnFactors, when non-nil, is invoked once per matrix index with a
 	// solver whose factors are current for that matrix, strictly in
-	// snapshot order i = 0..T-1 regardless of Workers. The solver is
+	// snapshot order i = First..T-1 regardless of Workers. The solver is
 	// only valid during the callback (factors are updated in place for
 	// the next matrix afterwards) unless RetainFactors is set.
 	// Callbacks never run concurrently with each other.
@@ -90,13 +101,17 @@ type Result struct {
 	T         int
 
 	// SSPSizes[i] = |s̃p(A_i^{O_i})| when quality measurement is on
-	// (always on for BF); nil otherwise.
+	// (always on for BF); nil otherwise. Zero for the matrices of a
+	// cluster Options.First skipped.
 	SSPSizes []int
-	// Clusters are the [start, end) boundaries used (one cluster
+	// Clusters are the [start, end) boundaries planned (one cluster
 	// covering everything for BF — each BF "cluster" is a singleton —
-	// and INC).
+	// and INC), whether or not Options.First let them run.
 	Clusters []cluster.Cluster
-	// Times is the per-phase breakdown; Wall is the timed total.
+	// Times is the per-phase breakdown; Wall is the timed total. Times
+	// (clustering aside, which always covers the whole sequence),
+	// Refactorizations, Bennett and the Dynamic counters cover the
+	// clusters that ran: all of them unless Options.First skipped some.
 	Times PhaseTimes
 	Wall  time.Duration
 
@@ -111,7 +126,8 @@ type Result struct {
 	DynamicScanSteps int
 	// StructureSizes[c] is the factor-structure size used by cluster c
 	// (USSP size for CLUDE, final accreted size for INC/CINC, tight
-	// size for BF's per-matrix runs).
+	// size for BF's per-matrix runs); zero for a cluster Options.First
+	// skipped.
 	StructureSizes []int
 }
 
@@ -160,12 +176,15 @@ func refactorInPlace(fac *lu.Factors, static **lu.StaticFactors, dyn **lu.Dynami
 	return nil
 }
 
-// measureQuality computes |s̃p(A_i^{O_i})| for every matrix (untimed;
-// this is harness bookkeeping, not algorithm work).
-func measureQuality(ems *graph.EMS, ordOf func(i int) sparse.Ordering) []int {
-	out := make([]int, ems.Len())
-	for i, a := range ems.Matrices {
-		out[i] = lu.SymbolicSize(a.Pattern(), ordOf(i))
+// measureQuality computes |s̃p(A_i^{O_i})| for every matrix of the
+// clusters that ran (untimed; this is harness bookkeeping, not algorithm
+// work). A skipped cluster has no ordering to measure.
+func measureQuality(e *engine) []int {
+	out := make([]int, e.ems.Len())
+	for _, j := range e.jobs {
+		for i := j.cl.Start; i < j.cl.End; i++ {
+			out[i] = lu.SymbolicSize(e.ems.Matrices[i].Pattern(), e.orderings[j.idx])
+		}
 	}
 	return out
 }

@@ -26,7 +26,10 @@
 // # Callback ordering
 //
 // OnFactors fires exactly once per snapshot, strictly in snapshot
-// order i = 0..T-1, for every worker count: out-of-order completions
+// order i = First..T-1 (Options.First, zero by default: a caller that
+// reads only a tail of the sequence names its start, and the clusters
+// that end before it are never decomposed — they are independent of
+// the ones that are), for every worker count: out-of-order completions
 // are buffered in a min-heap (at most one pending emission per worker,
 // so memory stays bounded) and released in order by a single emitter
 // goroutine. Callbacks therefore never run concurrently with each

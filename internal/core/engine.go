@@ -29,8 +29,9 @@ import (
 // α-clusters, and the QC variants β-clusters with their orderings
 // already attached. Clusters are mutually independent, so jobs are
 // dispatched to a bounded worker pool; an ordered-emission stage keeps
-// the OnFactors callback contract (snapshot order i = 0..T-1) intact
-// under any worker count.
+// the OnFactors callback contract (snapshot order i = First..T-1) intact
+// under any worker count. Independence is also what Options.First rests
+// on: a cluster nobody will read is planned but never dispatched.
 
 // job is one independent unit of pipeline work: a cluster of
 // consecutive matrices factored under one shared ordering.
@@ -281,9 +282,9 @@ type engine struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	jobs        []job
-	orderings   []sparse.Ordering // per cluster, written by its owning worker
-	structSizes []int             // per cluster
+	jobs        []job             // the clusters to run: the plan's, less those Options.First skips
+	orderings   []sparse.Ordering // per planned cluster, written by its owning worker
+	structSizes []int             // per planned cluster
 	sspOut      []int             // per matrix; non-nil only for BF
 
 	reqs    chan emitReq // nil when emission is inline (sequential or no callback)
@@ -435,11 +436,12 @@ func (h *reqHeap) Pop() interface{} {
 }
 
 // emit delivers snapshot i to the OnFactors callback in snapshot
-// order. With no callback it is only a cancellation check; with one
+// order. With no callback, or below Options.First (the head of the
+// cluster that straddles it), it is only a cancellation check; with one
 // worker the callback fires inline (the sequential path produces
 // snapshots in order by construction).
 func (e *engine) emit(w *worker, i int, s *lu.Solver) error {
-	if e.opt.OnFactors == nil {
+	if e.opt.OnFactors == nil || i < e.opt.First {
 		return e.ctx.Err()
 	}
 	if e.opt.RetainFactors {
@@ -467,9 +469,9 @@ func (e *engine) emit(w *worker, i int, s *lu.Solver) error {
 // emitLoop is the ordered-emission stage: it buffers out-of-order
 // emissions in a min-heap (bounded by the worker count — each worker
 // blocks on its previous emission) and fires the callback strictly in
-// snapshot order 0..T-1 from this single goroutine.
+// snapshot order First..T-1 from this single goroutine.
 func (e *engine) emitLoop() {
-	next := 0
+	next := e.opt.First
 	var pq reqHeap
 	for r := range e.reqs {
 		heap.Push(&pq, r)
@@ -490,6 +492,10 @@ func (e *engine) emitLoop() {
 // execute is the shared driver behind Run and RunQC: plan (timed as
 // t_c), execute over the pool, then assemble the Result.
 func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, error) {
+	// First = 0 stays legal on an empty sequence: it means "everything".
+	if f := opt.First; f < 0 || (f > 0 && f >= ems.Len()) {
+		return nil, fmt.Errorf("core: Options.First %d outside [0, %d)", f, ems.Len())
+	}
 	res := &Result{Algorithm: alg, T: ems.Len()}
 	e := newEngine(ems, opt)
 	defer e.cancel()
@@ -503,7 +509,12 @@ func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, e
 	res.Times.Clustering = time.Since(tc)
 
 	e.label = p.label
+	// Jobs come in cluster order, so the clusters that end at or before
+	// First are a prefix; the rest run exactly as they would have.
 	e.jobs = p.jobs
+	for len(e.jobs) > 0 && e.jobs[0].cl.End <= opt.First {
+		e.jobs = e.jobs[1:]
+	}
 	e.orderings = make([]sparse.Ordering, len(p.jobs))
 	e.structSizes = make([]int, len(p.jobs))
 	if alg == BF {
@@ -525,13 +536,7 @@ func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, e
 	res.StructureSizes = e.structSizes
 
 	if opt.MeasureQuality && alg != BF {
-		res.SSPSizes = measureQuality(ems, func(i int) sparse.Ordering {
-			ci := cluster.Covering(res.Clusters, i)
-			if ci < 0 {
-				panic("core: matrix not covered by clusters")
-			}
-			return e.orderings[ci]
-		})
+		res.SSPSizes = measureQuality(e)
 	}
 	return res, nil
 }

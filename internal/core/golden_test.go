@@ -2,11 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
 
+	"repro/internal/bennett"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/xrand"
@@ -134,5 +137,59 @@ func TestGoldenFactors(t *testing.T) {
 			st.Bennett.Rank1Updates, st.Bennett.StepsTouched, st.Bennett.Dropped,
 			st.DynamicInserts, st.DynamicScanSteps)
 		check("replay/"+string(alg), h)
+	}
+}
+
+// goldenBennettStats holds CLUDE's {Rank1Updates, StepsTouched, Dropped}
+// over the generated sequences gen's TestGoldenDatasets pins (same
+// generator configurations, same seeds), recorded at PR 20 — before
+// rank1Static's inner loops became leaf kernels. A kernel that stopped a
+// step early, walked one twice or sent a different step to the
+// out-of-structure scan would move a count here before it moved a
+// measurable factor bit.
+var goldenBennettStats = map[string]bennett.Stats{
+	"wiki/7":    {Rank1Updates: 518, StepsTouched: 29005},
+	"wiki/1234": {Rank1Updates: 523, StepsTouched: 28077},
+	"dblp/11":   {Rank1Updates: 631, StepsTouched: 28695},
+	"dblp/4321": {Rank1Updates: 727, StepsTouched: 33208},
+	"patent/17": {Rank1Updates: 192, StepsTouched: 1105},
+	"patent/99": {Rank1Updates: 192, StepsTouched: 1107},
+}
+
+func TestGoldenBennettStats(t *testing.T) {
+	check := func(name string, egs *graph.EGS, err error, derive graph.Deriver, alpha float64) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := Run(graph.DeriveEMS(egs, derive), CLUDE, Options{Alpha: alpha, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Clusters) == egs.Len() || res.Bennett.StepsTouched == 0 {
+			t.Fatalf("%s: %d clusters over %d snapshots, %+v: no Bennett chain ran", name, len(res.Clusters), egs.Len(), res.Bennett)
+		}
+		if want := goldenBennettStats[name]; res.Bennett != want {
+			t.Errorf("%q: %+v, golden %+v", name, res.Bennett, want)
+		}
+	}
+	for _, seed := range []uint64{7, 1234} {
+		egs, err := gen.WikiSim(gen.WikiConfig{N: 300, T: 20, InitialEdges: 840, FinalEdges: 1300, ChurnFrac: 0.25, EventRate: 0.2, Seed: seed})
+		check(fmt.Sprint("wiki/", seed), egs, err, graph.RWRMatrix(0.85), 0.95)
+	}
+	for _, seed := range []uint64{11, 4321} {
+		egs, err := gen.DBLPSim(gen.DBLPConfig{N: 300, T: 20, Communities: 3, InitialPapers: 260, PapersPerDay: 2, MaxCoauthors: 4, CrossCommunity: 0.05, Seed: seed})
+		check(fmt.Sprint("dblp/", seed), egs, err, graph.SymmetricWalkMatrix(0.85), 0.95)
+	}
+	for _, seed := range []uint64{17, 99} {
+		cfg := gen.DefaultPatentConfig()
+		cfg.PatentsPerYear, cfg.Years, cfg.Seed = 4, 8, seed
+		pd, err := gen.PatentSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A citation graph only grows: at 0.95 every year is its own
+		// cluster and nothing is updated.
+		check(fmt.Sprint("patent/", seed), pd.EGS, nil, graph.RWRMatrix(0.85), 0.6)
 	}
 }
