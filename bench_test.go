@@ -337,6 +337,95 @@ func BenchmarkKernelBennettDynamic(b *testing.B) {
 	benchThereAndBack(b, lu.NewDynamicFactors(static), a0, a1)
 }
 
+// benchStream opens a CLUDE stream shaped like the end-to-end
+// benchmark's ingest_mixed server — the medium Wiki graph's first
+// snapshot — with a pool of 256 fresh edges inserted sixteen to a batch,
+// the way that workload seeds its flapping pool. It returns the stream,
+// the pool, and a source of further fresh edges.
+func benchStream(b *testing.B) (s *core.Stream, pool []graph.EdgeEvent, fresh func() graph.EdgeEvent) {
+	b.Helper()
+	cfg := gen.DefaultWikiConfig()
+	cfg.T = 2
+	egs, err := gen.WikiSim(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g0 := egs.Snapshots[0]
+	s, err = core.NewStream(core.StreamConfig{
+		Algorithm: core.CLUDE, Alpha: 0.95, Initial: g0, Derive: graph.RWRMatrix(0.85),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(1)
+	used := map[[2]int]bool{}
+	fresh = func() graph.EdgeEvent {
+		for {
+			u, v := rng.Intn(g0.N()), rng.Intn(g0.N())
+			if u != v && !g0.HasEdge(u, v) && !used[[2]int{u, v}] {
+				used[[2]int{u, v}] = true
+				return graph.EdgeEvent{From: u, To: v, Op: graph.EdgeInsert}
+			}
+		}
+	}
+	for k := 0; k < 16; k++ {
+		batch := make([]graph.EdgeEvent, 16)
+		for i := range batch {
+			batch[i] = fresh()
+		}
+		if _, err := s.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+		pool = append(pool, batch...)
+	}
+	return s, pool, fresh
+}
+
+// BenchmarkKernelStreamToggle times one flap pair on a warm stream:
+// sixteen pool edges deleted in one batch and re-inserted in the next,
+// both inside the cluster and the USSP, so each is a Bennett update and
+// what surrounds it. The work around the update must stay in the size
+// of the batch — watch B/op.
+func BenchmarkKernelStreamToggle(b *testing.B) {
+	s, pool, _ := benchStream(b)
+	defer s.Close()
+	off := make([]graph.EdgeEvent, 16)
+	for i, ev := range pool[:16] {
+		off[i] = graph.EdgeEvent{From: ev.From, To: ev.To, Op: graph.EdgeDelete}
+	}
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for _, batch := range [][]graph.EdgeEvent{off, pool[:16]} {
+			if _, err := s.Apply(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkKernelStreamGrowth times one growth batch: sixteen edges the
+// cluster union has never held, so the stream re-orders the grown union
+// and refactorizes — one elimination, one container, one decomposition.
+// The union keeps growing, so compare runs at equal -benchtime Nx.
+func BenchmarkKernelStreamGrowth(b *testing.B) {
+	s, _, fresh := benchStream(b)
+	defer s.Close()
+	batch := make([]graph.EdgeEvent, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range batch {
+			batch[k] = fresh()
+		}
+		if _, err := s.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablations (DESIGN.md §6) ---
 
 // BenchmarkAblationNaturalOrder factors under the identity ordering —

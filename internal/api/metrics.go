@@ -22,7 +22,7 @@ func registerStreamMetrics(r *metrics.Registry, s *core.Stream) {
 	cf := func(name, help string, read func(core.StreamStats) float64) {
 		r.CounterFunc(name, help, nil, func() float64 { return read(s.Stats()) })
 	}
-	cf("clude_stream_batches_total", "Delta batches committed (every validated batch, succeeded or not).",
+	cf("clude_stream_batches_total", "Delta batches committed (a batch whose strategy step failed is taken back and not counted).",
 		func(st core.StreamStats) float64 { return float64(st.Batches) })
 	cf("clude_stream_events_total", "Edge events consumed across all batches.",
 		func(st core.StreamStats) float64 { return float64(st.Events) })
@@ -74,21 +74,34 @@ func registerStoreMetrics(r *metrics.Registry, st *store.Store) {
 
 // IngestStageHook registers the ingest pipeline's stage histograms
 // (clude_ingest_stage_seconds{stage=validate|log|apply|publish}) and
-// returns the core.StreamConfig.OnStage hook feeding them. Unknown
-// stage names are dropped rather than panicking inside the commit path.
+// the apply stage's own split
+// (clude_ingest_apply_seconds{part=delta|update|order|factorize}: what a
+// batch spent before touching the factors, in the Bennett update, in
+// the ordering and in the full decomposition — a toggle batch has the
+// first two, a growth batch all but update; the parts of a batch add up
+// to its apply stage) and returns the core.StreamConfig.OnStage hook
+// feeding both. Unknown names are dropped rather than panicking inside
+// the commit path.
 func IngestStageHook(r *metrics.Registry) func(stage string, d time.Duration) {
-	return stageHook(r, "clude_ingest_stage_seconds",
+	hists := stageHistograms(r, "clude_ingest_stage_seconds",
 		"Per-stage durations of the ingest pipeline: validate, log (WAL append hook), apply (graph + factor step), publish.",
 		[]string{"validate", "log", "apply", "publish"})
+	const help = "The apply stage's split per batch: delta (graph mutation, dirty-column diff, cluster admission; on a rebuild, materializing the matrix), update (Bennett rank-1 terms), order (Markowitz with its symbolic structure), factorize (container + full decomposition)."
+	for hook, part := range map[string]string{
+		core.PartDelta: "delta", core.PartUpdate: "update", core.PartOrder: "order", core.PartFactorize: "factorize",
+	} {
+		hists[hook] = r.Histogram("clude_ingest_apply_seconds", help, metrics.Labels{"part": part})
+	}
+	return observeStages(hists)
 }
 
 // StoreStageHook registers the durability layer's stage histograms
 // (clude_store_stage_seconds{stage=wal_append|snapshot|compaction})
 // and returns the store.Options.OnStage hook feeding them.
 func StoreStageHook(r *metrics.Registry) func(stage string, d time.Duration) {
-	return stageHook(r, "clude_store_stage_seconds",
+	return observeStages(stageHistograms(r, "clude_store_stage_seconds",
 		"Per-stage durations of the durability layer: wal_append (durable log write), snapshot (checkpoint export + write), compaction (history sidecar rewrite, nested inside snapshot).",
-		[]string{"wal_append", "snapshot", "compaction"})
+		[]string{"wal_append", "snapshot", "compaction"}))
 }
 
 // ChainStageHooks fans one OnStage callback out to every non-nil
@@ -167,11 +180,17 @@ func StoreTraceHook(tc *trace.Tracer) func(stage string, d time.Duration) {
 	}
 }
 
-func stageHook(r *metrics.Registry, name, help string, stages []string) func(string, time.Duration) {
+// stageHistograms registers one histogram of the family per stage,
+// keyed by the name the OnStage hook will be called with.
+func stageHistograms(r *metrics.Registry, name, help string, stages []string) map[string]*metrics.Histogram {
 	hists := make(map[string]*metrics.Histogram, len(stages))
 	for _, s := range stages {
 		hists[s] = r.Histogram(name, help, metrics.Labels{"stage": s})
 	}
+	return hists
+}
+
+func observeStages(hists map[string]*metrics.Histogram) func(string, time.Duration) {
 	return func(stage string, d time.Duration) {
 		if h := hists[stage]; h != nil {
 			h.Observe(d)

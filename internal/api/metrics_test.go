@@ -300,6 +300,26 @@ func TestIngestAndStoreMetrics(t *testing.T) {
 			t.Fatalf("%s = %v, want 3", key, m[key])
 		}
 	}
+	// The apply stage's split is a family of its own — the stage family
+	// keeps exactly its four members. Three INC batches are three Bennett
+	// updates: delta and update observed, order and factorize registered
+	// and empty.
+	for part, want := range map[string]float64{"delta": 3, "update": 3, "order": 0, "factorize": 0} {
+		key := fmt.Sprintf("clude_ingest_apply_seconds_count{part=%q}", part)
+		if got, ok := m[key]; !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	for key := range m {
+		if strings.HasPrefix(key, "clude_ingest_stage_seconds_count{") && !strings.Contains(key, `stage="validate"`) &&
+			!strings.Contains(key, `stage="log"`) && !strings.Contains(key, `stage="apply"`) && !strings.Contains(key, `stage="publish"`) {
+			t.Fatalf("clude_ingest_stage_seconds grew a stage: %s", key)
+		}
+	}
+	if apply, parts := m[`clude_ingest_stage_seconds_sum{stage="apply"}`],
+		m[`clude_ingest_apply_seconds_sum{part="delta"}`]+m[`clude_ingest_apply_seconds_sum{part="update"}`]; parts > apply {
+		t.Fatalf("apply parts sum to %v s, more than the apply stage's %v s", parts, apply)
+	}
 	if got := m[`clude_store_stage_seconds_count{stage="wal_append"}`]; got != 3 {
 		t.Fatalf("wal_append stage count %v, want 3", got)
 	}

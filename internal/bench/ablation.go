@@ -73,7 +73,7 @@ func Ablation(d Datasets) ([]*Table, error) {
 		members = i + 1
 	}
 	ord := order.Markowitz(union)
-	ussp := lu.Symbolic(union.Permute(ord.Ordering)).Size()
+	ussp := ord.SSPSize // the union was just ordered: its elimination is the USSP
 	tight := lu.SymbolicSize(pats[0], ord.Ordering)
 	slack := &Table{
 		Title:  fmt.Sprintf("USSP slack for the first alpha=0.95 cluster (%d members)", members),

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -18,6 +20,9 @@ import (
 // cluster boundaries and unions verbatim (the stream_test property),
 // which is what lets the streaming engine make per-batch decisions
 // without ever re-clustering the history.
+//
+// A live engine knows each member as the previous one plus a few changed
+// positions; AdmitDelta takes the decision from those alone.
 type Tracker struct {
 	alpha        float64
 	start, end   int // current cluster [start, end) in admission order
@@ -38,9 +43,7 @@ func NewTracker(alpha float64) *Tracker {
 // would break the α bound) starts a new cluster and returns false.
 func (t *Tracker) Admit(p *sparse.Pattern) bool {
 	if t.union == nil {
-		t.start, t.end = t.end, t.end+1
-		t.inter, t.union = p, p
-		t.clusters++
+		t.open(p)
 		return false
 	}
 	ni := t.inter.Intersect(p)
@@ -50,10 +53,58 @@ func (t *Tracker) Admit(p *sparse.Pattern) bool {
 		t.end++
 		return true
 	}
+	t.open(p)
+	return false
+}
+
+// open starts a new cluster whose only member so far is p.
+func (t *Tracker) open(p *sparse.Pattern) {
 	t.start, t.end = t.end, t.end+1
 	t.inter, t.union = p, p
 	t.clusters++
-	return false
+}
+
+// AdmitDelta is Admit for the pattern p that differs from the previously
+// admitted one by the positions added (none of which it held) and
+// removed (all of which it held), in any order: same decision, same
+// bounding patterns, for work in the size of the change. Since the
+// previous member lies between the bounds, A∩ ∩ p = A∩ ∖ removed and
+// A∪ ∪ p = A∪ ∪ added; a bound is rebuilt only when it really moves.
+// member materializes p and is called only when p opens a new cluster.
+// There must have been a first Admit.
+func (t *Tracker) AdmitDelta(added, removed []sparse.Coord, member func() *sparse.Pattern) bool {
+	var grow, shrink []sparse.Coord
+	for _, c := range added {
+		if !t.union.Has(c.Row, c.Col) {
+			grow = append(grow, c)
+		}
+	}
+	for _, c := range removed {
+		if t.inter.Has(c.Row, c.Col) {
+			shrink = append(shrink, c)
+		}
+	}
+	// A∩ ⊆ A∪, so their common size is |A∩|.
+	ni, nu := t.inter.Size()-len(shrink), t.union.Size()+len(grow)
+	if sparse.MESOfSizes(ni, ni, nu) < t.alpha {
+		t.open(member())
+		return false
+	}
+	if len(shrink) > 0 {
+		t.inter = t.inter.Without(rowMajor(shrink))
+	}
+	if len(grow) > 0 {
+		t.union = t.union.With(rowMajor(grow))
+	}
+	t.end++
+	return true
+}
+
+func rowMajor(cs []sparse.Coord) []sparse.Coord {
+	slices.SortFunc(cs, func(a, b sparse.Coord) int {
+		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
+	})
+	return cs
 }
 
 // Cluster returns the current cluster's [start, end) admission-index
@@ -98,6 +149,13 @@ func (t *Tracker) State() *TrackerState {
 	}
 }
 
+// Restore puts the tracker back to an exported state of its own — how a
+// caller takes back an admission whose batch then failed.
+func (t *Tracker) Restore(st *TrackerState) {
+	t.start, t.end, t.clusters = st.Start, st.End, st.Clusters
+	t.inter, t.union = st.Inter, st.Union
+}
+
 // RestoreTracker rebuilds a tracker from an exported state. Feeding the
 // restored tracker the same future patterns as the original yields
 // identical admission decisions.
@@ -111,10 +169,7 @@ func RestoreTracker(st *TrackerState) (*Tracker, error) {
 	if st.Start < 0 || st.End < st.Start || st.Clusters < 0 {
 		return nil, fmt.Errorf("cluster: implausible tracker counters start=%d end=%d clusters=%d", st.Start, st.End, st.Clusters)
 	}
-	return &Tracker{
-		alpha: st.Alpha,
-		start: st.Start, end: st.End,
-		clusters: st.Clusters,
-		inter:    st.Inter, union: st.Union,
-	}, nil
+	t := &Tracker{alpha: st.Alpha}
+	t.Restore(st)
+	return t, nil
 }

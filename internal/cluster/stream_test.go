@@ -105,3 +105,77 @@ func TestTrackerEdges(t *testing.T) {
 	}()
 	NewTracker(1.5)
 }
+
+// patternDelta lists the positions q holds and p does not (added) and
+// the other way round (removed), in column-major order — the order a
+// stream that diffs matrix columns produces, and not the one the
+// patterns are stored in.
+func patternDelta(p, q *sparse.Pattern) (added, removed []sparse.Coord) {
+	for j := 0; j < p.N(); j++ {
+		for i := 0; i < p.N(); i++ {
+			switch in, out := q.Has(i, j), p.Has(i, j); {
+			case in && !out:
+				added = append(added, sparse.Coord{Row: i, Col: j})
+			case out && !in:
+				removed = append(removed, sparse.Coord{Row: i, Col: j})
+			}
+		}
+	}
+	return added, removed
+}
+
+func sameTrackerState(a, b *TrackerState) bool {
+	return a.Alpha == b.Alpha && a.Start == b.Start && a.End == b.End && a.Clusters == b.Clusters &&
+		a.Inter.Equal(b.Inter) && a.Union.Equal(b.Union)
+}
+
+// TestAdmitDeltaMatchesAdmit is delta admission's property: told only
+// which positions each member added and removed, a tracker takes the
+// decisions and holds the bounding patterns of one shown every full
+// pattern — across cluster restarts, across State/RestoreTracker round
+// trips in mid-cluster, and after an admission is taken back.
+func TestAdmitDeltaMatchesAdmit(t *testing.T) {
+	rng := xrand.New(123)
+	for _, alpha := range []float64{0, 0.5, 0.9, 0.97, 1} {
+		for _, flips := range []int{0, 2, 9} {
+			pats := randomPatterns(rng, 30, 60, flips)
+			full, delta := NewTracker(alpha), NewTracker(alpha)
+			full.Admit(pats[0])
+			delta.Admit(pats[0])
+			for i := 1; i < len(pats); i++ {
+				added, removed := patternDelta(pats[i-1], pats[i])
+				want := full.Admit(pats[i])
+
+				if i%5 == 2 {
+					// A failed batch: admit, then take it back.
+					saved := delta.State()
+					delta.AdmitDelta(added, removed, func() *sparse.Pattern { return pats[i] })
+					delta.Restore(saved)
+				}
+				if i%7 == 3 {
+					var err error
+					if delta, err = RestoreTracker(delta.State()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				materialized := false
+				got := delta.AdmitDelta(added, removed, func() *sparse.Pattern {
+					materialized = true
+					return pats[i]
+				})
+				if got != want {
+					t.Fatalf("alpha=%v flips=%d member %d: delta admission says %v, full says %v", alpha, flips, i, got, want)
+				}
+				if materialized == got {
+					t.Fatalf("alpha=%v flips=%d member %d: admitted=%v but member materialized=%v", alpha, flips, i, got, materialized)
+				}
+				if !sameTrackerState(delta.State(), full.State()) {
+					t.Fatalf("alpha=%v flips=%d member %d: tracker states diverge", alpha, flips, i)
+				}
+			}
+			if alpha == 0.9 && flips == 9 && full.Clusters() < 2 {
+				t.Fatalf("test stream never restarted a cluster (%d)", full.Clusters())
+			}
+		}
+	}
+}

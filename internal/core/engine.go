@@ -20,8 +20,9 @@ import (
 // algorithm is expressed as the same four-stage pipeline:
 //
 //	planner      →  jobs (one per cluster; t_c)
-//	orderStage   →  cluster ordering (t_M)
-//	factorStage  →  symbolic + full LU of the first member (t_d)
+//	orderStage   →  cluster ordering and, with it, its symbolic structure (t_M)
+//	factorStage  →  full LU of the first member (t_d; symbolic too when the
+//	                ordering was given, not computed)
 //	updateStage  →  Bennett chain across the rest of the cluster (t_B)
 //
 // The planner is the only algorithm-specific part: BF plans singleton
@@ -179,7 +180,9 @@ func (orderStage) run(e *engine, w *worker, st *jobState) error {
 			r = order.Markowitz(e.ems.Matrices[st.job.cl.Start].Pattern()) // O1 = O*(A1)
 		}
 		w.times.Ordering += time.Since(t0)
-		st.ord, st.sspSize = r.Ordering, r.SSPSize
+		// The elimination that chose the pivots also produced the
+		// structure factorStage would otherwise recompute.
+		st.ord, st.sspSize, st.sym = r.Ordering, r.SSPSize, r.Symbolic
 	}
 	st.colInv = st.ord.Col.Inverse()
 	e.orderings[st.job.idx] = st.ord
@@ -198,12 +201,15 @@ func (factorStage) run(e *engine, w *worker, st *jobState) error {
 	cl := st.job.cl
 	t1 := time.Now()
 	first := e.ems.Matrices[cl.Start].PermuteInv(st.ord, st.colInv)
-	if st.job.useUnion {
+	switch {
+	case st.sym != nil:
+		// orderStage ordered this very pattern and kept its structure.
+	case st.job.useUnion:
 		// Symbolic decomposition of A∪^{O∪} gives the USSP; the static
 		// structure built from it serves the whole cluster (Alg. 3
 		// lines 3–4).
 		st.sym = lu.Symbolic(cl.Union.Permute(st.ord))
-	} else {
+	default:
 		st.sym = lu.Symbolic(first.Pattern())
 	}
 	st.static = lu.NewStaticFactors(st.sym)

@@ -41,11 +41,12 @@ type StreamState struct {
 	// Dyn the linked-list container for INC/CINC (nil otherwise).
 	Static *lu.StaticFactors
 	Dyn    *lu.DynamicFactors
-	// Prev is the current matrix in the current ordering — the baseline
-	// the next batch's Bennett delta is computed against. It is stored
-	// explicitly (rather than re-derived from Graph) so even the rare
-	// state where a failed strategy step left the graph ahead of the
-	// factors round-trips exactly.
+	// Prev is the matrix the factors belong to, in the current ordering:
+	// the deriver's matrix of Graph under Ord (a failed batch is taken
+	// back whole, so the two never part). The live stream does not hold
+	// it — a batch's delta comes from the columns it dirtied — and
+	// materializes it for the export; a restored stream checks its shape
+	// and goes on from Graph.
 	Prev *sparse.CSR
 	// StructUnion is the union pattern the CLUDE USSP container was
 	// built from (nil for other strategies).
@@ -58,7 +59,8 @@ type StreamState struct {
 // ExportState deep-copies the stream's resumable state under the read
 // lock. The factor containers are cloned (they are updated in place by
 // the next batch); everything else is immutable and shared. Exporting
-// costs one factor clone — the same price as a CheckpointEvery pin.
+// costs one factor clone — the same price as a CheckpointEvery pin —
+// and one derivation of the matrix.
 func (s *Stream) ExportState() (*StreamState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -72,7 +74,7 @@ func (s *Stream) ExportState() (*StreamState, error) {
 		Seq:            s.seq,
 		Graph:          s.builder.Graph(),
 		Ord:            s.ord,
-		Prev:           s.prev,
+		Prev:           s.current().PermuteInv(s.ord, s.colInv),
 		StructUnion:    s.structUnion,
 		Stats:          s.stats,
 		RetiredInserts: s.retiredIns,
@@ -124,8 +126,8 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		seq:         st.Seq,
 		builder:     graph.NewBuilderFrom(st.Graph),
 		ord:         st.Ord,
+		rowInv:      st.Ord.Row.Inverse(),
 		colInv:      st.Ord.Col.Inverse(),
-		prev:        st.Prev,
 		structUnion: st.StructUnion,
 		stats:       st.Stats,
 		retiredIns:  st.RetiredInserts,

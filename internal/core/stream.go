@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,7 +26,15 @@ import (
 //
 //	edge events ──▶ Batcher ──▶ Stream.Apply ──▶ strategy step ──▶ publish
 //	                (grouping)   (graph.Builder,   (Bennett update      (version++,
-//	                              Deriver)          or cluster restart)  live view)
+//	                              dirty columns)    or cluster restart)  live view)
+//
+// A batch costs what it changed: the builder reports the edges that
+// really changed, the deriver names the matrix columns they dirty, and
+// ∆A is those columns before against after — the whole matrix is
+// materialized only when a step rebuilds or refactorizes. The invariant
+// underneath is that the factors always belong to the deriver's matrix
+// of the builder's graph in the current ordering, which is why a batch
+// whose step fails is taken back whole (graph, tracker, counters).
 //
 // The four strategies are re-expressed online:
 //
@@ -101,7 +111,11 @@ type StreamConfig struct {
 	// pipeline stage per committed batch: "validate" (batch
 	// validation), "log" (the LogBatch hook, observed only when it
 	// runs), "apply" (graph mutation + derive + strategy step) and
-	// "publish" (version bump + OnPublish). It is called under the
+	// "publish" (version bump + OnPublish). Between "log" and "apply" it
+	// also receives the apply stage's own split, the parts a batch went
+	// through in order: PartDelta, then PartUpdate or PartOrder +
+	// PartFactorize (a failed update that refactorizes has all but
+	// PartOrder); the parts add up to "apply". It is called under the
 	// stream's write lock and must be fast and non-blocking — its
 	// intended use is feeding metrics histograms. The hook keeps this
 	// package import-clean of any metrics implementation.
@@ -115,6 +129,21 @@ type StreamConfig struct {
 	// got past the closed check, with the error included.
 	OnBatch func(bt BatchTrace)
 }
+
+// The parts of the apply stage, as OnStage names them.
+const (
+	// PartDelta is everything before the factors are touched: the graph
+	// mutation, ∆A from the dirty columns, cluster admission — and, on a
+	// batch that rebuilds, materializing the matrix.
+	PartDelta = "apply/delta"
+	// PartUpdate is the Bennett update.
+	PartUpdate = "apply/update"
+	// PartOrder is the ordering with its symbolic structure.
+	PartOrder = "apply/order"
+	// PartFactorize is building the container and the full numeric
+	// decomposition.
+	PartFactorize = "apply/factorize"
+)
 
 // StageSample is one named, timed ingest stage inside a BatchTrace.
 // Stages are contiguous: each starts where the previous ended.
@@ -183,16 +212,22 @@ type Stream struct {
 	builder *graph.Builder
 	tracker *cluster.Tracker // CINC/CLUDE membership
 
-	ord         sparse.Ordering
-	colInv      sparse.Perm
-	static      *lu.StaticFactors
-	dyn         *lu.DynamicFactors // INC/CINC container; nil for BF/CLUDE
-	solver      *lu.Solver
-	prev        *sparse.CSR     // current matrix in the current ordering
-	structUnion *sparse.Pattern // CLUDE: union the current USSP was built from
+	ord            sparse.Ordering
+	rowInv, colInv sparse.Perm
+	static         *lu.StaticFactors
+	dyn            *lu.DynamicFactors // INC/CINC container; nil for BF/CLUDE
+	solver         *lu.Solver
+	structUnion    *sparse.Pattern // CLUDE: union the current USSP was built from
 
 	luWS  lu.Workspace
 	benWS bennett.Workspace
+	delta deltaScratch
+	lapT0 time.Time // start of the apply part being timed (OnStage only)
+
+	// rebased marks factors refilled outside a published step (a failed
+	// batch's recovery): they are no longer the previous record's values
+	// plus rank-1 terms, so the next record cannot be a delta either.
+	rebased bool
 
 	// stepTerms/stepStructural describe how the factors reached the
 	// version about to be published: the split rank-1 terms of a
@@ -224,7 +259,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		}
 		s.tracker = cluster.NewTracker(cfg.Alpha)
 	}
-	a := cfg.Derive(cfg.Initial)
+	a := graph.Derive(cfg.Derive, cfg.Initial)
 	if s.tracker != nil {
 		s.tracker.Admit(a.Pattern())
 	}
@@ -239,7 +274,8 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 // Apply commits one delta batch: the events advance the live graph, the
 // strategy brings the factors to the new state, and the result is
 // published as the next version. A failed batch (malformed events or an
-// unrecoverable factorization error) leaves the version unchanged.
+// unrecoverable factorization error) leaves the version, the graph and
+// every counter but the sequence number unchanged.
 // Empty batches are legal and publish a new version over an unchanged
 // matrix. Apply blocks while queries hold the read side (View) — that
 // is the engine's natural backpressure.
@@ -336,14 +372,27 @@ func (s *Stream) applyLocked(events []graph.EdgeEvent, logIt bool) (v uint64, er
 		stage("log")
 	}
 	s.seq++
+	s.lapT0 = t0
 	applied, _ := s.builder.ApplyBatch(events) // already validated
+	stats := s.stats
+	var admitted *cluster.TrackerState
+	if s.tracker != nil {
+		admitted = s.tracker.State()
+	}
+	if err := s.step(); err != nil {
+		// Atomic failure: the factors still belong to the graph the batch
+		// started from, so everything else goes back to it. The sequence
+		// number stays consumed — WAL replay meets the same failure.
+		s.builder.Undo()
+		s.stats = stats
+		if s.tracker != nil {
+			s.tracker.Restore(admitted)
+		}
+		return 0, err
+	}
 	s.stats.Batches++
 	s.stats.Events += len(events)
 	s.stats.EventsApplied += applied
-	cur := s.cfg.Derive(s.builder.Graph())
-	if err := s.step(cur); err != nil {
-		return 0, err
-	}
 	stage("apply")
 	bt.Applied, bt.Structural = applied, s.stepStructural
 	s.version++
@@ -353,58 +402,155 @@ func (s *Stream) applyLocked(events []graph.EdgeEvent, logIt bool) (v uint64, er
 	return s.version, nil
 }
 
-// step routes the new matrix through the configured strategy.
-func (s *Stream) step(cur *sparse.CSR) error {
-	pat := cur.Pattern()
-	switch s.cfg.Algorithm {
-	case BF:
-		s.stats.Clusters++
-		return s.rebuild(cur, pat)
-	case INC:
-		return s.update(cur)
-	case CINC:
-		if s.tracker.Admit(pat) {
-			return s.update(cur)
-		}
-		s.stats.Clusters++
-		return s.rebuild(cur, pat)
-	case CLUDE:
-		if !s.tracker.Admit(pat) {
-			s.stats.Clusters++
-			return s.rebuild(cur, s.tracker.Union())
-		}
-		if !pat.Subset(s.structUnion) {
-			// The member grew the cluster union past the USSP the static
-			// container was built from: re-derive the ordering from the
-			// grown union and refactorize into the larger structure.
-			s.stats.StructRebuilds++
-			return s.rebuild(cur, s.tracker.Union())
-		}
-		return s.update(cur)
+// lap reports the time since the previous lap (or the apply stage's
+// start) as one part of the apply split. Version 0 is not a batch: its
+// rebuild runs before any lap clock was started and reports nothing.
+func (s *Stream) lap(part string) {
+	if s.cfg.OnStage == nil || s.lapT0.IsZero() {
+		return
 	}
-	panic("core: unreachable")
+	now := time.Now()
+	s.cfg.OnStage(part, now.Sub(s.lapT0))
+	s.lapT0 = now
+}
+
+// current materializes the matrix of the builder's graph — what only a
+// rebuild, a refactorization and an export need whole.
+func (s *Stream) current() *sparse.CSR { return graph.Derive(s.cfg.Derive, s.builder) }
+
+// step routes the batch the builder just applied through the configured
+// strategy.
+func (s *Stream) step() error {
+	if s.cfg.Algorithm == BF {
+		s.stats.Clusters++
+		cur := s.current()
+		return s.rebuild(cur, cur.Pattern())
+	}
+	d := s.batchDelta()
+	if s.cfg.Algorithm == INC {
+		return s.update(d.entries)
+	}
+	var cur *sparse.CSR // materialized only when the batch opens a cluster
+	member := func() *sparse.Pattern {
+		cur = s.current()
+		return cur.Pattern()
+	}
+	if !s.tracker.AdmitDelta(d.added, d.removed, member) {
+		// A fresh cluster's union is its first member.
+		s.stats.Clusters++
+		return s.rebuild(cur, cur.Pattern())
+	}
+	if s.cfg.Algorithm == CLUDE && !d.addedWithin(s.structUnion) {
+		// The member grew the cluster union past the USSP the static
+		// container was built from (the previous member was inside it, so
+		// the added positions decide): re-derive the ordering from the
+		// grown union and refactorize into the larger structure.
+		s.stats.StructRebuilds++
+		return s.rebuild(s.current(), s.tracker.Union())
+	}
+	return s.update(d.entries)
+}
+
+// deltaScratch holds one batch's ∆A and the buffers it is computed in,
+// reused from batch to batch.
+type deltaScratch struct {
+	// entries is ∆A in the current ordering, row-major — what
+	// sparse.Delta of the two whole matrices would list.
+	entries []sparse.Entry
+	// added and removed are the positions (unpermuted) that entered and
+	// left the matrix pattern.
+	added, removed []sparse.Coord
+
+	dirty   []int
+	isDirty []bool
+	rows    [2][]int
+	vals    [2][]float64
+}
+
+// batchDelta computes ∆A of the batch the builder just applied: the
+// deriver names the columns the changed edges dirty, and each is
+// evaluated on the graph before and after the batch and diffed entry by
+// entry, with sparse.Delta's arithmetic. The result is valid until the
+// next batch.
+func (s *Stream) batchDelta() *deltaScratch {
+	d, b, derive := &s.delta, s.builder, s.cfg.Derive
+	if d.isDirty == nil {
+		d.isDirty = make([]bool, b.N())
+	}
+	d.entries, d.added, d.removed, d.dirty = d.entries[:0], d.added[:0], d.removed[:0], d.dirty[:0]
+	mark := func(col int) {
+		if !d.isDirty[col] {
+			d.isDirty[col] = true
+			d.dirty = append(d.dirty, col)
+		}
+	}
+	for _, ev := range b.Changed() {
+		derive.Dirty(b, ev.From, ev.To, mark)
+	}
+	before := b.Before()
+	for _, col := range d.dirty {
+		d.isDirty[col] = false
+		d.rows[0], d.vals[0] = derive.Column(before, col, d.rows[0][:0], d.vals[0][:0])
+		d.rows[1], d.vals[1] = derive.Column(b, col, d.rows[1][:0], d.vals[1][:0])
+		or, ov, nr, nv := d.rows[0], d.vals[0], d.rows[1], d.vals[1]
+		pc := s.colInv[col]
+		emit := func(row int, v float64) {
+			if v != 0 {
+				d.entries = append(d.entries, sparse.Entry{Row: s.rowInv[row], Col: pc, Val: v})
+			}
+		}
+		for ko, kn := 0, 0; ko < len(or) || kn < len(nr); {
+			switch {
+			case kn >= len(nr) || (ko < len(or) && or[ko] < nr[kn]):
+				d.removed = append(d.removed, sparse.Coord{Row: or[ko], Col: col})
+				emit(or[ko], -ov[ko])
+				ko++
+			case ko >= len(or) || nr[kn] < or[ko]:
+				d.added = append(d.added, sparse.Coord{Row: nr[kn], Col: col})
+				emit(nr[kn], nv[kn])
+				kn++
+			default:
+				emit(or[ko], nv[kn]-ov[ko])
+				ko++
+				kn++
+			}
+		}
+	}
+	slices.SortFunc(d.entries, func(a, b sparse.Entry) int {
+		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
+	})
+	return d
+}
+
+// addedWithin reports whether every added position lies in p.
+func (d *deltaScratch) addedWithin(p *sparse.Pattern) bool {
+	for _, c := range d.added {
+		if !p.Has(c.Row, c.Col) {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuild opens fresh factors for cur: ordering from pat (cur's own
-// pattern, or the running cluster union for CLUDE), symbolic + full
-// numeric decomposition, and a fresh Solver (the old one stays valid
-// for retained clones but is never mutated again).
+// pattern, or the running cluster union for CLUDE), the container from
+// the structure that ordering's elimination produced, full numeric
+// decomposition, and a fresh Solver (the old one stays valid for
+// retained clones but is never mutated again). Nothing of the stream
+// changes unless the decomposition succeeds.
 func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
-	s.stepStructural, s.stepTerms = true, nil
+	s.lap(PartDelta)
 	r := order.Markowitz(pat)
-	s.ord = r.Ordering
-	s.colInv = s.ord.Col.Inverse()
-	first := cur.PermuteInv(s.ord, s.colInv)
-	var sym *lu.SymbolicLU
-	if s.cfg.Algorithm == CLUDE {
-		sym = lu.Symbolic(pat.Permute(s.ord))
-		s.structUnion = pat
-	} else {
-		sym = lu.Symbolic(first.Pattern())
-	}
-	s.static = lu.NewStaticFactors(sym)
-	if err := s.static.FactorizeWith(first, &s.luWS); err != nil {
+	s.lap(PartOrder)
+	rowInv, colInv := r.Ordering.Row.Inverse(), r.Ordering.Col.Inverse()
+	static := lu.NewStaticFactors(r.Symbolic)
+	if err := static.FactorizeWith(cur.PermuteInv(r.Ordering, colInv), &s.luWS); err != nil {
 		return fmt.Errorf("core: %s version %d: %w", s.cfg.Algorithm, s.version+1, err)
+	}
+	s.stepStructural, s.stepTerms = true, nil
+	s.ord, s.rowInv, s.colInv, s.static = r.Ordering, rowInv, colInv, static
+	if s.cfg.Algorithm == CLUDE {
+		s.structUnion = pat
 	}
 	s.retireDyn()
 	var fac lu.Factors = s.static
@@ -413,48 +559,63 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 		fac = s.dyn
 	}
 	s.solver = &lu.Solver{F: fac, O: s.ord}
-	s.prev = first
+	s.lap(PartFactorize)
 	return nil
 }
 
-// update advances the current container by the Bennett delta from the
-// previous matrix, falling back to a full refactorization in the same
-// ordering when the update fails numerically (mirroring the offline
-// engine's refactorInPlace).
-func (s *Stream) update(cur *sparse.CSR) error {
-	curP := cur.PermuteInv(s.ord, s.colInv)
+// update advances the current container by the Bennett delta, falling
+// back to a full refactorization in the same ordering when the update
+// fails numerically (mirroring the offline engine's refactorInPlace).
+func (s *Stream) update(delta []sparse.Entry) error {
 	// Split once: the terms applied here are the very slice the history
 	// record carries (immutable from now on).
-	terms := bennett.SplitTerms(sparse.Delta(s.prev, curP))
+	terms := bennett.SplitTerms(delta)
+	s.lap(PartDelta)
 	var fac lu.Factors = s.static
 	if s.dyn != nil {
 		fac = s.dyn
 	}
 	err := s.benWS.ApplyTerms(fac, terms, &s.stats.Bennett)
+	s.lap(PartUpdate)
 	s.stepStructural, s.stepTerms = false, terms
-	if err != nil {
-		// Numerical fallback: the published values come from a full
-		// refactorization, not the rank-1 algebra — no replayable delta.
-		s.stepStructural, s.stepTerms = true, nil
-		s.stats.Refactorizations++
-		if s.dyn == nil {
-			// The USSP still covers curP; refill the same container.
-			if ferr := s.static.FactorizeWith(curP, &s.luWS); ferr != nil {
-				return fmt.Errorf("core: %s version %d: update %v; refactorization %w", s.cfg.Algorithm, s.version+1, err, ferr)
-			}
-		} else {
-			st := lu.NewStaticFactors(lu.Symbolic(curP.Pattern()))
-			if ferr := st.FactorizeWith(curP, &s.luWS); ferr != nil {
-				return fmt.Errorf("core: %s version %d: update %v; refactorization %w", s.cfg.Algorithm, s.version+1, err, ferr)
-			}
-			s.retireDyn()
-			s.dyn = lu.NewDynamicFactors(st)
-			// The factor container changed identity, so the sparse solve
-			// path's per-solver caches must not survive: fresh Solver.
-			s.solver = &lu.Solver{F: s.dyn, O: s.ord}
-		}
+	if err == nil {
+		return nil
 	}
-	s.prev = curP
+	// Numerical fallback: the published values come from a full
+	// refactorization, not the rank-1 algebra — no replayable delta.
+	s.stepStructural, s.stepTerms = true, nil
+	s.stats.Refactorizations++
+	ferr := s.refactorize(s.current())
+	s.lap(PartFactorize)
+	if ferr == nil {
+		return nil
+	}
+	// Both left the container half-written, and the published version
+	// lives in it: refill it from the matrix the batch started from.
+	s.rebased = true
+	if rerr := s.refactorize(graph.Derive(s.cfg.Derive, s.builder.Before())); rerr != nil {
+		return fmt.Errorf("core: %s version %d: update %v; refactorization %v; restoring version %d: %w", s.cfg.Algorithm, s.version+1, err, ferr, s.version, rerr)
+	}
+	return fmt.Errorf("core: %s version %d: update %v; refactorization %w", s.cfg.Algorithm, s.version+1, err, ferr)
+}
+
+// refactorize decomposes a (unpermuted) from scratch in the current
+// ordering, into the container style of the algorithm.
+func (s *Stream) refactorize(a *sparse.CSR) error {
+	ap := a.PermuteInv(s.ord, s.colInv)
+	if s.dyn == nil {
+		// The USSP still covers the matrix; refill the same container.
+		return s.static.FactorizeWith(ap, &s.luWS)
+	}
+	st := lu.NewStaticFactors(lu.Symbolic(ap.Pattern()))
+	if err := st.FactorizeWith(ap, &s.luWS); err != nil {
+		return err
+	}
+	s.retireDyn()
+	s.dyn = lu.NewDynamicFactors(st)
+	// The factor container changed identity, so the sparse solve
+	// path's per-solver caches must not survive: fresh Solver.
+	s.solver = &lu.Solver{F: s.dyn, O: s.ord}
 	return nil
 }
 
@@ -472,6 +633,9 @@ func (s *Stream) retireDyn() {
 // Callers hold the write lock, so the solver is frozen for the
 // callbacks' duration.
 func (s *Stream) publishLocked() {
+	if s.rebased {
+		s.rebased, s.stepStructural, s.stepTerms = false, true, nil
+	}
 	if s.cfg.OnHistory != nil {
 		s.cfg.OnHistory(s.solver, bennett.VersionRecord{
 			Version:    s.version,
@@ -502,8 +666,9 @@ func (s *Stream) View(fn func(version uint64, sv *lu.Solver)) bool {
 }
 
 // GraphSnapshot returns the latest published version together with an
-// immutable snapshot of the graph at that version (Builder.Graph
-// materializes a fresh copy). Both are read under the same lock, so
+// immutable snapshot of the graph at that version (Builder.Graph copies
+// the list headers; the lists themselves are never written). Both are
+// read under the same lock, so
 // they are mutually consistent; callers may retain the graph
 // indefinitely (graph-backed measures key cached answers by the
 // returned version).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -63,5 +64,54 @@ func TestStreamStageHook(t *testing.T) {
 	}
 	if counts["validate"] != before {
 		t.Fatal("rejected batch observed a validate stage")
+	}
+}
+
+// TestStreamApplySplit pins the apply stage's split as OnStage reports
+// it: a batch inside the cluster and the USSP is PartDelta + PartUpdate,
+// a batch that grows the union is PartDelta + PartOrder + PartFactorize,
+// the parts never exceed the apply stage they split, and version 0
+// reports nothing.
+func TestStreamApplySplit(t *testing.T) {
+	initial, _ := randomEventStream(xrand.New(3), 30, 0, 0)
+	var seen []string
+	total := map[string]time.Duration{}
+	s, err := NewStream(StreamConfig{
+		Algorithm: CLUDE, Alpha: 0.5, Initial: initial, Derive: graph.RWRMatrix(0.85),
+		OnStage: func(stage string, d time.Duration) {
+			seen = append(seen, stage)
+			total[stage] += d
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if len(seen) != 0 {
+		t.Fatalf("version 0 reported %v", seen)
+	}
+	e := initial.Edges()[0]
+	fresh := graph.Edge{From: 1, To: 2}
+	for initial.HasEdge(fresh.From, fresh.To) {
+		fresh.To++
+	}
+	for _, tc := range []struct {
+		name string
+		ev   graph.EdgeEvent
+		want []string
+	}{
+		{"toggle", graph.EdgeEvent{From: e.From, To: e.To, Op: graph.EdgeDelete}, []string{"validate", PartDelta, PartUpdate, "apply", "publish"}},
+		{"growth", graph.EdgeEvent{From: fresh.From, To: fresh.To, Op: graph.EdgeInsert}, []string{"validate", PartDelta, PartOrder, PartFactorize, "apply", "publish"}},
+	} {
+		seen = seen[:0]
+		if _, err := s.Apply([]graph.EdgeEvent{tc.ev}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(seen, tc.want) {
+			t.Fatalf("%s batch reported %v, want %v", tc.name, seen, tc.want)
+		}
+	}
+	if parts := total[PartDelta] + total[PartUpdate] + total[PartOrder] + total[PartFactorize]; parts > total["apply"] {
+		t.Fatalf("parts add up to %v, more than apply's %v", parts, total["apply"])
 	}
 }

@@ -135,7 +135,7 @@ func TestDBLPSimShape(t *testing.T) {
 		}
 	}
 	// Symmetric matrices derive from it.
-	a := graph.SymmetricWalkMatrix(0.9)(egs.Snapshots[egs.Len()-1])
+	a := graph.Derive(graph.SymmetricWalkMatrix(0.9), egs.Snapshots[egs.Len()-1])
 	if !a.IsSymmetric(1e-15) {
 		t.Error("derived matrix not symmetric")
 	}

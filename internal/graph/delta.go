@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the edge-delta substrate of the streaming engine: the
 // event vocabulary (EdgeEvent), a mutable graph accumulator that applies
@@ -61,25 +64,45 @@ type EdgeEvent struct {
 
 // Builder is a mutable graph accumulator: the live adjacency state of a
 // streaming engine, advanced one edge event at a time and materialized
-// into immutable snapshots on demand. Undirected builders store each
-// edge once in canonical (min, max) orientation, mirroring Graph.
+// into immutable snapshots on demand. It keeps what a Graph keeps —
+// sorted out-neighbour lists, mirrored for undirected graphs — so a
+// snapshot is a copy of list headers and neighbourhoods are direct
+// reads.
+//
+// A stored list is never written again: an edge change replaces the
+// lists of the vertices it touches. Snapshots therefore share lists with
+// the builder, and the builder can keep, for the price of a header per
+// touched vertex, the state its last batch started from (Before, Undo)
+// next to the edges that batch changed (Changed).
 type Builder struct {
 	n        int
 	directed bool
-	adj      []map[int]struct{} // adj[u] = out-neighbours (canonical for undirected)
+	adj      [][]int // adj[u]: sorted out-neighbours, immutable once stored
+	inDeg    []int
 	edges    int
+
+	// The last batch's journal.
+	changed []EdgeEvent // events that changed the edge set, storage orientation, in order
+	touched []int       // vertices whose list it replaced, in first-touch order
+	before  [][]int     // before[k]: touched[k]'s list when the batch began
+	slot    []int       // slot[u] = k when touched[k] == u, else -1
 }
 
 // NewBuilder returns an empty builder on n vertices.
 func NewBuilder(n int, directed bool) *Builder {
-	return &Builder{n: n, directed: directed, adj: make([]map[int]struct{}, n)}
+	return NewBuilderFrom(New(n, directed, nil))
 }
 
 // NewBuilderFrom seeds a builder with a snapshot's edge set.
 func NewBuilderFrom(g *Graph) *Builder {
-	b := NewBuilder(g.N(), g.Directed())
-	for _, e := range g.Edges() {
-		b.put(e.From, e.To)
+	b := &Builder{
+		n: g.n, directed: g.directed, edges: g.edges,
+		adj:   slices.Clone(g.adj),
+		inDeg: slices.Clone(g.inDeg),
+		slot:  make([]int, g.n),
+	}
+	for u := range b.slot {
+		b.slot[u] = -1
 	}
 	return b
 }
@@ -94,6 +117,10 @@ func (b *Builder) Directed() bool { return b.directed }
 // once).
 func (b *Builder) NumEdges() int { return b.edges }
 
+// OutNeighbors returns the sorted out-neighbour list of u (every
+// neighbour, if undirected). The slice must not be modified.
+func (b *Builder) OutNeighbors(u int) []int { return b.adj[u] }
+
 // canon maps an endpoint pair to storage orientation.
 func (b *Builder) canon(u, v int) (int, int) {
 	if !b.directed && v < u {
@@ -104,38 +131,66 @@ func (b *Builder) canon(u, v int) (int, int) {
 
 // Has reports whether the edge (u, v) is currently present.
 func (b *Builder) Has(u, v int) bool {
-	u, v = b.canon(u, v)
-	if b.adj[u] == nil {
-		return false
-	}
-	_, ok := b.adj[u][v]
+	_, ok := slices.BinarySearch(b.adj[u], v)
 	return ok
 }
 
-func (b *Builder) put(u, v int) bool {
-	u, v = b.canon(u, v)
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[int]struct{})
-	}
-	if _, ok := b.adj[u][v]; ok {
+// splice makes v a member of u's list, or not, and reports whether the
+// list changed. The first change of a batch to u's list remembers the
+// list the batch started from.
+func (b *Builder) splice(u, v int, present bool) bool {
+	old := b.adj[u]
+	k, found := slices.BinarySearch(old, v)
+	if found == present {
 		return false
 	}
-	b.adj[u][v] = struct{}{}
-	b.edges++
+	var list []int // stays nil when the last neighbour goes, as New leaves an isolated vertex
+	if present {
+		list = make([]int, 0, len(old)+1)
+		list = append(append(append(list, old[:k]...), v), old[k:]...)
+		b.inDeg[v]++
+	} else {
+		if len(old) > 1 {
+			list = make([]int, 0, len(old)-1)
+			list = append(append(list, old[:k]...), old[k+1:]...)
+		}
+		b.inDeg[v]--
+	}
+	if b.slot[u] < 0 {
+		b.slot[u] = len(b.touched)
+		b.touched = append(b.touched, u)
+		b.before = append(b.before, old)
+	}
+	b.adj[u] = list
 	return true
 }
 
-func (b *Builder) del(u, v int) bool {
+// set makes the edge (u, v) present or absent and reports whether that
+// changed the edge set.
+func (b *Builder) set(u, v int, present bool) bool {
 	u, v = b.canon(u, v)
-	if b.adj[u] == nil {
+	if !b.splice(u, v, present) {
 		return false
 	}
-	if _, ok := b.adj[u][v]; !ok {
-		return false
+	if !b.directed {
+		b.splice(v, u, present)
 	}
-	delete(b.adj[u], v)
-	b.edges--
+	op, step := EdgeDelete, -1
+	if present {
+		op, step = EdgeInsert, 1
+	}
+	b.edges += step
+	b.changed = append(b.changed, EdgeEvent{From: u, To: v, Op: op})
 	return true
+}
+
+// begin opens a new batch: the previous batch's journal is dropped.
+func (b *Builder) begin() {
+	for _, u := range b.touched {
+		b.slot[u] = -1
+	}
+	clear(b.before) // let go of the replaced lists
+	b.changed, b.touched, b.before = b.changed[:0], b.touched[:0], b.before[:0]
 }
 
 // check validates an event's endpoints. Self-loops are legal input but
@@ -152,22 +207,25 @@ func (b *Builder) check(ev EdgeEvent) error {
 	return fmt.Errorf("graph: event (%d,%d) has unknown op %d", ev.From, ev.To, uint8(ev.Op))
 }
 
-// Apply advances the builder by one event and reports whether the edge
-// set actually changed (inserting a present edge, deleting an absent
-// one, and self-loops are no-ops). The builder is unchanged on error.
+// apply advances the builder by one checked event inside the open
+// batch.
+func (b *Builder) apply(ev EdgeEvent) bool {
+	if ev.From == ev.To {
+		return false
+	}
+	return b.set(ev.From, ev.To, ev.Op != EdgeDelete) // EdgeUpdate upserts
+}
+
+// Apply advances the builder by one event — a batch of one — and
+// reports whether the edge set actually changed (inserting a present
+// edge, deleting an absent one, and self-loops are no-ops). The builder
+// is unchanged on error.
 func (b *Builder) Apply(ev EdgeEvent) (bool, error) {
 	if err := b.check(ev); err != nil {
 		return false, err
 	}
-	if ev.From == ev.To {
-		return false, nil
-	}
-	switch ev.Op {
-	case EdgeDelete:
-		return b.del(ev.From, ev.To), nil
-	default: // EdgeInsert, EdgeUpdate
-		return b.put(ev.From, ev.To), nil
-	}
+	b.begin()
+	return b.apply(ev), nil
 }
 
 // ValidateBatch checks every event against the builder's vertex range
@@ -185,32 +243,72 @@ func (b *Builder) ValidateBatch(events []EdgeEvent) error {
 
 // ApplyBatch validates every event first and then applies them in
 // order, so a malformed batch leaves the builder untouched. It returns
-// the number of events that changed the edge set.
+// the number of events that changed the edge set; Changed lists them.
 func (b *Builder) ApplyBatch(events []EdgeEvent) (int, error) {
 	if err := b.ValidateBatch(events); err != nil {
 		return 0, err
 	}
-	changed := 0
+	b.begin()
 	for _, ev := range events {
-		if ok, _ := b.Apply(ev); ok {
-			changed++
+		b.apply(ev)
+	}
+	return len(b.changed), nil
+}
+
+// Changed returns the events of the last batch (ApplyBatch, or Apply's
+// batch of one) that changed the edge set, in order and in storage
+// orientation, as EdgeInsert or EdgeDelete. An edge the batch inserted
+// and deleted again appears twice. The slice is valid until the next
+// batch.
+func (b *Builder) Changed() []EdgeEvent { return b.changed }
+
+// Before returns the state the last batch started from, valid until the
+// next batch: together with the builder itself, the two sides of the
+// batch's delta.
+func (b *Builder) Before() Adjacency { return beforeBatch{b} }
+
+type beforeBatch struct{ b *Builder }
+
+func (v beforeBatch) N() int         { return v.b.n }
+func (v beforeBatch) Directed() bool { return v.b.directed }
+func (v beforeBatch) OutNeighbors(u int) []int {
+	if k := v.b.slot[u]; k >= 0 {
+		return v.b.before[k]
+	}
+	return v.b.adj[u]
+}
+
+// Undo takes the last batch back: the builder is again what Before
+// describes, with an empty journal.
+func (b *Builder) Undo() {
+	for k, u := range b.touched {
+		b.adj[u] = b.before[k]
+	}
+	for _, ev := range b.changed {
+		step := 1
+		if ev.Op == EdgeInsert {
+			step = -1
+		}
+		b.edges += step
+		b.inDeg[ev.To] += step
+		if !b.directed {
+			b.inDeg[ev.From] += step
 		}
 	}
-	return changed, nil
+	b.begin()
 }
 
 // Graph materializes the current edge set into an immutable snapshot.
 // The result is identical (ordering included) to constructing the same
 // edge set via New, so matrices derived from streamed state are
-// bit-identical to matrices derived from pre-built snapshots.
+// bit-identical to matrices derived from pre-built snapshots. The
+// snapshot shares the builder's neighbour lists, which nothing writes.
 func (b *Builder) Graph() *Graph {
-	es := make([]Edge, 0, b.edges)
-	for u := range b.adj {
-		for v := range b.adj[u] {
-			es = append(es, Edge{From: u, To: v})
-		}
+	return &Graph{
+		n: b.n, directed: b.directed, edges: b.edges,
+		adj:   slices.Clone(b.adj),
+		inDeg: slices.Clone(b.inDeg),
 	}
-	return New(b.n, b.directed, es)
 }
 
 // Diff returns the edge events that transform prev into next: deletes

@@ -68,7 +68,7 @@ func TestUndirectedEdgesCanonical(t *testing.T) {
 
 func TestRWRMatrixColumnsSumToD(t *testing.T) {
 	g := New(4, true, []Edge{{0, 1}, {0, 2}, {1, 2}, {3, 0}})
-	a := RWRMatrix(0.85)(g)
+	a := Derive(RWRMatrix(0.85), g)
 	// Column i of A is e_i − d·W(:,i); off-diagonal column sums must be
 	// −d for non-dangling i.
 	d := a.Dense()
@@ -94,7 +94,7 @@ func TestRWRMatrixColumnsSumToD(t *testing.T) {
 
 func TestRWRMatrixEntryValue(t *testing.T) {
 	g := New(3, true, []Edge{{0, 1}, {0, 2}})
-	a := RWRMatrix(0.8)(g)
+	a := Derive(RWRMatrix(0.8), g)
 	// W(1,0) = 1/2 so A(1,0) = −0.4.
 	if got := a.At(1, 0); math.Abs(got+0.4) > 1e-15 {
 		t.Errorf("A(1,0) = %v, want -0.4", got)
@@ -106,7 +106,7 @@ func TestRWRMatrixEntryValue(t *testing.T) {
 
 func TestSymmetricWalkMatrixSymmetricAndDominant(t *testing.T) {
 	g := New(5, false, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 4}})
-	a := SymmetricWalkMatrix(0.9)(g)
+	a := Derive(SymmetricWalkMatrix(0.9), g)
 	if !a.IsSymmetric(1e-15) {
 		t.Fatal("matrix not symmetric")
 	}
@@ -126,7 +126,7 @@ func TestSymmetricWalkMatrixSymmetricAndDominant(t *testing.T) {
 
 func TestLaplacianMatrix(t *testing.T) {
 	g := New(3, false, []Edge{{0, 1}, {1, 2}})
-	a := LaplacianMatrix(0.5)(g)
+	a := Derive(LaplacianMatrix(0.5), g)
 	if got := a.At(1, 1); got != 2.5 {
 		t.Errorf("A(1,1) = %v, want 2.5", got)
 	}

@@ -2,14 +2,84 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/sparse"
 )
 
-// Deriver converts a snapshot graph into the matrix A of the linear
-// system A·x = b for some graph measure. The paper's EMS is obtained by
-// mapping a Deriver over an EGS.
-type Deriver func(*Graph) *sparse.CSR
+// Adjacency is what a Deriver reads of a graph state: a snapshot
+// (*Graph), the live accumulator (*Builder), or the accumulator as it
+// stood before its last batch (Builder.Before). For undirected states
+// OutNeighbors(u) lists every neighbour of u, so its length is u's
+// degree.
+type Adjacency interface {
+	N() int
+	Directed() bool
+	// OutNeighbors returns u's sorted out-neighbours; the slice must not
+	// be modified.
+	OutNeighbors(u int) []int
+}
+
+// Deriver defines the matrix A of the linear system A·x = b of some
+// graph measure, one column at a time. Derive maps the definition over
+// every column of a snapshot (the paper's EMS is Derive mapped over an
+// EGS); the streaming engine evaluates only the columns an edge batch
+// dirtied, before and after the batch. Both go through Column, so a
+// streamed matrix and a derived one cannot round differently.
+//
+// A Deriver must be a pure function of the adjacency it is shown:
+// WAL replay and recovery rest on it.
+type Deriver interface {
+	// Column appends column i of A to rows and vals — the row indices of
+	// its stored entries in ascending order, and their values — and
+	// returns the grown slices.
+	Column(g Adjacency, i int, rows []int, vals []float64) ([]int, []float64)
+	// Dirty calls mark for every column that may differ between a state
+	// without the edge (u, v) and g, a state with it (or the other way
+	// round), given in storage orientation (u < v when undirected).
+	// Marking too much is harmless — an unchanged column diffs to
+	// nothing — and marking a column twice is fine.
+	Dirty(g Adjacency, u, v int, mark func(col int))
+}
+
+// Derive materializes d's whole matrix for the state g: the columns,
+// appended one after the other, are the matrix stored by columns —
+// the transpose's rows — and transposing gives every row its entries in
+// ascending column order with nothing to sort.
+func Derive(d Deriver, g Adjacency) *sparse.CSR {
+	n := g.N()
+	nnz := n // the diagonal, plus one entry per neighbour: exact for the derivers here
+	for u := 0; u < n; u++ {
+		nnz += len(g.OutNeighbors(u))
+	}
+	colPtr := make([]int, n+1)
+	rows, vals := make([]int, 0, nnz), make([]float64, 0, nnz)
+	for i := 0; i < n; i++ {
+		rows, vals = d.Column(g, i, rows, vals)
+		colPtr[i+1] = len(rows)
+	}
+	at, err := sparse.CSRFromArrays(n, colPtr, rows, vals)
+	if err != nil {
+		panic(fmt.Sprintf("graph: deriver broke the Column contract: %v", err))
+	}
+	return at.Transpose()
+}
+
+// column appends one column whose off-diagonal entries sit on the
+// neighbour rows and all hold off, with diag on the diagonal, keeping
+// the rows ascending.
+func column(nbrs []int, i int, diag, off float64, rows []int, vals []float64) ([]int, []float64) {
+	k := sort.SearchInts(nbrs, i)
+	rows = append(append(append(rows, nbrs[:k]...), i), nbrs[k:]...)
+	for range nbrs[:k] {
+		vals = append(vals, off)
+	}
+	vals = append(vals, diag)
+	for range nbrs[k:] {
+		vals = append(vals, off)
+	}
+	return rows, vals
+}
 
 // RWRMatrix returns a Deriver producing A = I − d·W, where W is the
 // column-normalized adjacency matrix of the snapshot: if (i, j) is an
@@ -23,24 +93,24 @@ func RWRMatrix(d float64) Deriver {
 	if d <= 0 || d >= 1 {
 		panic(fmt.Sprintf("graph: damping factor %v outside (0,1)", d))
 	}
-	return func(g *Graph) *sparse.CSR {
-		c := sparse.NewCOO(g.N())
-		c.Reserve(g.N() + g.NumEdges())
-		// Column by column, diagonal first: every row then receives its
-		// entries in ascending column order and ToCSR has nothing to sort.
-		for i := 0; i < g.N(); i++ {
-			c.Add(i, i, 1)
-			out := g.OutNeighbors(i)
-			if len(out) == 0 {
-				continue
-			}
-			w := d / float64(len(out))
-			for _, j := range out {
-				// W(j, i) = 1/λ(i), so A(j, i) = −d/λ(i).
-				c.Add(j, i, -w)
-			}
-		}
-		return c.ToCSR()
+	return rwr{d}
+}
+
+type rwr struct{ d float64 }
+
+func (m rwr) Column(g Adjacency, i int, rows []int, vals []float64) ([]int, []float64) {
+	out := g.OutNeighbors(i)
+	// W(j, i) = 1/λ(i), so A(j, i) = −d/λ(i); a dangling vertex has no
+	// off-diagonal entry to give the quotient to.
+	w := m.d / float64(len(out))
+	return column(out, i, 1, -w, rows, vals)
+}
+
+// An edge out of u renormalizes column u, and nothing else.
+func (rwr) Dirty(g Adjacency, u, v int, mark func(int)) {
+	mark(u)
+	if !g.Directed() {
+		mark(v)
 	}
 }
 
@@ -54,33 +124,34 @@ func SymmetricWalkMatrix(d float64) Deriver {
 	if d <= 0 || d >= 1 {
 		panic(fmt.Sprintf("graph: damping factor %v outside (0,1)", d))
 	}
-	return func(g *Graph) *sparse.CSR {
-		if g.Directed() {
-			panic("graph: SymmetricWalkMatrix requires an undirected graph")
+	return symmetricWalk{d}
+}
+
+type symmetricWalk struct{ d float64 }
+
+func (m symmetricWalk) Column(g Adjacency, i int, rows []int, vals []float64) ([]int, []float64) {
+	if g.Directed() {
+		panic("graph: SymmetricWalkMatrix requires an undirected graph")
+	}
+	nbrs := g.OutNeighbors(i)
+	at := len(rows)
+	rows, vals = column(nbrs, i, 1, 0, rows, vals)
+	for p := at; p < len(rows); p++ {
+		if j := rows[p]; j != i {
+			vals[p] = -m.d / float64(max(len(nbrs), len(g.OutNeighbors(j))))
 		}
-		c := sparse.NewCOO(g.N())
-		c.Reserve(g.N() + 2*g.NumEdges())
-		// Vertex by vertex, diagonal first: row i has its lower entries
-		// from the earlier vertices, then the diagonal, then its upper
-		// entries — ascending, so ToCSR has nothing to sort.
-		for i := 0; i < g.N(); i++ {
-			c.Add(i, i, 1)
-			di := g.OutDegree(i)
-			for _, j := range g.OutNeighbors(i) {
-				if j < i {
-					continue // each undirected edge once
-				}
-				dj := g.OutDegree(j)
-				m := di
-				if dj > m {
-					m = dj
-				}
-				w := -d / float64(m)
-				c.Add(i, j, w)
-				c.Add(j, i, w)
-			}
+	}
+	return rows, vals
+}
+
+// An edge changes both endpoints' degrees, which every entry shared
+// with a neighbour is normalized by.
+func (symmetricWalk) Dirty(g Adjacency, u, v int, mark func(int)) {
+	for _, x := range [2]int{u, v} {
+		mark(x)
+		for _, j := range g.OutNeighbors(x) {
+			mark(j)
 		}
-		return c.ToCSR()
 	}
 }
 
@@ -92,20 +163,22 @@ func LaplacianMatrix(eps float64) Deriver {
 	if eps <= 0 {
 		panic("graph: LaplacianMatrix requires eps > 0")
 	}
-	return func(g *Graph) *sparse.CSR {
-		if g.Directed() {
-			panic("graph: LaplacianMatrix requires an undirected graph")
-		}
-		c := sparse.NewCOO(g.N())
-		c.Reserve(g.N() + 2*g.NumEdges())
-		for i := 0; i < g.N(); i++ {
-			c.Add(i, i, float64(g.OutDegree(i))+eps)
-			for _, j := range g.OutNeighbors(i) {
-				c.Add(i, j, -1)
-			}
-		}
-		return c.ToCSR()
+	return laplacian{eps}
+}
+
+type laplacian struct{ eps float64 }
+
+func (m laplacian) Column(g Adjacency, i int, rows []int, vals []float64) ([]int, []float64) {
+	if g.Directed() {
+		panic("graph: LaplacianMatrix requires an undirected graph")
 	}
+	nbrs := g.OutNeighbors(i)
+	return column(nbrs, i, float64(len(nbrs))+m.eps, -1, rows, vals)
+}
+
+func (laplacian) Dirty(g Adjacency, u, v int, mark func(int)) {
+	mark(u)
+	mark(v)
 }
 
 // EMS is an evolving matrix sequence: the image of an EGS under a
@@ -118,7 +191,7 @@ type EMS struct {
 func DeriveEMS(s *EGS, d Deriver) *EMS {
 	ms := make([]*sparse.CSR, s.Len())
 	for i, g := range s.Snapshots {
-		ms[i] = d(g)
+		ms[i] = Derive(d, g)
 	}
 	return &EMS{Matrices: ms}
 }

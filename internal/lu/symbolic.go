@@ -72,6 +72,49 @@ func Symbolic(p *sparse.Pattern) *SymbolicLU {
 	return s
 }
 
+// SymbolicFromElimination assembles the symbolic pattern out of what a
+// symbolic elimination sees on its way: lcol[k] holds the rows of pivot
+// k's active column and urow[k] the columns of its active row when k is
+// eliminated — exactly column k of L and row k of U — as pivot positions
+// (all > k) in any order. An ordering that was computed by eliminating a
+// pattern (order.Markowitz, order.MinDegree) therefore hands over the
+// structure Symbolic would recompute from the permuted pattern, and the
+// elimination is paid once. The lists are only read; they may alias each
+// other (a symmetric elimination passes the same lists twice).
+func SymbolicFromElimination(lcol, urow [][]int) *SymbolicLU {
+	return &SymbolicLU{
+		n:     len(lcol),
+		lrows: transposeLists(lcol),
+		urows: transposeLists(transposeLists(urow)),
+	}
+}
+
+// transposeLists returns, for every index j, the ascending list of k
+// with j in lists[k] — a counting sort, so transposing twice sorts each
+// list. The result is carved from one array.
+func transposeLists(lists [][]int) [][]int {
+	start := make([]int, len(lists)+1)
+	for _, l := range lists {
+		for _, j := range l {
+			start[j+1]++
+		}
+	}
+	for j := range lists {
+		start[j+1] += start[j]
+	}
+	back := make([]int, start[len(lists)])
+	out := make([][]int, len(lists))
+	for j := range out {
+		out[j] = back[start[j]:start[j]:start[j+1]]
+	}
+	for k, l := range lists {
+		for _, j := range l {
+			out[j] = append(out[j], k)
+		}
+	}
+	return out
+}
+
 // N returns the matrix dimension.
 func (s *SymbolicLU) N() int { return s.n }
 

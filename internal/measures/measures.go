@@ -36,7 +36,7 @@ type Engine struct {
 // convenience uses the natural ordering of lu.FactorizeOrdered when
 // ord is nil).
 func NewEngine(g *graph.Graph, d float64, ord *sparse.Ordering) (*Engine, error) {
-	a := graph.RWRMatrix(d)(g)
+	a := graph.Derive(graph.RWRMatrix(d), g)
 	o := sparse.IdentityOrdering(g.N())
 	if ord != nil {
 		o = *ord
@@ -252,7 +252,7 @@ func MonteCarloRWR(g *graph.Graph, d float64, u int, walks, maxSteps int, rng *x
 // "repeatedly applying GE for each input b" strawman of §1. Used only
 // by the tblSolve experiment.
 func SolveFreshGE(g *graph.Graph, d float64, b []float64) ([]float64, error) {
-	a := graph.RWRMatrix(d)(g)
+	a := graph.Derive(graph.RWRMatrix(d), g)
 	s, err := lu.FactorizeOrdered(a, sparse.IdentityOrdering(g.N()))
 	if err != nil {
 		return nil, err

@@ -32,9 +32,9 @@ func unionPattern(t *testing.T, egs *graph.EGS, err error, derive graph.Deriver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := derive(egs.Snapshots[0]).Pattern()
+	u := graph.Derive(derive, egs.Snapshots[0]).Pattern()
 	for _, g := range egs.Snapshots[1:] {
-		u = u.Union(derive(g).Pattern())
+		u = u.Union(graph.Derive(derive, g).Pattern())
 	}
 	return u
 }

@@ -1,6 +1,9 @@
 package order
 
-import "repro/internal/sparse"
+import (
+	"repro/internal/lu"
+	"repro/internal/sparse"
+)
 
 // Markowitz computes the Markowitz ordering O*(A) of a pattern with a
 // structurally non-zero diagonal (the evolving-graph matrices always
@@ -11,7 +14,8 @@ import "repro/internal/sparse"
 //
 // The computation is a full symbolic elimination — "generally as
 // expensive as doing a Gaussian Elimination" as the paper notes (§3) —
-// and SSPSize of the result is exactly |s̃p(A*)|.
+// so the result carries what that elimination produced: Symbolic is
+// s̃p(A*) and SSPSize its size.
 func Markowitz(p *sparse.Pattern) Result {
 	return eliminate(p, false)
 }
@@ -138,6 +142,11 @@ func drop(list []int, v int) []int {
 // sequence does not depend on how the graph or the heap store things:
 // stale heap entries are skipped on pop (lazy deletion), and every live
 // vertex always has an entry carrying its current cost.
+//
+// A pivot's active row and column are row k of U and column k of L, so
+// they are kept as the structure instead of dropped; the lists are
+// mapped to pivot positions at the end and handed to
+// lu.SymbolicFromElimination, which sorts them.
 func eliminate(p *sparse.Pattern, symmetric bool) Result {
 	n := p.N()
 	g := newElimGraph(p, symmetric)
@@ -168,6 +177,13 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 	}
 
 	pivots := make([]int, 0, n)
+	// urow[k], lcol[k]: pivot k's active row and column, as vertices
+	// until the pivot positions are known.
+	urow := make([][]int, n)
+	lcol := urow
+	if !symmetric {
+		lcol = make([][]int, n)
+	}
 	sspSize := 0
 	for len(pivots) < n {
 		cand := h.Pop()
@@ -175,9 +191,18 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 		if eliminated[v] || cand.cost != curCost[v] {
 			continue // stale heap entry (lazy deletion)
 		}
+		if m := n - len(pivots); cand.cost == (m-1)*(m-1) {
+			// The cheapest of m live vertices reaches all m-1 others, so
+			// every one does: the active submatrix is full. From here each
+			// elimination lowers every cost alike and creates no fill, so
+			// (cost, index) order is index order.
+			break
+		}
 		eliminated[v] = true
+		k := len(pivots)
 		pivots = append(pivots, v)
 		r, c := g.row[v], g.col[v]
+		urow[k], lcol[k] = r, c
 		sspSize += len(r) + len(c) + 1
 
 		// Fill: every active (i, v) × (v, j) pair creates (i, j). Marking
@@ -187,14 +212,14 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 			g.stamp++
 			g.mark[i] = g.stamp // the diagonal (i, i) is always present
 			ri := g.row[i]
-			for k := 0; k < len(ri); {
-				if ri[k] == v {
-					ri[k] = ri[len(ri)-1]
+			for x := 0; x < len(ri); {
+				if ri[x] == v {
+					ri[x] = ri[len(ri)-1]
 					ri = ri[:len(ri)-1]
 					continue
 				}
-				g.mark[ri[k]] = g.stamp
-				k++
+				g.mark[ri[x]] = g.stamp
+				x++
 			}
 			for _, j := range r {
 				if g.mark[j] != g.stamp {
@@ -218,5 +243,40 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 			recost(c)
 		}
 	}
-	return Result{Ordering: sparse.SymmetricOrdering(pivots), SSPSize: sspSize}
+
+	// The lists kept so far name vertices; the dense tail's are written
+	// as positions straight away: pivot k of the tail reaches exactly
+	// the positions after it, a suffix of one shared run.
+	sparsePivots := len(pivots)
+	for v := 0; v < n; v++ {
+		if !eliminated[v] {
+			pivots = append(pivots, v)
+		}
+	}
+	pos := sparse.Perm(pivots).Inverse()
+	for k := 0; k < sparsePivots; k++ {
+		for x, v := range urow[k] {
+			urow[k][x] = pos[v]
+		}
+		if !symmetric {
+			for x, v := range lcol[k] {
+				lcol[k][x] = pos[v]
+			}
+		}
+	}
+	if m := n - sparsePivots; m > 0 {
+		after := make([]int, m-1)
+		for x := range after {
+			after[x] = sparsePivots + 1 + x
+		}
+		for k := sparsePivots; k < n; k++ {
+			urow[k], lcol[k] = after[k-sparsePivots:], after[k-sparsePivots:]
+		}
+		sspSize += m * m
+	}
+	return Result{
+		Ordering: sparse.SymmetricOrdering(pivots),
+		SSPSize:  sspSize,
+		Symbolic: lu.SymbolicFromElimination(lcol, urow),
+	}
 }

@@ -3,7 +3,6 @@ package order
 import (
 	"sort"
 
-	"repro/internal/lu"
 	"repro/internal/sparse"
 )
 
@@ -89,6 +88,5 @@ func RCM(p *sparse.Pattern) Result {
 	for i, j := 0, len(orderOut)-1; i < j; i, j = i+1, j-1 {
 		orderOut[i], orderOut[j] = orderOut[j], orderOut[i]
 	}
-	o := sparse.SymmetricOrdering(orderOut)
-	return Result{Ordering: o, SSPSize: lu.SymbolicSize(p, o)}
+	return given(p, sparse.SymmetricOrdering(orderOut))
 }

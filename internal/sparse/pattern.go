@@ -161,6 +161,52 @@ func (p *Pattern) Equal(q *Pattern) bool {
 	return true
 }
 
+// With returns p ∪ add for positions add, none of them in p, given in
+// row-major order; Without returns p ∖ drop for positions drop, all of
+// them in p, in the same order. Both copy the untouched stretches of the
+// index array whole — the incremental cluster tracker's way of moving a
+// bounding pattern by the handful of positions a batch changed.
+func (p *Pattern) With(add []Coord) *Pattern { return p.edit(add, true) }
+
+// Without is With's inverse; see there.
+func (p *Pattern) Without(drop []Coord) *Pattern { return p.edit(drop, false) }
+
+func (p *Pattern) edit(coords []Coord, insert bool) *Pattern {
+	size := len(p.colIdx) - len(coords)
+	if insert {
+		size = len(p.colIdx) + len(coords)
+	}
+	rowPtr := make([]int, p.n+1)
+	colIdx := make([]int, 0, size)
+	from := 0 // p.colIdx[:from] is dealt with
+	for _, c := range coords {
+		row := p.Row(c.Row)
+		k := p.rowPtr[c.Row] + sort.SearchInts(row, c.Col)
+		colIdx = append(colIdx, p.colIdx[from:k]...)
+		from = k
+		if insert {
+			colIdx = append(colIdx, c.Col)
+		} else {
+			from++
+		}
+	}
+	colIdx = append(colIdx, p.colIdx[from:]...)
+	// Row i starts where it did, shifted by the edits in earlier rows.
+	shift, k := 0, 0
+	for i := 0; i < p.n; i++ {
+		rowPtr[i] = p.rowPtr[i] + shift
+		for ; k < len(coords) && coords[k].Row == i; k++ {
+			if insert {
+				shift++
+			} else {
+				shift--
+			}
+		}
+	}
+	rowPtr[p.n] = len(colIdx)
+	return &Pattern{n: p.n, rowPtr: rowPtr, colIdx: colIdx}
+}
+
 // Coords returns all positions of the pattern in row-major order.
 func (p *Pattern) Coords() []Coord {
 	out := make([]Coord, 0, p.Size())
@@ -198,9 +244,14 @@ func (p *Pattern) Permute(o Ordering) *Pattern {
 // It is 1 for identical patterns and 0 for disjoint ones. Two empty
 // patterns are defined to have similarity 1.
 func MES(a, b *Pattern) float64 {
-	sa, sb := a.Size(), b.Size()
-	if sa+sb == 0 {
+	return MESOfSizes(a.IntersectSize(b), a.Size(), b.Size())
+}
+
+// MESOfSizes is MES for callers that know the three set sizes without
+// holding the patterns: common = |sp(Aa) ∩ sp(Ab)|.
+func MESOfSizes(common, sizeA, sizeB int) float64 {
+	if sizeA+sizeB == 0 {
 		return 1
 	}
-	return 2 * float64(a.IntersectSize(b)) / float64(sa+sb)
+	return 2 * float64(common) / float64(sizeA+sizeB)
 }

@@ -169,3 +169,34 @@ func TestPermApplyScatterInverse(t *testing.T) {
 		t.Error("Scatter(Apply(x)) != x")
 	}
 }
+
+// TestPatternWithWithout: moving a pattern by a few positions gives the
+// pattern NewPattern builds from the moved set, empty edits and edits at
+// both ends of the index array included.
+func TestPatternWithWithout(t *testing.T) {
+	rng := xrand.New(314)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		p := randomPattern(rng, n, rng.Intn(3*n))
+		var add, drop, kept []Coord
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				c := Coord{Row: i, Col: j}
+				switch has, pick := p.Has(i, j), rng.Intn(4) == 0; {
+				case has && pick:
+					drop = append(drop, c)
+				case has:
+					kept = append(kept, c)
+				case pick:
+					add = append(add, c)
+				}
+			}
+		}
+		if got, want := p.With(add), NewPattern(n, append(p.Coords(), add...)); !got.Equal(want) {
+			t.Fatalf("trial %d: With(%v) = %v, want %v", trial, add, got.Coords(), want.Coords())
+		}
+		if got, want := p.Without(drop), NewPattern(n, kept); !got.Equal(want) {
+			t.Fatalf("trial %d: Without(%v) = %v, want %v", trial, drop, got.Coords(), want.Coords())
+		}
+	}
+}
