@@ -36,7 +36,7 @@ import (
 // leaves a machine-readable artifact behind.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	d, err := bench.DatasetsFor(bench.Tiny)
+	d, err := bench.DatasetsFor(gen.Tiny)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func benchExperiment(b *testing.B, id string) {
 			}
 			b.StopTimer()
 			report := bench.NewReport()
-			report.Add(e, bench.Tiny, d.Workers, elapsed, allocs, bytes, tables)
+			report.Add(e, gen.Tiny, d.Workers, elapsed, allocs, bytes, tables)
 			if err := bench.WriteJSON(bench.ArtifactPath(jsonDir, id), report); err != nil {
 				b.Fatal(err)
 			}
@@ -83,32 +83,10 @@ func BenchmarkFig11PatentCaseStudy(b *testing.B) { benchExperiment(b, "fig11") }
 func BenchmarkTblSolveMethods(b *testing.B)      { benchExperiment(b, "tblSolve") }
 func BenchmarkTblBennettProfile(b *testing.B)    { benchExperiment(b, "tblBennett") }
 
-// BenchmarkServingQueries runs the serving-layer experiment: mixed
-// RWR/PPR/PageRank/top-k queries against pinned factors across pool
-// sizes (see internal/bench.Serving).
-func BenchmarkServingQueries(b *testing.B) { benchExperiment(b, "serving") }
-
 // BenchmarkSparseSolveQueries runs the reach-based sparse vs dense
 // solve experiment across community counts (see
 // internal/bench.SparseSolve).
 func BenchmarkSparseSolveQueries(b *testing.B) { benchExperiment(b, "sparsesolve") }
-
-// BenchmarkStreamingIngest runs the live edge-delta pipeline
-// experiment: ingest throughput vs concurrent query latency vs batch
-// size, plus the hot-publish vs RetainFactors-clone allocation profile
-// (see internal/bench.Streaming).
-func BenchmarkStreamingIngest(b *testing.B) { benchExperiment(b, "streaming") }
-
-// BenchmarkPersistenceRestart regenerates the durability experiment:
-// warm restart (snapshot + WAL tail) vs cold refactorization, and the
-// WAL fsync toll on ingest.
-func BenchmarkPersistenceRestart(b *testing.B) { benchExperiment(b, "persistence") }
-
-// BenchmarkLoadTestServing runs the serving pipeline load experiment:
-// single-flight coalescing, blocked multi-RHS solves, and admission
-// shedding in the one production configuration, under open-loop
-// overload (see internal/bench.LoadTest).
-func BenchmarkLoadTestServing(b *testing.B) { benchExperiment(b, "loadtest") }
 
 // BenchmarkSupernodalSubstitution runs the supernodal panel experiment:
 // panel-packed vs scalar blocked substitution across community

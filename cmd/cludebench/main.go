@@ -1,12 +1,13 @@
 // Command cludebench regenerates the paper's tables and figures on the
-// simulated datasets.
+// simulated datasets, and runs the kernel probes that guard the solve
+// route constants (parallel, sparsesolve, supernodal, history). The
+// server is measured by benchmark/ alone.
 //
 // Usage:
 //
 //	cludebench -exp fig7 -scale medium
 //	cludebench -exp all  -scale small
-//	cludebench -exp serving -json results.json
-//	cludebench -compare baseline.json current.json
+//	cludebench -exp supernodal -json results.json
 //	cludebench -list
 //
 // Every experiment prints one or more aligned text tables carrying the
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/gen"
 )
 
 func main() {
@@ -28,7 +30,6 @@ func main() {
 		exp      = flag.String("exp", "all", "experiment id (see -list) or \"all\"")
 		scale    = flag.String("scale", "small", "dataset scale: small | medium | paper")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		compare  = flag.Bool("compare", false, "compare two BENCH_*.json reports (args: baseline.json current.json) and exit")
 		workers  = flag.Int("workers", 1, "engine worker pool per run: 1 = paper-faithful sequential, 0 = GOMAXPROCS")
 		jsonPath = flag.String("json", "", "also write every result to this JSON file (machine-readable; the CI artifact format)")
 	)
@@ -41,25 +42,7 @@ func main() {
 		return
 	}
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-compare wants exactly two arguments: baseline.json current.json"))
-		}
-		old, err := bench.ReadReport(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		cur, err := bench.ReadReport(flag.Arg(1))
-		if err != nil {
-			fatal(err)
-		}
-		if bench.Compare(old, cur, os.Stdout) == 0 {
-			fatal(fmt.Errorf("no comparable tables between %s and %s", flag.Arg(0), flag.Arg(1)))
-		}
-		return
-	}
-
-	d, err := bench.DatasetsFor(bench.Scale(*scale))
+	d, err := bench.DatasetsFor(gen.Scale(*scale))
 	if err != nil {
 		fatal(err)
 	}
@@ -88,7 +71,7 @@ func main() {
 		}
 		fmt.Printf("\n[%s completed in %v, %d allocs, %s]\n",
 			e.ID, elapsed.Round(time.Millisecond), allocs, fmtBytes(bytes))
-		report.Add(e, bench.Scale(*scale), d.Workers, elapsed, allocs, bytes, tables)
+		report.Add(e, gen.Scale(*scale), d.Workers, elapsed, allocs, bytes, tables)
 	}
 	if *jsonPath != "" {
 		if err := bench.WriteJSON(*jsonPath, report); err != nil {

@@ -12,22 +12,21 @@
 //     /v1/update, are grouped into versioned batches, and each
 //     committed batch is hot-published into the serving layer without
 //     copying the factors (see docs/STREAMING.md). Latest-state queries
-//     answer from the live factors; -checkpoint k additionally pins a
-//     clone every k versions so recent history stays queryable by
-//     snapshot. -history-base k replaces that clone-per-checkpoint
-//     retention with delta-compressed history: only every k-th version
-//     (plus structural rebuilds) is pinned as a full clone, and any
-//     version in between is materialized on demand by replaying its
-//     recorded Bennett rank-1 deltas from the nearest base —
-//     bit-identical factors at a fraction of the resident bytes.
-//     -history-budget bounds the bytes the LRU of materialized
+//     answer from the live factors; -history-base k additionally keeps
+//     past versions queryable by snapshot as delta-compressed history:
+//     every k-th version (plus structural rebuilds) is pinned as a
+//     full clone, and any version in between is materialized on demand
+//     by replaying its recorded Bennett rank-1 deltas from the nearest
+//     base — bit-identical factors at a fraction of the resident
+//     bytes. -history-budget bounds the bytes the LRU of materialized
 //     versions may hold; /v1/snapshots marks each answerable version
-//     "resident" or "materializable".
+//     "resident" or "materializable". Without it (the default) a
+//     streamed version is answerable only while it is the head.
 //
 // Usage:
 //
 //	cludeserve -addr :8080 -scale small -alpha 0.95
-//	cludeserve -stream -alg CLUDE -batch 64 -flush-ms 200 -checkpoint 32
+//	cludeserve -stream -alg CLUDE -batch 64 -flush-ms 200
 //	cludeserve -stream -history-base 16 -history-budget 268435456
 //	cludeserve -stream -data-dir /var/lib/clude -fsync always -snapshot-every 32
 //
@@ -42,9 +41,9 @@
 // queried.
 //
 // The HTTP surface is the versioned /v1 API of internal/api (see
-// docs/API.md for the endpoint and metric reference); the bare legacy
-// paths (/query, /update, /snapshots, /stats) alias the same handlers.
-// Every subsystem's counters are exported both as JSON (/v1/stats) and
+// docs/API.md for the endpoint and metric reference) and nothing else:
+// any other path answers 404 in the JSON error envelope. Every
+// subsystem's counters are exported both as JSON (/v1/stats) and
 // as Prometheus text exposition (/v1/metrics) from one shared registry,
 // including per-stage latency histograms of the query pipeline
 // (resolve/coalesce/admit/batch/solve) and — in streaming mode — the
@@ -93,7 +92,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -108,6 +106,10 @@ import (
 // version identifies the build in clude_build_info and the startup
 // log line; override with -ldflags "-X main.version=v1.2.3".
 var version = "dev"
+
+// damping is the damping factor d of the matrices the server factors
+// and the measures it answers (the paper's 0.85).
+const damping = 0.85
 
 // options holds every command-line setting of cludeserve.
 type options struct {
@@ -125,7 +127,6 @@ type options struct {
 	algName    string
 	batchSize  int
 	flushMS    int
-	checkpoint int
 	histBase   int
 	histBudget int64
 
@@ -159,8 +160,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.algName, "alg", "CLUDE", "streaming maintenance strategy: BF | INC | CINC | CLUDE")
 	fs.IntVar(&o.batchSize, "batch", 64, "streaming: events per ingest batch")
 	fs.IntVar(&o.flushMS, "flush-ms", 200, "streaming: max linger before a partial batch commits (0 = size-only)")
-	fs.IntVar(&o.checkpoint, "checkpoint", 0, "streaming: pin a factor clone every k versions (0 = never)")
-	fs.IntVar(&o.histBase, "history-base", 0, "streaming: delta-compressed history — pin a base clone every k versions and serve the versions between them by Bennett delta replay (0 = disabled; replaces -checkpoint)")
+	fs.IntVar(&o.histBase, "history-base", 0, "streaming: delta-compressed history — pin a base clone every k versions and serve the versions between them by Bennett delta replay (0 = keep no past version)")
 	fs.Int64Var(&o.histBudget, "history-budget", 0, "streaming: byte budget for LRU-cached materialized history versions (0 = 64 MiB default)")
 
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: WAL + factor snapshots (streaming), snapshot spill (both modes); empty = memory only")
@@ -201,7 +201,7 @@ func main() {
 		}()
 	}
 
-	d, err := bench.DatasetsFor(bench.Scale(o.scale))
+	d, err := gen.ConfigsFor(gen.Scale(o.scale))
 	if err != nil {
 		fatal(err)
 	}
@@ -232,7 +232,7 @@ func main() {
 		MaxSnapshots: snapshotBound(o.maxSnaps, egs.Len()),
 		Workers:      o.workers,
 		CacheSize:    o.cacheSize,
-		Damping:      d.Damping,
+		Damping:      damping,
 		QueueDepth:   o.queueLen,
 		QueryTimeout: o.queryTO,
 		Tracer:       tracer,
@@ -270,7 +270,7 @@ func main() {
 	var stream *core.Stream
 	var batcher *core.Batcher
 	if o.streaming {
-		stream, batcher, err = startStream(eng, st, reg, tracer, egs, d.Damping, o)
+		stream, batcher, err = startStream(eng, st, reg, tracer, egs, o)
 		if err == nil {
 			// katz queries answer from the live builder's graph.
 			eng.AttachGraphs(api.StreamGraphs(stream))
@@ -452,7 +452,7 @@ func factorOffline(eng pinStore, scfg serve.Config, egs *graph.EGS, alpha float6
 // layer's live source, and return the ingest batcher POST /v1/update
 // feeds. A fatal dataset mismatch aside, a recovered boot serves the
 // exact factors the crashed process last published.
-func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, egs *graph.EGS, damping float64, o *options) (*core.Stream, *core.Batcher, error) {
+func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, egs *graph.EGS, o *options) (*core.Stream, *core.Batcher, error) {
 	cfg := core.StreamConfig{
 		Algorithm: core.Algorithm(strings.ToUpper(o.algName)),
 		Alpha:     o.alpha,
@@ -461,16 +461,12 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 		OnStage:   api.IngestStageHook(reg),
 		OnBatch:   api.IngestTraceHook(tracer),
 	}
-	switch {
-	case o.histBase > 0:
+	if o.histBase > 0 {
 		// Delta-compressed history: bases pin every histBase versions,
 		// everything between is materialized on demand by replaying the
-		// recorded Bennett deltas. Subsumes -checkpoint.
-		if o.checkpoint > 0 {
-			slog.Warn("-history-base set; ignoring -checkpoint (history pins its own bases)")
-		}
+		// recorded Bennett deltas.
 		if st != nil {
-			// Seed BEFORE OpenStream: WAL replay re-fires OnHistory, and
+			// Seed BEFORE OpenStream: WAL replay re-fires OnPublish, and
 			// those records must land on top of the persisted window
 			// rather than reset it.
 			eng.SeedHistory(st.LoadHistory())
@@ -479,9 +475,7 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 			// records are rewritten away at the next snapshot cycle.
 			eng.OnHistoryTrim(st.TrimHistory)
 		}
-		cfg.OnHistory = eng.HistoryHook()
-	case o.checkpoint > 0:
-		cfg.OnPublish = eng.CheckpointEvery(uint64(o.checkpoint))
+		cfg.OnPublish = eng.HistoryHook()
 	}
 	t0 := time.Now()
 	var stream *core.Stream
@@ -508,7 +502,7 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 		}
 	}
 	eng.AttachLive(stream)
-	retention := fmt.Sprintf("checkpoint every %d", o.checkpoint)
+	retention := "none"
 	if o.histBase > 0 {
 		retention = fmt.Sprintf("history base every %d", o.histBase)
 	}

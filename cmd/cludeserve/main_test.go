@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/gen"
 	"repro/internal/lu"
 	"repro/internal/serve"
@@ -59,13 +58,15 @@ func TestBenchmarkPinnedFlagsParse(t *testing.T) {
 	}
 }
 
-// TestRouteKnobFlagsAreGone: the solve route is the solver's decision;
-// the three flags that used to steer it must be rejected as unknown,
-// and the flag count stays what the docs say.
+// TestRouteKnobFlagsAreGone: the solve route is the solver's decision
+// and a streamed version is kept one way (-history-base); the three
+// flags that used to steer the first and the one that was the second
+// way must be rejected as unknown, and the flag count stays what the
+// docs say.
 func TestRouteKnobFlagsAreGone(t *testing.T) {
 	// Spelled in pieces so a grep for the retired names finds only the
 	// changelog.
-	for _, words := range [][]string{{"sparse", "frac"}, {"solve", "batch"}, {"panel", "min", "width"}} {
+	for _, words := range [][]string{{"sparse", "frac"}, {"solve", "batch"}, {"panel", "min", "width"}, {"checkpoint"}} {
 		name := strings.Join(words, "-")
 		fs, _ := newFlagSet()
 		err := fs.Parse([]string{"-" + name, "1"})
@@ -76,8 +77,8 @@ func TestRouteKnobFlagsAreGone(t *testing.T) {
 	fs, _ := newFlagSet()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 24 {
-		t.Errorf("cludeserve defines %d flags, want 24", n)
+	if n != 23 {
+		t.Errorf("cludeserve defines %d flags, want 23", n)
 	}
 }
 
@@ -110,7 +111,7 @@ var pinnedLine = regexp.MustCompile(`msg="pinned snapshots" count=(\d+) .* clust
 // way the retained snapshots carry exactly the factor bits of a
 // keep-everything run and answer exactly what it answers.
 func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
-	d, err := bench.DatasetsFor(bench.Tiny)
+	d, err := gen.ConfigsFor(gen.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 	// run returns the store and the log line's count, clusters,
 	// decomposed_clusters and decomposed_snapshots.
 	run := func(scfg serve.Config) (fingerprintStore, [4]int) {
-		scfg.Damping, scfg.Workers = d.Damping, 1
+		scfg.Damping, scfg.Workers = damping, 1
 		eng := fingerprintStore{serve.New(scfg), map[int]string{}}
 		t.Cleanup(eng.Close)
 		logged.Reset()

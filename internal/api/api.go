@@ -3,8 +3,7 @@
 // re-registers every subsystem's counters into one metrics.Registry so
 // /v1/stats and /v1/metrics are two renderings of the same state.
 //
-// Routes (all also reachable at their bare legacy paths, which are
-// aliases of the same handlers — bit-identical responses):
+// Routes (/v1 is the only surface):
 //
 //	GET|POST /v1/query      proximity-measure queries (docs/API.md)
 //	POST     /v1/update     edge-delta ingestion (streaming mode)
@@ -18,7 +17,8 @@
 // Errors are always the envelope {"error":{"code":"...","message":"..."}}
 // with a machine-readable code (bad_request, not_found,
 // method_not_allowed, overloaded, unavailable); a wrong HTTP method is
-// 405 with an Allow header listing what the route accepts.
+// 405 with an Allow header listing what the route accepts, and a path
+// the table does not route is 404 not_found like any other.
 package api
 
 import (
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -88,21 +89,16 @@ func New(opt Options) *Server {
 		registerTraceMetrics(reg, opt.Tracer)
 	}
 
-	route := func(path string, h http.HandlerFunc, methods ...string) {
-		gated := methodGate(h, methods...)
-		s.mux.Handle("/v1"+path, gated)
-		// The legacy unversioned path is the same handler: responses
-		// are bit-identical by construction, not by promise.
-		s.mux.Handle(path, gated)
-	}
-	route("/query", s.handleQuery, http.MethodGet, http.MethodHead, http.MethodPost)
-	route("/update", s.handleUpdate, http.MethodPost)
-	route("/snapshots", s.handleSnapshots, http.MethodGet, http.MethodHead)
-	route("/stats", s.handleStats, http.MethodGet, http.MethodHead)
-	route("/metrics", s.handleMetrics, http.MethodGet, http.MethodHead)
-	route("/healthz", s.handleHealthz, http.MethodGet, http.MethodHead)
-	route("/traces", s.handleTraces, http.MethodGet, http.MethodHead)
-	route("/traces/{id}", s.handleTraceByID, http.MethodGet, http.MethodHead)
+	s.mux.Handle("/v1/query", methodGate(s.handleQuery, http.MethodGet, http.MethodHead, http.MethodPost))
+	s.mux.Handle("/v1/update", methodGate(s.handleUpdate, http.MethodPost))
+	s.mux.Handle("/v1/snapshots", methodGate(s.handleSnapshots, http.MethodGet, http.MethodHead))
+	s.mux.Handle("/v1/stats", methodGate(s.handleStats, http.MethodGet, http.MethodHead))
+	s.mux.Handle("/v1/metrics", methodGate(s.handleMetrics, http.MethodGet, http.MethodHead))
+	s.mux.Handle("/v1/healthz", methodGate(s.handleHealthz, http.MethodGet, http.MethodHead))
+	s.mux.Handle("/v1/traces", methodGate(s.handleTraces, http.MethodGet, http.MethodHead))
+	s.mux.Handle("/v1/traces/{id}", methodGate(s.handleTraceByID, http.MethodGet, http.MethodHead))
+	// Everything else: the envelope, not net/http's text/plain 404.
+	s.mux.HandleFunc("/", s.handleUnrouted)
 	return s
 }
 
@@ -128,6 +124,19 @@ func methodGate(h http.HandlerFunc, methods ...string) http.Handler {
 		}
 		h(w, r)
 	})
+}
+
+// handleUnrouted answers a path the table does not route. A bare path
+// whose /v1 twin is routed (/query, /stats, /traces/{id}, …: the
+// spelling of clients older than the versioned API) is told where its
+// route lives.
+func (s *Server) handleUnrouted(w http.ResponseWriter, r *http.Request) {
+	twin := &http.Request{Method: r.Method, Host: r.Host, URL: &url.URL{Path: "/v1" + r.URL.Path}}
+	if _, pattern := s.mux.Handler(twin); strings.HasPrefix(pattern, "/v1/") {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no route %s: the API is versioned, use %s", r.URL.Path, twin.URL.Path))
+		return
+	}
+	writeError(w, http.StatusNotFound, fmt.Errorf("no route %s (docs/API.md lists the /v1 routes)", r.URL.Path))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -205,8 +205,7 @@ func TestUpdateAndStatsEndpoints(t *testing.T) {
 	envelope(t, bad)
 }
 
-// TestMethodDiscipline pins 405 + Allow on every route, both versioned
-// and legacy.
+// TestMethodDiscipline pins 405 + Allow on every route.
 func TestMethodDiscipline(t *testing.T) {
 	srv, _, done := liveServer(t)
 	defer done()
@@ -221,8 +220,8 @@ func TestMethodDiscipline(t *testing.T) {
 		{http.MethodPost, "/v1/stats", "GET, HEAD"},
 		{http.MethodPost, "/v1/metrics", "GET, HEAD"},
 		{http.MethodPost, "/v1/healthz", "GET, HEAD"},
-		{http.MethodGet, "/update", "POST"},
-		{http.MethodDelete, "/query", "GET, HEAD, POST"},
+		{http.MethodPost, "/v1/traces", "GET, HEAD"},
+		{http.MethodDelete, "/v1/traces/abc", "GET, HEAD"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
@@ -251,15 +250,22 @@ func TestMethodDiscipline(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasEquivalence requires the bare paths to return the
-// exact bytes their /v1 twins do — they are the same handler, and this
-// pins that no wrapper ever diverges them.
-func TestLegacyAliasEquivalence(t *testing.T) {
+// TestUnroutedPathsAnswerEnvelope pins the envelope promise on paths
+// the table does not route: 404 not_found as application/json, never
+// net/http's text/plain page; a bare path whose /v1 twin is routed names
+// the twin; and the /v1 routes themselves are untouched by the
+// catch-all.
+func TestUnroutedPathsAnswerEnvelope(t *testing.T) {
 	srv, _, done := liveServer(t)
 	defer done()
 
-	fetch := func(path string) (int, string, string) {
-		resp, err := http.Get(srv.URL + path)
+	fetch := func(method, path string) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,25 +274,62 @@ func TestLegacyAliasEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), string(b)
+		return resp.StatusCode, resp.Header.Get("Content-Type"), b
 	}
-
-	// Warm the cache so both query fetches are deterministic hits.
-	if code, _, _ := fetch("/v1/query?measure=rwr&source=3"); code != http.StatusOK {
-		t.Fatalf("warmup query failed with %d", code)
-	}
-
-	for _, path := range []string{
-		"/query?measure=rwr&source=3",  // warmed cache hit
-		"/query?measure=rwr&sorce=3",   // error envelope
-		"/query?measure=rwr&source=99", // validation error
-		"/snapshots",
+	for _, tc := range []struct {
+		method, path, twin string
+	}{
+		{http.MethodGet, "/query?measure=rwr&source=3", "/v1/query"},
+		{http.MethodPost, "/update?sync=1", "/v1/update"},
+		{http.MethodGet, "/snapshots", "/v1/snapshots"},
+		{http.MethodGet, "/stats", "/v1/stats"},
+		{http.MethodGet, "/metrics", "/v1/metrics"},
+		{http.MethodGet, "/healthz", "/v1/healthz"},
+		{http.MethodGet, "/traces", "/v1/traces"},
+		{http.MethodGet, "/traces/abc", "/v1/traces/abc"},
+		{http.MethodGet, "/v1/nope", ""},
+		{http.MethodGet, "/v1", ""},
+		{http.MethodGet, "/v1/query/extra", ""},
+		{http.MethodGet, "/", ""},
+		{http.MethodDelete, "/nope", ""},
 	} {
-		s1, ct1, b1 := fetch(path)
-		s2, ct2, b2 := fetch("/v1" + path)
-		if s1 != s2 || ct1 != ct2 || b1 != b2 {
-			t.Errorf("legacy %s diverges from /v1%s:\n status %d vs %d\n content-type %q vs %q\n body %q\n  vs %q",
-				path, path, s1, s2, ct1, ct2, b1, b2)
+		status, ct, raw := fetch(tc.method, tc.path)
+		if status != http.StatusNotFound || ct != "application/json" {
+			t.Errorf("%s %s: status %d content-type %q, want 404 application/json", tc.method, tc.path, status, ct)
+			continue
+		}
+		var body map[string]interface{}
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Errorf("%s %s: non-JSON 404 body %q", tc.method, tc.path, raw)
+			continue
+		}
+		code, msg := envelope(t, body)
+		if code != "not_found" {
+			t.Errorf("%s %s: envelope code %q, want not_found", tc.method, tc.path, code)
+		}
+		hint := "docs/API.md" // no twin to name: point at the route list
+		if tc.twin != "" {
+			hint = "use " + tc.twin
+		}
+		if !strings.Contains(msg, hint) {
+			t.Errorf("%s %s: message %q does not say %q", tc.method, tc.path, msg, hint)
+		}
+	}
+
+	// The versioned routes answer as they always did.
+	for path, want := range map[string]int{
+		"/v1/query?measure=rwr&source=3": http.StatusOK,
+		"/v1/query?measure=rwr&sorce=3":  http.StatusBadRequest,
+		"/v1/snapshots":                  http.StatusOK,
+		"/v1/healthz":                    http.StatusOK,
+		"/v1/traces":                     http.StatusNotFound, // tracing is off on this server
+	} {
+		status, ct, raw := fetch(http.MethodGet, path)
+		if status != want || ct != "application/json" {
+			t.Errorf("GET %s: status %d content-type %q, want %d application/json", path, status, ct, want)
+		}
+		if strings.Contains(string(raw), "no route") {
+			t.Errorf("GET %s fell through to the catch-all: %s", path, raw)
 		}
 	}
 }
@@ -373,7 +416,7 @@ func TestSnapshotsHistoryListing(t *testing.T) {
 		Algorithm: core.INC,
 		Initial:   g,
 		Derive:    graph.RWRMatrix(0.85),
-		OnHistory: eng.HistoryHook(),
+		OnPublish: eng.HistoryHook(),
 	})
 	if err != nil {
 		t.Fatal(err)

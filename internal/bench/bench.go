@@ -15,26 +15,10 @@ import (
 	"repro/internal/graph"
 )
 
-// Scale selects dataset sizes. Small finishes in seconds (tests, go
-// test -bench); Medium is the cmd/cludebench default and takes a few
-// minutes; Paper approaches the paper's dimensions and is only
-// practical on a beefy machine with patience.
-type Scale string
-
-// The predefined scales.
-const (
-	Tiny   Scale = "tiny" // seconds per experiment; used by go test -bench
-	Small  Scale = "small"
-	Medium Scale = "medium"
-	Paper  Scale = "paper"
-)
-
-// Datasets bundles the generator configurations for one scale.
+// Datasets is what an experiment runs on: the generator configurations
+// of one scale (gen.ConfigsFor) and the sweeps the figures plot.
 type Datasets struct {
-	Wiki      gen.WikiConfig
-	DBLP      gen.DBLPConfig
-	Synthetic gen.SyntheticConfig
-	Patent    gen.PatentConfig
+	gen.Configs
 	// Alphas is the similarity-threshold sweep of Figures 6–8;
 	// Betas the quality-requirement sweep of Figure 10; DeltaEs the
 	// edge-churn sweep of Figure 9.
@@ -49,43 +33,31 @@ type Datasets struct {
 	Workers int
 }
 
-// DatasetsFor returns the generator configurations for a scale.
-func DatasetsFor(s Scale) (Datasets, error) {
+// DatasetsFor returns the generator configurations for a scale with
+// the scale's sweeps around them.
+func DatasetsFor(s gen.Scale) (Datasets, error) {
+	c, err := gen.ConfigsFor(s)
+	if err != nil {
+		return Datasets{}, err
+	}
 	d := Datasets{
+		Configs: c,
 		Alphas:  []float64{0.90, 0.92, 0.94, 0.96, 0.98, 0.99},
 		Betas:   []float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.30},
 		Damping: 0.85,
 		Workers: 1,
 	}
 	switch s {
-	case Tiny:
-		d.Wiki = gen.WikiConfig{N: 150, T: 10, InitialEdges: 420, FinalEdges: 465, ChurnFrac: 0.25, EventRate: 0.05, Seed: 7}
-		d.DBLP = gen.DBLPConfig{N: 150, T: 10, Communities: 3, InitialPapers: 130, PapersPerDay: 1, MaxCoauthors: 4, CrossCommunity: 0.05, Seed: 11}
-		d.Synthetic = gen.SyntheticConfig{V: 150, EP: 1350, D: 5, K: 4, DeltaE: 5, T: 10, Seed: 1}
-		d.Patent = gen.PatentConfig{Companies: gen.DefaultPatentConfig().Companies, RisingCompany: 2, PatentsPerYear: 4, Years: 8, CitesPerPatent: 5, SelfCiteProb: 0.4, Seed: 17}
+	case gen.Tiny:
 		d.Alphas = []float64{0.9, 0.97}
 		d.Betas = []float64{0.05, 0.2}
 		d.DeltaEs = []int{5, 10}
-	case Small:
-		d.Wiki = gen.WikiConfig{N: 600, T: 80, InitialEdges: 1700, FinalEdges: 3000, ChurnFrac: 0.25, EventRate: 0.05, Seed: 7}
-		d.DBLP = gen.DBLPConfig{N: 600, T: 80, Communities: 3, InitialPapers: 500, PapersPerDay: 2, MaxCoauthors: 4, CrossCommunity: 0.05, Seed: 11}
-		d.Synthetic = gen.SyntheticConfig{V: 600, EP: 5400, D: 5, K: 4, DeltaE: 10, T: 60, Seed: 1}
-		d.Patent = gen.PatentConfig{Companies: gen.DefaultPatentConfig().Companies, RisingCompany: 2, PatentsPerYear: 6, Years: 21, CitesPerPatent: 5, SelfCiteProb: 0.4, Seed: 17}
+	case gen.Small:
 		d.DeltaEs = []int{5, 10, 15, 20, 25}
-	case Medium:
-		d.Wiki = gen.DefaultWikiConfig()
-		d.DBLP = gen.DefaultDBLPConfig()
-		d.Synthetic = gen.DefaultSyntheticConfig()
-		d.Patent = gen.DefaultPatentConfig()
+	case gen.Medium:
 		d.DeltaEs = []int{8, 16, 24, 32, 40}
-	case Paper:
-		d.Wiki = gen.WikiConfig{N: 20000, T: 1000, InitialEdges: 56181, FinalEdges: 138072, ChurnFrac: 0.25, EventRate: 0.02, Seed: 7}
-		d.DBLP = gen.DBLPConfig{N: 97931, T: 1000, Communities: 3, InitialPapers: 130000, PapersPerDay: 55, MaxCoauthors: 4, CrossCommunity: 0.05, Seed: 11}
-		d.Synthetic = gen.SyntheticConfig{V: 50000, EP: 450000, D: 5, K: 4, DeltaE: 500, T: 500, Seed: 1}
-		d.Patent = gen.PatentConfig{Companies: gen.DefaultPatentConfig().Companies, RisingCompany: 2, PatentsPerYear: 600, Years: 21, CitesPerPatent: 6, SelfCiteProb: 0.4, Seed: 17}
+	case gen.Paper:
 		d.DeltaEs = []int{300, 400, 500, 600, 700}
-	default:
-		return d, fmt.Errorf("bench: unknown scale %q", s)
 	}
 	return d, nil
 }
@@ -136,6 +108,12 @@ func f(v float64) string { return fmt.Sprintf("%.4g", v) }
 
 // dur formats a duration in milliseconds for table cells.
 func dur(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
+
+// durUS formats a duration in microseconds for the kernel probes'
+// latency columns (one substitution is far below dur's millisecond grid).
+func durUS(d time.Duration) string {
+	return fmt.Sprintf("%.1fus", float64(d.Nanoseconds())/1000)
+}
 
 // wikiEMS generates the Wikipedia-like EMS (directed RWR matrices).
 func wikiEMS(d Datasets) (*graph.EGS, *graph.EMS, error) {

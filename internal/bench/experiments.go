@@ -38,11 +38,7 @@ func Registry() []Experiment {
 		{"tblBennett", "Section 4 claim: list restructuring share of Bennett time", TblBennett},
 		{"ablation", "DESIGN.md §6: ordering quality and USSP slack ablations", Ablation},
 		{"parallel", "Engine: wall-clock scaling vs worker-pool size (beyond the paper)", Parallel},
-		{"serving", "Serving layer: query throughput/latency vs pool size, cache hit rate", Serving},
 		{"sparsesolve", "Serving layer: reach-based sparse vs dense solve latency vs cluster count", SparseSolve},
-		{"streaming", "Streaming engine: update throughput vs live query latency vs batch size; publish-path allocations", Streaming},
-		{"persistence", "Durability: warm restart vs cold refactorization; WAL fsync ingest cost (beyond the paper)", Persistence},
-		{"loadtest", "Serving pipeline under load: coalescing, blocked solves and shedding in the production configuration (beyond the paper)", LoadTest},
 		{"supernodal", "Query path: supernodal panel-packed vs scalar blocked substitution on community factors (beyond the paper)", Supernodal},
 		{"history", "Serving layer: delta-compressed factor history — resident bytes and materialization latency vs base spacing (beyond the paper)", History},
 	}

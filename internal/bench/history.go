@@ -12,12 +12,12 @@ import (
 )
 
 // History measures the delta-compressed version history (serve
-// Config.HistoryBase) against the clone-per-checkpoint retention it
-// replaces, on both sides of its trade:
+// Config.HistoryBase) against keeping a clone of every version, on both
+// sides of its trade:
 //
-//   - resident bytes: full clones at every version (the old
-//     CheckpointEvery(1) path) vs. base clones + the Bennett delta log
-//     at several base spacings — the memory the feature exists to save.
+//   - resident bytes: full clones at every version (base spacing 1)
+//     vs. base clones + the Bennett delta log at several base
+//     spacings — the memory the feature exists to save.
 //     A clone owns its values and shares its index structure with every
 //     other clone of the same structural run (lu.MemBytes), so both
 //     sides pay for values per retained version and for the structure
@@ -55,7 +55,7 @@ func History(d Datasets) ([]*Table, error) {
 		Algorithm: core.CLUDE, Alpha: 0.95,
 		Initial: graph.New(n, true, es),
 		Derive:  graph.RWRMatrix(d.Damping),
-		OnHistory: func(s *lu.Solver, rec bennett.VersionRecord) {
+		OnPublish: func(s *lu.Solver, rec bennett.VersionRecord) {
 			log.Record(rec)
 			recs = append(recs, rec)
 			size, structure := lu.MemBytes(s.F)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"time"
+
+	"repro/internal/gen"
 )
 
 // This file is the machine-readable side of the harness: the same
@@ -47,7 +49,7 @@ func NewReport() *Report {
 
 // Add appends one experiment's tables to the report. allocs and bytes
 // are the run's heap-allocation deltas (0 when not measured).
-func (r *Report) Add(e Experiment, scale Scale, workers int, elapsed time.Duration, allocs, bytes uint64, tables []*Table) {
+func (r *Report) Add(e Experiment, scale gen.Scale, workers int, elapsed time.Duration, allocs, bytes uint64, tables []*Table) {
 	r.Runs = append(r.Runs, RunResult{
 		Experiment:  e.ID,
 		Paper:       e.Paper,

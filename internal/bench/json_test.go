@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/gen"
 )
 
 // TestWriteJSONCreatesMissingDir pins the contract that local -json
@@ -15,7 +17,7 @@ import (
 // directory.
 func TestWriteJSONCreatesMissingDir(t *testing.T) {
 	base := t.TempDir()
-	deep := ArtifactPath(filepath.Join(base, "a", "b", "c"), "streaming")
+	deep := ArtifactPath(filepath.Join(base, "a", "b", "c"), "history")
 	if err := WriteJSON(deep, NewReport()); err != nil {
 		t.Fatalf("WriteJSON into missing nested dir: %v", err)
 	}
@@ -56,7 +58,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Add(e, Tiny, 1, 1500*time.Microsecond, 42, 4096, []*Table{{
+	r.Add(e, gen.Tiny, 1, 1500*time.Microsecond, 42, 4096, []*Table{{
 		Title:  "t",
 		Header: []string{"a", "b"},
 		Rows:   [][]string{{"1", "2"}},

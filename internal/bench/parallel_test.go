@@ -3,6 +3,8 @@ package bench
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 // scalingDatasets sizes the synthetic sequence so each cluster carries
@@ -10,7 +12,7 @@ import (
 // overhead, with far more clusters than workers.
 func scalingDatasets(t *testing.T) Datasets {
 	t.Helper()
-	d, err := DatasetsFor(Small)
+	d, err := DatasetsFor(gen.Small)
 	if err != nil {
 		t.Fatal(err)
 	}

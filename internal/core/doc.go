@@ -65,10 +65,8 @@
 // reference under a reader/writer lock instead of cloned: a serving
 // layer reads the current factors in place via View (see
 // serve.Engine.AttachLive). Batcher groups a raw event feed into
-// versioned batches; Replay re-expresses the offline sequence shape as
-// an adapter over the stream by diffing consecutive snapshots into
-// delta batches, with the same OnFactors ordering contract as Run.
-// Streaming a delta feed and replaying its materialized snapshots
-// produce bit-identical factors (see stream_test.go); details in
-// docs/STREAMING.md.
+// versioned batches. Streaming a delta feed and streaming the diffs of
+// its materialized snapshots produce bit-identical factors (the Replay
+// reference in replay_test.go, held against both in stream_test.go);
+// details in docs/STREAMING.md.
 package core

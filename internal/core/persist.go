@@ -59,8 +59,8 @@ type StreamState struct {
 // ExportState deep-copies the stream's resumable state under the read
 // lock. The factor containers are cloned (they are updated in place by
 // the next batch); everything else is immutable and shared. Exporting
-// costs one factor clone — the same price as a CheckpointEvery pin —
-// and one derivation of the matrix.
+// costs one factor clone — the same price as a history base pin — and
+// one derivation of the matrix.
 func (s *Stream) ExportState() (*StreamState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -52,10 +52,6 @@ import (
 //     StreamStats.StructRebuilds). This is the online face of CLUDE:
 //     the offline variant orders by the retrospective union of a closed
 //     cluster, which a live engine cannot know.
-//
-// The offline sequence pipeline is re-expressed on top: Replay diffs
-// consecutive snapshots of an EGS into delta batches and feeds them
-// through a Stream, preserving the OnFactors emission order contract.
 
 // ErrStreamClosed reports an Apply on a closed stream.
 var ErrStreamClosed = errors.New("core: stream closed")
@@ -77,27 +73,26 @@ type StreamConfig struct {
 	// Derive turns each graph state into the matrix whose factors the
 	// stream maintains (required).
 	Derive graph.Deriver
-	// OnPublish, when non-nil, is invoked after every version is
-	// committed (including version 0 during NewStream) while the
-	// stream's update lock is held: the solver is frozen for the
-	// duration of the callback and updated in place afterwards, exactly
-	// like Options.OnFactors without RetainFactors. Callers that retain
-	// must Clone; callers that serve live traffic should instead read
-	// through View and leave this callback for notifications and
-	// checkpointing. The callback must not call back into the Stream.
-	OnPublish func(version uint64, s *lu.Solver)
-	// OnHistory, when non-nil, receives each published version's history
-	// record: the validated Bennett rank-1 term sequence that turned the
-	// previous version's factors into this one's, or a structural marker
-	// when the step rebuilt or refactorized (ordering/structure/values
-	// changed outside the rank-1 algebra, so no replayable delta exists;
-	// version 0 and every cluster restart are structural). It fires under
-	// the write lock immediately before OnPublish with the same frozen
-	// solver. The record and its term slices are immutable — callers may
-	// retain them without copying. This is the feed of the
-	// delta-compressed history layers (bennett.HistoryLog in serve, the
-	// history file in store).
-	OnHistory func(s *lu.Solver, rec bennett.VersionRecord)
+	// OnPublish, when non-nil, is invoked once for every version that is
+	// committed (including version 0 during NewStream, and each batch
+	// ReplayBatch re-applies) while the stream's update lock is held: the
+	// solver is frozen for the duration of the callback and updated in
+	// place afterwards, exactly like Options.OnFactors without
+	// RetainFactors. Callers that retain must Clone; callers that serve
+	// live traffic should instead read through View and leave this
+	// callback for notifications and retention. The callback must not
+	// call back into the Stream.
+	//
+	// rec is the version's history record: its number, and the validated
+	// Bennett rank-1 term sequence that turned the previous version's
+	// factors into this one's, or a structural marker when the step
+	// rebuilt or refactorized (ordering/structure/values changed outside
+	// the rank-1 algebra, so no replayable delta exists; version 0 and
+	// every cluster restart are structural). The record and its term
+	// slices are immutable — callers may retain them without copying.
+	// This is the feed of the delta-compressed history layers
+	// (bennett.HistoryLog in serve, the history file in store).
+	OnPublish func(s *lu.Solver, rec bennett.VersionRecord)
 	// LogBatch, when non-nil, is the write-ahead hook: it is invoked
 	// for every validated batch before any state mutates, with the
 	// batch's sequence number (1-based, monotone across the stream's
@@ -233,7 +228,7 @@ type Stream struct {
 	// version about to be published: the split rank-1 terms of a
 	// successful Bennett update, or a structural marker for every
 	// rebuild/refactorization path. publishLocked turns them into the
-	// OnHistory record.
+	// OnPublish record.
 	stepTerms      []bennett.Rank1Term
 	stepStructural bool
 
@@ -629,22 +624,18 @@ func (s *Stream) retireDyn() {
 	}
 }
 
-// publishLocked fires OnHistory and OnPublish for the current version.
-// Callers hold the write lock, so the solver is frozen for the
-// callbacks' duration.
+// publishLocked fires OnPublish for the current version. Callers hold
+// the write lock, so the solver is frozen for the callback's duration.
 func (s *Stream) publishLocked() {
 	if s.rebased {
 		s.rebased, s.stepStructural, s.stepTerms = false, true, nil
 	}
-	if s.cfg.OnHistory != nil {
-		s.cfg.OnHistory(s.solver, bennett.VersionRecord{
+	if s.cfg.OnPublish != nil {
+		s.cfg.OnPublish(s.solver, bennett.VersionRecord{
 			Version:    s.version,
 			Structural: s.stepStructural,
 			Terms:      s.stepTerms,
 		})
-	}
-	if s.cfg.OnPublish != nil {
-		s.cfg.OnPublish(s.version, s.solver)
 	}
 }
 
@@ -832,46 +823,4 @@ func (b *Batcher) flushLocked() error {
 	b.pending = nil
 	_, err := b.s.Apply(evs)
 	return err
-}
-
-// ReplayOptions configures Replay, mirroring the Options fields that
-// make sense for the sequential streaming engine.
-type ReplayOptions struct {
-	// Alpha is the α-clustering threshold for CINC/CLUDE.
-	Alpha float64
-	// OnFactors receives every version in order, i = 0..T-1, with the
-	// same validity contract as Options.OnFactors.
-	OnFactors func(i int, s *lu.Solver)
-	// RetainFactors hands OnFactors a clone (lu.Solver.Clone), valid
-	// indefinitely.
-	RetainFactors bool
-}
-
-// Replay re-expresses the offline sequence pipeline over the streaming
-// engine: snapshot 0 seeds a Stream and every consecutive snapshot pair
-// is diffed into one delta batch, so a pre-materialized EGS and a live
-// feed of the same deltas drive the engine through the identical code
-// path (the bit-for-bit equivalence property stream_test pins down).
-// OnFactors fires strictly in snapshot order.
-func Replay(egs *graph.EGS, derive graph.Deriver, alg Algorithm, opt ReplayOptions) (StreamStats, error) {
-	cfg := StreamConfig{Algorithm: alg, Alpha: opt.Alpha, Initial: egs.Snapshots[0], Derive: derive}
-	if opt.OnFactors != nil {
-		cfg.OnPublish = func(v uint64, sv *lu.Solver) {
-			if opt.RetainFactors {
-				sv = sv.Clone()
-			}
-			opt.OnFactors(int(v), sv)
-		}
-	}
-	st, err := NewStream(cfg)
-	if err != nil {
-		return StreamStats{}, err
-	}
-	defer st.Close()
-	for t := 1; t < egs.Len(); t++ {
-		if _, err := st.Apply(graph.Diff(egs.Snapshots[t-1], egs.Snapshots[t])); err != nil {
-			return st.Stats(), fmt.Errorf("core: replay snapshot %d: %w", t, err)
-		}
-	}
-	return st.Stats(), nil
 }

@@ -275,7 +275,7 @@ func TestStreamMatchesWholeMatrixReference(t *testing.T) {
 				var rec bennett.VersionRecord
 				cfg := StreamConfig{
 					Algorithm: alg, Alpha: alpha, Initial: initial, Derive: dv.d,
-					OnHistory: func(_ *lu.Solver, r bennett.VersionRecord) { rec = r },
+					OnPublish: func(_ *lu.Solver, r bennett.VersionRecord) { rec = r },
 				}
 				s, err := NewStream(cfg)
 				if err != nil {
@@ -330,7 +330,7 @@ func TestStreamMatchesWholeMatrixReference(t *testing.T) {
 					if v == len(batches)/2 {
 						mid = st
 						rcfg := cfg
-						rcfg.OnHistory = nil
+						rcfg.OnPublish = nil
 						if restored, err = RestoreStream(rcfg, mid); err != nil {
 							t.Fatalf("%s: restore: %v", at, err)
 						}
@@ -422,7 +422,7 @@ func TestFailedBatchIsAtomic(t *testing.T) {
 		open := func(rec *bennett.VersionRecord) *Stream {
 			s, err := NewStream(StreamConfig{
 				Algorithm: tc.alg, Alpha: 0.5, Initial: initial, Derive: d,
-				OnHistory: func(_ *lu.Solver, r bennett.VersionRecord) { *rec = r },
+				OnPublish: func(_ *lu.Solver, r bennett.VersionRecord) { *rec = r },
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)

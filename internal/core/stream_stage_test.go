@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bennett"
 	"repro/internal/graph"
+	"repro/internal/lu"
 	"repro/internal/xrand"
 )
 
@@ -114,4 +116,117 @@ func TestStreamApplySplit(t *testing.T) {
 	if parts := total[PartDelta] + total[PartUpdate] + total[PartOrder] + total[PartFactorize]; parts > total["apply"] {
 		t.Fatalf("parts add up to %v, more than apply's %v", parts, total["apply"])
 	}
+}
+
+// TestStreamPublishHook pins the OnPublish contract: it fires for
+// version 0 inside NewStream and for the restored version inside
+// RestoreStream, then once per published version, under the write lock,
+// with rec.Version equal to the version Apply (or ReplayBatch) goes on
+// to return; a batch that fails — at validation or in its strategy step —
+// and a replayed record the state already covers fire nothing.
+func TestStreamPublishHook(t *testing.T) {
+	initial, batches := randomEventStream(xrand.New(61), 60, 3, 8)
+	fresh := graph.Edge{From: 7, To: 11}
+	for initial.HasEdge(fresh.From, fresh.To) {
+		fresh.To++
+	}
+	gate := initial.Edges()[1]
+	singular := append(slices.Clone(batches[2]),
+		graph.EdgeEvent{From: fresh.From, To: fresh.To, Op: graph.EdgeInsert},
+		graph.EdgeEvent{From: gate.From, To: gate.To, Op: graph.EdgeDelete})
+
+	// hook records into recs and checks the lock of the stream *sp points
+	// at (still nil while NewStream / RestoreStream publish: nobody else
+	// holds the stream yet).
+	hook := func(sp **Stream, recs *[]bennett.VersionRecord) func(*lu.Solver, bennett.VersionRecord) {
+		return func(sv *lu.Solver, rec bennett.VersionRecord) {
+			if sv == nil {
+				t.Errorf("version %d published without a solver", rec.Version)
+			}
+			if s := *sp; s != nil && s.mu.TryRLock() {
+				s.mu.RUnlock()
+				t.Errorf("version %d published without the write lock held", rec.Version)
+			}
+			*recs = append(*recs, rec)
+		}
+	}
+	// last reports the newest record's version, once exactly want
+	// records have been seen.
+	last := func(recs []bennett.VersionRecord, want int, when string) uint64 {
+		t.Helper()
+		if len(recs) != want {
+			t.Fatalf("%s: %d records, want %d", when, len(recs), want)
+		}
+		return recs[want-1].Version
+	}
+
+	var s *Stream
+	var recs []bennett.VersionRecord
+	cfg := StreamConfig{
+		Algorithm: CLUDE, Alpha: 0.5, Initial: initial,
+		Derive:    sentinelDeriver{graph.RWRMatrix(0.85), fresh, gate},
+		OnPublish: hook(&s, &recs),
+	}
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if v := last(recs, 1, "NewStream"); v != 0 || !recs[0].Structural {
+		t.Fatalf("NewStream published version %d (structural %v), want a structural version 0", v, recs[0].Structural)
+	}
+	var mid *StreamState
+	for i, evs := range batches[:2] {
+		v, err := s.Apply(evs)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if got := last(recs, i+2, "Apply"); got != v {
+			t.Fatalf("batch %d: record says version %d, Apply returned %d", i, got, v)
+		}
+		if i == 0 {
+			if mid, err = s.ExportState(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := s.Apply([]graph.EdgeEvent{{From: -1, To: 0, Op: graph.EdgeInsert}}); err == nil {
+		t.Fatal("invalid batch accepted")
+	}
+	if v, err := s.Apply(singular); err == nil {
+		t.Fatalf("singular batch published version %d", v)
+	}
+	last(recs, 3, "after two failed batches")
+
+	// Recovery: the restored version, then every replayed batch the
+	// state does not cover, the failing one failing again.
+	var r *Stream
+	var replayed []bennett.VersionRecord
+	cfg.OnPublish = hook(&r, &replayed)
+	r, err = RestoreStream(cfg, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if v := last(replayed, 1, "RestoreStream"); v != mid.Version || !replayed[0].Structural {
+		t.Fatalf("RestoreStream published version %d (structural %v), want a structural version %d", v, replayed[0].Structural, mid.Version)
+	}
+	if _, err := r.ReplayBatch(1, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	last(replayed, 1, "a replayed record the state covers")
+	v, err := r.ReplayBatch(2, batches[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := last(replayed, 2, "ReplayBatch"); got != v || v != recs[2].Version {
+		t.Fatalf("replayed record says version %d, ReplayBatch returned %d, the live run published %d", got, v, recs[2].Version)
+	}
+	if replayed[1].Structural != recs[2].Structural || !sameTerms(replayed[1].Terms, recs[2].Terms) {
+		t.Fatal("replayed record differs from the live run's")
+	}
+	if _, err := r.ReplayBatch(3, singular); err == nil {
+		t.Fatal("singular batch replayed cleanly")
+	}
+	last(replayed, 2, "after the replayed failure")
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bennett"
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/sparse"
@@ -63,9 +64,9 @@ func captureStream(t *testing.T, alg Algorithm, alpha float64, initial *graph.Gr
 	var got []*lu.Solver
 	s, err := NewStream(StreamConfig{
 		Algorithm: alg, Alpha: alpha, Initial: initial, Derive: d,
-		OnPublish: func(v uint64, sv *lu.Solver) {
-			if int(v) != len(got) {
-				t.Errorf("%s: version %d published out of order (have %d)", alg, v, len(got))
+		OnPublish: func(sv *lu.Solver, rec bennett.VersionRecord) {
+			if int(rec.Version) != len(got) {
+				t.Errorf("%s: version %d published out of order (have %d)", alg, rec.Version, len(got))
 			}
 			got = append(got, sv.Clone())
 		},

@@ -11,7 +11,7 @@ import (
 // event batch transforming one into the other. Snapshots are thereby a
 // *derived* view: the native input of the pipeline is the event stream,
 // and a pre-materialized EGS is replayed by diffing consecutive
-// snapshots (see core.Replay).
+// snapshots (see DeltaBatches).
 
 // EdgeOp is the kind of an edge event.
 type EdgeOp uint8

@@ -19,8 +19,8 @@ import (
 // every version in a bennett.HistoryLog. A query addressing a non-base
 // version materializes its factors on demand: clone the nearest
 // earlier base into a fresh container, replay the recorded terms
-// (bit-identical to the clone the old checkpoint path would have
-// pinned), and answer. Materialized solvers live in a byte-budgeted
+// (bit-identical to a clone taken when the version was published), and
+// answer. Materialized solvers live in a byte-budgeted
 // LRU (Config.HistoryBudgetBytes); concurrent queries for the same
 // version share one replay through a per-version single-flight, on top
 // of the ordinary query coalescing.
@@ -124,13 +124,14 @@ func histPrefix(v uint64) string {
 	return "hist#" + strconv.FormatUint(v, 10)
 }
 
-// HistoryHook returns the core.StreamConfig.OnHistory callback that
+// HistoryHook returns the core.StreamConfig.OnPublish callback that
 // feeds the engine's history: every record enters the log, and bases —
 // every HistoryBase-th version plus every structural version (those
 // start a new delta chain; there is nothing to replay across them) —
 // are pinned as full clones into the ordinary snapshot store, which
-// also makes them subject to its eviction/spill policy. This replaces
-// CheckpointEvery when history is enabled.
+// also makes them subject to its eviction/spill policy. It is the one
+// way a streamed version is kept: the clone is the deliberate,
+// amortized exception to the zero-copy publish path.
 func (e *Engine) HistoryHook() func(s *lu.Solver, rec bennett.VersionRecord) {
 	base := uint64(e.cfg.HistoryBase)
 	if base == 0 {

@@ -19,8 +19,9 @@ import (
 // coupling: a query holding the view blocks the next batch commit
 // (backpressure), and a committing batch briefly blocks latest-state
 // queries. Snapshot-addressed queries are unaffected: they go to the
-// pinned store, which a checkpointing publish callback can still feed
-// at whatever cadence is worth the clone cost (see docs/STREAMING.md).
+// pinned store and the delta-compressed history, which the stream's
+// publish hook feeds (HistoryHook: a base clone every HistoryBase
+// versions, the versions between by delta replay; docs/STREAMING.md).
 
 // LiveSource is the read side of a streaming factor maintainer. View
 // runs fn with the latest published version and its solver while
@@ -51,22 +52,4 @@ func (e *Engine) liveSource() (LiveSource, uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.live, e.liveGen
-}
-
-// CheckpointEvery returns a publish callback (the core.StreamConfig
-// OnPublish shape) that pins a clone of every k-th version into
-// the snapshot store, keyed by version. This is the deliberate,
-// amortized exception to the zero-copy publish path: the live head
-// stays copy-free while every k-th state becomes queryable history,
-// subject to the store's usual bound and eviction. k = 0 is treated
-// as 1 (checkpoint every version — the old RetainFactors behavior).
-func (e *Engine) CheckpointEvery(k uint64) func(version uint64, s *lu.Solver) {
-	if k == 0 {
-		k = 1
-	}
-	return func(version uint64, s *lu.Solver) {
-		if version%k == 0 {
-			e.Pin(int(version), s.Clone())
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bennett"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lu"
@@ -16,7 +17,7 @@ import (
 // liveStreamAlg builds a small random event stream and a streaming
 // engine of the given strategy over it (not yet advanced past
 // version 0).
-func liveStreamAlg(t *testing.T, alg core.Algorithm, nBatches int, onPublish func(uint64, *lu.Solver)) (*core.Stream, [][]graph.EdgeEvent) {
+func liveStreamAlg(t *testing.T, alg core.Algorithm, nBatches int, onPublish func(*lu.Solver, bennett.VersionRecord)) (*core.Stream, [][]graph.EdgeEvent) {
 	t.Helper()
 	rng := xrand.New(77)
 	n := 120
@@ -49,7 +50,7 @@ func liveStreamAlg(t *testing.T, alg core.Algorithm, nBatches int, onPublish fun
 }
 
 // liveStream is liveStreamAlg with the CLUDE default most tests use.
-func liveStream(t *testing.T, onPublish func(uint64, *lu.Solver)) (*core.Stream, [][]graph.EdgeEvent) {
+func liveStream(t *testing.T, onPublish func(*lu.Solver, bennett.VersionRecord)) (*core.Stream, [][]graph.EdgeEvent) {
 	t.Helper()
 	return liveStreamAlg(t, core.CLUDE, 24, onPublish)
 }
@@ -193,14 +194,19 @@ func TestLiveCacheInvalidatesOnPublish(t *testing.T) {
 	}
 }
 
-// TestLiveCheckpointsFeedPinnedStore wires the checkpointing pattern: a
-// publish callback pins a clone every k versions, so snapshot-addressed
-// queries serve history while the live path serves the head.
+// TestLiveCheckpointsFeedPinnedStore wires the one retention pattern: the
+// publish hook pins a base clone every k versions and records the deltas
+// between, so snapshot-addressed queries serve history — a base as a
+// plain pinned snapshot, a version between two bases by replay — while
+// the live path serves the head.
 func TestLiveCheckpointsFeedPinnedStore(t *testing.T) {
 	const every = 6
-	eng := New(Config{Workers: 2, CacheSize: 64, Damping: testDamping})
+	eng := New(Config{Workers: 2, CacheSize: 64, Damping: testDamping, HistoryBase: every})
 	defer eng.Close()
-	stream, batches := liveStream(t, eng.CheckpointEvery(every))
+	// INC keeps one container for the whole stream, so the versions
+	// between bases are Bennett deltas (CLUDE would rebuild on this
+	// stream's fresh edges and pin every version as a structural base).
+	stream, batches := liveStreamAlg(t, core.INC, 24, eng.HistoryHook())
 	defer stream.Close()
 	eng.AttachLive(stream)
 
@@ -209,26 +215,51 @@ func TestLiveCheckpointsFeedPinnedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps := eng.Snapshots()
-	want := int(stream.Version())/every + 1
-	if len(snaps) != want {
-		t.Fatalf("%d checkpoints pinned, want %d (%v)", len(snaps), want, snaps)
+	pinned := make(map[int]bool)
+	for _, v := range eng.Snapshots() {
+		pinned[v] = true
 	}
-	// A checkpoint answers as a plain pinned snapshot.
+	between := -1
+	for v := 0; v <= int(stream.Version()); v++ {
+		if v%every == 0 && !pinned[v] {
+			t.Fatalf("version %d is not pinned as a base (%v)", v, eng.Snapshots())
+		}
+		if !pinned[v] && v < int(stream.Version()) {
+			between = v
+		}
+	}
+	// A base answers as a plain pinned snapshot.
 	resp, err := eng.Query(context.Background(), Query{Snapshot: every, Measure: MeasureRWR, Source: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Live || resp.Snapshot != every {
-		t.Fatalf("checkpoint query answered live=%v snapshot=%d", resp.Live, resp.Snapshot)
+		t.Fatalf("base query answered live=%v snapshot=%d", resp.Live, resp.Snapshot)
 	}
-	// The head answers live even though checkpoints exist.
+	if st := eng.Stats(); st.HistoryMaterializations != 0 {
+		t.Fatalf("a base was answered by %d materializations, want none", st.HistoryMaterializations)
+	}
+	// The head answers live even though bases exist.
 	head, err := eng.Query(context.Background(), Query{Snapshot: -1, Measure: MeasureRWR, Source: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !head.Live || head.Version != stream.Version() {
 		t.Fatalf("head query live=%v version=%d, want live at %d", head.Live, head.Version, stream.Version())
+	}
+	// A version between two bases answers too, by delta replay.
+	if between < 0 {
+		t.Fatalf("every version is a base (%v): nothing exercises the replay", eng.Snapshots())
+	}
+	mid, err := eng.Query(context.Background(), Query{Snapshot: between, Measure: MeasureRWR, Source: 1})
+	if err != nil {
+		t.Fatalf("version %d, between two bases: %v", between, err)
+	}
+	if mid.Live || mid.Snapshot != between {
+		t.Fatalf("version %d answered live=%v snapshot=%d", between, mid.Live, mid.Snapshot)
+	}
+	if st := eng.Stats(); st.HistoryMaterializations != 1 {
+		t.Fatalf("%d materializations after one in-between query, want 1", st.HistoryMaterializations)
 	}
 }
 

@@ -112,9 +112,9 @@ type Config struct {
 	// every HistoryBase-th version (plus every structural version, which
 	// starts a new delta chain) and records every version's Bennett
 	// delta; non-base versions materialize on demand by replaying deltas
-	// onto the nearest earlier base — bit-identical to the clone the
-	// checkpoint path would have pinned. 0 disables (classic
-	// clone-per-checkpoint retention).
+	// onto the nearest earlier base — bit-identical to a clone taken
+	// when the version was published. 0 disables: a streamed version is
+	// then answerable only while it is the live head.
 	HistoryBase int
 	// HistoryBudgetBytes bounds the bytes retained by materialized
 	// (non-base) solvers in the history LRU. <= 0 means 64 MiB.
@@ -394,7 +394,7 @@ type Engine struct {
 
 	// Live source (see live.go). Guarded by mu; read once per query and
 	// released before the source's lock is taken, so the lock orders
-	// "source → e.mu" (checkpoint pins from a publish callback) and
+	// "source → e.mu" (base pins from the publish hook) and
 	// "e.mu → source" never both occur. liveGen bumps on every
 	// AttachLive and stamps live cache keys, so a swapped-in source can
 	// never be served answers computed from its predecessor's factors

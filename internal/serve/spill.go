@@ -21,7 +21,7 @@ import (
 // previous process stays queryable.
 //
 // Writes are asynchronous: eviction happens on the factor-publish path
-// (a checkpoint pin under the stream's write lock), which must never
+// (a base pin under the stream's write lock), which must never
 // wait on disk. handleEvicted only enqueues; a dedicated writer
 // goroutine performs the codec writes, and until a snapshot's write
 // completes, queries are served straight from the queued in-memory
@@ -138,8 +138,8 @@ func (e *Engine) drainSpills() {
 }
 
 // enforceSpillBound deletes the oldest (lowest-index) spill files past
-// the retention bound, so version-keyed checkpoint history cannot grow
-// the directory without limit. Deleting a file can retire history
+// the retention bound, so version-keyed history bases cannot grow the
+// directory without limit. Deleting a file can retire history
 // bases, so the delta-record log is re-trimmed afterwards.
 func (e *Engine) enforceSpillBound() {
 	keep := e.cfg.SpillKeep

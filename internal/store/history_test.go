@@ -15,14 +15,14 @@ import (
 	"repro/internal/xrand"
 )
 
-// recordHistory runs a stream and collects every OnHistory record — the
+// recordHistory runs a stream and collects every OnPublish record — the
 // live-run truth the sidecar tests compare against.
 func recordHistory(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) []bennett.VersionRecord {
 	t.Helper()
 	var recs []bennett.VersionRecord
 	s, err := core.NewStream(core.StreamConfig{
 		Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
-		OnHistory: func(_ *lu.Solver, rec bennett.VersionRecord) { recs = append(recs, rec) },
+		OnPublish: func(_ *lu.Solver, rec bennett.VersionRecord) { recs = append(recs, rec) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestHistorySurvivesKillPointRecovery(t *testing.T) {
 			got := append([]bennett.VersionRecord(nil), st2.LoadHistory()...)
 			seeded := len(got)
 			cfg2 := cfg
-			cfg2.OnHistory = func(_ *lu.Solver, rec bennett.VersionRecord) {
+			cfg2.OnPublish = func(_ *lu.Solver, rec bennett.VersionRecord) {
 				for len(got) > 0 && got[len(got)-1].Version >= rec.Version {
 					got = got[:len(got)-1] // replay overwrites, like HistoryLog.Record
 				}

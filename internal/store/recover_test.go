@@ -1,12 +1,12 @@
 package store
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/bennett"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lu"
@@ -85,9 +85,16 @@ func TestKillPointRecoveryExact(t *testing.T) {
 			s1.Close()
 			st.wal.Close()
 
-			s2, st2, rinfo, err := Recover(dir, cfg, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
+			st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
 			if err != nil {
-				t.Fatalf("%s kill=%d: Recover: %v", alg, kill, err)
+				t.Fatal(err)
+			}
+			s2, rinfo, err := st2.OpenStream(cfg)
+			if err != nil {
+				t.Fatalf("%s kill=%d: reopen: %v", alg, kill, err)
+			}
+			if !rinfo.Recovered {
+				t.Fatalf("%s kill=%d: reopen cold-started over an existing snapshot", alg, kill)
 			}
 			if rinfo.Version != wantState.Version {
 				t.Fatalf("%s kill=%d: recovered version %d, want %d", alg, kill, rinfo.Version, wantState.Version)
@@ -179,9 +186,13 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, st2, info, err := Recover(dir, cfg, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4})
+	st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4})
 	if err != nil {
-		t.Fatalf("Recover with corrupt newest snapshot: %v", err)
+		t.Fatal(err)
+	}
+	s2, info, err := st2.OpenStream(cfg)
+	if err != nil {
+		t.Fatalf("reopen with corrupt newest snapshot: %v", err)
 	}
 	if info.SnapshotsSkipped != 1 {
 		t.Errorf("SnapshotsSkipped = %d, want 1", info.SnapshotsSkipped)
@@ -201,16 +212,6 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	}
 	s2.Close()
 	st2.Close()
-}
-
-// TestRecoverNoSnapshot pins the Recover contract on an empty or
-// snapshot-less directory.
-func TestRecoverNoSnapshot(t *testing.T) {
-	cfg := core.StreamConfig{Algorithm: core.INC, Initial: graph.New(4, false, []graph.Edge{{From: 0, To: 1}}), Derive: graph.RWRMatrix(0.85)}
-	_, _, _, err := Recover(t.TempDir(), cfg, Options{})
-	if !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("Recover on empty dir: %v, want ErrNoSnapshot", err)
-	}
 }
 
 // TestOpenStreamColdStartReplaysPreSnapshotWAL covers the crash window
@@ -269,4 +270,60 @@ func TestOpenStreamColdStartReplaysPreSnapshotWAL(t *testing.T) {
 	}
 	s2.Close()
 	st2.Close()
+}
+
+// TestOpenStreamPublishOrder pins how OpenStream wraps the stream's one
+// publish hook: the caller's hook sees a version's record before the
+// history sidecar holds it, and the snapshot cadence counts the version
+// last — for version 0 inside OpenStream and for every batch after.
+func TestOpenStreamPublishOrder(t *testing.T) {
+	const n = 24
+	rng := xrand.New(37)
+	g0 := randomGraph(n, 28, rng)
+	batches := randomBatches(n, 4, 4, rng)
+
+	st, err := Open(t.TempDir(), Options{Sync: SyncNone, SnapshotEvery: 1 << 20, History: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// counts reads what the sidecar and the cadence have seen so far.
+	counts := func() (appended int64, noted uint64) {
+		appended, _ = st.hist.Counters()
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return appended, st.sinceSnap
+	}
+	published := 0
+	cfg := core.StreamConfig{
+		Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
+		OnPublish: func(_ *lu.Solver, rec bennett.VersionRecord) {
+			if rec.Version != uint64(published) {
+				t.Errorf("hook saw version %d, want %d", rec.Version, published)
+			}
+			if appended, noted := counts(); appended != int64(published) || noted != uint64(published) {
+				t.Errorf("version %d: sidecar holds %d records and the cadence counted %d versions before the caller's hook ran, want %d and %d",
+					rec.Version, appended, noted, published, published)
+			}
+			published++
+		},
+	}
+	s, _, err := st.OpenStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, evs := range append([][]graph.EdgeEvent{nil}, batches...) {
+		if i > 0 {
+			if _, err := s.Apply(evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if appended, noted := counts(); published != i+1 || appended != int64(i+1) || noted != uint64(i+1) {
+			t.Fatalf("after version %d: hook ran %d times, sidecar holds %d records, cadence counted %d, want %d each",
+				i, published, appended, noted, i+1)
+		}
+	}
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

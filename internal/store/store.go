@@ -23,9 +23,9 @@ import (
 // checkpoints in the background, and recovers crashed streams by
 // loading the newest valid snapshot and replaying the WAL tail.
 
-// ErrNoSnapshot reports a recovery attempt on a directory holding no
-// usable snapshot.
-var ErrNoSnapshot = errors.New("store: no usable snapshot")
+// errNoSnapshot is loadLatestState's report of a directory holding no
+// usable snapshot: OpenStream cold-starts on it.
+var errNoSnapshot = errors.New("store: no usable snapshot")
 
 // Options configures a Store. The zero value is usable: fsync on every
 // batch, a snapshot every 64 published versions, two snapshots
@@ -205,36 +205,30 @@ func (st *Store) LogBatch(seq uint64, events []graph.EdgeEvent) error {
 // to the uninterrupted run); otherwise a fresh stream is created from
 // cfg and any stray WAL records from a pre-first-snapshot crash are
 // replayed on top of version 0. Either way the store's hooks are wired
-// in (cfg.LogBatch is overwritten; cfg.OnPublish is chained) and the
+// in (cfg.LogBatch is overwritten; cfg.OnPublish is wrapped) and the
 // background snapshotter starts. The returned stream is live and
 // already attached to the store — callers use it exactly like one from
 // core.NewStream.
 func (st *Store) OpenStream(cfg core.StreamConfig) (*core.Stream, RecoveryInfo, error) {
 	var info RecoveryInfo
 	cfg.LogBatch = st.LogBatch
+	// One publish hook, in this order: the caller's first (the serving
+	// engine must see the record before anyone can query the version),
+	// then the history sidecar (its own version guard absorbs WAL-replay
+	// re-fires), then the snapshot cadence.
 	userPublish := cfg.OnPublish
-	cfg.OnPublish = func(version uint64, s *lu.Solver) {
+	cfg.OnPublish = func(s *lu.Solver, rec bennett.VersionRecord) {
 		if userPublish != nil {
-			userPublish(version, s)
+			userPublish(s, rec)
 		}
-		st.notePublish()
-	}
-	if st.hist != nil {
-		// Chain the user hook first (the serving engine must see the
-		// record before anyone can query the version), then persist.
-		// The sidecar's own version guard absorbs WAL-replay re-fires.
-		userHistory := cfg.OnHistory
-		hist := st.hist
-		cfg.OnHistory = func(s *lu.Solver, rec bennett.VersionRecord) {
-			if userHistory != nil {
-				userHistory(s, rec)
-			}
-			if err := hist.Append(rec); err != nil {
+		if st.hist != nil {
+			if err := st.hist.Append(rec); err != nil {
 				st.mu.Lock()
 				st.histErrors++
 				st.mu.Unlock()
 			}
 		}
+		st.notePublish()
 	}
 
 	var stream *core.Stream
@@ -249,7 +243,7 @@ func (st *Store) OpenStream(cfg core.StreamConfig) (*core.Stream, RecoveryInfo, 
 		info.Recovered = true
 		info.SnapshotSeq = state.Seq
 		info.SnapshotVersion = state.Version
-	case errors.Is(err, ErrNoSnapshot):
+	case errors.Is(err, errNoSnapshot):
 		stream, err = core.NewStream(cfg)
 		if err != nil {
 			return nil, info, err
@@ -294,37 +288,6 @@ func (st *Store) OpenStream(cfg core.StreamConfig) (*core.Stream, RecoveryInfo, 
 		go st.snapshotLoop()
 	})
 	return stream, info, nil
-}
-
-// Recover is the package-level warm-restart entry: it opens the store
-// and requires a snapshot to be present (ErrNoSnapshot otherwise),
-// returning the recovered stream ready to serve at the exact pre-crash
-// version.
-func Recover(dir string, cfg core.StreamConfig, opt Options) (*core.Stream, *Store, RecoveryInfo, error) {
-	st, err := Open(dir, opt)
-	if err != nil {
-		return nil, nil, RecoveryInfo{}, err
-	}
-	snaps, err := st.listSnapshots()
-	if err == nil && len(snaps) == 0 {
-		err = ErrNoSnapshot
-	}
-	if err != nil {
-		st.wal.Close()
-		if st.hist != nil {
-			st.hist.Close()
-		}
-		return nil, nil, RecoveryInfo{}, err
-	}
-	stream, info, err := st.OpenStream(cfg)
-	if err != nil {
-		st.wal.Close()
-		if st.hist != nil {
-			st.hist.Close()
-		}
-		return nil, nil, info, err
-	}
-	return stream, st, info, nil
 }
 
 // notePublish counts published versions and pokes the background
@@ -505,7 +468,7 @@ func (st *Store) loadLatestState() (*core.StreamState, int, error) {
 		}
 		return state, skipped, nil
 	}
-	return nil, skipped, ErrNoSnapshot
+	return nil, skipped, errNoSnapshot
 }
 
 // Stats returns a snapshot of the store's counters.

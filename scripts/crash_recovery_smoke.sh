@@ -2,7 +2,7 @@
 # Crash-recovery smoke test for cludeserve's durability layer: start a
 # streaming server with a data directory, ingest edge deltas, record a
 # query answer, SIGKILL the process mid-stream, restart it, and assert
-# that (a) /stats reports the exact pre-kill version and (b) the same
+# that (a) /v1/stats reports the exact pre-kill version and (b) the same
 # query returns the identical scores, and (c) the /v1/metrics
 # exposition on the recovered server parses and reports the recovery
 # (clude_store_recovered == 1, clude_stream_version == pre-kill
@@ -40,7 +40,7 @@ log() { echo "smoke: $*" >&2; }
 
 wait_up() {
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/stats" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/stats" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   log "server did not come up"
@@ -61,21 +61,21 @@ wait_up
 log "ingesting deltas"
 for i in $(seq 0 9); do
   a=$((i % 140)); b=$(( (i * 7 + 3) % 140 ))
-  curl -fsS -X POST "$BASE/update?sync=1" \
+  curl -fsS -X POST "$BASE/v1/update?sync=1" \
     -d "{\"events\":[{\"from\":$a,\"to\":$b,\"op\":\"insert\"},{\"from\":$b,\"to\":$(((b+1)%140)),\"op\":\"insert\"}]}" \
     >/dev/null
 done
 
-PRE_VERSION=$(curl -fsS "$BASE/stats" | json "d['stream']['version']")
-PRE_SCORES=$(curl -fsS "$BASE/query?measure=rwr&source=3" | json "d['scores']")
-PRE_TOP=$(curl -fsS "$BASE/query?measure=topk&source=3&k=5" | json "d['nodes']")
+PRE_VERSION=$(curl -fsS "$BASE/v1/stats" | json "d['stream']['version']")
+PRE_SCORES=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3" | json "d['scores']")
+PRE_TOP=$(curl -fsS "$BASE/v1/query?measure=topk&source=3&k=5" | json "d['nodes']")
 log "pre-kill: version=$PRE_VERSION"
 [ "$PRE_VERSION" -ge 1 ] || { log "no versions committed before kill"; exit 1; }
 # A history version one behind the head: with -history-base 2 it is
 # either a pinned base or a delta-materialized version; both must
 # survive the kill below.
 HIST_VERSION=$((PRE_VERSION - 1))
-PRE_HIST=$(curl -fsS "$BASE/query?measure=rwr&source=3&snapshot=$HIST_VERSION" | json "d['scores']")
+PRE_HIST=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3&snapshot=$HIST_VERSION" | json "d['scores']")
 
 log "SIGKILL mid-stream"
 kill -9 "$PID"
@@ -87,10 +87,10 @@ log "restarting from $DATA"
 PID=$!
 wait_up
 
-POST_VERSION=$(curl -fsS "$BASE/stats" | json "d['stream']['version']")
-RECOVERED=$(curl -fsS "$BASE/stats" | json "d['store']['recovery']['recovered']")
-POST_SCORES=$(curl -fsS "$BASE/query?measure=rwr&source=3" | json "d['scores']")
-POST_TOP=$(curl -fsS "$BASE/query?measure=topk&source=3&k=5" | json "d['nodes']")
+POST_VERSION=$(curl -fsS "$BASE/v1/stats" | json "d['stream']['version']")
+RECOVERED=$(curl -fsS "$BASE/v1/stats" | json "d['store']['recovery']['recovered']")
+POST_SCORES=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3" | json "d['scores']")
+POST_TOP=$(curl -fsS "$BASE/v1/query?measure=topk&source=3&k=5" | json "d['nodes']")
 log "post-restart: version=$POST_VERSION recovered=$RECOVERED"
 
 FAIL=0
@@ -109,11 +109,11 @@ fi
 
 # Delta-compressed history across the kill: the recovered server must
 # still list the old version as answerable and answer it identically.
-HIST_LISTED=$(curl -fsS "$BASE/snapshots" | json "any(h['version'] == $HIST_VERSION for h in d.get('history', []))")
+HIST_LISTED=$(curl -fsS "$BASE/v1/snapshots" | json "any(h['version'] == $HIST_VERSION for h in d.get('history', []))")
 if [ "$HIST_LISTED" != "True" ]; then
   log "FAIL: recovered /v1/snapshots does not list history version $HIST_VERSION"; FAIL=1
 fi
-POST_HIST=$(curl -fsS "$BASE/query?measure=rwr&source=3&snapshot=$HIST_VERSION" | json "d['scores']")
+POST_HIST=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3&snapshot=$HIST_VERSION" | json "d['scores']")
 if [ "$POST_HIST" != "$PRE_HIST" ]; then
   log "FAIL: recovered history version $HIST_VERSION answers differently"; FAIL=1
 fi
@@ -161,9 +161,9 @@ fi
 
 # A recovered server must keep ingesting: the WAL continues after the
 # replayed tail.
-curl -fsS -X POST "$BASE/update?sync=1" \
+curl -fsS -X POST "$BASE/v1/update?sync=1" \
   -d '{"events":[{"from":1,"to":2,"op":"delete"}]}' >/dev/null
-NEXT_VERSION=$(curl -fsS "$BASE/stats" | json "d['stream']['version']")
+NEXT_VERSION=$(curl -fsS "$BASE/v1/stats" | json "d['stream']['version']")
 if [ "$NEXT_VERSION" -le "$POST_VERSION" ]; then
   log "FAIL: post-recovery ingest did not advance the version"; FAIL=1
 fi
