@@ -19,6 +19,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/bench"
 	"repro/internal/bennett"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -136,6 +137,33 @@ func BenchmarkKernelMarkowitz(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMarkowitzLate orders the union of the medium Wiki
+// sequence's last α = 0.95 cluster: n = 2000 with |s̃p| past 300 k, the
+// regime a long-running stream's growth batches re-order in, where the
+// elimination's dense phase is most of the run (BenchmarkKernelMarkowitz
+// is the sparse regime, most of it on lists).
+func BenchmarkKernelMarkowitzLate(b *testing.B) {
+	egs, err := gen.WikiSim(gen.DefaultWikiConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ems := graph.DeriveEMS(egs, graph.RWRMatrix(0.85))
+	patterns := make([]*sparse.Pattern, len(ems.Matrices))
+	for i, m := range ems.Matrices {
+		patterns[i] = m.Pattern()
+	}
+	clusters := cluster.Alpha(patterns, 0.95)
+	last := clusters[len(clusters)-1]
+	union := patterns[last.Start]
+	for _, p := range patterns[last.Start+1 : last.End] {
+		union = union.Union(p)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = order.Markowitz(union)
+	}
+}
+
 func BenchmarkKernelSymbolic(b *testing.B) {
 	_, ems := benchEMS(b)
 	ord := order.Markowitz(ems.Matrices[0].Pattern())
@@ -146,15 +174,21 @@ func BenchmarkKernelSymbolic(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFactorize is one numeric decomposition into a prepared
+// container on a warm workspace, the way the engine's workers and a
+// stream's rebuild run it: it must read 0 allocs/op.
 func BenchmarkKernelFactorize(b *testing.B) {
 	_, ems := benchEMS(b)
 	ord := order.Markowitz(ems.Matrices[0].Pattern())
 	a := ems.Matrices[0].Permute(ord.Ordering)
-	sym := lu.Symbolic(a.Pattern())
-	f := lu.NewStaticFactors(sym)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Factorize(a); err != nil {
+	f := lu.NewStaticFactors(ord.Symbolic)
+	var ws lu.Workspace
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		if err := f.FactorizeWith(a, &ws); err != nil {
 			b.Fatal(err)
 		}
 	}

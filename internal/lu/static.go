@@ -221,26 +221,68 @@ func (e *SingularError) Error() string {
 	return fmt.Sprintf("lu: singular pivot %d (value %g)", e.Pivot, e.Value)
 }
 
-// Workspace holds the dense work vector a numeric factorization
-// scatters into. Callers that factorize many matrices — one full
-// decomposition per cluster in the LUDEM pipelines — keep one Workspace
-// per worker goroutine and pass it to FactorizeWith so the O(n) scratch
-// is allocated once. The zero value is ready to use; a Workspace must
-// not be shared between concurrent factorizations.
+// Workspace holds what a numeric factorization needs besides the
+// container: the dense work vector it scatters into, a column view of
+// the matrix being factorized, and one cursor per column of L and row
+// of U. Callers that factorize many matrices — one full decomposition
+// per cluster in the LUDEM pipelines, one per growth batch on a stream —
+// keep one Workspace per worker goroutine and pass it to FactorizeWith,
+// which then allocates nothing. The zero value is ready to use; a
+// Workspace must not be shared between concurrent factorizations.
 type Workspace struct {
 	w []float64
+
+	// Column view of the matrix: column j's rows (ascending) and values
+	// are colRows/colVals[colPtr[j]:colPtr[j+1]].
+	colPtr  []int
+	colRows []int
+	colVals []float64
+
+	// lfirst[m] is the first position of column m of L whose row is not
+	// yet behind the elimination front, ufirst[m] the same for row m of
+	// U: Crout's step k reads exactly L(k:, m) and U(m, k+1:).
+	lfirst, ufirst []int
 }
 
-// vector returns the scratch vector, reusing capacity across dimension
+// resize returns s with length n, reusing capacity across dimension
 // changes (cluster sizes vary; shrinking must not churn allocations).
-// Factorize never reads a position it has not first written, so stale
-// values from a previous use are harmless.
-func (ws *Workspace) vector(n int) []float64 {
-	if cap(ws.w) < n {
-		ws.w = make([]float64, n)
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ws.w = ws.w[:n]
-	return ws.w
+	return s[:n]
+}
+
+// columns fills the column view from a, whose rows come in increasing
+// order, so every column comes out sorted.
+func (ws *Workspace) columns(a *sparse.CSR) {
+	n := a.N()
+	ws.colPtr = resize(ws.colPtr, n+2)
+	ws.colRows = resize(ws.colRows, a.NNZ())
+	ws.colVals = resize(ws.colVals, a.NNZ())
+	ptr := ws.colPtr
+	for j := range ptr {
+		ptr[j] = 0
+	}
+	// Count into ptr[j+2]: after the prefix sum ptr[j+1] is column j's
+	// write cursor, and ends as its end.
+	for i := 0; i < n; i++ {
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			ptr[j+2]++
+		}
+	}
+	for j := 2; j <= n+1; j++ {
+		ptr[j] += ptr[j-1]
+	}
+	for i := 0; i < n; i++ {
+		cols, vals := a.Row(i)
+		for t, j := range cols {
+			p := ptr[j+1]
+			ws.colRows[p], ws.colVals[p] = i, vals[t]
+			ptr[j+1] = p + 1
+		}
+	}
 }
 
 // Factorize runs the ND-phase of Crout LDU decomposition of the
@@ -254,42 +296,62 @@ func (f *StaticFactors) Factorize(a *sparse.CSR) error {
 }
 
 // FactorizeWith is Factorize with caller-owned scratch (see Workspace).
+//
+// Step k needs, of every earlier column m of L, the entries from row k
+// down, and of every earlier row m of U, the entries right of column k.
+// Both start points only ever move forward, one entry at a time, and the
+// cross views say when: row k of L (LRowPos) names the entry of each
+// column m that step k is the last to skip, column k of U (UColPos) the
+// entry of each row m. So the two cursor arrays are advanced as rows and
+// columns are passed and nothing is searched for.
 func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
 	if a.N() != f.n {
 		return fmt.Errorf("lu: matrix dimension %d does not match structure %d", a.N(), f.n)
 	}
 	f.Reset()
 	n := f.n
-	at := a.Transpose() // row i of at = column i of a
-	w := ws.vector(n)
+	ws.columns(a)
+	// No step reads a position of w it has not first written, so stale
+	// values from a previous use are harmless.
+	ws.w, ws.lfirst, ws.ufirst = resize(ws.w, n), resize(ws.lfirst, n), resize(ws.ufirst, n)
+	w, lfirst, ufirst := ws.w, ws.lfirst, ws.ufirst
+	copy(lfirst, f.LColPtr[:n])
+	copy(ufirst, f.URowPtr[:n])
 
 	for k := 0; k < n; k++ {
 		// ---- Column k of L and pivot D[k] ----
 		// Zero the workspace over the target pattern.
 		w[k] = 0
 		lo, hi := f.LColPtr[k], f.LColPtr[k+1]
-		for p := lo; p < hi; p++ {
-			w[f.LRowIdx[p]] = 0
+		lrows := f.LRowIdx[lo:hi]
+		for _, i := range lrows {
+			w[i] = 0
 		}
 		// Scatter column k of A (rows >= k).
-		cols, vals := at.Row(k)
-		for t, i := range cols {
+		clo, chi := ws.colPtr[k], ws.colPtr[k+1]
+		crows := ws.colRows[clo:chi]
+		cvals := ws.colVals[clo:chi][:len(crows)]
+		for t, i := range crows {
 			if i >= k {
-				w[i] = vals[t]
+				w[i] = cvals[t]
 			}
 		}
 		// w[i] -= sum_m L(i,m)·D(m)·U(m,k) over m < k with U(m,k) != 0.
-		for q := f.UColPtr[k]; q < f.UColPtr[k+1]; q++ {
-			m := f.UColRows[q]
-			c := f.D[m] * f.UVal[f.UColPos[q]]
+		qlo, qhi := f.UColPtr[k], f.UColPtr[k+1]
+		urows := f.UColRows[qlo:qhi]
+		upos := f.UColPos[qlo:qhi][:len(urows)]
+		for q, m := range urows {
+			p := upos[q]
+			ufirst[m] = p + 1 // row m of U is now past column k
+			c := f.D[m] * f.UVal[p]
 			if c == 0 {
 				continue
 			}
-			mlo, mhi := f.LColPtr[m], f.LColPtr[m+1]
-			rows := f.LRowIdx[mlo:mhi]
-			start := sort.SearchInts(rows, k)
-			for t := start; t < len(rows); t++ {
-				w[rows[t]] -= f.LVal[mlo+t] * c
+			from, to := lfirst[m], f.LColPtr[m+1]
+			rows := f.LRowIdx[from:to]
+			vals := f.LVal[from:to][:len(rows)]
+			for t, i := range rows {
+				w[i] -= vals[t] * c
 			}
 		}
 		d := w[k]
@@ -297,14 +359,16 @@ func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
 			return &SingularError{Pivot: k, Value: d}
 		}
 		f.D[k] = d
-		for p := lo; p < hi; p++ {
-			f.LVal[p] = w[f.LRowIdx[p]] / d
+		lvals := f.LVal[lo:hi][:len(lrows)]
+		for t, i := range lrows {
+			lvals[t] = w[i] / d
 		}
 
 		// ---- Row k of U ----
 		ulo, uhi := f.URowPtr[k], f.URowPtr[k+1]
-		for p := ulo; p < uhi; p++ {
-			w[f.UColIdx[p]] = 0
+		ucols := f.UColIdx[ulo:uhi]
+		for _, j := range ucols {
+			w[j] = 0
 		}
 		rcols, rvals := a.Row(k)
 		for t, j := range rcols {
@@ -313,21 +377,26 @@ func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
 			}
 		}
 		// w[j] -= sum_m L(k,m)·D(m)·U(m,j) over m < k with L(k,m) != 0.
-		for q := f.LRowPtr[k]; q < f.LRowPtr[k+1]; q++ {
-			m := f.LRowCols[q]
-			c := f.LVal[f.LRowPos[q]] * f.D[m]
+		qlo, qhi = f.LRowPtr[k], f.LRowPtr[k+1]
+		lcols := f.LRowCols[qlo:qhi]
+		lpos := f.LRowPos[qlo:qhi][:len(lcols)]
+		for q, m := range lcols {
+			p := lpos[q]
+			lfirst[m] = p + 1 // column m of L is now past row k
+			c := f.LVal[p] * f.D[m]
 			if c == 0 {
 				continue
 			}
-			mlo, mhi := f.URowPtr[m], f.URowPtr[m+1]
-			mcols := f.UColIdx[mlo:mhi]
-			start := sort.SearchInts(mcols, k+1)
-			for t := start; t < len(mcols); t++ {
-				w[mcols[t]] -= c * f.UVal[mlo+t]
+			from, to := ufirst[m], f.URowPtr[m+1]
+			cols := f.UColIdx[from:to]
+			vals := f.UVal[from:to][:len(cols)]
+			for t, j := range cols {
+				w[j] -= c * vals[t]
 			}
 		}
-		for p := ulo; p < uhi; p++ {
-			f.UVal[p] = w[f.UColIdx[p]] / d
+		uvals := f.UVal[ulo:uhi][:len(ucols)]
+		for t, j := range ucols {
+			uvals[t] = w[j] / d
 		}
 	}
 	return nil

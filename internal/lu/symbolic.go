@@ -93,24 +93,28 @@ func SymbolicFromElimination(lcol, urow [][]int) *SymbolicLU {
 // with j in lists[k] — a counting sort, so transposing twice sorts each
 // list. The result is carved from one array.
 func transposeLists(lists [][]int) [][]int {
-	start := make([]int, len(lists)+1)
+	n := len(lists)
+	// Count into start[j+2]: after the prefix sum start[j+1] is list j's
+	// write cursor, and ends as its end.
+	start := make([]int, n+2)
 	for _, l := range lists {
 		for _, j := range l {
+			start[j+2]++
+		}
+	}
+	for j := 2; j <= n+1; j++ {
+		start[j] += start[j-1]
+	}
+	back := make([]int, start[n+1])
+	for k, l := range lists {
+		for _, j := range l {
+			back[start[j+1]] = k
 			start[j+1]++
 		}
 	}
-	for j := range lists {
-		start[j+1] += start[j]
-	}
-	back := make([]int, start[len(lists)])
-	out := make([][]int, len(lists))
+	out := make([][]int, n)
 	for j := range out {
-		out[j] = back[start[j]:start[j]:start[j+1]]
-	}
-	for k, l := range lists {
-		for _, j := range l {
-			out[j] = append(out[j], k)
-		}
+		out[j] = back[start[j]:start[j+1]:start[j+1]]
 	}
 	return out
 }

@@ -136,18 +136,59 @@ func drop(list []int, v int) []int {
 	return list
 }
 
-// eliminate runs the greedy symbolic elimination shared by Markowitz
-// and MinDegree over an elimGraph. The pivot at every step is the live
-// vertex with the smallest (cost, index) — a total order — so the
-// sequence does not depend on how the graph or the heap store things:
-// stale heap entries are skipped on pop (lazy deletion), and every live
-// vertex always has an entry carrying its current cost.
+// The dense-phase policy. Late in an elimination the live submatrix is
+// small and mostly fill, and the lists pay |row i| + |r| marks, walks and
+// appends per neighbour i for what is an OR of a few machine words. Both
+// constants keep the value their sweep justified (docs/PERFORMANCE.md,
+// "What a batch's apply is made of"):
+const (
+	// denseMaxBytes bounds the bitsets of one call: the phase starts only
+	// once both sets (rows and columns, 2·m²/8 bytes over m live
+	// vertices) fit in it, which is m ≤ 4096. They are per call and
+	// garbage by return, like the lists.
+	denseMaxBytes = 4 << 20
+	// denseMinFill is the density at which the switch pays: a mean active
+	// row of at least m/denseMinFill entries.
+	denseMinFill = 16
+)
+
+// denseBytes is what the dense phase allocates for m live vertices.
+func denseBytes(m int) int { return 2 * m * ((m + 63) / 64) * 8 }
+
+// denseReady reports whether a live submatrix of m vertices holding
+// entries off-diagonal positions should move to bitsets.
+func denseReady(m, entries int) bool {
+	return denseBytes(m) <= denseMaxBytes && entries*denseMinFill >= m*m
+}
+
+// phases says where an elimination changed representation: denseAt is
+// the live-vertex count at the switch (-1: never) and densePivots how
+// many pivots the dense phase went on to eliminate.
+type phases struct {
+	denseAt, densePivots int
+}
+
+func eliminate(p *sparse.Pattern, symmetric bool) Result {
+	res, _ := eliminateWith(p, symmetric, denseReady)
+	return res
+}
+
+// eliminateWith runs the greedy symbolic elimination shared by Markowitz
+// and MinDegree. The pivot at every step is the live vertex with the
+// smallest (cost, index) — a total order — so the sequence does not
+// depend on how the graph or the candidates are stored, and the
+// elimination is free to hold the active submatrix in two ways: as
+// adjacency lists with a lazy-deletion heap (stale entries are skipped
+// on pop; every live vertex always has an entry carrying its current
+// cost), and, from the first step at which ready says so, as bitsets
+// (eliminateDense). ready is asked before every pivot with the live
+// vertex count and the live off-diagonal entry count.
 //
 // A pivot's active row and column are row k of U and column k of L, so
 // they are kept as the structure instead of dropped; the lists are
 // mapped to pivot positions at the end and handed to
 // lu.SymbolicFromElimination, which sorts them.
-func eliminate(p *sparse.Pattern, symmetric bool) Result {
+func eliminateWith(p *sparse.Pattern, symmetric bool, ready func(m, entries int) bool) (Result, phases) {
 	n := p.N()
 	g := newElimGraph(p, symmetric)
 	cost := func(v int) int {
@@ -161,9 +202,11 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 	curCost := make([]int, n)
 	eliminated := make([]bool, n)
 	h := make(sparse.MinHeap[pivotCand], n, 2*n)
+	entries := 0 // live off-diagonal positions, kept as the lists change
 	for v := 0; v < n; v++ {
 		curCost[v] = cost(v)
 		h[v] = pivotCand{curCost[v], v}
+		entries += len(g.row[v])
 	}
 	h.Init()
 
@@ -185,7 +228,16 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 		lcol = make([][]int, n)
 	}
 	sspSize := 0
+	ph := phases{denseAt: -1}
 	for len(pivots) < n {
+		if m := n - len(pivots); ready(m, entries) {
+			before := len(pivots)
+			var size int
+			pivots, size = eliminateDense(g, symmetric, eliminated, pivots, urow, lcol)
+			ph = phases{denseAt: m, densePivots: len(pivots) - before}
+			sspSize += size
+			break
+		}
 		cand := h.Pop()
 		v := cand.v
 		if eliminated[v] || cand.cost != curCost[v] {
@@ -208,6 +260,7 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 		// Fill: every active (i, v) × (v, j) pair creates (i, j). Marking
 		// row i once answers all of its membership tests; v leaves the
 		// row in the same pass.
+		fill := 0
 		for _, i := range c {
 			g.stamp++
 			g.mark[i] = g.stamp // the diagonal (i, i) is always present
@@ -225,10 +278,15 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 				if g.mark[j] != g.stamp {
 					ri = append(ri, j)
 					g.col[j] = append(g.col[j], i) // j != i: i is marked
+					fill++
 				}
 			}
 			g.row[i] = ri
 		}
+		if symmetric {
+			fill *= 2 // the shared lists took (i, j) and (j, i)
+		}
+		entries += fill - len(r) - len(c) // v's row, and v out of c's rows
 		if !symmetric {
 			for _, j := range r {
 				g.col[j] = drop(g.col[j], v)
@@ -278,5 +336,5 @@ func eliminate(p *sparse.Pattern, symmetric bool) Result {
 		Ordering: sparse.SymmetricOrdering(pivots),
 		SSPSize:  sspSize,
 		Symbolic: lu.SymbolicFromElimination(lcol, urow),
-	}
+	}, ph
 }

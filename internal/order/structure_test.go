@@ -14,7 +14,9 @@ import (
 // and without the dense-tail shortcut: every pivot is popped, its fill
 // computed, its lists dropped. It is what eliminate was before it kept
 // what it computes, and stays here as the pivot-sequence reference.
-func referenceEliminate(p *sparse.Pattern, symmetric bool) (pivots []int, sspSize int) {
+// trace, when set, is told the live vertex count and the live
+// off-diagonal entry count before every pivot.
+func referenceEliminate(p *sparse.Pattern, symmetric bool, trace func(m, entries int)) (pivots []int, sspSize int) {
 	n := p.N()
 	g := newElimGraph(p, symmetric)
 	cost := func(v int) int {
@@ -44,6 +46,13 @@ func referenceEliminate(p *sparse.Pattern, symmetric bool) (pivots []int, sspSiz
 		v := cand.v
 		if eliminated[v] || cand.cost != curCost[v] {
 			continue
+		}
+		if trace != nil {
+			entries := 0
+			for _, row := range g.row {
+				entries += len(row)
+			}
+			trace(n-len(pivots), entries)
 		}
 		eliminated[v] = true
 		pivots = append(pivots, v)
@@ -165,7 +174,7 @@ func TestOrderingHandsOverSymbolic(t *testing.T) {
 			if symmetric {
 				alg, res, ordered = "MinDegree", MinDegree(p), symmetrized(p)
 			}
-			wantPivots, wantSize := referenceEliminate(p, symmetric)
+			wantPivots, wantSize := referenceEliminate(p, symmetric, nil)
 			if !slices.Equal([]int(res.Ordering.Row), wantPivots) || !slices.Equal([]int(res.Ordering.Col), wantPivots) {
 				t.Fatalf("%s %s: pivots %v, reference %v", alg, name, res.Ordering.Row, wantPivots)
 			}
