@@ -268,14 +268,31 @@ type Rank1Term struct {
 	W     []sparse.Entry
 }
 
-// SplitTerms splits ∆A into its rank-1 terms. The split goes along
-// whichever dimension has fewer distinct indices — per-row terms
-// e_r·wᵀ or per-column terms w·e_cᵀ — because the update rank (and
-// hence the total cost) is min(#rows, #cols). Evolving-graph matrices
-// make this matter: an edge change renormalizes one whole matrix
-// column, so deltas concentrate in few columns but spread over many
-// rows. Terms come out keyed in ascending order with each W in delta
-// order, exactly the sequence the in-place update path applies.
+// SplitTerms splits ∆A into the fewest rank-1 terms of the two shapes
+// the recurrence applies: row terms e_r·wᵀ (ByCol false) and column
+// terms w·e_cᵀ (ByCol true). Picture ∆A as a bipartite graph with one
+// vertex per distinct row and column and one edge per entry: a set of
+// terms can reassemble ∆A exactly when its keys cover every edge, so the
+// fewest terms is the size of a maximum matching (König's theorem) — at
+// most min(#rows, #cols), and often far below it. Evolving-graph
+// matrices show both cases. An edge change in a directed walk matrix
+// renormalizes one column, so a delta is a few columns over many rows
+// and the column split is already minimum. A symmetric walk matrix
+// changes as a cross — the rows and the columns of both endpoints —
+// which one row and one column term per endpoint cover, instead of one
+// term per neighbour.
+//
+// When a maximum matching saturates the smaller side, no cover beats
+// that side and the split is one-sided, as it always was: every row
+// (when there are no more rows than columns) or every column, keyed
+// ascending. Otherwise it is the matching's König cover: row terms
+// first, ascending by row, then column terms, ascending by column, and
+// each entry goes to its row's term when that row is in the cover, else
+// to its column's. Either way each W keeps delta order.
+//
+// Any split is safe inside a USSP: every intermediate matrix holds each
+// position's old or new value, so its pattern lies within old ∪ new and
+// hence within the cluster union (Theorem 1).
 func SplitTerms(delta []sparse.Entry) []Rank1Term {
 	if len(delta) == 0 {
 		return nil
@@ -287,32 +304,52 @@ func SplitTerms(delta []sparse.Entry) []Rank1Term {
 	slices.Sort(rows)
 	slices.Sort(cols)
 	rows, cols = slices.Compact(rows), slices.Compact(cols)
-	byCol := len(cols) < len(rows)
-	keys := rows
-	if byCol {
-		keys = cols
+	// Entry k joins vertex ri[k] (its row) and vertex nr+ci[k] (its
+	// column); ri is reused below for the entry's term.
+	nr := len(rows)
+	ri, ci := make([]int, len(delta)), make([]int, len(delta))
+	for k, e := range delta {
+		ri[k], ci[k] = sort.SearchInts(rows, e.Row), sort.SearchInts(cols, e.Col)
 	}
-	group := func(e sparse.Entry) int {
-		if byCol {
-			return sort.SearchInts(keys, e.Col)
+	cover, size := minimumCover(ri, ci, nr, len(cols))
+
+	// Number the cover's vertices in term order — rows, then columns, each
+	// ascending — and send each entry to its term.
+	termOf := make([]int, len(cover))
+	terms := make([]Rank1Term, 0, size)
+	for v, in := range cover {
+		if !in {
+			continue
 		}
-		return sort.SearchInts(keys, e.Row)
+		termOf[v] = len(terms)
+		if v < nr {
+			terms = append(terms, Rank1Term{Key: rows[v]})
+		} else {
+			terms = append(terms, Rank1Term{Key: cols[v-nr], ByCol: true})
+		}
+	}
+	for k := range delta {
+		if cover[ri[k]] {
+			ri[k] = termOf[ri[k]]
+		} else {
+			ri[k] = termOf[nr+ci[k]]
+		}
 	}
 
-	// A counting sort by key keeps every group in delta order, and all W
-	// slices are carved from one array. pos[g] starts as group g's first
-	// slot and, advanced once per entry placed, ends as its end.
-	pos := make([]int, len(keys)+1)
-	for _, e := range delta {
-		pos[group(e)+1]++
+	// A counting sort by term keeps every term's entries in delta order,
+	// and all W slices are carved from one array. pos[g] starts as term
+	// g's first slot and, advanced once per entry placed, ends as its end.
+	pos := make([]int, len(terms)+1)
+	for _, g := range ri {
+		pos[g+1]++
 	}
-	for g := range keys {
+	for g := range terms {
 		pos[g+1] += pos[g]
 	}
 	w := make([]sparse.Entry, len(delta))
-	for _, e := range delta {
-		g := group(e)
-		if byCol {
+	for k, e := range delta {
+		g := ri[k]
+		if terms[g].ByCol {
 			// z = e_c, y holds the column entries keyed by row.
 			w[pos[g]] = sparse.Entry{Row: e.Row, Val: e.Val}
 		} else {
@@ -321,13 +358,152 @@ func SplitTerms(delta []sparse.Entry) []Rank1Term {
 		}
 		pos[g]++
 	}
-	terms := make([]Rank1Term, len(keys))
 	lo := 0
-	for g, k := range keys {
-		terms[g] = Rank1Term{Key: k, ByCol: byCol, W: w[lo:pos[g]:pos[g]]}
+	for g := range terms {
+		terms[g].W = w[lo:pos[g]:pos[g]]
 		lo = pos[g]
 	}
 	return terms
+}
+
+// minimumCover returns a minimum vertex cover of ∆A's bipartite graph:
+// vertices 0..nr-1 are its distinct rows, nr..nr+nc-1 its distinct
+// columns, and entry k joins ri[k] to nr+ci[k]. It matches from the
+// smaller side (the rows on a tie): greedily first, with augmenting
+// paths only for what the greedy pass left unmatched. A matching that
+// saturates that side makes the side itself a minimum cover; otherwise
+// the cover is König's: the smaller side's vertices that no alternating
+// path from an unmatched one reaches, and the other side's vertices that
+// one does. Either is a function of the graph alone, not of which
+// maximum matching was found. It also returns the cover's size, the
+// matching's.
+func minimumCover(ri, ci []int, nr, nc int) ([]bool, int) {
+	cover := make([]bool, nr+nc)
+	small, large, left, right := cover[:nr], cover[nr:], ri, ci
+	if nc < nr {
+		small, large, left, right = large, small, ci, ri
+	}
+	g := newBipartite(left, right, len(small), len(large))
+	size := g.maximumMatching()
+	if size == len(small) {
+		for u := range small {
+			small[u] = true
+		}
+		return cover, size
+	}
+	g.konigCover(small, large)
+	return cover, size
+}
+
+// bipartite is a matching in the bipartite graph with edges
+// (left[k], right[k]), searched from the left.
+type bipartite struct {
+	ptr, adj       []int // left vertex u's neighbours: adj[ptr[u]:ptr[u+1]], in edge order
+	matchL, matchR []int // each vertex's partner, or -1
+	seen           []int // per right vertex, the last search (left vertex + 1) that visited it
+}
+
+func newBipartite(left, right []int, nLeft, nRight int) *bipartite {
+	g := &bipartite{
+		ptr:    make([]int, nLeft+1),
+		adj:    make([]int, len(left)),
+		matchL: make([]int, nLeft),
+		matchR: make([]int, nRight),
+		seen:   make([]int, nRight),
+	}
+	for _, u := range left {
+		g.ptr[u+1]++
+	}
+	for u := range nLeft {
+		g.ptr[u+1] += g.ptr[u]
+	}
+	// Fill by advancing each start to its end, then shift the ends back.
+	for k, u := range left {
+		g.adj[g.ptr[u]] = right[k]
+		g.ptr[u]++
+	}
+	copy(g.ptr[1:], g.ptr[:nLeft])
+	g.ptr[0] = 0
+	for u := range g.matchL {
+		g.matchL[u] = -1
+	}
+	for v := range g.matchR {
+		g.matchR[v] = -1
+	}
+	return g
+}
+
+// maximumMatching matches greedily, then searches an augmenting path
+// from each left vertex the greedy pass left unmatched (one search each
+// suffices: a vertex with no augmenting path never gains one), and
+// returns the matching's size.
+func (g *bipartite) maximumMatching() int {
+	size := 0
+	for u := range g.matchL {
+		for _, v := range g.adj[g.ptr[u]:g.ptr[u+1]] {
+			if g.matchR[v] < 0 {
+				g.matchL[u], g.matchR[v] = v, u
+				size++
+				break
+			}
+		}
+	}
+	if size == len(g.matchL) {
+		return size
+	}
+	for u, v := range g.matchL {
+		if v < 0 && g.augment(u, u+1) {
+			size++
+		}
+	}
+	return size
+}
+
+// augment looks for an alternating path from left vertex u to an
+// unmatched right vertex, visiting each right vertex at most once per
+// stamp, and flips the path into the matching if it finds one.
+func (g *bipartite) augment(u, stamp int) bool {
+	for _, v := range g.adj[g.ptr[u]:g.ptr[u+1]] {
+		if g.seen[v] == stamp {
+			continue
+		}
+		g.seen[v] = stamp
+		if w := g.matchR[v]; w < 0 || g.augment(w, stamp) {
+			g.matchL[u], g.matchR[v] = v, u
+			return true
+		}
+	}
+	return false
+}
+
+// konigCover marks the König cover of a maximum matching: it starts with
+// every left vertex in and every right vertex out, then walks the
+// alternating paths from the unmatched left vertices — any edge to the
+// right, the matching edge back — taking each left vertex it reaches out
+// and each right vertex it reaches in. (Every right vertex reached is
+// matched, or the matching would not be maximum.)
+func (g *bipartite) konigCover(leftIn, rightIn []bool) {
+	stack := make([]int, 0, len(leftIn))
+	for u, v := range g.matchL {
+		leftIn[u] = v >= 0
+		if v < 0 {
+			stack = append(stack, u)
+		}
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.adj[g.ptr[u]:g.ptr[u+1]] {
+			if rightIn[v] {
+				continue
+			}
+			rightIn[v] = true
+			if w := g.matchR[v]; leftIn[w] {
+				leftIn[w] = false
+				stack = append(stack, w)
+			}
+		}
+	}
 }
 
 // loadTerm loads a pre-split term into the scratch.

@@ -2,7 +2,6 @@ package bennett
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"repro/internal/lu"
@@ -164,68 +163,5 @@ func TestApplyTermsZeroAlloc(t *testing.T) {
 	}
 	if st.Rank1Updates == 0 || st.StepsTouched == 0 {
 		t.Fatalf("nothing was applied: %+v", st)
-	}
-}
-
-// splitTermsReference is the map-based SplitTerms this package shipped
-// until the grouping became a counting sort.
-func splitTermsReference(delta []sparse.Entry) []Rank1Term {
-	if len(delta) == 0 {
-		return nil
-	}
-	rowSet, colSet := map[int]struct{}{}, map[int]struct{}{}
-	for _, e := range delta {
-		rowSet[e.Row], colSet[e.Col] = struct{}{}, struct{}{}
-	}
-	byCol := len(colSet) < len(rowSet)
-	groups := map[int][]sparse.Entry{}
-	for _, e := range delta {
-		if byCol {
-			groups[e.Col] = append(groups[e.Col], sparse.Entry{Row: e.Row, Val: e.Val})
-		} else {
-			groups[e.Row] = append(groups[e.Row], sparse.Entry{Row: e.Col, Val: e.Val})
-		}
-	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	terms := make([]Rank1Term, 0, len(keys))
-	for _, k := range keys {
-		terms = append(terms, Rank1Term{Key: k, ByCol: byCol, W: groups[k]})
-	}
-	return terms
-}
-
-// TestSplitTermsMatchesReference: same side, same keys in the same
-// order, every W in delta order — for row-major deltas as sparse.Delta
-// emits them and for shuffled ones with repeated positions.
-func TestSplitTermsMatchesReference(t *testing.T) {
-	rng := xrand.New(4713)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(12)
-		delta := make([]sparse.Entry, rng.Intn(30))
-		for k := range delta {
-			delta[k] = sparse.Entry{Row: rng.Intn(n), Col: rng.Intn(n), Val: rng.Float64()}
-		}
-		if trial%2 == 0 {
-			sort.SliceStable(delta, func(i, j int) bool { return delta[i].Row < delta[j].Row })
-		}
-		got, want := SplitTerms(delta), splitTermsReference(delta)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d terms, reference %d", trial, len(got), len(want))
-		}
-		for g := range got {
-			if got[g].Key != want[g].Key || got[g].ByCol != want[g].ByCol || len(got[g].W) != len(want[g].W) {
-				t.Fatalf("trial %d term %d: got key %d byCol %v (%d entries), reference key %d byCol %v (%d entries)",
-					trial, g, got[g].Key, got[g].ByCol, len(got[g].W), want[g].Key, want[g].ByCol, len(want[g].W))
-			}
-			for k := range got[g].W {
-				if got[g].W[k] != want[g].W[k] {
-					t.Fatalf("trial %d term %d entry %d: got %+v, reference %+v", trial, g, k, got[g].W[k], want[g].W[k])
-				}
-			}
-		}
 	}
 }

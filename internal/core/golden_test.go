@@ -71,17 +71,26 @@ func hashResult(h hash.Hash64, res *Result) {
 // its hash sets, rank1Static counted instead of rescanning and the
 // dataset path stopped sorting. None of those may move a factor bit, a
 // pivot, a Bennett step or a list splice.
+//
+// The five symmetric entries marked below were re-pinned once, on
+// purpose, when bennett.SplitTerms began splitting ∆A along a minimum
+// row/column cover: a symmetric walk matrix changes as a cross, whose
+// cover is a handful of row and column terms where the one-sided split
+// used one term per touched column, so the Bennett chains of INC, CINC
+// and CLUDE over symmetricEMS (Run and RunQC) apply different, far fewer
+// rank-1 terms and round differently. Directed deltas keep the one-sided split, so
+// every directed, BF and replay entry is the original recording.
 var goldenFactors = map[string]uint64{
 	"run/BF/directed":     0xf43de78b39ff0e23,
 	"run/BF/symmetric":    0x78f28c465392d8fc,
 	"run/INC/directed":    0x29f4a3ef747451ca,
-	"run/INC/symmetric":   0x2271cdce75bdf73b,
+	"run/INC/symmetric":   0x46b4222b5a07a420, // re-pinned: minimum-cover split
 	"run/CINC/directed":   0x229b4c82b8bed359,
-	"run/CINC/symmetric":  0x5666d0c63c38b2b3,
+	"run/CINC/symmetric":  0x84da9c191b55edeb, // re-pinned: minimum-cover split
 	"run/CLUDE/directed":  0x43e09f0e3204a160,
-	"run/CLUDE/symmetric": 0x315594bc516fe927,
-	"qc/CINC":             0x12ae645580189a82,
-	"qc/CLUDE":            0x5e74bde09f087a55,
+	"run/CLUDE/symmetric": 0xa642979ac7f48c7e, // re-pinned: minimum-cover split
+	"qc/CINC":             0x12318be73279d24b, // re-pinned: minimum-cover split
+	"qc/CLUDE":            0xc3c1d1f96d74d5e9, // re-pinned: minimum-cover split
 	"replay/BF":           0x7e7bdea2e38b147a,
 	"replay/INC":          0xaa443500889f196,
 	"replay/CINC":         0x7304bc3719b701a1,
@@ -147,11 +156,17 @@ func TestGoldenFactors(t *testing.T) {
 // step early, walked one twice or sent a different step to the
 // out-of-structure scan would move a count here before it moved a
 // measurable factor bit.
+//
+// The two dblp entries were re-pinned once, on purpose, with
+// goldenFactors' symmetric entries: under the minimum-cover split a
+// DBLP-like symmetric delta needs about a quarter of the rank-1 terms
+// and a third of the elimination steps. wiki/* and patent/* are
+// directed and keep the original recording.
 var goldenBennettStats = map[string]bennett.Stats{
 	"wiki/7":    {Rank1Updates: 518, StepsTouched: 29005},
 	"wiki/1234": {Rank1Updates: 523, StepsTouched: 28077},
-	"dblp/11":   {Rank1Updates: 631, StepsTouched: 28695},
-	"dblp/4321": {Rank1Updates: 727, StepsTouched: 33208},
+	"dblp/11":   {Rank1Updates: 168, StepsTouched: 9551},  // re-pinned from {631, 28695}: minimum-cover split
+	"dblp/4321": {Rank1Updates: 178, StepsTouched: 10192}, // re-pinned from {727, 33208}: minimum-cover split
 	"patent/17": {Rank1Updates: 192, StepsTouched: 1105},
 	"patent/99": {Rank1Updates: 192, StepsTouched: 1107},
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -462,6 +463,191 @@ func TestHistorySurvivesKillPointRecovery(t *testing.T) {
 			}
 			s2.Close()
 			st2.Close()
+		}
+	}
+}
+
+// factorBytes is a container's CLUF frame: equal frames are equal
+// factors, bit for bit.
+func factorBytes(t *testing.T, f lu.Factors) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFactors(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMixedTermsSurviveTheDurablePath: a symmetric walk matrix changes
+// as crosses — an edge renormalizes the rows and the columns of its
+// endpoints — so SplitTerms' minimum cover gives an undirected stream's
+// records row and column terms side by side. For the dynamic (INC) and
+// static (CLUDE) containers such records must survive what one-sided
+// ones do: the CLUH codec round-trips them; replaying them onto a clone
+// of their chain's base reproduces every live version bit for bit; and a
+// kill at any point recovers the pre-kill state, seeds the same history
+// and continues to the uninterrupted run's final state.
+func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
+	const n = 30
+	rng := xrand.New(101)
+	g0 := randomGraph(n, 40, rng)
+	// Flap a pool of edges off and on (updates inside any USSP), with a
+	// random batch every third step for growth.
+	pool := g0.Edges()[:3]
+	random := randomBatches(n, 4, 3, rng)
+	var batches [][]graph.EdgeEvent
+	for i := 0; i < 12; i++ {
+		var evs []graph.EdgeEvent
+		switch i % 3 {
+		case 0, 1:
+			op := graph.EdgeDelete
+			if i%3 == 1 {
+				op = graph.EdgeInsert
+			}
+			for _, e := range pool {
+				evs = append(evs, graph.EdgeEvent{From: e.From, To: e.To, Op: op})
+			}
+		default:
+			evs = random[i/3]
+		}
+		batches = append(batches, evs)
+	}
+
+	for _, alg := range []core.Algorithm{core.INC, core.CLUDE} {
+		cfg := core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85)}
+
+		// The live run: every record and every version's factors.
+		var recs []bennett.VersionRecord
+		var live [][]byte
+		liveCfg := cfg
+		liveCfg.OnPublish = func(sv *lu.Solver, rec bennett.VersionRecord) {
+			recs = append(recs, rec)
+			live = append(live, factorBytes(t, sv.F))
+		}
+		s, err := core.NewStream(liveCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var states []*core.StreamState
+		for i, evs := range batches {
+			if _, err := s.Apply(evs); err != nil {
+				t.Fatalf("%s batch %d: %v", alg, i, err)
+			}
+			st, err := s.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, st)
+		}
+		s.Close()
+
+		// Mixed records exist, round-trip through the codec, and replay.
+		mixed := 0
+		log := bennett.NewHistoryLog()
+		var mw bennett.MaterializeWorkspace
+		var base lu.Factors
+		baseVer := uint64(0)
+		for _, rec := range recs {
+			var rows, cols bool
+			for _, tm := range rec.Terms {
+				rows, cols = rows || !tm.ByCol, cols || tm.ByCol
+			}
+			if rows && cols {
+				mixed++
+			}
+			var buf bytes.Buffer
+			encodeHistoryRecord(&buf, rec)
+			if got, err := decodeHistoryRecord(buf.Bytes()); err != nil || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("%s version %d: CLUH record did not round-trip (%v)", alg, rec.Version, err)
+			}
+			log.Record(rec)
+			if rec.Structural {
+				var err error
+				if base, err = ReadFactors(bytes.NewReader(live[rec.Version])); err != nil {
+					t.Fatal(err)
+				}
+				baseVer = rec.Version
+				continue
+			}
+			got, err := mw.Materialize(base, log, baseVer, rec.Version, nil)
+			if err != nil {
+				t.Fatalf("%s: materialize %d from %d: %v", alg, rec.Version, baseVer, err)
+			}
+			if !bytes.Equal(factorBytes(t, got), live[rec.Version]) {
+				t.Errorf("%s: version %d materialized from %d differs from the live factors", alg, rec.Version, baseVer)
+			}
+		}
+		if mixed < 4 {
+			t.Fatalf("%s: %d of %d records mix row and column terms, want at least 4", alg, mixed, len(recs))
+		}
+
+		for _, kill := range []int{2, 5, len(batches)} {
+			dir := t.TempDir()
+			opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true}
+			st, err := Open(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1, _, err := st.OpenStream(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < kill; i++ {
+				if _, err := s1.Apply(batches[i]); err != nil {
+					t.Fatal(err)
+				}
+				if i == kill/2 {
+					if err := st.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// SIGKILL: no Close, no final snapshot.
+			s1.Close()
+			st.wal.Close()
+			st.hist.Close()
+
+			st2, err := Open(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := append([]bennett.VersionRecord(nil), st2.LoadHistory()...)
+			cfg2 := cfg
+			cfg2.OnPublish = func(_ *lu.Solver, rec bennett.VersionRecord) {
+				for len(got) > 0 && got[len(got)-1].Version >= rec.Version {
+					got = got[:len(got)-1]
+				}
+				got = append(got, rec)
+			}
+			s2, info, err := st2.OpenStream(cfg2)
+			if err != nil {
+				t.Fatalf("%s kill=%d: reopen: %v", alg, kill, err)
+			}
+			at := fmt.Sprintf("%s kill=%d", alg, kill)
+			if state, err := s2.ExportState(); err != nil || !info.Recovered || !reflect.DeepEqual(state, states[kill-1]) {
+				t.Fatalf("%s: recovered state differs from the pre-kill state (recovered %v, %v)", at, info.Recovered, err)
+			}
+			for i := kill; i < len(batches); i++ {
+				if _, err := s2.Apply(batches[i]); err != nil {
+					t.Fatalf("%s: batch %d after recovery: %v", at, i, err)
+				}
+			}
+			if state, _ := s2.ExportState(); !reflect.DeepEqual(state, states[len(states)-1]) {
+				t.Errorf("%s: continuation diverged from the uninterrupted run", at)
+			}
+			if len(got) != len(recs) {
+				t.Fatalf("%s: %d records after recovery and continuation, want %d", at, len(got), len(recs))
+			}
+			for i, rec := range recs {
+				// The restored snapshot version republishes as structural.
+				if !(got[i].Structural && !rec.Structural && got[i].Version == rec.Version) && !reflect.DeepEqual(got[i], rec) {
+					t.Errorf("%s: record for version %d differs from the live run", at, rec.Version)
+				}
+			}
+			s2.Close()
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
