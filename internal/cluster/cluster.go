@@ -6,8 +6,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/lu"
 	"repro/internal/order"
 	"repro/internal/sparse"
@@ -75,30 +73,20 @@ func Covering(cs []Cluster, i int) int {
 // the current cluster as long as mes(A∩, A∪) ≥ α; when the bound would
 // break, a new cluster starts. α = 1 makes every cluster a single
 // matrix (unless successive patterns are identical); α = 0 puts the
-// whole EMS in one cluster.
+// whole EMS in one cluster. The rule is the Tracker's, fed every pattern.
 func Alpha(patterns []*sparse.Pattern, alpha float64) []Cluster {
-	if alpha < 0 || alpha > 1 {
-		panic(fmt.Sprintf("cluster: alpha %v outside [0,1]", alpha))
-	}
+	t := NewTracker(alpha)
 	if len(patterns) == 0 {
 		return nil
 	}
+	t.Admit(patterns[0])
 	var out []Cluster
-	start := 0
-	inter, union := patterns[0], patterns[0]
-	for i := 1; i < len(patterns); i++ {
-		ni := inter.Intersect(patterns[i])
-		nu := union.Union(patterns[i])
-		if sparse.MES(ni, nu) >= alpha {
-			inter, union = ni, nu
-			continue
+	for _, p := range patterns[1:] {
+		if c := t.Cluster(); !t.Admit(p) {
+			out = append(out, c)
 		}
-		out = append(out, Cluster{Start: start, End: i, Union: union})
-		start = i
-		inter, union = patterns[i], patterns[i]
 	}
-	out = append(out, Cluster{Start: start, End: len(patterns), Union: union})
-	return out
+	return append(out, t.Cluster())
 }
 
 // QCResult couples a cluster with the ordering chosen while the

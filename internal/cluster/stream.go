@@ -9,17 +9,17 @@ import (
 )
 
 // Tracker maintains α-cluster membership incrementally, one pattern at
-// a time — the streaming twin of Alpha. Where the offline pass scans a
-// complete pattern sequence, the tracker is fed matrices as they arrive
-// from the delta pipeline and answers, in O(|pattern|) per step, whether
-// the newest matrix extends the current cluster or opens a new one.
+// a time: the one implementation of Algorithm 1's admission rule. Alpha
+// feeds it a complete pattern sequence; the batch engine and the stream
+// feed it each matrix as what changed from its predecessor, and it
+// answers whether the newest matrix extends the current cluster or opens
+// a new one.
 //
 // The admission rule is exactly Algorithm 1's: a pattern joins while
-// mes(A∩, A∪) ≥ α over the would-be bounding patterns. Feeding the
-// tracker the same sequence Alpha saw therefore reproduces Alpha's
-// cluster boundaries and unions verbatim (the stream_test property),
-// which is what lets the streaming engine make per-batch decisions
-// without ever re-clustering the history.
+// mes(A∩, A∪) ≥ α over the would-be bounding patterns. The stream_test
+// properties pin it to the literal pass over whole patterns, boundaries
+// and unions verbatim, which is what lets the streaming engine make
+// per-batch decisions without ever re-clustering the history.
 //
 // A live engine knows each member as the previous one plus a few changed
 // positions; AdmitDelta takes the decision from those alone.

@@ -42,14 +42,38 @@ func randomPatterns(rng *xrand.Rand, n, T, flips int) []*sparse.Pattern {
 	return out
 }
 
+// alphaReference is Algorithm 1 as the paper states it: rebuild the
+// intersection and union patterns of the would-be cluster at every step
+// and admit while their edit similarity stays at least α.
+func alphaReference(patterns []*sparse.Pattern, alpha float64) []Cluster {
+	var out []Cluster
+	start := 0
+	inter, union := patterns[0], patterns[0]
+	for i := 1; i < len(patterns); i++ {
+		ni := inter.Intersect(patterns[i])
+		nu := union.Union(patterns[i])
+		if sparse.MES(ni, nu) >= alpha {
+			inter, union = ni, nu
+			continue
+		}
+		out = append(out, Cluster{Start: start, End: i, Union: union})
+		start = i
+		inter, union = patterns[i], patterns[i]
+	}
+	return append(out, Cluster{Start: start, End: len(patterns), Union: union})
+}
+
 // TestTrackerMatchesAlpha is the incremental-maintenance property: the
-// online tracker fed one pattern at a time reproduces the offline
-// Alpha clustering exactly — boundaries and unions.
+// online tracker fed one pattern at a time, and Alpha built on it,
+// reproduce the literal Algorithm 1 exactly — boundaries and unions.
 func TestTrackerMatchesAlpha(t *testing.T) {
 	rng := xrand.New(99)
 	for _, alpha := range []float64{0, 0.5, 0.9, 0.97, 1} {
 		pats := randomPatterns(rng, 40, 30, 6)
-		want := Alpha(pats, alpha)
+		want := alphaReference(pats, alpha)
+		if got := Alpha(pats, alpha); !sameClusters(got, want) {
+			t.Fatalf("alpha=%v: Alpha differs from the reference", alpha)
+		}
 
 		// Feed the tracker one pattern at a time, recording each cluster
 		// the moment its successor opens.
@@ -81,6 +105,18 @@ func TestTrackerMatchesAlpha(t *testing.T) {
 			t.Fatalf("alpha=%v: Clusters()=%d, want %d", alpha, tr.Clusters(), len(want))
 		}
 	}
+}
+
+func sameClusters(a, b []Cluster) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Start != b[k].Start || a[k].End != b[k].End || !a[k].Union.Equal(b[k].Union) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestTrackerEdges(t *testing.T) {

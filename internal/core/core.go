@@ -84,10 +84,10 @@ type Options struct {
 // they measure aggregate CPU time and their total can exceed Wall —
 // that surplus is exactly the work the pool overlapped.
 type PhaseTimes struct {
-	Clustering time.Duration // t_c: α- or β-clustering
+	Clustering time.Duration // t_c: α- or β-clustering, with the one diff of each step
 	Ordering   time.Duration // t_M: Markowitz / MinDegree runs
 	FullLU     time.Duration // t_d: symbolic + numeric full decompositions
-	Bennett    time.Duration // t_B: incremental updates (incl. reorder+delta prep)
+	Bennett    time.Duration // t_B: incremental updates (incl. moving ∆A into the cluster ordering)
 }
 
 // Total sums the phases.
@@ -158,7 +158,7 @@ func patterns(ems *graph.EMS) []*sparse.Pattern {
 
 // refactorInPlace rebuilds factors for cur after a failed incremental
 // update, preserving the container style of the algorithm.
-func refactorInPlace(fac *lu.Factors, static **lu.StaticFactors, dyn **lu.DynamicFactors, cur *sparse.CSR, useUnion bool, sym *lu.SymbolicLU) error {
+func refactorInPlace(fac *lu.Factors, static **lu.StaticFactors, dyn **lu.DynamicFactors, cur *sparse.CSR, useUnion bool) error {
 	if useUnion {
 		// The USSP container still covers cur; refill numerically.
 		if err := (*static).Factorize(cur); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,11 +45,31 @@ type job struct {
 	ord      sparse.Ordering
 }
 
-// plan is a planner's output: the error-message label plus the job
-// list in cluster order (jobs[k].cl.Start increasing, contiguous).
+// plan is a planner's output: the error-message label, the job list in
+// cluster order (jobs[k].cl.Start increasing, contiguous) and, for the
+// planners whose clusters step, deltas[i] = A_i − A_{i−1} in the original
+// indices (nil at i = 0 and for BF).
 type plan struct {
-	label string
-	jobs  []job
+	label  string
+	jobs   []job
+	deltas [][]sparse.Entry
+}
+
+// stepDeltas diffs every pair of consecutive matrices once, in the
+// original indices, and keeps each step's value delta; visit, when
+// non-nil, sees each step's whole delta (the pattern delta included)
+// while it is current.
+func stepDeltas(ems *graph.EMS, visit func(i int, d *sparse.StepDelta)) [][]sparse.Entry {
+	deltas := make([][]sparse.Entry, ems.Len())
+	var d sparse.StepDelta
+	for i := 1; i < ems.Len(); i++ {
+		d.Diff(ems.Matrices[i-1], ems.Matrices[i])
+		deltas[i] = slices.Clone(d.Entries)
+		if visit != nil {
+			visit(i, &d)
+		}
+	}
+	return deltas
 }
 
 // planner is the clustering stage. Its cost is reported as t_c.
@@ -75,11 +96,13 @@ type incPlanner struct{}
 func (incPlanner) plan(e *engine) (plan, error) {
 	return plan{label: "INC", jobs: []job{
 		{cl: cluster.Cluster{Start: 0, End: e.ems.Len()}},
-	}}, nil
+	}, deltas: stepDeltas(e.ems, nil)}, nil
 }
 
 // alphaPlanner plans CINC (useUnion=false) and CLUDE (useUnion=true):
-// α-clusters, ordered by the first member or the cluster union.
+// α-clusters, ordered by the first member or the cluster union. The
+// tracker admits each matrix by its step's pattern delta, so clustering
+// costs what changed, not two whole patterns per step.
 type alphaPlanner struct {
 	label    string
 	alpha    float64
@@ -87,12 +110,23 @@ type alphaPlanner struct {
 }
 
 func (p alphaPlanner) plan(e *engine) (plan, error) {
-	clusters := cluster.Alpha(patterns(e.ems), p.alpha)
-	jobs := make([]job, len(clusters))
-	for i, cl := range clusters {
-		jobs[i] = job{idx: i, cl: cl, useUnion: p.useUnion}
+	ms := e.ems.Matrices
+	tr := cluster.NewTracker(p.alpha)
+	pl := plan{label: p.label}
+	if len(ms) == 0 {
+		return pl, nil
 	}
-	return plan{label: p.label, jobs: jobs}, nil
+	finish := func(cl cluster.Cluster) {
+		pl.jobs = append(pl.jobs, job{idx: len(pl.jobs), cl: cl, useUnion: p.useUnion})
+	}
+	tr.Admit(ms[0].Pattern())
+	pl.deltas = stepDeltas(e.ems, func(i int, d *sparse.StepDelta) {
+		if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, ms[i].Pattern) {
+			finish(cl)
+		}
+	})
+	finish(tr.Cluster())
+	return pl, nil
 }
 
 // betaPlanner plans the LUDEM-QC variants: β-clustering interleaves
@@ -122,7 +156,7 @@ func (p betaPlanner) plan(e *engine) (plan, error) {
 	for i, qc := range qcs {
 		jobs[i] = job{idx: i, cl: qc.Cluster, useUnion: p.useUnion, hasOrd: true, ord: qc.Ordering}
 	}
-	return plan{label: p.label, jobs: jobs}, nil
+	return plan{label: p.label, jobs: jobs, deltas: stepDeltas(e.ems, nil)}, nil
 }
 
 // worker is the per-goroutine state of the pool: reusable scratch
@@ -132,6 +166,7 @@ func (p betaPlanner) plan(e *engine) (plan, error) {
 type worker struct {
 	luWS  lu.Workspace
 	benWS bennett.Workspace
+	delta []sparse.Entry // the current step's ∆A in the cluster ordering
 
 	times   PhaseTimes
 	bstats  bennett.Stats
@@ -146,14 +181,15 @@ type worker struct {
 type jobState struct {
 	job     job
 	ord     sparse.Ordering
-	sspSize int         // |s̃p| of the stage-computed ordering (BF records it)
-	colInv  sparse.Perm // o.Col.Inverse(), computed once per cluster
-	sym     *lu.SymbolicLU
-	static  *lu.StaticFactors
-	dyn     *lu.DynamicFactors
-	fac     lu.Factors
-	solver  *lu.Solver
-	prev    *sparse.CSR // previous cluster member, reordered
+	sspSize int // |s̃p| of the stage-computed ordering (BF records it)
+	// rowInv and colInv are the ordering's inverses, computed once per
+	// cluster: they move a step's ∆A into the cluster's index space.
+	rowInv, colInv sparse.Perm
+	sym            *lu.SymbolicLU
+	static         *lu.StaticFactors
+	dyn            *lu.DynamicFactors
+	fac            lu.Factors
+	solver         *lu.Solver
 }
 
 // stage is one per-cluster pipeline phase.
@@ -184,7 +220,7 @@ func (orderStage) run(e *engine, w *worker, st *jobState) error {
 		// structure factorStage would otherwise recompute.
 		st.ord, st.sspSize, st.sym = r.Ordering, r.SSPSize, r.Symbolic
 	}
-	st.colInv = st.ord.Col.Inverse()
+	st.rowInv, st.colInv = st.ord.Row.Inverse(), st.ord.Col.Inverse()
 	e.orderings[st.job.idx] = st.ord
 	if e.sspOut != nil && !st.job.hasOrd {
 		e.sspOut[st.job.cl.Start] = st.sspSize
@@ -227,13 +263,13 @@ func (factorStage) run(e *engine, w *worker, st *jobState) error {
 	w.times.FullLU += time.Since(t1)
 
 	st.solver = &lu.Solver{F: st.fac, O: st.ord}
-	st.prev = first
 	return e.emit(w, cl.Start, st.solver)
 }
 
 // updateStage walks the rest of the cluster with Bennett updates —
 // phase t_B — emitting every snapshot, then records the cluster's
-// structural bookkeeping.
+// structural bookkeeping. A step moves only the planner's ∆A into the
+// cluster ordering; a whole matrix is permuted only to refactorize.
 type updateStage struct{}
 
 func (updateStage) run(e *engine, w *worker, st *jobState) error {
@@ -243,27 +279,26 @@ func (updateStage) run(e *engine, w *worker, st *jobState) error {
 			return err
 		}
 		t2 := time.Now()
-		cur := e.ems.Matrices[i].PermuteInv(st.ord, st.colInv)
-		delta := sparse.Delta(st.prev, cur)
+		w.delta = sparse.PermuteEntries(w.delta[:0], e.deltas[i], st.rowInv, st.colInv)
 		var err error
 		if st.job.useUnion {
-			err = w.benWS.UpdateStatic(st.static, delta, &w.bstats)
+			err = w.benWS.UpdateStatic(st.static, w.delta, &w.bstats)
 		} else {
-			err = w.benWS.UpdateDynamic(st.dyn, delta, &w.bstats)
+			err = w.benWS.UpdateDynamic(st.dyn, w.delta, &w.bstats)
 		}
 		w.times.Bennett += time.Since(t2)
 		if err != nil {
 			// Robustness fallback (never triggered by paper-like
 			// workloads): refactorize from scratch in the same order.
 			t3 := time.Now()
-			if ferr := refactorInPlace(&st.fac, &st.static, &st.dyn, cur, st.job.useUnion, st.sym); ferr != nil {
+			cur := e.ems.Matrices[i].PermuteInv(st.ord, st.colInv)
+			if ferr := refactorInPlace(&st.fac, &st.static, &st.dyn, cur, st.job.useUnion); ferr != nil {
 				return fmt.Errorf("core: %s matrix %d: update %v; refactorization %w", e.label, i, err, ferr)
 			}
 			st.solver.F = st.fac
 			w.refacts++
 			w.times.FullLU += time.Since(t3)
 		}
-		st.prev = cur
 		if err := e.emit(w, i, st.solver); err != nil {
 			return err
 		}
@@ -289,6 +324,7 @@ type engine struct {
 	cancel context.CancelFunc
 
 	jobs        []job             // the clusters to run: the plan's, less those Options.First skips
+	deltas      [][]sparse.Entry  // the plan's step deltas, read-only
 	orderings   []sparse.Ordering // per planned cluster, written by its owning worker
 	structSizes []int             // per planned cluster
 	sspOut      []int             // per matrix; non-nil only for BF
@@ -514,7 +550,7 @@ func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, e
 	}
 	res.Times.Clustering = time.Since(tc)
 
-	e.label = p.label
+	e.label, e.deltas = p.label, p.deltas
 	// Jobs come in cluster order, so the clusters that end at or before
 	// First are a prefix; the rest run exactly as they would have.
 	e.jobs = p.jobs

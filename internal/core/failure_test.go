@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,77 @@ func singularEMS() *graph.EMS {
 	good := mk(false)
 	bad := mk(true)
 	return &graph.EMS{Matrices: []*sparse.CSR{good, bad, good}}
+}
+
+// swapEMS builds A0, A1, A2 where A1 is A0 with rows 0 and 1 swapped
+// inside a dense, generic leading block, and A2 is A1 with one more
+// entry changed. A1 and A2 decompose in any diagonal ordering, but ∆A
+// between A0 and A1 is two row terms, and after either one the matrix
+// holds the same row twice: exactly singular, so Bennett's step must
+// fail on an intermediate pivot and the engine must refactorize.
+func swapEMS() *graph.EMS {
+	rng := xrand.New(7)
+	const n = 6
+	block := [3][3]float64{}
+	for i := range block {
+		for j := range block[i] {
+			block[i][j] = 0.5 + rng.Float64()
+		}
+	}
+	mk := func(swap bool, extra float64) *sparse.CSR {
+		c := sparse.NewCOO(n)
+		for i := 0; i < 3; i++ {
+			src := i
+			if swap && i < 2 {
+				src = 1 - i
+			}
+			for j := 0; j < 3; j++ {
+				c.Add(i, j, block[src][j])
+			}
+		}
+		for i := 3; i < n; i++ {
+			c.Add(i, i, 3)
+			c.Add(i, i-1, -0.5)
+			c.Add(i-1, i, -0.25)
+		}
+		c.Add(n-1, n-1, extra)
+		return c.ToCSR()
+	}
+	return &graph.EMS{Matrices: []*sparse.CSR{mk(false, 0), mk(true, 0), mk(true, 0.75)}}
+}
+
+// TestRefactorizationFallback makes the update stage's one remaining
+// whole-matrix path run: the failed step is refactorized from A1 itself,
+// its snapshot solves A1, and the next snapshot is a Bennett update of
+// the refactorized factors that solves A2.
+func TestRefactorizationFallback(t *testing.T) {
+	ems := swapEMS()
+	b := []float64{1, -2, 0.5, 3, -1, 2}
+	for _, alg := range []Algorithm{INC, CINC, CLUDE} {
+		res, err := Run(ems, alg, Options{
+			Alpha: 0, // one cluster: every step is an update
+			OnFactors: func(i int, s *lu.Solver) {
+				x := s.Solve(b)
+				r := ems.Matrices[i].MulVec(x)
+				for k := range r {
+					if d := math.Abs(r[k] - b[k]); d > 1e-12 {
+						t.Fatalf("%s snapshot %d: residual %g at row %d", alg, i, d, k)
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if len(res.Clusters) != 1 {
+			t.Fatalf("%s: %d clusters, want 1", alg, len(res.Clusters))
+		}
+		// The step to A2 updated the refactorized factors: it did not
+		// refactorize again.
+		if res.Refactorizations != 1 {
+			t.Fatalf("%s: %d refactorizations, want exactly 1", alg, res.Refactorizations)
+		}
+	}
 }
 
 func TestBFSurfacesSingularMatrix(t *testing.T) {

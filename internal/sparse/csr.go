@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -278,10 +280,27 @@ func (m *CSR) Sub(b *CSR) *CSR { return m.Add(b.Scale(-1)) }
 // the two matrices actually differ. This is the ∆A handed to Bennett's
 // algorithm when stepping from A to B in an evolving matrix sequence.
 func Delta(a, b *CSR) []Entry {
+	var d StepDelta
+	d.Diff(a, b)
+	return d.Entries
+}
+
+// StepDelta is what changed from a matrix A to a matrix B, found in one
+// row-by-row merge of the two: the value delta Entries (what Delta
+// returns) and the pattern delta — the positions B stores and A does not
+// (Added) and the other way round (Removed), explicit zeros included.
+// All three are in row-major order.
+type StepDelta struct {
+	Entries        []Entry
+	Added, Removed []Coord
+}
+
+// Diff overwrites d with the delta from a to b, reusing d's slices.
+func (d *StepDelta) Diff(a, b *CSR) {
 	if a.n != b.n {
 		panic("sparse: Delta dimension mismatch")
 	}
-	var out []Entry
+	d.Entries, d.Added, d.Removed = d.Entries[:0], d.Added[:0], d.Removed[:0]
 	for i := 0; i < a.n; i++ {
 		ac, av := a.Row(i)
 		bc, bv := b.Row(i)
@@ -289,25 +308,42 @@ func Delta(a, b *CSR) []Entry {
 		for ka < len(ac) || kb < len(bc) {
 			switch {
 			case kb >= len(bc) || (ka < len(ac) && ac[ka] < bc[kb]):
+				d.Removed = append(d.Removed, Coord{i, ac[ka]})
 				if av[ka] != 0 {
-					out = append(out, Entry{i, ac[ka], -av[ka]})
+					d.Entries = append(d.Entries, Entry{i, ac[ka], -av[ka]})
 				}
 				ka++
 			case ka >= len(ac) || bc[kb] < ac[ka]:
+				d.Added = append(d.Added, Coord{i, bc[kb]})
 				if bv[kb] != 0 {
-					out = append(out, Entry{i, bc[kb], bv[kb]})
+					d.Entries = append(d.Entries, Entry{i, bc[kb], bv[kb]})
 				}
 				kb++
 			default:
-				if d := bv[kb] - av[ka]; d != 0 {
-					out = append(out, Entry{i, ac[ka], d})
+				if v := bv[kb] - av[ka]; v != 0 {
+					d.Entries = append(d.Entries, Entry{i, ac[ka], v})
 				}
 				ka++
 				kb++
 			}
 		}
 	}
-	return out
+}
+
+// PermuteEntries appends to dst the entries es moved into an ordering's
+// index space — entry (r, c) to (rowNewOf[r], colNewOf[c]), the inverses
+// of the ordering's two permutations — sorted row-major. For a value
+// delta es = Delta(A, B) that is exactly Delta(A^O, B^O), in the work
+// of the delta rather than of the two matrices.
+func PermuteEntries(dst, es []Entry, rowNewOf, colNewOf Perm) []Entry {
+	start := len(dst)
+	for _, e := range es {
+		dst = append(dst, Entry{rowNewOf[e.Row], colNewOf[e.Col], e.Val})
+	}
+	slices.SortFunc(dst[start:], func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
+	})
+	return dst
 }
 
 // Dense expands the matrix into a dense row-major n×n slice-of-slices.
