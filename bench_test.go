@@ -137,12 +137,11 @@ func BenchmarkKernelMarkowitz(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMarkowitzLate orders the union of the medium Wiki
-// sequence's last α = 0.95 cluster: n = 2000 with |s̃p| past 300 k, the
-// regime a long-running stream's growth batches re-order in, where the
-// elimination's dense phase is most of the run (BenchmarkKernelMarkowitz
-// is the sparse regime, most of it on lists).
-func BenchmarkKernelMarkowitzLate(b *testing.B) {
+// lateUnion is the union of the medium Wiki sequence's last α = 0.95
+// cluster: n = 2000 with |s̃p| past 300 k under its Markowitz ordering,
+// most of it a full trailing block.
+func lateUnion(b *testing.B) *sparse.Pattern {
+	b.Helper()
 	egs, err := gen.WikiSim(gen.DefaultWikiConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -158,9 +157,33 @@ func BenchmarkKernelMarkowitzLate(b *testing.B) {
 	for _, p := range patterns[last.Start+1 : last.End] {
 		union = union.Union(p)
 	}
+	return union
+}
+
+// BenchmarkKernelMarkowitzLate orders lateUnion, the regime a
+// long-running stream's growth batches re-order in, where the
+// elimination's dense phase is most of the run (BenchmarkKernelMarkowitz
+// is the sparse regime, most of it on lists).
+func BenchmarkKernelMarkowitzLate(b *testing.B) {
+	union := lateUnion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = order.Markowitz(union)
+	}
+}
+
+// BenchmarkKernelSymbolicLate sizes lateUnion under its Markowitz
+// ordering the way the quality pass and the QC admission tests do
+// (lu.SymbolicSize): the regime where every earlier U row of the full
+// trailing block prunes to one column (BenchmarkKernelSymbolic is the
+// sparse one, a single matrix's structure).
+func BenchmarkKernelSymbolicLate(b *testing.B) {
+	union := lateUnion(b)
+	ord := order.Markowitz(union).Ordering
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = lu.SymbolicSize(union, ord)
 	}
 }
 

@@ -32,3 +32,7 @@ func (s *Solver) ForcePanel(rhs []RHS, ws *SolveWorkspace) bool {
 
 // PanelsBuild exposes the lazy pack and its built-by-this-call report.
 func (s *Solver) PanelsBuild() (*PanelSet, bool) { return s.panelsBuild() }
+
+// SymbolicReference is the heap row merge the pruned Symbolic is held
+// against, for the tests that also need order's eliminations.
+var SymbolicReference = symbolicReference

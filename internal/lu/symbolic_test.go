@@ -36,6 +36,56 @@ func bruteSymbolic(p *sparse.Pattern) [][]bool {
 	return m
 }
 
+// symbolicReference is the heap row merge Symbolic used to be: row i
+// merges every earlier U row it reaches in full, in increasing column
+// order. The pruned closure must return the same rows, and SymbolicSize
+// the same size (TestSymbolicMatchesReferences, FuzzSymbolic).
+func symbolicReference(p *sparse.Pattern) *SymbolicLU {
+	n := p.N()
+	s := &SymbolicLU{
+		n:     n,
+		lrows: make([][]int, n),
+		urows: make([][]int, n),
+	}
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	var h sparse.MinHeap[column]
+	for i := 0; i < n; i++ {
+		h = h[:0]
+		for _, j := range p.Row(i) {
+			if mark[j] != i {
+				mark[j] = i
+				h = append(h, column(j))
+			}
+		}
+		h.Init()
+		for len(h) > 0 {
+			j := int(h.Pop())
+			switch {
+			case j < i:
+				s.lrows[i] = append(s.lrows[i], j)
+				for _, k := range s.urows[j] {
+					if mark[k] != i {
+						mark[k] = i
+						h.Push(column(k))
+					}
+				}
+			case j > i:
+				s.urows[i] = append(s.urows[i], j)
+			}
+			// j == i (the diagonal) is implicit.
+		}
+	}
+	return s
+}
+
+// column is a column index in symbolicReference's queue.
+type column int
+
+func (a column) Less(b column) bool { return a < b }
+
 func randomPattern(rng *xrand.Rand, n, extra int) *sparse.Pattern {
 	coords := make([]sparse.Coord, 0, n+extra)
 	for i := 0; i < n; i++ {

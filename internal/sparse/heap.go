@@ -2,9 +2,8 @@ package sparse
 
 // MinHeap is a binary min-heap kept in a typed slice: what
 // container/heap does, without boxing every element into an interface
-// on its way in and out. The symbolic phases (lu.Symbolic's column
-// queue, order's pivot candidates) push and pop millions of small
-// values, which is where the boxing showed.
+// on its way in and out. The ordering's elimination pushes and pops
+// millions of small pivot candidates, which is where the boxing showed.
 type MinHeap[T interface{ Less(T) bool }] []T
 
 // Init establishes the heap order over whatever the slice holds.
