@@ -2,7 +2,7 @@
 // table and figure of the paper (each regenerates the corresponding
 // data series via the internal/bench harness at Tiny scale) plus
 // micro-benchmarks of the computational kernels and the design-choice
-// ablations called out in DESIGN.md §6.
+// ablations described in docs/ALGORITHMS.md ("Ablations").
 //
 // Run with:
 //
@@ -357,6 +357,70 @@ func benchThereAndBack(b *testing.B, f lu.Factors, a0, a1 *sparse.CSR) {
 	}
 }
 
+// BenchmarkKernelBennettSymmetric is the CLUDE inner loop of the paper's
+// DBLP experiment at ludem_batch's size: the first multi-matrix α = 0.95
+// cluster of a 600-author co-authorship sequence, its chain of symmetric
+// deltas applied to the cluster's USSP container and then the one delta
+// back to the first matrix, as pre-split terms on a warm workspace. The
+// factors are their own transpose, so every step takes the symmetric
+// cross path; it must read 0 allocs/op.
+func BenchmarkKernelBennettSymmetric(b *testing.B) {
+	egs, err := gen.DBLPSim(gen.DBLPConfig{N: 600, T: 24, Communities: 3, InitialPapers: 500, PapersPerDay: 2, MaxCoauthors: 4, CrossCommunity: 0.05, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ems := graph.DeriveEMS(egs, graph.SymmetricWalkMatrix(0.85))
+	patterns := make([]*sparse.Pattern, ems.Len())
+	for i, m := range ems.Matrices {
+		patterns[i] = m.Pattern()
+	}
+	var cl cluster.Cluster
+	for _, c := range cluster.Alpha(patterns, 0.95) {
+		if c.Len() > 1 {
+			cl = c
+			break
+		}
+	}
+	if cl.Len() < 2 {
+		b.Fatal("no cluster with a Bennett chain")
+	}
+	union := patterns[cl.Start]
+	for _, p := range patterns[cl.Start+1 : cl.End] {
+		union = union.Union(p)
+	}
+	ord := order.Markowitz(union).Ordering
+	mats := make([]*sparse.CSR, 0, cl.Len()+1)
+	for i := cl.Start; i < cl.End; i++ {
+		mats = append(mats, ems.Matrices[i].Permute(ord))
+	}
+	mats = append(mats, mats[0])
+	f := lu.NewStaticFactors(lu.Symbolic(union.Permute(ord)))
+	if err := f.Factorize(mats[0]); err != nil {
+		b.Fatal(err)
+	}
+	if !f.Mirrored() {
+		b.Fatal("the cluster's factors do not mirror themselves")
+	}
+	chain := make([][]bennett.Rank1Term, len(mats)-1)
+	for k := range chain {
+		chain[k] = bennett.SplitTerms(sparse.Delta(mats[k], mats[k+1]))
+	}
+	var ws bennett.Workspace
+	var st bennett.Stats
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+			st = bennett.Stats{}
+		}
+		for _, terms := range chain {
+			if err := ws.ApplyTerms(f, terms, &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(st.StepsTouched)/float64(b.N), "steps/op")
+}
+
 // BenchmarkKernelBennettDynamic is the same step through the
 // linked-list container (the INC/CINC inner loop) — the head-to-head
 // behind the paper's ~70%-restructuring observation.
@@ -461,7 +525,7 @@ func BenchmarkKernelStreamGrowth(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations (docs/ALGORITHMS.md, "Ablations") ---
 
 // BenchmarkAblationNaturalOrder factors under the identity ordering —
 // quantifying how much of the pipeline's win is ordering quality alone.

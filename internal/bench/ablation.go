@@ -9,8 +9,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// Ablation quantifies the design choices DESIGN.md §6 calls out, on
-// one representative Wiki snapshot matrix:
+// Ablation quantifies the design choices docs/ALGORITHMS.md
+// ("Ablations") describes, on one representative Wiki snapshot matrix:
 //
 //   - ordering quality: Natural vs RCM vs MinDegree-flavoured
 //     Markowitz, measured as |s̃p(A^O)| and full-LU wall time;

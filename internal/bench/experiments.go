@@ -36,7 +36,7 @@ func Registry() []Experiment {
 		{"fig11", "Figure 11: patent case study PPR ranks", Fig11},
 		{"tblSolve", "Section 1/8 claims: solve-after-LU vs GE, PI, MC", TblSolve},
 		{"tblBennett", "Section 4 claim: list restructuring share of Bennett time", TblBennett},
-		{"ablation", "DESIGN.md §6: ordering quality and USSP slack ablations", Ablation},
+		{"ablation", "docs/ALGORITHMS.md Ablations: ordering quality and USSP slack", Ablation},
 		{"parallel", "Engine: wall-clock scaling vs worker-pool size (beyond the paper)", Parallel},
 		{"sparsesolve", "Serving layer: reach-based sparse vs dense solve latency vs cluster count", SparseSolve},
 		{"supernodal", "Query path: supernodal panel-packed vs scalar blocked substitution on community factors (beyond the paper)", Supernodal},

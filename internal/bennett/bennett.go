@@ -60,6 +60,10 @@ type scratch struct {
 	dirtyY, dirtyZ []int
 	// unit is the one-entry vector e_Key of the term being applied.
 	unit [1]sparse.Entry
+	// The symmetric path's regroup buffers (see regroup): ∆A's entries
+	// paired up, its crosses, the terms' keys and a count per key.
+	pairs, cross []crossEntry
+	keys, count  []int
 	// rescan makes rank1Static run staticExtras at every two-sided step
 	// instead of only when its count says a support position lies
 	// outside the structure. Tests set it (export_test.go) to hold the
@@ -179,11 +183,33 @@ func (w *Workspace) grab(n int) *scratch {
 // history record) and history replay — which is what makes replayed
 // factors bit-identical to live ones. f must be one of the two lu
 // containers. On a warm workspace it allocates nothing.
+//
+// When f is a *lu.StaticFactors that mirrors itself (lu's Mirrored: U
+// is Lᵀ bit for bit) and the terms reassemble a bitwise symmetric ∆A,
+// the terms are regrouped into one cross per key and applied as
+// symmetric rank-2 updates of L·D·Lᵀ (applySymmetric), which keep the
+// factors mirrored; any other container or delta takes the rank-1 loop.
+// The choice reads the data alone, so replay picks what the live update
+// picked.
 func (w *Workspace) ApplyTerms(f lu.Factors, terms []Rank1Term, st *Stats) error {
 	if st == nil {
 		st = &Stats{}
 	}
 	sc := w.grab(f.Dim())
+	s, static := f.(*lu.StaticFactors)
+	if static && s.Mirrored() && sc.regroup(terms) {
+		st.Rank1Updates += len(terms)
+		return applySymmetric(s, sc, st)
+	}
+	err := applyRank1(f, terms, sc, st)
+	if static {
+		s.RefreshMirror()
+	}
+	return err
+}
+
+// applyRank1 applies the terms one rank-1 update at a time.
+func applyRank1(f lu.Factors, terms []Rank1Term, sc *scratch, st *Stats) error {
 	for _, t := range terms {
 		sc.reset()
 		sc.loadTerm(t)
@@ -242,6 +268,7 @@ func Rank1Static(f *lu.StaticFactors, sigma float64, y, z []sparse.Entry, st *St
 	sc := newScratch(f.Dim())
 	sc.load(y, z)
 	st.Rank1Updates++
+	defer f.RefreshMirror()
 	return rank1Static(f, sigma, sc, st)
 }
 

@@ -2,11 +2,11 @@ package bennett
 
 import "math"
 
-// The two leaf kernels below are rank1Static's inner loops. The L/y and
-// U/z sides of a step are mirror images, so each kernel serves both:
-// idx/vals are one structural column of L (or row of U), vec/in the y
-// (or z) work vector and its support flags, xi the vector's own pivot
-// entry.
+// The first two leaf kernels below are rank1Static's inner loops. The
+// L/y and U/z sides of a step are mirror images, so each kernel serves
+// both: idx/vals are one structural column of L (or row of U), vec/in
+// the y (or z) work vector and its support flags, xi the vector's own
+// pivot entry. The third, crossKernel, is the symmetric path's.
 //
 // They are out of line on purpose. Inlined into rank1Static — a
 // function large enough that the register allocator gives up on its
@@ -69,6 +69,33 @@ func propagateKernel(idx []int, vals, vec []float64, in []bool, p int, xi float6
 	return p
 }
 
+// crossKernel is updateKernel for a symmetric cross (crossStatic):
+// every structural value of L column i becomes
+// (di·v + (a_j·pa + b_j·pb)) / dip, stored in L and in U's mirror slot,
+// and both columns of Y propagate through the non-zero ones,
+// a_j −= ai·v and b_j −= bi·v. in flags the union support of a and b.
+// It returns where it stopped and the support members it met, as
+// updateKernel does.
+//
+//go:noinline
+func crossKernel(idx []int, lvals, uvals, a, b []float64, in []bool, p int, di, pa, pb, dip, ai, bi float64) (stop, met int) {
+	lvals, uvals = lvals[:len(idx)], uvals[:len(idx)]
+	for ; p < len(idx); p++ {
+		j := idx[p]
+		v, aj, bj, member := lvals[p], a[j], b[j], in[j]
+		met += b2i(member)
+		nv := (di*v + (aj*pa + bj*pb)) / dip
+		lvals[p], uvals[p] = nv, nv
+		if v != 0 {
+			a[j], b[j] = aj-ai*v, bj-bi*v
+			if !member {
+				return p, met
+			}
+		}
+	}
+	return p, met
+}
+
 // sweepUpdate drives updateKernel down one structural column, admitting
 // every out-of-support position the kernel stops at, and returns how
 // many support members the column holds.
@@ -91,6 +118,26 @@ func (sc *scratch) sweepPropagate(idx []int, vals, vec []float64, in []bool, dir
 			return
 		}
 		sc.admit(idx[p], vec, in, dirty)
+	}
+}
+
+// sweepCross drives crossKernel down one structural column of L. A
+// position it stops at joins the support when a_j or b_j is
+// significant, and the dirty list otherwise.
+func (sc *scratch) sweepCross(idx []int, lvals, uvals, a, b []float64, in []bool, di, pa, pb, dip, ai, bi float64) (met int) {
+	for p := 0; ; p++ {
+		var m int
+		p, m = crossKernel(idx, lvals, uvals, a, b, in, p, di, pa, pb, dip, ai, bi)
+		met += m
+		if p == len(idx) {
+			return met
+		}
+		if j := idx[p]; math.Abs(a[j]) > PropagationCutoff || math.Abs(b[j]) > PropagationCutoff {
+			in[j] = true
+			sc.newIdx = append(sc.newIdx, j)
+		} else {
+			sc.dirtyY = append(sc.dirtyY, j)
+		}
 	}
 }
 

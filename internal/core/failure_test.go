@@ -107,6 +107,64 @@ func TestRefactorizationFallback(t *testing.T) {
 	}
 }
 
+// symmetricSwapEMS is swapEMS's symmetric counterpart: A0 holds
+// [[2,1],[1,2]] beside a symmetric tridiagonal block, A1 makes the pair
+// [[8,4],[4,8]], and A2 changes one more diagonal entry. ∆A from A0 to A1
+// is one symmetric pair and two diagonal entries, whose cover holds both
+// indices; whichever comes first in the ordering owns the pair, and its
+// cross alone leaves [[8,4],[4,2]] or [[2,4],[4,8]] — exactly singular.
+func symmetricSwapEMS() *graph.EMS {
+	const n = 6
+	mk := func(pair [3]float64, extra float64) *sparse.CSR {
+		c := sparse.NewCOO(n)
+		c.Add(0, 0, pair[0])
+		c.Add(0, 1, pair[1])
+		c.Add(1, 0, pair[1])
+		c.Add(1, 1, pair[2])
+		for i := 2; i < n; i++ {
+			c.Add(i, i, 3)
+			if i > 2 {
+				c.Add(i, i-1, -0.5)
+				c.Add(i-1, i, -0.5)
+			}
+		}
+		c.Add(n-1, n-1, extra)
+		return c.ToCSR()
+	}
+	return &graph.EMS{Matrices: []*sparse.CSR{mk([3]float64{2, 1, 2}, 0), mk([3]float64{8, 4, 8}, 0), mk([3]float64{8, 4, 8}, 0.75)}}
+}
+
+// TestSymmetricRefactorizationFallback is TestRefactorizationFallback
+// on CLUDE's symmetric cross path: the factors are their own transpose
+// and ∆A is symmetric, so the step to A1 runs as crosses, fails on the
+// singular intermediate, and is refactorized; the step to A2 is a cross
+// update of the refactorized factors. Every snapshot solves its matrix.
+func TestSymmetricRefactorizationFallback(t *testing.T) {
+	ems := symmetricSwapEMS()
+	b := []float64{1, -2, 0.5, 3, -1, 2}
+	res, err := Run(ems, CLUDE, Options{
+		Alpha: 0,
+		OnFactors: func(i int, s *lu.Solver) {
+			if f := s.F.(*lu.StaticFactors); !f.Mirrored() {
+				t.Fatalf("snapshot %d: factors not their own transpose, so the symmetric path cannot run", i)
+			}
+			x := s.Solve(b)
+			r := ems.Matrices[i].MulVec(x)
+			for k := range r {
+				if d := math.Abs(r[k] - b[k]); d > 1e-12 {
+					t.Fatalf("snapshot %d: residual %g at row %d", i, d, k)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Clusters) != 1 || res.Refactorizations != 1 {
+		t.Fatalf("%d clusters and %d refactorizations, want 1 and exactly 1", len(res.Clusters), res.Refactorizations)
+	}
+}
+
 func TestBFSurfacesSingularMatrix(t *testing.T) {
 	_, err := Run(singularEMS(), BF, Options{})
 	if err == nil {

@@ -6,7 +6,8 @@
 // PatentSim for the NBER patent-citation case study. Each simulator
 // reproduces the structural statistics that drive the algorithms under
 // study (sparsity, degree distribution, snapshot-to-snapshot
-// similarity); see DESIGN.md §3 for the substitution rationale.
+// similarity); see docs/ALGORITHMS.md ("Datasets") for the substitution
+// rationale.
 package gen
 
 import (

@@ -82,11 +82,6 @@ func (f *StaticFactors) factorizeBySearch(a *sparse.CSR) error {
 	return nil
 }
 
-// sameBits reports whether two float slices hold the same bit patterns.
-func sameBits(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
 // checkCroutAgainstSearch factorizes a into two containers over sym, by
 // cursors on ws and by the search reference, and holds every factor bit —
 // and the error, pivot and value of a failure — equal.

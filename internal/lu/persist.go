@@ -1,6 +1,9 @@
 package lu
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the persistence face of the factor containers: the
 // store codec serializes only the primary structure (L by columns, U by
@@ -86,6 +89,8 @@ func AssembleStatic(n int, lColPtr, lRowIdx []int, lVal []float64, uRowPtr, uCol
 			next2[j]++
 		}
 	}
+	f.symStruct = slices.Equal(lColPtr, uRowPtr) && slices.Equal(lRowIdx, uColIdx)
+	f.RefreshMirror()
 	return f, nil
 }
 

@@ -3,6 +3,7 @@ package lu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -54,6 +55,14 @@ type StaticFactors struct {
 	UColPtr  []int
 	UColRows []int
 	UColPos  []int
+
+	// symStruct: the structure is its own transpose (LColPtr == URowPtr,
+	// LRowIdx == UColIdx), so LVal[p] and UVal[p] sit at mirrored
+	// positions. Set where the index arrays are built; they never change.
+	symStruct bool
+	// mirror caches Mirrored, a pure function of the container; every
+	// writer of the values keeps it equal to that function.
+	mirror bool
 }
 
 // NewStaticFactors allocates a factor container whose structure is the
@@ -134,7 +143,32 @@ func NewStaticFactors(s *SymbolicLU) *StaticFactors {
 			next2[j]++
 		}
 	}
+	f.symStruct = slices.Equal(f.LColPtr, f.URowPtr) && slices.Equal(f.LRowIdx, f.UColIdx)
+	f.mirror = f.symStruct
 	return f
+}
+
+// Mirrored reports whether the factors are their own transpose bit for
+// bit: a symmetric structure, and LVal equal to UVal in every bit, so
+// U = Lᵀ. A full decomposition of a bitwise symmetric matrix under a
+// symmetric ordering comes out that way (Crout's column of L and row of
+// U form the same products in the same order), and a symmetric Bennett
+// update keeps it (bennett.Workspace.ApplyTerms), so the answer is
+// cached rather than recomputed; being a function of the values alone,
+// a clone, a decoded copy and a replayed one answer alike.
+func (f *StaticFactors) Mirrored() bool { return f.mirror }
+
+// RefreshMirror recomputes Mirrored from the values, for a writer of
+// LVal or UVal that does not keep the two mirrored by construction. On
+// an unsymmetric structure it costs nothing; otherwise it stops at the
+// first pair of values that differ.
+func (f *StaticFactors) RefreshMirror() {
+	f.mirror = f.symStruct && sameBits(f.LVal, f.UVal)
+}
+
+// sameBits reports whether two float slices hold the same bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // Dim returns the matrix dimension n.
@@ -169,6 +203,7 @@ func (f *StaticFactors) Reset() {
 	for i := range f.D {
 		f.D[i] = 0
 	}
+	f.mirror = f.symStruct
 }
 
 // lFind returns the position in LVal of entry (i, j), or -1 if the
@@ -308,6 +343,7 @@ func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
 	if a.N() != f.n {
 		return fmt.Errorf("lu: matrix dimension %d does not match structure %d", a.N(), f.n)
 	}
+	defer f.RefreshMirror()
 	f.Reset()
 	n := f.n
 	ws.columns(a)

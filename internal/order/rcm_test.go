@@ -65,7 +65,8 @@ func TestRCMDeterministic(t *testing.T) {
 
 func TestMarkowitzBeatsRCMOnAverage(t *testing.T) {
 	// Fill-reducing should beat bandwidth-reducing in aggregate on
-	// random sparse patterns — the ablation claim of DESIGN.md §6.
+	// random sparse patterns — the ablation claim of docs/ALGORITHMS.md
+	// ("Ablations").
 	rng := xrand.New(702)
 	mk, rcm := 0, 0
 	for trial := 0; trial < 12; trial++ {

@@ -100,27 +100,28 @@ func sameAnswer(t *testing.T, tag string, resp *Response, nodes []int, scores []
 	}
 }
 
-// TestCoalescingSoakExactlyOneSolve races batches of identical queries
-// — plus waiters whose contexts get cancelled mid-flight — and asserts
-// the single-flight contract: exactly one cold solve per round, every
-// successful answer byte-identical to the cold reference, and the
+// TestCoalescingSoakExactlyOneSolve races batches of identical live
+// queries — plus waiters whose contexts get cancelled mid-flight — and
+// asserts the single-flight contract: exactly one cold solve per round,
+// every successful answer byte-identical to the cold reference, and the
 // cache fill intact afterwards (cancellation cannot poison the shared
-// result).
+// result). Coalescing is forced, not hoped for: each round's leader
+// wedges a worker mid-solve on a gatedLive, every other query of the
+// round joins its flight, the cancelled ones abandon it, and only then
+// does the gate open.
 func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 	eng, _, ref := pinnedEngine(t, Config{Workers: 2, CacheSize: 4096})
 	defer eng.Close()
 
-	// Eight rounds, and on a box so loaded that 32 goroutines released
-	// together still ran one after the other (about one run in a hundred
-	// here), more of them until some query has joined a flight: the
-	// per-round contract below is what is under test, the closing
-	// "anything coalesced at all" check only that the soak reached it.
-	const rounds, maxRounds = 8, 64
-	const writers = 24
-	const cancels = 8
-	for r := 0; r < rounds || (r < maxRounds && eng.Stats().Coalesced == 0); r++ {
-		// A fresh key every round, across measures.
-		q := Query{Snapshot: r % 10}
+	const rounds, writers, cancels = 8, 24, 8
+	type result struct {
+		resp *Response
+		err  error
+	}
+	for r := 0; r < rounds; r++ {
+		// A fresh key every round, across measures and factor states.
+		snap := r % 10
+		q := Query{Snapshot: -1}
 		switch r % 3 {
 		case 0:
 			q.Measure, q.Source = MeasureRWR, 10+r
@@ -129,49 +130,57 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 		case 2:
 			q.Measure, q.Sources = MeasurePPR, []int{r, 30 + r}
 		}
-		wantNodes, wantScores := coldAnswer(q, ref[q.Snapshot])
-		before := eng.Stats()
+		wantNodes, wantScores := coldAnswer(q, ref[snap])
+		before := eng.Stats()                   // Stats reads the live source too: before attaching
+		g := newGatedLive(ref[snap].Clone(), 2) // call 1: leader resolve; call 2: worker solve
+		eng.AttachLive(g)
 
-		start := make(chan struct{})
-		var wg sync.WaitGroup
+		lead := make(chan result, 1)
+		go func() {
+			resp, err := eng.Query(context.Background(), q)
+			lead <- result{resp, err}
+		}()
+		<-g.entered // the leader's solve is wedged in a worker
+
+		var wg, cwg sync.WaitGroup
 		errs := make([]error, writers+cancels)
 		resps := make([]*Response, writers+cancels)
-		for i := 0; i < writers; i++ {
-			i := i
-			wg.Add(1)
+		stops := make([]context.CancelFunc, 0, cancels)
+		for i := 0; i < writers+cancels; i++ {
+			ctx, group := context.Background(), &wg
+			if i >= writers {
+				var stop context.CancelFunc
+				ctx, stop = context.WithCancel(ctx)
+				stops = append(stops, stop)
+				group = &cwg
+			}
+			group.Add(1)
 			go func() {
-				defer wg.Done()
-				<-start
-				resps[i], errs[i] = eng.Query(context.Background(), q)
-			}()
-		}
-		for i := writers; i < writers+cancels; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ctx, cancel := context.WithCancel(context.Background())
-				go func() {
-					<-start
-					time.Sleep(50 * time.Microsecond)
-					cancel()
-				}()
-				<-start
+				defer group.Done()
 				resps[i], errs[i] = eng.Query(ctx, q)
-				cancel()
 			}()
 		}
-		close(start)
+		waitFor(t, func() bool { return eng.Stats().Coalesced-before.Coalesced == writers+cancels }, "every waiter to join the flight")
+		for _, stop := range stops {
+			stop()
+		}
+		cwg.Wait() // the cancelled waiters have left the flight
+		close(g.release)
 		wg.Wait()
 
+		lr := <-lead
+		if lr.err != nil {
+			t.Fatalf("round %d leader: %v", r, lr.err)
+		}
+		sameAnswer(t, "round leader", lr.resp, wantNodes, wantScores)
 		for i, err := range errs {
 			switch {
-			case err == nil:
+			case i < writers && err == nil:
 				sameAnswer(t, "round soak", resps[i], wantNodes, wantScores)
 			case i >= writers && errors.Is(err, context.Canceled):
 				// A cancelled waiter abandoning the flight is fine.
 			default:
-				t.Fatalf("round %d waiter %d: unexpected error %v", r, i, err)
+				t.Fatalf("round %d waiter %d: unexpected result %v", r, i, err)
 			}
 		}
 
@@ -179,7 +188,7 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 		if d := after.ColdSolves - before.ColdSolves; d != 1 {
 			t.Fatalf("round %d: %d cold solves for identical concurrent queries, want exactly 1", r, d)
 		}
-		// The fill must have happened even if waiters were cancelled.
+		// The fill must have happened although waiters were cancelled.
 		probe, err := eng.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -195,8 +204,8 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 		t.Fatalf("admission counters do not balance: admitted %d + coalesced %d + shed %d != queries %d",
 			st.Admitted, st.Coalesced, st.Shed, st.Queries)
 	}
-	if st.Coalesced == 0 {
-		t.Fatal("soak produced no coalesced queries at all")
+	if want := int64(rounds * (writers + cancels)); st.Coalesced != want {
+		t.Fatalf("%d coalesced queries, want %d", st.Coalesced, want)
 	}
 }
 
