@@ -365,6 +365,71 @@ func benchThereAndBack(b *testing.B, f lu.Factors, a0, a1 *sparse.CSR) {
 // factors are their own transpose, so every step takes the symmetric
 // cross path; it must read 0 allocs/op.
 func BenchmarkKernelBennettSymmetric(b *testing.B) {
+	f, _, chain := dblpClusterChain(b)
+	var ws bennett.Workspace
+	var st bennett.Stats
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+			st = bennett.Stats{}
+		}
+		for _, terms := range chain {
+			if err := ws.ApplyTerms(f, terms, &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(st.StepsTouched)/float64(b.N), "steps/op")
+}
+
+// BenchmarkKernelBennettSymmetricDynamic is the INC/CINC inner loop of
+// the same experiment: BenchmarkKernelBennettSymmetric's chain applied
+// to linked lists (NewDynamicFactors) of the same first matrix in the
+// same ordering, factorized over its own pattern as INC's container is,
+// so the chain's fill must be spliced. The lists mirror each other, so
+// every step takes the symmetric cross path. The container is rebuilt,
+// untimed, before every iteration, so each one times the splices as
+// well as the sweeps.
+func BenchmarkKernelBennettSymmetricDynamic(b *testing.B) {
+	_, a0, chain := dblpClusterChain(b)
+	f := lu.NewStaticFactors(lu.Symbolic(a0.Pattern()))
+	if err := f.Factorize(a0); err != nil {
+		b.Fatal(err)
+	}
+	var ws bennett.Workspace
+	var st bennett.Stats
+	inserts, scans := 0, 0
+	for i := -1; i < b.N; i++ {
+		b.StopTimer()
+		d := lu.NewDynamicFactors(f)
+		if i == 0 {
+			b.ResetTimer()
+			st, inserts, scans = bennett.Stats{}, 0, 0
+		}
+		b.StartTimer()
+		for _, terms := range chain {
+			if err := ws.ApplyTerms(d, terms, &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !d.Mirrored() {
+			b.Fatal("the cross path left the lists unmirrored")
+		}
+		inserts, scans = inserts+d.Inserts, scans+d.ScanSteps
+	}
+	b.ReportMetric(float64(st.StepsTouched)/float64(b.N), "steps/op")
+	b.ReportMetric(float64(inserts)/float64(b.N), "inserts/op")
+	b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
+}
+
+// dblpClusterChain builds the two symmetric probes' input from the
+// first multi-matrix α = 0.95 cluster of a 600-author DBLP-like
+// sequence, in the Markowitz ordering of the cluster's union: the first
+// matrix factorized into the cluster's USSP container, the first matrix
+// itself, and the pre-split terms of each delta along the cluster and
+// back to the first matrix.
+func dblpClusterChain(b *testing.B) (*lu.StaticFactors, *sparse.CSR, [][]bennett.Rank1Term) {
+	b.Helper()
 	egs, err := gen.DBLPSim(gen.DBLPConfig{N: 600, T: 24, Communities: 3, InitialPapers: 500, PapersPerDay: 2, MaxCoauthors: 4, CrossCommunity: 0.05, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -405,20 +470,7 @@ func BenchmarkKernelBennettSymmetric(b *testing.B) {
 	for k := range chain {
 		chain[k] = bennett.SplitTerms(sparse.Delta(mats[k], mats[k+1]))
 	}
-	var ws bennett.Workspace
-	var st bennett.Stats
-	for i := -1; i < b.N; i++ {
-		if i == 0 {
-			b.ResetTimer()
-			st = bennett.Stats{}
-		}
-		for _, terms := range chain {
-			if err := ws.ApplyTerms(f, terms, &st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(st.StepsTouched)/float64(b.N), "steps/op")
+	return f, mats[0], chain
 }
 
 // BenchmarkKernelBennettDynamic is the same step through the

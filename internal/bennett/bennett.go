@@ -64,6 +64,12 @@ type scratch struct {
 	// paired up, its crosses, the terms' keys and a count per key.
 	pairs, cross []crossEntry
 	keys, count  []int
+	// The symmetric path's column walks, one per container kind, kept
+	// here so handing one to a sweep allocates nothing.
+	static  crossStatic
+	dynamic crossDynamic
+	// discard counts an update whose caller passed no Stats.
+	discard Stats
 	// rescan makes rank1Static run staticExtras at every two-sided step
 	// instead of only when its count says a support position lies
 	// outside the structure. Tests set it (export_test.go) to hold the
@@ -184,28 +190,56 @@ func (w *Workspace) grab(n int) *scratch {
 // factors bit-identical to live ones. f must be one of the two lu
 // containers. On a warm workspace it allocates nothing.
 //
-// When f is a *lu.StaticFactors that mirrors itself (lu's Mirrored: U
-// is Lᵀ bit for bit) and the terms reassemble a bitwise symmetric ∆A,
-// the terms are regrouped into one cross per key and applied as
-// symmetric rank-2 updates of L·D·Lᵀ (applySymmetric), which keep the
-// factors mirrored; any other container or delta takes the rank-1 loop.
-// The choice reads the data alone, so replay picks what the live update
-// picked.
+// When f mirrors itself (lu's Mirrored on either container: U is Lᵀ
+// bit for bit) and the terms reassemble a bitwise symmetric ∆A, the
+// terms are regrouped into one cross per key and applied as symmetric
+// rank-2 updates of L·D·Lᵀ (applySymmetric), which keep the factors
+// mirrored; any other delta takes the rank-1 loop, after which the
+// container's mirror bit is refreshed. The choice reads the data alone,
+// so replay picks what the live update picked.
 func (w *Workspace) ApplyTerms(f lu.Factors, terms []Rank1Term, st *Stats) error {
-	if st == nil {
-		st = &Stats{}
-	}
 	sc := w.grab(f.Dim())
-	s, static := f.(*lu.StaticFactors)
-	if static && s.Mirrored() && sc.regroup(terms) {
+	if st == nil {
+		// The walks take st through an interface, so a fresh Stats would
+		// escape: count into the workspace's instead.
+		sc.discard = Stats{}
+		st = &sc.discard
+	}
+	if cols := sc.columnsOf(f); cols != nil && sc.regroup(terms) {
 		st.Rank1Updates += len(terms)
-		return applySymmetric(s, sc, st)
+		err := applySymmetric(cols, sc, st)
+		sc.static.f, sc.dynamic.d = nil, nil
+		return err
 	}
 	err := applyRank1(f, terms, sc, st)
-	if static {
-		s.RefreshMirror()
-	}
+	refreshMirror(f)
 	return err
+}
+
+// columnsOf returns the column walks of f's container kind when f
+// mirrors itself, and nil otherwise.
+func (sc *scratch) columnsOf(f lu.Factors) crossColumns {
+	switch c := f.(type) {
+	case *lu.StaticFactors:
+		if c.Mirrored() {
+			sc.static.f = c
+			return &sc.static
+		}
+	case *lu.DynamicFactors:
+		if c.Mirrored() {
+			sc.dynamic.d = c
+			return &sc.dynamic
+		}
+	}
+	return nil
+}
+
+// refreshMirror recomputes the container's cached mirror bit after a
+// writer that does not keep it, the rank-1 loop.
+func refreshMirror(f lu.Factors) {
+	if m, ok := f.(interface{ RefreshMirror() }); ok {
+		m.RefreshMirror()
+	}
 }
 
 // applyRank1 applies the terms one rank-1 update at a time.
@@ -280,6 +314,7 @@ func Rank1Dynamic(d *lu.DynamicFactors, sigma float64, y, z []sparse.Entry, st *
 	sc := newScratch(d.Dim())
 	sc.load(y, z)
 	st.Rank1Updates++
+	defer d.RefreshMirror()
 	return rank1Dynamic(d, sigma, sc, st)
 }
 

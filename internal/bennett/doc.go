@@ -49,5 +49,8 @@
 // ErrOutOfPattern. UpdateDynamic splices new nodes into
 // lu.DynamicFactors adjacency lists, faithfully reproducing the
 // list-restructuring cost the paper profiles at ~70% of Bennett time in
-// the traditional INC/CINC implementations.
+// the traditional INC/CINC implementations. Either container, when its
+// factors are their own transpose and ∆A is symmetric, takes the
+// symmetric cross path instead (symmetric.go), so the two are compared
+// with one kernel on symmetric data as on directed data.
 package bennett

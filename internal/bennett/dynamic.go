@@ -128,3 +128,107 @@ func walkDynamic(d *lu.DynamicFactors, isL bool, i int, supp []int,
 		si++
 	}
 }
+
+// crossDynamic walks the linked lists of a mirrored DynamicFactors for a
+// cross sweep (crossSweep): L column i and U row i hold the same
+// indices in the same order, so one merged walk moves a cursor down
+// each in lock step, writes every new value into both nodes, and splices
+// every fill position into both lists at the same place. Fill follows
+// the rank-1 path's rule: a position is spliced when its value exceeds
+// PropagationCutoff. Each list cell visited counts one ScanStep, so a
+// structural position counts two.
+type crossDynamic struct {
+	d *lu.DynamicFactors
+}
+
+func (c *crossDynamic) pivots() []float64 { return c.d.D }
+
+// splice puts fill value v at position j of L column i and of U row i,
+// after the cells prevL and prevU and before nextL and nextU, and
+// returns the two new cells.
+func (c *crossDynamic) splice(i, j int, v float64, prevL, prevU, nextL, nextU int) (int, int) {
+	return c.d.SpliceL(i, prevL, nextL, j, v), c.d.SpliceU(i, prevU, nextU, j, v)
+}
+
+func (c *crossDynamic) begin(x, n int) {}
+
+func (c *crossDynamic) oneSided(i, x int, bi, move float64, sc *scratch, st *Stats) error {
+	d := c.d
+	b, in := sc.z, sc.inY
+	prevL, prevU := -1, -1
+	curL, curU := d.LHead[i], d.UHead[i]
+	placed := false
+	for curL != -1 {
+		j := d.Nodes[curL].Idx
+		if !placed && j >= x {
+			placed = true
+			if j > x && math.Abs(move) > PropagationCutoff {
+				prevL, prevU = c.splice(i, x, move, prevL, prevU, curL, curU)
+			}
+		}
+		d.ScanSteps += 2
+		ln, un := &d.Nodes[curL], &d.Nodes[curU]
+		v := ln.Val
+		if v != 0 {
+			b[j] -= bi * v
+			if !in[j] {
+				sc.admit(j, b, in, &sc.dirtyY)
+			}
+		}
+		if j == x {
+			nv := v + move
+			ln.Val, un.Val = nv, nv
+		}
+		prevL, prevU = curL, curU
+		curL, curU = ln.Next, un.Next
+	}
+	if !placed && math.Abs(move) > PropagationCutoff {
+		c.splice(i, x, move, prevL, prevU, -1, -1)
+	}
+	return nil
+}
+
+func (c *crossDynamic) twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float64, sc *scratch, st *Stats) error {
+	d := c.d
+	a, b, in := sc.y, sc.z, sc.inY
+	prevL, prevU := -1, -1
+	curL, curU := d.LHead[i], d.UHead[i]
+	si := 0
+	for curL != -1 || si < len(tail) {
+		jList, jSupp := math.MaxInt, math.MaxInt
+		if curL != -1 {
+			jList = d.Nodes[curL].Idx
+		}
+		if si < len(tail) {
+			jSupp = tail[si]
+		}
+		if jList <= jSupp {
+			// Structural position (possibly also in the support).
+			d.ScanSteps += 2
+			ln, un := &d.Nodes[curL], &d.Nodes[curU]
+			v, aj, bj := ln.Val, a[jList], b[jList]
+			nv := crossValue(di, v, aj, bj, pa, pb, dip)
+			ln.Val, un.Val = nv, nv
+			if v != 0 {
+				a[jList], b[jList] = aj-ai*v, bj-bi*v
+				if !in[jList] {
+					sc.admitCross(jList)
+				}
+			}
+			if jList == jSupp {
+				si++
+			}
+			prevL, prevU = curL, curU
+			curL, curU = ln.Next, un.Next
+			continue
+		}
+		// Support-only position: fill when its value is significant.
+		if aj, bj := a[jSupp], b[jSupp]; aj != 0 || bj != 0 {
+			if v := crossValue(di, 0, aj, bj, pa, pb, dip); math.Abs(v) > PropagationCutoff {
+				prevL, prevU = c.splice(i, jSupp, v, prevL, prevU, curL, curU)
+			}
+		}
+		si++
+	}
+	return nil
+}

@@ -17,9 +17,7 @@ func (w *Workspace) ApplyRank1(f lu.Factors, terms []Rank1Term, st *Stats) error
 		st = &Stats{}
 	}
 	err := applyRank1(f, terms, w.grab(f.Dim()), st)
-	if s, ok := f.(*lu.StaticFactors); ok {
-		s.RefreshMirror()
-	}
+	refreshMirror(f)
 	return err
 }
 

@@ -27,9 +27,10 @@ func staticBitEqual(a, b *lu.StaticFactors) bool {
 }
 
 // dynamicBitEqual additionally pins the node-pool layout: replayed
-// splices must land in the same pool cells the live update used.
+// splices must land in the same pool cells the live update used. The
+// cached mirror bit must agree too.
 func dynamicBitEqual(a, b *lu.DynamicFactors) bool {
-	if a.Dim() != b.Dim() || a.Size() != b.Size() ||
+	if a.Dim() != b.Dim() || a.Size() != b.Size() || a.Mirrored() != b.Mirrored() ||
 		a.Inserts != b.Inserts || a.ScanSteps != b.ScanSteps {
 		return false
 	}

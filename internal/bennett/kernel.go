@@ -20,8 +20,8 @@ import "math"
 // A kernel never grows a slice: at the first write to a position
 // outside the support it stores the value and returns that position, so
 // the rare promote / sub-cutoff bookkeeping (scratch.admit, an append)
-// happens in the caller — the two sweep drivers at the bottom — which
-// re-enters at p+1.
+// happens in the caller — the sweep drivers at the bottom, and
+// crossStatic.twoSided for crossKernel — which re-enters at p+1.
 
 // updateKernel runs the two-sided step over idx[p:]: every structural
 // value becomes (di·v + c·vec[j]) / dip — c is σ times the other
@@ -70,10 +70,10 @@ func propagateKernel(idx []int, vals, vec []float64, in []bool, p int, xi float6
 }
 
 // crossKernel is updateKernel for a symmetric cross (crossStatic):
-// every structural value of L column i becomes
-// (di·v + (a_j·pa + b_j·pb)) / dip, stored in L and in U's mirror slot,
-// and both columns of Y propagate through the non-zero ones,
-// a_j −= ai·v and b_j −= bi·v. in flags the union support of a and b.
+// every structural value of L column i becomes crossValue, stored in L
+// and in U's mirror slot, and both columns of Y propagate through the
+// non-zero ones, a_j −= ai·v and b_j −= bi·v. in flags the union
+// support of a and b.
 // It returns where it stopped and the support members it met, as
 // updateKernel does.
 //
@@ -84,7 +84,7 @@ func crossKernel(idx []int, lvals, uvals, a, b []float64, in []bool, p int, di, 
 		j := idx[p]
 		v, aj, bj, member := lvals[p], a[j], b[j], in[j]
 		met += b2i(member)
-		nv := (di*v + (aj*pa + bj*pb)) / dip
+		nv := crossValue(di, v, aj, bj, pa, pb, dip)
 		lvals[p], uvals[p] = nv, nv
 		if v != 0 {
 			a[j], b[j] = aj-ai*v, bj-bi*v
@@ -121,23 +121,15 @@ func (sc *scratch) sweepPropagate(idx []int, vals, vec []float64, in []bool, dir
 	}
 }
 
-// sweepCross drives crossKernel down one structural column of L. A
-// position it stops at joins the support when a_j or b_j is
-// significant, and the dirty list otherwise.
-func (sc *scratch) sweepCross(idx []int, lvals, uvals, a, b []float64, in []bool, di, pa, pb, dip, ai, bi float64) (met int) {
-	for p := 0; ; p++ {
-		var m int
-		p, m = crossKernel(idx, lvals, uvals, a, b, in, p, di, pa, pb, dip, ai, bi)
-		met += m
-		if p == len(idx) {
-			return met
-		}
-		if j := idx[p]; math.Abs(a[j]) > PropagationCutoff || math.Abs(b[j]) > PropagationCutoff {
-			in[j] = true
-			sc.newIdx = append(sc.newIdx, j)
-		} else {
-			sc.dirtyY = append(sc.dirtyY, j)
-		}
+// admitCross is admit for a cross's two vectors, kept in y and z over
+// one support: position j joins it when a_j or b_j is significant, and
+// the dirty list otherwise.
+func (sc *scratch) admitCross(j int) {
+	if math.Abs(sc.y[j]) > PropagationCutoff || math.Abs(sc.z[j]) > PropagationCutoff {
+		sc.inY[j] = true
+		sc.newIdx = append(sc.newIdx, j)
+	} else {
+		sc.dirtyY = append(sc.dirtyY, j)
 	}
 }
 

@@ -111,18 +111,73 @@ func (sc *scratch) regroup(terms []Rank1Term) bool {
 	return true
 }
 
+// crossColumns is what a cross sweep needs of a mirrored container
+// beyond the recurrence itself: its pivots and the walk of one column
+// of L — with U's mirror row written alongside — for each kind of step.
+// The sweep (crossSweep) owns the math; crossStatic walks the frozen
+// arrays and crossDynamic the linked lists. A walk admits every position
+// it promotes into sc.newIdx (or sc.dirtyY), and the sweep merges them
+// into the support, error or not.
+type crossColumns interface {
+	pivots() []float64
+	// begin readies the walks for the cross of key x with n entries.
+	begin(x, n int)
+	// oneSided runs step i < x: b propagates down column i through its
+	// old values (b_j −= b_i·L(j, i)), then L(x, i) and U(i, x) move by
+	// move.
+	oneSided(i, x int, bi, move float64, sc *scratch, st *Stats) error
+	// twoSided runs step i ≥ x: every structural L(j, i) and U(i, j)
+	// becomes crossValue(di, L(j, i), a_j, b_j, pa, pb, dip), a and b
+	// propagate through the non-zero old values, and tail — the
+	// support beyond i — meets the column.
+	twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float64, sc *scratch, st *Stats) error
+}
+
+// crossC is the cross's 2×2 C, symmetric, starting at [[0, 1], [1, 0]],
+// and the steps' arithmetic on it: the one math every container's sweep
+// shares. It is passed and returned by value, so a sweep keeps it in
+// registers.
+type crossC struct{ c00, c01, c11 float64 }
+
+// oneSided is a step before x, where a is still e_x: p = (b_i, 0) and
+// d' = d. It takes b_i²/d off C's a·a entry and returns how far L(x, i)
+// moves.
+func (c crossC) oneSided(di, bi float64) (crossC, float64) {
+	c.c00 -= bi * bi / di
+	return c, bi / di
+}
+
+// pivot returns the two-sided step's p = C·y_iᵀ and d' = d + y_i·p.
+func (c crossC) pivot(di, ai, bi float64) (pa, pb, dip float64) {
+	pa, pb = c.c00*ai+c.c01*bi, c.c01*ai+c.c11*bi
+	return pa, pb, di + (ai*pa + bi*pb)
+}
+
+// update returns C − p·pᵀ / d', after a two-sided step.
+func (c crossC) update(pa, pb, dip float64) crossC {
+	return crossC{c.c00 - pa*pa/dip, c.c01 - pa*pb/dip, c.c11 - pb*pb/dip}
+}
+
+// crossValue is a two-sided step's new factor value at row j,
+// (d·v + Y_j·p) / d'. With v = 0 it is the value fill at j would take.
+// The division stays a division (see rank1Static).
+func crossValue(di, v, aj, bj, pa, pb, dip float64) float64 {
+	return (di*v + (aj*pa + bj*pb)) / dip
+}
+
 // applySymmetric applies the crosses regroup left in sc.cross, one
 // rank-2 sweep per key in ascending order. The factors stay mirrored
-// whatever happens, an error included: every value written to L is
-// written to U's mirror slot in the same statement.
-func applySymmetric(f *lu.StaticFactors, sc *scratch, st *Stats) error {
+// whatever happens, an error included: every value a walk writes to L
+// it writes to U's mirror in the same statement, and every position it
+// splices into one list it splices into the other.
+func applySymmetric(cols crossColumns, sc *scratch, st *Stats) error {
 	es := sc.cross
 	for lo := 0; lo < len(es); {
 		hi := lo + 1
 		for hi < len(es) && es[hi].i == es[lo].i {
 			hi++
 		}
-		err := crossStatic(f, es[lo].i, es[lo:hi], sc, st)
+		err := crossSweep(cols, es[lo].i, es[lo:hi], sc, st)
 		sc.clearCross()
 		if err != nil {
 			return err
@@ -147,16 +202,14 @@ func (sc *scratch) clearCross() {
 	sc.dirtyY = sc.dirtyY[:0]
 }
 
-// crossStatic runs the symmetric rank-2 recurrence of the cross
-// e_x·wᵀ + w·e_xᵀ over the frozen arrays of a mirrored StaticFactors.
-// The two columns of Y live in y (a = e_x) and z (b = w), with one
-// support list — ysupp, flagged in inY — for both. Before step x, a is
-// still e_x, so p = (b_i, 0) and d' = d: the step only moves L(x, i) by
-// b_i/d, propagates b down column i and takes b_i²/d off C's a·a
-// entry. From x on, every step is two-sided (crossKernel). The
-// out-of-structure check, the cutoff, the pivot check and the divisions
-// are rank1Static's.
-func crossStatic(f *lu.StaticFactors, x int, w []crossEntry, sc *scratch, st *Stats) error {
+// crossSweep runs the symmetric rank-2 recurrence of the cross
+// e_x·wᵀ + w·e_xᵀ over a mirrored container. The two columns of Y live
+// in y (a = e_x) and z (b = w), with one support list — ysupp, flagged
+// in inY — for both. Before step x, a is still e_x, so the step only
+// moves L(x, i) by b_i/d, propagates b down column i and takes b_i²/d
+// off C's a·a entry. From x on, every step is two-sided. The cutoff and
+// the pivot check are the rank-1 paths'.
+func crossSweep(cols crossColumns, x int, w []crossEntry, sc *scratch, st *Stats) error {
 	a, b, in := sc.y, sc.z, sc.inY
 	push := func(j int) {
 		in[j] = true
@@ -173,12 +226,10 @@ func crossStatic(f *lu.StaticFactors, x int, w []crossEntry, sc *scratch, st *St
 	if !in[x] {
 		push(x)
 	}
-	// L(x, i) for the steps before x, from row x's cross view.
-	xlo, xhi := f.LRowPtr[x], f.LRowPtr[x+1]
-	xcols, xpos := f.LRowCols[xlo:xhi], f.LRowPos[xlo:xhi]
-	cur := newCursor(xcols, len(w))
+	cols.begin(x, len(w))
+	d := cols.pivots()
 
-	c00, c01, c11 := 0.0, 1.0, 0.0 // C, symmetric
+	c := crossC{0, 1, 0}
 	for p := 0; p < len(sc.ysupp); p++ {
 		i := sc.ysupp[p]
 		ai, bi := a[i], b[i]
@@ -186,54 +237,101 @@ func crossStatic(f *lu.StaticFactors, x int, w []crossEntry, sc *scratch, st *St
 			continue
 		}
 		st.StepsTouched++
-		lo, hi := f.LColPtr[i], f.LColPtr[i+1]
-		rows, lvals, uvals := f.LRowIdx[lo:hi], f.LVal[lo:hi], f.UVal[lo:hi]
-		di := f.D[i]
+		di := d[i]
 		sc.newIdx = sc.newIdx[:0]
+		var err error
 		if i < x {
-			// b propagates with the old column; then L(x, i) moves.
-			sc.sweepPropagate(rows, lvals, b, in, &sc.dirtyY, bi)
-			sc.ysupp = mergeTail(sc.ysupp, p+1, sc.newIdx)
-			v := bi / di
-			if q, ok := cur.find(i); ok {
-				k := xpos[q]
-				f.LVal[k] += v
-				f.UVal[k] = f.LVal[k]
-			} else if math.Abs(v) <= DropTolerance {
-				st.Dropped++
-			} else {
-				return fmt.Errorf("%w (L position %d,%d, value %g)", ErrOutOfPattern, x, i, v)
+			var move float64
+			c, move = c.oneSided(di, bi)
+			err = cols.oneSided(i, x, bi, move, sc, st)
+		} else {
+			pa, pb, dip := c.pivot(di, ai, bi)
+			if math.Abs(dip) < lu.PivotTolerance {
+				return &lu.SingularError{Pivot: i, Value: dip}
 			}
-			c00 -= bi * bi / di
-			continue
+			if err = cols.twoSided(i, sc.ysupp[p+1:], di, pa, pb, dip, ai, bi, sc, st); err == nil {
+				c = c.update(pa, pb, dip)
+				d[i] = dip
+			}
 		}
-		pa, pb := c00*ai+c01*bi, c01*ai+c11*bi
-		dip := di + (ai*pa + bi*pb)
-		if math.Abs(dip) < lu.PivotTolerance {
-			return &lu.SingularError{Pivot: i, Value: dip}
-		}
-		// outside counts the support positions beyond i that column i
-		// does not hold, as in rank1Static.
-		outside := len(sc.ysupp) - (p + 1) - sc.sweepCross(rows, lvals, uvals, a, b, in, di, pa, pb, dip, ai, bi)
 		// Merge before any error exit, so clearCross reaches every flag.
 		sc.ysupp = mergeTail(sc.ysupp, p+1, sc.newIdx)
-		if outside != 0 || sc.rescan {
-			if err := crossExtras(sc.ysupp[p+1:], rows, a, b, pa, pb, dip, st); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
-		c00 -= pa * pa / dip
-		c01 -= pa * pb / dip
-		c11 -= pb * pb / dip
-		f.D[i] = dip
+	}
+	return nil
+}
+
+// crossStatic walks the frozen arrays of a mirrored StaticFactors: a
+// column of L is a slice of LRowIdx, and U's mirror values sit at the
+// same indices of UVal. The out-of-structure check, DropTolerance and
+// ErrOutOfPattern are rank1Static's.
+type crossStatic struct {
+	f *lu.StaticFactors
+	// Row x's cross view of L, looked up by the one-sided steps in
+	// ascending order.
+	xpos []int
+	cur  cursor
+}
+
+func (c *crossStatic) pivots() []float64 { return c.f.D }
+
+func (c *crossStatic) begin(x, n int) {
+	f := c.f
+	xlo, xhi := f.LRowPtr[x], f.LRowPtr[x+1]
+	c.xpos = f.LRowPos[xlo:xhi]
+	c.cur = newCursor(f.LRowCols[xlo:xhi], n)
+}
+
+func (c *crossStatic) oneSided(i, x int, bi, move float64, sc *scratch, st *Stats) error {
+	f := c.f
+	lo, hi := f.LColPtr[i], f.LColPtr[i+1]
+	sc.sweepPropagate(f.LRowIdx[lo:hi], f.LVal[lo:hi], sc.z, sc.inY, &sc.dirtyY, bi)
+	if q, ok := c.cur.find(i); ok {
+		k := c.xpos[q]
+		f.LVal[k] += move
+		f.UVal[k] = f.LVal[k]
+	} else if math.Abs(move) <= DropTolerance {
+		st.Dropped++
+	} else {
+		return fmt.Errorf("%w (L position %d,%d, value %g)", ErrOutOfPattern, x, i, move)
+	}
+	return nil
+}
+
+// twoSided drives crossKernel down column i, admitting every position
+// it stops at (admitCross). The loop sits here rather than in a helper
+// of its own: one call level less per step is measurable on the DBLP
+// chains.
+func (c *crossStatic) twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float64, sc *scratch, st *Stats) error {
+	f := c.f
+	lo, hi := f.LColPtr[i], f.LColPtr[i+1]
+	rows, lvals, uvals := f.LRowIdx[lo:hi], f.LVal[lo:hi], f.UVal[lo:hi]
+	met := 0
+	for p := 0; ; p++ {
+		var m int
+		p, m = crossKernel(rows, lvals, uvals, sc.y, sc.z, sc.inY, p, di, pa, pb, dip, ai, bi)
+		met += m
+		if p == len(rows) {
+			break
+		}
+		sc.admitCross(rows[p])
+	}
+	// outside counts the support positions beyond i that column i does
+	// not hold, as in rank1Static.
+	if outside := len(tail) - met; outside != 0 || sc.rescan {
+		// The promotions come from rows, so the unmerged tail holds every
+		// position the structure lacks.
+		return crossExtras(tail, rows, sc.y, sc.z, di, pa, pb, dip, st)
 	}
 	return nil
 }
 
 // crossExtras is staticExtras for a cross: a support position beyond
-// the step that column i does not hold would take the value
-// (a_j·p_a + b_j·p_b) / d', which must be negligible.
-func crossExtras(supp, structural []int, a, b []float64, pa, pb, dip float64, st *Stats) error {
+// the step that column i does not hold would take the fill value
+// crossValue(d, 0, a_j, b_j, p_a, p_b, d'), which must be negligible.
+func crossExtras(supp, structural []int, a, b []float64, di, pa, pb, dip float64, st *Stats) error {
 	s := 0
 	for _, j := range supp {
 		if a[j] == 0 && b[j] == 0 {
@@ -245,7 +343,7 @@ func crossExtras(supp, structural []int, a, b []float64, pa, pb, dip float64, st
 		if s < len(structural) && structural[s] == j {
 			continue // covered by the structural pass
 		}
-		v := (a[j]*pa + b[j]*pb) / dip
+		v := crossValue(di, 0, a[j], b[j], pa, pb, dip)
 		if math.Abs(v) <= DropTolerance {
 			st.Dropped++
 			continue

@@ -25,8 +25,19 @@ import (
 // at most the cutoff times an entry of order one (an L value, a C entry,
 // a unit vector's 1). So FuzzSymmetricUpdate, whose quantized values
 // make fill that cancels down to the cutoff's scale, allows the paths
-// PropagationCutoff apart in absolute terms on top: its last two seeds
-// open gaps of 4.7e-12 and 2.4e-11 that way.
+// PropagationCutoff apart in absolute terms on top: its fourth and fifth
+// seeds open gaps of 4.7e-12 and 2.4e-11 that way.
+//
+// On the linked lists a fill position exists only where a path spliced
+// it, and the rank-1 path decides per term. When a row and a column
+// term fill one position with values that cancel in exact arithmetic,
+// and the second term's vector entry there has fallen below the cutoff,
+// the first term's value stays: a fill value of the cutoff times a
+// multiplier σ·z_i/d', which stayed below 2 over minutes of fuzzing. The
+// cross forms the sum at once and splices nothing. So the fuzzer allows
+// the dynamic paths 2·PropagationCutoff apart: its last seed has the
+// rank-1 path leave −1.32e-10 at a position that is 0 in a fresh
+// factorization and on the cross path.
 const symmetricBound = 1e-12
 
 // mirrorEntries sums entries per unordered position and returns each
@@ -144,18 +155,85 @@ func unionFactors(t testing.TB, mats []*sparse.CSR) *lu.StaticFactors {
 	return f
 }
 
-// mirrored is the predicate lu caches as Mirrored, computed from scratch.
-func mirrored(f *lu.StaticFactors) bool {
-	return slices.Equal(f.LColPtr, f.URowPtr) && slices.Equal(f.LRowIdx, f.UColIdx) && bitsEqual(f.LVal, f.UVal)
+// mirrorer is either lu container: both cache Mirrored.
+type mirrorer interface {
+	lu.Factors
+	Mirrored() bool
+}
+
+// mirrored is the predicate lu caches as Mirrored, computed from scratch
+// on either container: U is Lᵀ, structure and value bits.
+func mirrored(f lu.Factors) bool {
+	switch c := f.(type) {
+	case *lu.StaticFactors:
+		return slices.Equal(c.LColPtr, c.URowPtr) && slices.Equal(c.LRowIdx, c.UColIdx) && bitsEqual(c.LVal, c.UVal)
+	case *lu.DynamicFactors:
+		for i := 0; i < c.Dim(); i++ {
+			l, u := listNodes(c, c.LHead[i]), listNodes(c, c.UHead[i])
+			if !slices.EqualFunc(l, u, func(a, b lu.ListNode) bool {
+				return a.Idx == b.Idx && math.Float64bits(a.Val) == math.Float64bits(b.Val)
+			}) {
+				return false
+			}
+		}
+		return true
+	}
+	panic("unknown container")
+}
+
+// listNodes is the list starting at head, in order.
+func listNodes(d *lu.DynamicFactors, head int) []lu.ListNode {
+	var out []lu.ListNode
+	for cur := head; cur != -1; cur = d.Nodes[cur].Next {
+		out = append(out, d.Nodes[cur])
+	}
+	return out
+}
+
+// denseFactors spells either container out as dense strict L, strict U
+// and D.
+func denseFactors(f lu.Factors) (l, u [][]float64, d []float64) {
+	n := f.Dim()
+	l, u = make([][]float64, n), make([][]float64, n)
+	for i := range l {
+		l[i], u[i] = make([]float64, n), make([]float64, n)
+	}
+	switch c := f.(type) {
+	case *lu.StaticFactors:
+		for j := 0; j < n; j++ {
+			for p := c.LColPtr[j]; p < c.LColPtr[j+1]; p++ {
+				l[c.LRowIdx[p]][j] = c.LVal[p]
+			}
+			for p := c.URowPtr[j]; p < c.URowPtr[j+1]; p++ {
+				u[j][c.UColIdx[p]] = c.UVal[p]
+			}
+		}
+		return l, u, c.D
+	case *lu.DynamicFactors:
+		for j := 0; j < n; j++ {
+			for _, e := range listNodes(c, c.LHead[j]) {
+				l[e.Idx][j] = e.Val
+			}
+			for _, e := range listNodes(c, c.UHead[j]) {
+				u[j][e.Idx] = e.Val
+			}
+		}
+		return l, u, c.D
+	}
+	panic("unknown container")
 }
 
 // factorGap is max |a − b| over every factor value, and the largest
-// magnitude among b's.
-func factorGap(a, b *lu.StaticFactors) (gap, scale float64) {
-	for _, p := range [][2][]float64{{a.LVal, b.LVal}, {a.UVal, b.UVal}, {a.D, b.D}} {
-		for k, v := range p[1] {
-			gap = max(gap, math.Abs(p[0][k]-v))
-			scale = max(scale, math.Abs(v))
+// magnitude among b's. Positions one container holds and the other
+// does not count as zeros.
+func factorGap(a, b lu.Factors) (gap, scale float64) {
+	la, ua, da := denseFactors(a)
+	lb, ub, db := denseFactors(b)
+	for i := range db {
+		gap, scale = max(gap, math.Abs(da[i]-db[i])), max(scale, math.Abs(db[i]))
+		for j := range db {
+			gap = max(gap, math.Abs(la[i][j]-lb[i][j]), math.Abs(ua[i][j]-ub[i][j]))
+			scale = max(scale, math.Abs(lb[i][j]), math.Abs(ub[i][j]))
 		}
 	}
 	return gap, scale
@@ -165,14 +243,17 @@ func factorGap(a, b *lu.StaticFactors) (gap, scale float64) {
 // to ref by the rank-1 loop, and holds sym to the symmetric path's
 // promises: it was taken, the factors are still their own transpose bit
 // for bit (and say so), and they lie within symmetricBound (relative)
-// plus echo (absolute) of ref's. It returns the relative gap.
-func checkSymmetricStep(t *testing.T, label string, sym, ref *lu.StaticFactors, ws, wr *Workspace, delta []sparse.Entry, echo float64) float64 {
+// plus echo (absolute) of ref's. On the dynamic container it also holds
+// that every splice went into both lists: the inserts and the scan
+// steps the step added are even. It returns the relative gap.
+func checkSymmetricStep(t *testing.T, label string, sym, ref mirrorer, ws, wr *Workspace, delta []sparse.Entry, echo float64) float64 {
 	t.Helper()
 	terms := SplitTerms(delta)
 	if !Regroups(terms) {
 		t.Fatalf("%s: a symmetric delta was refused: %v", label, delta)
 	}
 	var st, rt Stats
+	before := dynamicCounters(sym)
 	if err := ws.ApplyTerms(sym, terms, &st); err != nil {
 		t.Fatalf("%s: symmetric path: %v", label, err)
 	}
@@ -185,6 +266,9 @@ func checkSymmetricStep(t *testing.T, label string, sym, ref *lu.StaticFactors, 
 	if !sym.Mirrored() || !mirrored(sym) {
 		t.Fatalf("%s: factors no longer mirror themselves (cached %v)", label, sym.Mirrored())
 	}
+	if after := dynamicCounters(sym); (after[0]-before[0])%2 != 0 || (after[1]-before[1])%2 != 0 {
+		t.Fatalf("%s: %d inserts and %d scan steps, not in pairs", label, after[0]-before[0], after[1]-before[1])
+	}
 	if ref.Mirrored() != mirrored(ref) {
 		t.Fatalf("%s: the rank-1 path left Mirrored %v on factors whose mirror predicate is %v", label, ref.Mirrored(), mirrored(ref))
 	}
@@ -193,6 +277,28 @@ func checkSymmetricStep(t *testing.T, label string, sym, ref *lu.StaticFactors, 
 		t.Fatalf("%s: symmetric and rank-1 factors %g apart, bound %g", label, gap, bound)
 	}
 	return gap / scale
+}
+
+// dynamicCounters is a dynamic container's {Inserts, ScanSteps}, and
+// zeros for a static one.
+func dynamicCounters(f lu.Factors) [2]int {
+	if d, ok := f.(*lu.DynamicFactors); ok {
+		return [2]int{d.Inserts, d.ScanSteps}
+	}
+	return [2]int{}
+}
+
+// ownFactors factorizes a into the static container of its own pattern,
+// in the identity ordering, and hands it over as linked lists: INC's
+// container in miniature, which every change outside a's pattern makes
+// splice.
+func ownFactors(t testing.TB, a *sparse.CSR) *lu.DynamicFactors {
+	t.Helper()
+	f := lu.NewStaticFactors(lu.Symbolic(a.Pattern()))
+	if err := f.Factorize(a); err != nil {
+		t.Fatal(err)
+	}
+	return lu.NewDynamicFactors(f)
 }
 
 // TestSymmetricPathMatchesRank1 walks random symmetric, diagonally
@@ -233,10 +339,50 @@ func TestSymmetricPathMatchesRank1(t *testing.T) {
 	}
 }
 
+// TestSymmetricDynamicMatchesRank1 is TestSymmetricPathMatchesRank1 on
+// INC's linked lists: each walk starts from the first matrix's own
+// factors, so the crosses splice fill, and at every step the cross path
+// must keep the lists bitwise mirrored — each splice landing in L and in
+// U — lie within the bound of the dynamic rank-1 path on the same terms
+// (plus the cutoff, which decides which sub-cutoff fill is spliced), and
+// solve the step's matrix.
+func TestSymmetricDynamicMatchesRank1(t *testing.T) {
+	rng := xrand.New(4719)
+	var worst float64
+	inserts := 0
+	for trial := 0; trial < 60; trial++ {
+		mats := symmetricWalk(rng, 5+rng.Intn(30), 6)
+		sym := ownFactors(t, mats[0])
+		if !sym.Mirrored() || !mirrored(sym) {
+			t.Fatalf("trial %d: the lists of mirrored static factors do not mirror each other", trial)
+		}
+		ref := sym.Clone().(*lu.DynamicFactors)
+		var ws, wr Workspace
+		for s := 1; s < len(mats); s++ {
+			worst = max(worst, checkSymmetricStep(t, "step", sym, ref, &ws, &wr, sparse.Delta(mats[s-1], mats[s]), PropagationCutoff))
+			x := make([]float64, mats[s].N())
+			for i := range x {
+				x[i] = rng.Float64()*2 - 1
+			}
+			b := mats[s].MulVec(x)
+			sym.SolveInPlace(b)
+			if d := sparse.NormInfDiff(b, x); d > 1e-10 {
+				t.Fatalf("trial %d step %d: solve error %g", trial, s, d)
+			}
+		}
+		inserts += sym.Inserts
+	}
+	t.Logf("largest relative gap to the rank-1 path: %.3g; %d list inserts", worst, inserts)
+	if inserts == 0 {
+		t.Fatal("no cross spliced fill")
+	}
+}
+
 // TestSymmetricPathFallsBackToRank1: a delta that is not bitwise
 // symmetric — one entry of a pair, a pair whose halves differ in the
 // last bit, a position given twice — takes the rank-1 loop, bit for bit,
-// and the factors it leaves say they no longer mirror.
+// on either container, and the factors it leaves say they no longer
+// mirror.
 func TestSymmetricPathFallsBackToRank1(t *testing.T) {
 	rng := xrand.New(4716)
 	mats := symmetricWalk(rng, 12, 1)
@@ -268,19 +414,28 @@ func TestSymmetricPathFallsBackToRank1(t *testing.T) {
 		if Regroups(terms) {
 			t.Fatalf("%s: accepted as symmetric", c.name)
 		}
-		got, want := base.Clone().(*lu.StaticFactors), base.Clone().(*lu.StaticFactors)
-		var st, rt Stats
-		if err := new(Workspace).ApplyTerms(got, terms, &st); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if err := new(Workspace).ApplyRank1(want, terms, &rt); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !staticBitEqual(got, want) || st != rt {
-			t.Fatalf("%s: ApplyTerms did not take the rank-1 loop (%+v against %+v)", c.name, st, rt)
-		}
-		if got.Mirrored() != mirrored(got) {
-			t.Fatalf("%s: Mirrored %v, predicate %v", c.name, got.Mirrored(), mirrored(got))
+		for _, b := range []mirrorer{base, lu.NewDynamicFactors(base)} {
+			got, want := b.Clone().(mirrorer), b.Clone().(mirrorer)
+			var st, rt Stats
+			if err := new(Workspace).ApplyTerms(got, terms, &st); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if err := new(Workspace).ApplyRank1(want, terms, &rt); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			same := false
+			switch g := got.(type) {
+			case *lu.StaticFactors:
+				same = staticBitEqual(g, want.(*lu.StaticFactors))
+			case *lu.DynamicFactors:
+				same = dynamicBitEqual(g, want.(*lu.DynamicFactors))
+			}
+			if !same || st != rt {
+				t.Fatalf("%s, %T: ApplyTerms did not take the rank-1 loop (%+v against %+v)", c.name, got, st, rt)
+			}
+			if got.Mirrored() != mirrored(got) {
+				t.Fatalf("%s, %T: Mirrored %v, predicate %v", c.name, got, got.Mirrored(), mirrored(got))
+			}
 		}
 	}
 }
@@ -354,8 +509,8 @@ func TestSymmetricOutOfPattern(t *testing.T) {
 }
 
 // TestSymmetricSingularUpdate: a cross that makes an intermediate pivot
-// vanish fails with SingularError on the symmetric path, leaving the
-// factors mirrored and the workspace clean.
+// vanish fails with SingularError on the symmetric path of either
+// container, leaving the factors mirrored and the workspace clean.
 func TestSymmetricSingularUpdate(t *testing.T) {
 	// [[2,1],[1,2]] ⊕ 3·I. The cross at 0 adds 6 at (0,0) and 3 at (0,1)
 	// and (1,0): [[8,4],[4,2]] is singular, which the sweep meets at
@@ -375,17 +530,19 @@ func TestSymmetricSingularUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	terms := SplitTerms([]sparse.Entry{{Row: 0, Col: 0, Val: 6}, {Row: 0, Col: 1, Val: 3}, {Row: 1, Col: 0, Val: 3}, {Row: 1, Col: 1, Val: 6}})
-	var ws Workspace
-	var singular *lu.SingularError
-	if err := ws.ApplyTerms(f, terms, nil); !errors.As(err, &singular) || singular.Pivot != 1 {
-		t.Fatalf("got %v, want a SingularError at pivot 1", err)
-	}
-	if !f.Mirrored() || !mirrored(f) {
-		t.Fatal("a failed update left the factors unmirrored")
-	}
-	for j := range ws.sc.y {
-		if ws.sc.y[j] != 0 || ws.sc.z[j] != 0 || ws.sc.inY[j] {
-			t.Fatalf("position %d of the workspace not cleared", j)
+	for _, g := range []mirrorer{lu.NewDynamicFactors(f), f} {
+		var ws Workspace
+		var singular *lu.SingularError
+		if err := ws.ApplyTerms(g, terms, nil); !errors.As(err, &singular) || singular.Pivot != 1 {
+			t.Fatalf("%T: got %v, want a SingularError at pivot 1", g, err)
+		}
+		if !g.Mirrored() || !mirrored(g) {
+			t.Fatalf("%T: a failed update left the factors unmirrored", g)
+		}
+		for j := range ws.sc.y {
+			if ws.sc.y[j] != 0 || ws.sc.z[j] != 0 || ws.sc.inY[j] {
+				t.Fatalf("%T: position %d of the workspace not cleared", g, j)
+			}
 		}
 	}
 }
@@ -393,7 +550,9 @@ func TestSymmetricSingularUpdate(t *testing.T) {
 // TestMirroredIsThePredicate: the cached bit equals the predicate it
 // caches after each of its writers — construction, factorization, both
 // update paths, Reset, Clone and AssembleStatic — on a symmetric and an
-// unsymmetric structure.
+// unsymmetric structure; and the dynamic container's after
+// NewDynamicFactors, the cross path, Clone, AssembleDynamic, InsertL,
+// InsertU, Rank1Dynamic and the rank-1 path.
 func TestMirroredIsThePredicate(t *testing.T) {
 	rng := xrand.New(4717)
 	check := func(label string, f *lu.StaticFactors, want bool) {
@@ -448,6 +607,87 @@ func TestMirroredIsThePredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("unsymmetric structure", g, false)
+
+	// The linked lists' bit, after each of its writers.
+	checkD := func(label string, d *lu.DynamicFactors, want bool) {
+		t.Helper()
+		if d.Mirrored() != mirrored(d) || d.Mirrored() != want {
+			t.Fatalf("dynamic %s: Mirrored %v, predicate %v, want %v", label, d.Mirrored(), mirrored(d), want)
+		}
+	}
+	assemble := func(d *lu.DynamicFactors) *lu.DynamicFactors {
+		t.Helper()
+		a, err := lu.AssembleDynamic(d.Dim(), slices.Clone(d.Nodes), slices.Clone(d.LHead), slices.Clone(d.UHead), slices.Clone(d.D), d.Inserts, d.ScanSteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	d := ownFactors(t, mats[0])
+	checkD("new", d, true)
+	// A symmetric pair outside the lists: the cross at its column splices
+	// it.
+	r, col := -1, 0
+	for ; col < d.Dim() && r < 0; col++ {
+		for x := col + 1; x < d.Dim(); x++ {
+			if !slices.Contains(d.LSucc(col), x) {
+				r = x
+				break
+			}
+		}
+	}
+	if r < 0 {
+		t.Fatal("the factors are dense")
+	}
+	col--
+	if err := new(Workspace).ApplyTerms(d, SplitTerms([]sparse.Entry{{Row: r, Col: col, Val: 0.25}, {Row: col, Col: r, Val: 0.25}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	checkD("cross update", d, true)
+	if d.Inserts == 0 {
+		t.Fatal("the cross update spliced nothing")
+	}
+	checkD("clone", d.Clone().(*lu.DynamicFactors), true)
+	checkD("assembled", assemble(d), true)
+	// A value at a position both lists hold: InsertL breaks the mirror,
+	// InsertU with the same bits restores it; a new position likewise.
+	i, j := -1, -1
+	for c := 0; c < d.Dim() && i < 0; c++ {
+		if h := d.LHead[c]; h != -1 {
+			i, j = d.Nodes[h].Idx, c
+		}
+	}
+	if i < 0 {
+		t.Fatal("no L entry to overwrite")
+	}
+	d.InsertL(i, j, 0.125)
+	checkD("InsertL overwrite", d, false)
+	checkD("clone of unmirrored", d.Clone().(*lu.DynamicFactors), false)
+	checkD("assembled unmirrored", assemble(d), false)
+	d.InsertU(j, i, 0.125)
+	checkD("InsertU overwrite", d, true)
+	fresh := -1
+	for r := d.Dim() - 1; r > 0 && fresh < 0; r-- {
+		if !slices.Contains(d.LSucc(0), r) {
+			fresh = r
+		}
+	}
+	if fresh < 0 {
+		t.Fatal("column 0 is full")
+	}
+	d.InsertU(0, fresh, 0.25)
+	checkD("InsertU splice", d, false)
+	d.InsertL(fresh, 0, 0.25)
+	checkD("InsertL splice", d, true)
+	if err := Rank1Dynamic(d, 1, []sparse.Entry{{Row: 3, Val: 1}}, []sparse.Entry{{Row: 4, Val: 0.5}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkD("Rank1Dynamic", d, mirrored(d))
+	if err := new(Workspace).ApplyTerms(d, SplitTerms([]sparse.Entry{{Row: 5, Col: 5, Val: 0.5}, {Row: 5, Col: 6, Val: 0.25}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	checkD("rank-1 update", d, mirrored(d))
+	checkD("unsymmetric lists", lu.NewDynamicFactors(g), false)
 }
 
 // TestSymmetricApplyZeroAlloc: the symmetric path — regroup and sweeps —
@@ -480,14 +720,18 @@ func TestSymmetricApplyZeroAlloc(t *testing.T) {
 // FuzzSymmetricUpdate decodes a symmetric, diagonally dominant matrix
 // and a symmetric delta from the input — three bytes per pair (row,
 // column, value) after a size byte — and holds the symmetric path to
-// the rank-1 loop on the union's factors: no panic, mirrored factors,
-// within symmetricBound plus the cutoff's echo.
+// the rank-1 loop on both containers: CLUDE's, the union's static
+// factors, and INC's, the first matrix's own factors as linked lists
+// that the delta's fill is spliced into. No panic, mirrored factors,
+// within symmetricBound plus the cutoff's echo (twice the cutoff on the
+// lists, where the paths also decide fill apart).
 func FuzzSymmetricUpdate(f *testing.F) {
 	f.Add([]byte{12, 0, 1, 9, 1, 2, 200, 0, 0, 50, 3, 4, 7, 0, 3, 90})
 	f.Add([]byte{6, 0, 5, 100, 1, 5, 30, 5, 5, 20, 2, 3, 40, 2, 2, 9})
 	f.Add([]byte{20, 3, 3, 1, 3, 7, 2, 7, 3, 3, 3, 11, 4, 11, 3, 5, 19, 0, 6})
 	f.Add([]byte("7000000000b00CY0Cl0Y.\xf4!60Ab .100207A0!z0z70"))
 	f.Add([]byte("9xz\x0exb0a,0aA00000001,00002c0800zg0100170\xdbA0bc09800"))
+	f.Add([]byte("2a9\xf5$E\x11b\xce\xc7000\xf5Z\a29E000a1\xd818000000000001A79a01X8\b bZ7000b8\x0400021\xde000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -524,7 +768,8 @@ func FuzzSymmetricUpdate(f *testing.F) {
 		a := c.ToCSR()
 		b := applyEntries(a, delta)
 		sym := unionFactors(t, []*sparse.CSR{a, b})
-		ref := sym.Clone().(*lu.StaticFactors)
-		checkSymmetricStep(t, "fuzz", sym, ref, new(Workspace), new(Workspace), sparse.Delta(a, b), PropagationCutoff)
+		checkSymmetricStep(t, "fuzz static", sym, sym.Clone().(mirrorer), new(Workspace), new(Workspace), sparse.Delta(a, b), PropagationCutoff)
+		dyn := ownFactors(t, a)
+		checkSymmetricStep(t, "fuzz dynamic", dyn, dyn.Clone().(mirrorer), new(Workspace), new(Workspace), sparse.Delta(a, b), 2*PropagationCutoff)
 	})
 }

@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/sparse"
@@ -21,7 +22,10 @@ type ListNode struct {
 // incremental LU maintenance (INC/CINC in the paper): when an update
 // introduces fill, nodes must be spliced into lists, and the paper
 // profiles this structural maintenance at about 70% of Bennett's
-// running time.
+// running time. With the same Bennett kernel on both containers the
+// reproduction reads about 65 % on directed data (the tblBennett
+// experiment) and about 58 % on symmetric data, where both take the
+// symmetric cross path (docs/ALGORITHMS.md).
 //
 // The structure counts its restructuring work (node insertions and
 // list scan steps) so benchmarks can separate structural cost from
@@ -44,6 +48,10 @@ type DynamicFactors struct {
 	lCols [][]int
 	uCols [][]int
 
+	// mirror caches Mirrored, a pure function of the lists; every writer
+	// keeps it equal to that function.
+	mirror bool
+
 	// Profiling counters.
 	Inserts   int // nodes spliced in after construction
 	ScanSteps int // list cells visited during updates
@@ -62,6 +70,9 @@ func NewDynamicFactors(f *StaticFactors) *DynamicFactors {
 		D:     make([]float64, n),
 	}
 	copy(d.D, f.D)
+	// The lists hold the static container's entries, explicit zeros
+	// included, so they mirror each other exactly when it does.
+	d.mirror = f.Mirrored()
 	for i := range d.LHead {
 		d.LHead[i] = -1
 		d.UHead[i] = -1
@@ -110,6 +121,7 @@ func (d *DynamicFactors) Clone() Factors {
 		D:         append([]float64(nil), d.D...),
 		lnnz:      d.lnnz,
 		unnz:      d.unnz,
+		mirror:    d.mirror,
 		Inserts:   d.Inserts,
 		ScanSteps: d.ScanSteps,
 		lCols:     make([][]int, d.n),
@@ -120,6 +132,44 @@ func (d *DynamicFactors) Clone() Factors {
 		c.uCols[j] = append([]int(nil), d.uCols[j]...)
 	}
 	return c
+}
+
+// Mirrored reports whether every U row list equals the L column list of
+// the same index, node for node, in index and in value bits — the
+// linked-list form of StaticFactors.Mirrored, so U = Lᵀ. Containers
+// built from mirrored static factors start that way, and bennett's
+// symmetric cross path keeps it (every value it writes goes into both
+// lists, every fill position is spliced into both); the answer is
+// cached, and being a function of the lists alone, a clone, a decoded
+// copy and a replayed one answer alike.
+func (d *DynamicFactors) Mirrored() bool { return d.mirror }
+
+// RefreshMirror recomputes Mirrored from the lists, for a writer that
+// does not keep them mirrored by construction (the rank-1 path, InsertL,
+// InsertU, a lone SpliceL or SpliceU). Lists of different total lengths
+// cost nothing; otherwise it stops at the first pair of lists that
+// differ.
+func (d *DynamicFactors) RefreshMirror() {
+	d.mirror = d.lnnz == d.unnz && d.listsMirrored()
+}
+
+// listsMirrored walks each L column list beside the U row list of the
+// same index.
+func (d *DynamicFactors) listsMirrored() bool {
+	for i := 0; i < d.n; i++ {
+		l, u := d.LHead[i], d.UHead[i]
+		for l != -1 && u != -1 {
+			ln, un := &d.Nodes[l], &d.Nodes[u]
+			if ln.Idx != un.Idx || math.Float64bits(ln.Val) != math.Float64bits(un.Val) {
+				return false
+			}
+			l, u = ln.Next, un.Next
+		}
+		if l != u {
+			return false
+		}
+	}
+	return true
 }
 
 // Size returns the current structural size |sp(L)| + |sp(U)| + n. It
@@ -137,6 +187,7 @@ func (d *DynamicFactors) newNode(idx int, val float64, next int) int {
 // list head is deliberate: it reproduces the access pattern (and cost)
 // of adjacency-list maintenance.
 func (d *DynamicFactors) InsertL(i, j int, val float64) {
+	defer d.RefreshMirror()
 	prev := -1
 	cur := d.LHead[j]
 	for cur != -1 && d.Nodes[cur].Idx < i {
@@ -161,6 +212,7 @@ func (d *DynamicFactors) InsertL(i, j int, val float64) {
 
 // InsertU splices value val at U(i, j), keeping row i sorted.
 func (d *DynamicFactors) InsertU(i, j int, val float64) {
+	defer d.RefreshMirror()
 	prev := -1
 	cur := d.UHead[i]
 	for cur != -1 && d.Nodes[cur].Idx < j {
@@ -187,7 +239,8 @@ func (d *DynamicFactors) InsertU(i, j int, val float64) {
 // neighbours prev and next of column col's list (prev == -1 inserts at
 // the head). Callers that already hold a cursor — like Bennett's merged
 // walk — use this to splice without rescanning; the insertion is still
-// counted as restructuring work.
+// counted as restructuring work. It leaves Mirrored as it was: a caller
+// splices the mirror position into U too (SpliceU), or refreshes.
 func (d *DynamicFactors) SpliceL(col, prev, next, row int, val float64) int {
 	nn := d.newNode(row, val, next)
 	if prev == -1 {

@@ -214,5 +214,6 @@ func AssembleDynamic(n int, nodes []ListNode, lHead, uHead []int, d []float64, i
 		}
 		dyn.unnz += len(cols)
 	}
+	dyn.RefreshMirror()
 	return dyn, nil
 }

@@ -11,11 +11,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestSymmetricStreamReplaysMirrored: a CLUDE stream over an undirected
-// graph's symmetric walk matrix keeps factors that are their own
-// transpose, so its updates take bennett's symmetric cross path. Which
-// path an update takes is read from the factors alone (lu caches it as
-// Mirrored), so every copy of them must choose as the live run did:
+// TestSymmetricStreamReplaysMirrored: an INC, CINC or CLUDE stream over
+// an undirected graph's symmetric walk matrix keeps factors that are
+// their own transpose — CLUDE's static arrays and INC/CINC's linked
+// lists alike — so its updates take bennett's symmetric cross path.
+// Which path an update takes is read from the factors alone (lu caches
+// it as Mirrored, on either container), so every copy of them must
+// choose as the live run did:
 // history replay from a decoded chain base reproduces each live version
 // bit for bit, and so does the previous version written, read back and
 // advanced by the record's terms on a fresh workspace — what recovery
@@ -39,13 +41,29 @@ func TestSymmetricStreamReplaysMirrored(t *testing.T) {
 		batches = append(batches, evs)
 	}
 
+	for _, alg := range []core.Algorithm{core.INC, core.CINC, core.CLUDE} {
+		replaysMirrored(t, alg, g0, batches)
+	}
+}
+
+// mirrorer is either lu container: both cache Mirrored.
+type mirrorer interface {
+	lu.Factors
+	Mirrored() bool
+}
+
+// replaysMirrored runs one algorithm's stream over the batches and holds
+// every version's factors, history replay and store round trip to each
+// other, bit for bit and mirror bit included.
+func replaysMirrored(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) {
+	t.Helper()
 	var recs []bennett.VersionRecord
-	live := map[uint64]*lu.StaticFactors{}
+	live := map[uint64]mirrorer{}
 	s, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85),
+		Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85),
 		OnPublish: func(sv *lu.Solver, rec bennett.VersionRecord) {
 			recs = append(recs, rec)
-			live[rec.Version] = sv.F.Clone().(*lu.StaticFactors)
+			live[rec.Version] = sv.F.Clone().(mirrorer)
 		},
 	})
 	if err != nil {
@@ -53,18 +71,18 @@ func TestSymmetricStreamReplaysMirrored(t *testing.T) {
 	}
 	for i, evs := range batches {
 		if _, err := s.Apply(evs); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
+			t.Fatalf("%s batch %d: %v", alg, i, err)
 		}
 	}
 	s.Close()
 
-	roundTrip := func(f *lu.StaticFactors) *lu.StaticFactors {
+	roundTrip := func(f mirrorer) mirrorer {
 		t.Helper()
 		got, err := ReadFactors(bytes.NewReader(factorBytes(t, f)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got.(*lu.StaticFactors)
+		return got.(mirrorer)
 	}
 	log := bennett.NewHistoryLog()
 	var mw bennett.MaterializeWorkspace
@@ -74,10 +92,10 @@ func TestSymmetricStreamReplaysMirrored(t *testing.T) {
 		log.Record(rec)
 		want := live[rec.Version]
 		if !want.Mirrored() {
-			t.Fatalf("version %d: the live factors are not their own transpose", rec.Version)
+			t.Fatalf("%s version %d: the live factors are not their own transpose", alg, rec.Version)
 		}
 		if got := roundTrip(want); !got.Mirrored() || !bytes.Equal(factorBytes(t, got), factorBytes(t, want)) {
-			t.Fatalf("version %d: the store round trip lost the factors or their mirror (Mirrored %v)", rec.Version, got.Mirrored())
+			t.Fatalf("%s version %d: the store round trip lost the factors or their mirror (Mirrored %v)", alg, rec.Version, got.Mirrored())
 		}
 		if rec.Structural {
 			base, baseVer = roundTrip(want), rec.Version
@@ -86,20 +104,20 @@ func TestSymmetricStreamReplaysMirrored(t *testing.T) {
 		updates++
 		got, err := mw.Materialize(base, log, baseVer, rec.Version, nil)
 		if err != nil {
-			t.Fatalf("materialize %d from %d: %v", rec.Version, baseVer, err)
+			t.Fatalf("%s: materialize %d from %d: %v", alg, rec.Version, baseVer, err)
 		}
 		if !bytes.Equal(factorBytes(t, got), factorBytes(t, want)) {
-			t.Errorf("version %d replayed from %d differs from the live factors", rec.Version, baseVer)
+			t.Errorf("%s version %d replayed from %d differs from the live factors", alg, rec.Version, baseVer)
 		}
 		prev := roundTrip(live[rec.Version-1])
 		if err := new(bennett.Workspace).ApplyTerms(prev, rec.Terms, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(factorBytes(t, prev), factorBytes(t, want)) {
-			t.Errorf("version %d: the decoded version %d advanced by its terms differs from the live factors", rec.Version, rec.Version-1)
+			t.Errorf("%s version %d: the decoded version %d advanced by its terms differs from the live factors", alg, rec.Version, rec.Version-1)
 		}
 	}
 	if updates < len(batches)/2 {
-		t.Fatalf("%d of %d versions were Bennett updates: the symmetric path barely ran", updates, len(recs))
+		t.Fatalf("%s: %d of %d versions were Bennett updates: the symmetric path barely ran", alg, updates, len(recs))
 	}
 }
