@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -166,7 +167,7 @@ func (e *Engine) OnHistoryTrim(fn func(below uint64)) {
 // factors are still recoverable — no version below that floor can ever
 // be materialized again (its chain has no reachable base), so its
 // records are dead weight. Called whenever retention advances: base
-// pins (HistoryHook) and spill-bound deletions (enforceSpillBound).
+// pins (HistoryHook) and spill-bound deletions (drainSpills).
 func (e *Engine) trimHistory() {
 	if !e.historyEnabled() {
 		return
@@ -188,32 +189,30 @@ func (e *Engine) trimHistory() {
 // index pinned in RAM, pending spill, or spilled on disk. Versions
 // below it are unanswerable.
 func (e *Engine) historyFloor() (uint64, bool) {
-	oldest := -1
+	oldest := math.MaxInt
+	note := func(idx int) {
+		if idx >= 0 {
+			oldest = min(oldest, idx)
+		}
+	}
 	e.mu.RLock()
 	for _, idx := range e.pinned {
-		if idx >= 0 && (oldest < 0 || idx < oldest) {
-			oldest = idx
-		}
+		note(idx)
 	}
 	e.mu.RUnlock()
-	if e.spillEnabled() {
+	if e.spill != nil {
+		// Pending first, then the index: drainSpills indexes a file
+		// before it drops the pending entry.
 		e.spillMu.Lock()
-		for idx := range e.spilled {
-			if idx >= 0 && (oldest < 0 || idx < oldest) {
-				oldest = idx
-			}
-		}
 		for idx := range e.spillPending {
-			if idx >= 0 && (oldest < 0 || idx < oldest) {
-				oldest = idx
-			}
+			note(idx)
 		}
 		e.spillMu.Unlock()
+		if key, ok := e.spill.Oldest(); ok {
+			note(int(key))
+		}
 	}
-	if oldest < 0 {
-		return 0, false
-	}
-	return uint64(oldest), true
+	return uint64(oldest), oldest != math.MaxInt
 }
 
 // SeedHistory replays persisted history records into the log — the
@@ -256,12 +255,13 @@ func (e *Engine) isRetainedBase(v uint64) bool {
 	if ok {
 		return true
 	}
-	if !e.spillEnabled() {
+	if e.spill == nil {
 		return false
 	}
 	e.spillMu.Lock()
-	defer e.spillMu.Unlock()
-	return e.spilled[idx] || e.spillPending[idx] != nil
+	pending := e.spillPending[idx] != nil
+	e.spillMu.Unlock()
+	return pending || e.spill.Has(uint64(idx))
 }
 
 // findHistoryBase walks the delta chain of version v back to the

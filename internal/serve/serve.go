@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/lu"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -100,13 +101,10 @@ type Config struct {
 	// snapshot store into disk spilling: evicted snapshots are written
 	// there (see internal/store's solver codec) and transparently
 	// reloaded — and re-pinned — when a query addresses them. The
-	// directory's index is rescanned at engine construction, so spill
-	// files from a previous process stay queryable. Empty keeps the
-	// classic drop-on-evict behavior.
+	// directory is indexed at engine construction, so spill files from
+	// a previous process stay queryable; past 4096 files the oldest
+	// indices are deleted. Empty keeps drop-on-evict.
 	SpillDir string
-	// SpillKeep bounds how many spilled snapshots are retained on disk
-	// (oldest indices deleted past it). <= 0 means 4096.
-	SpillKeep int
 	// HistoryBase, when > 0, enables delta-compressed version history
 	// (see history.go): the HistoryHook pins a full factor clone only
 	// every HistoryBase-th version (plus every structural version, which
@@ -407,12 +405,12 @@ type Engine struct {
 	// Guarded by mu like the live source.
 	graphs GraphSource
 
-	// Disk-spill state (see spill.go). spillMu guards the spilled-index
-	// set, the in-flight write queue, and the pending map; it is only
-	// ever taken alone or after e.mu, never before it. spillKick wakes
-	// the background writer.
+	// Disk-spill state (see spill.go). spill is the directory, nil when
+	// spilling is off. spillMu guards the in-flight write queue and the
+	// pending map; it is only ever taken alone or after e.mu, never
+	// before it. spillKick wakes the background writer.
+	spill                                *store.Files
 	spillMu                              sync.Mutex
-	spilled                              map[int]bool
 	spillPending                         map[int]*lu.Solver
 	spillQueue                           []evictedSnap
 	spillKick                            chan struct{}
@@ -464,7 +462,6 @@ func New(cfg Config) *Engine {
 		queue:        make(chan *task, cfg.QueueDepth),
 		closed:       make(chan struct{}),
 		flights:      make(map[string]*flight),
-		spilled:      make(map[int]bool),
 		spillPending: make(map[int]*lu.Solver),
 		spillKick:    make(chan struct{}, 1),
 		hist:         newHistState(cfg.HistoryBudgetBytes),
@@ -526,16 +523,6 @@ func (e *Engine) Pin(i int, s *lu.Solver) {
 	}
 	e.mu.Unlock()
 	e.pinCount.Add(1)
-	if e.spillEnabled() {
-		// A fresh pin supersedes any spill file (or in-flight spill
-		// write) for the index: the factors on disk may be stale, so
-		// the marks are dropped and a later eviction re-spills the
-		// current ones.
-		e.spillMu.Lock()
-		delete(e.spilled, i)
-		delete(e.spillPending, i)
-		e.spillMu.Unlock()
-	}
 	e.handleEvicted(evicted)
 }
 

@@ -1,10 +1,9 @@
 package serve
 
 import (
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 
 	"repro/internal/lu"
 	"repro/internal/store"
@@ -13,54 +12,34 @@ import (
 // Disk-backed eviction: with Config.SpillDir set, a snapshot pushed out
 // of the bounded pinned store is serialized to disk instead of being
 // dropped, and a query addressing it transparently reloads and re-pins
-// it (possibly spilling another cold snapshot in turn). The pinned
-// store thereby becomes a memory cap over a disk-resident history
-// rather than a hard retention horizon: hot snapshots answer at memory
-// speed, cold ones at one codec read. The on-disk index survives
-// restarts — New scans the directory — so spilled history written by a
-// previous process stays queryable.
+// it (possibly spilling another cold snapshot in turn): MaxSnapshots
+// becomes a memory cap over a disk-resident history. New indexes the
+// directory, so history spilled by a previous process stays queryable.
 //
-// Writes are asynchronous: eviction happens on the factor-publish path
-// (a base pin under the stream's write lock), which must never
-// wait on disk. handleEvicted only enqueues; a dedicated writer
-// goroutine performs the codec writes, and until a snapshot's write
-// completes, queries are served straight from the queued in-memory
-// solver. Spill files are written atomically (temp + rename), so a
-// crash mid-spill leaves either the old file or the new one, never a
-// torn one — and a failed load is counted and degrades to
-// ErrUnknownSnapshot, the exact behavior of an engine without a spill
-// directory.
+// Writes are asynchronous: eviction happens on the factor-publish path,
+// which must never wait on disk. handleEvicted only enqueues; a writer
+// goroutine writes, and until a write completes, queries are served
+// from the queued solver. The directory is a store.Files: a crash
+// mid-spill leaves the old file or the new one (temp file, fsync,
+// rename, directory fsync), and the next open removes the temp file.
+// A failed load is counted and degrades to ErrUnknownSnapshot, the
+// behavior of an engine without a spill directory.
 
-// defaultSpillKeep bounds the spill directory when Config.SpillKeep is
-// unset: oldest (lowest-index) spill files are deleted past it.
-const defaultSpillKeep = 4096
+// spillKeep bounds the spill directory: past it the oldest
+// (lowest-index) spill files are deleted. A variable only so a test
+// can lower it.
+var spillKeep = 4096
 
-// spillEnabled reports whether disk-backed eviction is configured.
-func (e *Engine) spillEnabled() bool { return e.cfg.SpillDir != "" }
-
-func (e *Engine) spillPath(idx int) string {
-	return filepath.Join(e.cfg.SpillDir, "spill-"+strconv.Itoa(idx)+".snap")
-}
-
-// initSpill prepares the spill state at engine construction: the
-// directory, the on-disk index from any previous process, and the
-// writer goroutine.
+// initSpill opens the spill directory at engine construction and
+// starts the writer goroutine. A directory that cannot be opened is
+// counted and leaves spilling off.
 func (e *Engine) initSpill() {
-	if err := os.MkdirAll(e.cfg.SpillDir, 0o755); err == nil {
-		if entries, err := os.ReadDir(e.cfg.SpillDir); err == nil {
-			for _, ent := range entries {
-				name := ent.Name()
-				if !strings.HasPrefix(name, "spill-") || !strings.HasSuffix(name, ".snap") {
-					continue
-				}
-				idx, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "spill-"), ".snap"))
-				if err != nil {
-					continue
-				}
-				e.spilled[idx] = true
-			}
-		}
+	files, err := store.OpenFiles(e.cfg.SpillDir, store.Name{Prefix: "spill-", Suffix: ".snap", Decimal: true})
+	if err != nil {
+		e.spillErrors.Add(1)
+		return
 	}
+	e.spill = files
 	e.wg.Add(1)
 	go e.spillWriter()
 }
@@ -71,7 +50,7 @@ func (e *Engine) initSpill() {
 // streaming engine's publish path.
 func (e *Engine) handleEvicted(evicted []evictedSnap) {
 	for _, ev := range evicted {
-		if e.spillEnabled() {
+		if e.spill != nil {
 			e.spillMu.Lock()
 			e.spillPending[ev.idx] = ev.s
 			e.spillQueue = append(e.spillQueue, ev)
@@ -115,17 +94,15 @@ func (e *Engine) drainSpills() {
 		e.spillQueue = e.spillQueue[1:]
 		e.spillMu.Unlock()
 
-		err := e.writeSpill(ev.idx, ev.s)
+		err := e.spill.Write(uint64(ev.idx), func(w io.Writer) error { return store.WriteSolver(w, ev.s) })
 
+		// The file is indexed before the pending entry goes, so a
+		// reader that checks pending first, then the index, never
+		// misses the snapshot. A newer eviction of the index may have
+		// replaced the entry while the write ran; it stays.
 		e.spillMu.Lock()
-		// A re-pin (or a newer eviction) of the index may have
-		// superseded this solver while the write ran; only the current
-		// pending owner publishes the mark.
 		if e.spillPending[ev.idx] == ev.s {
 			delete(e.spillPending, ev.idx)
-			if err == nil {
-				e.spilled[ev.idx] = true
-			}
 		}
 		e.spillMu.Unlock()
 		if err != nil {
@@ -133,39 +110,11 @@ func (e *Engine) drainSpills() {
 			continue
 		}
 		e.spillWrites.Add(1)
-		e.enforceSpillBound()
-	}
-}
-
-// enforceSpillBound deletes the oldest (lowest-index) spill files past
-// the retention bound, so version-keyed history bases cannot grow the
-// directory without limit. Deleting a file can retire history
-// bases, so the delta-record log is re-trimmed afterwards.
-func (e *Engine) enforceSpillBound() {
-	keep := e.cfg.SpillKeep
-	if keep <= 0 {
-		keep = defaultSpillKeep
-	}
-	removed := false
-	for {
-		e.spillMu.Lock()
-		if len(e.spilled) <= keep {
-			e.spillMu.Unlock()
-			break
+		// Deleting a file can retire history bases, so the
+		// delta-record log is re-trimmed afterwards.
+		if removed, _ := e.spill.KeepNewest(spillKeep); removed > 0 {
+			e.trimHistory()
 		}
-		oldest := -1
-		for idx := range e.spilled {
-			if oldest < 0 || idx < oldest {
-				oldest = idx
-			}
-		}
-		delete(e.spilled, oldest)
-		e.spillMu.Unlock()
-		os.Remove(e.spillPath(oldest))
-		removed = true
-	}
-	if removed {
-		e.trimHistory()
 	}
 }
 
@@ -175,48 +124,28 @@ func (e *Engine) enforceSpillBound() {
 // file cannot be read back (the caller then reports ErrUnknownSnapshot
 // exactly as without spilling).
 func (e *Engine) loadSpilled(idx int) (*lu.Solver, bool) {
-	if !e.spillEnabled() {
+	if e.spill == nil {
 		return nil, false
 	}
 	e.spillMu.Lock()
-	if s := e.spillPending[idx]; s != nil {
-		e.spillMu.Unlock()
+	s := e.spillPending[idx]
+	e.spillMu.Unlock()
+	if s != nil {
 		e.spillLoads.Add(1)
 		return s, true
 	}
-	known := e.spilled[idx]
-	e.spillMu.Unlock()
-	if !known {
+	if !e.spill.Has(uint64(idx)) {
 		return nil, false
 	}
-	f, err := os.Open(e.spillPath(idx))
-	if err != nil {
-		e.spillErrors.Add(1)
-		return nil, false
+	f, err := os.Open(e.spill.Path(uint64(idx)))
+	if err == nil {
+		s, err = store.ReadSolver(f)
+		f.Close()
 	}
-	defer f.Close()
-	s, err := store.ReadSolver(f)
 	if err != nil {
 		e.spillErrors.Add(1)
 		return nil, false
 	}
 	e.spillLoads.Add(1)
 	return s, true
-}
-
-// writeSpill persists one solver atomically.
-func (e *Engine) writeSpill(idx int, s *lu.Solver) error {
-	tmp, err := os.CreateTemp(e.cfg.SpillDir, "spill-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := store.WriteSolver(tmp, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), e.spillPath(idx))
 }

@@ -8,6 +8,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/store"
 )
 
 // waitSpilled polls until the background writer has persisted at least
@@ -110,11 +114,12 @@ func TestSpillSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSpillRetentionBound pins more history than SpillKeep allows and
-// asserts the oldest spill files are deleted.
+// TestSpillRetentionBound pins more history than the spill bound
+// (lowered to 3) allows and asserts the oldest spill files are deleted.
 func TestSpillRetentionBound(t *testing.T) {
 	dir := t.TempDir()
-	eng, ems, _ := pinnedEngine(t, Config{MaxSnapshots: 2, Workers: 1, SpillDir: dir, SpillKeep: 3})
+	setSpillKeep(t, 3)
+	eng, ems, _ := pinnedEngine(t, Config{MaxSnapshots: 2, Workers: 1, SpillDir: dir})
 	defer eng.Close()
 	T := ems.Len()
 	spillable := T - 2
@@ -175,4 +180,77 @@ func TestSpillCorruptFileDegrades(t *testing.T) {
 	if eng.Stats().SpillErrors == 0 {
 		t.Error("corrupt spill not counted in SpillErrors")
 	}
+}
+
+// TestOpenSweepsStaleTemps plants the temp files a kill -9 mid-write
+// leaves — one beside the checkpoints, one in the spill directory — and
+// asserts that store.Open and New remove them and index exactly the
+// files the previous processes wrote.
+func TestOpenSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	spillDir := filepath.Join(dir, "spill")
+	plant := func(path string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := func(path string) {
+		t.Helper()
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("stale temp %s survived the open (%v)", filepath.Base(path), err)
+		}
+	}
+
+	eng1, ems, _ := pinnedEngine(t, Config{MaxSnapshots: 3, Workers: 1, SpillDir: spillDir})
+	eng1.Close()
+	spilled := eng1.spill.Keys()
+	if len(spilled) != ems.Len()-3 {
+		t.Fatalf("spilled %v, want %d files", spilled, ems.Len()-3)
+	}
+	spillTemp := filepath.Join(spillDir, "spill-4242.tmp")
+	plant(spillTemp)
+	eng2 := New(Config{MaxSnapshots: 3, Workers: 1, SpillDir: spillDir, Damping: testDamping})
+	defer eng2.Close()
+	gone(spillTemp)
+	if got := eng2.spill.Keys(); !reflect.DeepEqual(got, spilled) {
+		t.Errorf("restarted engine indexed %v, want %v", got, spilled)
+	}
+	if _, err := eng2.Query(context.Background(), Query{Snapshot: 0, Measure: MeasureRWR, Source: 1}); err != nil {
+		t.Errorf("spilled snapshot 0 after the sweep: %v", err)
+	}
+
+	cfg := core.StreamConfig{
+		Algorithm: core.CLUDE, Alpha: 0.9,
+		Initial: graph.New(6, false, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 3, To: 4}}),
+		Derive:  graph.RWRMatrix(testDamping),
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := st.OpenStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapTemp := filepath.Join(dir, "snap-1234.tmp")
+	plant(snapTemp)
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone(snapTemp)
+	s2, info, err := st2.OpenStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Recovered || info.SnapshotsSkipped != 0 {
+		t.Errorf("reopen after the sweep: %+v, want a clean warm restart", info)
+	}
+	s2.Close()
+	st2.Close()
 }

@@ -46,7 +46,7 @@ func randomBatches(n, batchCount, batchSize int, rng *xrand.Rand) [][]graph.Edge
 
 // streamAfter runs a stream of the given algorithm over the batches and
 // returns it (caller closes).
-func streamAfter(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.Stream {
+func streamAfter(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.Stream {
 	t.Helper()
 	s, err := core.NewStream(core.StreamConfig{
 		Algorithm: alg,
@@ -170,6 +170,50 @@ func TestSolverRoundTripSolvesIdentically(t *testing.T) {
 			t.Errorf("%s: restored solver's solution differs bit-wise", alg)
 		}
 	}
+}
+
+// FuzzReadSolver feeds arbitrary bytes to the CLUS decoder a spill
+// reload runs: it must never panic, and a frame it accepts must
+// re-encode to one that decodes to the same solver. The seeds, a static
+// (CLUDE) and a dynamic (CINC) solver, must round-trip bit for bit.
+func FuzzReadSolver(f *testing.F) {
+	encode := func(t testing.TB, s *lu.Solver) []byte {
+		var buf bytes.Buffer
+		if err := WriteSolver(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rng := xrand.New(53)
+	g0 := randomGraph(12, 10, rng)
+	batches := randomBatches(12, 3, 3, rng)
+	for _, alg := range []core.Algorithm{core.CLUDE, core.CINC} {
+		s := streamAfter(f, alg, g0, batches)
+		var data []byte
+		s.View(func(_ uint64, sv *lu.Solver) {
+			data = encode(f, sv)
+			got, err := ReadSolver(bytes.NewReader(data))
+			if err != nil || !reflect.DeepEqual(got.F, sv.F) || !reflect.DeepEqual(got.O, sv.O) || !bytes.Equal(encode(f, got), data) {
+				f.Fatalf("%s: solver did not round-trip bit-identically (%v)", alg, err)
+			}
+		})
+		s.Close()
+		flipped := bytes.Clone(data)
+		flipped[len(flipped)/2] ^= 0x10
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSolver(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := ReadSolver(bytes.NewReader(encode(t, s)))
+		if err != nil || !reflect.DeepEqual(again.F, s.F) || !reflect.DeepEqual(again.O, s.O) {
+			t.Fatalf("an accepted frame did not survive re-encoding (%v)", err)
+		}
+	})
 }
 
 // TestStreamStateRoundTrip pins the full-snapshot codec: every field of

@@ -35,7 +35,8 @@
 //     bit-identical to an uninterrupted run at the same version.
 //     Snapshots are written in the background at every version that is
 //     a multiple of SnapshotEvery, plus once on Close for replay-free
-//     restarts.
+//     restarts, through Files (files.go): the one durable whole-file
+//     writer, name index and keep-newest rule, shared with serve's spill.
 //
 // See docs/PERSISTENCE.md for the on-disk layout, the format versioning
 // policy, and the fsync/durability trade-offs.

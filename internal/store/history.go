@@ -72,9 +72,6 @@ func (h *historyLog) LoadHistory() []bennett.VersionRecord {
 	return out
 }
 
-// Counters returns the records and bytes on disk.
-func (h *historyLog) Counters() (records, bytes int64) { return h.onDisk() }
-
 // Close fsyncs and closes the sidecar.
 func (h *historyLog) Close() error {
 	err := h.Sync()

@@ -290,7 +290,7 @@ func TestOpenStreamPublishOrder(t *testing.T) {
 	}
 	// counts reads what the sidecar has seen so far.
 	counts := func() int64 {
-		appended, _ := st.hist.Counters()
+		appended, _ := st.hist.onDisk()
 		return appended
 	}
 	published := 0

@@ -3,12 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -105,10 +103,10 @@ type StoreStats struct {
 
 // Store manages the durable state of one stream in one directory.
 type Store struct {
-	dir  string
-	opt  Options
-	wal  *WAL
-	hist *historyLog // nil unless Options.History
+	opt   Options
+	wal   *WAL
+	snaps *Files      // the checkpoints, keyed by sequence; its dir is the store's
+	hist  *historyLog // nil unless Options.History
 
 	mu            sync.Mutex
 	stream        *core.Stream
@@ -132,8 +130,9 @@ type Store struct {
 // Open prepares the data directory (creating it if needed) and opens
 // the WAL and the history sidecar, discarding any torn tail. A
 // single-file history.cluh left by an older binary is removed: losing
-// it only shrinks the materializable window. Open does not touch
-// snapshots; OpenStream does.
+// it only shrinks the materializable window. Open indexes the
+// snapshots and removes the temp files of checkpoint writes a crash
+// interrupted; OpenStream loads them.
 func Open(dir string, opt Options) (*Store, error) {
 	if opt.SnapshotEvery == 0 {
 		opt.SnapshotEvery = 64
@@ -141,7 +140,8 @@ func Open(dir string, opt Options) (*Store, error) {
 	if opt.KeepSnapshots < 2 {
 		opt.KeepSnapshots = 2
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	snaps, err := OpenFiles(dir, snapNames)
+	if err != nil {
 		return nil, err
 	}
 	if err := os.Remove(filepath.Join(dir, "history.cluh")); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -152,9 +152,9 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{
-		dir:    dir,
 		opt:    opt,
 		wal:    wal,
+		snaps:  snaps,
 		snapCh: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -180,7 +180,7 @@ func (st *Store) LoadHistory() []bennett.VersionRecord {
 }
 
 // Dir returns the store's data directory.
-func (st *Store) Dir() string { return st.dir }
+func (st *Store) Dir() string { return st.snaps.dir }
 
 // TrimHistory records the serving layer's history retention floor (see
 // serve.Engine.OnHistoryTrim): sidecar records below it can never be
@@ -337,7 +337,7 @@ func (st *Store) snapshotLoop() {
 }
 
 // Snapshot synchronously exports the bound stream's state and writes it
-// as the newest checkpoint (temp file + fsync + atomic rename), then
+// as the newest checkpoint (Files.Write: temp file, fsync, rename), then
 // applies the retention policy: prune old snapshots and truncate WAL
 // segments wholly covered by the oldest retained one.
 func (st *Store) Snapshot() error {
@@ -355,27 +355,7 @@ func (st *Store) Snapshot() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(st.dir, snapName(state.Seq))
-	tmp, err := os.CreateTemp(st.dir, "snap-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteStreamState(tmp, state); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if err := syncDir(st.dir); err != nil {
+	if err := st.snaps.Write(state.Seq, func(w io.Writer) error { return WriteStreamState(w, state) }); err != nil {
 		return err
 	}
 
@@ -389,19 +369,11 @@ func (st *Store) Snapshot() error {
 
 	// Retention: newest KeepSnapshots survive; the WAL only needs to
 	// reach back to the oldest survivor.
-	snaps, err := st.listSnapshots()
-	if err != nil {
+	if _, err := st.snaps.KeepNewest(st.opt.KeepSnapshots); err != nil {
 		return err
 	}
-	if len(snaps) > st.opt.KeepSnapshots {
-		for _, s := range snaps[:len(snaps)-st.opt.KeepSnapshots] {
-			if err := os.Remove(s.path); err != nil {
-				return err
-			}
-		}
-		snaps = snaps[len(snaps)-st.opt.KeepSnapshots:]
-	}
-	if err := st.wal.TruncateThrough(snaps[0].seq); err != nil {
+	oldest, _ := st.snaps.Oldest()
+	if err := st.wal.TruncateThrough(oldest); err != nil {
 		return err
 	}
 	// Sidecar retention rides the same cycle: drop the history segments
@@ -428,61 +400,27 @@ func (st *Store) Snapshot() error {
 	return nil
 }
 
-type snapRef struct {
-	path string
-	seq  uint64
-}
-
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
-
-// listSnapshots returns the snapshot files sorted by sequence,
-// ascending.
-func (st *Store) listSnapshots() ([]snapRef, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []snapRef
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 16, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, snapRef{path: filepath.Join(st.dir, name), seq: seq})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, nil
-}
+// snapNames names the checkpoints: snap-<seq:016x>.snap.
+var snapNames = Name{Prefix: "snap-", Suffix: ".snap"}
 
 // loadLatestState loads the newest snapshot that parses and passes its
 // checksum, falling back to older ones (counting the skips). A corrupt
 // newest snapshot — a crash mid-rename can in principle leave one — is
 // therefore harmless as long as one predecessor survives.
 func (st *Store) loadLatestState() (*core.StreamState, int, error) {
-	snaps, err := st.listSnapshots()
-	if err != nil {
-		return nil, 0, err
-	}
-	skipped := 0
-	for i := len(snaps) - 1; i >= 0; i-- {
-		f, err := os.Open(snaps[i].path)
+	seqs := st.snaps.Keys()
+	for i := len(seqs) - 1; i >= 0; i-- {
+		f, err := os.Open(st.snaps.Path(seqs[i]))
 		if err != nil {
-			skipped++
 			continue
 		}
 		state, err := ReadStreamState(f)
 		f.Close()
-		if err != nil {
-			skipped++
-			continue
+		if err == nil {
+			return state, len(seqs) - 1 - i, nil
 		}
-		return state, skipped, nil
 	}
-	return nil, skipped, errNoSnapshot
+	return nil, len(seqs), errNoSnapshot
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -490,7 +428,7 @@ func (st *Store) Stats() StoreStats {
 	walRecords, walBytes, walSegs, fsyncs := st.wal.counters()
 	var histRecs, histBytes, histCompacts int64
 	if st.hist != nil {
-		histRecs, histBytes = st.hist.Counters()
+		histRecs, histBytes = st.hist.onDisk()
 		st.hist.mu.Lock()
 		histCompacts = st.hist.truncations
 		st.hist.mu.Unlock()
@@ -502,7 +440,7 @@ func (st *Store) Stats() StoreStats {
 		HistoryBytes:        histBytes,
 		HistoryErrors:       st.histErrors,
 		HistoryCompactions:  histCompacts,
-		Dir:                 st.dir,
+		Dir:                 st.snaps.dir,
 		Sync:                st.opt.Sync.String(),
 		WALRecords:          walRecords,
 		WALBytes:            walBytes,

@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -124,9 +122,6 @@ func openSegLog(dir string, kind logKind, policy SyncPolicy, segMax int64, check
 	if segMax <= 0 {
 		segMax = defaultSegMax
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	l := &segLog{dir: dir, kind: kind, policy: policy, segMax: segMax}
 	segs, err := kind.list(dir)
 	if err != nil {
@@ -185,27 +180,22 @@ func openSegLog(dir string, kind logKind, policy SyncPolicy, segMax int64, check
 	return l, nil
 }
 
-// list returns the kind's segment files in dir sorted by first key.
+// list returns the kind's segment files in dir (created if missing)
+// sorted by first key.
 func (k logKind) list(dir string) ([]segment, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := OpenFiles(dir, k.names())
 	if err != nil {
 		return nil, err
 	}
-	var out []segment
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, k.prefix) || !strings.HasSuffix(name, ".seg") {
-			continue
-		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, k.prefix), ".seg"), 16, 64)
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		out = append(out, segment{path: filepath.Join(dir, name), first: first})
+	out := make([]segment, len(files.keys))
+	for i, first := range files.keys {
+		out[i] = segment{path: files.Path(first), first: first}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].first < out[j].first })
 	return out, nil
 }
+
+// names spells the kind's segment names: <prefix><firstkey:016x>.seg.
+func (k logKind) names() Name { return Name{Prefix: k.prefix, Suffix: ".seg"} }
 
 // frames walks the valid prefix of one segment's bytes, handing each
 // record's key and payload to fn until fn declines one, and returns
@@ -298,7 +288,7 @@ func (l *segLog) rotateLocked(first uint64) error {
 		}
 		l.f = nil
 	}
-	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x.seg", l.kind.prefix, first))
+	path := filepath.Join(l.dir, l.kind.names().Format(first))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err

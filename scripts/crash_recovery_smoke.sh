@@ -13,6 +13,9 @@
 # materializable on the recovered server with answers identical to the
 # pre-kill ones. This is the end-to-end, real-binary companion to
 # internal/store's kill-point property tests; CI runs it per PR.
+# Before the restart it plants the temp files a kill -9 mid-write
+# leaves (beside the checkpoints and in the spill directory) and
+# asserts the restarted server removed them.
 # The server runs with -trace-sample 1, so the run also asserts the
 # recovered server's request tracing end to end: /v1/traces must list
 # the post-restart queries with the full resolve/admit/batch/solve
@@ -78,15 +81,27 @@ log "pre-kill: version=$PRE_VERSION"
 HIST_VERSION=$((PRE_VERSION - 1))
 PRE_HIST=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3&snapshot=$HIST_VERSION" | json "d['scores']")
 
+FAIL=0
 log "SIGKILL mid-stream"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
+# A kill -9 mid-write leaves a temp file behind: plant one beside the
+# checkpoints and one in the spill directory. The restart must sweep
+# both.
+mkdir -p "$DATA/spill"
+touch "$DATA/snap-1234567.tmp" "$DATA/spill/spill-7654321.tmp"
+
 log "restarting from $DATA"
 "$WORK/cludeserve" "${SRV_FLAGS[@]}" >"$WORK/server2.log" 2>&1 &
 PID=$!
 wait_up
+
+STRAY=$(find "$DATA" -name '*.tmp')
+if [ -n "$STRAY" ]; then
+  log "FAIL: temp files survived the warm restart: $STRAY"; FAIL=1
+fi
 
 POST_VERSION=$(curl -fsS "$BASE/v1/stats" | json "d['stream']['version']")
 RECOVERED=$(curl -fsS "$BASE/v1/stats" | json "d['store']['recovery']['recovered']")
@@ -94,7 +109,6 @@ POST_SCORES=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3" | json "d['scores'
 POST_TOP=$(curl -fsS "$BASE/v1/query?measure=topk&source=3&k=5" | json "d['nodes']")
 log "post-restart: version=$POST_VERSION recovered=$RECOVERED"
 
-FAIL=0
 if [ "$RECOVERED" != "True" ]; then
   log "FAIL: restart did not recover from snapshot+WAL"; FAIL=1
 fi
