@@ -184,11 +184,11 @@ func (w *Workspace) grab(n int) *scratch {
 }
 
 // ApplyTerms applies pre-split rank-1 terms (SplitTerms) to f in place,
-// in order: the one loop behind the live update path, the streaming
-// engine (which splits a delta once and hands the same terms to its
-// history record) and history replay — which is what makes replayed
-// factors bit-identical to live ones. f must be one of the two lu
-// containers. On a warm workspace it allocates nothing.
+// in order: the package's one update entry point, behind both engines'
+// factor chains (the streaming one hands the same terms to its history
+// record) and history replay — which is what makes replayed factors
+// bit-identical to live ones. f must be one of the two lu containers.
+// On a warm workspace it allocates nothing.
 //
 // When f mirrors itself (lu's Mirrored on either container: U is Lᵀ
 // bit for bit) and the terms reassemble a bitwise symmetric ∆A, the
@@ -247,75 +247,35 @@ func applyRank1(f lu.Factors, terms []Rank1Term, sc *scratch, st *Stats) error {
 	for _, t := range terms {
 		sc.reset()
 		sc.loadTerm(t)
-		st.Rank1Updates++
-		var err error
-		switch c := f.(type) {
-		case *lu.StaticFactors:
-			err = rank1Static(c, 1, sc, st)
-		case *lu.DynamicFactors:
-			err = rank1Dynamic(c, 1, sc, st)
-		default:
-			err = fmt.Errorf("bennett: cannot update container type %T", f)
-		}
-		if err != nil {
+		if err := rank1(f, 1, sc, st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// UpdateStatic is the package-level UpdateStatic with this workspace's
-// scratch.
-func (w *Workspace) UpdateStatic(f *lu.StaticFactors, delta []sparse.Entry, st *Stats) error {
-	return w.ApplyTerms(f, SplitTerms(delta), st)
+// rank1 applies the update loaded into sc to either container.
+func rank1(f lu.Factors, sigma float64, sc *scratch, st *Stats) error {
+	st.Rank1Updates++
+	switch c := f.(type) {
+	case *lu.StaticFactors:
+		return rank1Static(c, sigma, sc, st)
+	case *lu.DynamicFactors:
+		return rank1Dynamic(c, sigma, sc, st)
+	}
+	return fmt.Errorf("bennett: cannot update container type %T", f)
 }
 
-// UpdateDynamic is the package-level UpdateDynamic with this
-// workspace's scratch.
-func (w *Workspace) UpdateDynamic(d *lu.DynamicFactors, delta []sparse.Entry, st *Stats) error {
-	return w.ApplyTerms(d, SplitTerms(delta), st)
-}
-
-// UpdateStatic applies ∆A (entries of A_new − A_old, in the reordered
-// index space of the factors) to a static container in place. The
-// container's frozen structure must cover all significant fill; under
-// CLUDE that is guaranteed by the cluster USSP (Theorem 1).
-func UpdateStatic(f *lu.StaticFactors, delta []sparse.Entry, st *Stats) error {
-	var w Workspace
-	return w.UpdateStatic(f, delta, st)
-}
-
-// UpdateDynamic applies ∆A to a dynamic (linked-list) container in
-// place, splicing in new nodes for fill as the traditional incremental
-// algorithm must.
-func UpdateDynamic(d *lu.DynamicFactors, delta []sparse.Entry, st *Stats) error {
-	var w Workspace
-	return w.UpdateDynamic(d, delta, st)
-}
-
-// Rank1Static applies the single update A ← A + σ·y·zᵀ to a static
-// container (y, z given sparsely). Exposed for tests and benchmarks.
-func Rank1Static(f *lu.StaticFactors, sigma float64, y, z []sparse.Entry, st *Stats) error {
+// Rank1 applies the single update A ← A + σ·y·zᵀ (y, z given sparsely)
+// to either container. Exposed for tests and benchmarks.
+func Rank1(f lu.Factors, sigma float64, y, z []sparse.Entry, st *Stats) error {
 	if st == nil {
 		st = &Stats{}
 	}
 	sc := newScratch(f.Dim())
 	sc.load(y, z)
-	st.Rank1Updates++
-	defer f.RefreshMirror()
-	return rank1Static(f, sigma, sc, st)
-}
-
-// Rank1Dynamic is the dynamic-container analogue of Rank1Static.
-func Rank1Dynamic(d *lu.DynamicFactors, sigma float64, y, z []sparse.Entry, st *Stats) error {
-	if st == nil {
-		st = &Stats{}
-	}
-	sc := newScratch(d.Dim())
-	sc.load(y, z)
-	st.Rank1Updates++
-	defer d.RefreshMirror()
-	return rank1Dynamic(d, sigma, sc, st)
+	defer refreshMirror(f)
+	return rank1(f, sigma, sc, st)
 }
 
 // Rank1Term is one pre-split rank-1 update of a delta sequence:

@@ -10,6 +10,13 @@ import (
 	"repro/internal/xrand"
 )
 
+// update applies ∆A to f with a fresh workspace through the one entry
+// point: SplitTerms, then ApplyTerms.
+func update(f lu.Factors, delta []sparse.Entry, st *Stats) error {
+	var w Workspace
+	return w.ApplyTerms(f, SplitTerms(delta), st)
+}
+
 // randomDominant mirrors the lu test helper: strictly diagonally
 // dominant matrices that never pivot-fail.
 func randomDominant(rng *xrand.Rand, n, extra int) *sparse.CSR {
@@ -75,7 +82,7 @@ func TestRank1DynamicMatchesRefactorization(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			z = append(z, sparse.Entry{Row: rng.Intn(n), Val: (rng.Float64() - 0.5) * 0.3})
 		}
-		if err := Rank1Dynamic(d, 1, []sparse.Entry{{Row: r, Val: 1}}, z, nil); err != nil {
+		if err := Rank1(d, 1, []sparse.Entry{{Row: r, Val: 1}}, z, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 
@@ -105,7 +112,7 @@ func TestUpdateDynamicSequenceMatchesRefactorization(t *testing.T) {
 		for step := 0; step < 4; step++ {
 			delta := smallDelta(rng, cur, 5)
 			next := applyEntries(cur, delta)
-			if err := UpdateDynamic(d, sparse.Delta(cur, next), nil); err != nil {
+			if err := update(d, sparse.Delta(cur, next), nil); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			cur = next
@@ -132,7 +139,7 @@ func TestUpdateStaticWithinUSSP(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st Stats
-		if err := UpdateStatic(f, sparse.Delta(a, b), &st); err != nil {
+		if err := update(f, sparse.Delta(a, b), &st); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !f.Reconstruct().EqualApprox(b, 1e-7) {
@@ -158,7 +165,7 @@ func TestUpdateStaticOutOfPatternDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := []sparse.Entry{{Row: 2, Col: 0, Val: 1}, {Row: 0, Col: 2, Val: 1}}
-	err := UpdateStatic(f, delta, nil)
+	err := update(f, delta, nil)
 	if err == nil {
 		t.Fatal("expected ErrOutOfPattern, got nil")
 	}
@@ -180,7 +187,7 @@ func TestUpdateDynamicInsertsFill(t *testing.T) {
 	d := lu.NewDynamicFactors(f)
 	before := d.Size()
 	delta := []sparse.Entry{{Row: 2, Col: 0, Val: 1}, {Row: 0, Col: 2, Val: 1}}
-	if err := UpdateDynamic(d, delta, nil); err != nil {
+	if err := update(d, delta, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.Size() <= before {
@@ -204,7 +211,7 @@ func TestUpdateSingularDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delta drives D[0] to zero.
-	err := UpdateStatic(f, []sparse.Entry{{Row: 0, Col: 0, Val: -1}}, nil)
+	err := update(f, []sparse.Entry{{Row: 0, Col: 0, Val: -1}}, nil)
 	if err == nil {
 		t.Fatal("singular update not detected")
 	}
@@ -221,7 +228,7 @@ func TestUpdateEmptyDeltaNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.Reconstruct()
-	if err := UpdateStatic(f, nil, nil); err != nil {
+	if err := update(f, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !f.Reconstruct().EqualApprox(before, 0) {
@@ -242,7 +249,7 @@ func TestSolveAfterUpdate(t *testing.T) {
 	if err := f.Factorize(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := UpdateStatic(f, sparse.Delta(a, b), nil); err != nil {
+	if err := update(f, sparse.Delta(a, b), nil); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]float64, n)
@@ -284,7 +291,7 @@ func TestEdgeDeletionDelta(t *testing.T) {
 	if err := f.Factorize(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := UpdateStatic(f, delta, nil); err != nil {
+	if err := update(f, delta, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !f.Reconstruct().EqualApprox(b, 1e-8) {
@@ -318,10 +325,10 @@ func TestWorkspaceReuseMatchesOneShot(t *testing.T) {
 	var ws Workspace
 	for k := 1; k < len(mats); k++ {
 		delta := sparse.Delta(mats[k-1], mats[k])
-		if err := UpdateStatic(fOne, delta, nil); err != nil {
+		if err := update(fOne, delta, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := ws.UpdateStatic(fWS, delta, nil); err != nil {
+		if err := ws.ApplyTerms(fWS, SplitTerms(delta), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +344,7 @@ func TestWorkspaceReuseMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	dyn := lu.NewDynamicFactors(fb)
-	if err := ws.UpdateDynamic(dyn, smallDelta(rng, b, 3), nil); err != nil {
+	if err := ws.ApplyTerms(dyn, SplitTerms(smallDelta(rng, b, 3)), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -384,7 +391,7 @@ func TestWorkspaceCleanAfterFailedUpdate(t *testing.T) {
 	var ws Workspace
 	fPoison := build()
 	poison := []sparse.Entry{{Row: 0, Col: 0, Val: 0.5}, {Row: 4, Col: 0, Val: 0.5}}
-	if err := ws.UpdateStatic(fPoison, poison, nil); !errors.Is(err, ErrOutOfPattern) {
+	if err := ws.ApplyTerms(fPoison, SplitTerms(poison), nil); !errors.Is(err, ErrOutOfPattern) {
 		t.Fatalf("poison update: got %v, want ErrOutOfPattern", err)
 	}
 
@@ -392,10 +399,10 @@ func TestWorkspaceCleanAfterFailedUpdate(t *testing.T) {
 	// residue from the failed attempt shows up in L(1,0).
 	good := []sparse.Entry{{Row: 0, Col: 0, Val: 0.2}}
 	fReused, fFresh := build(), build()
-	if err := ws.UpdateStatic(fReused, good, nil); err != nil {
+	if err := ws.ApplyTerms(fReused, SplitTerms(good), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := UpdateStatic(fFresh, good, nil); err != nil {
+	if err := update(fFresh, good, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !fReused.Reconstruct().EqualApprox(fFresh.Reconstruct(), 0) {

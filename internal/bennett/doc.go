@@ -41,16 +41,18 @@
 // delta's rank times the touched factor structure, matching the
 // complexity the paper cites.
 //
-// # Static vs dynamic containers
+// # One entry point, two containers
 //
-// UpdateStatic writes into a lu.StaticFactors whose frozen structure
-// (in CLUDE, the cluster USSP) must cover all fill the update creates;
-// genuinely new positions above DropTolerance produce
-// ErrOutOfPattern. UpdateDynamic splices new nodes into
-// lu.DynamicFactors adjacency lists, faithfully reproducing the
-// list-restructuring cost the paper profiles at ~70% of Bennett time in
-// the traditional INC/CINC implementations. Either container, when its
-// factors are their own transpose and ∆A is symmetric, takes the
-// symmetric cross path instead (symmetric.go), so the two are compared
-// with one kernel on symmetric data as on directed data.
+// Workspace.ApplyTerms is the one update entry point: callers split ∆A
+// once with SplitTerms and apply the terms to either lu container.
+// Into a lu.StaticFactors it writes in place, and the frozen structure
+// (in CLUDE, the cluster USSP) must cover all fill the update creates:
+// genuinely new positions above DropTolerance produce ErrOutOfPattern.
+// Into lu.DynamicFactors it splices new nodes into the adjacency lists,
+// faithfully reproducing the list-restructuring cost the paper profiles
+// at ~70% of Bennett time in the traditional INC/CINC implementations.
+// Either container, when its factors are their own transpose and ∆A is
+// symmetric, takes the symmetric cross path instead (symmetric.go), so
+// the two are compared with one kernel on symmetric data as on directed
+// data.
 package bennett

@@ -79,16 +79,11 @@ func historyWalk(t *testing.T, rng *xrand.Rand, dynamic bool, steps int) (*Histo
 	var ws Workspace
 	for v := 1; v < len(mats); v++ {
 		delta := sparse.Delta(mats[v-1], mats[v])
-		var err error
-		if dynamic {
-			err = ws.UpdateDynamic(f.(*lu.DynamicFactors), delta, nil)
-		} else {
-			err = ws.UpdateStatic(f.(*lu.StaticFactors), delta, nil)
-		}
-		if err != nil {
+		terms := SplitTerms(delta)
+		if err := ws.ApplyTerms(f, terms, nil); err != nil {
 			t.Fatalf("version %d: %v", v, err)
 		}
-		log.Record(VersionRecord{Version: uint64(v), Terms: SplitTerms(delta)})
+		log.Record(VersionRecord{Version: uint64(v), Terms: terms})
 		clones = append(clones, f.Clone())
 	}
 	return log, clones

@@ -48,10 +48,10 @@ func TestUpdateChainProperty(t *testing.T) {
 		}
 		for step := 1; step < len(mats); step++ {
 			delta := sparse.Delta(mats[step-1], mats[step])
-			if err := UpdateStatic(fs, delta, nil); err != nil {
+			if err := update(fs, delta, nil); err != nil {
 				return false
 			}
-			if err := UpdateDynamic(fd, delta, nil); err != nil {
+			if err := update(fd, delta, nil); err != nil {
 				return false
 			}
 			b := mats[step].MulVec(x)
@@ -97,10 +97,10 @@ func TestRank1SymmetryProperty(t *testing.T) {
 			return true
 		}
 		y := []sparse.Entry{{Row: r, Val: 1}}
-		if err := Rank1Static(fs, 1, y, z, nil); err != nil {
+		if err := Rank1(fs, 1, y, z, nil); err != nil {
 			return false
 		}
-		if err := Rank1Static(fs, -1, y, z, nil); err != nil {
+		if err := Rank1(fs, -1, y, z, nil); err != nil {
 			return false
 		}
 		return fs.Reconstruct().EqualApprox(before, 1e-7)
@@ -137,7 +137,7 @@ func TestDeltaSideChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st Stats
-		if err := UpdateStatic(fs, delta, &st); err != nil {
+		if err := update(fs, delta, &st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !fs.Reconstruct().EqualApprox(want, 1e-8) {
@@ -163,7 +163,7 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	if err := UpdateStatic(fs, sparse.Delta(a, b), &st); err != nil {
+	if err := update(fs, sparse.Delta(a, b), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Rank1Updates == 0 || st.StepsTouched == 0 {

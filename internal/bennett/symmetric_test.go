@@ -552,7 +552,7 @@ func TestSymmetricSingularUpdate(t *testing.T) {
 // update paths, Reset, Clone and AssembleStatic — on a symmetric and an
 // unsymmetric structure; and the dynamic container's after
 // NewDynamicFactors, the cross path, Clone, AssembleDynamic, InsertL,
-// InsertU, Rank1Dynamic and the rank-1 path.
+// InsertU, Rank1 and the rank-1 path.
 func TestMirroredIsThePredicate(t *testing.T) {
 	rng := xrand.New(4717)
 	check := func(label string, f *lu.StaticFactors, want bool) {
@@ -679,10 +679,10 @@ func TestMirroredIsThePredicate(t *testing.T) {
 	checkD("InsertU splice", d, false)
 	d.InsertL(fresh, 0, 0.25)
 	checkD("InsertL splice", d, true)
-	if err := Rank1Dynamic(d, 1, []sparse.Entry{{Row: 3, Val: 1}}, []sparse.Entry{{Row: 4, Val: 0.5}}, nil); err != nil {
+	if err := Rank1(d, 1, []sparse.Entry{{Row: 3, Val: 1}}, []sparse.Entry{{Row: 4, Val: 0.5}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	checkD("Rank1Dynamic", d, mirrored(d))
+	checkD("Rank1", d, mirrored(d))
 	if err := new(Workspace).ApplyTerms(d, SplitTerms([]sparse.Entry{{Row: 5, Col: 5, Val: 0.5}, {Row: 5, Col: 6, Val: 0.25}}), nil); err != nil {
 		t.Fatal(err)
 	}

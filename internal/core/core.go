@@ -52,21 +52,13 @@ type Options struct {
 	// OnFactors, when non-nil, is invoked once per matrix index with a
 	// solver whose factors are current for that matrix, strictly in
 	// snapshot order i = First..T-1 regardless of Workers. The solver is
-	// only valid during the callback (factors are updated in place for
-	// the next matrix afterwards) unless RetainFactors is set.
-	// Callbacks never run concurrently with each other.
+	// only valid during the callback: its factors are updated in place
+	// for the next matrix afterwards. A caller that keeps a snapshot
+	// clones it inside the callback (lu.Solver.Clone; a CLUDE clone
+	// copies the values only and shares the cluster's one USSP index
+	// structure, in memory as in the paper). Callbacks never run
+	// concurrently with each other.
 	OnFactors func(i int, s *lu.Solver)
-	// RetainFactors changes the OnFactors contract: each callback
-	// receives a clone of the solver, valid indefinitely — the
-	// engine's in-place update path never touches it. This is the
-	// pin-per-snapshot mode the serving layer builds on. A CLUDE clone
-	// copies the factor values only: a cluster's snapshots share the
-	// one USSP index structure, in memory as in the paper (INC/CINC's
-	// linked-list container has no frozen part and is copied whole).
-	// The copy is made inside the emitting worker, so clones of
-	// independent clusters proceed in parallel. Ignored when OnFactors
-	// is nil.
-	RetainFactors bool
 	// MeasureQuality computes |s̃p(A_i^{O_i})| for every matrix after
 	// the run (outside the timed section) so quality-loss can be
 	// reported. BF always records it (its orderings come with sizes for
@@ -156,23 +148,71 @@ func patterns(ems *graph.EMS) []*sparse.Pattern {
 	return ps
 }
 
-// refactorInPlace rebuilds factors for cur after a failed incremental
-// update, preserving the container style of the algorithm.
-func refactorInPlace(fac *lu.Factors, static **lu.StaticFactors, dyn **lu.DynamicFactors, cur *sparse.CSR, useUnion bool) error {
-	if useUnion {
-		// The USSP container still covers cur; refill numerically.
-		if err := (*static).Factorize(cur); err != nil {
-			return err
-		}
-		*fac = *static
-		return nil
+// chain is one cluster's factor chain — the per-cluster scheme of §4
+// that Run and Stream share: one ordering for the cluster, one full
+// decomposition into a container, Bennett updates in place, and a
+// refactorization in the same ordering when an update fails.
+type chain struct {
+	ord sparse.Ordering
+	// rowInv and colInv are the ordering's inverses: they move a matrix
+	// or a step's ∆A into the chain's index space.
+	rowInv, colInv sparse.Perm
+	static         *lu.StaticFactors
+	dyn            *lu.DynamicFactors // INC/CINC's linked lists; nil otherwise
+	// solver is over the live container. A solver caches its factors'
+	// adjacency on first use, so it is never re-pointed: replacing the
+	// container means a new solver.
+	solver *lu.Solver
+}
+
+// newChain starts a chain in ordering ord.
+func newChain(ord sparse.Ordering) chain {
+	return chain{ord: ord, rowInv: ord.Row.Inverse(), colInv: ord.Col.Inverse()}
+}
+
+// open decomposes a (unpermuted) into a fresh container built from sym
+// (nil: a's own structure in the chain's ordering); dynamic moves the
+// values into INC/CINC's linked lists. The chain changes only when the
+// decomposition succeeds.
+func (c *chain) open(sym *lu.SymbolicLU, a *sparse.CSR, dynamic bool, ws *lu.Workspace) error {
+	ap := a.PermuteInv(c.ord, c.colInv)
+	if sym == nil {
+		sym = lu.Symbolic(ap.Pattern())
 	}
-	st := lu.NewStaticFactors(lu.Symbolic(cur.Pattern()))
-	if err := st.Factorize(cur); err != nil {
+	static := lu.NewStaticFactors(sym)
+	if err := static.FactorizeWith(ap, ws); err != nil {
 		return err
 	}
-	*dyn = lu.NewDynamicFactors(st)
-	*fac = *dyn
+	var fac lu.Factors = static
+	c.static, c.dyn = static, nil
+	if dynamic {
+		c.dyn = lu.NewDynamicFactors(static)
+		fac = c.dyn
+	}
+	c.solver = &lu.Solver{F: fac, O: c.ord}
+	return nil
+}
+
+// apply applies pre-split Bennett terms (bennett.SplitTerms) to the live
+// container in place.
+func (c *chain) apply(terms []bennett.Rank1Term, ws *bennett.Workspace, st *bennett.Stats) error {
+	return ws.ApplyTerms(c.solver.F, terms, st)
+}
+
+// refactor decomposes a from scratch in the chain's ordering, after a
+// failed update: the static container, whose structure still covers a,
+// is refilled in place; the linked lists are rebuilt from a's own
+// structure behind a new solver, their restructuring counters running
+// on.
+func (c *chain) refactor(a *sparse.CSR, ws *lu.Workspace) error {
+	if c.dyn == nil {
+		return c.static.FactorizeWith(a.PermuteInv(c.ord, c.colInv), ws)
+	}
+	old := c.dyn
+	if err := c.open(nil, a, true, ws); err != nil {
+		return err
+	}
+	c.dyn.Inserts, c.dyn.ScanSteps = old.Inserts, old.ScanSteps
 	return nil
 }
 

@@ -13,9 +13,10 @@
 //
 // # Parallel execution
 //
-// Clusters are factored independently (one ordering, one full LU, one
-// Bennett chain per cluster), so every algorithm runs its clusters on
-// a bounded worker pool. Options.Workers sets the pool size; the
+// Clusters are factored independently — each is one factor chain: an
+// ordering, one full LU, Bennett updates, and a refactorization where
+// an update fails — so every algorithm runs its clusters on a bounded
+// worker pool. Options.Workers sets the pool size; the
 // default (Workers == 0) is runtime.GOMAXPROCS(0), and Workers == 1
 // selects the sequential path with no synchronization on the hot
 // path. Each worker keeps its own reusable scratch (the LU work
@@ -38,7 +39,7 @@
 // its factors again until the callback returns, so the solver passed
 // to the callback is safe to use for the duration of the call — and
 // only for the duration of the call, exactly as in the sequential
-// path.
+// path: a caller that keeps a snapshot clones it there.
 //
 // # Cancellation
 //
@@ -61,7 +62,8 @@
 // a live feed of edge-delta batches — the deployment the paper
 // motivates. Each applied batch yields one factor version, maintained
 // by the same four strategies in online form (incremental α-cluster
-// tracking, evolving-union USSP for CLUDE) and hot-published by
+// tracking, evolving-union USSP for CLUDE) through the factor chain
+// Run's clusters use (core.go), and hot-published by
 // reference under a reader/writer lock instead of cloned: a serving
 // layer reads the current factors in place via View (see
 // serve.Engine.AttachLive). Batcher groups a raw event feed into

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
@@ -18,24 +17,27 @@ import (
 )
 
 // This file is the execution engine behind Run and RunQC. Every LUDEM
-// algorithm is expressed as the same four-stage pipeline:
+// algorithm is a planner followed by the same per-cluster factor chain:
 //
 //	planner      →  jobs (one per cluster; t_c)
-//	orderStage   →  cluster ordering and, with it, its symbolic structure (t_M)
-//	factorStage  →  full LU of the first member (t_d; symbolic too when the
-//	                ordering was given, not computed)
-//	updateStage  →  Bennett chain across the rest of the cluster (t_B)
+//	orderStage   →  the cluster's ordering and, with it, its symbolic
+//	                structure (t_M); starts the chain
+//	factorStage  →  chain.open: full LU of the first member (t_d;
+//	                symbolic too when the ordering was given, not computed)
+//	updateStage  →  chain.apply across the rest of the cluster (t_B), and
+//	                chain.refactor where an update fails (t_d)
 //
-// The planner is the only algorithm-specific part: BF plans singleton
-// clusters, INC one cluster covering the whole sequence, CINC/CLUDE
-// α-clusters, and the QC variants β-clusters with their orderings
-// already attached. Clusters are mutually independent, so jobs are
-// dispatched to a bounded worker pool; an ordered-emission stage keeps
-// the OnFactors callback contract (snapshot order i = First..T-1) intact
-// under any worker count. Independence is also what Options.First rests
-// on: a cluster nobody will read is planned but never dispatched.
+// The chain (core.go) is the one Stream holds. The planner is the only
+// algorithm-specific part: BF plans singleton clusters, INC one cluster
+// covering the whole sequence, CINC/CLUDE α-clusters, and the QC
+// variants β-clusters with their orderings already attached. Clusters
+// are mutually independent, so jobs are dispatched to a bounded worker
+// pool; an ordered-emission stage keeps the OnFactors callback contract
+// (snapshot order i = First..T-1) intact under any worker count.
+// Independence is also what Options.First rests on: a cluster nobody
+// will read is planned but never dispatched.
 
-// job is one independent unit of pipeline work: a cluster of
+// job is one independent unit of engine work: a cluster of
 // consecutive matrices factored under one shared ordering.
 type job struct {
 	idx      int // position in cluster order
@@ -177,37 +179,20 @@ type worker struct {
 	ack chan struct{} // emission acknowledgements (buffered 1)
 }
 
-// jobState threads one cluster through the per-cluster stages.
+// jobState threads one cluster through its three steps: the job, the
+// symbolic structure orderStage's elimination produced (nil when the
+// planner ordered) and the cluster's chain.
 type jobState struct {
-	job     job
-	ord     sparse.Ordering
-	sspSize int // |s̃p| of the stage-computed ordering (BF records it)
-	// rowInv and colInv are the ordering's inverses, computed once per
-	// cluster: they move a step's ∆A into the cluster's index space.
-	rowInv, colInv sparse.Perm
-	sym            *lu.SymbolicLU
-	static         *lu.StaticFactors
-	dyn            *lu.DynamicFactors
-	fac            lu.Factors
-	solver         *lu.Solver
+	job   job
+	sym   *lu.SymbolicLU
+	chain chain
 }
 
-// stage is one per-cluster pipeline phase.
-type stage interface {
-	run(e *engine, w *worker, st *jobState) error
-}
-
-// pipeline is the fixed per-cluster stage sequence shared by all
-// algorithms.
-var pipeline = []stage{orderStage{}, factorStage{}, updateStage{}}
-
-// orderStage computes (or adopts) the cluster ordering — phase t_M.
-type orderStage struct{}
-
-func (orderStage) run(e *engine, w *worker, st *jobState) error {
-	if st.job.hasOrd {
-		st.ord = st.job.ord
-	} else {
+// orderStage computes (or adopts) the cluster ordering — phase t_M —
+// and starts the cluster's chain in it.
+func orderStage(e *engine, w *worker, st *jobState) error {
+	ord := st.job.ord
+	if !st.job.hasOrd {
 		t0 := time.Now()
 		var r order.Result
 		if st.job.useUnion {
@@ -218,97 +203,71 @@ func (orderStage) run(e *engine, w *worker, st *jobState) error {
 		w.times.Ordering += time.Since(t0)
 		// The elimination that chose the pivots also produced the
 		// structure factorStage would otherwise recompute.
-		st.ord, st.sspSize, st.sym = r.Ordering, r.SSPSize, r.Symbolic
+		ord, st.sym = r.Ordering, r.Symbolic
+		if e.sspOut != nil {
+			e.sspOut[st.job.cl.Start] = r.SSPSize
+		}
 	}
-	st.rowInv, st.colInv = st.ord.Row.Inverse(), st.ord.Col.Inverse()
-	e.orderings[st.job.idx] = st.ord
-	if e.sspOut != nil && !st.job.hasOrd {
-		e.sspOut[st.job.cl.Start] = st.sspSize
-	}
+	st.chain = newChain(ord)
+	e.orderings[st.job.idx] = ord
 	return e.ctx.Err()
 }
 
-// factorStage builds the factor container and fully decomposes the
-// first cluster member into it — phase t_d — then emits snapshot
-// cl.Start.
-type factorStage struct{}
-
-func (factorStage) run(e *engine, w *worker, st *jobState) error {
+// factorStage opens the chain on the first cluster member — phase
+// t_d — then emits snapshot cl.Start.
+func factorStage(e *engine, w *worker, st *jobState) error {
 	cl := st.job.cl
 	t1 := time.Now()
-	first := e.ems.Matrices[cl.Start].PermuteInv(st.ord, st.colInv)
-	switch {
-	case st.sym != nil:
-		// orderStage ordered this very pattern and kept its structure.
-	case st.job.useUnion:
+	if st.sym == nil && st.job.useUnion {
 		// Symbolic decomposition of A∪^{O∪} gives the USSP; the static
 		// structure built from it serves the whole cluster (Alg. 3
 		// lines 3–4).
-		st.sym = lu.Symbolic(cl.Union.Permute(st.ord))
-	default:
-		st.sym = lu.Symbolic(first.Pattern())
+		st.sym = lu.Symbolic(cl.Union.Permute(st.chain.ord))
 	}
-	st.static = lu.NewStaticFactors(st.sym)
-	if err := st.static.FactorizeWith(first, &w.luWS); err != nil {
+	// INC/CINC maintain the linked-list container across the cluster;
+	// singleton clusters (and all of BF) never update, so the static
+	// container serves directly.
+	if err := st.chain.open(st.sym, e.ems.Matrices[cl.Start], !st.job.useUnion && cl.Len() > 1, &w.luWS); err != nil {
 		return fmt.Errorf("core: %s cluster %d (matrix %d): %w", e.label, st.job.idx, cl.Start, err)
 	}
-	st.fac = st.static
-	if !st.job.useUnion && cl.Len() > 1 {
-		// INC/CINC maintain the linked-list container across the
-		// cluster; singleton clusters (and all of BF) never update, so
-		// the static container serves directly.
-		st.dyn = lu.NewDynamicFactors(st.static)
-		st.fac = st.dyn
-	}
 	w.times.FullLU += time.Since(t1)
-
-	st.solver = &lu.Solver{F: st.fac, O: st.ord}
-	return e.emit(w, cl.Start, st.solver)
+	return e.emit(w, cl.Start, st.chain.solver)
 }
 
 // updateStage walks the rest of the cluster with Bennett updates —
 // phase t_B — emitting every snapshot, then records the cluster's
 // structural bookkeeping. A step moves only the planner's ∆A into the
 // cluster ordering; a whole matrix is permuted only to refactorize.
-type updateStage struct{}
-
-func (updateStage) run(e *engine, w *worker, st *jobState) error {
-	cl := st.job.cl
+func updateStage(e *engine, w *worker, st *jobState) error {
+	cl, c := st.job.cl, &st.chain
 	for i := cl.Start + 1; i < cl.End; i++ {
 		if err := e.ctx.Err(); err != nil {
 			return err
 		}
 		t2 := time.Now()
-		w.delta = sparse.PermuteEntries(w.delta[:0], e.deltas[i], st.rowInv, st.colInv)
-		var err error
-		if st.job.useUnion {
-			err = w.benWS.UpdateStatic(st.static, w.delta, &w.bstats)
-		} else {
-			err = w.benWS.UpdateDynamic(st.dyn, w.delta, &w.bstats)
-		}
+		w.delta = sparse.PermuteEntries(w.delta[:0], e.deltas[i], c.rowInv, c.colInv)
+		err := c.apply(bennett.SplitTerms(w.delta), &w.benWS, &w.bstats)
 		w.times.Bennett += time.Since(t2)
 		if err != nil {
 			// Robustness fallback (never triggered by paper-like
 			// workloads): refactorize from scratch in the same order.
 			t3 := time.Now()
-			cur := e.ems.Matrices[i].PermuteInv(st.ord, st.colInv)
-			if ferr := refactorInPlace(&st.fac, &st.static, &st.dyn, cur, st.job.useUnion); ferr != nil {
+			if ferr := c.refactor(e.ems.Matrices[i], &w.luWS); ferr != nil {
 				return fmt.Errorf("core: %s matrix %d: update %v; refactorization %w", e.label, i, err, ferr)
 			}
-			st.solver.F = st.fac
 			w.refacts++
 			w.times.FullLU += time.Since(t3)
 		}
-		if err := e.emit(w, i, st.solver); err != nil {
+		if err := e.emit(w, i, c.solver); err != nil {
 			return err
 		}
 	}
-	if st.dyn != nil {
-		w.dynIns += st.dyn.Inserts
-		w.dynScan += st.dyn.ScanSteps
-		e.structSizes[st.job.idx] = st.dyn.Size()
+	if c.dyn != nil {
+		w.dynIns += c.dyn.Inserts
+		w.dynScan += c.dyn.ScanSteps
+		e.structSizes[st.job.idx] = c.dyn.Size()
 	} else {
-		e.structSizes[st.job.idx] = st.static.Size()
+		e.structSizes[st.job.idx] = c.static.Size()
 	}
 	return nil
 }
@@ -356,15 +315,17 @@ func (e *engine) fail(err error) {
 	e.cancel()
 }
 
-// runJob drives one cluster through the pipeline stages.
+// runJob drives one cluster through its chain: order, decompose the
+// first member, update the rest.
 func (e *engine) runJob(w *worker, j job) error {
 	st := &jobState{job: j}
-	for _, s := range pipeline {
-		if err := s.run(e, w, st); err != nil {
-			return err
-		}
+	if err := orderStage(e, w, st); err != nil {
+		return err
 	}
-	return nil
+	if err := factorStage(e, w, st); err != nil {
+		return err
+	}
+	return updateStage(e, w, st)
 }
 
 // run executes the job list and merges the worker-local counters into
@@ -462,20 +423,8 @@ type emitReq struct {
 	ack chan struct{}
 }
 
-// reqHeap is a min-heap of pending emissions keyed by snapshot index.
-type reqHeap []emitReq
-
-func (h reqHeap) Len() int            { return len(h) }
-func (h reqHeap) Less(i, j int) bool  { return h[i].i < h[j].i }
-func (h reqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *reqHeap) Push(x interface{}) { *h = append(*h, x.(emitReq)) }
-func (h *reqHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+// Less orders pending emissions by snapshot index (sparse.MinHeap).
+func (r emitReq) Less(o emitReq) bool { return r.i < o.i }
 
 // emit delivers snapshot i to the OnFactors callback in snapshot
 // order. With no callback, or below Options.First (the head of the
@@ -485,11 +434,6 @@ func (h *reqHeap) Pop() interface{} {
 func (e *engine) emit(w *worker, i int, s *lu.Solver) error {
 	if e.opt.OnFactors == nil || i < e.opt.First {
 		return e.ctx.Err()
-	}
-	if e.opt.RetainFactors {
-		// The callback keeps this clone for good; cloning here (in the
-		// worker, not the emitter) overlaps clone work across clusters.
-		s = s.Clone()
 	}
 	if e.reqs == nil {
 		e.opt.OnFactors(i, s)
@@ -514,11 +458,11 @@ func (e *engine) emit(w *worker, i int, s *lu.Solver) error {
 // snapshot order First..T-1 from this single goroutine.
 func (e *engine) emitLoop() {
 	next := e.opt.First
-	var pq reqHeap
+	var pq sparse.MinHeap[emitReq]
 	for r := range e.reqs {
-		heap.Push(&pq, r)
-		for pq.Len() > 0 && pq[0].i == next && e.ctx.Err() == nil {
-			t := heap.Pop(&pq).(emitReq)
+		pq.Push(r)
+		for len(pq) > 0 && pq[0].i == next && e.ctx.Err() == nil {
+			t := pq.Pop()
 			e.opt.OnFactors(t.i, t.s)
 			next++
 			t.ack <- struct{}{}
@@ -526,8 +470,8 @@ func (e *engine) emitLoop() {
 	}
 	// Cancelled run: release whoever is still parked (acks are
 	// buffered, so this never blocks even if the worker already left).
-	for pq.Len() > 0 {
-		heap.Pop(&pq).(emitReq).ack <- struct{}{}
+	for len(pq) > 0 {
+		pq.Pop().ack <- struct{}{}
 	}
 }
 

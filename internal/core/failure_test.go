@@ -272,3 +272,82 @@ func TestIdenticalSnapshotsOneCluster(t *testing.T) {
 		t.Errorf("empty deltas touched %d steps", res.Bennett.StepsTouched)
 	}
 }
+
+// swappedRowsEMS builds A0, A1, A2 on n = 12: A0 is diagonally dominant
+// (diagonal 4 + U(0,1), two random off-diagonal draws of −0.3·U(0,1) per
+// row), A1 is A0 with rows 0 and 1 swapped, and A2 is A1 with 0.75
+// added to the last diagonal entry. In one cluster the step to A1 fails
+// Bennett's update and is refactorized; the step to A2 updates the
+// refactorized factors.
+func swappedRowsEMS() *graph.EMS {
+	rng := xrand.New(77)
+	const n = 12
+	var es []sparse.Entry
+	for i := 0; i < n; i++ {
+		es = append(es, sparse.Entry{Row: i, Col: i, Val: 4 + rng.Float64()})
+		for k := 0; k < 2; k++ {
+			if j := rng.Intn(n); j != i {
+				es = append(es, sparse.Entry{Row: i, Col: j, Val: -0.3 * rng.Float64()})
+			}
+		}
+	}
+	mk := func(swap bool, extra float64) *sparse.CSR {
+		c := sparse.NewCOO(n)
+		for _, e := range es {
+			if swap && e.Row < 2 {
+				e.Row = 1 - e.Row
+			}
+			c.Add(e.Row, e.Col, e.Val)
+		}
+		c.Add(n-1, n-1, extra)
+		return c.ToCSR()
+	}
+	return &graph.EMS{Matrices: []*sparse.CSR{mk(false, 0), mk(true, 0), mk(true, 0.75)}}
+}
+
+// TestRefactorizedSolverStaysBound holds, on every snapshot of a run
+// that refactorizes, the support-list SolveRHS of every source against
+// Solve bit for bit. A solver caches its factors' adjacency on the first
+// SolveRHS, so the engine must never point a solver it handed out at
+// another container: a refactorization that replaces the container
+// hands out a new solver.
+func TestRefactorizedSolverStaysBound(t *testing.T) {
+	ems := swappedRowsEMS()
+	n := ems.N()
+	var ws lu.SolveWorkspace
+	for _, alg := range []Algorithm{INC, CINC} {
+		bound := map[*lu.Solver]lu.Factors{}
+		res, err := Run(ems, alg, Options{
+			Alpha: 0, // one cluster: every step is an update
+			OnFactors: func(i int, s *lu.Solver) {
+				if f, ok := bound[s]; ok && f != s.F {
+					t.Errorf("%s snapshot %d: a solver handed out earlier now holds other factors", alg, i)
+				}
+				bound[s] = s.F
+				for src := 0; src < n; src++ {
+					want := s.Solve(sparse.Basis(n, src, 1))
+					rhs := []lu.RHS{{Idx: []int{src}, Val: []float64{1}}}
+					got := make([]float64, n)
+					if s.SolveRHS(rhs, false, &ws).Route == lu.RouteReach {
+						for k, u := range rhs[0].XIdx {
+							got[u] = rhs[0].XVal[k]
+						}
+					} else {
+						copy(got, rhs[0].X)
+					}
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("%s snapshot %d source %d: SolveRHS x[%d] = %v, Solve %v", alg, i, src, k, got[k], want[k])
+						}
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if res.Refactorizations != 1 {
+			t.Fatalf("%s: %d refactorizations, want exactly 1", alg, res.Refactorizations)
+		}
+	}
+}

@@ -126,14 +126,19 @@ func TestGoldenFactors(t *testing.T) {
 	emit := func(h hash.Hash64) func(int, *lu.Solver) {
 		return func(i int, s *lu.Solver) { hashInts(h, i); hashSolver(h, s) }
 	}
+	// retained hashes a clone made inside the callback, as a caller that
+	// keeps snapshots makes it.
+	retained := func(h hash.Hash64) func(int, *lu.Solver) {
+		return func(i int, s *lu.Solver) { hashInts(h, i); hashSolver(h, s.Clone()) }
+	}
 	for _, alg := range []Algorithm{BF, INC, CINC, CLUDE} {
 		for _, ds := range []struct {
 			name string
 			ems  *graph.EMS
 		}{{"directed", smallEMS(t)}, {"symmetric", symmetricEMS(t)}} {
-			for _, retain := range []bool{false, true} {
+			for _, onFactors := range []func(hash.Hash64) func(int, *lu.Solver){emit, retained} {
 				h := fnv.New64a()
-				res, err := Run(ds.ems, alg, Options{Alpha: 0.95, Workers: 1, MeasureQuality: true, RetainFactors: retain, OnFactors: emit(h)})
+				res, err := Run(ds.ems, alg, Options{Alpha: 0.95, Workers: 1, MeasureQuality: true, OnFactors: onFactors(h)})
 				if err != nil {
 					t.Fatalf("%s %s: %v", alg, ds.name, err)
 				}

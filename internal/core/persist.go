@@ -64,7 +64,7 @@ type StreamState struct {
 func (s *Stream) ExportState() (*StreamState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.solver == nil {
+	if s.c.solver == nil {
 		return nil, errors.New("core: stream has no published state to export")
 	}
 	st := &StreamState{
@@ -73,8 +73,8 @@ func (s *Stream) ExportState() (*StreamState, error) {
 		Version:        s.version,
 		Seq:            s.seq,
 		Graph:          s.builder.Graph(),
-		Ord:            s.ord,
-		Prev:           s.current().PermuteInv(s.ord, s.colInv),
+		Ord:            s.c.ord,
+		Prev:           s.current().PermuteInv(s.c.ord, s.c.colInv),
 		StructUnion:    s.structUnion,
 		Stats:          s.stats,
 		RetiredInserts: s.retiredIns,
@@ -83,10 +83,10 @@ func (s *Stream) ExportState() (*StreamState, error) {
 	if s.tracker != nil {
 		st.Tracker = s.tracker.State()
 	}
-	if s.dyn != nil {
-		st.Dyn = s.dyn.Clone().(*lu.DynamicFactors)
-	} else if s.static != nil {
-		st.Static = s.static.Clone().(*lu.StaticFactors)
+	if s.c.dyn != nil {
+		st.Dyn = s.c.dyn.Clone().(*lu.DynamicFactors)
+	} else {
+		st.Static = s.c.static.Clone().(*lu.StaticFactors)
 	}
 	return st, nil
 }
@@ -125,9 +125,7 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		version:     st.Version,
 		seq:         st.Seq,
 		builder:     graph.NewBuilderFrom(st.Graph),
-		ord:         st.Ord,
-		rowInv:      st.Ord.Row.Inverse(),
-		colInv:      st.Ord.Col.Inverse(),
+		c:           newChain(st.Ord),
 		structUnion: st.StructUnion,
 		stats:       st.Stats,
 		retiredIns:  st.RetiredInserts,
@@ -143,31 +141,28 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		}
 		s.tracker = tr
 	}
+	var fac lu.Factors
 	switch st.Algorithm {
 	case INC, CINC:
 		if st.Dyn == nil {
 			return nil, fmt.Errorf("core: %s state has no dynamic factors", st.Algorithm)
 		}
-		if st.Dyn.Dim() != n {
-			return nil, fmt.Errorf("core: dynamic factors dimension %d for n=%d", st.Dyn.Dim(), n)
-		}
-		s.dyn = st.Dyn
-		s.solver = &lu.Solver{F: s.dyn, O: s.ord}
+		s.c.dyn, fac = st.Dyn, st.Dyn
 	case BF, CLUDE:
 		if st.Static == nil {
 			return nil, fmt.Errorf("core: %s state has no static factors", st.Algorithm)
 		}
-		if st.Static.Dim() != n {
-			return nil, fmt.Errorf("core: static factors dimension %d for n=%d", st.Static.Dim(), n)
-		}
 		if st.Algorithm == CLUDE && st.StructUnion == nil {
 			return nil, errors.New("core: CLUDE state has no structure union")
 		}
-		s.static = st.Static
-		s.solver = &lu.Solver{F: s.static, O: s.ord}
+		s.c.static, fac = st.Static, st.Static
 	default:
 		return nil, fmt.Errorf("core: unknown streaming algorithm %q", st.Algorithm)
 	}
+	if fac.Dim() != n {
+		return nil, fmt.Errorf("core: %s factors dimension %d for n=%d", st.Algorithm, fac.Dim(), n)
+	}
+	s.c.solver = &lu.Solver{F: fac, O: st.Ord}
 	s.stats.Version = s.version
 	// The restored version's predecessor delta is unknowable in this
 	// process, so its history record is structural: delta chains restart

@@ -21,8 +21,8 @@ func retainEMS(t *testing.T) *graph.EMS {
 	return graph.DeriveEMS(egs, graph.RWRMatrix(0.85))
 }
 
-// TestRetainFactorsOutliveRun pins every snapshot's solver via
-// RetainFactors and verifies, after the run has finished (and the
+// TestRetainFactorsOutliveRun pins a clone of every snapshot's solver,
+// made inside the callback, and verifies, after the run has finished (and the
 // engine's in-place updates have long overwritten the live factors),
 // that each retained solver still solves its own snapshot's system.
 func TestRetainFactorsOutliveRun(t *testing.T) {
@@ -31,10 +31,9 @@ func TestRetainFactorsOutliveRun(t *testing.T) {
 		for _, alg := range []Algorithm{BF, INC, CINC, CLUDE} {
 			solvers := make([]*lu.Solver, ems.Len())
 			_, err := Run(ems, alg, Options{
-				Alpha:         0.95,
-				Workers:       workers,
-				RetainFactors: true,
-				OnFactors:     func(i int, s *lu.Solver) { solvers[i] = s },
+				Alpha:     0.95,
+				Workers:   workers,
+				OnFactors: func(i int, s *lu.Solver) { solvers[i] = s.Clone() },
 			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", alg, workers, err)
@@ -70,11 +69,10 @@ func TestRetainFactorsClonesAreIndependent(t *testing.T) {
 	atPin := make([][]float64, ems.Len())
 	solvers := make([]*lu.Solver, ems.Len())
 	_, err := Run(ems, CLUDE, Options{
-		Alpha:         0.95,
-		RetainFactors: true,
+		Alpha: 0.95,
 		OnFactors: func(i int, s *lu.Solver) {
 			atPin[i] = s.Solve(b)
-			solvers[i] = s
+			solvers[i] = s.Clone()
 		},
 	})
 	if err != nil {

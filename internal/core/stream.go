@@ -77,10 +77,10 @@ type StreamConfig struct {
 	// committed (including version 0 during NewStream, and each batch
 	// ReplayBatch re-applies) while the stream's update lock is held: the
 	// solver is frozen for the duration of the callback and updated in
-	// place afterwards, exactly like Options.OnFactors without
-	// RetainFactors. Callers that retain must Clone; callers that serve
-	// live traffic should instead read through View and leave this
-	// callback for notifications and retention. The callback must not
+	// place afterwards, exactly like Options.OnFactors. Callers that
+	// retain must Clone; callers that serve live traffic should instead
+	// read through View and leave this callback for notifications and
+	// retention. The callback must not
 	// call back into the Stream.
 	//
 	// rec is the version's history record: its number, and the validated
@@ -203,12 +203,8 @@ type Stream struct {
 	builder *graph.Builder
 	tracker *cluster.Tracker // CINC/CLUDE membership
 
-	ord            sparse.Ordering
-	rowInv, colInv sparse.Perm
-	static         *lu.StaticFactors
-	dyn            *lu.DynamicFactors // INC/CINC container; nil for BF/CLUDE
-	solver         *lu.Solver
-	structUnion    *sparse.Pattern // CLUDE: union the current USSP was built from
+	c           chain           // the current cluster's (BF: version's) factor chain
+	structUnion *sparse.Pattern // CLUDE: union the current USSP was built from
 
 	luWS  lu.Workspace
 	benWS bennett.Workspace
@@ -481,10 +477,10 @@ func (s *Stream) batchDelta() *deltaScratch {
 		d.rows[0], d.vals[0] = derive.Column(before, col, d.rows[0][:0], d.vals[0][:0])
 		d.rows[1], d.vals[1] = derive.Column(b, col, d.rows[1][:0], d.vals[1][:0])
 		or, ov, nr, nv := d.rows[0], d.vals[0], d.rows[1], d.vals[1]
-		pc := s.colInv[col]
+		pc := s.c.colInv[col]
 		emit := func(row int, v float64) {
 			if v != 0 {
-				d.entries = append(d.entries, sparse.Entry{Row: s.rowInv[row], Col: pc, Val: v})
+				d.entries = append(d.entries, sparse.Entry{Row: s.c.rowInv[row], Col: pc, Val: v})
 			}
 		}
 		for ko, kn := 0, 0; ko < len(or) || kn < len(nr); {
@@ -520,7 +516,7 @@ func (d *deltaScratch) addedWithin(p *sparse.Pattern) bool {
 	return true
 }
 
-// rebuild opens fresh factors for cur: ordering from pat (cur's own
+// rebuild opens a fresh chain for cur: ordering from pat (cur's own
 // pattern, or the running cluster union for CLUDE), the container from
 // the structure that ordering's elimination produced, full numeric
 // decomposition, and a fresh Solver (the old one stays valid for
@@ -530,40 +526,33 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 	s.lap(PartDelta)
 	r := order.Markowitz(pat)
 	s.lap(PartOrder)
-	rowInv, colInv := r.Ordering.Row.Inverse(), r.Ordering.Col.Inverse()
-	static := lu.NewStaticFactors(r.Symbolic)
-	if err := static.FactorizeWith(cur.PermuteInv(r.Ordering, colInv), &s.luWS); err != nil {
+	next := newChain(r.Ordering)
+	if err := next.open(r.Symbolic, cur, s.cfg.Algorithm == INC || s.cfg.Algorithm == CINC, &s.luWS); err != nil {
 		return fmt.Errorf("core: %s version %d: %w", s.cfg.Algorithm, s.version+1, err)
 	}
 	s.stepStructural, s.stepTerms = true, nil
-	s.ord, s.rowInv, s.colInv, s.static = r.Ordering, rowInv, colInv, static
 	if s.cfg.Algorithm == CLUDE {
 		s.structUnion = pat
 	}
-	s.retireDyn()
-	var fac lu.Factors = s.static
-	if s.cfg.Algorithm == INC || s.cfg.Algorithm == CINC {
-		s.dyn = lu.NewDynamicFactors(s.static)
-		fac = s.dyn
+	if s.c.dyn != nil {
+		// Fold the retired lists' restructuring counters into the totals.
+		s.retiredIns += s.c.dyn.Inserts
+		s.retiredScan += s.c.dyn.ScanSteps
 	}
-	s.solver = &lu.Solver{F: fac, O: s.ord}
+	s.c = next
 	s.lap(PartFactorize)
 	return nil
 }
 
-// update advances the current container by the Bennett delta, falling
-// back to a full refactorization in the same ordering when the update
-// fails numerically (mirroring the offline engine's refactorInPlace).
+// update advances the chain by the Bennett delta, falling back to a
+// full refactorization in the same ordering when the update fails
+// numerically.
 func (s *Stream) update(delta []sparse.Entry) error {
 	// Split once: the terms applied here are the very slice the history
 	// record carries (immutable from now on).
 	terms := bennett.SplitTerms(delta)
 	s.lap(PartDelta)
-	var fac lu.Factors = s.static
-	if s.dyn != nil {
-		fac = s.dyn
-	}
-	err := s.benWS.ApplyTerms(fac, terms, &s.stats.Bennett)
+	err := s.c.apply(terms, &s.benWS, &s.stats.Bennett)
 	s.lap(PartUpdate)
 	s.stepStructural, s.stepTerms = false, terms
 	if err == nil {
@@ -573,7 +562,7 @@ func (s *Stream) update(delta []sparse.Entry) error {
 	// refactorization, not the rank-1 algebra — no replayable delta.
 	s.stepStructural, s.stepTerms = true, nil
 	s.stats.Refactorizations++
-	ferr := s.refactorize(s.current())
+	ferr := s.c.refactor(s.current(), &s.luWS)
 	s.lap(PartFactorize)
 	if ferr == nil {
 		return nil
@@ -581,40 +570,10 @@ func (s *Stream) update(delta []sparse.Entry) error {
 	// Both left the container half-written, and the published version
 	// lives in it: refill it from the matrix the batch started from.
 	s.rebased = true
-	if rerr := s.refactorize(graph.Derive(s.cfg.Derive, s.builder.Before())); rerr != nil {
+	if rerr := s.c.refactor(graph.Derive(s.cfg.Derive, s.builder.Before()), &s.luWS); rerr != nil {
 		return fmt.Errorf("core: %s version %d: update %v; refactorization %v; restoring version %d: %w", s.cfg.Algorithm, s.version+1, err, ferr, s.version, rerr)
 	}
 	return fmt.Errorf("core: %s version %d: update %v; refactorization %w", s.cfg.Algorithm, s.version+1, err, ferr)
-}
-
-// refactorize decomposes a (unpermuted) from scratch in the current
-// ordering, into the container style of the algorithm.
-func (s *Stream) refactorize(a *sparse.CSR) error {
-	ap := a.PermuteInv(s.ord, s.colInv)
-	if s.dyn == nil {
-		// The USSP still covers the matrix; refill the same container.
-		return s.static.FactorizeWith(ap, &s.luWS)
-	}
-	st := lu.NewStaticFactors(lu.Symbolic(ap.Pattern()))
-	if err := st.FactorizeWith(ap, &s.luWS); err != nil {
-		return err
-	}
-	s.retireDyn()
-	s.dyn = lu.NewDynamicFactors(st)
-	// The factor container changed identity, so the sparse solve
-	// path's per-solver caches must not survive: fresh Solver.
-	s.solver = &lu.Solver{F: s.dyn, O: s.ord}
-	return nil
-}
-
-// retireDyn folds a replaced dynamic container's restructuring counters
-// into the stream totals.
-func (s *Stream) retireDyn() {
-	if s.dyn != nil {
-		s.retiredIns += s.dyn.Inserts
-		s.retiredScan += s.dyn.ScanSteps
-		s.dyn = nil
-	}
 }
 
 // publishLocked fires OnPublish for the current version. Callers hold
@@ -624,7 +583,7 @@ func (s *Stream) publishLocked() {
 		s.rebased, s.stepStructural, s.stepTerms = false, true, nil
 	}
 	if s.cfg.OnPublish != nil {
-		s.cfg.OnPublish(s.solver, bennett.VersionRecord{
+		s.cfg.OnPublish(s.c.solver, bennett.VersionRecord{
 			Version:    s.version,
 			Structural: s.stepStructural,
 			Terms:      s.stepTerms,
@@ -642,10 +601,10 @@ func (s *Stream) publishLocked() {
 func (s *Stream) View(fn func(version uint64, sv *lu.Solver)) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.solver == nil {
+	if s.c.solver == nil {
 		return false
 	}
-	fn(s.version, s.solver)
+	fn(s.version, s.c.solver)
 	return true
 }
 
@@ -679,9 +638,9 @@ func (s *Stream) Stats() StreamStats {
 	st := s.stats
 	st.DynamicInserts = s.retiredIns
 	st.DynamicScanSteps = s.retiredScan
-	if s.dyn != nil {
-		st.DynamicInserts += s.dyn.Inserts
-		st.DynamicScanSteps += s.dyn.ScanSteps
+	if s.c.dyn != nil {
+		st.DynamicInserts += s.c.dyn.Inserts
+		st.DynamicScanSteps += s.c.dyn.ScanSteps
 	}
 	return st
 }

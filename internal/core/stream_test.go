@@ -183,24 +183,47 @@ func TestStreamReplayEquivalence(t *testing.T) {
 // can know — and is covered by the replay equivalence plus the residual
 // check below.
 func TestStreamMatchesOfflineEngine(t *testing.T) {
-	rng := xrand.New(23)
-	initial, batches := randomEventStream(rng, 90, 10, 10)
-	egs := materialize(t, initial, batches)
-	d := graph.RWRMatrix(0.85)
-	ems := graph.DeriveEMS(egs, d)
+	initial, batches := randomEventStream(xrand.New(23), 90, 10, 10)
+	expectStreamMatchesRun(t, initial, batches, 0.9, 7)
+}
 
+// FuzzStreamMatchesRun is TestStreamMatchesOfflineEngine over generated
+// streams (n ≤ 40, ≤ 8 batches of ≤ 16 events, any α): a Stream fed the
+// batches and a Run over the materialized sequence hold the same factor
+// chains.
+func FuzzStreamMatchesRun(f *testing.F) {
+	f.Add(uint64(23), uint8(30), uint8(7), uint8(10), uint8(90))
+	f.Add(uint64(1), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(77), uint8(38), uint8(7), uint8(15), uint8(100))
+	f.Fuzz(func(t *testing.T, seed uint64, n, batches, perBatch, alpha uint8) {
+		initial, evs := randomEventStream(xrand.New(seed), 2+int(n)%39, 1+int(batches)%8, 1+int(perBatch)%16)
+		expectStreamMatchesRun(t, initial, evs, float64(alpha%101)/100, seed)
+	})
+}
+
+// expectStreamMatchesRun holds, for BF, INC and CINC, every version a
+// Stream publishes over the batches against Run's snapshot of the
+// materialized sequence: their solves of random right-hand sides (drawn
+// from cmpSeed) must agree bit for bit.
+func expectStreamMatchesRun(t *testing.T, initial *graph.Graph, batches [][]graph.EdgeEvent, alpha float64, cmpSeed uint64) {
+	t.Helper()
+	d := graph.RWRMatrix(0.85)
+	ems := graph.DeriveEMS(materialize(t, initial, batches), d)
 	for _, alg := range []Algorithm{BF, INC, CINC} {
-		streamed := captureStream(t, alg, 0.9, initial, d, batches)
+		streamed := captureStream(t, alg, alpha, initial, d, batches)
 
 		retained := make([]*lu.Solver, ems.Len())
 		if _, err := Run(ems, alg, Options{
-			Alpha: 0.9, RetainFactors: true,
-			OnFactors: func(i int, s *lu.Solver) { retained[i] = s },
+			Alpha:     alpha,
+			OnFactors: func(i int, s *lu.Solver) { retained[i] = s.Clone() },
 		}); err != nil {
 			t.Fatalf("%s run: %v", alg, err)
 		}
+		if len(streamed) != ems.Len() {
+			t.Fatalf("%s: %d versions streamed, want %d", alg, len(streamed), ems.Len())
+		}
 
-		cmp := xrand.New(7)
+		cmp := xrand.New(cmpSeed)
 		for v := range streamed {
 			expectSameSolve(t, string(alg)+" vs offline, version "+itoa(v), streamed[v], retained[v], cmp)
 		}

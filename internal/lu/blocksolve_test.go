@@ -115,9 +115,8 @@ func TestBlockRouteMatchesSolveAcrossAlgorithms(t *testing.T) {
 		t.Run(string(alg), func(t *testing.T) {
 			var solvers []*lu.Solver
 			if _, err := core.Run(ems, alg, core.Options{
-				Alpha:         0.95,
-				RetainFactors: true,
-				OnFactors:     func(i int, s *lu.Solver) { solvers = append(solvers, s) },
+				Alpha:     0.95,
+				OnFactors: func(i int, s *lu.Solver) { solvers = append(solvers, s.Clone()) },
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -148,6 +147,7 @@ type bennettPair struct {
 	cur, cur2     int
 	rng           *xrand.Rand
 	snapshotCount int
+	ws            bennett.Workspace
 }
 
 func newBennettPair(t *testing.T, seed uint64) *bennettPair {
@@ -187,12 +187,12 @@ func newBennettPair(t *testing.T, seed uint64) *bennettPair {
 func (p *bennettPair) step(t *testing.T) {
 	t.Helper()
 	next := p.rng.Intn(p.snapshotCount)
-	if err := bennett.UpdateStatic(p.static, sparse.Delta(p.perm[p.cur], p.perm[next]), nil); err != nil {
+	if err := p.ws.ApplyTerms(p.static, bennett.SplitTerms(sparse.Delta(p.perm[p.cur], p.perm[next])), nil); err != nil {
 		t.Fatal(err)
 	}
 	p.cur = next
 	next2 := p.rng.Intn(p.snapshotCount)
-	if err := bennett.UpdateDynamic(p.dynamic, sparse.Delta(p.perm2[p.cur2], p.perm2[next2]), nil); err != nil {
+	if err := p.ws.ApplyTerms(p.dynamic, bennett.SplitTerms(sparse.Delta(p.perm2[p.cur2], p.perm2[next2])), nil); err != nil {
 		t.Fatal(err)
 	}
 	p.cur2 = next2

@@ -94,9 +94,8 @@ func TestReachRouteMatchesDenseAcrossAlgorithms(t *testing.T) {
 		t.Run(string(alg), func(t *testing.T) {
 			var solvers []*lu.Solver
 			if _, err := core.Run(ems, alg, core.Options{
-				Alpha:         0.95,
-				RetainFactors: true,
-				OnFactors:     func(i int, s *lu.Solver) { solvers = append(solvers, s) },
+				Alpha:     0.95,
+				OnFactors: func(i int, s *lu.Solver) { solvers = append(solvers, s.Clone()) },
 			}); err != nil {
 				t.Fatal(err)
 			}

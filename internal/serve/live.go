@@ -5,7 +5,7 @@ import (
 )
 
 // This file is the hot-publish half of the serving layer: instead of
-// pinning per-snapshot clones (Pin + core.Options.RetainFactors),
+// pinning per-snapshot clones (Pin, cloning in core.Options.OnFactors),
 // an Engine can attach a *live source* — a streaming maintenance engine
 // (core.Stream) that updates one set of factors in place and exposes
 // them through a read-locked view. Queries for the latest state then

@@ -1,6 +1,6 @@
 // Package serve is the query-serving layer on top of the LUDEM
 // pipelines: it retains per-snapshot solvers produced by core.Run
-// (via Options.OnFactors with RetainFactors set) in a bounded
+// (clones taken in core.Options.OnFactors) in a bounded
 // snapshot store and answers concurrent proximity-measure queries —
 // RWR, PPR, PageRank, top-k — through an admission-controlled worker
 // pool with a shared LRU result cache.
@@ -487,7 +487,7 @@ func (e *Engine) Close() {
 
 // Pin retains the solver for snapshot i, taking ownership (callers
 // must hand over a solver whose factors are not updated afterwards —
-// core.Options.RetainFactors provides exactly that). When the store
+// a clone taken in the core.Options.OnFactors callback is one). When the store
 // is over its bound, the oldest pinned snapshot is evicted together
 // with its cached answers, so a snapshot is either fully served or
 // consistently ErrUnknownSnapshot — never a mix depending on which
@@ -526,14 +526,15 @@ func (e *Engine) Pin(i int, s *lu.Solver) {
 	e.handleEvicted(evicted)
 }
 
-// OnFactors adapts Pin to the core.Options.OnFactors signature. Use it
-// with RetainFactors:
+// OnFactors adapts Pin to the core.Options.OnFactors signature: it
+// pins a clone of each snapshot's solver, the engine's own factors
+// being updated in place after the callback:
 //
 //	core.Run(ems, core.CLUDE, core.Options{
-//		Alpha: 0.95, RetainFactors: true, OnFactors: eng.OnFactors(),
+//		Alpha: 0.95, OnFactors: eng.OnFactors(),
 //	})
 func (e *Engine) OnFactors() func(i int, s *lu.Solver) {
-	return func(i int, s *lu.Solver) { e.Pin(i, s) }
+	return func(i int, s *lu.Solver) { e.Pin(i, s.Clone()) }
 }
 
 // Snapshots returns the retained snapshot indices in ascending order.

@@ -16,8 +16,8 @@ import (
 
 const testDamping = 0.85
 
-// pinnedEngine runs CLUDE over a tiny Wiki-like EMS with RetainFactors
-// and pins every snapshot into a fresh serve engine. It also returns
+// pinnedEngine runs CLUDE over a tiny Wiki-like EMS and pins a clone
+// of every snapshot into a fresh serve engine. It also returns
 // an independent reference clone of each snapshot's solver so tests
 // can recompute answers cold, outside the engine. The Wiki-like graph
 // is one blob: every reach probe on it aborts, so single queries take
@@ -58,11 +58,10 @@ func pinEMS(t *testing.T, cfg Config, ems *graph.EMS) (*Engine, *graph.EMS, map[
 	eng := New(cfg)
 	ref := make(map[int]*lu.Solver, ems.Len())
 	_, err := core.Run(ems, core.CLUDE, core.Options{
-		Alpha:         0.95,
-		RetainFactors: true,
+		Alpha: 0.95,
 		OnFactors: func(i int, s *lu.Solver) {
 			ref[i] = s.Clone()
-			eng.Pin(i, s)
+			eng.Pin(i, s.Clone())
 		},
 	})
 	if err != nil {
