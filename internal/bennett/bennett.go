@@ -18,17 +18,6 @@ import (
 // not cover the update and yield ErrOutOfPattern.
 const DropTolerance = 1e-9
 
-// PropagationCutoff truncates the y/z closure of the recurrence:
-// vector entries whose magnitude never exceeds the cutoff are not
-// propagated further. For the diagonally dominant matrices of
-// evolving-graph measures the entries decay geometrically along the
-// elimination order, so the cutoff turns an O(nnz(L+U)) worst-case
-// reach into the short effective reach that makes incremental updating
-// worthwhile — at a per-update factor error of cutoff magnitude, far
-// below the accuracy the measures need. Set to 0 to disable (tests
-// exercise both settings).
-const PropagationCutoff = 1e-10
-
 // ErrOutOfPattern reports that a static-structure update produced
 // significant fill outside the frozen symbolic pattern. Under CLUDE
 // this cannot happen for matrices within the USSP's cluster (Theorem
@@ -40,7 +29,7 @@ var ErrOutOfPattern = errors.New("bennett: fill outside the static factor struct
 type Stats struct {
 	Rank1Updates int // rank-1 terms applied
 	StepsTouched int // elimination steps visited
-	Dropped      int // negligible out-of-structure values discarded (static)
+	Dropped      int // negligible values a container did not store (DropTolerance, fillCutoff)
 }
 
 // scratch holds the dense work vectors of the recurrence: the evolving
@@ -53,11 +42,6 @@ type scratch struct {
 	ysupp    []int
 	zsupp    []int
 	newIdx   []int
-	// dirtyY/dirtyZ record positions written with sub-cutoff values
-	// that were deliberately not promoted into the supports: they are
-	// not propagated, but they must still be zeroed by reset so a
-	// reused scratch is indistinguishable from a fresh one.
-	dirtyY, dirtyZ []int
 	// unit is the one-entry vector e_Key of the term being applied.
 	unit [1]sparse.Entry
 	// The symmetric path's regroup buffers (see regroup): ∆A's entries
@@ -117,16 +101,8 @@ func (sc *scratch) reset() {
 		sc.z[j] = 0
 		sc.inZ[j] = false
 	}
-	for _, j := range sc.dirtyY {
-		sc.y[j] = 0
-	}
-	for _, j := range sc.dirtyZ {
-		sc.z[j] = 0
-	}
 	sc.ysupp = sc.ysupp[:0]
 	sc.zsupp = sc.zsupp[:0]
-	sc.dirtyY = sc.dirtyY[:0]
-	sc.dirtyZ = sc.dirtyZ[:0]
 }
 
 // mergeTail merges the sorted, disjoint list add into the sorted slice
@@ -171,9 +147,9 @@ type Workspace struct {
 }
 
 // grab returns clean scratch of dimension n, reallocating only when the
-// dimension changes. Every update leaves its touched positions recorded
-// in the support or dirty lists (even on error paths), so resetting on
-// grab restores a fully zeroed workspace.
+// dimension changes. Every update leaves each position it wrote in the
+// support lists (even on error paths), so resetting on grab restores a
+// fully zeroed workspace.
 func (w *Workspace) grab(n int) *scratch {
 	if w.sc == nil || len(w.sc.y) != n {
 		w.sc = newScratch(n)
@@ -590,7 +566,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 			pz++
 		}
 		yi, zi := sc.y[i], sc.z[i]
-		if math.Abs(yi) <= PropagationCutoff && math.Abs(zi) <= PropagationCutoff {
+		if yi == 0 && zi == 0 {
 			continue
 		}
 		st.StepsTouched++
@@ -612,7 +588,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		outside := 0
 		switch {
 		case zi != 0 && yi != 0:
-			outside = len(sc.ysupp) - py - sc.sweepUpdate(rows, vals, sc.y, sc.inY, &sc.dirtyY, di, sigma*zi, dip, yi)
+			outside = len(sc.ysupp) - py - sc.sweepUpdate(rows, vals, sc.y, sc.inY, di, sigma*zi, dip, yi)
 		case zi != 0: // yi == 0: dip == di; only positions with y_j != 0 move
 			// No y propagation happens here, so instead of walking the
 			// whole column we visit just the support — a direct indexed
@@ -636,7 +612,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 				return fmt.Errorf("%w (L position %d,%d, value %g)", ErrOutOfPattern, j, i, v)
 			}
 		default: // yi != 0, zi == 0: L unchanged, only y propagates
-			sc.sweepPropagate(rows, vals, sc.y, sc.inY, &sc.dirtyY, yi)
+			sc.sweepPropagate(rows, vals, sc.y, sc.inY, yi)
 		}
 		// Merge the promotions before any error exit below: positions
 		// marked inY must be reachable from ysupp or reset() cannot
@@ -660,7 +636,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 		outside = 0
 		switch {
 		case yi != 0 && zi != 0:
-			outside = len(sc.zsupp) - pz - sc.sweepUpdate(cols, uvals, sc.z, sc.inZ, &sc.dirtyZ, di, sigma*yi, dip, zi)
+			outside = len(sc.zsupp) - pz - sc.sweepUpdate(cols, uvals, sc.z, sc.inZ, di, sigma*yi, dip, zi)
 		case yi != 0: // zi == 0: only positions with z_j != 0 move
 			tail := sc.zsupp[pz:]
 			cur := newCursor(cols, len(tail))
@@ -680,7 +656,7 @@ func rank1Static(f *lu.StaticFactors, sigma float64, sc *scratch, st *Stats) err
 				return fmt.Errorf("%w (U position %d,%d, value %g)", ErrOutOfPattern, i, j, v)
 			}
 		default: // zi != 0, yi == 0: U unchanged, z propagates
-			sc.sweepPropagate(cols, uvals, sc.z, sc.inZ, &sc.dirtyZ, zi)
+			sc.sweepPropagate(cols, uvals, sc.z, sc.inZ, zi)
 		}
 		// Same ordering as the L phase: merge before the error exit.
 		sc.zsupp = mergeTail(sc.zsupp, pz, sc.newIdx)

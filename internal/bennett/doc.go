@@ -28,9 +28,11 @@
 //	σ ← σ·d₁/d₁',   y ← y₂ − y₁·l,   z ← z₂ − z₁·u.
 //
 // The sparse implementation processes only indices i where y[i] ≠ 0 or
-// z[i] ≠ 0 (a min-heap tracks the support as it grows along the factor
-// patterns), touches only structural entries of L column i and U row i
-// plus the out-of-structure positions where genuinely new fill appears.
+// z[i] ≠ 0 (a sorted support list tracks them as they grow along the
+// factor patterns), touches only structural entries of L column i and U
+// row i plus the out-of-structure positions where genuinely new fill
+// appears. It truncates nothing: every position a step writes joins the
+// support and is propagated at its own step, however small its value.
 //
 // # Rank-k deltas
 //
@@ -50,7 +52,10 @@
 // genuinely new positions above DropTolerance produce ErrOutOfPattern.
 // Into lu.DynamicFactors it splices new nodes into the adjacency lists,
 // faithfully reproducing the list-restructuring cost the paper profiles
-// at ~70% of Bennett time in the traditional INC/CINC implementations.
+// at ~70% of Bennett time in the traditional INC/CINC implementations;
+// fill no larger than 1e-10 is not spliced but counted in Stats.Dropped
+// (fillCutoff, the package's one threshold besides DropTolerance and
+// lu.PivotTolerance).
 // Either container, when its factors are their own transpose and ∆A is
 // symmetric, takes the symmetric cross path instead (symmetric.go), so
 // the two are compared with one kernel on symmetric data as on directed

@@ -6,6 +6,33 @@ import (
 	"repro/internal/lu"
 )
 
+// fillCutoff is the linked lists' one magnitude test: a fill value no
+// larger than it is not spliced into the list (it counts in
+// Stats.Dropped). Propagation stays exact; only the decision to grow a
+// list reads it. Not storing fill v at L(j, i) moves the product L·D·U
+// by v·d'ᵢ·U'(i, :) — by the mirror term for U(i, j) — which the later
+// steps carry exactly, so each drop costs a backward error of v times a
+// row of the factors. What it saves is list restructuring in CINC, the
+// paper's baseline: on `cludebench -exp tblBennett -scale medium`
+// (directed Wiki), splicing every non-zero fill value took 25 % more
+// list inserts (1.05 M against 0.84 M) and 6.6 % more list scan steps
+// (docs/PERFORMANCE.md, "Exact Bennett propagation"). CLUDE's static
+// container splices nothing and has no such test.
+const fillCutoff = 1e-10
+
+// spliced reports whether a list keeps fill value v (fillCutoff). A
+// non-zero v it does not keep counts as `cells` dropped values: one on
+// the rank-1 path, two (L and U) on the cross path.
+func spliced(v float64, cells int, st *Stats) bool {
+	if math.Abs(v) > fillCutoff {
+		return true
+	}
+	if v != 0 {
+		st.Dropped += cells
+	}
+	return false
+}
+
 // rank1Dynamic runs the Bennett recurrence against a linked-list
 // container. Each phase is a single merged walk of the (sorted) factor
 // list and the (sorted) support tail; genuinely new fill positions are
@@ -30,7 +57,7 @@ func rank1Dynamic(d *lu.DynamicFactors, sigma float64, sc *scratch, st *Stats) e
 			pz++
 		}
 		yi, zi := sc.y[i], sc.z[i]
-		if math.Abs(yi) <= PropagationCutoff && math.Abs(zi) <= PropagationCutoff {
+		if yi == 0 && zi == 0 {
 			continue
 		}
 		st.StepsTouched++
@@ -42,12 +69,12 @@ func rank1Dynamic(d *lu.DynamicFactors, sigma float64, sc *scratch, st *Stats) e
 
 		// L column i: values, y propagation, fill splicing.
 		sc.newIdx = sc.newIdx[:0]
-		walkDynamic(d, true, i, sc.ysupp[py:], sc.y, sc.inY, &sc.newIdx, &sc.dirtyY, di, dip, sigma, yi, zi)
+		walkDynamic(d, true, i, sc.ysupp[py:], sc.y, sc.inY, sc, st, di, dip, sigma, yi, zi)
 		sc.ysupp = mergeTail(sc.ysupp, py, sc.newIdx)
 
 		// U row i: values, z propagation, fill splicing.
 		sc.newIdx = sc.newIdx[:0]
-		walkDynamic(d, false, i, sc.zsupp[pz:], sc.z, sc.inZ, &sc.newIdx, &sc.dirtyZ, di, dip, sigma, zi, yi)
+		walkDynamic(d, false, i, sc.zsupp[pz:], sc.z, sc.inZ, sc, st, di, dip, sigma, zi, yi)
 		sc.zsupp = mergeTail(sc.zsupp, pz, sc.newIdx)
 
 		sigma *= di / dip
@@ -61,9 +88,10 @@ func rank1Dynamic(d *lu.DynamicFactors, sigma float64, sc *scratch, st *Stats) e
 // newL = (d·L + σ·z_i·y_j)/d' and propagation is y_j -= y_i·L(j,i).
 // The U phase is the exact mirror (vec = z, own = z_i, other = y_i).
 // supp must be sorted and contain only indices > i; it lists every
-// position where vec may be non-zero beyond i.
+// position where vec may be non-zero beyond i. Every position written
+// outside it is admitted into sc.newIdx.
 func walkDynamic(d *lu.DynamicFactors, isL bool, i int, supp []int,
-	vec []float64, inSupp []bool, newIdx, dirty *[]int,
+	vec []float64, inSupp []bool, sc *scratch, st *Stats,
 	di, dip, sigma, own, other float64) {
 
 	heads := d.UHead
@@ -91,18 +119,10 @@ func walkDynamic(d *lu.DynamicFactors, isL bool, i int, supp []int,
 				node.Val = (di*v + sigma*other*vec[jList]) / dip
 			}
 			if own != 0 && v != 0 {
-				vnew := vec[jList] - own*v
+				vec[jList] -= own * v
 				if !inSupp[jList] {
-					if math.Abs(vnew) > PropagationCutoff {
-						inSupp[jList] = true
-						*newIdx = append(*newIdx, jList)
-					} else {
-						// Not propagated, but reset must zero it (see
-						// scratch.dirtyY).
-						*dirty = append(*dirty, jList)
-					}
+					sc.admit(jList, inSupp)
 				}
-				vec[jList] = vnew
 			}
 			if jList == jSupp {
 				si++
@@ -112,10 +132,10 @@ func walkDynamic(d *lu.DynamicFactors, isL bool, i int, supp []int,
 			continue
 		}
 		// Support-only position: genuinely new fill when the update
-		// term σ·other·vec[j]/d' is non-zero.
+		// term σ·other·vec[j]/d' is significant.
 		if other != 0 && vec[jSupp] != 0 {
 			v := sigma * other * vec[jSupp] / dip
-			if math.Abs(v) <= PropagationCutoff {
+			if !spliced(v, 1, st) {
 				si++
 				continue
 			}
@@ -134,9 +154,9 @@ func walkDynamic(d *lu.DynamicFactors, isL bool, i int, supp []int,
 // indices in the same order, so one merged walk moves a cursor down
 // each in lock step, writes every new value into both nodes, and splices
 // every fill position into both lists at the same place. Fill follows
-// the rank-1 path's rule: a position is spliced when its value exceeds
-// PropagationCutoff. Each list cell visited counts one ScanStep, so a
-// structural position counts two.
+// the rank-1 path's rule (spliced), a dropped value counting twice. Each
+// list cell visited counts one ScanStep, so a structural position counts
+// two.
 type crossDynamic struct {
 	d *lu.DynamicFactors
 }
@@ -162,7 +182,7 @@ func (c *crossDynamic) oneSided(i, x int, bi, move float64, sc *scratch, st *Sta
 		j := d.Nodes[curL].Idx
 		if !placed && j >= x {
 			placed = true
-			if j > x && math.Abs(move) > PropagationCutoff {
+			if j > x && spliced(move, 2, st) {
 				prevL, prevU = c.splice(i, x, move, prevL, prevU, curL, curU)
 			}
 		}
@@ -172,7 +192,7 @@ func (c *crossDynamic) oneSided(i, x int, bi, move float64, sc *scratch, st *Sta
 		if v != 0 {
 			b[j] -= bi * v
 			if !in[j] {
-				sc.admit(j, b, in, &sc.dirtyY)
+				sc.admit(j, in)
 			}
 		}
 		if j == x {
@@ -182,7 +202,7 @@ func (c *crossDynamic) oneSided(i, x int, bi, move float64, sc *scratch, st *Sta
 		prevL, prevU = curL, curU
 		curL, curU = ln.Next, un.Next
 	}
-	if !placed && math.Abs(move) > PropagationCutoff {
+	if !placed && spliced(move, 2, st) {
 		c.splice(i, x, move, prevL, prevU, -1, -1)
 	}
 	return nil
@@ -212,7 +232,7 @@ func (c *crossDynamic) twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float
 			if v != 0 {
 				a[jList], b[jList] = aj-ai*v, bj-bi*v
 				if !in[jList] {
-					sc.admitCross(jList)
+					sc.admit(jList, in)
 				}
 			}
 			if jList == jSupp {
@@ -224,7 +244,7 @@ func (c *crossDynamic) twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float
 		}
 		// Support-only position: fill when its value is significant.
 		if aj, bj := a[jSupp], b[jSupp]; aj != 0 || bj != 0 {
-			if v := crossValue(di, 0, aj, bj, pa, pb, dip); math.Abs(v) > PropagationCutoff {
+			if v := crossValue(di, 0, aj, bj, pa, pb, dip); spliced(v, 2, st) {
 				prevL, prevU = c.splice(i, jSupp, v, prevL, prevU, curL, curU)
 			}
 		}

@@ -1,7 +1,5 @@
 package bennett
 
-import "math"
-
 // The first two leaf kernels below are rank1Static's inner loops. The
 // L/y and U/z sides of a step are mirror images, so each kernel serves
 // both: idx/vals are one structural column of L (or row of U), vec/in
@@ -19,9 +17,9 @@ import "math"
 //
 // A kernel never grows a slice: at the first write to a position
 // outside the support it stores the value and returns that position, so
-// the rare promote / sub-cutoff bookkeeping (scratch.admit, an append)
-// happens in the caller — the sweep drivers at the bottom, and
-// crossStatic.twoSided for crossKernel — which re-enters at p+1.
+// the rare promotion (scratch.admit, an append) happens in the caller —
+// the sweep drivers at the bottom, and crossStatic.twoSided for
+// crossKernel — which re-enters at p+1.
 
 // updateKernel runs the two-sided step over idx[p:]: every structural
 // value becomes (di·v + c·vec[j]) / dip — c is σ times the other
@@ -99,7 +97,7 @@ func crossKernel(idx []int, lvals, uvals, a, b []float64, in []bool, p int, di, 
 // sweepUpdate drives updateKernel down one structural column, admitting
 // every out-of-support position the kernel stops at, and returns how
 // many support members the column holds.
-func (sc *scratch) sweepUpdate(idx []int, vals, vec []float64, in []bool, dirty *[]int, di, c, dip, xi float64) (met int) {
+func (sc *scratch) sweepUpdate(idx []int, vals, vec []float64, in []bool, di, c, dip, xi float64) (met int) {
 	for p := 0; ; p++ {
 		var m int
 		p, m = updateKernel(idx, vals, vec, in, p, di, c, dip, xi)
@@ -107,43 +105,26 @@ func (sc *scratch) sweepUpdate(idx []int, vals, vec []float64, in []bool, dirty 
 		if p == len(idx) {
 			return met
 		}
-		sc.admit(idx[p], vec, in, dirty)
+		sc.admit(idx[p], in)
 	}
 }
 
 // sweepPropagate is sweepUpdate for the one-sided step.
-func (sc *scratch) sweepPropagate(idx []int, vals, vec []float64, in []bool, dirty *[]int, xi float64) {
+func (sc *scratch) sweepPropagate(idx []int, vals, vec []float64, in []bool, xi float64) {
 	for p := 0; ; p++ {
 		if p = propagateKernel(idx, vals, vec, in, p, xi); p == len(idx) {
 			return
 		}
-		sc.admit(idx[p], vec, in, dirty)
-	}
-}
-
-// admitCross is admit for a cross's two vectors, kept in y and z over
-// one support: position j joins it when a_j or b_j is significant, and
-// the dirty list otherwise.
-func (sc *scratch) admitCross(j int) {
-	if math.Abs(sc.y[j]) > PropagationCutoff || math.Abs(sc.z[j]) > PropagationCutoff {
-		sc.inY[j] = true
-		sc.newIdx = append(sc.newIdx, j)
-	} else {
-		sc.dirtyY = append(sc.dirtyY, j)
+		sc.admit(idx[p], in)
 	}
 }
 
 // admit books a kernel's first write to position j outside the support:
-// a significant value promotes j — flagged in `in` and queued in newIdx
-// for the merge into the support list — and a sub-cutoff one is not
-// propagated but joins the dirty list, so reset still zeroes it.
-func (sc *scratch) admit(j int, vec []float64, in []bool, dirty *[]int) {
-	if math.Abs(vec[j]) > PropagationCutoff {
-		in[j] = true
-		sc.newIdx = append(sc.newIdx, j)
-	} else {
-		*dirty = append(*dirty, j)
-	}
+// j is flagged in `in` and queued in newIdx for the merge into the
+// support list, so it is propagated at its own step and reset zeroes it.
+func (sc *scratch) admit(j int, in []bool) {
+	in[j] = true
+	sc.newIdx = append(sc.newIdx, j)
 }
 
 // b2i is 1 for true: the compiler turns it into the flag's byte, so

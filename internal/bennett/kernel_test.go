@@ -11,11 +11,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// referenceSweep is one structural walk of a step as every build before
-// the leaf kernels ran it: a single loop with the promote / sub-cutoff
-// bookkeeping inline. twoSided selects the update step over the
-// propagate-only one.
-func referenceSweep(twoSided bool, idx []int, vals, vec []float64, in []bool, di, c, dip, xi float64) (met int, promoted, dirty []int) {
+// referenceSweep is one structural walk of a step as a single loop with
+// the promotions inline: every write to a position outside the support
+// promotes it, whatever its magnitude. twoSided selects the update step
+// over the propagate-only one.
+func referenceSweep(twoSided bool, idx []int, vals, vec []float64, in []bool, di, c, dip, xi float64) (met int, promoted []int) {
 	for p, j := range idx {
 		v := vals[p]
 		if twoSided {
@@ -23,19 +23,14 @@ func referenceSweep(twoSided bool, idx []int, vals, vec []float64, in []bool, di
 			vals[p] = (di*v + c*vec[j]) / dip
 		}
 		if v != 0 {
-			w := vec[j] - xi*v
+			vec[j] -= xi * v
 			if !in[j] {
-				if math.Abs(w) > PropagationCutoff {
-					in[j] = true
-					promoted = append(promoted, j)
-				} else {
-					dirty = append(dirty, j)
-				}
+				in[j] = true
+				promoted = append(promoted, j)
 			}
-			vec[j] = w
 		}
 	}
-	return met, promoted, dirty
+	return met, promoted
 }
 
 // sweepCase is one structural column against one state of the work
@@ -55,25 +50,24 @@ func bitsEqual(a, b []float64) bool {
 // checkSweeps runs c through the kernel-driven sweeps and through the
 // reference loop, both steps, and requires every output to agree: value
 // bits, vector bits, support flags, the member count, and the promoted
-// and dirty lists in order.
+// list in order.
 func checkSweeps(t *testing.T, c sweepCase) {
 	t.Helper()
 	const di, coef, dip, xi = 2.0, 0.5, 2.5, 1.0
 	for _, twoSided := range []bool{true, false} {
 		vals, vec, in := slices.Clone(c.vals), slices.Clone(c.vec), slices.Clone(c.in)
 		sc := newScratch(len(c.vec))
-		var dirty []int
 		met := 0
 		if twoSided {
-			met = sc.sweepUpdate(c.idx, vals, vec, in, &dirty, di, coef, dip, xi)
+			met = sc.sweepUpdate(c.idx, vals, vec, in, di, coef, dip, xi)
 		} else {
-			sc.sweepPropagate(c.idx, vals, vec, in, &dirty, xi)
+			sc.sweepPropagate(c.idx, vals, vec, in, xi)
 		}
 		refVals, refVec, refIn := slices.Clone(c.vals), slices.Clone(c.vec), slices.Clone(c.in)
-		refMet, refPromoted, refDirty := referenceSweep(twoSided, c.idx, refVals, refVec, refIn, di, coef, dip, xi)
-		if met != refMet || !slices.Equal(sc.newIdx, refPromoted) || !slices.Equal(dirty, refDirty) {
-			t.Errorf("%s (two-sided %v): met %d promoted %v dirty %v, reference %d %v %v",
-				c.name, twoSided, met, sc.newIdx, dirty, refMet, refPromoted, refDirty)
+		refMet, refPromoted := referenceSweep(twoSided, c.idx, refVals, refVec, refIn, di, coef, dip, xi)
+		if met != refMet || !slices.Equal(sc.newIdx, refPromoted) {
+			t.Errorf("%s (two-sided %v): met %d promoted %v, reference %d %v",
+				c.name, twoSided, met, sc.newIdx, refMet, refPromoted)
 		}
 		if !bitsEqual(vals, refVals) || !bitsEqual(vec, refVec) || !slices.Equal(in, refIn) {
 			t.Errorf("%s (two-sided %v): values, vector or flags differ from the reference loop\n vals %v\n  ref %v\n  vec %v\n  ref %v",
@@ -84,12 +78,12 @@ func checkSweeps(t *testing.T, c sweepCase) {
 
 // TestKernelsMatchReferenceLoop holds the leaf kernels and their
 // re-entry protocol against the one-loop reference on columns built to
-// force every early exit — a promotion and a sub-cutoff write in one
-// column, at its first and last position, back to back — and on random
-// ones.
+// force every early exit — promotions at a column's first and last
+// position, back to back, of tiny values as of large ones: every
+// out-of-support write promotes — and on random ones.
 func TestKernelsMatchReferenceLoop(t *testing.T) {
 	const n = 8
-	const tiny = 1e-11 // propagates to a sub-cutoff value
+	const tiny = 1e-11 // propagates to a tiny value, promoted all the same
 	dense := func(at map[int]float64) []float64 {
 		v := make([]float64, n)
 		for j, x := range at {
@@ -107,12 +101,11 @@ func TestKernelsMatchReferenceLoop(t *testing.T) {
 	for _, c := range []sweepCase{
 		{"empty column", nil, nil, dense(nil), flags()},
 		{"lone promotion", []int{3}, []float64{0.5}, dense(nil), flags()},
-		{"lone sub-cutoff write", []int{3}, []float64{tiny}, dense(nil), flags()},
+		{"lone tiny write promotes", []int{3}, []float64{tiny}, dense(nil), flags()},
 		{"all members", []int{1, 4, 5}, []float64{0.5, 0, -0.25}, dense(map[int]float64{1: 1, 4: 2, 5: 3}), flags(1, 4, 5)},
-		{"sub-cutoff first, promotion last", []int{1, 2, 4, 6}, []float64{tiny, 0.3, 0, 0.7}, dense(map[int]float64{2: 0.25}), flags(2)},
-		{"promotion first, sub-cutoff last, every position stops", []int{0, 1, 2, 7}, []float64{0.4, 0.6, tiny / 10, tiny}, dense(nil), flags()},
-		{"second write to a dirty position", []int{2, 5}, []float64{tiny, 0.5}, dense(map[int]float64{2: tiny, 5: 1}), flags(5)},
-		{"dirty residue promoted", []int{2}, []float64{0.5}, dense(map[int]float64{2: tiny}), flags()},
+		{"tiny first, large last", []int{1, 2, 4, 6}, []float64{tiny, 0.3, 0, 0.7}, dense(map[int]float64{2: 0.25}), flags(2)},
+		{"large first, tiny last, every position stops", []int{0, 1, 2, 7}, []float64{0.4, 0.6, tiny / 10, tiny}, dense(nil), flags()},
+		{"zero factor values write nothing", []int{2, 5, 6}, []float64{0, 0.5, 0}, dense(map[int]float64{5: 1}), flags(5)},
 	} {
 		checkSweeps(t, c)
 	}
@@ -124,8 +117,6 @@ func TestKernelsMatchReferenceLoop(t *testing.T) {
 		for j := 0; j < dim; j++ {
 			if c.in[j] = rng.Intn(3) == 0; c.in[j] {
 				c.vec[j] = rng.Float64()*2 - 1
-			} else if rng.Intn(5) == 0 {
-				c.vec[j] = tiny // what an earlier sub-cutoff write left behind
 			}
 			if rng.Intn(2) == 0 {
 				continue
@@ -145,9 +136,9 @@ func TestKernelsMatchReferenceLoop(t *testing.T) {
 }
 
 // TestWorkspaceCleanAfterSingularUpdate: a SingularError raised
-// mid-recurrence — after pivot 0's kernels promoted y[1] and z[1] and
-// left a sub-cutoff y[2] behind — leaves a workspace whose next update
-// is bit-identical to a fresh one's. (ErrOutOfPattern's turn is
+// mid-recurrence — after pivot 0's kernels promoted y[1], z[1] and the
+// tiny y[2] — leaves a workspace whose next update is bit-identical to a
+// fresh one's. (ErrOutOfPattern's turn is
 // TestCountedExtrasOutsideTheStructure.)
 func TestWorkspaceCleanAfterSingularUpdate(t *testing.T) {
 	// [[2,-1],[-1,1]] ⊕ 3·I with a negligible A(2,0): D = (2, ½, 3, …),

@@ -116,8 +116,8 @@ func (sc *scratch) regroup(terms []Rank1Term) bool {
 // of L — with U's mirror row written alongside — for each kind of step.
 // The sweep (crossSweep) owns the math; crossStatic walks the frozen
 // arrays and crossDynamic the linked lists. A walk admits every position
-// it promotes into sc.newIdx (or sc.dirtyY), and the sweep merges them
-// into the support, error or not.
+// it writes outside the support into sc.newIdx, and the sweep merges
+// them into the support, error or not.
 type crossColumns interface {
 	pivots() []float64
 	// begin readies the walks for the cross of key x with n entries.
@@ -188,18 +188,13 @@ func applySymmetric(cols crossColumns, sc *scratch, st *Stats) error {
 }
 
 // clearCross zeroes what a cross sweep touched: a and b (kept in y and
-// z) over their union support and the sub-cutoff positions, and the
-// support flags.
+// z) over their union support, and the support flags.
 func (sc *scratch) clearCross() {
 	for _, j := range sc.ysupp {
 		sc.y[j], sc.z[j] = 0, 0
 		sc.inY[j] = false
 	}
-	for _, j := range sc.dirtyY {
-		sc.y[j], sc.z[j] = 0, 0
-	}
 	sc.ysupp = sc.ysupp[:0]
-	sc.dirtyY = sc.dirtyY[:0]
 }
 
 // crossSweep runs the symmetric rank-2 recurrence of the cross
@@ -207,8 +202,9 @@ func (sc *scratch) clearCross() {
 // in y (a = e_x) and z (b = w), with one support list — ysupp, flagged
 // in inY — for both. Before step x, a is still e_x, so the step only
 // moves L(x, i) by b_i/d, propagates b down column i and takes b_i²/d
-// off C's a·a entry. From x on, every step is two-sided. The cutoff and
-// the pivot check are the rank-1 paths'.
+// off C's a·a entry. From x on, every step is two-sided. As on the
+// rank-1 paths, a step is skipped only when a_i and b_i are both 0, and
+// the pivot check is theirs.
 func crossSweep(cols crossColumns, x int, w []crossEntry, sc *scratch, st *Stats) error {
 	a, b, in := sc.y, sc.z, sc.inY
 	push := func(j int) {
@@ -233,7 +229,7 @@ func crossSweep(cols crossColumns, x int, w []crossEntry, sc *scratch, st *Stats
 	for p := 0; p < len(sc.ysupp); p++ {
 		i := sc.ysupp[p]
 		ai, bi := a[i], b[i]
-		if math.Abs(ai) <= PropagationCutoff && math.Abs(bi) <= PropagationCutoff {
+		if ai == 0 && bi == 0 {
 			continue
 		}
 		st.StepsTouched++
@@ -287,7 +283,7 @@ func (c *crossStatic) begin(x, n int) {
 func (c *crossStatic) oneSided(i, x int, bi, move float64, sc *scratch, st *Stats) error {
 	f := c.f
 	lo, hi := f.LColPtr[i], f.LColPtr[i+1]
-	sc.sweepPropagate(f.LRowIdx[lo:hi], f.LVal[lo:hi], sc.z, sc.inY, &sc.dirtyY, bi)
+	sc.sweepPropagate(f.LRowIdx[lo:hi], f.LVal[lo:hi], sc.z, sc.inY, bi)
 	if q, ok := c.cur.find(i); ok {
 		k := c.xpos[q]
 		f.LVal[k] += move
@@ -301,9 +297,8 @@ func (c *crossStatic) oneSided(i, x int, bi, move float64, sc *scratch, st *Stat
 }
 
 // twoSided drives crossKernel down column i, admitting every position
-// it stops at (admitCross). The loop sits here rather than in a helper
-// of its own: one call level less per step is measurable on the DBLP
-// chains.
+// it stops at. The loop sits here rather than in a helper of its own:
+// one call level less per step is measurable on the DBLP chains.
 func (c *crossStatic) twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float64, sc *scratch, st *Stats) error {
 	f := c.f
 	lo, hi := f.LColPtr[i], f.LColPtr[i+1]
@@ -316,7 +311,7 @@ func (c *crossStatic) twoSided(i int, tail []int, di, pa, pb, dip, ai, bi float6
 		if p == len(rows) {
 			break
 		}
-		sc.admitCross(rows[p])
+		sc.admit(rows[p], sc.inY)
 	}
 	// outside counts the support positions beyond i that column i does
 	// not hold, as in rank1Static.

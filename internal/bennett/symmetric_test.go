@@ -15,30 +15,30 @@ import (
 
 // symmetricBound is how far, relative to the largest factor value, the
 // symmetric path's factors may lie from the rank-1 path's on the same
-// terms when the propagation cutoff does not bite; with the cutoff off
-// the two agree to rounding (~1e-16 relative) on every input.
+// terms. Both run Bennett's recurrence exactly, so where every fill
+// value is stored — always on CLUDE's static container — they agree to
+// rounding (~1e-16 relative) on every input.
 //
-// Where it bites, each path drops vector entries of at most
-// PropagationCutoff, at different steps — a rank-1 term can keep a step
-// alive through its unit vector where the cross's two vectors have both
-// fallen below the cutoff — and a dropped entry moves a factor value by
-// at most the cutoff times an entry of order one (an L value, a C entry,
-// a unit vector's 1). So FuzzSymmetricUpdate, whose quantized values
-// make fill that cancels down to the cutoff's scale, allows the paths
-// PropagationCutoff apart in absolute terms on top: its fourth and fifth
-// seeds open gaps of 4.7e-12 and 2.4e-11 that way.
-//
-// On the linked lists a fill position exists only where a path spliced
-// it, and the rank-1 path decides per term. When a row and a column
-// term fill one position with values that cancel in exact arithmetic,
-// and the second term's vector entry there has fallen below the cutoff,
-// the first term's value stays: a fill value of the cutoff times a
-// multiplier σ·z_i/d', which stayed below 2 over minutes of fuzzing. The
-// cross forms the sum at once and splices nothing. So the fuzzer allows
-// the dynamic paths 2·PropagationCutoff apart: its last seed has the
-// rank-1 path leave −1.32e-10 at a position that is 0 in a fresh
-// factorization and on the cross path.
+// The linked lists do not splice fill no larger than fillCutoff, and the
+// two paths meet different fill: when a row and a column term fill one
+// position with values that cancel in exact arithmetic, the rank-1 path
+// splices the first and adds the second, where the cross forms the sum
+// at once. Once either path has dropped a value, the two are held to the
+// mathematics instead of to each other (dropBound).
 const symmetricBound = 1e-12
+
+// dropBound is how far one dropped fill value may move the product
+// L·D·U, relative to max|A|. Dropping fill v at L(j, i) at step i of an
+// update changes the product by exactly v·d'ᵢ·U'(i, :) — at U(i, j) by
+// the mirror term, L'(:, i)·d'ᵢ·v — and the later steps update that
+// perturbed product exactly. d'ᵢ·U'(i, :) is a row of the unit-free
+// upper factor of the matrix the update has reached, whose every
+// position holds its old or its new value; the walks and the fuzzer
+// keep those matrices diagonally dominant, where elimination grows no
+// entry beyond 2·max|A|. So each drop adds at most fillCutoff·2·max|A|
+// to ‖L·D·U − A‖max. (A cross that drops fill drops it in L and in U and
+// counts two.)
+const dropBound = 2 * fillCutoff
 
 // mirrorEntries sums entries per unordered position and returns each
 // sum at both of its positions, so A(i, j) and A(j, i) hold the same bits
@@ -239,29 +239,33 @@ func factorGap(a, b lu.Factors) (gap, scale float64) {
 	return gap, scale
 }
 
-// checkSymmetricStep applies one step's terms to sym by ApplyTerms and
-// to ref by the rank-1 loop, and holds sym to the symmetric path's
-// promises: it was taken, the factors are still their own transpose bit
-// for bit (and say so), and they lie within symmetricBound (relative)
-// plus echo (absolute) of ref's. On the dynamic container it also holds
-// that every splice went into both lists: the inserts and the scan
-// steps the step added are even. It returns the relative gap.
-func checkSymmetricStep(t *testing.T, label string, sym, ref mirrorer, ws, wr *Workspace, delta []sparse.Entry, echo float64) float64 {
+// checkSymmetricStep applies the step from a to b, one step's terms, to
+// sym by ApplyTerms and to ref by the rank-1 loop, counting into st and
+// rt, which a caller walking a sequence keeps across its steps. It holds
+// sym to the symmetric path's promises: it was taken, and the factors
+// are still their own transpose bit for bit (and say so). On the dynamic
+// container every splice went into both lists: the inserts and the
+// scan steps the step added are even. Each path's product L·D·U moved
+// by ∆A, up to rounding and dropBound per value it dropped in this step,
+// and while neither path has dropped anything the two lie within
+// symmetricBound of each other. It returns the paths' relative gap.
+func checkSymmetricStep(t *testing.T, label string, sym, ref mirrorer, ws, wr *Workspace, a, b *sparse.CSR, st, rt *Stats) float64 {
 	t.Helper()
+	delta := sparse.Delta(a, b)
 	terms := SplitTerms(delta)
 	if !Regroups(terms) {
 		t.Fatalf("%s: a symmetric delta was refused: %v", label, delta)
 	}
-	var st, rt Stats
 	before := dynamicCounters(sym)
-	if err := ws.ApplyTerms(sym, terms, &st); err != nil {
+	symFrom, refFrom, symStats, refStats := product(sym), product(ref), *st, *rt
+	if err := ws.ApplyTerms(sym, terms, st); err != nil {
 		t.Fatalf("%s: symmetric path: %v", label, err)
 	}
-	if err := wr.ApplyRank1(ref, terms, &rt); err != nil {
+	if err := wr.ApplyRank1(ref, terms, rt); err != nil {
 		t.Fatalf("%s: rank-1 path: %v", label, err)
 	}
-	if st.Rank1Updates != len(terms) || rt.Rank1Updates != len(terms) {
-		t.Fatalf("%s: %d and %d updates counted for %d terms", label, st.Rank1Updates, rt.Rank1Updates, len(terms))
+	if st.Rank1Updates-symStats.Rank1Updates != len(terms) || rt.Rank1Updates-refStats.Rank1Updates != len(terms) {
+		t.Fatalf("%s: %d and %d updates counted for %d terms", label, st.Rank1Updates-symStats.Rank1Updates, rt.Rank1Updates-refStats.Rank1Updates, len(terms))
 	}
 	if !sym.Mirrored() || !mirrored(sym) {
 		t.Fatalf("%s: factors no longer mirror themselves (cached %v)", label, sym.Mirrored())
@@ -272,11 +276,88 @@ func checkSymmetricStep(t *testing.T, label string, sym, ref mirrorer, ws, wr *W
 	if ref.Mirrored() != mirrored(ref) {
 		t.Fatalf("%s: the rank-1 path left Mirrored %v on factors whose mirror predicate is %v", label, ref.Mirrored(), mirrored(ref))
 	}
+	want, maxA := denseEntries(delta, a.N()), max(maxAbs(a), maxAbs(b))
+	for _, p := range []struct {
+		name    string
+		f       lu.Factors
+		from    [][]float64
+		dropped int
+	}{
+		{"symmetric", sym, symFrom, st.Dropped - symStats.Dropped},
+		{"rank-1", ref, refFrom, rt.Dropped - refStats.Dropped},
+	} {
+		moved := product(p.f)
+		for i := range moved {
+			for j := range moved[i] {
+				moved[i][j] -= p.from[i][j]
+			}
+		}
+		if r, bound := maxDiff(moved, want), (symmetricBound+float64(p.dropped)*dropBound)*maxA; r > bound {
+			t.Fatalf("%s: the %s path moved L·D·U %g from ∆A with %d values dropped, bound %g", label, p.name, r, p.dropped, bound)
+		}
+	}
 	gap, scale := factorGap(sym, ref)
-	if bound := symmetricBound*scale + echo; gap > bound {
-		t.Fatalf("%s: symmetric and rank-1 factors %g apart, bound %g", label, gap, bound)
+	if st.Dropped == 0 && rt.Dropped == 0 && gap > symmetricBound*scale {
+		t.Fatalf("%s: symmetric and rank-1 factors %g apart, bound %g", label, gap, symmetricBound*scale)
 	}
 	return gap / scale
+}
+
+// product is L·D·U of either container, dense.
+func product(f lu.Factors) [][]float64 {
+	l, u, d := denseFactors(f)
+	n := len(d)
+	p := make([][]float64, n)
+	for i := range p {
+		p[i] = make([]float64, n)
+		l[i][i] = 1
+	}
+	for m := 0; m < n; m++ {
+		u[m][m] = 1
+		for i := 0; i < n; i++ {
+			if c := l[i][m] * d[m]; c != 0 {
+				for k := 0; k < n; k++ {
+					p[i][k] += c * u[m][k]
+				}
+			}
+		}
+	}
+	return p
+}
+
+// denseEntries spells the entries out as an n×n matrix, summing repeats.
+func denseEntries(es []sparse.Entry, n int) [][]float64 {
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+	}
+	for _, e := range es {
+		m[e.Row][e.Col] += e.Val
+	}
+	return m
+}
+
+// maxDiff is max |a − b| over two dense matrices of one size.
+func maxDiff(a, b [][]float64) float64 {
+	var d float64
+	for i := range a {
+		for j := range a[i] {
+			d = max(d, math.Abs(a[i][j]-b[i][j]))
+		}
+	}
+	return d
+}
+
+// maxAbs is max |A|.
+func maxAbs(a *sparse.CSR) float64 {
+	var m float64
+	for i := 0; i < a.N(); i++ {
+		_, vals := a.Row(i)
+		for _, v := range vals {
+			m = max(m, math.Abs(v))
+		}
+	}
+	return m
 }
 
 // dynamicCounters is a dynamic container's {Inserts, ScanSteps}, and
@@ -307,8 +388,8 @@ func ownFactors(t testing.TB, a *sparse.CSR) *lu.DynamicFactors {
 // symmetric path and, on a clone, through the rank-1 loop: at every step
 // the symmetric factors stay bitwise mirrored and within the bound of the
 // rank-1 ones, and solve the step's matrix as a fresh factorization does.
-// On these dense-valued walks the cutoff never bites: the gap stays at
-// rounding level, far inside symmetricBound alone.
+// Every fill position exists in the union's structure, so the gap stays
+// at rounding level, far inside symmetricBound.
 func TestSymmetricPathMatchesRank1(t *testing.T) {
 	rng := xrand.New(4715)
 	var worst float64
@@ -320,8 +401,9 @@ func TestSymmetricPathMatchesRank1(t *testing.T) {
 		}
 		ref := sym.Clone().(*lu.StaticFactors)
 		var ws, wr Workspace
+		var st, rt Stats
 		for s := 1; s < len(mats); s++ {
-			worst = max(worst, checkSymmetricStep(t, "step", sym, ref, &ws, &wr, sparse.Delta(mats[s-1], mats[s]), 0))
+			worst = max(worst, checkSymmetricStep(t, "step", sym, ref, &ws, &wr, mats[s-1], mats[s], &st, &rt))
 			x := make([]float64, mats[s].N())
 			for i := range x {
 				x[i] = rng.Float64()*2 - 1
@@ -344,8 +426,8 @@ func TestSymmetricPathMatchesRank1(t *testing.T) {
 // factors, so the crosses splice fill, and at every step the cross path
 // must keep the lists bitwise mirrored — each splice landing in L and in
 // U — lie within the bound of the dynamic rank-1 path on the same terms
-// (plus the cutoff, which decides which sub-cutoff fill is spliced), and
-// solve the step's matrix.
+// until either drops a fill value no larger than fillCutoff, move L·D·U
+// by ∆A up to what the drops account for, and solve the step's matrix.
 func TestSymmetricDynamicMatchesRank1(t *testing.T) {
 	rng := xrand.New(4719)
 	var worst float64
@@ -358,8 +440,9 @@ func TestSymmetricDynamicMatchesRank1(t *testing.T) {
 		}
 		ref := sym.Clone().(*lu.DynamicFactors)
 		var ws, wr Workspace
+		var st, rt Stats
 		for s := 1; s < len(mats); s++ {
-			worst = max(worst, checkSymmetricStep(t, "step", sym, ref, &ws, &wr, sparse.Delta(mats[s-1], mats[s]), PropagationCutoff))
+			worst = max(worst, checkSymmetricStep(t, "step", sym, ref, &ws, &wr, mats[s-1], mats[s], &st, &rt))
 			x := make([]float64, mats[s].N())
 			for i := range x {
 				x[i] = rng.Float64()*2 - 1
@@ -722,9 +805,10 @@ func TestSymmetricApplyZeroAlloc(t *testing.T) {
 // column, value) after a size byte — and holds the symmetric path to
 // the rank-1 loop on both containers: CLUDE's, the union's static
 // factors, and INC's, the first matrix's own factors as linked lists
-// that the delta's fill is spliced into. No panic, mirrored factors,
-// within symmetricBound plus the cutoff's echo (twice the cutoff on the
-// lists, where the paths also decide fill apart).
+// that the delta's fill is spliced into. No panic, mirrored factors, and
+// checkSymmetricStep's bounds: symmetricBound between the paths while
+// neither drops fill, and on either path L·D·U moved by ∆A up to
+// rounding and dropBound per dropped value.
 func FuzzSymmetricUpdate(f *testing.F) {
 	f.Add([]byte{12, 0, 1, 9, 1, 2, 200, 0, 0, 50, 3, 4, 7, 0, 3, 90})
 	f.Add([]byte{6, 0, 5, 100, 1, 5, 30, 5, 5, 20, 2, 3, 40, 2, 2, 9})
@@ -732,6 +816,7 @@ func FuzzSymmetricUpdate(f *testing.F) {
 	f.Add([]byte("7000000000b00CY0Cl0Y.\xf4!60Ab .100207A0!z0z70"))
 	f.Add([]byte("9xz\x0exb0a,0aA00000001,00002c0800zg0100170\xdbA0bc09800"))
 	f.Add([]byte("2a9\xf5$E\x11b\xce\xc7000\xf5Z\a29E000a1\xd818000000000001A79a01X8\b bZ7000b8\x0400021\xde000"))
+	f.Add([]byte("9xz\x0exb0aA0000000000000000000*W\xa60000x0a-00000C0C000C0B002C\x10000b\xe8\xb9000XC\xafyc00002A 000x00,z\xc7X,Ab\xbea000y.A0xx000*y0000000zg0000000000bc00000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -768,8 +853,8 @@ func FuzzSymmetricUpdate(f *testing.F) {
 		a := c.ToCSR()
 		b := applyEntries(a, delta)
 		sym := unionFactors(t, []*sparse.CSR{a, b})
-		checkSymmetricStep(t, "fuzz static", sym, sym.Clone().(mirrorer), new(Workspace), new(Workspace), sparse.Delta(a, b), PropagationCutoff)
+		checkSymmetricStep(t, "fuzz static", sym, sym.Clone().(mirrorer), new(Workspace), new(Workspace), a, b, new(Stats), new(Stats))
 		dyn := ownFactors(t, a)
-		checkSymmetricStep(t, "fuzz dynamic", dyn, dyn.Clone().(mirrorer), new(Workspace), new(Workspace), sparse.Delta(a, b), 2*PropagationCutoff)
+		checkSymmetricStep(t, "fuzz dynamic", dyn, dyn.Clone().(mirrorer), new(Workspace), new(Workspace), a, b, new(Stats), new(Stats))
 	})
 }
