@@ -89,12 +89,6 @@ func BenchmarkTblBennettProfile(b *testing.B)    { benchExperiment(b, "tblBennet
 // internal/bench.SparseSolve).
 func BenchmarkSparseSolveQueries(b *testing.B) { benchExperiment(b, "sparsesolve") }
 
-// BenchmarkSupernodalSubstitution runs the supernodal panel experiment:
-// panel-packed vs scalar blocked substitution across community
-// structure, RHS counts, and relaxation widths, with the bit-identity
-// checksum table (see internal/bench.Supernodal).
-func BenchmarkSupernodalSubstitution(b *testing.B) { benchExperiment(b, "supernodal") }
-
 // BenchmarkParallelWorkers runs each LUDEM algorithm end-to-end across
 // engine pool sizes (compare sub-benchmark ns/op to see the scaling;
 // on a multi-core box CLUDE/workers=4 should be well under workers=1).
@@ -250,7 +244,7 @@ func BenchmarkKernelSolveRHS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SolveRHS(rhs, true, &ws)
+		s.SolveRHS(rhs, &ws)
 	}
 }
 

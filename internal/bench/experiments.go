@@ -39,7 +39,6 @@ func Registry() []Experiment {
 		{"ablation", "docs/ALGORITHMS.md Ablations: ordering quality and USSP slack", Ablation},
 		{"parallel", "Engine: wall-clock scaling vs worker-pool size (beyond the paper)", Parallel},
 		{"sparsesolve", "Serving layer: reach-based sparse vs dense solve latency vs cluster count", SparseSolve},
-		{"supernodal", "Query path: supernodal panel-packed vs scalar blocked substitution on community factors (beyond the paper)", Supernodal},
 		{"history", "Serving layer: delta-compressed factor history — resident bytes and materialization latency vs base spacing (beyond the paper)", History},
 	}
 }

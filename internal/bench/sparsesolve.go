@@ -166,7 +166,7 @@ func sparseVsDense(d Datasets, cfg gen.DBLPConfig, label string) (row, check []s
 	routed := 0
 	for _, p := range seeds {
 		rhs[0].Idx[0] = solver.O.Row[p]
-		if solver.SolveRHS(rhs, true, &ws).Route == lu.RouteReach {
+		if solver.SolveRHS(rhs, &ws).Route == lu.RouteReach {
 			routed++
 		}
 	}

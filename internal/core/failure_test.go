@@ -328,7 +328,7 @@ func TestRefactorizedSolverStaysBound(t *testing.T) {
 					want := s.Solve(sparse.Basis(n, src, 1))
 					rhs := []lu.RHS{{Idx: []int{src}, Val: []float64{1}}}
 					got := make([]float64, n)
-					if s.SolveRHS(rhs, false, &ws).Route == lu.RouteReach {
+					if s.SolveRHS(rhs, &ws).Route == lu.RouteReach {
 						for k, u := range rhs[0].XIdx {
 							got[u] = rhs[0].XVal[k]
 						}

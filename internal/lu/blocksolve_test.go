@@ -82,8 +82,8 @@ func assertBlockEquals(t *testing.T, tag string, rhs []lu.RHS, want [][]float64)
 }
 
 // checkBlockMatchesSingles solves the block through the scalar block
-// strategy and through the dispatcher on unfrozen factors (which must
-// report the dense route at k = 1 and the scalar block beyond), and
+// strategy and through the dispatcher (which must report the dense
+// route at k = 1 and the block route beyond), and
 // asserts the bit-identity contract both ways.
 func checkBlockMatchesSingles(t *testing.T, tag string, s *lu.Solver, bs [][]float64, ws *lu.SolveWorkspace) {
 	t.Helper()
@@ -94,13 +94,13 @@ func checkBlockMatchesSingles(t *testing.T, tag string, s *lu.Solver, bs [][]flo
 	assertBlockEquals(t, tag+" forced", forced, want)
 
 	routed := denseBlock(bs)
-	rep := s.SolveRHS(routed, false, ws)
+	rep := s.SolveRHS(routed, ws)
 	wantRoute := lu.RouteBlock
 	if len(bs) == 1 {
 		wantRoute = lu.RouteDense
 	}
-	if rep.Route != wantRoute || rep.Packed != nil || rep.ProbeAborted {
-		t.Fatalf("%s: k=%d unfrozen dense block reported %+v, want route %s", tag, len(bs), rep, wantRoute)
+	if rep.Route != wantRoute || rep.ProbeAborted {
+		t.Fatalf("%s: k=%d dense block reported %+v, want route %s", tag, len(bs), rep, wantRoute)
 	}
 	assertBlockEquals(t, tag+" routed", routed, want)
 }
@@ -236,7 +236,7 @@ func TestSolveRHSDstContract(t *testing.T) {
 			dsts[r] = make([]float64, 0, n)
 			rhs[r].X = dsts[r]
 		}
-		s.SolveRHS(rhs, false, &ws)
+		s.SolveRHS(rhs, &ws)
 		for r := range rhs {
 			if &rhs[r].X[0] != &dsts[r][:1][0] {
 				t.Errorf("k=%d rhs %d: SolveRHS did not reuse X capacity", k, r)
@@ -249,7 +249,7 @@ func TestSolveRHSDstContract(t *testing.T) {
 		for r := range alias {
 			alias[r].X = alias[r].B
 		}
-		s.SolveRHS(alias, false, &ws)
+		s.SolveRHS(alias, &ws)
 		assertBlockEquals(t, "aliased", alias, want)
 	}
 }

@@ -71,22 +71,17 @@ func TestClonesUnmovedByUpdatesOfTheOriginal(t *testing.T) {
 		p.step(t)
 	}
 	var ws lu.SolveWorkspace
-	for i, pn := range pins {
+	for _, pn := range pins {
 		assertBlockEquals(t, "dense", func() []lu.RHS {
 			rhs := denseBlock(bs)
 			for r := range rhs {
-				pn.s.SolveRHS(rhs[r:r+1], true, &ws)
+				pn.s.SolveRHS(rhs[r:r+1], &ws)
 			}
 			return rhs
 		}(), pn.want)
 		blocked := denseBlock(bs)
 		pn.s.ForceBlock(blocked, &ws)
 		assertBlockEquals(t, "block", blocked, pn.want)
-		packed := denseBlock(bs)
-		if !pn.s.ForcePanel(packed, &ws) {
-			t.Fatalf("pin %d: no panel form", i)
-		}
-		assertBlockEquals(t, "panel", packed, pn.want)
 	}
 }
 
@@ -114,7 +109,7 @@ func TestConcurrentSolvesOnClonesDuringUpdates(t *testing.T) {
 				default:
 				}
 				rhs := denseBlock(bs)
-				c.SolveRHS(rhs, true, &ws)
+				c.SolveRHS(rhs, &ws)
 				for k := range rhs {
 					for i := range want[k] {
 						if rhs[k].X[i] != want[k][i] {

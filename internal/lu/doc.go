@@ -37,14 +37,12 @@
 // one dense right-hand side. Solver.SolveRHS is the entry point for
 // everything else: it takes k ≥ 1 right-hand sides (support lists or
 // dense vectors) and one SolveWorkspace, checks the input once, picks
-// the substitution route itself — reach-restricted, dense, scalar
-// block, or packed supernodal panels — from the support's capped reach
-// probe, k, the container type and the packed set's mean panel width,
-// and returns a Report naming the route. The thresholds are unexported
-// constants beside the dispatcher in solve.go; the only thing a caller
-// states is whether the factors are frozen. The kernels the routes run
-// (SolveInPlace, SolveReachInPlace, SolveBlockInPlace on both
-// containers, PanelSet.SolveBlockInPlace) are exported for the bench
+// the substitution route itself — reach-restricted, dense, or block —
+// from k and the support's capped reach probe, and returns a Report
+// naming the route. The thresholds are unexported constants beside the
+// dispatcher in solve.go; a caller states nothing about the factors.
+// The kernels the routes run (SolveInPlace, SolveReachInPlace and
+// SolveBlockInPlace on both containers) are exported for the bench
 // sweeps that justify those thresholds, and all of them execute, per
 // right-hand side, the same floating-point operations in the same
 // order, so every route returns the same bits.

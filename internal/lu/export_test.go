@@ -15,23 +15,8 @@ func (s *Solver) ForceReach(r *RHS, maxReach int, ws *SolveWorkspace) bool {
 // for one right-hand side, the container's block sweep for more).
 func (s *Solver) ForceBlock(rhs []RHS, ws *SolveWorkspace) {
 	s.prep()
-	s.solveBlock(rhs, nil, ws)
+	s.solveBlock(rhs, ws)
 }
-
-// ForcePanel runs the packed-panel strategy at any width, reporting
-// false (and solving nothing) when the solver has no panel form.
-func (s *Solver) ForcePanel(rhs []RHS, ws *SolveWorkspace) bool {
-	s.prep()
-	ps, _ := s.panelsBuild()
-	if ps == nil {
-		return false
-	}
-	s.solveBlock(rhs, ps, ws)
-	return true
-}
-
-// PanelsBuild exposes the lazy pack and its built-by-this-call report.
-func (s *Solver) PanelsBuild() (*PanelSet, bool) { return s.panelsBuild() }
 
 // SymbolicReference is the heap row merge the pruned Symbolic is held
 // against, for the tests that also need order's eliminations.

@@ -86,11 +86,6 @@ type Solver struct {
 	lsucc    func(int) []int
 	usucc    func(int) []int
 
-	// Lazily packed supernodal panels (see panelsBuild). Only built
-	// for frozen StaticFactors; nil after the once for anything else.
-	panelOnce sync.Once
-	panels    *PanelSet
-
 	// probe is the reach probe's abort streak and the support-list
 	// solves still to run without probing (see probeDue): streak<<8 |
 	// skips. It only schedules probes — every route returns the same
@@ -153,9 +148,6 @@ const (
 	// RouteBlock is one traversal of the factors shared by all k
 	// right-hand sides (Factors.SolveBlockInPlace).
 	RouteBlock Route = "block"
-	// RoutePanel is RouteBlock through the packed supernodal panels
-	// (PanelSet.SolveBlockInPlace).
-	RoutePanel Route = "panel"
 )
 
 // Report says what a SolveRHS call did, so callers can account for the
@@ -173,10 +165,6 @@ type Report struct {
 	// aborted (see probeSuspendAfter). Every k = 1 support-list solve is
 	// exactly one of RouteReach, ProbeAborted and ProbeSkipped.
 	ProbeSkipped bool
-	// Packed is the panel set this call built and cached on the solver;
-	// nil unless this very call paid the packing, so exactly one caller
-	// per solver can account its cost.
-	Packed *PanelSet
 }
 
 // The route policy. Each threshold keeps the value its bench sweep
@@ -199,12 +187,6 @@ const (
 	// on forward reach alone.
 	probeSuspendAfter = 2
 	probeMaxSkip      = 63
-	// panelMinMeanWidth and panelMinWork gate the packed panels: below
-	// a mean panel width of 1.5 nothing merged, and below mean width ×
-	// k = 8 the dense-block amortization does not pay for the lane
-	// interleave (supernodal sweep).
-	panelMinMeanWidth = 1.5
-	panelMinWork      = 8
 )
 
 // SolveRHS solves A·x = b for every right-hand side in rhs, writing
@@ -217,19 +199,13 @@ const (
 //     solver's probes are suspended after aborting twice or more in a
 //     row (probeSuspendAfter).
 //   - k = 1, dense vector: RouteDense (the reach is all of n).
-//   - k ≥ 2: one blocked traversal — RoutePanel when frozen is set, the
-//     factors are *StaticFactors, and the solver's packed set (built on
-//     first need) has mean width ≥ 1.5 and mean width × k ≥ 8;
-//     RouteBlock otherwise.
-//
-// frozen states that the factor values will never change again (a
-// pinned or materialized solver): the packed panels snapshot values,
-// so a live source's solver must pass false.
+//   - k ≥ 2: RouteBlock, one traversal of the factors shared by all k
+//     (Factors.SolveBlockInPlace), on either container.
 //
 // It panics when a dense right-hand side's length is not the system
 // dimension, a support list's Idx and Val differ in length, or a
 // support index lies outside [0, n).
-func (s *Solver) SolveRHS(rhs []RHS, frozen bool, ws *SolveWorkspace) Report {
+func (s *Solver) SolveRHS(rhs []RHS, ws *SolveWorkspace) Report {
 	n := s.F.Dim()
 	for r := range rhs {
 		checkRHS(&rhs[r], r, n)
@@ -260,26 +236,11 @@ func (s *Solver) SolveRHS(rhs []RHS, frozen bool, ws *SolveWorkspace) Report {
 				rep.ProbeAborted = true
 			}
 		}
-		s.solveBlock(rhs, nil, ws)
+		s.solveBlock(rhs, ws)
 		rep.Route = RouteDense
 	default:
-		var ps *PanelSet
-		if frozen {
-			var built bool
-			if ps, built = s.panelsBuild(); built {
-				rep.Packed = ps
-			}
-			if ps != nil {
-				if mw := ps.MeanWidth(); mw < panelMinMeanWidth || mw*float64(k) < panelMinWork {
-					ps = nil
-				}
-			}
-		}
-		s.solveBlock(rhs, ps, ws)
+		s.solveBlock(rhs, ws)
 		rep.Route = RouteBlock
-		if ps != nil {
-			rep.Route = RoutePanel
-		}
 	}
 	return rep
 }
@@ -388,10 +349,9 @@ func (s *Solver) solveReach(r *RHS, maxReach int, ws *SolveWorkspace) bool {
 
 // solveBlock is the full-substitution strategy for k ≥ 1 right-hand
 // sides: permute each into a workspace vector, run one kernel over all
-// of them — the packed panels when ps is non-nil, the container's
-// scalar block sweep for k ≥ 2, SolveInPlace for a lone vector — and
-// scatter each solution into its X.
-func (s *Solver) solveBlock(rhs []RHS, ps *PanelSet, ws *SolveWorkspace) {
+// of them — the container's block sweep for k ≥ 2, SolveInPlace for a
+// lone vector — and scatter each solution into its X.
+func (s *Solver) solveBlock(rhs []RHS, ws *SolveWorkspace) {
 	n := s.F.Dim()
 	cols := ws.vectors(len(rhs), n)
 	for r := range rhs {
@@ -409,12 +369,9 @@ func (s *Solver) solveBlock(rhs []RHS, ps *PanelSet, ws *SolveWorkspace) {
 			w[s.rowInv[u]] += rhs[r].Val[i]
 		}
 	}
-	switch {
-	case ps != nil:
-		ps.SolveBlockInPlace(cols, ws)
-	case len(cols) == 1:
+	if len(cols) == 1 {
 		s.F.SolveInPlace(cols[0])
-	default:
+	} else {
 		s.F.SolveBlockInPlace(cols)
 	}
 	for r := range rhs {

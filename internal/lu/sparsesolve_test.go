@@ -166,8 +166,7 @@ func TestReachRouteCap(t *testing.T) {
 // communitySolver factorizes the last snapshot of a DBLP-like stream
 // with fully disjoint communities under the Markowitz ordering: a
 // seed's dependency closure stays inside its community, so the reach
-// route applies, and the coauthor cliques give the packed panels real
-// width.
+// route applies.
 func communitySolver(t testing.TB, communities int) *lu.Solver {
 	t.Helper()
 	egs, err := gen.DBLPSim(gen.DBLPConfig{
@@ -216,26 +215,22 @@ func TestSolveRHSRouteReport(t *testing.T) {
 		name    string
 		s       *lu.Solver
 		rhs     []lu.RHS
-		frozen  bool
 		route   lu.Route
 		aborted bool
-		packed  bool
 	}{
-		{"support list on disjoint communities", comm, seedsOf(comm.F.Dim(), 1), true, lu.RouteReach, false, false},
-		{"support list on a single blob", wiki, seedsOf(wiki.F.Dim(), 1), true, lu.RouteDense, true, false},
-		{"dense vector never probes", comm, uniform(comm.F.Dim()), true, lu.RouteDense, false, false},
-		{"live factors never pack", comm, seedsOf(comm.F.Dim(), 8), false, lu.RouteBlock, false, false},
-		{"dynamic factors have no panels", dyn, seedsOf(dyn.F.Dim(), 8), true, lu.RouteBlock, false, false},
-		{"frozen static block packs once", comm, seedsOf(comm.F.Dim(), 8), true, lu.RoutePanel, false, true},
-		{"second block reuses the set", comm, seedsOf(comm.F.Dim(), 8), true, lu.RoutePanel, false, false},
-		{"narrow block stays scalar", comm, seedsOf(comm.F.Dim(), 2), true, lu.RouteBlock, false, false},
+		{"support list on disjoint communities", comm, seedsOf(comm.F.Dim(), 1), lu.RouteReach, false},
+		{"support list on a single blob", wiki, seedsOf(wiki.F.Dim(), 1), lu.RouteDense, true},
+		{"dense vector never probes", comm, uniform(comm.F.Dim()), lu.RouteDense, false},
+		{"static factors block", comm, seedsOf(comm.F.Dim(), 8), lu.RouteBlock, false},
+		{"dynamic factors block", dyn, seedsOf(dyn.F.Dim(), 8), lu.RouteBlock, false},
+		{"narrow block stays scalar", comm, seedsOf(comm.F.Dim(), 2), lu.RouteBlock, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ws lu.SolveWorkspace
 			n := tc.s.F.Dim()
-			rep := tc.s.SolveRHS(tc.rhs, tc.frozen, &ws)
-			if rep.Route != tc.route || rep.ProbeAborted != tc.aborted || (rep.Packed != nil) != tc.packed {
-				t.Fatalf("report %+v, want route=%s aborted=%v packed=%v", rep, tc.route, tc.aborted, tc.packed)
+			rep := tc.s.SolveRHS(tc.rhs, &ws)
+			if rep.Route != tc.route || rep.ProbeAborted != tc.aborted {
+				t.Fatalf("report %+v, want route=%s aborted=%v", rep, tc.route, tc.aborted)
 			}
 			for r := range tc.rhs {
 				b := tc.rhs[r].B
@@ -298,7 +293,7 @@ func TestSolveRHSInputCheck(t *testing.T) {
 					t.Fatalf("panic %v, want %q", got, tc.want)
 				}
 			}()
-			s.SolveRHS(tc.rhs, true, &lu.SolveWorkspace{})
+			s.SolveRHS(tc.rhs, &lu.SolveWorkspace{})
 		})
 	}
 }
@@ -307,7 +302,7 @@ func TestSolveRHSInputCheck(t *testing.T) {
 // and returns the report and the solution as a full vector.
 func supportSolve(s *lu.Solver, seed int, ws *lu.SolveWorkspace) (lu.Report, []float64) {
 	rhs := []lu.RHS{{Idx: []int{seed}, Val: []float64{0.15}}}
-	rep := s.SolveRHS(rhs, true, ws)
+	rep := s.SolveRHS(rhs, ws)
 	x := rhs[0].X
 	if rep.Route == lu.RouteReach {
 		x = make([]float64, s.F.Dim())

@@ -30,9 +30,8 @@ type Query struct {
 // one lu.Solver.SolveRHS call — the solver picks the substitution route
 // for the whole group and the report says which — writing each answer
 // into its Query. Every answer is bit-identical to the matching RWR /
-// PPR / PageRank call whatever the route. frozen is SolveRHS's: true
-// for pinned or materialized factors, false for a live source's.
-func (e *Engine) Batch(qs []Query, frozen bool, ws *lu.SolveWorkspace) lu.Report {
+// PPR / PageRank call whatever the route.
+func (e *Engine) Batch(qs []Query, ws *lu.SolveWorkspace) lu.Report {
 	n := e.dim()
 	rhs := ws.RHS(len(qs))
 	for r := range qs {
@@ -43,7 +42,7 @@ func (e *Engine) Batch(qs []Query, frozen bool, ws *lu.SolveWorkspace) lu.Report
 		}
 		e.restart(&qs[r], n, &rhs[r])
 	}
-	rep := e.Solver.SolveRHS(rhs, frozen, ws)
+	rep := e.Solver.SolveRHS(rhs, ws)
 	for r := range qs {
 		qs[r].answer(&rhs[r], n, rep.Route == lu.RouteReach)
 	}

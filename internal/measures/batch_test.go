@@ -83,7 +83,7 @@ func TestBatchReachRouteMatchesDense(t *testing.T) {
 	n := e.dim()
 	for u := 0; u < n; u += 17 {
 		qs := []Query{{Seeds: []int{u}}}
-		rep := e.Batch(qs, true, &ws)
+		rep := e.Batch(qs, &ws)
 		if rep.Route != lu.RouteReach || rep.ReachRows == 0 || rep.ReachRows > n/4 {
 			t.Fatalf("RWR(%d) on disjoint communities reported %+v, want the reach route", u, rep)
 		}
@@ -94,7 +94,7 @@ func TestBatchReachRouteMatchesDense(t *testing.T) {
 	// the bits must not move.
 	for _, seeds := range [][]int{{3}, {7, 7, 7}, {3, 50, 120}, {}} {
 		qs := []Query{{Seeds: seeds}}
-		e.Batch(qs, true, &ws)
+		e.Batch(qs, &ws)
 		assertSameVector(t, "ppr", qs[0].Scores, e.PPR(seeds))
 	}
 }
@@ -103,7 +103,7 @@ func TestBatchProbeAbortFallsBackToDense(t *testing.T) {
 	e := blobEngine(t)
 	var ws lu.SolveWorkspace
 	qs := []Query{{Seeds: []int{0}}}
-	rep := e.Batch(qs, true, &ws)
+	rep := e.Batch(qs, &ws)
 	if rep.Route != lu.RouteDense || !rep.ProbeAborted {
 		t.Fatalf("hub RWR on one big component reported %+v, want probe abort then dense", rep)
 	}
@@ -115,14 +115,14 @@ func TestBatchProbeAbortFallsBackToDense(t *testing.T) {
 		big[i] = i
 	}
 	qs = []Query{{Seeds: big}}
-	if rep := e.Batch(qs, true, &ws); rep.Route != lu.RouteDense || !rep.ProbeAborted {
+	if rep := e.Batch(qs, &ws); rep.Route != lu.RouteDense || !rep.ProbeAborted {
 		t.Fatalf("oversized seed set reported %+v, want dense", rep)
 	}
 	assertSameVector(t, "ppr", qs[0].Scores, e.PPR(big))
 
 	// PageRank's right-hand side is dense: it never probes.
 	qs = []Query{{Global: true}}
-	if rep := e.Batch(qs, true, &ws); rep.Route != lu.RouteDense || rep.ProbeAborted {
+	if rep := e.Batch(qs, &ws); rep.Route != lu.RouteDense || rep.ProbeAborted {
 		t.Fatalf("pagerank reported %+v, want dense without a probe", rep)
 	}
 	assertSameVector(t, "pagerank", qs[0].Scores, e.PageRank())
@@ -138,7 +138,7 @@ func TestBatchTopKMatchesDense(t *testing.T) {
 			dense := e.RWR(u)
 			for _, k := range []int{1, 5, n / 8, n/8 + 7, n, n + 3} {
 				qs := []Query{{Seeds: []int{u}, TopK: k}}
-				rep := e.Batch(qs, true, &ws)
+				rep := e.Batch(qs, &ws)
 				if wantReach := name == "reach"; (rep.Route == lu.RouteReach) != wantReach {
 					t.Fatalf("%s engine: top-k took route %s", name, rep.Route)
 				}
@@ -185,9 +185,9 @@ func TestBatchBlockMatchesSingles(t *testing.T) {
 		for i := range qs {
 			qs[i].Seeds = []int{rng.Intn(n)}
 		}
-		rep := e.Batch(qs, false, &ws)
+		rep := e.Batch(qs, &ws)
 		if wantBlock := k >= 2; (rep.Route == lu.RouteBlock) != wantBlock {
-			t.Fatalf("k=%d live batch took route %s", k, rep.Route)
+			t.Fatalf("k=%d batch took route %s", k, rep.Route)
 		}
 		for r := range qs {
 			assertSameVector(t, "rwr row", qs[r].Scores, e.RWR(qs[r].Seeds[0]))
@@ -202,7 +202,7 @@ func TestBatchBlockMatchesSingles(t *testing.T) {
 		{Seeds: []int{9}, TopK: 6},
 		{Seeds: []int{5, 5, 5}},
 	}
-	if rep := e.Batch(qs, false, &ws); rep.Route != lu.RouteBlock {
+	if rep := e.Batch(qs, &ws); rep.Route != lu.RouteBlock {
 		t.Fatalf("mixed block took route %s", rep.Route)
 	}
 	assertSameVector(t, "ppr dup", qs[0].Scores, e.PPR(qs[0].Seeds))
@@ -221,16 +221,16 @@ func TestBatchAnswersOutliveTheWorkspace(t *testing.T) {
 	e := blobEngine(t)
 	var ws lu.SolveWorkspace
 	first := []Query{{Seeds: []int{9}}, {Global: true}}
-	e.Batch(first, true, &ws)
+	e.Batch(first, &ws)
 	keepRWR := append([]float64(nil), first[0].Scores...)
 	keepPR := append([]float64(nil), first[1].Scores...)
 
 	// Dirty the same slots with every shape, twice.
 	for round := 0; round < 2; round++ {
-		e.Batch([]Query{{Seeds: []int{4, 9, 4}, TopK: 3}, {Global: true, TopK: 2}}, true, &ws)
-		e.Batch([]Query{{Global: true}, {Seeds: []int{1}}}, true, &ws)
-		e.Batch([]Query{{Seeds: []int{2}, TopK: 5}}, true, &ws)
-		e.Batch([]Query{{Seeds: []int{2}}}, true, &ws)
+		e.Batch([]Query{{Seeds: []int{4, 9, 4}, TopK: 3}, {Global: true, TopK: 2}}, &ws)
+		e.Batch([]Query{{Global: true}, {Seeds: []int{1}}}, &ws)
+		e.Batch([]Query{{Seeds: []int{2}, TopK: 5}}, &ws)
+		e.Batch([]Query{{Seeds: []int{2}}}, &ws)
 	}
 	assertSameVector(t, "kept rwr", first[0].Scores, keepRWR)
 	assertSameVector(t, "kept pagerank", first[1].Scores, keepPR)

@@ -317,18 +317,18 @@ func TestSolverEngineBatchMatchesEngine(t *testing.T) {
 	}
 	for u := 0; u < g.N(); u++ {
 		qs := []Query{{Seeds: []int{u}}}
-		se.Batch(qs, true, &ws)
+		se.Batch(qs, &ws)
 		same("RWR", qs[0].Scores, e.RWR(u))
 	}
 	qs := []Query{{Seeds: []int{0, 2}}}
-	se.Batch(qs, true, &ws)
+	se.Batch(qs, &ws)
 	same("PPR", qs[0].Scores, e.PPR([]int{0, 2}))
 	qs = []Query{{Global: true}}
-	se.Batch(qs, true, &ws)
+	se.Batch(qs, &ws)
 	same("PageRank", qs[0].Scores, e.PageRank())
 
 	multi := []Query{{Seeds: []int{1}}, {Seeds: []int{1}}, {Seeds: []int{3}}}
-	se.Batch(multi, true, &ws)
+	se.Batch(multi, &ws)
 	same("multi[0]", multi[0].Scores, e.RWR(1))
 	same("multi[1]", multi[1].Scores, e.RWR(1))
 	same("multi[2]", multi[2].Scores, e.RWR(3))

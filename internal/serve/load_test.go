@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/lu"
 )
 
@@ -373,17 +374,29 @@ func TestPublishMidFlightCannotFillStaleCache(t *testing.T) {
 	}
 }
 
-// TestBlockedGroupBitIdentical wedges the single worker, queues six
-// distinct same-snapshot queries behind it, and asserts they come back
-// as exactly one blocked multi-RHS solve with every answer — and the
-// cache entries it fills — bit-identical to the cold single-query
-// path.
-func TestBlockedGroupBitIdentical(t *testing.T) {
-	eng, _, ref := pinnedEngine(t, Config{
-		Workers: 1, QueueDepth: 16, CacheSize: 512,
-	})
-	defer eng.Close()
-	g := newGatedLive(ref[9].Clone(), 2)
+// blockedQueries is a route-compatible query set against one snapshot,
+// exactly as wide as one worker gather.
+func blockedQueries(snap int) []Query {
+	return []Query{
+		{Snapshot: snap, Measure: MeasureRWR, Source: 3},
+		{Snapshot: snap, Measure: MeasureRWR, Source: 11},
+		{Snapshot: snap, Measure: MeasurePPR, Sources: []int{2, 9}},
+		{Snapshot: snap, Measure: MeasureTopK, Source: 5, K: 7},
+		{Snapshot: snap, Measure: MeasurePageRank},
+		{Snapshot: snap, Measure: MeasurePPR, Sources: []int{0}},
+		{Snapshot: snap, Measure: MeasureRWR, Source: 40},
+		{Snapshot: snap, Measure: MeasureRWR, Source: 77},
+	}
+}
+
+// runBlockedGroup attaches live as a gated live source, wedges the
+// engine's single worker on a live query against it, piles qs behind
+// it so they gather into one batch, and returns the responses.
+func runBlockedGroup(t *testing.T, eng *Engine, live *lu.Solver, qs []Query) []*Response {
+	t.Helper()
+	// View call 1 is the gating query's resolve; call 2 is the worker's
+	// solve view — the point to wedge so followers pile up in the queue.
+	g := newGatedLive(live, 2)
 	eng.AttachLive(g)
 
 	liveDone := make(chan error, 1)
@@ -393,15 +406,6 @@ func TestBlockedGroupBitIdentical(t *testing.T) {
 	}()
 	<-g.entered
 
-	const snap = 4
-	qs := []Query{
-		{Snapshot: snap, Measure: MeasureRWR, Source: 3},
-		{Snapshot: snap, Measure: MeasureRWR, Source: 11},
-		{Snapshot: snap, Measure: MeasurePPR, Sources: []int{2, 9}},
-		{Snapshot: snap, Measure: MeasureTopK, Source: 5, K: 7},
-		{Snapshot: snap, Measure: MeasurePageRank},
-		{Snapshot: snap, Measure: MeasurePPR, Sources: []int{0}},
-	}
 	resps := make([]*Response, len(qs))
 	errs := make([]error, len(qs))
 	var wg sync.WaitGroup
@@ -420,32 +424,60 @@ func TestBlockedGroupBitIdentical(t *testing.T) {
 	if err := <-liveDone; err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range qs {
+	for i := range qs {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])
 		}
-		wantNodes, wantScores := coldAnswer(q, ref[snap])
-		sameAnswer(t, q.Measure, resps[i], wantNodes, wantScores)
-		if resps[i].Snapshot != snap || resps[i].CacheHit {
-			t.Fatalf("query %d: Snapshot=%d CacheHit=%v", i, resps[i].Snapshot, resps[i].CacheHit)
-		}
 	}
+	return resps
+}
 
-	st := eng.Stats()
-	if st.BlockSolves != 1 || st.BlockedRHS != int64(len(qs)) {
-		t.Fatalf("BlockSolves=%d BlockedRHS=%d, want one block of %d", st.BlockSolves, st.BlockedRHS, len(qs))
-	}
+// TestBlockedGroupBitIdentical wedges the single worker, queues a full
+// gather of distinct same-snapshot queries behind it, and asserts they
+// come back as exactly one blocked multi-RHS solve with every answer —
+// and the cache entries it fills — bit-identical to the cold
+// single-query path. It runs on the Wiki-like blob and on the
+// community factors, whose coauthor cliques are the widest columns any
+// test engine has.
+func TestBlockedGroupBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine func(*testing.T, Config) (*Engine, *graph.EMS, map[int]*lu.Solver)
+	}{
+		{"wiki", pinnedEngine},
+		{"community", communityEngine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ems, ref := tc.engine(t, Config{Workers: 1, QueueDepth: 16, CacheSize: 512})
+			defer eng.Close()
+			const snap = 4
+			qs := blockedQueries(snap)
+			resps := runBlockedGroup(t, eng, ref[ems.Len()-1].Clone(), qs)
+			for i, q := range qs {
+				wantNodes, wantScores := coldAnswer(q, ref[snap])
+				sameAnswer(t, q.Measure, resps[i], wantNodes, wantScores)
+				if resps[i].Snapshot != snap || resps[i].CacheHit {
+					t.Fatalf("query %d: Snapshot=%d CacheHit=%v", i, resps[i].Snapshot, resps[i].CacheHit)
+				}
+			}
 
-	// The block's cache fills must serve subsequent singles verbatim.
-	for i, q := range qs {
-		again, err := eng.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !again.CacheHit {
-			t.Fatalf("query %d: blocked answer was not cached", i)
-		}
-		wantNodes, wantScores := coldAnswer(q, ref[snap])
-		sameAnswer(t, q.Measure+" cached", again, wantNodes, wantScores)
+			st := eng.Stats()
+			if st.BlockSolves != 1 || st.BlockedRHS != int64(len(qs)) {
+				t.Fatalf("BlockSolves=%d BlockedRHS=%d, want one block of %d", st.BlockSolves, st.BlockedRHS, len(qs))
+			}
+
+			// The block's cache fills must serve subsequent singles verbatim.
+			for i, q := range qs {
+				again, err := eng.Query(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !again.CacheHit {
+					t.Fatalf("query %d: blocked answer was not cached", i)
+				}
+				wantNodes, wantScores := coldAnswer(q, ref[snap])
+				sameAnswer(t, q.Measure+" cached", again, wantNodes, wantScores)
+			}
+		})
 	}
 }

@@ -32,14 +32,9 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	cf("clude_solves_total", "Cold solves (cache fills), all paths.", &e.solves)
 	cf("clude_block_solves_total", "Blocked multi-RHS dispatches (groups of >= 2 compatible queries).", &e.blockSolves)
 	cf("clude_blocked_rhs_total", "Right-hand sides carried by blocked dispatches.", &e.blockedRHS)
-	cf("clude_panel_solves_total", "Blocked dispatches routed through the supernodal panel-packed substitution (clude_panel_solves_total + clude_scalar_block_solves_total == clude_block_solves_total).", &e.panelSolves)
-	cf("clude_panel_rhs_total", "Right-hand sides carried by panel-routed dispatches.", &e.panelRHS)
-	cf("clude_scalar_block_solves_total", "Blocked dispatches routed through the factor container's scalar block sweep.", &e.scalarBlocks)
+	r.CounterFunc("clude_panel_rhs_total", "Always 0: the panel solve route is gone. Kept only because the committed benchmark reads it (serve.panel_share) and fails a run whose series disappears; a change to the benchmark retires both.", nil,
+		func() float64 { return 0 })
 	cf("clude_single_groups_total", "Route groups of one query (reach-restricted or dense solve).", &e.singleGroups)
-	cf("clude_panel_packs_total", "Packed panel sets built (one per pinned solver that ever took the panel route).", &e.panelPacks)
-	cf("clude_panel_cols_covered_total", "Columns held in panels of width >= 2 across built panel sets.", &e.panelCols)
-	r.CounterFunc("clude_panel_pack_seconds_total", "Cumulative wall time spent packing panel sets (paid once per pinned solver, off the publish path).", nil,
-		func() float64 { return float64(e.panelPackNS.Load()) / 1e9 })
 	cf("clude_sparse_solves_total", "Cold solves answered through the reach-based sparse path.", &e.sparseSolves)
 	cf("clude_dense_solves_total", "Cold solves answered through the dense substitution.", &e.denseSolves)
 	cf("clude_sparse_fallbacks_total", "Sparse attempts aborted at the reach cap (each also counts one dense solve).", &e.sparseFallbacks)

@@ -194,28 +194,11 @@ type Stats struct {
 	// multi-RHS dispatches (groups of ≥ 2 compatible queries solved in
 	// one factor traversal), BlockedRHS the total right-hand sides
 	// they carried — BlockedRHS/BlockSolves is the mean block width.
-	// Every blocked dispatch is routed exactly once (lu.Report.Route):
-	// PanelSolves took the supernodal panel-packed substitution,
-	// ScalarBlockSolves the container's column-by-column block sweep —
-	// PanelSolves + ScalarBlockSolves == BlockSolves. SingleGroups
-	// counts route groups of one query (sparse-capable), so the routing
-	// decision is observable for every gathered group.
-	BlockSolves       int64 `json:"block_solves"`
-	BlockedRHS        int64 `json:"blocked_rhs"`
-	PanelSolves       int64 `json:"panel_solves"`
-	PanelRHS          int64 `json:"panel_rhs"`
-	ScalarBlockSolves int64 `json:"scalar_block_solves"`
-	SingleGroups      int64 `json:"single_groups"`
-
-	// Panel-packing counters: PanelPacks is the number of packed panel
-	// sets built (one per pinned solver that ever took the panel
-	// route), PanelColsCovered the total columns those sets hold in
-	// panels of width >= 2 (the columns the packed path amortizes),
-	// PanelPackUS the cumulative wall time spent packing — paid once
-	// per pinned solver, off the ingest/publish path.
-	PanelPacks       int64 `json:"panel_packs"`
-	PanelColsCovered int64 `json:"panel_cols_covered"`
-	PanelPackUS      int64 `json:"panel_pack_us"`
+	// SingleGroups counts route groups of one query (sparse-capable),
+	// so the routing decision is observable for every gathered group.
+	BlockSolves  int64 `json:"block_solves"`
+	BlockedRHS   int64 `json:"blocked_rhs"`
+	SingleGroups int64 `json:"single_groups"`
 
 	// Latency percentiles (µs) over successfully answered queries,
 	// measured from Query entry to answer, on a log₂-bucketed
@@ -368,11 +351,7 @@ type Engine struct {
 	cacheEvicted                    atomic.Int64
 	admitted, coalesced, shed       atomic.Int64
 	blockSolves, blockedRHS         atomic.Int64
-	panelSolves, panelRHS           atomic.Int64
-	scalarBlocks, singleGroups      atomic.Int64
-	panelPacks, panelCols           atomic.Int64
-	panelPackNS                     atomic.Int64
-	katzSolves                      atomic.Int64
+	singleGroups, katzSolves        atomic.Int64
 	lat                             metrics.Histogram
 	stages                          [numStages]metrics.Histogram
 
@@ -576,13 +555,7 @@ func (e *Engine) Stats() Stats {
 		Shed:                e.shed.Load(),
 		BlockSolves:         e.blockSolves.Load(),
 		BlockedRHS:          e.blockedRHS.Load(),
-		PanelSolves:         e.panelSolves.Load(),
-		PanelRHS:            e.panelRHS.Load(),
-		ScalarBlockSolves:   e.scalarBlocks.Load(),
 		SingleGroups:        e.singleGroups.Load(),
-		PanelPacks:          e.panelPacks.Load(),
-		PanelColsCovered:    e.panelCols.Load(),
-		PanelPackUS:         e.panelPackNS.Load() / 1e3,
 		LatencyCount:        lat.Total,
 		LatencyP50us:        lat.QuantileUS(0.50),
 		LatencyP95us:        lat.QuantileUS(0.95),

@@ -21,7 +21,7 @@ const testDamping = 0.85
 // an independent reference clone of each snapshot's solver so tests
 // can recompute answers cold, outside the engine. The Wiki-like graph
 // is one blob: every reach probe on it aborts, so single queries take
-// the dense route, and its panels are too narrow to pack.
+// the dense route.
 func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.Solver) {
 	t.Helper()
 	egs, err := gen.WikiSim(gen.WikiConfig{
@@ -35,10 +35,9 @@ func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.So
 }
 
 // communityEngine is pinnedEngine over a DBLP-like sequence of eight
-// fully disjoint communities — the other side of every route
-// threshold: a seed's reach stays inside its community (the reach
-// route), and the coauthor cliques give the packed panels real width
-// (the panel route for wide blocks).
+// fully disjoint communities — the other side of the reach threshold:
+// a seed's reach stays inside its community (the reach route), and the
+// coauthor cliques make the widest factor columns of any test engine.
 func communityEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.Solver) {
 	t.Helper()
 	egs, err := gen.DBLPSim(gen.DBLPConfig{

@@ -11,12 +11,11 @@ import (
 // The batching stage: each worker drains the admission queue, groups
 // compatible queued queries — same factors, hence one solver — and
 // answers a group of k ≥ 1 through one measures.Engine.Batch call. The
-// substitution route (reach-restricted, dense, scalar block, packed
-// panels) is lu.Solver.SolveRHS's decision, made from what it observes
-// about the group and the factors; this layer only states whether the
-// factors are frozen and books the route the report names. Every route
-// produces bit-identical answers, so batching and routing are purely
-// execution-schedule decisions.
+// substitution route (reach-restricted, dense, block) is
+// lu.Solver.SolveRHS's decision, made from what it observes about the
+// group and the factors; this layer only books the route the report
+// names. Every route produces bit-identical answers, so batching and
+// routing are purely execution-schedule decisions.
 
 // batchMax bounds how many queued tasks one worker drains per gather:
 // it keeps a deep backlog shared between workers instead of letting the
@@ -202,9 +201,7 @@ func (e *Engine) fallbackPinned(t *task, w *workerScratch) {
 
 // solveGroup answers a route group of any size against its resolved
 // solver through one Batch call and books the route it took: exactly
-// one of sparse / dense / block per group, blocks split once more into
-// panel and scalar, and a lazily packed panel set accounted to the one
-// group whose call built it.
+// one of sparse / dense / block per group.
 func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) {
 	if len(group) == 1 {
 		e.singleGroups.Add(1)
@@ -221,17 +218,9 @@ func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) 
 		}
 		w.qs = append(w.qs, mq)
 	}
-	// Live factors are Bennett-updated in place, so they are never
-	// frozen; pinned and materialized solvers are.
 	me := measures.NewSolverEngine(group[0].damping, solver)
-	rep := me.Batch(w.qs, !group[0].live, &w.ws)
+	rep := me.Batch(w.qs, &w.ws)
 
-	k := int64(len(group))
-	if ps := rep.Packed; ps != nil {
-		e.panelPacks.Add(1)
-		e.panelCols.Add(int64(ps.ColsCovered()))
-		e.panelPackNS.Add(int64(ps.PackTime()))
-	}
 	switch rep.Route {
 	case lu.RouteReach:
 		e.sparseSolves.Add(1)
@@ -248,20 +237,13 @@ func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) 
 		e.denseSolves.Add(1)
 		group[0].solveSpan.SetString("path", "dense")
 	default:
-		panels := rep.Route == lu.RoutePanel
-		if panels {
-			e.panelSolves.Add(1)
-			e.panelRHS.Add(k)
-		} else {
-			e.scalarBlocks.Add(1)
-		}
+		k := int64(len(group))
 		e.blockSolves.Add(1)
 		e.blockedRHS.Add(k)
 		e.denseSolves.Add(k)
 		for _, t := range group {
 			t.solveSpan.SetString("path", "block")
 			t.solveSpan.SetInt("block_width", k)
-			t.solveSpan.SetBool("panels", panels)
 		}
 	}
 	for r, t := range group {

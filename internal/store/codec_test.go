@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -127,19 +129,24 @@ func TestFactorsCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestGraphRoundTrip: the graph body a checkpoint embeds rebuilds the
+// directed and the undirected graph field for field.
 func TestGraphRoundTrip(t *testing.T) {
 	rng := xrand.New(11)
 	for _, directed := range []bool{false, true} {
 		g := graph.New(20, directed, []graph.Edge{{From: 0, To: 1}, {From: 3, To: 2}, {From: 19, To: 4}, {From: rng.Intn(20), To: rng.Intn(20)}})
 		var buf bytes.Buffer
-		if err := WriteGraph(&buf, g); err != nil {
+		w := newCW(&buf)
+		writeGraphBody(w, g)
+		if err := w.seal(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadGraph(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+		r := newCR(bytes.NewReader(buf.Bytes()))
+		gb := readGraphBody(r)
+		if err := r.verify(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(g, got) {
+		if got := graph.New(gb.n, gb.directed, gb.edges); !reflect.DeepEqual(g, got) {
 			t.Errorf("directed=%v: graph did not round-trip identically", directed)
 		}
 	}
@@ -269,6 +276,113 @@ func TestReadStreamStateRejectsCorruption(t *testing.T) {
 	if !errors.Is(errorOf(t, flipped), ErrCorrupt) {
 		t.Error("corruption not reported as ErrCorrupt")
 	}
+}
+
+// hostileVertexCount re-frames a valid checkpoint with its graph's
+// vertex count replaced by 2⁴⁰ and resealed, so only the count is
+// wrong. With tail false the frame ends right after the count, an empty
+// edge list, and the trailer. Building that graph would need ~24 TiB.
+func hostileVertexCount(t testing.TB, data []byte, st *core.StreamState, tail bool) []byte {
+	t.Helper()
+	var pre bytes.Buffer
+	c := newCW(&pre)
+	c.header(stateMagic, codecVersion)
+	c.str(string(st.Algorithm))
+	c.f64(st.Alpha)
+	c.u64(st.Version)
+	c.u64(st.Seq)
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p := pre.Len()
+	var v [binary.MaxVarintLen64]byte
+	old := binary.PutVarint(v[:], int64(st.Graph.N()))
+	if !bytes.Equal(data[:p+old], append(pre.Bytes(), v[:old]...)) {
+		t.Fatal("frame prefix does not match the re-encoded fields")
+	}
+	payload := append(pre.Bytes(), v[:binary.PutVarint(v[:], 1<<40)]...)
+	if tail {
+		payload = append(payload, data[p+old:len(data)-4]...)
+	} else {
+		payload = append(payload, 0, 0) // undirected, no edges
+	}
+	return binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
+}
+
+// TestReadStreamStateRejectsHostileVertexCount: a sealed checkpoint
+// whose graph claims 2⁴⁰ vertices is corrupt, not an allocation — the
+// count must match the ordering the frame carries before any graph is
+// built, so recovery can fall back to an older checkpoint.
+func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
+	rng := xrand.New(23)
+	s := streamAfter(t, core.CLUDE, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
+	state, err := s.ExportState()
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteStreamState(&buf, state); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []bool{true, false} {
+		if !errors.Is(errorOf(t, hostileVertexCount(t, buf.Bytes(), state, tail)), ErrCorrupt) {
+			t.Errorf("tail=%v: a 2^40-vertex graph was not reported as ErrCorrupt", tail)
+		}
+	}
+}
+
+// FuzzReadStreamState feeds arbitrary bytes to the CLUD decoder
+// recovery runs on every checkpoint: it must never panic, and a frame it
+// accepts must re-encode to the same bytes. The seeds are the four
+// algorithms' checkpoints, which must round-trip, and the hostile
+// vertex counts, which must not.
+func FuzzReadStreamState(f *testing.F) {
+	rng := xrand.New(59)
+	g0 := randomGraph(12, 10, rng)
+	batches := randomBatches(12, 3, 3, rng)
+	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
+		s := streamAfter(f, alg, g0, batches)
+		state, err := s.ExportState()
+		s.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteStreamState(&buf, state); err != nil {
+			f.Fatal(err)
+		}
+		data := buf.Bytes()
+		got, err := ReadStreamState(bytes.NewReader(data))
+		var again bytes.Buffer
+		if err == nil {
+			err = WriteStreamState(&again, got)
+		}
+		if err != nil || !bytes.Equal(again.Bytes(), data) {
+			f.Fatalf("%s: checkpoint did not round-trip bit-identically (%v)", alg, err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		if alg == core.CLUDE {
+			f.Add(hostileVertexCount(f, data, state, true))
+			f.Add(hostileVertexCount(f, data, state, false))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := ReadStreamState(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteStreamState(&buf, st); err != nil {
+			t.Fatalf("an accepted frame does not re-encode: %v", err)
+		}
+		// The reader stops at the trailer; bytes after it are not the
+		// frame's.
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("an accepted frame re-encodes to different bytes")
+		}
+	})
 }
 
 func errorOf(t *testing.T, data []byte) error {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -12,35 +11,6 @@ import (
 // edge list and rebuilt through graph.New, whose construction is
 // deterministic — the restored snapshot is field-for-field identical to
 // the one written, so matrices derived from it are bit-identical too.
-
-const graphMagic = "CLUG"
-
-// WriteGraph serializes a snapshot graph as a self-contained frame.
-func WriteGraph(w io.Writer, g *graph.Graph) error {
-	c := newCW(w)
-	c.header(graphMagic, 1)
-	writeGraphBody(c, g)
-	if c.err != nil {
-		return c.err
-	}
-	return c.seal()
-}
-
-// ReadGraph parses a WriteGraph frame.
-func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	c := newCR(r)
-	if err := c.expectHeader(graphMagic, 1); err != nil {
-		return nil, err
-	}
-	g := readGraphBody(c)
-	if c.err != nil {
-		return nil, c.err
-	}
-	if err := c.verify(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
 
 func writeGraphBody(c *cw, g *graph.Graph) {
 	c.i64(int64(g.N()))
@@ -53,30 +23,37 @@ func writeGraphBody(c *cw, g *graph.Graph) {
 	}
 }
 
-func readGraphBody(c *cr) *graph.Graph {
+// graphBody is a decoded graph not yet built: its vertex count is only
+// a number the frame claims, and graph.New allocates in proportion to
+// it, so the caller builds the graph once the frame's checksum holds
+// and the count matches a length the data itself proves.
+type graphBody struct {
+	n        int
+	directed bool
+	edges    []graph.Edge
+}
+
+func readGraphBody(c *cr) graphBody {
 	n := c.intv()
 	directed := c.bool()
 	m := c.length(maxSliceLen)
 	if c.err != nil {
-		return nil
+		return graphBody{}
 	}
 	if n < 0 {
 		c.fail(fmt.Errorf("%w: negative vertex count %d", ErrCorrupt, n))
-		return nil
+		return graphBody{}
 	}
 	edges := make([]graph.Edge, 0, min(m, preallocCap))
 	for k := 0; k < m && c.err == nil; k++ {
 		u, v := c.intv(), c.intv()
 		if u < 0 || u >= n || v < 0 || v >= n {
 			c.fail(fmt.Errorf("%w: edge (%d,%d) outside [0,%d)", ErrCorrupt, u, v, n))
-			return nil
+			return graphBody{}
 		}
 		edges = append(edges, graph.Edge{From: u, To: v})
 	}
-	if c.err != nil {
-		return nil
-	}
-	return graph.New(n, directed, edges)
+	return graphBody{n: n, directed: directed, edges: edges}
 }
 
 // writeTracker / readTracker encode the α-membership state; nil is

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/lu"
 )
 
@@ -77,7 +78,7 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 		Version:   c.u64(),
 		Seq:       c.u64(),
 	}
-	st.Graph = readGraphBody(c)
+	gb := readGraphBody(c)
 	st.Tracker = readTracker(c)
 	st.Ord = readOrdering(c)
 
@@ -112,8 +113,11 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	if err := c.verify(); err != nil {
 		return nil, err
 	}
-	if st.Graph == nil {
-		return nil, fmt.Errorf("%w: stream state without a graph", ErrCorrupt)
+	// The ordering's length is proven by its bytes; the vertex count
+	// is not, until it matches.
+	if gb.n != len(st.Ord.Row) {
+		return nil, fmt.Errorf("%w: graph of %d vertices under an ordering of %d", ErrCorrupt, gb.n, len(st.Ord.Row))
 	}
+	st.Graph = graph.New(gb.n, gb.directed, gb.edges)
 	return st, nil
 }
