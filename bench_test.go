@@ -84,11 +84,6 @@ func BenchmarkFig11PatentCaseStudy(b *testing.B) { benchExperiment(b, "fig11") }
 func BenchmarkTblSolveMethods(b *testing.B)      { benchExperiment(b, "tblSolve") }
 func BenchmarkTblBennettProfile(b *testing.B)    { benchExperiment(b, "tblBennett") }
 
-// BenchmarkSparseSolveQueries runs the reach-based sparse vs dense
-// solve experiment across community counts (see
-// internal/bench.SparseSolve).
-func BenchmarkSparseSolveQueries(b *testing.B) { benchExperiment(b, "sparsesolve") }
-
 // BenchmarkParallelWorkers runs each LUDEM algorithm end-to-end across
 // engine pool sizes (compare sub-benchmark ns/op to see the scaling;
 // on a multi-core box CLUDE/workers=4 should be well under workers=1).
@@ -228,8 +223,7 @@ func BenchmarkKernelSolve(b *testing.B) {
 
 // BenchmarkKernelSolveRHS is BenchmarkKernelSolve through the
 // workspace-taking entry point: the same single-seed right-hand side as
-// a support list, on whichever route the solver picks for it (the
-// sparsesolve experiment has the forced kernel-vs-kernel numbers).
+// a support list, scattered into the workspace and solved dense.
 // Compare ns/op and allocs/op against BenchmarkKernelSolve for the
 // per-query win.
 func BenchmarkKernelSolveRHS(b *testing.B) {

@@ -1,13 +1,12 @@
 // Command cludebench regenerates the paper's tables and figures on the
-// simulated datasets, and runs the kernel probes that guard the solve
-// route constants (parallel, sparsesolve, history). The
-// server is measured by benchmark/ alone.
+// simulated datasets, and runs two engine probes beyond the paper
+// (parallel, history). The server is measured by benchmark/ alone.
 //
 // Usage:
 //
 //	cludebench -exp fig7 -scale medium
 //	cludebench -exp all  -scale small
-//	cludebench -exp sparsesolve -json results.json
+//	cludebench -exp history -json results.json
 //	cludebench -list
 //
 // Every experiment prints one or more aligned text tables carrying the

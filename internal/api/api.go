@@ -16,9 +16,10 @@
 //
 // Errors are always the envelope {"error":{"code":"...","message":"..."}}
 // with a machine-readable code (bad_request, not_found,
-// method_not_allowed, overloaded, unavailable); a wrong HTTP method is
-// 405 with an Allow header listing what the route accepts, and a path
-// the table does not route is 404 not_found like any other.
+// method_not_allowed, payload_too_large, overloaded, unavailable); a
+// wrong HTTP method is 405 with an Allow header listing what the route
+// accepts, and a path the table does not route is 404 not_found like
+// any other.
 package api
 
 import (
@@ -26,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -140,9 +142,9 @@ func (s *Server) handleUnrouted(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, err := parseQuery(r)
+	q, err := parseQuery(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	// QueryShared: the answer is only serialized here, so the score
@@ -166,9 +168,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("not in streaming mode (run with -stream)"))
 		return
 	}
-	events, err := parseUpdate(r, stream.N())
+	events, err := parseUpdate(w, r, stream.N())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	if err := batcher.Send(events...); err != nil {
@@ -242,6 +244,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// maxBodyBytes bounds a POST body. The largest body a client needs is
+// an update batch: 1 MiB carries tens of thousands of events.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's body into v as exactly one JSON value, with
+// unknown fields rejected when strict. The body is read through
+// http.MaxBytesReader, so one past maxBodyBytes fails with an
+// *http.MaxBytesError (413), and anything but whitespace after the
+// value is an error: the GET path rejects a repeated parameter for the
+// same reason — a second value must never be silently dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %w", err)
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("bad JSON body: %w", err)
+	default:
+		return errors.New("bad JSON body: data after the JSON value")
+	}
+}
+
 // updateBody is the POST /v1/update payload.
 type updateBody struct {
 	Events []updateEvent `json:"events"`
@@ -259,10 +289,10 @@ type updateEvent struct {
 // batcher would poison the whole coalesced batch — dropping other
 // clients' already-acknowledged events and surfacing the error to an
 // unrelated request.
-func parseUpdate(r *http.Request, n int) ([]graph.EdgeEvent, error) {
+func parseUpdate(w http.ResponseWriter, r *http.Request, n int) ([]graph.EdgeEvent, error) {
 	var body updateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("bad JSON body: %w", err)
+	if err := decodeBody(w, r, &body, false); err != nil {
+		return nil, err
 	}
 	if len(body.Events) == 0 {
 		return nil, errors.New("empty event list")
@@ -294,17 +324,14 @@ var queryParams = map[string]bool{
 
 // parseQuery accepts either URL parameters (GET) or a JSON body (POST)
 // shaped like serve.Query. Unknown or repeated parameters (and unknown
-// JSON fields) are rejected with a descriptive error, which the
-// handler returns as HTTP 400.
-func parseQuery(r *http.Request) (serve.Query, error) {
+// JSON fields, or data after the body's value) are rejected with a
+// descriptive error, which the handler returns as HTTP 400 — 413 for
+// a body past maxBodyBytes.
+func parseQuery(w http.ResponseWriter, r *http.Request) (serve.Query, error) {
 	q := serve.Query{Snapshot: -1}
 	if r.Method == http.MethodPost {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&q); err != nil {
-			return q, fmt.Errorf("bad JSON body: %w", err)
-		}
-		return q, nil
+		err := decodeBody(w, r, &q, true)
+		return q, err
 	}
 	v := r.URL.Query()
 	for key, vals := range v {
@@ -360,6 +387,8 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}
@@ -372,6 +401,8 @@ func errorCode(status int) string {
 		return "not_found"
 	case http.StatusMethodNotAllowed:
 		return "method_not_allowed"
+	case http.StatusRequestEntityTooLarge:
+		return "payload_too_large"
 	case http.StatusTooManyRequests:
 		return "overloaded"
 	case http.StatusServiceUnavailable:

@@ -20,9 +20,8 @@ import (
 
 // diagSolver returns factors of diag(d): the rwr answer from source u is
 // (1−damping)/d[u] at u and a zero elsewhere, so a test picks the
-// floats an answer spells. A ppr over more seeds than the reach cap
-// takes the dense route, where a zero divided by a negative pivot is
-// −0. The pivots are written straight into the factors of an identity:
+// floats an answer spells. Every solve substitutes over all n rows, so
+// a zero divided by a negative pivot is −0. The pivots are written straight into the factors of an identity:
 // Factorize would refuse the tiny ones as singular.
 func diagSolver(t *testing.T, d []float64) *lu.Solver {
 	t.Helper()
@@ -128,8 +127,6 @@ func TestStoredHitBodiesMatchFreshEncoding(t *testing.T) {
 			q.Measure, q.Source = serve.MeasureTopK, rng.Intn(n)
 			q.K = []int{1, 3, n - 1, n, n + 2}[rng.Intn(5)]
 		case 2:
-			// Up to three seeds probe the reach; four or more exceed the
-			// cap of 0.25·n and solve dense, which is where −0 comes from.
 			q.Measure = serve.MeasurePPR
 			for i := 1 + rng.Intn(5); i > 0; i-- {
 				q.Sources = append(q.Sources, rng.Intn(n))

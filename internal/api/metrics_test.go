@@ -158,10 +158,16 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 	if inf := m[`clude_query_latency_seconds_bucket{le="+Inf"}`]; inf != m["clude_query_latency_seconds_count"] {
 		t.Fatalf("+Inf bucket %v != count %v", inf, m["clude_query_latency_seconds_count"])
 	}
-	// The retired panel route's one series stays exposed, at 0, for the
-	// benchmark that still reads it.
-	if v, ok := m["clude_panel_rhs_total"]; !ok || v != 0 {
-		t.Fatalf("clude_panel_rhs_total = %v (present %v), want a constant 0", v, ok)
+	// The retired panel and reach routes' series stay exposed, at 0, for
+	// the benchmark that still reads them.
+	for _, name := range []string{"clude_panel_rhs_total", "clude_sparse_solves_total", "clude_sparse_fallbacks_total"} {
+		if v, ok := m[name]; !ok || v != 0 {
+			t.Fatalf("%s = %v (present %v), want a constant 0", name, v, ok)
+		}
+	}
+	// Every cold solve is a dense or a Katz one.
+	if dense, katz, cold := m["clude_dense_solves_total"], m["clude_katz_solves_total"], m["clude_solves_total"]; dense+katz != cold {
+		t.Fatalf("dense %v + katz %v != cold solves %v", dense, katz, cold)
 	}
 
 	// /v1/stats and /v1/metrics views of the same counters agree.
@@ -178,6 +184,7 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 		"clude_cache_hits_total":        "cache_hits",
 		"clude_solves_total":            "cold_solves",
 		"clude_katz_solves_total":       "katz_solves",
+		"clude_dense_solves_total":      "dense_solves",
 		"clude_block_solves_total":      "block_solves",
 		"clude_single_groups_total":     "single_groups",
 	} {

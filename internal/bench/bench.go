@@ -109,12 +109,6 @@ func f(v float64) string { return fmt.Sprintf("%.4g", v) }
 // dur formats a duration in milliseconds for table cells.
 func dur(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
 
-// durUS formats a duration in microseconds for the kernel probes'
-// latency columns (one substitution is far below dur's millisecond grid).
-func durUS(d time.Duration) string {
-	return fmt.Sprintf("%.1fus", float64(d.Nanoseconds())/1000)
-}
-
 // wikiEMS generates the Wikipedia-like EMS (directed RWR matrices).
 func wikiEMS(d Datasets) (*graph.EGS, *graph.EMS, error) {
 	egs, err := gen.WikiSim(d.Wiki)

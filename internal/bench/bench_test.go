@@ -42,7 +42,7 @@ func TestDatasetsForScales(t *testing.T) {
 // registryIDs is the whole registry, in order: the paper's tables and
 // figures, then the four kernel probes that guard the route constants.
 // cludebench -list prints exactly these.
-var registryIDs = []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "tblSolve", "tblBennett", "ablation", "parallel", "sparsesolve", "history"}
+var registryIDs = []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "tblSolve", "tblBennett", "ablation", "parallel", "history"}
 
 func TestRegistryCoversPaperItems(t *testing.T) {
 	reg := Registry()

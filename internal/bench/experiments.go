@@ -38,7 +38,6 @@ func Registry() []Experiment {
 		{"tblBennett", "Section 4 claim: list restructuring share of Bennett time", TblBennett},
 		{"ablation", "docs/ALGORITHMS.md Ablations: ordering quality and USSP slack", Ablation},
 		{"parallel", "Engine: wall-clock scaling vs worker-pool size (beyond the paper)", Parallel},
-		{"sparsesolve", "Serving layer: reach-based sparse vs dense solve latency vs cluster count", SparseSolve},
 		{"history", "Serving layer: delta-compressed factor history — resident bytes and materialization latency vs base spacing (beyond the paper)", History},
 	}
 }

@@ -34,16 +34,8 @@ func dynamicBitEqual(a, b *lu.DynamicFactors) bool {
 		a.Inserts != b.Inserts || a.ScanSteps != b.ScanSteps {
 		return false
 	}
-	if !slices.Equal(a.Nodes, b.Nodes) || !slices.Equal(a.LHead, b.LHead) ||
-		!slices.Equal(a.UHead, b.UHead) || !slices.Equal(a.D, b.D) {
-		return false
-	}
-	for j := 0; j < a.Dim(); j++ {
-		if !slices.Equal(a.LSucc(j), b.LSucc(j)) || !slices.Equal(a.USucc(j), b.USucc(j)) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Nodes, b.Nodes) && slices.Equal(a.LHead, b.LHead) &&
+		slices.Equal(a.UHead, b.UHead) && slices.Equal(a.D, b.D)
 }
 
 // historyWalk generates a random matrix walk, applies it to a

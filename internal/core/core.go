@@ -159,9 +159,9 @@ type chain struct {
 	rowInv, colInv sparse.Perm
 	static         *lu.StaticFactors
 	dyn            *lu.DynamicFactors // INC/CINC's linked lists; nil otherwise
-	// solver is over the live container. A solver caches its factors'
-	// adjacency on first use, so it is never re-pointed: replacing the
-	// container means a new solver.
+	// solver is over the live container. A caller may keep a solver it
+	// was handed (a retained snapshot), so it is never re-pointed:
+	// replacing the container means a new solver.
 	solver *lu.Solver
 }
 

@@ -6,8 +6,8 @@
 // and under the aliasing and capacity-reuse contracts the workers rely
 // on.
 //
-// External test package, like the reach-route harness it extends: the
-// scenarios drive internal/core and internal/bennett, which import lu.
+// External test package: the scenarios drive internal/core and
+// internal/bennett, which import lu.
 package lu_test
 
 import (
@@ -94,13 +94,13 @@ func checkBlockMatchesSingles(t *testing.T, tag string, s *lu.Solver, bs [][]flo
 	assertBlockEquals(t, tag+" forced", forced, want)
 
 	routed := denseBlock(bs)
-	rep := s.SolveRHS(routed, ws)
+	route := s.SolveRHS(routed, ws)
 	wantRoute := lu.RouteBlock
 	if len(bs) == 1 {
 		wantRoute = lu.RouteDense
 	}
-	if rep.Route != wantRoute || rep.ProbeAborted {
-		t.Fatalf("%s: k=%d dense block reported %+v, want route %s", tag, len(bs), rep, wantRoute)
+	if route != wantRoute {
+		t.Fatalf("%s: k=%d dense block reported route %s, want %s", tag, len(bs), route, wantRoute)
 	}
 	assertBlockEquals(t, tag+" routed", routed, want)
 }

@@ -36,14 +36,10 @@
 // x = Q·solve(P·b)). Solver.Solve(b) is the allocating convenience for
 // one dense right-hand side. Solver.SolveRHS is the entry point for
 // everything else: it takes k ≥ 1 right-hand sides (support lists or
-// dense vectors) and one SolveWorkspace, checks the input once, picks
-// the substitution route itself — reach-restricted, dense, or block —
-// from k and the support's capped reach probe, and returns a Report
-// naming the route. The thresholds are unexported constants beside the
-// dispatcher in solve.go; a caller states nothing about the factors.
-// The kernels the routes run (SolveInPlace, SolveReachInPlace and
-// SolveBlockInPlace on both containers) are exported for the bench
-// sweeps that justify those thresholds, and all of them execute, per
-// right-hand side, the same floating-point operations in the same
-// order, so every route returns the same bits.
+// dense vectors) and one SolveWorkspace, checks the input once, and
+// returns the route it took, named by the block width alone — dense
+// (one SolveInPlace) for k = 1, block (one SolveBlockInPlace traversal
+// shared by all k) beyond; a caller states nothing about the factors.
+// Both kernels execute, per right-hand side, the same floating-point
+// operations in the same order, so every route returns the same bits.
 package lu

@@ -2,7 +2,6 @@ package lu
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/sparse"
 )
@@ -38,15 +37,6 @@ type DynamicFactors struct {
 	D     []float64
 
 	lnnz, unnz int
-
-	// Column-oriented pattern indices for the reach-based sparse solve
-	// path: lCols[j] lists the rows of L column j and uCols[j] the rows
-	// of U column j (the transpose pattern of the row-major U lists),
-	// both sorted ascending. Built once at construction and kept
-	// coherent by InsertL/InsertU/SpliceL/SpliceU — the only paths that
-	// add structure (value overwrites reuse existing nodes).
-	lCols [][]int
-	uCols [][]int
 
 	// mirror caches Mirrored, a pure function of the lists; every writer
 	// keeps it equal to that function.
@@ -95,15 +85,6 @@ func NewDynamicFactors(f *StaticFactors) *DynamicFactors {
 			d.unnz++
 		}
 	}
-	// Column-oriented pattern indices (see the struct fields), copied
-	// per column from the static container's native L columns and
-	// frozen U cross view.
-	d.lCols = make([][]int, n)
-	d.uCols = make([][]int, n)
-	for j := 0; j < n; j++ {
-		d.lCols[j] = append([]int(nil), f.LSucc(j)...)
-		d.uCols[j] = append([]int(nil), f.USucc(j)...)
-	}
 	return d
 }
 
@@ -113,7 +94,7 @@ func (d *DynamicFactors) Dim() int { return d.n }
 // Clone returns a deep copy of the container, including the profiling
 // counters at their current values.
 func (d *DynamicFactors) Clone() Factors {
-	c := &DynamicFactors{
+	return &DynamicFactors{
 		n:         d.n,
 		Nodes:     append([]ListNode(nil), d.Nodes...),
 		LHead:     append([]int(nil), d.LHead...),
@@ -124,14 +105,7 @@ func (d *DynamicFactors) Clone() Factors {
 		mirror:    d.mirror,
 		Inserts:   d.Inserts,
 		ScanSteps: d.ScanSteps,
-		lCols:     make([][]int, d.n),
-		uCols:     make([][]int, d.n),
 	}
-	for j := range d.lCols {
-		c.lCols[j] = append([]int(nil), d.lCols[j]...)
-		c.uCols[j] = append([]int(nil), d.uCols[j]...)
-	}
-	return c
 }
 
 // Mirrored reports whether every U row list equals the L column list of
@@ -205,7 +179,6 @@ func (d *DynamicFactors) InsertL(i, j int, val float64) {
 	} else {
 		d.Nodes[prev].Next = nn
 	}
-	d.lCols[j] = insertSorted(d.lCols[j], i)
 	d.Inserts++
 	d.lnnz++
 }
@@ -230,7 +203,6 @@ func (d *DynamicFactors) InsertU(i, j int, val float64) {
 	} else {
 		d.Nodes[prev].Next = nn
 	}
-	d.uCols[j] = insertSorted(d.uCols[j], i)
 	d.Inserts++
 	d.unnz++
 }
@@ -248,7 +220,6 @@ func (d *DynamicFactors) SpliceL(col, prev, next, row int, val float64) int {
 	} else {
 		d.Nodes[prev].Next = nn
 	}
-	d.lCols[col] = insertSorted(d.lCols[col], row)
 	d.Inserts++
 	d.lnnz++
 	return nn
@@ -262,55 +233,9 @@ func (d *DynamicFactors) SpliceU(row, prev, next, col int, val float64) int {
 	} else {
 		d.Nodes[prev].Next = nn
 	}
-	d.uCols[col] = insertSorted(d.uCols[col], row)
 	d.Inserts++
 	d.unnz++
 	return nn
-}
-
-// insertSorted splices v into the ascending slice s. Callers only
-// insert positions that are structurally new, so no duplicate check is
-// needed beyond the debug guarantee of the linked lists themselves.
-func insertSorted(s []int, v int) []int {
-	k := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[k+1:], s[k:])
-	s[k] = v
-	return s
-}
-
-// LSucc returns the rows fed by column j of L — the maintained
-// column-oriented mirror of the (row-sorted) L column list.
-func (d *DynamicFactors) LSucc(j int) []int { return d.lCols[j] }
-
-// USucc returns the rows of column j of U — the maintained transpose
-// pattern of the row-major U lists.
-func (d *DynamicFactors) USucc(j int) []int { return d.uCols[j] }
-
-// SolveReachInPlace is the reach-restricted SolveInPlace (see the
-// Factors interface for the contract): identical loops to SolveInPlace
-// restricted to the reach sets, so results are bit-identical on them.
-func (d *DynamicFactors) SolveReachInPlace(x []float64, freach, breach []int) {
-	for _, j := range freach {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for cur := d.LHead[j]; cur != -1; cur = d.Nodes[cur].Next {
-			x[d.Nodes[cur].Idx] -= d.Nodes[cur].Val * xj
-		}
-	}
-	for _, i := range freach {
-		x[i] /= d.D[i]
-	}
-	for t := len(breach) - 1; t >= 0; t-- {
-		i := breach[t]
-		s := x[i]
-		for cur := d.UHead[i]; cur != -1; cur = d.Nodes[cur].Next {
-			s -= d.Nodes[cur].Val * x[d.Nodes[cur].Idx]
-		}
-		x[i] = s
-	}
 }
 
 // LAt returns L(i, j), scanning column j.

@@ -4,13 +4,6 @@ package lu
 // external property tests hold every route against Solve on inputs
 // the dispatcher would have routed elsewhere.
 
-// ForceReach runs the reach-restricted strategy with an explicit cap
-// (<= 0 unlimited), reporting whether the probe stayed within it.
-func (s *Solver) ForceReach(r *RHS, maxReach int, ws *SolveWorkspace) bool {
-	s.prep()
-	return s.solveReach(r, maxReach, ws)
-}
-
 // ForceBlock runs the scalar full-substitution strategy (SolveInPlace
 // for one right-hand side, the container's block sweep for more).
 func (s *Solver) ForceBlock(rhs []RHS, ws *SolveWorkspace) {

@@ -14,7 +14,6 @@ func MemBytes(f Factors) (owned, shared int64) {
 		intB   = 8
 		fB     = 8
 		nodeB  = 24 // ListNode: int + float64 + int
-		hdrB   = 24 // slice header, counted once per per-column slice
 		fixedB = 64 // struct scalars
 	)
 	switch t := f.(type) {
@@ -25,14 +24,7 @@ func MemBytes(f Factors) (owned, shared int64) {
 		floats := len(t.LVal) + len(t.UVal) + len(t.D)
 		return int64(fixedB + floats*fB), int64(ints * intB)
 	case *DynamicFactors:
-		b := int64(fixedB + len(t.Nodes)*nodeB + (len(t.LHead)+len(t.UHead))*intB + len(t.D)*fB)
-		for j := range t.lCols {
-			b += int64(hdrB + len(t.lCols[j])*intB)
-		}
-		for j := range t.uCols {
-			b += int64(hdrB + len(t.uCols[j])*intB)
-		}
-		return b, 0
+		return int64(fixedB + len(t.Nodes)*nodeB + (len(t.LHead)+len(t.UHead))*intB + len(t.D)*fB), 0
 	default:
 		return int64(f.Size()) * (intB + fB), 0
 	}

@@ -3,15 +3,14 @@ package lu
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sparse"
 )
 
 // Factors is the common interface of the two factor containers: enough
-// to solve systems (dense and reach-restricted), to measure structural
-// size, and to snapshot the numeric state for retention beyond the
-// engine's in-place updates.
+// to solve systems (one right-hand side or a block), to measure
+// structural size, and to snapshot the numeric state for retention
+// beyond the engine's in-place updates.
 type Factors interface {
 	Dim() int
 	Size() int
@@ -23,28 +22,6 @@ type Factors interface {
 	// static container's clone owns its values and shares the frozen
 	// index structure (see MemBytes for who pays for what).
 	Clone() Factors
-
-	// LSucc returns the rows fed by column j of L — the successors of j
-	// in the forward-substitution dependency graph (all > j, sorted
-	// ascending). The slice aliases internal storage and must not be
-	// modified.
-	LSucc(j int) []int
-	// USucc returns the rows of column j of U — the successors of j in
-	// the backward-substitution dependency graph (all < j, sorted
-	// ascending). The slice aliases internal storage and must not be
-	// modified.
-	USucc(j int) []int
-	// SolveReachInPlace runs the forward/diagonal/backward substitution
-	// over x restricted to precomputed reach sets: freach is the
-	// forward reach of the right-hand side's support (closed under
-	// LSucc, ascending) and breach the backward reach of freach (closed
-	// under USucc, ascending, a superset of freach). Entries of x
-	// outside freach must be zero on entry; entries outside breach are
-	// untouched and remain exact zeros of the solution. On the reach
-	// set the result is bit-identical to SolveInPlace on the equivalent
-	// dense right-hand side: the restricted loops execute the same
-	// floating-point operations in the same order.
-	SolveReachInPlace(x []float64, freach, breach []int)
 
 	// SolveBlockInPlace runs SolveInPlace over k vectors through one
 	// traversal of the factors: at every L column, pivot, and U row,
@@ -72,10 +49,9 @@ var (
 // SolveRHS is the workspace-taking entry point that answers k ≥ 1
 // right-hand sides and picks the substitution route itself.
 //
-// F and O must not be replaced after the first SolveRHS call: it caches
-// the inverse row permutation and the adjacency accessors on first use
-// (concurrent solves on one Solver are safe; the factor containers are
-// only read).
+// O must not be replaced after the first SolveRHS call: it caches the
+// inverse row permutation on first use (concurrent solves on one Solver
+// are safe; the factor containers are only read).
 type Solver struct {
 	F Factors
 	O sparse.Ordering
@@ -83,15 +59,6 @@ type Solver struct {
 	// Lazily built support-list plumbing (see prep).
 	prepOnce sync.Once
 	rowInv   sparse.Perm
-	lsucc    func(int) []int
-	usucc    func(int) []int
-
-	// probe is the reach probe's abort streak and the support-list
-	// solves still to run without probing (see probeDue): streak<<8 |
-	// skips. It only schedules probes — every route returns the same
-	// bits — so concurrent solves update it with plain atomic loads and
-	// stores and a lost update costs at most one probe.
-	probe atomic.Uint32
 }
 
 // Solve returns x with A·x = b, leaving b untouched.
@@ -119,17 +86,10 @@ type RHS struct {
 	// B, when non-nil, is the right-hand side as a dense vector.
 	B []float64
 
-	// X receives the solution on every route but RouteReach: its
-	// capacity is reused (nil allocates) and every position is
-	// overwritten. X may alias B — B is consumed by the permutation
-	// before X is written.
+	// X receives the solution: its capacity is reused (nil allocates)
+	// and every position is overwritten. X may alias B — B is consumed
+	// by the permutation before X is written.
 	X []float64
-	// XIdx and XVal receive the solution on RouteReach, restricted to
-	// its support (original numbering, unsorted): every index not
-	// listed is an exact zero of the solution, and X is left untouched.
-	// They alias the workspace and stay valid until its next solve.
-	XIdx []int
-	XVal []float64
 }
 
 // Route names the substitution strategy a SolveRHS call took. Every
@@ -139,10 +99,6 @@ type RHS struct {
 type Route string
 
 const (
-	// RouteReach is the Gilbert–Peierls sparse-RHS solve: only the
-	// rows reachable from the support in the factors' dependency
-	// graphs are touched (SolveReachInPlace).
-	RouteReach Route = "reach"
 	// RouteDense is one full substitution (SolveInPlace).
 	RouteDense Route = "dense"
 	// RouteBlock is one traversal of the factors shared by all k
@@ -150,126 +106,33 @@ const (
 	RouteBlock Route = "block"
 )
 
-// Report says what a SolveRHS call did, so callers can account for the
-// route without knowing how it was picked.
-type Report struct {
-	Route Route
-	// ReachRows is the number of rows RouteReach touched.
-	ReachRows int
-	// ProbeAborted reports that the symbolic reach probe ran into its
-	// cap — before any numeric work — and the call fell back to
-	// RouteDense.
-	ProbeAborted bool
-	// ProbeSkipped reports that a k = 1 support-list solve went to
-	// RouteDense without probing, because the solver's recent probes all
-	// aborted (see probeSuspendAfter). Every k = 1 support-list solve is
-	// exactly one of RouteReach, ProbeAborted and ProbeSkipped.
-	ProbeSkipped bool
-}
-
-// The route policy. Each threshold keeps the value its bench sweep
-// justified (docs/PERFORMANCE.md, "Solve routes"):
-const (
-	// reachCapFrac caps the reach probe at this fraction of n. Past
-	// roughly a quarter of the rows the dense loops' sequential sweeps
-	// beat the reach route's index indirection (sparsesolve sweep).
-	reachCapFrac = 0.25
-	// probeSuspendAfter and probeMaxSkip stop a solver whose reach never
-	// fits from paying for the probe on every solve: from the
-	// probeSuspendAfter-th consecutive abort on, the next 1, 2, 4, …
-	// support-list solves (at most probeMaxSkip) go dense unprobed, then
-	// one probe runs again, and the first probe that fits clears the
-	// streak. A solver that always aborts settles at one probe per
-	// probeMaxSkip+1 solves; one whose seeds mostly fit never reaches a
-	// streak. The rule is adaptive because nothing symbolic predicts the
-	// abort: on the Wiki-like factors the elimination tree's longest path
-	// (477 rows) is under the cap (500) while 803 of 2000 seeds exceed it
-	// on forward reach alone.
-	probeSuspendAfter = 2
-	probeMaxSkip      = 63
-)
-
 // SolveRHS solves A·x = b for every right-hand side in rhs, writing
-// each solution into its RHS, and reports the route it chose from what
-// it can observe:
+// each solution into its RHS, and returns the route it took from the
+// block width alone:
 //
-//   - k = 1, support list: probe the reach with a cap of 0.25·n and
-//     take RouteReach when it fits, RouteDense when the probe aborts
-//     (or the support alone exceeds the cap) — or, unprobed, while this
-//     solver's probes are suspended after aborting twice or more in a
-//     row (probeSuspendAfter).
-//   - k = 1, dense vector: RouteDense (the reach is all of n).
+//   - k = 1, support list or dense vector: RouteDense, one
+//     SolveInPlace (a support list is scattered into the permuted
+//     vector first).
 //   - k ≥ 2: RouteBlock, one traversal of the factors shared by all k
 //     (Factors.SolveBlockInPlace), on either container.
 //
 // It panics when a dense right-hand side's length is not the system
 // dimension, a support list's Idx and Val differ in length, or a
 // support index lies outside [0, n).
-func (s *Solver) SolveRHS(rhs []RHS, ws *SolveWorkspace) Report {
+func (s *Solver) SolveRHS(rhs []RHS, ws *SolveWorkspace) Route {
 	n := s.F.Dim()
 	for r := range rhs {
 		checkRHS(&rhs[r], r, n)
 	}
+	if len(rhs) == 0 {
+		return ""
+	}
 	s.prep()
-	k := len(rhs)
-	var rep Report
-	switch {
-	case k == 0:
-	case k == 1:
-		r := &rhs[0]
-		if r.B == nil {
-			maxReach := int(reachCapFrac * float64(n))
-			if maxReach < 1 {
-				maxReach = 1
-			}
-			switch {
-			case len(r.Idx) > maxReach:
-				rep.ProbeAborted = true
-			case !s.probeDue():
-				rep.ProbeSkipped = true
-			case s.solveReach(r, maxReach, ws):
-				s.probe.Store(0)
-				rep.Route, rep.ReachRows = RouteReach, len(r.XIdx)
-				return rep
-			default:
-				s.probeAborted()
-				rep.ProbeAborted = true
-			}
-		}
-		s.solveBlock(rhs, ws)
-		rep.Route = RouteDense
-	default:
-		s.solveBlock(rhs, ws)
-		rep.Route = RouteBlock
+	s.solveBlock(rhs, ws)
+	if len(rhs) == 1 {
+		return RouteDense
 	}
-	return rep
-}
-
-// probeDue reports whether this support-list solve should probe its
-// reach, consuming one suspended solve when it should not.
-func (s *Solver) probeDue() bool {
-	v := s.probe.Load()
-	if v&0xff == 0 {
-		return true
-	}
-	s.probe.Store(v - 1)
-	return false
-}
-
-// probeAborted extends the abort streak and, from probeSuspendAfter
-// consecutive aborts on, suspends probing for a doubling number of
-// solves.
-func (s *Solver) probeAborted() {
-	streak := s.probe.Load()>>8 + 1
-	var skips uint32
-	if streak >= probeSuspendAfter {
-		skips = 1 << (streak - probeSuspendAfter)
-		if skips >= probeMaxSkip {
-			// Hold the streak where the skip count saturates.
-			skips, streak = probeMaxSkip, streak-1
-		}
-	}
-	s.probe.Store(streak<<8 | skips)
+	return RouteBlock
 }
 
 // checkRHS is the one input check of the one entry point.
@@ -290,61 +153,13 @@ func checkRHS(r *RHS, pos, n int) {
 	}
 }
 
-// prep lazily builds the plumbing shared by every SolveRHS call on
-// this solver: the inverse row permutation (so permuting a support
-// list costs O(|support|), not O(n)) and the bound adjacency accessors
-// (so the reach traversals allocate nothing per query).
+// prep lazily builds the inverse row permutation shared by every
+// SolveRHS call on this solver, so permuting a support list costs
+// O(|support|), not O(n).
 func (s *Solver) prep() {
 	s.prepOnce.Do(func() {
 		s.rowInv = s.O.Row.Inverse()
-		s.lsucc = s.F.LSucc
-		s.usucc = s.F.USucc
 	})
-}
-
-// solveReach is the reach-restricted strategy for one support-list
-// right-hand side. maxReach caps the number of rows the solve may
-// touch (<= 0 means unlimited): when the reach would exceed it the
-// symbolic probe aborts early — before any numeric work — and
-// solveReach returns false with the workspace still reusable. On the
-// returned support the values are bit-identical to the dense route.
-func (s *Solver) solveReach(r *RHS, maxReach int, ws *SolveWorkspace) bool {
-	n := s.F.Dim()
-
-	// Permute the support: supp(P·b) = P⁻¹ applied entrywise.
-	ws.seeds = ws.seeds[:0]
-	for _, u := range r.Idx {
-		ws.seeds = append(ws.seeds, s.rowInv[u])
-	}
-	// Symbolic phase: forward reach of the support under L, then
-	// backward reach of that under U. Both abort early past maxReach.
-	freach, ok := ws.fwd.Reach(n, ws.seeds, s.lsucc, maxReach)
-	if !ok {
-		return false
-	}
-	breach, ok := ws.bwd.Reach(n, freach, s.usucc, maxReach)
-	if !ok {
-		return false
-	}
-
-	// Numeric phase on the reach set only.
-	x := ws.dense(n)
-	for i, u := range r.Idx {
-		x[s.rowInv[u]] += r.Val[i] // b' = P·b, sparse scatter
-	}
-	s.F.SolveReachInPlace(x, freach, breach)
-
-	// Gather x = Q·x' on the support and restore the workspace's
-	// all-zero invariant in the same pass.
-	ws.outIdx = ws.outIdx[:0]
-	ws.outVal = ws.outVal[:0]
-	for _, i := range breach {
-		ws.outIdx = append(ws.outIdx, s.O.Col[i])
-		ws.outVal = append(ws.outVal, x[i])
-		x[i] = 0
-	}
-	r.XIdx, r.XVal = ws.outIdx, ws.outVal
-	return true
 }
 
 // solveBlock is the full-substitution strategy for k ≥ 1 right-hand

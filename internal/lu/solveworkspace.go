@@ -1,28 +1,14 @@
 package lu
 
-import "repro/internal/sparse"
-
-// SolveWorkspace holds every piece of scratch Solver.SolveRHS needs on
-// any route — the reach traversals and the all-zero scatter vector of
-// the reach-restricted solve, the permuted intermediate vectors of the
-// dense and blocked substitutions, and a pooled right-hand-side header
-// — so a steady-state serving worker allocates nothing per solve beyond
-// the solutions its caller keeps. The zero value is ready to use; a
-// workspace must not be shared between concurrent solves but may be
-// reused across block widths and across solvers of different
-// dimensions (capacity is kept on shrink: workers hop between snapshots
-// and batch widths jitter).
-//
-// Invariant: between calls, x is all-zero on every position it has ever
-// exposed; the reach route restores this by re-zeroing exactly the rows
-// it touched.
+// SolveWorkspace holds every piece of scratch Solver.SolveRHS needs —
+// the permuted intermediate vectors of the dense and blocked
+// substitutions and a pooled right-hand-side header — so a steady-state
+// serving worker allocates nothing per solve beyond the solutions its
+// caller keeps. The zero value is ready to use; a workspace must not be
+// shared between concurrent solves but may be reused across block
+// widths and across solvers of different dimensions (capacity is kept
+// on shrink: workers hop between snapshots and batch widths jitter).
 type SolveWorkspace struct {
-	fwd, bwd sparse.ReachWorkspace
-	x        []float64
-	seeds    []int
-	outIdx   []int
-	outVal   []float64
-
 	cols [][]float64
 
 	rhs []RHS
@@ -40,17 +26,6 @@ func (ws *SolveWorkspace) RHS(k int) []RHS {
 	}
 	ws.rhs = ws.rhs[:k]
 	return ws.rhs
-}
-
-// dense returns the all-zero scatter vector of dimension n. Growing
-// within capacity is safe: every previously exposed position was
-// re-zeroed after the solve that touched it.
-func (ws *SolveWorkspace) dense(n int) []float64 {
-	if cap(ws.x) < n {
-		ws.x = make([]float64, n)
-	}
-	ws.x = ws.x[:n]
-	return ws.x
 }
 
 // vectors returns k scratch vectors of dimension n, reusing capacity.

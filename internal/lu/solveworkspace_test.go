@@ -10,8 +10,8 @@ import (
 
 // TestSolveWorkspaceShrinkGrowReuse is the alloc-regression contract:
 // a workspace warmed at width k must solve at any width <= k —
-// including shrink-then-regrow sequences — without allocating, and the
-// reach strategy must be allocation-free once warm.
+// including shrink-then-regrow sequences — without allocating, and a
+// lone support list must be allocation-free once warm.
 func TestSolveWorkspaceShrinkGrowReuse(t *testing.T) {
 	ems := testEMS(t)
 	ord := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
@@ -40,12 +40,12 @@ func TestSolveWorkspaceShrinkGrowReuse(t *testing.T) {
 		s.ForceBlock(block(k), &ws)
 	}
 	rhs := block(16)
-	one := lu.RHS{Idx: []int{3}, Val: []float64{0.15}}
-	s.ForceReach(&one, 0, &ws)
+	one := []lu.RHS{{Idx: []int{3}, Val: []float64{0.15}, X: make([]float64, n)}}
+	s.SolveRHS(one, &ws)
 	for name, solve := range map[string]func(){
-		"block": func() { s.ForceBlock(rhs, &ws) },
-		"reach": func() { s.ForceReach(&one, 0, &ws) },
-		"entry": func() { s.SolveRHS(rhs, &ws) },
+		"block":   func() { s.ForceBlock(rhs, &ws) },
+		"support": func() { s.SolveRHS(one, &ws) },
+		"entry":   func() { s.SolveRHS(rhs, &ws) },
 	} {
 		if allocs := testing.AllocsPerRun(20, solve); allocs > 0 {
 			t.Errorf("%s after shrink/grow: %v allocs per solve, want 0", name, allocs)

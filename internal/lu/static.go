@@ -527,56 +527,6 @@ func (f *StaticFactors) SolveBlockInPlace(xs [][]float64) {
 	}
 }
 
-// LSucc returns the rows fed by column j of L. The static container
-// stores L by columns, so this is the native index; it was built once
-// in NewStaticFactors and is frozen, which is what keeps the reach
-// traversals of the sparse solve path coherent for free under Bennett
-// updates (they touch values only).
-func (f *StaticFactors) LSucc(j int) []int {
-	return f.LRowIdx[f.LColPtr[j]:f.LColPtr[j+1]]
-}
-
-// USucc returns the rows of column j of U, i.e. the rows a backward
-// substitution feeds from column j — served by the frozen cross view
-// built in NewStaticFactors.
-func (f *StaticFactors) USucc(j int) []int {
-	return f.UColRows[f.UColPtr[j]:f.UColPtr[j+1]]
-}
-
-// SolveReachInPlace is the reach-restricted SolveInPlace (see the
-// Factors interface for the contract). The forward pass scatters down
-// whole L columns of reached j's (every target is in freach by reach
-// closure); the backward pass gathers whole native U rows of reached
-// i's, reading exact zeros for off-reach columns exactly as the dense
-// loop does — so the operation sequence per touched row is identical
-// to SolveInPlace's and the results match bit for bit.
-func (f *StaticFactors) SolveReachInPlace(x []float64, freach, breach []int) {
-	// Forward: L y = b over the forward reach (ascending order is
-	// topological for the strictly-lower column graph).
-	for _, j := range freach {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := f.LColPtr[j]; p < f.LColPtr[j+1]; p++ {
-			x[f.LRowIdx[p]] -= f.LVal[p] * xj
-		}
-	}
-	// Diagonal: D z = y on the forward reach (zero stays zero off it).
-	for _, i := range freach {
-		x[i] /= f.D[i]
-	}
-	// Backward: U x = z, descending over the backward reach.
-	for t := len(breach) - 1; t >= 0; t-- {
-		i := breach[t]
-		s := x[i]
-		for p := f.URowPtr[i]; p < f.URowPtr[i+1]; p++ {
-			s -= f.UVal[p] * x[f.UColIdx[p]]
-		}
-		x[i] = s
-	}
-}
-
 // Reconstruct multiplies the factors back into an explicit CSR matrix
 // (L·D·U). Intended for tests: it verifies factorization and update
 // correctness against the original matrix.

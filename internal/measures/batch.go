@@ -28,10 +28,10 @@ type Query struct {
 
 // Batch answers every query in qs against the engine's factors through
 // one lu.Solver.SolveRHS call — the solver picks the substitution route
-// for the whole group and the report says which — writing each answer
-// into its Query. Every answer is bit-identical to the matching RWR /
-// PPR / PageRank call whatever the route.
-func (e *Engine) Batch(qs []Query, ws *lu.SolveWorkspace) lu.Report {
+// for the whole group and Batch returns it — writing each answer into
+// its Query. Every answer is bit-identical to the matching RWR / PPR /
+// PageRank call whatever the route.
+func (e *Engine) Batch(qs []Query, ws *lu.SolveWorkspace) lu.Route {
 	n := e.dim()
 	rhs := ws.RHS(len(qs))
 	for r := range qs {
@@ -42,11 +42,11 @@ func (e *Engine) Batch(qs []Query, ws *lu.SolveWorkspace) lu.Report {
 		}
 		e.restart(&qs[r], n, &rhs[r])
 	}
-	rep := e.Solver.SolveRHS(rhs, ws)
+	route := e.Solver.SolveRHS(rhs, ws)
 	for r := range qs {
-		qs[r].answer(&rhs[r], n, rep.Route == lu.RouteReach)
+		qs[r].answer(&rhs[r])
 	}
-	return rep
+	return route
 }
 
 // solveOne is the allocating single-query path behind RWR, PPR and
@@ -64,7 +64,7 @@ func (e *Engine) solveOne(q Query) []float64 {
 		}
 	}
 	r.X = e.Solver.Solve(b)
-	q.answer(&r, n, false)
+	q.answer(&r)
 	return q.Scores
 }
 
@@ -97,19 +97,8 @@ func (e *Engine) restart(q *Query, n int, r *lu.RHS) {
 }
 
 // answer turns r's solution into q's answer: PageRank's normalization,
-// then either the full vector (scattered from the support when the
-// solve took the reach route) or the top-k — straight from the sparse
-// support on the reach route, so the full vector is never materialized.
-func (q *Query) answer(r *lu.RHS, n int, reach bool) {
-	if reach {
-		sp := SparseScores{N: n, Idx: r.XIdx, Val: r.XVal}
-		if q.TopK > 0 {
-			q.Nodes, q.Scores = TopKSparse(sp, q.TopK)
-		} else {
-			q.Nodes, q.Scores = nil, sp.Dense()
-		}
-		return
-	}
+// then either the full vector or its top-k.
+func (q *Query) answer(r *lu.RHS) {
 	x := r.X
 	if q.Global {
 		if s := sparse.Sum(x); s > 0 {

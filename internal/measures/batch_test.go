@@ -11,14 +11,13 @@ import (
 
 // Tests of Engine.Batch: whichever route lu.Solver.SolveRHS picks, every
 // answer must equal the allocating RWR / PPR / PageRank call bit for
-// bit. Routes are chosen by input, as in production: a graph of
-// disjoint communities keeps a seed's reach inside its community (the
-// reach route); the scale-free test graph is one blob whose reach is
-// nearly everything (probe abort, dense route); k >= 2 queries form a
-// block.
+// bit. Routes follow the block width, as in production: one query
+// solves dense, k >= 2 queries form a block. Two graph shapes: disjoint
+// communities, where a seed's scores are zero outside its community,
+// and the scale-free test graph, one blob.
 
 // blobEngine builds an engine over the shared directed scale-free test
-// graph: one big component, so every reach probe aborts.
+// graph: one big component.
 func blobEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := NewEngine(testGraph(t), 0.85, nil)
@@ -29,8 +28,7 @@ func blobEngine(t *testing.T) *Engine {
 }
 
 // communityEngine builds an engine over a DBLP-like graph of eight
-// fully disjoint communities: each holds about an eighth of the nodes,
-// well under the solver's reach cap.
+// fully disjoint communities, each about an eighth of the nodes.
 func communityEngine(t *testing.T) *Engine {
 	t.Helper()
 	egs, err := gen.DBLPSim(gen.DBLPConfig{
@@ -77,59 +75,50 @@ func assertTopK(t *testing.T, tag string, q Query, dense []float64) {
 	}
 }
 
-func TestBatchReachRouteMatchesDense(t *testing.T) {
-	e := communityEngine(t)
+// assertSingleQueriesDense: a lone query of every shape takes the dense
+// route — single seeds, seed sets whose duplicates must accumulate, the
+// empty set (zero everywhere), a set of half the nodes and PageRank's
+// dense right-hand side — with the allocating call's bits.
+func assertSingleQueriesDense(t *testing.T, name string, e *Engine) {
+	t.Helper()
 	var ws lu.SolveWorkspace
 	n := e.dim()
-	for u := 0; u < n; u += 17 {
-		qs := []Query{{Seeds: []int{u}}}
-		rep := e.Batch(qs, &ws)
-		if rep.Route != lu.RouteReach || rep.ReachRows == 0 || rep.ReachRows > n/4 {
-			t.Fatalf("RWR(%d) on disjoint communities reported %+v, want the reach route", u, rep)
+	half := make([]int, n/2)
+	for i := range half {
+		half[i] = i
+	}
+	single := func(tag string, q Query, want []float64) {
+		t.Helper()
+		qs := []Query{q}
+		if route := e.Batch(qs, &ws); route != lu.RouteDense {
+			t.Fatalf("%s %s: took route %s, want dense", name, tag, route)
 		}
-		assertSameVector(t, "rwr", qs[0].Scores, e.RWR(u))
+		assertSameVector(t, name+" "+tag, qs[0].Scores, want)
 	}
-	// Seed sets: duplicates must accumulate, the empty set must score
-	// zero everywhere, and whatever route a multi-community set takes
-	// the bits must not move.
-	for _, seeds := range [][]int{{3}, {7, 7, 7}, {3, 50, 120}, {}} {
-		qs := []Query{{Seeds: seeds}}
-		e.Batch(qs, &ws)
-		assertSameVector(t, "ppr", qs[0].Scores, e.PPR(seeds))
+	for u := 0; u < n; u += 17 {
+		single("rwr", Query{Seeds: []int{u}}, e.RWR(u))
 	}
+	for _, seeds := range [][]int{{3}, {7, 7, 7}, {3, 50, 120}, {}, half} {
+		single("ppr", Query{Seeds: seeds}, e.PPR(seeds))
+	}
+	single("pagerank", Query{Global: true}, e.PageRank())
+}
+
+// The next two tests keep the names they had when a k = 1 solve could
+// take a reach-restricted route: on disjoint communities, where that
+// route fit, and on one blob, where its probe aborted. Every single
+// query now solves dense on both graphs.
+
+func TestBatchReachRouteMatchesDense(t *testing.T) {
+	assertSingleQueriesDense(t, "communities", communityEngine(t))
 }
 
 func TestBatchProbeAbortFallsBackToDense(t *testing.T) {
-	e := blobEngine(t)
-	var ws lu.SolveWorkspace
-	qs := []Query{{Seeds: []int{0}}}
-	rep := e.Batch(qs, &ws)
-	if rep.Route != lu.RouteDense || !rep.ProbeAborted {
-		t.Fatalf("hub RWR on one big component reported %+v, want probe abort then dense", rep)
-	}
-	assertSameVector(t, "rwr", qs[0].Scores, e.RWR(0))
-
-	// A seed set already larger than the reach cap skips the probe.
-	big := make([]int, e.dim()/2)
-	for i := range big {
-		big[i] = i
-	}
-	qs = []Query{{Seeds: big}}
-	if rep := e.Batch(qs, &ws); rep.Route != lu.RouteDense || !rep.ProbeAborted {
-		t.Fatalf("oversized seed set reported %+v, want dense", rep)
-	}
-	assertSameVector(t, "ppr", qs[0].Scores, e.PPR(big))
-
-	// PageRank's right-hand side is dense: it never probes.
-	qs = []Query{{Global: true}}
-	if rep := e.Batch(qs, &ws); rep.Route != lu.RouteDense || rep.ProbeAborted {
-		t.Fatalf("pagerank reported %+v, want dense without a probe", rep)
-	}
-	assertSameVector(t, "pagerank", qs[0].Scores, e.PageRank())
+	assertSingleQueriesDense(t, "blob", blobEngine(t))
 }
 
 func TestBatchTopKMatchesDense(t *testing.T) {
-	for name, e := range map[string]*Engine{"reach": communityEngine(t), "dense": blobEngine(t)} {
+	for name, e := range map[string]*Engine{"communities": communityEngine(t), "blob": blobEngine(t)} {
 		var ws lu.SolveWorkspace
 		n := e.dim()
 		rng := xrand.New(12)
@@ -138,9 +127,8 @@ func TestBatchTopKMatchesDense(t *testing.T) {
 			dense := e.RWR(u)
 			for _, k := range []int{1, 5, n / 8, n/8 + 7, n, n + 3} {
 				qs := []Query{{Seeds: []int{u}, TopK: k}}
-				rep := e.Batch(qs, &ws)
-				if wantReach := name == "reach"; (rep.Route == lu.RouteReach) != wantReach {
-					t.Fatalf("%s engine: top-k took route %s", name, rep.Route)
+				if route := e.Batch(qs, &ws); route != lu.RouteDense {
+					t.Fatalf("%s engine: top-k took route %s", name, route)
 				}
 				assertTopK(t, name, qs[0], dense)
 			}
@@ -148,25 +136,20 @@ func TestBatchTopKMatchesDense(t *testing.T) {
 	}
 }
 
-func TestTopKSparseNaNAndNegative(t *testing.T) {
-	// Synthetic supports exercising the comparator edges the RWR path
-	// never produces: negative scores rank below the implicit zeros,
-	// NaN after everything.
-	sp := SparseScores{
-		N:   8,
-		Idx: []int{1, 3, 5, 6},
-		Val: []float64{2, -1, math.NaN(), 0},
-	}
-	dense := sp.Dense()
-	wantNodes := TopK(dense, sp.N)
-	gotNodes, _ := TopKSparse(sp, sp.N)
-	for i := range wantNodes {
-		if gotNodes[i] != wantNodes[i] {
-			t.Fatalf("node[%d] = %d, want %d (got %v want %v)", i, gotNodes[i], wantNodes[i], gotNodes, wantNodes)
+func TestTopKNaNAndNegative(t *testing.T) {
+	// Scores exercising the comparator edges the RWR path never
+	// produces: negative scores rank below the zeros, NaN after
+	// everything, ties by ascending id.
+	x := []float64{0, 2, 0, -1, 0, math.NaN(), 0, 0}
+	want := []int{1, 0, 2, 4, 6, 7, 3, 5}
+	got := TopK(x, len(x))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("node[%d] = %d, want %d (got %v want %v)", i, got[i], want[i], got, want)
 		}
 	}
-	if nodes, scores := TopKSparse(sp, 0); len(nodes) != 0 || len(scores) != 0 {
-		t.Fatalf("k=0 returned %v / %v", nodes, scores)
+	if nodes := TopK(x, 0); len(nodes) != 0 {
+		t.Fatalf("k=0 returned %v", nodes)
 	}
 }
 
@@ -185,9 +168,9 @@ func TestBatchBlockMatchesSingles(t *testing.T) {
 		for i := range qs {
 			qs[i].Seeds = []int{rng.Intn(n)}
 		}
-		rep := e.Batch(qs, &ws)
-		if wantBlock := k >= 2; (rep.Route == lu.RouteBlock) != wantBlock {
-			t.Fatalf("k=%d batch took route %s", k, rep.Route)
+		route := e.Batch(qs, &ws)
+		if wantBlock := k >= 2; (route == lu.RouteBlock) != wantBlock {
+			t.Fatalf("k=%d batch took route %s", k, route)
 		}
 		for r := range qs {
 			assertSameVector(t, "rwr row", qs[r].Scores, e.RWR(qs[r].Seeds[0]))
@@ -202,8 +185,8 @@ func TestBatchBlockMatchesSingles(t *testing.T) {
 		{Seeds: []int{9}, TopK: 6},
 		{Seeds: []int{5, 5, 5}},
 	}
-	if rep := e.Batch(qs, &ws); rep.Route != lu.RouteBlock {
-		t.Fatalf("mixed block took route %s", rep.Route)
+	if route := e.Batch(qs, &ws); route != lu.RouteBlock {
+		t.Fatalf("mixed block took route %s", route)
 	}
 	assertSameVector(t, "ppr dup", qs[0].Scores, e.PPR(qs[0].Seeds))
 	assertSameVector(t, "ppr empty", qs[1].Scores, e.PPR(nil))

@@ -15,6 +15,7 @@ package measures
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -302,6 +303,74 @@ func TopK(x []float64, k int) []int {
 		idx[i] = e.id
 	}
 	return idx
+}
+
+// spEntry is one (node, score) pair during ranking.
+type spEntry struct {
+	id  int
+	val float64
+}
+
+// spLess is the one ranking order of the package — TopK and Ranks both
+// sort by it: score descending, NaN after every real score (a bare `>`
+// is not a strict weak order in their presence), ties by ascending id.
+// It is total over distinct ids, which is what makes a bounded
+// selection agree with a full sort.
+func spLess(a, b spEntry) bool {
+	an, bn := math.IsNaN(a.val), math.IsNaN(b.val)
+	if an != bn {
+		return bn
+	}
+	if !an && a.val != b.val {
+		return a.val > b.val
+	}
+	return a.id < b.id
+}
+
+// Less makes spEntry a sparse.MinHeap element ordered worst first: a is
+// "smaller" when it ranks after b under spLess, so the root of a heap
+// of kept entries is the one the next better candidate displaces.
+func (a spEntry) Less(b spEntry) bool { return spLess(b, a) }
+
+// topSelector is the bounded selection behind TopK: it keeps the k
+// entries ranking first under spLess out of however many are offered,
+// in O(log k) per offer that makes the cut and one comparison per offer
+// that does not. With k at or above the number of offers it is a
+// heapsort, so there is no cut-over to a full sort.
+type topSelector struct {
+	k int
+	h sparse.MinHeap[spEntry]
+}
+
+// newTopSelector returns a selector of the k best, k clamped to [0, n]
+// for n candidates.
+func newTopSelector(k, n int) topSelector {
+	if k > n {
+		k = n
+	}
+	if k < 0 {
+		k = 0
+	}
+	return topSelector{k: k, h: make(sparse.MinHeap[spEntry], 0, k)}
+}
+
+func (s *topSelector) offer(id int, val float64) {
+	e := spEntry{id: id, val: val}
+	switch {
+	case len(s.h) < s.k:
+		s.h.Push(e)
+	case s.k > 0 && s.h[0].Less(e):
+		s.h.ReplaceMin(e)
+	}
+}
+
+// ranked empties the selector and returns what it kept, best first.
+func (s *topSelector) ranked() []spEntry {
+	out := s.h
+	for n := len(out) - 1; n >= 0; n-- {
+		out[n] = s.h.Pop() // the worst left; Pop has just vacated slot n
+	}
+	return out
 }
 
 // Ranks converts scores into 1-based ranks (highest score → rank 1;

@@ -34,11 +34,12 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	cf("clude_blocked_rhs_total", "Right-hand sides carried by blocked dispatches.", &e.blockedRHS)
 	r.CounterFunc("clude_panel_rhs_total", "Always 0: the panel solve route is gone. Kept only because the committed benchmark reads it (serve.panel_share) and fails a run whose series disappears; a change to the benchmark retires both.", nil,
 		func() float64 { return 0 })
-	cf("clude_single_groups_total", "Route groups of one query (reach-restricted or dense solve).", &e.singleGroups)
-	cf("clude_sparse_solves_total", "Cold solves answered through the reach-based sparse path.", &e.sparseSolves)
+	cf("clude_single_groups_total", "Route groups of one query (a dense or Katz solve).", &e.singleGroups)
+	for _, name := range []string{"clude_sparse_solves_total", "clude_sparse_fallbacks_total"} {
+		r.CounterFunc(name, "Always 0: the reach solve route is gone. Kept only because the committed benchmark reads it (serve.sparse_share, serve.sparse_fallback_ratio) and fails a run whose series disappears; a change to the benchmark retires both.", nil,
+			func() float64 { return 0 })
+	}
 	cf("clude_dense_solves_total", "Cold solves answered through the dense substitution.", &e.denseSolves)
-	cf("clude_sparse_fallbacks_total", "Sparse attempts aborted at the reach cap (each also counts one dense solve).", &e.sparseFallbacks)
-	cf("clude_sparse_probes_skipped_total", "Single support-list solves sent dense without a reach probe while their solver's probes were suspended after repeated aborts (clude_sparse_solves_total + clude_sparse_fallbacks_total + clude_sparse_probes_skipped_total == rwr/ppr/topk queries solved alone).", &e.sparseProbesSkipped)
 	cf("clude_katz_solves_total", "Cold solves answered by the graph-backed Katz factorization.", &e.katzSolves)
 	cf("clude_snapshots_pinned_total", "Snapshot pins into the bounded store.", &e.pinCount)
 	cf("clude_snapshots_evicted_total", "Snapshot evictions from the bounded store.", &e.snapEvicted)

@@ -7,12 +7,11 @@ import (
 	"repro/internal/lu"
 )
 
-// Tests of how the worker books the route lu.Solver.SolveRHS reports:
-// every gathered group lands in exactly one of the sparse / dense /
-// block counters, and the per-worker scratch reuses capacity as batch
-// widths jitter. Routes are picked by input, as in production: the
-// community engine's factors have small reaches, the Wiki-like
-// engine's do not.
+// Tests of how the worker books the route lu.Solver.SolveRHS returns:
+// every gathered group lands in exactly one of the dense / block
+// counters, and the per-worker scratch reuses capacity as batch widths
+// jitter. Two factor shapes: the community engine's block-diagonal
+// factors and the Wiki-like engine's single blob.
 
 // groupTasks builds a route-compatible unkeyed RWR task group of width
 // k directly (no cache fill, no flight table), the harness that drives
@@ -47,8 +46,7 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 	}
 
 	type delta struct {
-		single, sparse, fallbacks, skipped, dense int64
-		blocks, blockedRHS                        int64
+		single, dense, blocks, blockedRHS int64
 	}
 	w := &workerScratch{}
 	for _, tc := range []struct {
@@ -57,15 +55,11 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 		solver *lu.Solver
 		want   delta
 	}{
-		{"single seed inside a community: reach", groupTasks(1), community,
-			delta{single: 1, sparse: 1}},
-		{"single seed on a blob: probe abort, dense", groupTasks(1), blob,
-			delta{single: 1, fallbacks: 1, dense: 1}},
-		{"second single seed on the blob: second abort arms the suspension", groupTasks(1), blob,
-			delta{single: 1, fallbacks: 1, dense: 1}},
-		{"third single seed on the blob: dense unprobed, not a fallback", groupTasks(1), blob,
-			delta{single: 1, skipped: 1, dense: 1}},
-		{"pagerank: dense without a probe", pagerank(), community,
+		{"single seed inside a community: dense", groupTasks(1), community,
+			delta{single: 1, dense: 1}},
+		{"single seed on a blob: dense", groupTasks(1), blob,
+			delta{single: 1, dense: 1}},
+		{"pagerank: dense", pagerank(), community,
 			delta{single: 1, dense: 1}},
 		{"wide block on the communities", groupTasks(8), community,
 			delta{blocks: 1, blockedRHS: 8, dense: 8}},
@@ -79,9 +73,6 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 		after := eng.Stats()
 		got := delta{
 			single:     after.SingleGroups - before.SingleGroups,
-			sparse:     after.SparseSolves - before.SparseSolves,
-			fallbacks:  after.SparseFallbacks - before.SparseFallbacks,
-			skipped:    after.SparseProbesSkipped - before.SparseProbesSkipped,
 			dense:      after.DenseSolves - before.DenseSolves,
 			blocks:     after.BlockSolves - before.BlockSolves,
 			blockedRHS: after.BlockedRHS - before.BlockedRHS,
@@ -89,8 +80,8 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
 		}
-		if after.SparseSolves+after.DenseSolves != after.ColdSolves {
-			t.Errorf("%s: sparse %d + dense %d != cold %d", tc.name, after.SparseSolves, after.DenseSolves, after.ColdSolves)
+		if after.DenseSolves != after.ColdSolves {
+			t.Errorf("%s: dense %d != cold %d", tc.name, after.DenseSolves, after.ColdSolves)
 		}
 		// Every answer, whatever the route, is the cold answer.
 		for _, tk := range tc.group {
@@ -102,9 +93,6 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 				}
 			}
 		}
-	}
-	if st := eng.Stats(); st.AvgReachFrac <= 0 || st.AvgReachFrac > 0.25 {
-		t.Errorf("avg reach fraction %v outside (0, 0.25] after one reach solve", st.AvgReachFrac)
 	}
 }
 

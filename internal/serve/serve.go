@@ -194,8 +194,9 @@ type Stats struct {
 	// multi-RHS dispatches (groups of ≥ 2 compatible queries solved in
 	// one factor traversal), BlockedRHS the total right-hand sides
 	// they carried — BlockedRHS/BlockSolves is the mean block width.
-	// SingleGroups counts route groups of one query (sparse-capable),
-	// so the routing decision is observable for every gathered group.
+	// SingleGroups counts route groups of one query (the dense route,
+	// or a Katz solve), so the routing decision is observable for every
+	// gathered group.
 	BlockSolves  int64 `json:"block_solves"`
 	BlockedRHS   int64 `json:"blocked_rhs"`
 	SingleGroups int64 `json:"single_groups"`
@@ -216,25 +217,12 @@ type Stats struct {
 	// /v1/traces/{trace_id}.
 	LatencyExemplars []LatencyExemplar `json:"latency_exemplars,omitempty"`
 
-	// Solve-path breakdown of the cold solves: SparseSolves answered
-	// through the reach-based path, DenseSolves through the full
-	// substitution (PageRank always; others on fallback or when solved
-	// as part of a block),
-	// KatzSolves through the graph-backed Katz factorization.
-	// SparseFallbacks counts sparse attempts whose symbolic probe
-	// exceeded the reach cap, SparseProbesSkipped the single
-	// support-list solves that went dense unprobed because their
-	// solver's probes kept aborting (each of either also appears in
-	// DenseSolves): SparseSolves + SparseFallbacks + SparseProbesSkipped
-	// is the number of rwr/ppr/topk queries solved alone.
-	// AvgReachFrac is the mean fraction of rows the sparse solves
-	// touched.
-	SparseSolves        int64   `json:"sparse_solves"`
-	DenseSolves         int64   `json:"dense_solves"`
-	SparseFallbacks     int64   `json:"sparse_fallbacks"`
-	SparseProbesSkipped int64   `json:"sparse_probes_skipped"`
-	KatzSolves          int64   `json:"katz_solves"`
-	AvgReachFrac        float64 `json:"avg_reach_frac"`
+	// Solve-path breakdown of the cold solves: DenseSolves counts the
+	// right-hand sides answered through the full substitution (one per
+	// query solved alone, k per block of k), KatzSolves those answered
+	// through the graph-backed Katz factorization.
+	DenseSolves int64 `json:"dense_solves"`
+	KatzSolves  int64 `json:"katz_solves"`
 
 	// QueryStages breaks the pipeline down per stage (resolve,
 	// coalesce, admit, batch, solve — see hist.go for exact stage
@@ -362,12 +350,7 @@ type Engine struct {
 	tracer *trace.Tracer
 	latEx  metrics.Exemplars
 
-	// Sparse-path counters: reachRows/reachDen accumulate the touched-
-	// row and dimension totals of sparse solves, so AvgReachFrac is an
-	// exact ratio without float atomics.
-	sparseSolves, denseSolves, sparseFallbacks atomic.Int64
-	sparseProbesSkipped                        atomic.Int64
-	reachRows, reachDen                        atomic.Int64
+	denseSolves atomic.Int64
 
 	// Live source (see live.go). Guarded by mu; read once per query and
 	// released before the source's lock is taken, so the lock orders
@@ -539,38 +522,32 @@ func (e *Engine) Stats() Stats {
 	e.mu.RUnlock()
 	lat := e.lat.Snapshot()
 	st := Stats{
-		Queries:             e.queries.Load(),
-		CacheHits:           e.hits.Load(),
-		CacheMisses:         e.misses.Load(),
-		ColdSolves:          e.solves.Load(),
-		Rejected:            e.rejected.Load(),
-		SnapshotsPinned:     e.pinCount.Load(),
-		SnapshotsEvicted:    e.snapEvicted.Load(),
-		CacheEvictions:      e.cacheEvicted.Load(),
-		CacheEntries:        e.cache.len(),
-		Retained:            retained,
-		Workers:             e.cfg.Workers,
-		Admitted:            e.admitted.Load(),
-		Coalesced:           e.coalesced.Load(),
-		Shed:                e.shed.Load(),
-		BlockSolves:         e.blockSolves.Load(),
-		BlockedRHS:          e.blockedRHS.Load(),
-		SingleGroups:        e.singleGroups.Load(),
-		LatencyCount:        lat.Total,
-		LatencyP50us:        lat.QuantileUS(0.50),
-		LatencyP95us:        lat.QuantileUS(0.95),
-		LatencyP99us:        lat.QuantileUS(0.99),
-		SparseSolves:        e.sparseSolves.Load(),
-		DenseSolves:         e.denseSolves.Load(),
-		SparseFallbacks:     e.sparseFallbacks.Load(),
-		SparseProbesSkipped: e.sparseProbesSkipped.Load(),
-		KatzSolves:          e.katzSolves.Load(),
-		SnapshotsSpilled:    e.spillWrites.Load(),
-		SpillReloads:        e.spillLoads.Load(),
-		SpillErrors:         e.spillErrors.Load(),
-	}
-	if den := e.reachDen.Load(); den > 0 {
-		st.AvgReachFrac = float64(e.reachRows.Load()) / float64(den)
+		Queries:          e.queries.Load(),
+		CacheHits:        e.hits.Load(),
+		CacheMisses:      e.misses.Load(),
+		ColdSolves:       e.solves.Load(),
+		Rejected:         e.rejected.Load(),
+		SnapshotsPinned:  e.pinCount.Load(),
+		SnapshotsEvicted: e.snapEvicted.Load(),
+		CacheEvictions:   e.cacheEvicted.Load(),
+		CacheEntries:     e.cache.len(),
+		Retained:         retained,
+		Workers:          e.cfg.Workers,
+		Admitted:         e.admitted.Load(),
+		Coalesced:        e.coalesced.Load(),
+		Shed:             e.shed.Load(),
+		BlockSolves:      e.blockSolves.Load(),
+		BlockedRHS:       e.blockedRHS.Load(),
+		SingleGroups:     e.singleGroups.Load(),
+		LatencyCount:     lat.Total,
+		LatencyP50us:     lat.QuantileUS(0.50),
+		LatencyP95us:     lat.QuantileUS(0.95),
+		LatencyP99us:     lat.QuantileUS(0.99),
+		DenseSolves:      e.denseSolves.Load(),
+		KatzSolves:       e.katzSolves.Load(),
+		SnapshotsSpilled: e.spillWrites.Load(),
+		SpillReloads:     e.spillLoads.Load(),
+		SpillErrors:      e.spillErrors.Load(),
 	}
 	st.QueryStages = make(map[string]StageLatency, numStages)
 	for i, name := range stageNames {

@@ -20,8 +20,7 @@ const testDamping = 0.85
 // of every snapshot into a fresh serve engine. It also returns
 // an independent reference clone of each snapshot's solver so tests
 // can recompute answers cold, outside the engine. The Wiki-like graph
-// is one blob: every reach probe on it aborts, so single queries take
-// the dense route.
+// is one blob.
 func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.Solver) {
 	t.Helper()
 	egs, err := gen.WikiSim(gen.WikiConfig{
@@ -35,9 +34,9 @@ func pinnedEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.So
 }
 
 // communityEngine is pinnedEngine over a DBLP-like sequence of eight
-// fully disjoint communities — the other side of the reach threshold:
-// a seed's reach stays inside its community (the reach route), and the
-// coauthor cliques make the widest factor columns of any test engine.
+// fully disjoint communities: a seed's scores stay inside its
+// community, and the coauthor cliques make the widest factor columns of
+// any test engine.
 func communityEngine(t *testing.T, cfg Config) (*Engine, *graph.EMS, map[int]*lu.Solver) {
 	t.Helper()
 	egs, err := gen.DBLPSim(gen.DBLPConfig{
@@ -441,17 +440,14 @@ func TestLatestSurvivesOutOfOrderEviction(t *testing.T) {
 	}
 }
 
-// TestSparsePathStatsAndEquivalence runs the same query shapes on both
-// sides of the solver's reach threshold — disjoint communities, where
-// every seeded query takes the reach-restricted route, and the
-// Wiki-like blob, where every probe aborts and the dense substitution
-// answers — and checks that (a) every answer equals an independent
-// cold dense solve bit for bit, (b) the path counters add up, and (c)
-// the community engine actually took the reach route and measured a
-// reach fraction while the blob engine recorded real fallbacks.
+// TestSparsePathStatsAndEquivalence runs the same query shapes on two
+// factor shapes — disjoint communities, where a seeded query's scores
+// are zero outside its community, and the Wiki-like blob — and checks
+// that (a) every answer equals an independent cold dense solve bit for
+// bit and (b) every cold solve is booked as a dense one.
 func TestSparsePathStatsAndEquivalence(t *testing.T) {
-	reach, cems, cref := communityEngine(t, Config{Workers: 2})
-	defer reach.Close()
+	comm, cems, cref := communityEngine(t, Config{Workers: 2})
+	defer comm.Close()
 	blob, wems, wref := pinnedEngine(t, Config{Workers: 2})
 	defer blob.Close()
 
@@ -465,15 +461,14 @@ func TestSparsePathStatsAndEquivalence(t *testing.T) {
 			{Snapshot: 4, Measure: MeasurePageRank},
 		}
 	}
-	const seeded = 4 // every query above but pagerank
 	for _, side := range []struct {
 		name  string
 		eng   *Engine
 		n     int
-		seeds []int // one seed keeps the community-side reach inside one community
+		seeds []int // one seed keeps the community-side scores inside one community
 		ref   map[int]*lu.Solver
 	}{
-		{"communities", reach, cems.N(), []int{2}, cref},
+		{"communities", comm, cems.N(), []int{2}, cref},
 		{"blob", blob, wems.N(), []int{2, 9, 40}, wref},
 	} {
 		for _, q := range queriesFor(side.n, side.seeds) {
@@ -484,41 +479,11 @@ func TestSparsePathStatsAndEquivalence(t *testing.T) {
 			}
 			sameAnswer(t, side.name+" "+q.Measure, a, nodes, scores)
 		}
-	}
-
-	rst := reach.Stats()
-	// Inside a community every rwr/topk/ppr cold solve fits the reach
-	// cap; only pagerank is dense, and it never probes.
-	if rst.SparseSolves != seeded {
-		t.Errorf("community engine: %d sparse solves, want %d", rst.SparseSolves, seeded)
-	}
-	if rst.DenseSolves != 1 {
-		t.Errorf("community engine: %d dense solves, want 1 (pagerank)", rst.DenseSolves)
-	}
-	if rst.SparseFallbacks != 0 {
-		t.Errorf("community engine: %d fallbacks, want 0", rst.SparseFallbacks)
-	}
-	if rst.SparseSolves+rst.DenseSolves != rst.ColdSolves {
-		t.Errorf("sparse %d + dense %d != cold %d", rst.SparseSolves, rst.DenseSolves, rst.ColdSolves)
-	}
-	if rst.AvgReachFrac <= 0 || rst.AvgReachFrac > 0.25 {
-		t.Errorf("community engine: avg reach fraction %v outside (0, 0.25]", rst.AvgReachFrac)
-	}
-
-	bst := blob.Stats()
-	// On the blob the probes make real decisions: a hub's reach is
-	// nearly everything (abort, dense), a dangling node's a single row.
-	// Every seeded cold solve is booked as exactly one of the two.
-	if bst.SparseFallbacks == 0 {
-		t.Errorf("blob engine recorded no probe abort: %+v", bst)
-	}
-	if bst.SparseSolves+bst.SparseFallbacks != seeded {
-		t.Errorf("blob engine: %d sparse + %d fallbacks != %d seeded queries", bst.SparseSolves, bst.SparseFallbacks, seeded)
-	}
-	if bst.DenseSolves != bst.SparseFallbacks+1 {
-		t.Errorf("blob engine: %d dense solves, want %d fallbacks + pagerank", bst.DenseSolves, bst.SparseFallbacks)
-	}
-	if bst.SparseSolves+bst.DenseSolves != bst.ColdSolves {
-		t.Errorf("blob engine: sparse %d + dense %d != cold %d", bst.SparseSolves, bst.DenseSolves, bst.ColdSolves)
+		// Each query above is its own cold solve (one per snapshot),
+		// answered alone on the dense route.
+		if st := side.eng.Stats(); st.ColdSolves != 5 || st.DenseSolves != st.ColdSolves || st.SingleGroups != st.ColdSolves {
+			t.Errorf("%s engine: %d cold solves, %d dense, %d single groups; want 5 of each",
+				side.name, st.ColdSolves, st.DenseSolves, st.SingleGroups)
+		}
 	}
 }

@@ -11,10 +11,9 @@ import (
 // The batching stage: each worker drains the admission queue, groups
 // compatible queued queries — same factors, hence one solver — and
 // answers a group of k ≥ 1 through one measures.Engine.Batch call. The
-// substitution route (reach-restricted, dense, block) is
-// lu.Solver.SolveRHS's decision, made from what it observes about the
-// group and the factors; this layer only books the route the report
-// names. Every route produces bit-identical answers, so batching and
+// substitution route (dense for one query, block for more) is
+// lu.Solver.SolveRHS's decision; this layer only books the route it
+// returns. Every route produces bit-identical answers, so batching and
 // routing are purely execution-schedule decisions.
 
 // batchMax bounds how many queued tasks one worker drains per gather:
@@ -201,7 +200,7 @@ func (e *Engine) fallbackPinned(t *task, w *workerScratch) {
 
 // solveGroup answers a route group of any size against its resolved
 // solver through one Batch call and books the route it took: exactly
-// one of sparse / dense / block per group.
+// one of dense / block per group.
 func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) {
 	if len(group) == 1 {
 		e.singleGroups.Add(1)
@@ -219,21 +218,8 @@ func (e *Engine) solveGroup(group []*task, solver *lu.Solver, w *workerScratch) 
 		w.qs = append(w.qs, mq)
 	}
 	me := measures.NewSolverEngine(group[0].damping, solver)
-	rep := me.Batch(w.qs, &w.ws)
-
-	switch rep.Route {
-	case lu.RouteReach:
-		e.sparseSolves.Add(1)
-		e.reachRows.Add(int64(rep.ReachRows))
-		e.reachDen.Add(int64(solver.F.Dim()))
-		group[0].solveSpan.SetString("path", "sparse")
+	switch me.Batch(w.qs, &w.ws) {
 	case lu.RouteDense:
-		switch {
-		case rep.ProbeAborted:
-			e.sparseFallbacks.Add(1)
-		case rep.ProbeSkipped:
-			e.sparseProbesSkipped.Add(1)
-		}
 		e.denseSolves.Add(1)
 		group[0].solveSpan.SetString("path", "dense")
 	default:
