@@ -335,7 +335,7 @@ func Fig10(d Datasets) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	star := core.StarSizes(ems, true)
+	star := bf.SSPSizes // |s̃p(A_i*)|, what core.StarSizes would recompute
 	quality := &Table{
 		Title:  "LUDEM-QC: average quality-loss vs beta (DBLP)",
 		Header: []string{"beta", "CINC", "CLUDE", "clusters(CINC)", "clusters(CLUDE)"},

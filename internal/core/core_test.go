@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -212,7 +213,7 @@ func TestAlphaOneDegeneratesToBFQuality(t *testing.T) {
 func TestQCVariantsRespectBeta(t *testing.T) {
 	ems := symmetricEMS(t)
 	beta := 0.2
-	star := StarSizes(ems, true)
+	star := StarSizes(ems)
 	for _, alg := range []Algorithm{CINC, CLUDE} {
 		res := checkSolutions(t, ems, alg, Options{MeasureQuality: true}, true, beta)
 		ql := QualityLoss(res.SSPSizes, star)
@@ -223,6 +224,33 @@ func TestQCVariantsRespectBeta(t *testing.T) {
 		}
 		if !clustersCover(res, ems.Len()) {
 			t.Errorf("%s-QC clusters do not partition", alg)
+		}
+	}
+}
+
+// TestStarSizesAreBF holds the quality reference to BF's own sizes on a
+// symmetric DBLP EMS and on the directed tiny Wiki EMS: StarSizes runs
+// Markowitz, which picks its elimination from the pattern, so it cannot
+// hand a directed sequence the sizes of its symmetrized patterns.
+func TestStarSizesAreBF(t *testing.T) {
+	cfg, err := gen.ConfigsFor(gen.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	egs, err := gen.WikiSim(cfg.Wiki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ems := range map[string]*graph.EMS{
+		"dblp": symmetricEMS(t),
+		"wiki": graph.DeriveEMS(egs, graph.RWRMatrix(0.85)),
+	} {
+		bf, err := Run(ems, BF, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if star := StarSizes(ems); !slices.Equal(star, bf.SSPSizes) {
+			t.Errorf("%s: StarSizes %v, BF SSPSizes %v", name, star, bf.SSPSizes)
 		}
 	}
 }

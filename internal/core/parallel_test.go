@@ -111,7 +111,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // β-clustered variants.
 func TestParallelQCMatchesSequential(t *testing.T) {
 	ems := symmetricEMS(t)
-	star := StarSizes(ems, true)
+	star := StarSizes(ems)
 	for _, alg := range []Algorithm{CINC, CLUDE} {
 		seq, err := RunQC(ems, alg, 0.2, Options{Workers: 1, MeasureQuality: true, StarSizes: star})
 		if err != nil {

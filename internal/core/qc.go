@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/order"
 )
@@ -37,18 +36,14 @@ func RunQC(ems *graph.EMS, alg Algorithm, beta float64, opt Options) (*Result, e
 	})
 }
 
-// StarSizes computes the reference |s̃p(A_i*)| series. For general
-// matrices it runs Markowitz per matrix (as BF does); symmetric EMSes
-// may use the cheaper MinDegree by passing symmetric=true. These are
-// the denominators of every quality-loss figure.
-func StarSizes(ems *graph.EMS, symmetric bool) []int {
+// StarSizes computes the reference |s̃p(A_i*)| series, the
+// denominators of every quality-loss figure: Markowitz per matrix, as
+// BF does, so the integers are BF's SSPSizes. On a symmetric pattern
+// Markowitz takes the symmetric elimination of paper §3 on its own.
+func StarSizes(ems *graph.EMS) []int {
 	out := make([]int, ems.Len())
 	for i, a := range ems.Matrices {
-		if symmetric {
-			out[i] = cluster.MinDegreeStar(i, a.Pattern())
-		} else {
-			out[i] = order.Markowitz(a.Pattern()).SSPSize
-		}
+		out[i] = order.Markowitz(a.Pattern()).SSPSize
 	}
 	return out
 }

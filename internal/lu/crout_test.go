@@ -101,8 +101,9 @@ func checkCroutAgainstSearch(t *testing.T, name string, sym *SymbolicLU, a *spar
 	}
 	// A cursor left behind would cost time, not bits (it re-reads entries
 	// above the front into positions nothing reads again), so the values
-	// cannot show it: a finished run has passed every entry.
-	if err == nil && (!slices.Equal(ws.lfirst, got.LColPtr[1:]) || !slices.Equal(ws.ufirst, got.URowPtr[1:])) {
+	// cannot show it: a finished run has passed every entry. Only the
+	// general route keeps cursors.
+	if err == nil && !MirroredRoute(got, a) && (!slices.Equal(ws.lfirst, got.LColPtr[1:]) || !slices.Equal(ws.ufirst, got.URowPtr[1:])) {
 		t.Fatalf("%s: cursors did not end at the ends of their columns and rows", name)
 	}
 	return got, err
@@ -135,13 +136,19 @@ func unsymmetricDominant(rng *xrand.Rand, n, extra int) *sparse.CSR {
 // USSPs wider than the matrix (structural zeros, hence the c == 0
 // skips), lopsided structures where U(m,k) is present and L(k,m) is not,
 // and one Workspace carried across growing and shrinking dimensions.
+// Its matrices are unsymmetric, so they take the general route, except
+// a 1 × 1 matrix, which is its own transpose and takes the mirrored one
+// (TestMirroredCroutMatchesGeneral holds that route).
 func TestFactorizeWithMatchesSearch(t *testing.T) {
 	var ws Workspace // one for the whole test: n goes up and down
 	rng := xrand.New(2400)
 	sizes := []int{1, 2, 40, 7, 90, 3, 64, 65, 12, 130, 5}
 	for trial, n := range sizes {
 		a := randomDominant(rng, n, 4*n)
-		checkCroutAgainstSearch(t, fmt.Sprint("tight n=", n), Symbolic(a.Pattern()), a, &ws)
+		tight, _ := checkCroutAgainstSearch(t, fmt.Sprint("tight n=", n), Symbolic(a.Pattern()), a, &ws)
+		if MirroredRoute(tight, a) != (n == 1) {
+			t.Fatalf("trial %d (n=%d): mirrored route %v", trial, n, MirroredRoute(tight, a))
+		}
 
 		// A USSP over a union of three patterns: a uses part of it.
 		union := a.Pattern().Union(randomDominant(rng, n, 3*n).Pattern()).Union(randomDominant(rng, n, 3*n).Pattern())
@@ -221,5 +228,135 @@ func TestFactorizeWithZeroAlloc(t *testing.T) {
 	step() // warm: the column view, the cursors and the vector reach their size
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Errorf("%v allocations per warm pair of factorizations, want 0", allocs)
+	}
+}
+
+// symmetricDominant is randomDominant mirrored: every off-diagonal draw
+// goes to (i, j) and (j, i) with one value, so the matrix equals its
+// transpose in every bit.
+func symmetricDominant(rng *xrand.Rand, n, extra int) *sparse.CSR {
+	vals := make(map[sparse.Coord]float64)
+	rowAbs := make([]float64, n)
+	for k := 0; k < extra; k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j || vals[sparse.Coord{Row: i, Col: j}] != 0 {
+			continue
+		}
+		v := rng.Float64()*2 - 1
+		vals[sparse.Coord{Row: i, Col: j}], vals[sparse.Coord{Row: j, Col: i}] = v, v
+		rowAbs[i] += math.Abs(v)
+		rowAbs[j] += math.Abs(v)
+	}
+	var entries []sparse.Entry
+	for c, v := range vals {
+		entries = append(entries, sparse.Entry{Row: c.Row, Col: c.Col, Val: v})
+	}
+	for i := 0; i < n; i++ {
+		entries = append(entries, sparse.Entry{Row: i, Col: i, Val: rowAbs[i] + 1 + rng.Float64()})
+	}
+	return sparse.NewCSRFromEntries(n, entries)
+}
+
+// checkMirroredAgainstGeneral factorizes a into two containers over sym,
+// by FactorizeWith and by the general route alone, holds the route
+// FactorizeWith took to wantMirrored, and every factor bit, Mirrored,
+// and the pivot and value of a failure, equal.
+func checkMirroredAgainstGeneral(t *testing.T, name string, sym *SymbolicLU, a *sparse.CSR, wantMirrored bool, ws *Workspace) error {
+	t.Helper()
+	got, want := NewStaticFactors(sym), NewStaticFactors(sym)
+	if route := MirroredRoute(got, a); route != wantMirrored {
+		t.Fatalf("%s: mirrored route %v, want %v", name, route, wantMirrored)
+	}
+	err := got.FactorizeWith(a, ws)
+	var general Workspace
+	general.columns(a)
+	wantErr := want.factorizeGeneral(a, &general)
+	var se, wantSE *SingularError
+	if errors.As(err, &se) != errors.As(wantErr, &wantSE) || (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error %v, general route %v", name, err, wantErr)
+	}
+	if se != nil && (se.Pivot != wantSE.Pivot || math.Float64bits(se.Value) != math.Float64bits(wantSE.Value)) {
+		t.Fatalf("%s: %v, general route %v", name, se, wantSE)
+	}
+	if !sameBits(got.LVal, want.LVal) || !sameBits(got.UVal, want.UVal) || !sameBits(got.D, want.D) {
+		t.Fatalf("%s: factors differ from the general route", name)
+	}
+	if got.Mirrored() != want.Mirrored() {
+		t.Fatalf("%s: Mirrored %v, general route %v", name, got.Mirrored(), want.Mirrored())
+	}
+	return err
+}
+
+// TestMirroredCroutMatchesGeneral holds the mirrored Crout route against
+// the general one, bit for bit, on symmetric dominant matrices over
+// their own structure and over USSPs wider than the matrix, and checks
+// that it stands aside for a matrix one ulp from symmetric and for a
+// symmetric matrix on an unsymmetric structure. A singular pivot stops
+// both routes at the same pivot with the same value and the same
+// partial factors.
+func TestMirroredCroutMatchesGeneral(t *testing.T) {
+	var ws Workspace
+	rng := xrand.New(2403)
+	for _, n := range []int{1, 2, 9, 40, 3, 90, 65, 130} {
+		a := symmetricDominant(rng, n, 4*n)
+		checkMirroredAgainstGeneral(t, fmt.Sprint("tight n=", n), Symbolic(a.Pattern()), a, true, &ws)
+
+		union := a.Pattern().Union(symmetricDominant(rng, n, 3*n).Pattern()).Union(symmetricDominant(rng, n, 3*n).Pattern())
+		checkMirroredAgainstGeneral(t, fmt.Sprint("ussp n=", n), Symbolic(union), a, true, &ws)
+		if n < 2 {
+			continue
+		}
+
+		// One ulp off in one off-diagonal entry.
+		var entries []sparse.Entry
+		for i := 0; i < n; i++ {
+			cols, vals := a.Row(i)
+			for k, j := range cols {
+				entries = append(entries, sparse.Entry{Row: i, Col: j, Val: vals[k]})
+			}
+		}
+		for k, e := range entries {
+			if e.Row < e.Col {
+				entries[k].Val = math.Nextafter(e.Val, math.Inf(1))
+				break
+			}
+		}
+		ulp := sparse.NewCSRFromEntries(n, entries)
+		if ulp.NNZ() > n {
+			checkMirroredAgainstGeneral(t, fmt.Sprint("one ulp n=", n), Symbolic(a.Pattern()), ulp, false, &ws)
+		}
+
+		// The same symmetric values on a structure with one more entry
+		// above the diagonal than below it.
+		for j := 1; j < n; j++ {
+			if !a.Has(0, j) {
+				lopsided := a.Pattern().Union(sparse.NewPattern(n, []sparse.Coord{{Row: 0, Col: j}}))
+				checkMirroredAgainstGeneral(t, fmt.Sprint("unsymmetric structure n=", n), Symbolic(lopsided), a, false, &ws)
+				break
+			}
+		}
+	}
+
+	// A negligible pivot, early and late: row and column k keep only
+	// the diagonal, 1e-14.
+	n := 30
+	a := symmetricDominant(rng, n, 4*n)
+	sym := Symbolic(a.Pattern())
+	for _, k := range []int{0, 11, n - 1} {
+		var entries []sparse.Entry
+		for i := 0; i < n; i++ {
+			cols, vals := a.Row(i)
+			for t, j := range cols {
+				if i != k && j != k {
+					entries = append(entries, sparse.Entry{Row: i, Col: j, Val: vals[t]})
+				}
+			}
+		}
+		entries = append(entries, sparse.Entry{Row: k, Col: k, Val: 1e-14})
+		err := checkMirroredAgainstGeneral(t, fmt.Sprint("singular at ", k), sym, sparse.NewCSRFromEntries(n, entries), true, &ws)
+		var se *SingularError
+		if !errors.As(err, &se) || se.Pivot != k {
+			t.Fatalf("row and column %d made negligible: error %v", k, err)
+		}
 	}
 }

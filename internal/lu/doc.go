@@ -20,6 +20,15 @@
 // is exactly the model assumed by the paper. Singular or numerically
 // tiny pivots are detected and reported as errors.
 //
+// Symmetric matrices. Each stage detects symmetry in what it is given
+// and takes a route that does half the work for the same result; no
+// caller asks for it. SymbolicSize counts a symmetric pattern under a
+// symmetric ordering through the elimination tree instead of running
+// the closure, and StaticFactors.FactorizeWith, given a bitwise
+// symmetric matrix on a structure that is its own transpose, computes L
+// alone and copies it into U. Both give the same integers and bits as
+// the general route.
+//
 // Two factor containers are provided:
 //
 //   - StaticFactors: all index structure frozen up front from a

@@ -258,12 +258,13 @@ func (e *SingularError) Error() string {
 
 // Workspace holds what a numeric factorization needs besides the
 // container: the dense work vector it scatters into, a column view of
-// the matrix being factorized, and one cursor per column of L and row
-// of U. Callers that factorize many matrices — one full decomposition
-// per cluster in the LUDEM pipelines, one per growth batch on a stream —
-// keep one Workspace per worker goroutine and pass it to FactorizeWith,
-// which then allocates nothing. The zero value is ready to use; a
-// Workspace must not be shared between concurrent factorizations.
+// the matrix being factorized, and, for the general route, one cursor
+// per column of L and row of U. Callers that factorize many matrices —
+// one full decomposition per cluster in the LUDEM pipelines, one per
+// growth batch on a stream — keep one Workspace per worker goroutine
+// and pass it to FactorizeWith, which then allocates nothing. The zero
+// value is ready to use; a Workspace must not be shared between
+// concurrent factorizations.
 type Workspace struct {
 	w []float64
 
@@ -332,6 +333,106 @@ func (f *StaticFactors) Factorize(a *sparse.CSR) error {
 
 // FactorizeWith is Factorize with caller-owned scratch (see Workspace).
 //
+// It takes one of two routes, from what it is given. When the structure
+// is its own transpose and a is bitwise symmetric, U comes out as Lᵀ
+// bit for bit (see Mirrored), so only L is computed and then copied
+// (factorizeMirrored). Otherwise the general Crout loop computes both
+// (factorizeGeneral). Both routes give the same bits, and fail at the
+// same pivot with the same value.
+func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
+	if a.N() != f.n {
+		return fmt.Errorf("lu: matrix dimension %d does not match structure %d", a.N(), f.n)
+	}
+	ws.columns(a)
+	if f.mirrorable(a, ws) {
+		return f.factorizeMirrored(ws)
+	}
+	return f.factorizeGeneral(a, ws)
+}
+
+// mirrorable reports whether FactorizeWith takes the mirrored route: the
+// structure is its own transpose, and the column view ws holds of a
+// equals a's rows, index for index and value for value in bits.
+func (f *StaticFactors) mirrorable(a *sparse.CSR, ws *Workspace) bool {
+	if !f.symStruct {
+		return false
+	}
+	for i := 0; i < a.N(); i++ {
+		cols, vals := a.Row(i)
+		lo, hi := ws.colPtr[i], ws.colPtr[i+1]
+		if !slices.Equal(ws.colRows[lo:hi], cols) || !sameBits(ws.colVals[lo:hi], vals) {
+			return false
+		}
+	}
+	return true
+}
+
+// factorizeMirrored is the column half of factorizeGeneral, for a
+// bitwise symmetric matrix on a symmetric structure. There U(m,k) is
+// L(k,m) at the same position of the value arrays, so the column of U
+// that step k reads is row k of L (LRowCols, LRowPos), and column m of
+// L reaches row k exactly at that position: no cursor is needed. Every
+// product the general route forms for row k of U, it forms for column k
+// of L with its two factors swapped, in the same order of m, so copying
+// LVal into UVal gives the general route's U in every bit — after a
+// singular pivot too, where both have filled the same columns and rows.
+func (f *StaticFactors) factorizeMirrored(ws *Workspace) error {
+	f.Reset()
+	n := f.n
+	ws.w = resize(ws.w, n)
+	w := ws.w
+	var err error
+	for k := 0; k < n; k++ {
+		w[k] = 0
+		lo, hi := f.LColPtr[k], f.LColPtr[k+1]
+		lrows := f.LRowIdx[lo:hi]
+		for _, i := range lrows {
+			w[i] = 0
+		}
+		clo, chi := ws.colPtr[k], ws.colPtr[k+1]
+		crows := ws.colRows[clo:chi]
+		cvals := ws.colVals[clo:chi][:len(crows)]
+		for t, i := range crows {
+			if i >= k {
+				w[i] = cvals[t]
+			}
+		}
+		// w[i] -= sum_m L(i,m)·D(m)·L(k,m) over m < k with L(k,m) != 0.
+		qlo, qhi := f.LRowPtr[k], f.LRowPtr[k+1]
+		lcols := f.LRowCols[qlo:qhi]
+		lpos := f.LRowPos[qlo:qhi][:len(lcols)]
+		for q, m := range lcols {
+			p := lpos[q]
+			c := f.D[m] * f.LVal[p]
+			if c == 0 {
+				continue
+			}
+			to := f.LColPtr[m+1]
+			rows := f.LRowIdx[p:to]
+			vals := f.LVal[p:to][:len(rows)]
+			for t, i := range rows {
+				w[i] -= vals[t] * c
+			}
+		}
+		d := w[k]
+		if math.Abs(d) < PivotTolerance {
+			err = &SingularError{Pivot: k, Value: d}
+			break
+		}
+		f.D[k] = d
+		lvals := f.LVal[lo:hi][:len(lrows)]
+		for t, i := range lrows {
+			lvals[t] = w[i] / d
+		}
+	}
+	copy(f.UVal, f.LVal)
+	f.mirror = true
+	return err
+}
+
+// factorizeGeneral is the Crout loop for any matrix the structure
+// covers.
+//
 // Step k needs, of every earlier column m of L, the entries from row k
 // down, and of every earlier row m of U, the entries right of column k.
 // Both start points only ever move forward, one entry at a time, and the
@@ -339,14 +440,10 @@ func (f *StaticFactors) Factorize(a *sparse.CSR) error {
 // column m that step k is the last to skip, column k of U (UColPos) the
 // entry of each row m. So the two cursor arrays are advanced as rows and
 // columns are passed and nothing is searched for.
-func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
-	if a.N() != f.n {
-		return fmt.Errorf("lu: matrix dimension %d does not match structure %d", a.N(), f.n)
-	}
+func (f *StaticFactors) factorizeGeneral(a *sparse.CSR, ws *Workspace) error {
 	defer f.RefreshMirror()
 	f.Reset()
 	n := f.n
-	ws.columns(a)
 	// No step reads a position of w it has not first written, so stale
 	// values from a previous use are harmless.
 	ws.w, ws.lfirst, ws.ufirst = resize(ws.w, n), resize(ws.lfirst, n), resize(ws.ufirst, n)

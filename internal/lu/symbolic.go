@@ -69,6 +69,9 @@ type closure struct {
 	lstart []int
 	work   []int // row i's reached columns below i, which is its L row
 	colNew []int // SymbolicSize's inverse column permutation
+	// SymbolicSize's elimination tree: parent links, and the
+	// path-compressed ancestor links it is built through.
+	parent, ancestor []int
 }
 
 // run computes s̃p of the matrix whose row i is row rowOld[i] of p with
@@ -176,14 +179,20 @@ func keepThrough(row []int, i int) int {
 // (all > k) in any order. An ordering that was computed by eliminating a
 // pattern (order.Markowitz, order.MinDegree) therefore hands over the
 // structure Symbolic would recompute from the permuted pattern, and the
-// elimination is paid once. The lists are only read; they may alias each
-// other (a symmetric elimination passes the same lists twice).
+// elimination is paid once. The lists are only read.
+//
+// A symmetric elimination passes urow nil: its rows of U are its columns
+// of L, so U's rows are L's rows transposed back, one transposition
+// fewer than sorting urow.
 func SymbolicFromElimination(lcol, urow [][]int) *SymbolicLU {
-	return &SymbolicLU{
-		n:     len(lcol),
-		lrows: transposeLists(lcol),
-		urows: transposeLists(transposeLists(urow)),
+	lrows := transposeLists(lcol)
+	var urows [][]int
+	if urow == nil {
+		urows = transposeLists(lrows)
+	} else {
+		urows = transposeLists(transposeLists(urow))
 	}
+	return &SymbolicLU{n: len(lcol), lrows: lrows, urows: urows}
 }
 
 // transposeLists returns, for every index j, the ascending list of k
@@ -274,9 +283,11 @@ func (s *SymbolicLU) Pattern() *sparse.Pattern {
 
 // SymbolicSize is |s̃p(A^O)| for matrix pattern p under ordering o. It
 // is how the harness scores the quality of an ordering on a matrix
-// (Definition 4) without numeric work: Symbolic's closure in counting
-// form, reading p's rows through o instead of permuting p, and keeping
-// no L rows.
+// (Definition 4) without numeric work, reading p's rows through o
+// instead of permuting p. A symmetric pattern under one permutation of
+// rows and columns is counted through its elimination tree (etreeSize);
+// anything else runs Symbolic's closure in counting form, keeping no L
+// rows.
 func SymbolicSize(p *sparse.Pattern, o sparse.Ordering) int {
 	c := closures.Get().(*closure)
 	defer closures.Put(c)
@@ -284,5 +295,56 @@ func SymbolicSize(p *sparse.Pattern, o sparse.Ordering) int {
 	for j, old := range o.Col {
 		c.colNew[old] = j
 	}
+	if etreeCounts(p, o) {
+		return c.etreeSize(p, o.Row, c.colNew)
+	}
 	return c.run(p, o.Row, c.colNew, false)
+}
+
+// etreeCounts reports whether SymbolicSize counts p under o through the
+// elimination tree: p is symmetric and o permutes rows and columns
+// alike, so the permuted pattern is symmetric too.
+func etreeCounts(p *sparse.Pattern, o sparse.Ordering) bool {
+	return slices.Equal(o.Row, o.Col) && p.Symmetric()
+}
+
+// etreeSize is SymbolicSize's count for a symmetric permuted pattern,
+// whose s̃p is symmetric: U's row i is L's column i, so the size is
+// n + 2·|L|. Row i of L is the set of vertices on the elimination-tree
+// paths from row i's entries below the diagonal up to i (Liu 1990;
+// Davis 2006, cs_ereach). The tree is grown row by row with path
+// compression (cs_etree), and each entry's path is counted as soon as
+// the entry has linked it to i, a mark per vertex keeping every vertex
+// of the row counted once. That is O(|L| + nnz·α) with no row held.
+func (c *closure) etreeSize(p *sparse.Pattern, rowOld, colNew []int) int {
+	n := p.N()
+	parent, ancestor := resize(c.parent, n), resize(c.ancestor, n)
+	// mark[j] == i: j is counted in row i. The mark of a vertex j < i
+	// was last set by a row in j..i-1 of this call, so a stale value
+	// from an earlier call is never i.
+	mark := resize(c.mark, n)
+	lower := 0
+	for i := 0; i < n; i++ {
+		parent[i], ancestor[i], mark[i] = -1, -1, i
+		for _, k := range p.Row(rowOld[i]) {
+			k = colNew[k]
+			if k >= i {
+				continue
+			}
+			for r := k; r != -1 && r < i; {
+				next := ancestor[r]
+				ancestor[r] = i
+				if next == -1 {
+					parent[r] = i
+				}
+				r = next
+			}
+			for ; mark[k] != i; k = parent[k] {
+				mark[k] = i
+				lower++
+			}
+		}
+	}
+	c.parent, c.ancestor, c.mark = parent, ancestor, mark
+	return n + 2*lower
 }

@@ -120,12 +120,17 @@ func TestSymbolicMatchesReferences(t *testing.T) {
 
 // FuzzSymbolic draws a pattern from the bytes (n, a symmetric flag and
 // a trailing block flag from the first, then one position per byte
-// pair) and an ordering from the seed (0: the identity), and holds the
-// pruned closure and SymbolicSize against the heap merge.
+// pair) and an ordering from the seed (0: the identity; odd: one
+// permutation for rows and columns; even: one each), and holds the
+// pruned closure and SymbolicSize against the heap merge. A symmetric
+// pattern under the identity or an odd seed is the one SymbolicSize
+// counts through its elimination tree.
 func FuzzSymbolic(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 4, 0}, uint64(0))
 	f.Add([]byte{0x87, 3, 5, 9, 2, 11, 0, 4, 4, 1, 7}, uint64(3))
 	f.Add([]byte{0x4c, 1, 0, 2, 1, 3, 2, 0, 3, 5, 5}, uint64(11))
+	f.Add([]byte{0xd1, 2, 7, 9, 4, 13, 1, 6, 6, 0, 15}, uint64(8))
+	f.Add([]byte{0x92, 1, 0, 5, 17, 8, 3, 12, 12, 2, 9}, uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		if len(data) == 0 {
 			return
@@ -149,7 +154,10 @@ func FuzzSymbolic(f *testing.F) {
 			}
 		}
 		o := sparse.IdentityOrdering(n)
-		if seed != 0 {
+		switch {
+		case seed%2 == 1:
+			o = sparse.SymmetricOrdering(xrand.New(seed).Perm(n))
+		case seed != 0:
 			o = randomOrdering(xrand.New(seed), n)
 		}
 		checkSymbolic(t, "fuzz", sparse.NewPattern(n, coords), o)

@@ -16,8 +16,13 @@ import (
 // expensive as doing a Gaussian Elimination" as the paper notes (§3) —
 // so the result carries what that elimination produced: Symbolic is
 // s̃p(A*) and SSPSize its size.
+//
+// On a structurally symmetric pattern (Pattern.Symmetric) the active
+// row and column of every vertex stay equal, so r·c is d² and the
+// elimination is MinDegree's: it runs on one shared list per vertex and
+// returns the same ordering, size and structure as the two-list run.
 func Markowitz(p *sparse.Pattern) Result {
-	return eliminate(p, false)
+	return eliminate(p, p.Symmetric())
 }
 
 // MinDegree computes a minimum-degree ordering of a structurally
@@ -331,6 +336,9 @@ func eliminateWith(p *sparse.Pattern, symmetric bool, ready func(m, entries int)
 			urow[k], lcol[k] = after[k-sparsePivots:], after[k-sparsePivots:]
 		}
 		sspSize += m * m
+	}
+	if symmetric {
+		urow = nil // the same lists as lcol: see lu.SymbolicFromElimination
 	}
 	return Result{
 		Ordering: sparse.SymmetricOrdering(pivots),

@@ -12,9 +12,17 @@
 // eliminating a second time. For Markowitz the size is |s̃p(A*)| — the
 // denominator of the paper's quality-loss measure (Definition 4) —
 // which is why the BF baseline can score every other algorithm's
-// orderings essentially for free. For symmetric matrices, MinDegree provides the paper's "very
-// efficient, no physical decomposition" route to |s̃p(A*)| (§3) used by
-// the LUDEM-QC algorithms.
+// orderings essentially for free.
+//
+// On a structurally symmetric pattern (sparse.Pattern.Symmetric) the
+// Markowitz cost r·c is the minimum-degree cost d², so Markowitz runs
+// the symmetric elimination MinDegree runs — one list per vertex — and
+// returns the same ordering, size and structure the general elimination
+// would. That is the paper's "very efficient, no physical decomposition"
+// route to |s̃p(A*)| for symmetric matrices (§3), taken by the BF
+// baseline and every symmetric run without the caller asking for it.
+// MinDegree, used by the LUDEM-QC algorithms, symmetrizes an
+// unsymmetric pattern first.
 package order
 
 import (

@@ -1,6 +1,8 @@
 package order
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/lu"
@@ -123,19 +125,35 @@ func TestMarkowitzDeterministic(t *testing.T) {
 	}
 }
 
+// TestMinDegreeMatchesMarkowitzOnSymmetric: on a symmetric pattern the
+// cost r·c is d² and both break ties by index, so Markowitz — which then
+// runs the symmetric elimination itself — MinDegree and the two-list
+// elimination return the same pivots, size and structure, row for row.
+// On an unsymmetric pattern Markowitz is the two-list elimination.
 func TestMinDegreeMatchesMarkowitzOnSymmetric(t *testing.T) {
-	// On symmetric patterns the two greedy strategies optimize the same
-	// objective; allow small differences from tie-breaking but require
-	// near agreement.
+	same := func(name string, got, want Result) {
+		t.Helper()
+		if !slices.Equal(got.Ordering.Row, want.Ordering.Row) || got.SSPSize != want.SSPSize {
+			t.Fatalf("%s: pivots %v size %d, want %v size %d", name, got.Ordering.Row, got.SSPSize, want.Ordering.Row, want.SSPSize)
+		}
+		for i := 0; i < want.Symbolic.N(); i++ {
+			if !slices.Equal(got.Symbolic.LRow(i), want.Symbolic.LRow(i)) || !slices.Equal(got.Symbolic.URow(i), want.Symbolic.URow(i)) {
+				t.Fatalf("%s: structure row %d differs", name, i)
+			}
+		}
+	}
 	rng := xrand.New(604)
-	for trial := 0; trial < 10; trial++ {
-		n := 10 + rng.Intn(20)
-		p := randomPattern(rng, n, 2*n, true)
-		md := MinDegree(p).SSPSize
-		mk := Markowitz(p).SSPSize
-		ratio := float64(md) / float64(mk)
-		if ratio > 1.25 || ratio < 0.8 {
-			t.Errorf("trial %d: MinDegree %d vs Markowitz %d diverge too much", trial, md, mk)
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(80)
+		sym := randomPattern(rng, n, (1+rng.Intn(3))*n, true)
+		general, _ := eliminateWith(sym, false, denseReady)
+		same(fmt.Sprint("symmetric/", trial, " Markowitz"), Markowitz(sym), general)
+		same(fmt.Sprint("symmetric/", trial, " MinDegree"), MinDegree(sym), general)
+
+		unsym := randomPattern(rng, n, (1+rng.Intn(3))*n, false)
+		if !unsym.Symmetric() {
+			ref, _ := eliminateWith(unsym, false, denseReady)
+			same(fmt.Sprint("unsymmetric/", trial, " Markowitz"), Markowitz(unsym), ref)
 		}
 	}
 }

@@ -56,6 +56,26 @@ func (p *Pattern) Has(i, j int) bool {
 	return k < len(row) && row[k] == j
 }
 
+// Symmetric reports whether the pattern equals its transpose. Rows are
+// walked in order with one cursor per row j: entry (i, j) must find
+// column i at row j's cursor, which then moves past it. A cursor left
+// on a column c < i means (c, j) is missing. Every entry is consumed
+// once, so the walk is O(n + nnz) and stops at the first mismatch.
+func (p *Pattern) Symmetric() bool {
+	next := make([]int, p.n)
+	copy(next, p.rowPtr[:p.n])
+	for i := 0; i < p.n; i++ {
+		for _, j := range p.Row(i) {
+			c := next[j]
+			if c == p.rowPtr[j+1] || p.colIdx[c] != i {
+				return false
+			}
+			next[j] = c + 1
+		}
+	}
+	return true
+}
+
 // Union returns the set union of two patterns.
 func (p *Pattern) Union(q *Pattern) *Pattern {
 	if p.n != q.n {

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +198,53 @@ func TestPatternWithWithout(t *testing.T) {
 		}
 		if got, want := p.Without(drop), NewPattern(n, kept); !got.Equal(want) {
 			t.Fatalf("trial %d: Without(%v) = %v, want %v", trial, drop, got.Coords(), want.Coords())
+		}
+	}
+}
+
+// TestPatternSymmetric holds Symmetric against the transpose built
+// coordinate by coordinate: random patterns, the same mirrored, mirrored
+// with one entry dropped on either side of the diagonal (a lower-only
+// or upper-only entry), empty rows, and n = 0 and 1.
+func TestPatternSymmetric(t *testing.T) {
+	transposeEqual := func(p *Pattern) bool {
+		var tc []Coord
+		for _, c := range p.Coords() {
+			tc = append(tc, Coord{c.Col, c.Row})
+		}
+		return p.Equal(NewPattern(p.N(), tc))
+	}
+	mirror := func(p *Pattern) *Pattern {
+		coords := p.Coords()
+		for _, c := range p.Coords() {
+			coords = append(coords, Coord{c.Col, c.Row})
+		}
+		return NewPattern(p.N(), coords)
+	}
+	shapes := map[string]*Pattern{
+		"n=0":              NewPattern(0, nil),
+		"n=1 empty":        NewPattern(1, nil),
+		"n=1 diagonal":     NewPattern(1, []Coord{{0, 0}}),
+		"empty rows":       NewPattern(5, []Coord{{1, 3}, {3, 1}}),
+		"lower only":       NewPattern(4, []Coord{{0, 0}, {2, 1}, {3, 3}}),
+		"upper only":       NewPattern(4, []Coord{{1, 2}}),
+		"one side missing": NewPattern(3, []Coord{{0, 1}, {1, 0}, {2, 0}, {0, 2}, {2, 1}}),
+	}
+	rng := xrand.New(77)
+	for s := 0; s < 40; s++ {
+		n := 1 + rng.Intn(30)
+		p := randomPattern(rng, n, rng.Intn(3*n+1))
+		m := mirror(p)
+		shapes[fmt.Sprint("random/", s)] = p
+		shapes[fmt.Sprint("mirrored/", s)] = m
+		if coords := m.Coords(); len(coords) > 0 {
+			drop := coords[rng.Intn(len(coords))]
+			shapes[fmt.Sprint("mirrored minus one/", s)] = m.Without([]Coord{drop})
+		}
+	}
+	for name, p := range shapes {
+		if got, want := p.Symmetric(), transposeEqual(p); got != want {
+			t.Errorf("%s: Symmetric %v, transpose equality %v", name, got, want)
 		}
 	}
 }
