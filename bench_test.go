@@ -234,11 +234,11 @@ func BenchmarkKernelSolveRHS(b *testing.B) {
 		b.Fatal(err)
 	}
 	var ws lu.SolveWorkspace
-	rhs := []lu.RHS{{Idx: []int{3}, Val: []float64{0.15}}}
+	rhs := lu.RHS{Idx: []int{3}, Val: []float64{0.15}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SolveRHS(rhs, &ws)
+		s.SolveRHS(&rhs, &ws)
 	}
 }
 

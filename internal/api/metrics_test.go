@@ -158,12 +158,15 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 	if inf := m[`clude_query_latency_seconds_bucket{le="+Inf"}`]; inf != m["clude_query_latency_seconds_count"] {
 		t.Fatalf("+Inf bucket %v != count %v", inf, m["clude_query_latency_seconds_count"])
 	}
-	// The retired panel and reach routes' series stay exposed, at 0, for
-	// the benchmark that still reads them.
-	for _, name := range []string{"clude_panel_rhs_total", "clude_sparse_solves_total", "clude_sparse_fallbacks_total"} {
+	// The retired routes' series stay exposed, at 0, for the benchmark
+	// that still reads them.
+	for _, name := range serve.RetiredSeries {
 		if v, ok := m[name]; !ok || v != 0 {
 			t.Fatalf("%s = %v (present %v), want a constant 0", name, v, ok)
 		}
+	}
+	if v, ok := m["clude_single_groups_total"]; ok {
+		t.Fatalf("clude_single_groups_total = %v: the series was deleted with the worker's grouping", v)
 	}
 	// Every cold solve is a dense or a Katz one.
 	if dense, katz, cold := m["clude_dense_solves_total"], m["clude_katz_solves_total"], m["clude_solves_total"]; dense+katz != cold {
@@ -185,8 +188,6 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 		"clude_solves_total":            "cold_solves",
 		"clude_katz_solves_total":       "katz_solves",
 		"clude_dense_solves_total":      "dense_solves",
-		"clude_block_solves_total":      "block_solves",
-		"clude_single_groups_total":     "single_groups",
 	} {
 		if m[metric] != stats[field].(float64) {
 			t.Errorf("%s = %v disagrees with stats.%s = %v", metric, m[metric], field, stats[field])

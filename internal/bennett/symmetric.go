@@ -24,7 +24,7 @@ import (
 // the rank-1 path divide twice each.
 
 // crossEntry is one entry of ∆A on the symmetric path: (row, column,
-// value) as gathered from the terms, keyed by its unordered position
+// value) as collected from the terms, keyed by its unordered position
 // (lo<<32 | hi; indices stay below 2³²), then — once regroup has matched
 // it with its mirror — (key x, other index j, w_x[j]) of its cross, keyed
 // by x's rank among the terms' keys.
@@ -34,7 +34,7 @@ type crossEntry struct {
 	v    float64
 }
 
-// regroup gathers the terms' entries into sc.cross as crosses, sorted by
+// regroup collects the terms' entries into sc.cross as crosses, sorted by
 // key and then by the other index: each unordered pair {i, j} goes to the
 // smaller of i and j that is a key, a diagonal entry goes in halved (the
 // cross adds it twice). It reports false — ∆A is not bitwise symmetric,

@@ -325,9 +325,9 @@ func TestRefactorizedSolverStaysBound(t *testing.T) {
 				bound[s] = s.F
 				for src := 0; src < n; src++ {
 					want := s.Solve(sparse.Basis(n, src, 1))
-					rhs := []lu.RHS{{Idx: []int{src}, Val: []float64{1}}}
-					s.SolveRHS(rhs, &ws)
-					got := rhs[0].X
+					rhs := lu.RHS{Idx: []int{src}, Val: []float64{1}}
+					s.SolveRHS(&rhs, &ws)
+					got := rhs.X
 					for k := range want {
 						if got[k] != want[k] {
 							t.Fatalf("%s snapshot %d source %d: SolveRHS x[%d] = %v, Solve %v", alg, i, src, k, got[k], want[k])

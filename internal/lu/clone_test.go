@@ -54,12 +54,12 @@ func TestStaticCloneSharesStructureOwnsValues(t *testing.T) {
 
 // TestClonesUnmovedByUpdatesOfTheOriginal: Bennett updates of the
 // original — which run over the shared index arrays — leave every
-// earlier clone's answers bit-identical, on every solve route.
+// earlier clone's answers bit-identical.
 func TestClonesUnmovedByUpdatesOfTheOriginal(t *testing.T) {
 	p := newBennettPair(t, 72)
 	rng := xrand.New(73)
 	n := p.static.Dim()
-	bs := blockRHS(rng, 4, n)
+	_, bs := randomRHS(rng, 4, n)
 	type pin struct {
 		s    *lu.Solver
 		want [][]float64
@@ -72,16 +72,12 @@ func TestClonesUnmovedByUpdatesOfTheOriginal(t *testing.T) {
 	}
 	var ws lu.SolveWorkspace
 	for _, pn := range pins {
-		assertBlockEquals(t, "dense", func() []lu.RHS {
-			rhs := denseBlock(bs)
-			for r := range rhs {
-				pn.s.SolveRHS(rhs[r:r+1], &ws)
-			}
-			return rhs
-		}(), pn.want)
-		blocked := denseBlock(bs)
-		pn.s.ForceBlock(blocked, &ws)
-		assertBlockEquals(t, "block", blocked, pn.want)
+		rhs := make([]lu.RHS, len(bs))
+		for r := range rhs {
+			rhs[r].B = bs[r]
+			pn.s.SolveRHS(&rhs[r], &ws)
+		}
+		assertSameX(t, "clone", rhs, pn.want)
 	}
 }
 
@@ -92,7 +88,7 @@ func TestClonesUnmovedByUpdatesOfTheOriginal(t *testing.T) {
 func TestConcurrentSolvesOnClonesDuringUpdates(t *testing.T) {
 	p := newBennettPair(t, 74)
 	n := p.static.Dim()
-	bs := blockRHS(xrand.New(75), 3, n)
+	_, bs := randomRHS(xrand.New(75), 3, n)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
@@ -108,12 +104,12 @@ func TestConcurrentSolvesOnClonesDuringUpdates(t *testing.T) {
 					return
 				default:
 				}
-				rhs := denseBlock(bs)
-				c.SolveRHS(rhs, &ws)
-				for k := range rhs {
+				for k, b := range bs {
+					rhs := lu.RHS{B: b}
+					c.SolveRHS(&rhs, &ws)
 					for i := range want[k] {
-						if rhs[k].X[i] != want[k][i] {
-							t.Errorf("clone's answer moved at rhs %d row %d: %v vs %v", k, i, rhs[k].X[i], want[k][i])
+						if rhs.X[i] != want[k][i] {
+							t.Errorf("clone's answer moved at rhs %d row %d: %v vs %v", k, i, rhs.X[i], want[k][i])
 							return
 						}
 					}

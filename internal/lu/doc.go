@@ -44,11 +44,9 @@
 // the one way to solve A·x = b on maintained factors (§2.2:
 // x = Q·solve(P·b)). Solver.Solve(b) is the allocating convenience for
 // one dense right-hand side. Solver.SolveRHS is the entry point for
-// everything else: it takes k ≥ 1 right-hand sides (support lists or
-// dense vectors) and one SolveWorkspace, checks the input once, and
-// returns the route it took, named by the block width alone — dense
-// (one SolveInPlace) for k = 1, block (one SolveBlockInPlace traversal
-// shared by all k) beyond; a caller states nothing about the factors.
-// Both kernels execute, per right-hand side, the same floating-point
-// operations in the same order, so every route returns the same bits.
+// everything else: it takes one right-hand side (a support list or a
+// dense vector) and one SolveWorkspace, checks the input, and runs one
+// SolveInPlace on the permuted vector; a caller states nothing about
+// the factors. Both entry points share the permute/solve/scatter code,
+// so they return the same bits.
 package lu

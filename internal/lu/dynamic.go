@@ -291,73 +291,6 @@ func (d *DynamicFactors) SolveInPlace(b []float64) {
 	}
 }
 
-// SolveBlockInPlace is the column-blocked SolveInPlace (see the
-// Factors interface for the contract): every linked-list traversal —
-// the expensive part of a solve on the dynamic container, since each
-// node hop is a dependent load — is shared by the whole block via an
-// inner per-vector loop, while each vector's own operation sequence
-// stays exactly SolveInPlace's, keeping the results bit-identical.
-func (d *DynamicFactors) SolveBlockInPlace(xs [][]float64) {
-	for _, x := range xs {
-		if len(x) != d.n {
-			panic("lu: SolveBlockInPlace dimension mismatch")
-		}
-	}
-	n := d.n
-	// s carries the per-vector running value across one list traversal
-	// (x[j] in the forward sweep, the accumulating x[i] in the backward
-	// sweep). One small allocation per block, against k list walks
-	// saved.
-	s := make([]float64, len(xs))
-	// Forward: L y = b. A vector with x[j] == 0 performs no operation
-	// at column j — the same skip the single-vector solve takes for the
-	// whole column — so per vector the operation sequence is unchanged.
-	for j := 0; j < n; j++ {
-		any := false
-		for r, x := range xs {
-			s[r] = x[j]
-			if s[r] != 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		for cur := d.LHead[j]; cur != -1; cur = d.Nodes[cur].Next {
-			idx, val := d.Nodes[cur].Idx, d.Nodes[cur].Val
-			for r, x := range xs {
-				if s[r] != 0 {
-					x[idx] -= val * s[r]
-				}
-			}
-		}
-	}
-	// Diagonal: D z = y.
-	for i := 0; i < n; i++ {
-		dv := d.D[i]
-		for _, x := range xs {
-			x[i] /= dv
-		}
-	}
-	// Backward: U x = z, one row traversal feeding every vector's
-	// accumulator in list order — per vector the same subtraction
-	// sequence as the single solve.
-	for i := n - 1; i >= 0; i-- {
-		for r, x := range xs {
-			s[r] = x[i]
-		}
-		for cur := d.UHead[i]; cur != -1; cur = d.Nodes[cur].Next {
-			idx, val := d.Nodes[cur].Idx, d.Nodes[cur].Val
-			for r, x := range xs {
-				s[r] -= val * x[idx]
-			}
-		}
-		for r, x := range xs {
-			x[i] = s[r]
-		}
-	}
-}
-
 // Reconstruct multiplies the factors back into an explicit matrix
 // (test helper).
 func (d *DynamicFactors) Reconstruct() *sparse.CSR {

@@ -2,17 +2,9 @@ package lu
 
 import "repro/internal/sparse"
 
-// Test-only doors to unexported strategies and route choices: the
-// external property tests hold every SolveRHS route against Solve on
-// inputs the dispatcher would have routed elsewhere, and check which
-// route FactorizeWith and SymbolicSize take on a pipeline's inputs.
-
-// ForceBlock runs the scalar full-substitution strategy (SolveInPlace
-// for one right-hand side, the container's block sweep for more).
-func (s *Solver) ForceBlock(rhs []RHS, ws *SolveWorkspace) {
-	s.prep()
-	s.solveBlock(rhs, ws)
-}
+// Test-only doors to unexported route choices: the external tests
+// check which route FactorizeWith and SymbolicSize take on a
+// pipeline's inputs.
 
 // SymbolicReference is the heap row merge the pruned Symbolic is held
 // against, for the tests that also need order's eliminations.

@@ -1,10 +1,10 @@
-// Property tests of the blocked full-substitution route: k right-hand
-// sides through one traversal must reproduce k independent Solve calls
-// bit for bit — across every factor state the pipelines produce
-// (BF/INC/CINC/CLUDE), after randomized Bennett update sequences on
-// both containers, for every block width the serving layer batches,
-// and under the aliasing and capacity-reuse contracts the workers rely
-// on.
+// Property tests of the one solve path: SolveRHS on a support list or
+// a dense vector must reproduce the permute/SolveInPlace/scatter
+// reference bit for bit — across every factor state the pipelines
+// produce (BF/INC/CINC/CLUDE), after randomized Bennett update
+// sequences on both containers, through a workspace reused across
+// solves, and under the aliasing and capacity-reuse contracts the
+// workers rely on.
 //
 // External test package: the scenarios drive internal/core and
 // internal/bennett, which import lu.
@@ -21,94 +21,95 @@ import (
 	"repro/internal/xrand"
 )
 
-// blockRHS draws k dense right-hand sides shaped like the serving
-// layer's traffic: mostly sparse basis-like vectors (rwr/topk), some
-// small seed sets (ppr), and the occasional fully dense one (pagerank).
-func blockRHS(rng *xrand.Rand, k, n int) [][]float64 {
-	bs := make([][]float64, k)
-	for r := range bs {
+// randomRHS draws right-hand sides shaped like the serving layer's
+// traffic, each as a support list and as the dense vector it scatters
+// to: mostly single seeds (rwr/topk), some small seed sets whose
+// repeated seeds must accumulate (ppr), and the occasional fully dense
+// one (pagerank, dense only: its RHS has no support list).
+func randomRHS(rng *xrand.Rand, k, n int) (rhs []lu.RHS, bs [][]float64) {
+	rhs = make([]lu.RHS, k)
+	bs = make([][]float64, k)
+	for r := range rhs {
 		b := make([]float64, n)
 		switch rng.Intn(4) {
-		case 0: // seed set
+		case 0: // seed set, a repeated seed among them
 			for s := 0; s < 2+rng.Intn(4); s++ {
-				b[rng.Intn(n)] += 0.05 * (1 + rng.Float64())
+				u, v := rng.Intn(n), 0.05*(1+rng.Float64())
+				rhs[r].Idx = append(rhs[r].Idx, u, u)
+				rhs[r].Val = append(rhs[r].Val, v, v/3)
+				b[u] += v
+				b[u] += v / 3
 			}
 		case 1: // dense uniform
 			v := 0.15 / float64(n)
 			for i := range b {
 				b[i] = v
 			}
+			rhs[r].B = append([]float64(nil), b...)
 		default: // single seed
-			b[rng.Intn(n)] = 0.15 * (1 + rng.Float64())
+			u, v := rng.Intn(n), 0.15*(1+rng.Float64())
+			rhs[r].Idx, rhs[r].Val = []int{u}, []float64{v}
+			b[u] = v
 		}
 		bs[r] = b
 	}
-	return bs
+	return rhs, bs
 }
 
-// denseBlock wraps dense vectors as a SolveRHS block with fresh
-// solution vectors (nil X allocates).
-func denseBlock(bs [][]float64) []lu.RHS {
-	rhs := make([]lu.RHS, len(bs))
-	for r, b := range bs {
-		rhs[r].B = b
-	}
-	return rhs
+// reference is the solve spelled out on the sparse permutations,
+// independently of lu's own permute/scatter code: b' = P·b, one
+// SolveInPlace, x = Q·x'.
+func reference(s *lu.Solver, b []float64) []float64 {
+	bp := s.O.Row.Apply(b)
+	s.F.SolveInPlace(bp)
+	return s.O.Col.Scatter(bp)
 }
 
-// solveAll is the reference: k independent allocating Solve calls.
+// solveAll is the reference over every right-hand side.
 func solveAll(s *lu.Solver, bs [][]float64) [][]float64 {
 	want := make([][]float64, len(bs))
 	for r, b := range bs {
-		want[r] = s.Solve(b)
+		want[r] = reference(s, b)
 	}
 	return want
 }
 
-// assertBlockEquals asserts the bit-identity contract on every X.
-func assertBlockEquals(t *testing.T, tag string, rhs []lu.RHS, want [][]float64) {
+// assertSameX asserts the bit-identity contract on every X.
+func assertSameX(t *testing.T, tag string, rhs []lu.RHS, want [][]float64) {
 	t.Helper()
 	for r := range rhs {
 		if len(rhs[r].X) != len(want[r]) {
-			t.Fatalf("%s: k=%d rhs %d has %d entries, want %d", tag, len(rhs), r, len(rhs[r].X), len(want[r]))
+			t.Fatalf("%s: rhs %d has %d entries, want %d", tag, r, len(rhs[r].X), len(want[r]))
 		}
 		for i := range want[r] {
 			if rhs[r].X[i] != want[r][i] {
-				t.Fatalf("%s: k=%d rhs %d differs at %d: %v vs %v",
-					tag, len(rhs), r, i, rhs[r].X[i], want[r][i])
+				t.Fatalf("%s: rhs %d differs at %d: %v vs %v", tag, r, i, rhs[r].X[i], want[r][i])
 			}
 		}
 	}
 }
 
-// checkBlockMatchesSingles solves the block through the scalar block
-// strategy and through the dispatcher (which must report the dense
-// route at k = 1 and the block route beyond), and
-// asserts the bit-identity contract both ways.
-func checkBlockMatchesSingles(t *testing.T, tag string, s *lu.Solver, bs [][]float64, ws *lu.SolveWorkspace) {
+// checkSolves solves every right-hand side through SolveRHS on one
+// workspace and through Solve on its dense form, and asserts both
+// against the reference.
+func checkSolves(t *testing.T, tag string, s *lu.Solver, rhs []lu.RHS, bs [][]float64, ws *lu.SolveWorkspace) {
 	t.Helper()
 	want := solveAll(s, bs)
-
-	forced := denseBlock(bs)
-	s.ForceBlock(forced, ws)
-	assertBlockEquals(t, tag+" forced", forced, want)
-
-	routed := denseBlock(bs)
-	route := s.SolveRHS(routed, ws)
-	wantRoute := lu.RouteBlock
-	if len(bs) == 1 {
-		wantRoute = lu.RouteDense
+	for r := range rhs {
+		s.SolveRHS(&rhs[r], ws)
 	}
-	if route != wantRoute {
-		t.Fatalf("%s: k=%d dense block reported route %s, want %s", tag, len(bs), route, wantRoute)
+	assertSameX(t, tag+" SolveRHS", rhs, want)
+	solved := make([]lu.RHS, len(bs))
+	for r, b := range bs {
+		solved[r].X = s.Solve(b)
 	}
-	assertBlockEquals(t, tag+" routed", routed, want)
+	assertSameX(t, tag+" Solve", solved, want)
 }
 
-// TestBlockRouteMatchesSolveAcrossAlgorithms pins every factor state
-// the four pipelines emit and replays random blocks of every width the
-// batching stage produces through both solve paths.
-func TestBlockRouteMatchesSolveAcrossAlgorithms(t *testing.T) {
+// TestSupportListMatchesSolveAcrossAlgorithms pins every factor state
+// the four pipelines emit and replays random right-hand sides through
+// both entry points.
+func TestSupportListMatchesSolveAcrossAlgorithms(t *testing.T) {
 	ems := testEMS(t)
 	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
 		alg := alg
@@ -121,12 +122,10 @@ func TestBlockRouteMatchesSolveAcrossAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := xrand.New(41)
-			var ws lu.SolveWorkspace // shared across widths on purpose
+			var ws lu.SolveWorkspace // shared across solvers on purpose
 			for _, s := range solvers {
-				for _, k := range []int{1, 2, 3, 8} {
-					bs := blockRHS(rng, k, s.F.Dim())
-					checkBlockMatchesSingles(t, string(alg), s, bs, &ws)
-				}
+				rhs, bs := randomRHS(rng, 6, s.F.Dim())
+				checkSolves(t, string(alg), s, rhs, bs, &ws)
 			}
 		})
 	}
@@ -198,24 +197,25 @@ func (p *bennettPair) step(t *testing.T) {
 	p.cur2 = next2
 }
 
-// TestBlockRouteAfterRandomBennettSequences drives both containers
+// TestSupportListAfterRandomBennettSequences drives both containers
 // through randomized jumps across the sequence and checks the contract
 // after every jump.
-func TestBlockRouteAfterRandomBennettSequences(t *testing.T) {
+func TestSupportListAfterRandomBennettSequences(t *testing.T) {
 	p := newBennettPair(t, 83)
 	n := p.static.Dim()
 	var ws lu.SolveWorkspace
 	for step := 0; step < 12; step++ {
 		p.step(t)
 		k := 1 + p.rng.Intn(6)
-		checkBlockMatchesSingles(t, "static", p.sSolver, blockRHS(p.rng, k, n), &ws)
-		checkBlockMatchesSingles(t, "dynamic", p.dSolver, blockRHS(p.rng, k, n), &ws)
+		rhs, bs := randomRHS(p.rng, k, n)
+		checkSolves(t, "static", p.sSolver, rhs, bs, &ws)
+		rhs, bs = randomRHS(p.rng, k, n)
+		checkSolves(t, "dynamic", p.dSolver, rhs, bs, &ws)
 	}
 }
 
 // TestSolveRHSDstContract: SolveRHS must reuse X capacity and tolerate
-// X aliasing B — the workers batch in place — at k = 1 (dense route)
-// and k = 3 (block route) alike.
+// X aliasing B — PageRank solves its right-hand side in place.
 func TestSolveRHSDstContract(t *testing.T) {
 	ems := testEMS(t)
 	ord := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
@@ -225,31 +225,23 @@ func TestSolveRHSDstContract(t *testing.T) {
 	}
 	n := ems.N()
 	var ws lu.SolveWorkspace
-	for _, k := range []int{1, 3} {
-		bs := blockRHS(xrand.New(5), k, n)
+	for seed := uint64(5); seed < 9; seed++ {
+		rhs, bs := randomRHS(xrand.New(seed), 1, n)
 		want := solveAll(s, bs)
 
 		// Capacity reuse.
-		rhs := denseBlock(bs)
-		dsts := make([][]float64, k)
-		for r := range rhs {
-			dsts[r] = make([]float64, 0, n)
-			rhs[r].X = dsts[r]
+		dst := make([]float64, 0, n)
+		rhs[0].X = dst
+		s.SolveRHS(&rhs[0], &ws)
+		if &rhs[0].X[0] != &dst[:1][0] {
+			t.Errorf("seed %d: SolveRHS did not reuse X capacity", seed)
 		}
-		s.SolveRHS(rhs, &ws)
-		for r := range rhs {
-			if &rhs[r].X[0] != &dsts[r][:1][0] {
-				t.Errorf("k=%d rhs %d: SolveRHS did not reuse X capacity", k, r)
-			}
-		}
-		assertBlockEquals(t, "reuse", rhs, want)
+		assertSameX(t, "reuse", rhs, want)
 
-		// Aliasing: solve the block over its own right-hand sides.
-		alias := denseBlock(blockRHS(xrand.New(5), k, n))
-		for r := range alias {
-			alias[r].X = alias[r].B
-		}
-		s.SolveRHS(alias, &ws)
-		assertBlockEquals(t, "aliased", alias, want)
+		// Aliasing: solve the dense form over its own right-hand side.
+		alias := []lu.RHS{{B: append([]float64(nil), bs[0]...)}}
+		alias[0].X = alias[0].B
+		s.SolveRHS(&alias[0], &ws)
+		assertSameX(t, "aliased", alias, want)
 	}
 }

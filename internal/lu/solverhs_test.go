@@ -1,6 +1,6 @@
-// Tests of the one entry point, SolveRHS: the route it reports for each
-// block width on both containers, the same bits as Solve on every
-// route, and the input check.
+// Tests of the one entry point, SolveRHS: the same bits as Solve for
+// support lists and dense vectors on both containers, and the input
+// check.
 //
 // External test package: the scenarios drive internal/core and
 // internal/bennett, which import lu.
@@ -50,9 +50,10 @@ func communitySolver(t testing.TB, communities int) *lu.Solver {
 	return s
 }
 
-// TestSolveRHSRouteReport is the dispatcher's table: for each route it
-// can choose, an input that takes it on either container, the route it
-// must report, and the same bits as Solve.
+// TestSolveRHSRouteReport keeps the name of the table that once held
+// the route SolveRHS reported for each input: every input still on the
+// table — a support list on either container, a dense vector — must
+// give the same bits as Solve.
 func TestSolveRHSRouteReport(t *testing.T) {
 	comm := communitySolver(t, 8) // clustered static factors
 	wikiEMS := testEMS(t)
@@ -62,61 +63,48 @@ func TestSolveRHSRouteReport(t *testing.T) {
 	}
 	dyn := &lu.Solver{F: lu.NewDynamicFactors(wiki.F.(*lu.StaticFactors)), O: wiki.O}
 
-	seedsOf := func(n, k int) []lu.RHS {
-		rhs := make([]lu.RHS, k)
-		for r := range rhs {
-			rhs[r] = lu.RHS{Idx: []int{(37*r + 5) % n}, Val: []float64{0.15}}
-		}
-		return rhs
+	seed := func(n int) lu.RHS {
+		return lu.RHS{Idx: []int{5 % n}, Val: []float64{0.15}}
 	}
-	uniform := func(n int) []lu.RHS {
+	uniform := func(n int) lu.RHS {
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = 0.15 / float64(n)
 		}
-		return []lu.RHS{{B: b}}
+		return lu.RHS{B: b}
 	}
 	for _, tc := range []struct {
-		name  string
-		s     *lu.Solver
-		rhs   []lu.RHS
-		route lu.Route
+		name string
+		s    *lu.Solver
+		rhs  lu.RHS
 	}{
-		{"support list on disjoint communities", comm, seedsOf(comm.F.Dim(), 1), lu.RouteDense},
-		{"support list on a single blob", wiki, seedsOf(wiki.F.Dim(), 1), lu.RouteDense},
-		{"support list on dynamic factors", dyn, seedsOf(dyn.F.Dim(), 1), lu.RouteDense},
-		{"dense vector never probes", comm, uniform(comm.F.Dim()), lu.RouteDense},
-		{"static factors block", comm, seedsOf(comm.F.Dim(), 8), lu.RouteBlock},
-		{"dynamic factors block", dyn, seedsOf(dyn.F.Dim(), 8), lu.RouteBlock},
-		{"narrow block stays scalar", comm, seedsOf(comm.F.Dim(), 2), lu.RouteBlock},
+		{"support list on disjoint communities", comm, seed(comm.F.Dim())},
+		{"support list on a single blob", wiki, seed(wiki.F.Dim())},
+		{"support list on dynamic factors", dyn, seed(dyn.F.Dim())},
+		{"dense vector never probes", comm, uniform(comm.F.Dim())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ws lu.SolveWorkspace
 			n := tc.s.F.Dim()
-			if route := tc.s.SolveRHS(tc.rhs, &ws); route != tc.route {
-				t.Fatalf("route %s, want %s", route, tc.route)
-			}
-			for r := range tc.rhs {
-				b := tc.rhs[r].B
-				if b == nil {
-					b = make([]float64, n)
-					for i, u := range tc.rhs[r].Idx {
-						b[u] += tc.rhs[r].Val[i]
-					}
+			tc.s.SolveRHS(&tc.rhs, &ws)
+			b := tc.rhs.B
+			if b == nil {
+				b = make([]float64, n)
+				for i, u := range tc.rhs.Idx {
+					b[u] += tc.rhs.Val[i]
 				}
-				want := tc.s.Solve(b)
-				got := tc.rhs[r].X
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("rhs %d differs from Solve at %d: %v vs %v", r, i, got[i], want[i])
-					}
+			}
+			want := reference(tc.s, b)
+			for i := range want {
+				if tc.rhs.X[i] != want[i] {
+					t.Fatalf("differs from Solve at %d: %v vs %v", i, tc.rhs.X[i], want[i])
 				}
 			}
 		})
 	}
 }
 
-// TestSolveRHSInputCheck: the one entry point rejects, with both sizes
+// TestSolveRHSInputCheck: both entry points reject, with both sizes
 // named, what the old entry points index-panicked on or silently
 // truncated.
 func TestSolveRHSInputCheck(t *testing.T) {
@@ -128,19 +116,17 @@ func TestSolveRHSInputCheck(t *testing.T) {
 	n := ems.N()
 	for _, tc := range []struct {
 		name string
-		rhs  []lu.RHS
+		rhs  lu.RHS
 		want string
 	}{
-		{"short dense vector", []lu.RHS{{B: make([]float64, n-1)}},
-			"lu: SolveRHS right-hand side 0 has length 149, system dimension is 150"},
-		{"long dense vector in a block", []lu.RHS{{B: make([]float64, n)}, {B: make([]float64, n+1)}},
-			"lu: SolveRHS right-hand side 1 has length 151, system dimension is 150"},
-		{"support index past n", []lu.RHS{{Idx: []int{n}, Val: []float64{1}}},
-			"lu: SolveRHS right-hand side 0 has support index 150 outside [0,150)"},
-		{"negative support index", []lu.RHS{{Idx: []int{-1}, Val: []float64{1}}},
-			"lu: SolveRHS right-hand side 0 has support index -1 outside [0,150)"},
-		{"ragged support list", []lu.RHS{{Idx: []int{1, 2}, Val: []float64{1}}},
-			"lu: SolveRHS right-hand side 0 has 2 support indices but 1 values"},
+		{"short dense vector", lu.RHS{B: make([]float64, n-1)},
+			"lu: right-hand side has length 149, system dimension is 150"},
+		{"support index past n", lu.RHS{Idx: []int{n}, Val: []float64{1}},
+			"lu: right-hand side has support index 150 outside [0,150)"},
+		{"negative support index", lu.RHS{Idx: []int{-1}, Val: []float64{1}},
+			"lu: right-hand side has support index -1 outside [0,150)"},
+		{"ragged support list", lu.RHS{Idx: []int{1, 2}, Val: []float64{1}},
+			"lu: right-hand side has 2 support indices but 1 values"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -148,7 +134,14 @@ func TestSolveRHSInputCheck(t *testing.T) {
 					t.Fatalf("panic %v, want %q", got, tc.want)
 				}
 			}()
-			s.SolveRHS(tc.rhs, &lu.SolveWorkspace{})
+			s.SolveRHS(&tc.rhs, &lu.SolveWorkspace{})
 		})
 	}
+	// Solve runs the same check.
+	defer func() {
+		if got, want := recover(), "lu: right-hand side has length 151, system dimension is 150"; got != want {
+			t.Fatalf("Solve: panic %v, want %q", got, want)
+		}
+	}()
+	s.Solve(make([]float64, n+1))
 }

@@ -1,50 +1,32 @@
 package lu
 
-// SolveWorkspace holds every piece of scratch Solver.SolveRHS needs —
-// the permuted intermediate vectors of the dense and blocked
-// substitutions and a pooled right-hand-side header — so a steady-state
-// serving worker allocates nothing per solve beyond the solutions its
-// caller keeps. The zero value is ready to use; a workspace must not be
-// shared between concurrent solves but may be reused across block
-// widths and across solvers of different dimensions (capacity is kept
-// on shrink: workers hop between snapshots and batch widths jitter).
+// SolveWorkspace holds the scratch Solver.SolveRHS needs — the permuted
+// intermediate vector of the substitution and one pooled right-hand
+// side — so a steady-state serving worker allocates nothing per solve
+// beyond the solution its caller keeps. The zero value is ready to
+// use; a workspace must not be shared between concurrent solves but
+// may be reused across solvers of different dimensions (capacity is
+// kept on shrink: workers hop between snapshots).
 type SolveWorkspace struct {
-	cols [][]float64
-
-	rhs []RHS
+	w   []float64
+	rhs RHS
 }
 
-// RHS returns a pooled k-slot right-hand-side header for SolveRHS. The
-// slots keep what earlier calls left in them, so a caller that rebuilds
-// Idx and Val with append(slot.Idx[:0], …) and leaves a scratch vector
-// in X reuses that capacity call after call.
-func (ws *SolveWorkspace) RHS(k int) []RHS {
-	if cap(ws.rhs) < k {
-		next := make([]RHS, k)
-		copy(next, ws.rhs[:cap(ws.rhs)])
-		ws.rhs = next
-	}
-	ws.rhs = ws.rhs[:k]
-	return ws.rhs
+// RHS returns the workspace's pooled right-hand side. It keeps what
+// earlier calls left in it, so a caller that rebuilds Idx and Val with
+// append(r.Idx[:0], …) and leaves a scratch vector in X reuses that
+// capacity call after call.
+func (ws *SolveWorkspace) RHS() *RHS {
+	return &ws.rhs
 }
 
-// vectors returns k scratch vectors of dimension n, reusing capacity.
+// vector returns the scratch vector at dimension n, reusing capacity.
 // Callers overwrite every position before reading it, so stale values
-// are harmless. The grow path copies up to capacity, not length, so
-// vectors parked beyond a shrunken length survive the next growth
-// instead of being reallocated.
-func (ws *SolveWorkspace) vectors(k, n int) [][]float64 {
-	if cap(ws.cols) < k {
-		next := make([][]float64, k)
-		copy(next, ws.cols[:cap(ws.cols)])
-		ws.cols = next
+// are harmless.
+func (ws *SolveWorkspace) vector(n int) []float64 {
+	if cap(ws.w) < n {
+		ws.w = make([]float64, n)
 	}
-	ws.cols = ws.cols[:k]
-	for r := range ws.cols {
-		if cap(ws.cols[r]) < n {
-			ws.cols[r] = make([]float64, n)
-		}
-		ws.cols[r] = ws.cols[r][:n]
-	}
-	return ws.cols
+	ws.w = ws.w[:n]
+	return ws.w
 }

@@ -5,50 +5,38 @@ import (
 
 	"repro/internal/lu"
 	"repro/internal/order"
-	"repro/internal/xrand"
 )
 
 // TestSolveWorkspaceShrinkGrowReuse is the alloc-regression contract:
-// a workspace warmed at width k must solve at any width <= k —
-// including shrink-then-regrow sequences — without allocating, and a
-// lone support list must be allocation-free once warm.
+// a workspace warmed on the widest system must solve on a narrower one
+// and then on the widest again — the hop a worker makes between
+// snapshots — without allocating, for a support list and a dense
+// vector alike, once X has capacity.
 func TestSolveWorkspaceShrinkGrowReuse(t *testing.T) {
 	ems := testEMS(t)
-	ord := order.Markowitz(ems.Matrices[0].Pattern()).Ordering
-	s, err := lu.FactorizeOrdered(ems.Matrices[0], ord)
+	narrow, err := lu.FactorizeOrdered(ems.Matrices[0], order.Markowitz(ems.Matrices[0].Pattern()).Ordering)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ems.N()
-	rng := xrand.New(29)
+	wide := communitySolver(t, 8)
+	if narrow.F.Dim() >= wide.F.Dim() {
+		t.Fatalf("dimensions %d and %d: the test needs the second wider", narrow.F.Dim(), wide.F.Dim())
+	}
 	var ws lu.SolveWorkspace
-	dsts := make([][]float64, 16)
-	for r := range dsts {
-		dsts[r] = make([]float64, n)
+	support := func(s *lu.Solver) *lu.RHS {
+		return &lu.RHS{Idx: []int{3, 3}, Val: []float64{0.1, 0.05}, X: make([]float64, s.F.Dim())}
 	}
-	block := func(k int) []lu.RHS {
-		rhs := denseBlock(blockRHS(rng, k, n))
-		for r := range rhs {
-			rhs[r].X = dsts[r]
-		}
-		return rhs
+	dense := func(s *lu.Solver) *lu.RHS {
+		b := make([]float64, s.F.Dim())
+		b[7] = 0.15
+		return &lu.RHS{B: b, X: make([]float64, s.F.Dim())}
 	}
-
-	// Warm at 16, shrink to 2, then measure regrowth to 16: the
-	// workspace must serve hidden capacity, not reallocate it.
-	for _, k := range []int{16, 2} {
-		s.ForceBlock(block(k), &ws)
-	}
-	rhs := block(16)
-	one := []lu.RHS{{Idx: []int{3}, Val: []float64{0.15}, X: make([]float64, n)}}
-	s.SolveRHS(one, &ws)
-	for name, solve := range map[string]func(){
-		"block":   func() { s.ForceBlock(rhs, &ws) },
-		"support": func() { s.SolveRHS(one, &ws) },
-		"entry":   func() { s.SolveRHS(rhs, &ws) },
-	} {
-		if allocs := testing.AllocsPerRun(20, solve); allocs > 0 {
-			t.Errorf("%s after shrink/grow: %v allocs per solve, want 0", name, allocs)
+	wide.SolveRHS(support(wide), &ws) // warm at the widest dimension
+	for _, s := range []*lu.Solver{narrow, wide} {
+		for name, r := range map[string]*lu.RHS{"support": support(s), "dense": dense(s)} {
+			if allocs := testing.AllocsPerRun(20, func() { s.SolveRHS(r, &ws) }); allocs > 0 {
+				t.Errorf("%s at n=%d after a wider warm-up: %v allocs per solve, want 0", name, s.F.Dim(), allocs)
+			}
 		}
 	}
 }

@@ -576,54 +576,6 @@ func (f *StaticFactors) SolveInPlace(b []float64) {
 	}
 }
 
-// SolveBlockInPlace is the column-blocked SolveInPlace (see the
-// Factors interface for the contract): the same three sweeps, with an
-// inner loop over the block at every column so LColPtr/LRowIdx/LVal
-// (and the U row views) are walked once per block, not once per
-// right-hand side. The inner loop keeps each vector's operation
-// sequence identical to the single-vector solve — including the
-// skip-on-zero in the forward sweep — so every xs[r] is bit-identical
-// to SolveInPlace(xs[r]).
-func (f *StaticFactors) SolveBlockInPlace(xs [][]float64) {
-	for _, x := range xs {
-		if len(x) != f.n {
-			panic("lu: SolveBlockInPlace dimension mismatch")
-		}
-	}
-	n := f.n
-	// Forward: L y = b (unit lower, by columns).
-	for j := 0; j < n; j++ {
-		lo, hi := f.LColPtr[j], f.LColPtr[j+1]
-		for _, x := range xs {
-			xj := x[j]
-			if xj == 0 {
-				continue
-			}
-			for p := lo; p < hi; p++ {
-				x[f.LRowIdx[p]] -= f.LVal[p] * xj
-			}
-		}
-	}
-	// Diagonal: D z = y.
-	for i := 0; i < n; i++ {
-		d := f.D[i]
-		for _, x := range xs {
-			x[i] /= d
-		}
-	}
-	// Backward: U x = z (unit upper, by rows).
-	for i := n - 1; i >= 0; i-- {
-		lo, hi := f.URowPtr[i], f.URowPtr[i+1]
-		for _, x := range xs {
-			s := x[i]
-			for p := lo; p < hi; p++ {
-				s -= f.UVal[p] * x[f.UColIdx[p]]
-			}
-			x[i] = s
-		}
-	}
-}
-
 // Reconstruct multiplies the factors back into an explicit CSR matrix
 // (L·D·U). Intended for tests: it verifies factorization and update
 // correctness against the original matrix.

@@ -6,7 +6,7 @@ import (
 )
 
 // Query is one solver-backed measure request — RWR, PPR or PageRank,
-// optionally cut to its top-k — and, after Engine.Batch, its answer.
+// optionally cut to its top-k — and, after Engine.Answer, its answer.
 type Query struct {
 	// Seeds is the restart set: the source node of an RWR, the seed set
 	// of a PPR (uniform restart mass over the listed seeds; a repeated
@@ -26,45 +26,29 @@ type Query struct {
 	Scores []float64
 }
 
-// Batch answers every query in qs against the engine's factors through
-// one lu.Solver.SolveRHS call — the solver picks the substitution route
-// for the whole group and Batch returns it — writing each answer into
-// its Query. Every answer is bit-identical to the matching RWR / PPR /
-// PageRank call whatever the route.
-func (e *Engine) Batch(qs []Query, ws *lu.SolveWorkspace) lu.Route {
-	n := e.dim()
-	rhs := ws.RHS(len(qs))
-	for r := range qs {
-		if qs[r].TopK <= 0 {
-			// The solution becomes the caller's score vector: never
-			// hand out a vector the pooled slot would write again.
-			rhs[r].X = nil
-		}
-		e.restart(&qs[r], n, &rhs[r])
+// Answer answers q against the engine's factors through one
+// lu.Solver.SolveRHS call on ws, writing the answer into q. Without
+// TopK the score vector is freshly allocated and the caller's; with
+// TopK the dense solution stays in ws's pooled right-hand side for the
+// next call. The answer is bit-identical to the matching RWR / PPR /
+// PageRank call: those run through Answer too.
+func (e *Engine) Answer(q *Query, ws *lu.SolveWorkspace) {
+	r := ws.RHS()
+	if q.TopK <= 0 {
+		// The solution becomes the caller's score vector: never hand
+		// out a vector the pooled slot would write again.
+		r.X = nil
 	}
-	route := e.Solver.SolveRHS(rhs, ws)
-	for r := range qs {
-		qs[r].answer(&rhs[r])
-	}
-	return route
+	e.restart(q, e.dim(), r)
+	e.Solver.SolveRHS(r, ws)
+	q.answer(r)
 }
 
 // solveOne is the allocating single-query path behind RWR, PPR and
-// PageRank: the same right-hand side and post-processing as Batch,
-// through lu.Solver.Solve.
+// PageRank: Answer on a fresh workspace.
 func (e *Engine) solveOne(q Query) []float64 {
-	n := e.dim()
-	var r lu.RHS
-	e.restart(&q, n, &r)
-	b := r.B
-	if b == nil {
-		b = make([]float64, n)
-		for i, s := range r.Idx {
-			b[s] += r.Val[i]
-		}
-	}
-	r.X = e.Solver.Solve(b)
-	q.answer(&r)
+	var ws lu.SolveWorkspace
+	e.Answer(&q, &ws)
 	return q.Scores
 }
 

@@ -297,7 +297,7 @@ func TestTopKTieBreakAscending(t *testing.T) {
 }
 
 // TestSolverEngineBatchMatchesEngine checks that the workspace-reusing
-// batch path (the serving layer's hot path) is bit-identical to the
+// Answer path (the serving layer's hot path) is bit-identical to the
 // allocating calls, including through a graph-free solver engine.
 func TestSolverEngineBatchMatchesEngine(t *testing.T) {
 	g := testGraph(t)
@@ -307,31 +307,20 @@ func TestSolverEngineBatchMatchesEngine(t *testing.T) {
 	}
 	se := NewSolverEngine(0.85, e.Solver)
 	var ws lu.SolveWorkspace
-	same := func(tag string, got, want []float64) {
+	same := func(tag string, q Query, want []float64) {
 		t.Helper()
+		se.Answer(&q, &ws)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s differs at %d: %v vs %v", tag, i, got[i], want[i])
+			if q.Scores[i] != want[i] {
+				t.Fatalf("%s differs at %d: %v vs %v", tag, i, q.Scores[i], want[i])
 			}
 		}
 	}
 	for u := 0; u < g.N(); u++ {
-		qs := []Query{{Seeds: []int{u}}}
-		se.Batch(qs, &ws)
-		same("RWR", qs[0].Scores, e.RWR(u))
+		same("RWR", Query{Seeds: []int{u}}, e.RWR(u))
 	}
-	qs := []Query{{Seeds: []int{0, 2}}}
-	se.Batch(qs, &ws)
-	same("PPR", qs[0].Scores, e.PPR([]int{0, 2}))
-	qs = []Query{{Global: true}}
-	se.Batch(qs, &ws)
-	same("PageRank", qs[0].Scores, e.PageRank())
-
-	multi := []Query{{Seeds: []int{1}}, {Seeds: []int{1}}, {Seeds: []int{3}}}
-	se.Batch(multi, &ws)
-	same("multi[0]", multi[0].Scores, e.RWR(1))
-	same("multi[1]", multi[1].Scores, e.RWR(1))
-	same("multi[2]", multi[2].Scores, e.RWR(3))
+	same("PPR", Query{Seeds: []int{0, 2}}, e.PPR([]int{0, 2}))
+	same("PageRank", Query{Global: true}, e.PageRank())
 }
 
 // TestTopKNaNSortsLast: NaN scores must sort after every real score

@@ -47,7 +47,7 @@ type task struct {
 
 	// hist marks a history-routed task (see history.go). When its
 	// solver is nil the worker materializes the version before solving
-	// (serveHistGroup); a resident version binds its solver at resolve
+	// (serveHist); a resident version binds its solver at resolve
 	// time and flows like any pinned task.
 	hist bool
 
@@ -58,10 +58,8 @@ type task struct {
 	suffix    string // canonical query payload (keySuffix)
 	flightKey string
 
-	// Stage-tracing timestamps (see hist.go): set at enqueue and at
-	// worker dequeue.
+	// Stage-tracing timestamp (see hist.go): set at enqueue.
 	enqueuedAt time.Time
-	dequeuedAt time.Time
 
 	// Request trace (nil when tracing is off). Ownership follows the
 	// flight: the goroutine that calls e.finish finishes a leader's

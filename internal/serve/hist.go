@@ -15,12 +15,12 @@ package serve
 //     solve).
 //   - admit: queue wait of enqueued tasks, from enqueue to a worker
 //     dequeuing them.
-//   - batch: from dequeue to the task's group starting to solve — the
-//     gathering/grouping overhead plus any wait behind earlier groups
-//     of the same worker batch.
-//   - solve: one observation per group dispatch (single or blocked),
-//     covering the factor substitution (or the Katz factorization) and
-//     answer publication.
+//   - batch: from dequeue to the task's solve starting — the worker's
+//     own bookkeeping, a microsecond or two. The worker no longer
+//     groups tasks; the stage keeps its name because the committed
+//     benchmark reads clude_query_stage_seconds{stage="batch"}.
+//   - solve: one observation per task, covering the factor
+//     substitution (or the Katz factorization) and answer publication.
 //
 // The end-to-end latency histogram (Stats.LatencyP*, exposed as
 // clude_query_latency_seconds) is observed separately in Query.

@@ -292,7 +292,7 @@ func (e *Engine) findHistoryBase(v uint64) (uint64, bool) {
 // route. Returns routed=false to let resolve fall through to the
 // spill/unknown path. A resident version binds directly to its
 // materialized solver; a materializable one leaves t.solver nil for
-// the worker to fill (serveHistGroup), so replay CPU is spent inside
+// the worker to fill (serveHist), so replay CPU is spent inside
 // the admitted worker pool, not on the caller's dispatch goroutine.
 func (e *Engine) resolveHistory(t *task, snap int) (routed bool, err error) {
 	if !e.historyEnabled() || snap < 0 {
@@ -341,39 +341,31 @@ func (e *Engine) resolveHistory(t *task, snap int) (routed bool, err error) {
 	return true, nil
 }
 
-// serveHistGroup materializes (or joins the materialization of) the
-// group's version, then solves the group against the materialized
-// solver like any pinned group.
-func (e *Engine) serveHistGroup(group []*task, w *workerScratch) {
-	v := uint64(group[0].snap)
+// serveHist materializes (or joins the materialization of) the task's
+// version, then solves the task against the materialized solver like
+// any pinned task.
+func (e *Engine) serveHist(t *task, ws *lu.SolveWorkspace) {
+	v := uint64(t.snap)
 	m0 := time.Now()
 	sv, err := e.historySolver(v)
-	if group[0].tr != nil {
+	if t.tr != nil {
 		// Materialization span with the attributes that explain a slow
 		// history query: which base the chain replayed from and how
 		// deep. An LRU hit records a ~zero-duration span with the same
 		// attributes — the trace then shows the replay was amortized.
-		md := time.Since(m0)
-		b, hasBase := e.findHistoryBase(v)
-		for _, t := range group {
-			sp := t.tr.Record("materialize", m0, md)
-			sp.SetInt("version", int64(v))
-			if hasBase {
-				sp.SetInt("base_version", int64(b))
-				sp.SetInt("replay_depth", int64(v-b))
-			}
+		sp := t.tr.Record("materialize", m0, time.Since(m0))
+		sp.SetInt("version", int64(v))
+		if b, ok := e.findHistoryBase(v); ok {
+			sp.SetInt("base_version", int64(b))
+			sp.SetInt("replay_depth", int64(v-b))
 		}
 	}
 	if err != nil {
-		for _, t := range group {
-			e.finish(t, answer{}, err)
-		}
+		e.finish(t, answer{}, err)
 		return
 	}
-	for _, t := range group {
-		t.solver = sv
-	}
-	e.solveGroup(group, sv, w)
+	t.solver = sv
+	e.solveTask(t, sv, ws)
 }
 
 // historySolver returns the materialized solver for version v: LRU

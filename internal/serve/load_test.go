@@ -18,7 +18,7 @@ import (
 // never poisons the shared result), backpressure (a full queue sheds
 // promptly and the counters balance), the publish-mid-flight cache
 // regression (a racing publish can never file a stale answer under a
-// fresh version's key), and blocked-group bit-identity. All run under
+// fresh version's key), and backlog bit-identity. All run under
 // -race in CI.
 
 // gatedLive is a LiveSource whose View can be made to block on a
@@ -374,9 +374,9 @@ func TestPublishMidFlightCannotFillStaleCache(t *testing.T) {
 	}
 }
 
-// blockedQueries is a route-compatible query set against one snapshot,
-// exactly as wide as one worker gather.
-func blockedQueries(snap int) []Query {
+// backlogQueries is eight distinct queries against one snapshot, one
+// of every measure shape.
+func backlogQueries(snap int) []Query {
 	return []Query{
 		{Snapshot: snap, Measure: MeasureRWR, Source: 3},
 		{Snapshot: snap, Measure: MeasureRWR, Source: 11},
@@ -389,10 +389,10 @@ func blockedQueries(snap int) []Query {
 	}
 }
 
-// runBlockedGroup attaches live as a gated live source, wedges the
-// engine's single worker on a live query against it, piles qs behind
-// it so they gather into one batch, and returns the responses.
-func runBlockedGroup(t *testing.T, eng *Engine, live *lu.Solver, qs []Query) []*Response {
+// runBacklog attaches live as a gated live source, wedges the engine's
+// single worker on a live query against it, queues qs behind it, and
+// returns the responses once the worker has drained the backlog.
+func runBacklog(t *testing.T, eng *Engine, live *lu.Solver, qs []Query) []*Response {
 	t.Helper()
 	// View call 1 is the gating query's resolve; call 2 is the worker's
 	// solve view — the point to wedge so followers pile up in the queue.
@@ -417,7 +417,7 @@ func runBlockedGroup(t *testing.T, eng *Engine, live *lu.Solver, qs []Query) []*
 			resps[i], errs[i] = eng.Query(context.Background(), q)
 		}()
 	}
-	waitFor(t, func() bool { return eng.Stats().Admitted == int64(1+len(qs)) }, "group admission")
+	waitFor(t, func() bool { return eng.Stats().Admitted == int64(1+len(qs)) }, "backlog admission")
 
 	close(g.release)
 	wg.Wait()
@@ -432,14 +432,14 @@ func runBlockedGroup(t *testing.T, eng *Engine, live *lu.Solver, qs []Query) []*
 	return resps
 }
 
-// TestBlockedGroupBitIdentical wedges the single worker, queues a full
-// gather of distinct same-snapshot queries behind it, and asserts they
-// come back as exactly one blocked multi-RHS solve with every answer —
-// and the cache entries it fills — bit-identical to the cold
+// TestBacklogBitIdentical wedges the single worker, queues eight
+// distinct same-snapshot queries behind it, and asserts that the
+// drained backlog is eight dense cold solves with every answer — and
+// the cache hit that follows it — bit-identical to the cold
 // single-query path. It runs on the Wiki-like blob and on the
 // community factors, whose coauthor cliques are the widest columns any
 // test engine has.
-func TestBlockedGroupBitIdentical(t *testing.T) {
+func TestBacklogBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		engine func(*testing.T, Config) (*Engine, *graph.EMS, map[int]*lu.Solver)
@@ -451,8 +451,8 @@ func TestBlockedGroupBitIdentical(t *testing.T) {
 			eng, ems, ref := tc.engine(t, Config{Workers: 1, QueueDepth: 16, CacheSize: 512})
 			defer eng.Close()
 			const snap = 4
-			qs := blockedQueries(snap)
-			resps := runBlockedGroup(t, eng, ref[ems.Len()-1].Clone(), qs)
+			qs := backlogQueries(snap)
+			resps := runBacklog(t, eng, ref[ems.Len()-1].Clone(), qs)
 			for i, q := range qs {
 				wantNodes, wantScores := coldAnswer(q, ref[snap])
 				sameAnswer(t, q.Measure, resps[i], wantNodes, wantScores)
@@ -461,19 +461,22 @@ func TestBlockedGroupBitIdentical(t *testing.T) {
 				}
 			}
 
+			// The wedging live query is one cold solve; the backlog is
+			// the other eight, every one dense.
 			st := eng.Stats()
-			if st.BlockSolves != 1 || st.BlockedRHS != int64(len(qs)) {
-				t.Fatalf("BlockSolves=%d BlockedRHS=%d, want one block of %d", st.BlockSolves, st.BlockedRHS, len(qs))
+			if backlog := st.ColdSolves - 1; backlog != int64(len(qs)) || st.DenseSolves != st.ColdSolves {
+				t.Fatalf("dense %d, cold %d: want the backlog's %d dense solves plus the wedge's one",
+					st.DenseSolves, st.ColdSolves, len(qs))
 			}
 
-			// The block's cache fills must serve subsequent singles verbatim.
+			// The backlog's cache fills must serve repeats verbatim.
 			for i, q := range qs {
 				again, err := eng.Query(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !again.CacheHit {
-					t.Fatalf("query %d: blocked answer was not cached", i)
+					t.Fatalf("query %d: the backlog's answer was not cached", i)
 				}
 				wantNodes, wantScores := coldAnswer(q, ref[snap])
 				sameAnswer(t, q.Measure+" cached", again, wantNodes, wantScores)

@@ -7,6 +7,19 @@ import (
 	"repro/internal/metrics"
 )
 
+// RetiredSeries names the counters of deleted solve routes — the
+// panel route (serve.panel_share), the reach route (serve.sparse_share,
+// serve.sparse_fallback_ratio) and the block route (serve.rhs_per_block)
+// — which RegisterMetrics still exposes, as constant 0, for the
+// benchmark metrics in parentheses that read them.
+var RetiredSeries = []string{
+	"clude_panel_rhs_total",
+	"clude_sparse_solves_total",
+	"clude_sparse_fallbacks_total",
+	"clude_block_solves_total",
+	"clude_blocked_rhs_total",
+}
+
 // RegisterMetrics re-registers the engine's counters, gauges and
 // histograms into r under the clude_ namespace. The registered series
 // read the *same* atomics Stats reads — the exposition and /stats are
@@ -30,13 +43,8 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	cf("clude_cache_misses_total", "Result-cache misses (one per completed flight).", &e.misses)
 	cf("clude_cache_evictions_total", "Result-cache LRU evictions.", &e.cacheEvicted)
 	cf("clude_solves_total", "Cold solves (cache fills), all paths.", &e.solves)
-	cf("clude_block_solves_total", "Blocked multi-RHS dispatches (groups of >= 2 compatible queries).", &e.blockSolves)
-	cf("clude_blocked_rhs_total", "Right-hand sides carried by blocked dispatches.", &e.blockedRHS)
-	r.CounterFunc("clude_panel_rhs_total", "Always 0: the panel solve route is gone. Kept only because the committed benchmark reads it (serve.panel_share) and fails a run whose series disappears; a change to the benchmark retires both.", nil,
-		func() float64 { return 0 })
-	cf("clude_single_groups_total", "Route groups of one query (a dense or Katz solve).", &e.singleGroups)
-	for _, name := range []string{"clude_sparse_solves_total", "clude_sparse_fallbacks_total"} {
-		r.CounterFunc(name, "Always 0: the reach solve route is gone. Kept only because the committed benchmark reads it (serve.sparse_share, serve.sparse_fallback_ratio) and fails a run whose series disappears; a change to the benchmark retires both.", nil,
+	for _, name := range RetiredSeries {
+		r.CounterFunc(name, "Always 0: the solve route it counted is gone. Kept because the committed benchmark reads it and fails a run whose series disappears; a change to the benchmark retires it.", nil,
 			func() float64 { return 0 })
 	}
 	cf("clude_dense_solves_total", "Cold solves answered through the dense substitution.", &e.denseSolves)

@@ -3,159 +3,152 @@ package serve
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/graph"
 	"repro/internal/lu"
+	"repro/internal/measures"
 )
 
-// Tests of how the worker books the route lu.Solver.SolveRHS returns:
-// every gathered group lands in exactly one of the dense / block
-// counters, and the per-worker scratch reuses capacity as batch widths
-// jitter. Two factor shapes: the community engine's block-diagonal
-// factors and the Wiki-like engine's single blob.
+// Tests of how the worker serves one dequeued task: a solver-backed
+// query is one dense solve and a Katz query one Katz factorization,
+// each booked in exactly one counter, and a warm worker allocates per
+// task only the vector the cache keeps. Two factor shapes: the
+// community engine's block-diagonal factors and the Wiki-like engine's
+// single blob.
 
-// groupTasks builds a route-compatible unkeyed RWR task group of width
-// k directly (no cache fill, no flight table), the harness that drives
-// solveGroup without the queue.
-func groupTasks(k int) []*task {
-	ts := make([]*task, k)
-	for i := range ts {
-		t := &task{
-			q:       Query{Measure: MeasureRWR, Source: i % 64},
-			damping: testDamping,
-			fl:      newFlight(),
-		}
-		t.source[0] = t.q.Source
-		t.seeds = t.source[:]
-		ts[i] = t
+// rwrTask builds an unkeyed RWR task from source directly (no cache
+// fill, no flight table), the harness that drives the worker's serving
+// path without the queue.
+func rwrTask(source int) *task {
+	t := &task{
+		q:          Query{Measure: MeasureRWR, Source: source},
+		damping:    testDamping,
+		fl:         newFlight(),
+		enqueuedAt: time.Now(),
 	}
-	return ts
+	t.source[0] = source
+	t.seeds = t.source[:]
+	return t
 }
 
-// TestRouteCountersFollowTheReport drives solveGroup with one group per
-// route the solver can choose and checks that exactly the counters of
-// that route move — the identities /v1/stats and /v1/metrics promise.
+// TestRouteCountersFollowTheReport serves one task of each kind through
+// the worker's dispatch and checks that exactly its counter moves — the
+// identities /v1/stats and /v1/metrics promise: every cold solve is a
+// dense or a Katz one, and every solver-backed one is dense.
 func TestRouteCountersFollowTheReport(t *testing.T) {
 	eng, _, cref := communityEngine(t, Config{Workers: 1})
 	defer eng.Close()
 	_, _, wref := pinnedEngine(t, Config{Workers: 1})
 	community, blob := cref[0], wref[0]
-	pagerank := func() []*task {
-		ts := groupTasks(1)
-		ts[0].q.Measure, ts[0].seeds = MeasurePageRank, nil
-		return ts
+	pinned := func(tk *task, s *lu.Solver) *task {
+		tk.solver = s
+		return tk
 	}
+	pagerank := rwrTask(0)
+	pagerank.q.Measure, pagerank.seeds = MeasurePageRank, nil
+	g := graph.New(4, false, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 0}})
+	katz := &task{q: Query{Measure: MeasureKatz}, damping: measures.DefaultKatzAlpha(g), graph: g,
+		fl: newFlight(), enqueuedAt: time.Now()}
 
-	type delta struct {
-		single, dense, blocks, blockedRHS int64
-	}
-	w := &workerScratch{}
+	type delta struct{ dense, katz int64 }
+	var ws lu.SolveWorkspace
 	for _, tc := range []struct {
-		name   string
-		group  []*task
-		solver *lu.Solver
-		want   delta
+		name string
+		task *task
+		want delta
 	}{
-		{"single seed inside a community: dense", groupTasks(1), community,
-			delta{single: 1, dense: 1}},
-		{"single seed on a blob: dense", groupTasks(1), blob,
-			delta{single: 1, dense: 1}},
-		{"pagerank: dense", pagerank(), community,
-			delta{single: 1, dense: 1}},
-		{"wide block on the communities", groupTasks(8), community,
-			delta{blocks: 1, blockedRHS: 8, dense: 8}},
-		{"narrow block on the communities", groupTasks(2), community,
-			delta{blocks: 1, blockedRHS: 2, dense: 2}},
-		{"wide block on the blob", groupTasks(8), blob,
-			delta{blocks: 1, blockedRHS: 8, dense: 8}},
+		{"single seed inside a community: dense", pinned(rwrTask(3), community), delta{dense: 1}},
+		{"single seed on a blob: dense", pinned(rwrTask(3), blob), delta{dense: 1}},
+		{"pagerank: dense", pinned(pagerank, community), delta{dense: 1}},
+		{"katz: its own factorization", katz, delta{katz: 1}},
 	} {
 		before := eng.Stats()
-		eng.solveGroup(tc.group, tc.solver, w)
+		eng.serveTask(tc.task, &ws)
 		after := eng.Stats()
 		got := delta{
-			single:     after.SingleGroups - before.SingleGroups,
-			dense:      after.DenseSolves - before.DenseSolves,
-			blocks:     after.BlockSolves - before.BlockSolves,
-			blockedRHS: after.BlockedRHS - before.BlockedRHS,
+			dense: after.DenseSolves - before.DenseSolves,
+			katz:  after.KatzSolves - before.KatzSolves,
 		}
 		if got != tc.want {
 			t.Errorf("%s:\n got  %+v\n want %+v", tc.name, got, tc.want)
 		}
-		if after.DenseSolves != after.ColdSolves {
-			t.Errorf("%s: dense %d != cold %d", tc.name, after.DenseSolves, after.ColdSolves)
+		if after.DenseSolves+after.KatzSolves != after.ColdSolves {
+			t.Errorf("%s: dense %d + katz %d != cold %d", tc.name, after.DenseSolves, after.KatzSolves, after.ColdSolves)
 		}
-		// Every answer, whatever the route, is the cold answer.
-		for _, tk := range tc.group {
-			q := tk.q
-			_, want := coldAnswer(q, tc.solver)
-			for i := range want {
-				if tk.fl.ans.scores[i] != want[i] {
-					t.Fatalf("%s: %s(%d) differs from the cold solve at %d", tc.name, q.Measure, q.Source, i)
-				}
+		if tc.task.solver == nil {
+			continue
+		}
+		// Every answer is the cold answer.
+		_, want := coldAnswer(tc.task.q, tc.task.solver)
+		for i := range want {
+			if tc.task.fl.ans.scores[i] != want[i] {
+				t.Fatalf("%s: %s(%d) differs from the cold solve at %d", tc.name, tc.task.q.Measure, tc.task.q.Source, i)
 			}
 		}
 	}
 }
 
-// TestSolveGroupScratchReuseAcrossWidths is the alloc-count regression
-// on the batched worker path: after a warm-up at the widest batch,
-// solveGroup's only steady-state allocations are the k cache-owned
-// solution vectors — the pooled query and right-hand-side headers and
-// the workspace column vectors all survive shrinking and regrowing
-// batch widths. Pinned ("panels") and live ("scalar") groups take the
-// same block route; the case names predate that and stay stable.
-func TestSolveGroupScratchReuseAcrossWidths(t *testing.T) {
+// TestSolveTaskSteadyStateAllocs is the alloc regression of the
+// worker's serving path: once warm, a task allocates the one score
+// vector the cache keeps and nothing that grows with the system — the
+// workspace's permuted vector and pooled right-hand side are reused. On
+// the pinned path the count is one allocation per task. The live path
+// also keys and files each answer (prefix, cache entry, the view's
+// closure), a few small allocations, so its bound is in bytes: any
+// second vector per task (8n bytes) trips it.
+func TestSolveTaskSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		live bool
 	}{
-		{"panels", false},
-		{"scalar", true},
+		{"pinned", false},
+		{"live", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, _, ref := communityEngine(t, Config{Workers: 1, QueueDepth: 16})
 			defer eng.Close()
 			solver := ref[0]
-			w := &workerScratch{}
-			group := func(k int) []*task {
-				ts := groupTasks(k)
-				for _, tk := range ts {
-					tk.live = tc.live
+			src := newGatedLive(solver, 0)
+			n := solver.F.Dim()
+			var ws lu.SolveWorkspace
+			serve := func(tk *task) {
+				if tc.live {
+					tk.live, tk.src = true, src
+					eng.serveLive(tk, &ws)
+				} else {
+					eng.solveTask(tk, solver, &ws)
 				}
-				return ts
 			}
 
-			// Jittering batch widths: shrink then regrow, twice past the
-			// warm-up width to exercise the header/vector grow paths.
-			widths := []int{16, 2, 8, 3, 16, 5, 12, 16, 4, 16}
-			groups := make([][]*task, len(widths))
-			totalRHS := 0
-			for i, k := range widths {
-				groups[i] = group(k)
-				totalRHS += k
+			const tasks = 32
+			ts := make([]*task, tasks)
+			for i := range ts {
+				ts[i] = rwrTask(i % 64)
 			}
-			// Warm-up: sizes every scratch to the maximum width.
-			eng.solveGroup(group(16), solver, w)
+			serve(rwrTask(63)) // warm-up: sizes the workspace
 
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			for i := range groups {
-				eng.solveGroup(groups[i], solver, w)
+			for _, tk := range ts {
+				serve(tk)
 			}
 			runtime.ReadMemStats(&m1)
-			got := int64(m1.Mallocs - m0.Mallocs)
+			allocs, bytes := int64(m1.Mallocs-m0.Mallocs), int64(m1.TotalAlloc-m0.TotalAlloc)
 
-			// One owned []float64 per right-hand side, plus slack for
-			// runtime noise — far below one extra per-RHS allocation, so
-			// any workspace churn trips it.
-			limit := int64(totalRHS) + int64(totalRHS)/2
-			if got > limit {
-				t.Fatalf("solveGroup allocated %d times over %d RHS (limit %d): block scratch is churning",
-					got, totalRHS, limit)
+			// The kept vector per task, plus half a vector of slack for
+			// runtime noise and the live path's keying.
+			if limit := int64(tasks) * 8 * int64(n) * 3 / 2; bytes > limit {
+				t.Fatalf("%d tasks allocated %d bytes (limit %d, one kept vector is %d): the workspace is churning",
+					tasks, bytes, limit, 8*n)
 			}
-			if st := eng.Stats(); st.BlockSolves != int64(1+len(widths)) {
-				t.Fatalf("BlockSolves=%d, want %d", st.BlockSolves, 1+len(widths))
+			if limit := int64(tasks) * 3 / 2; !tc.live && allocs > limit {
+				t.Fatalf("%d tasks allocated %d times (limit %d): the workspace is churning", tasks, allocs, limit)
+			}
+			if st := eng.Stats(); st.DenseSolves != tasks+1 || st.ColdSolves != st.DenseSolves {
+				t.Fatalf("dense %d, cold %d: want %d of each", st.DenseSolves, st.ColdSolves, tasks+1)
 			}
 		})
 	}

@@ -14,16 +14,15 @@
 //
 // The hot path is a three-stage pipeline (see docs/SERVING.md):
 //
-//	Query ──resolve──▶ coalesce ──admit──▶ batch ──▶ solve ──▶ cache
-//	        (route,     (single-   (bounded  (group   (one       (one fill
-//	         validate)   flight)    queue,    by       SolveRHS    per
-//	                               shedding)  solver)  per group)  flight)
+//	Query ──resolve──▶ coalesce ──admit──▶ solve ──▶ cache
+//	        (route,     (single-   (bounded  (one        (one fill
+//	         validate)   flight)    queue,    SolveRHS    per
+//	                               shedding)  per query)  flight)
 //
 // Identical concurrent queries share one solve and one cache fill
 // (single-flight coalescing, keyed by the generation-tagged cache
-// key); compatible queued queries against the same factors are solved
-// by one lu.Solver.SolveRHS call, which picks the substitution route
-// itself; and when the admission queue is full, excess queries fail
+// key); every other admitted query is one lu.Solver.SolveRHS call on
+// its worker; and when the admission queue is full, excess queries fail
 // fast with ErrOverloaded instead of building an unbounded backlog.
 package serve
 
@@ -190,17 +189,6 @@ type Stats struct {
 	Coalesced int64 `json:"coalesced"`
 	Shed      int64 `json:"shed"`
 
-	// Blocked-solve counters: BlockSolves is the number of blocked
-	// multi-RHS dispatches (groups of ≥ 2 compatible queries solved in
-	// one factor traversal), BlockedRHS the total right-hand sides
-	// they carried — BlockedRHS/BlockSolves is the mean block width.
-	// SingleGroups counts route groups of one query (the dense route,
-	// or a Katz solve), so the routing decision is observable for every
-	// gathered group.
-	BlockSolves  int64 `json:"block_solves"`
-	BlockedRHS   int64 `json:"blocked_rhs"`
-	SingleGroups int64 `json:"single_groups"`
-
 	// Latency percentiles (µs) over successfully answered queries,
 	// measured from Query entry to answer, on a log₂-bucketed
 	// histogram (values are bucket upper bounds, ≤ 2× the true
@@ -218,9 +206,9 @@ type Stats struct {
 	LatencyExemplars []LatencyExemplar `json:"latency_exemplars,omitempty"`
 
 	// Solve-path breakdown of the cold solves: DenseSolves counts the
-	// right-hand sides answered through the full substitution (one per
-	// query solved alone, k per block of k), KatzSolves those answered
-	// through the graph-backed Katz factorization.
+	// solver-backed ones (one substitution each), KatzSolves those
+	// answered through the graph-backed Katz factorization.
+	// DenseSolves + KatzSolves == ColdSolves.
 	DenseSolves int64 `json:"dense_solves"`
 	KatzSolves  int64 `json:"katz_solves"`
 
@@ -338,8 +326,7 @@ type Engine struct {
 	rejected, pinCount, snapEvicted atomic.Int64
 	cacheEvicted                    atomic.Int64
 	admitted, coalesced, shed       atomic.Int64
-	blockSolves, blockedRHS         atomic.Int64
-	singleGroups, katzSolves        atomic.Int64
+	denseSolves, katzSolves         atomic.Int64
 	lat                             metrics.Histogram
 	stages                          [numStages]metrics.Histogram
 
@@ -349,8 +336,6 @@ type Engine struct {
 	// from a scrape-level percentile to a replayable trace.
 	tracer *trace.Tracer
 	latEx  metrics.Exemplars
-
-	denseSolves atomic.Int64
 
 	// Live source (see live.go). Guarded by mu; read once per query and
 	// released before the source's lock is taken, so the lock orders
@@ -536,9 +521,6 @@ func (e *Engine) Stats() Stats {
 		Admitted:         e.admitted.Load(),
 		Coalesced:        e.coalesced.Load(),
 		Shed:             e.shed.Load(),
-		BlockSolves:      e.blockSolves.Load(),
-		BlockedRHS:       e.blockedRHS.Load(),
-		SingleGroups:     e.singleGroups.Load(),
 		LatencyCount:     lat.Total,
 		LatencyP50us:     lat.QuantileUS(0.50),
 		LatencyP95us:     lat.QuantileUS(0.95),

@@ -440,12 +440,12 @@ func TestLatestSurvivesOutOfOrderEviction(t *testing.T) {
 	}
 }
 
-// TestSparsePathStatsAndEquivalence runs the same query shapes on two
+// TestColdSolvesDenseAndBitIdentical runs the same query shapes on two
 // factor shapes — disjoint communities, where a seeded query's scores
 // are zero outside its community, and the Wiki-like blob — and checks
 // that (a) every answer equals an independent cold dense solve bit for
 // bit and (b) every cold solve is booked as a dense one.
-func TestSparsePathStatsAndEquivalence(t *testing.T) {
+func TestColdSolvesDenseAndBitIdentical(t *testing.T) {
 	comm, cems, cref := communityEngine(t, Config{Workers: 2})
 	defer comm.Close()
 	blob, wems, wref := pinnedEngine(t, Config{Workers: 2})
@@ -480,10 +480,10 @@ func TestSparsePathStatsAndEquivalence(t *testing.T) {
 			sameAnswer(t, side.name+" "+q.Measure, a, nodes, scores)
 		}
 		// Each query above is its own cold solve (one per snapshot),
-		// answered alone on the dense route.
-		if st := side.eng.Stats(); st.ColdSolves != 5 || st.DenseSolves != st.ColdSolves || st.SingleGroups != st.ColdSolves {
-			t.Errorf("%s engine: %d cold solves, %d dense, %d single groups; want 5 of each",
-				side.name, st.ColdSolves, st.DenseSolves, st.SingleGroups)
+		// a dense one.
+		if st := side.eng.Stats(); st.ColdSolves != 5 || st.DenseSolves != st.ColdSolves {
+			t.Errorf("%s engine: %d cold solves, %d dense; want 5 of each",
+				side.name, st.ColdSolves, st.DenseSolves)
 		}
 	}
 }
