@@ -8,7 +8,7 @@
 //     sequence with CLUDE, pin every snapshot's factors, and serve
 //     snapshot-addressed queries.
 //   - Streaming (-stream): start from the sequence's first snapshot and
-//     maintain the factors live. Edge updates arrive over POST
+//     maintain CLUDE's factors live. Edge updates arrive over POST
 //     /v1/update, are grouped into versioned batches, and each
 //     committed batch is hot-published into the serving layer without
 //     copying the factors (see docs/STREAMING.md). Latest-state queries
@@ -26,7 +26,7 @@
 // Usage:
 //
 //	cludeserve -addr :8080 -scale small -alpha 0.95
-//	cludeserve -stream -alg CLUDE -batch 64 -flush-ms 200
+//	cludeserve -stream -batch 64 -flush-ms 200
 //	cludeserve -stream -history-base 16 -history-budget 268435456
 //	cludeserve -stream -data-dir /var/lib/clude -fsync always -snapshot-every 32
 //
@@ -63,11 +63,11 @@
 //
 // The query path is the admission-controlled pipeline of
 // docs/SERVING.md: identical concurrent queries coalesce into one
-// solve, compatible queued queries are answered by one solver call
-// that picks the substitution route itself, and when the bounded queue
-// (-queue) is full the server sheds load immediately with HTTP 429 and
-// a Retry-After header instead of letting the backlog grow. A
-// -query-timeout bounds each query's time in the pipeline.
+// solve, every other admitted query is one substitution on CLUDE's
+// maintained factors, and when the bounded queue (-queue) is full the
+// server sheds load immediately with HTTP 429 and a Retry-After header
+// instead of letting the backlog grow. A -query-timeout bounds each
+// query's time in the pipeline.
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains
 // in-flight queries and the ingest queue, and only then shuts the
@@ -142,13 +142,14 @@ type options struct {
 }
 
 // defineFlags registers cludeserve's flags on fs and returns the
-// options they fill once fs is parsed. The solve route has no flag: the
-// solver picks it per query group (docs/SERVING.md, "Solve routes").
+// options they fill once fs is parsed. The solve route has no flag:
+// every query is one substitution on the factors (docs/SERVING.md,
+// "Solve routes").
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.scale, "scale", "small", "dataset scale: tiny | small | medium | paper")
-	fs.Float64Var(&o.alpha, "alpha", 0.95, "CLUDE/CINC clustering threshold")
+	fs.Float64Var(&o.alpha, "alpha", 0.95, "CLUDE clustering threshold")
 	fs.IntVar(&o.workers, "workers", 0, "query pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.factorW, "factor-workers", 0, "offline factorization pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheSize, "cache", 4096, "LRU result-cache entries")
@@ -157,7 +158,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.queryTO, "query-timeout", 0, "per-query deadline covering queue wait and solve (0 = none)")
 
 	fs.BoolVar(&o.streaming, "stream", false, "streaming mode: live edge-delta ingestion via POST /v1/update")
-	fs.StringVar(&o.algName, "alg", "CLUDE", "streaming maintenance strategy: BF | INC | CINC | CLUDE")
+	fs.StringVar(&o.algName, "alg", "CLUDE", "streaming maintenance strategy: CLUDE only, the one the server streams; kept so that existing command lines parse")
 	fs.IntVar(&o.batchSize, "batch", 64, "streaming: events per ingest batch")
 	fs.IntVar(&o.flushMS, "flush-ms", 200, "streaming: max linger before a partial batch commits (0 = size-only)")
 	fs.IntVar(&o.histBase, "history-base", 0, "streaming: delta-compressed history — pin a base clone every k versions and serve the versions between them by Bennett delta replay (0 = keep no past version)")
@@ -178,6 +179,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkAlg(o.algName); err != nil {
+		fatal(err)
+	}
 
 	switch o.logFormat {
 	case "json":
@@ -271,13 +275,8 @@ func main() {
 	var batcher *core.Batcher
 	if o.streaming {
 		stream, batcher, err = startStream(eng, st, reg, tracer, egs, o)
-		if err == nil {
-			// katz queries answer from the live builder's graph.
-			eng.AttachGraphs(api.StreamGraphs(stream))
-		}
 	} else {
 		err = factorOffline(eng, scfg, egs, o.alpha, o.factorW)
-		eng.AttachGraphs(api.EGSGraphs(egs))
 	}
 	if err != nil {
 		eng.Close()
@@ -454,7 +453,7 @@ func factorOffline(eng pinStore, scfg serve.Config, egs *graph.EGS, alpha float6
 // exact factors the crashed process last published.
 func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, egs *graph.EGS, o *options) (*core.Stream, *core.Batcher, error) {
 	cfg := core.StreamConfig{
-		Algorithm: core.Algorithm(strings.ToUpper(o.algName)),
+		Algorithm: core.CLUDE,
 		Alpha:     o.alpha,
 		Initial:   egs.Snapshots[0],
 		Derive:    graph.RWRMatrix(damping),
@@ -510,6 +509,16 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 		"boot", time.Since(t0).Round(time.Millisecond),
 		"batch", o.batchSize, "linger_ms", o.flushMS, "retention", retention)
 	return stream, stream.NewBatcher(o.batchSize, time.Duration(o.flushMS)*time.Millisecond), nil
+}
+
+// checkAlg validates -alg. The server's stream is CLUDE: its factors
+// are the only ones it answers from and checkpoints, so any other
+// strategy is refused rather than served.
+func checkAlg(name string) error {
+	if !strings.EqualFold(name, string(core.CLUDE)) {
+		return fmt.Errorf("-alg %q: the server's stream is CLUDE, the only strategy -alg accepts", name)
+	}
+	return nil
 }
 
 // fatal matches cludebench's exit convention.

@@ -7,8 +7,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -28,12 +32,12 @@ func newFlagSet() (*flag.FlagSet, *options) {
 
 // TestBenchmarkPinnedFlagsParse: the eleven flags benchmark/ starts the
 // server with are a frozen surface; they must keep parsing into the
-// options they always set.
+// options they always set, -alg CLUDE included.
 func TestBenchmarkPinnedFlagsParse(t *testing.T) {
 	fs, o := newFlagSet()
 	err := fs.Parse([]string{
 		"-addr", "127.0.0.1:18101", "-scale", "tiny", "-snapshots", "64",
-		"-stream", "-alg", "CINC", "-batch", "4", "-flush-ms", "50",
+		"-stream", "-alg", "CLUDE", "-batch", "4", "-flush-ms", "50",
 		"-history-base", "8", "-data-dir", "/tmp/clude", "-fsync", "none",
 		"-snapshot-every", "16",
 	})
@@ -42,7 +46,7 @@ func TestBenchmarkPinnedFlagsParse(t *testing.T) {
 	}
 	want := options{
 		addr: "127.0.0.1:18101", scale: "tiny", maxSnaps: 64,
-		streaming: true, algName: "CINC", batchSize: 4, flushMS: 50,
+		streaming: true, algName: "CLUDE", batchSize: 4, flushMS: 50,
 		histBase: 8, dataDir: "/tmp/clude", fsyncMode: "none", snapEvery: 16,
 	}
 	got := options{
@@ -55,6 +59,9 @@ func TestBenchmarkPinnedFlagsParse(t *testing.T) {
 	}
 	if fs.NArg() != 0 {
 		t.Fatalf("unparsed arguments: %v", fs.Args())
+	}
+	if err := checkAlg(o.algName); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -198,4 +205,180 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAlgFlagAcceptsCLUDEOnly: -alg stays in the flag set so that
+// existing command lines parse, but the server's stream is CLUDE: the
+// flag accepts CLUDE in any case and nothing else, and the binary exits
+// 1 with that message on any other value.
+func TestAlgFlagAcceptsCLUDEOnly(t *testing.T) {
+	if args := os.Getenv("CLUDESERVE_TEST_ARGS"); args != "" {
+		// The re-executed child: run the real main on these arguments.
+		os.Args = append([]string{"cludeserve"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, name := range []string{"CLUDE", "clude", "Clude"} {
+		if err := checkAlg(name); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
+		}
+	}
+	for _, name := range []string{"INC", "CINC", "BF", "inc", ""} {
+		if err := checkAlg(name); err == nil || !strings.Contains(err.Error(), "the server's stream is CLUDE") {
+			t.Errorf("-alg %q: got %v, want it refused", name, err)
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestAlgFlagAcceptsCLUDEOnly$")
+	cmd.Env = append(os.Environ(), "CLUDESERVE_TEST_ARGS=-stream -alg INC")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), `cludeserve: -alg "INC": the server's stream is CLUDE`) {
+		t.Fatalf("cludeserve -stream -alg INC: %v, output %q; want exit status 1 with the CLUDE-only message", err, out)
+	}
+}
+
+// commandArgs returns the argument lists that follow "cludeserve" in
+// text: the program name must stand alone (after a space, a slash or
+// the start) and be followed by a flag. The list ends at a shell
+// operator, a redirect or a comment.
+func commandArgs(text string) [][]string {
+	var out [][]string
+	for i := 0; ; {
+		k := strings.Index(text[i:], "cludeserve")
+		if k < 0 {
+			return out
+		}
+		at, end := i+k, i+k+len("cludeserve")
+		i = end
+		if at > 0 && !strings.ContainsAny(text[at-1:at], " /\t") {
+			continue
+		}
+		var args []string
+		for _, tok := range strings.Fields(text[end:]) {
+			if tok == "&" || tok == "&&" || tok == "|" || tok == ";" || strings.HasPrefix(tok, ">") || strings.HasPrefix(tok, "2>") || strings.HasPrefix(tok, "#") {
+				break
+			}
+			args = append(args, strings.Trim(tok, `"'`))
+		}
+		if len(args) > 0 && strings.HasPrefix(args[0], "-") {
+			out = append(out, args)
+		}
+	}
+}
+
+// checkFlags walks args the way the flag package does and reports the
+// first flag cludeserve does not define, or an -alg value the server
+// refuses. A value is not checked otherwise: the docs write
+// placeholders such as "-history-base k". The walk stops at the first
+// word that is neither a flag nor a flag's value.
+func checkFlags(fs *flag.FlagSet, args []string) error {
+	for i := 0; i < len(args); i++ {
+		tok := args[i]
+		if !strings.HasPrefix(tok, "-") || tok == "-" || tok == "--" {
+			return nil
+		}
+		name, value, hasValue := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+		if name == "h" || name == "help" {
+			continue
+		}
+		f := fs.Lookup(name)
+		if f == nil {
+			return fmt.Errorf("flag -%s is not defined", name)
+		}
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+			continue
+		}
+		if !hasValue {
+			if i+1 == len(args) {
+				continue
+			}
+			i++
+			value = args[i]
+		}
+		if name == "alg" {
+			if err := checkAlg(value); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestDocCommandLinesParse runs every cludeserve command line the docs,
+// the README and the scripts quote through the flag set: each flag
+// must exist and an -alg must be one the server accepts. Markdown is
+// read from its code blocks and inline code spans, with "\" line
+// continuations joined; the scripts pass their server flags through
+// SRV_FLAGS=(...) (crash_recovery_smoke.sh) and boot <log> <flags...>
+// (probe_bodies.sh).
+func TestDocCommandLinesParse(t *testing.T) {
+	root := filepath.Join("..", "..")
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripts, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := regexp.MustCompile("`([^`]+)`")
+	srvFlags := regexp.MustCompile(`SRV_FLAGS=\(([^)]*)\)`)
+	bootLine := regexp.MustCompile(`(?m)^boot \S+ (.*)$`)
+	found := map[string]int{}
+	check := func(file string, args []string) {
+		found[filepath.Base(file)]++
+		fs, _ := newFlagSet()
+		if err := checkFlags(fs, args); err != nil {
+			t.Errorf("%s: cludeserve %s: %v", file, strings.Join(args, " "), err)
+		}
+	}
+	for _, file := range append(docs, filepath.Join(root, "README.md")) {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(raw), "\\\n", " ")
+		var prose strings.Builder
+		fenced := false
+		for _, line := range strings.Split(text, "\n") {
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(line), "```"):
+				fenced = !fenced
+			case fenced:
+				for _, args := range commandArgs(line) {
+					check(file, args)
+				}
+			default:
+				prose.WriteString(line + "\n")
+			}
+		}
+		for _, m := range inline.FindAllStringSubmatch(prose.String(), -1) {
+			for _, args := range commandArgs(strings.ReplaceAll(m[1], "\n", " ")) {
+				check(file, args)
+			}
+		}
+	}
+	for _, file := range scripts {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		for _, m := range append(srvFlags.FindAllStringSubmatch(text, -1), bootLine.FindAllStringSubmatch(text, -1)...) {
+			var args []string
+			for _, tok := range strings.Fields(m[1]) {
+				args = append(args, strings.Trim(tok, `"'`))
+			}
+			check(file, args)
+		}
+		for _, args := range commandArgs(text) {
+			check(file, args)
+		}
+	}
+	for _, file := range []string{"README.md", "SERVING.md", "STREAMING.md", "PERSISTENCE.md", "crash_recovery_smoke.sh", "probe_bodies.sh"} {
+		if found[file] == 0 {
+			t.Errorf("no cludeserve command line found in %s: the extraction no longer sees it", file)
+		}
+	}
+	t.Logf("checked command lines per file: %v", found)
 }

@@ -10,14 +10,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/measures"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 )
 
 // liveServer builds a minimal streaming-mode server: a tiny INC stream
-// attached to a one-worker serve engine, graphs routed for katz, all
-// behind the /v1 API.
+// attached to a one-worker serve engine, behind the /v1 API.
 func liveServer(t *testing.T) (*httptest.Server, *core.Stream, func()) {
 	t.Helper()
 	g := graph.New(6, false, []graph.Edge{
@@ -35,7 +33,6 @@ func liveServer(t *testing.T) (*httptest.Server, *core.Stream, func()) {
 	}
 	eng := serve.New(serve.Config{Damping: 0.85, Workers: 1})
 	eng.AttachLive(stream)
-	eng.AttachGraphs(StreamGraphs(stream))
 	srv := httptest.NewServer(New(Options{
 		Engine:   eng,
 		Stream:   stream,
@@ -334,45 +331,36 @@ func TestUnroutedPathsAnswerEnvelope(t *testing.T) {
 	}
 }
 
-// TestKatzEndpoint answers measure=katz over HTTP against the live
-// graph and holds it bit-for-bit against a direct measures.Katz call.
+// TestKatzEndpoint: katz is not a measure the server answers, so
+// measure=katz gets a 400 in the error envelope, by GET and by POST:
+// the unknown-measure one, or the damping one when the query also asks
+// for a damping the factors were not built for (a katz α), which is
+// checked first.
 func TestKatzEndpoint(t *testing.T) {
-	srv, stream, done := liveServer(t)
+	srv, _, done := liveServer(t)
 	defer done()
-
-	_, g := stream.GraphSnapshot()
-	want, err := measures.Katz(g, measures.DefaultKatzAlpha(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	code, body := getJSON(t, srv.URL+"/v1/query?measure=katz")
-	if code != http.StatusOK {
-		t.Fatalf("katz query: status %d (%v)", code, body)
-	}
-	if m, _ := body["measure"].(string); m != "katz" {
-		t.Fatalf("measure echoed as %q", body["measure"])
-	}
-	scores, _ := body["scores"].([]interface{})
-	if len(scores) != len(want) {
-		t.Fatalf("%d scores, want %d", len(scores), len(want))
-	}
-	for i, s := range scores {
-		if s.(float64) != want[i] {
-			t.Fatalf("node %d: %v != %v", i, s, want[i])
+	for _, tc := range []struct {
+		name string
+		call func() (int, map[string]interface{})
+		want string
+	}{
+		{"GET", func() (int, map[string]interface{}) { return getJSON(t, srv.URL+"/v1/query?measure=katz") }, `unknown measure "katz"`},
+		{"POST", func() (int, map[string]interface{}) {
+			return post(t, srv.URL+"/v1/query", `{"measure":"katz","damping":0.85}`)
+		}, `unknown measure "katz"`},
+		{"GET with an α", func() (int, map[string]interface{}) {
+			return getJSON(t, srv.URL+"/v1/query?measure=katz&damping=0.1")
+		}, "damping 0.1 not served"},
+	} {
+		code, body := tc.call()
+		if code != http.StatusBadRequest {
+			t.Errorf("%s katz: status %d, want 400 (%v)", tc.name, code, body)
+			continue
+		}
+		if ecode, msg := envelope(t, body); ecode != "bad_request" || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s katz: envelope %q %q, want bad_request saying %q", tc.name, ecode, msg, tc.want)
 		}
 	}
-
-	// Repeat is a cache hit; a bad α is a clean 400 envelope.
-	code, body = getJSON(t, srv.URL+"/v1/query?measure=katz")
-	if code != http.StatusOK || body["cache_hit"] != true {
-		t.Fatalf("repeat katz: status %d cache_hit %v", code, body["cache_hit"])
-	}
-	code, body = getJSON(t, srv.URL+"/v1/query?measure=katz&damping=1.5")
-	if code != http.StatusBadRequest {
-		t.Fatalf("katz damping 1.5: status %d, want 400", code)
-	}
-	envelope(t, body)
 }
 
 // TestHealthzAndErrors covers the liveness route and the remaining

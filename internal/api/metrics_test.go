@@ -106,7 +106,7 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 		case 2:
 			urls = append(urls, "/v1/query?measure=pagerank")
 		case 3:
-			urls = append(urls, "/v1/query?measure=katz")
+			urls = append(urls, fmt.Sprintf("/v1/query?measure=ppr&sources=%d,%d", rng.Intn(6), rng.Intn(6)))
 		}
 	}
 	var wg sync.WaitGroup
@@ -168,9 +168,12 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 	if v, ok := m["clude_single_groups_total"]; ok {
 		t.Fatalf("clude_single_groups_total = %v: the series was deleted with the worker's grouping", v)
 	}
-	// Every cold solve is a dense or a Katz one.
-	if dense, katz, cold := m["clude_dense_solves_total"], m["clude_katz_solves_total"], m["clude_solves_total"]; dense+katz != cold {
-		t.Fatalf("dense %v + katz %v != cold solves %v", dense, katz, cold)
+	// Every cold solve is a dense one: one substitution on the factors.
+	if dense, cold := m["clude_dense_solves_total"], m["clude_solves_total"]; dense != cold || cold == 0 {
+		t.Fatalf("dense solves %v != cold solves %v (or none at all)", dense, cold)
+	}
+	if v, ok := m["clude_katz_solves_total"]; ok {
+		t.Fatalf("clude_katz_solves_total = %v: the server answers no measure outside its factors", v)
 	}
 
 	// /v1/stats and /v1/metrics views of the same counters agree.
@@ -186,7 +189,6 @@ func TestMetricsInvariantUnderLoad(t *testing.T) {
 		"clude_queries_shed_total":      "shed",
 		"clude_cache_hits_total":        "cache_hits",
 		"clude_solves_total":            "cold_solves",
-		"clude_katz_solves_total":       "katz_solves",
 		"clude_dense_solves_total":      "dense_solves",
 	} {
 		if m[metric] != stats[field].(float64) {
@@ -214,7 +216,6 @@ func liveServerTuned(t *testing.T, workers, queue int) (*httptest.Server, *core.
 	}
 	eng := serve.New(serve.Config{Damping: 0.85, Workers: workers, QueueDepth: queue})
 	eng.AttachLive(stream)
-	eng.AttachGraphs(StreamGraphs(stream))
 	srv := httptest.NewServer(New(Options{
 		Engine:   eng,
 		Stream:   stream,
@@ -244,7 +245,8 @@ func TestIngestAndStoreMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream, _, err := st.OpenStream(core.StreamConfig{
-		Algorithm: core.INC,
+		Algorithm: core.CLUDE,
+		Alpha:     0.9,
 		Initial:   g,
 		Derive:    graph.RWRMatrix(0.85),
 		OnBatch:   IngestHook(reg, nil),
@@ -268,9 +270,11 @@ func TestIngestAndStoreMetrics(t *testing.T) {
 		eng.Close()
 	}()
 
-	for i := 0; i < 3; i++ {
+	// Toggles of an initial edge: every batch stays inside CLUDE's
+	// structure union and its cluster.
+	for i, ev := range []string{`"from":0,"to":1,"op":"delete"`, `"from":0,"to":1`, `"from":0,"to":1,"op":"delete"`} {
 		resp, err := http.Post(srv.URL+"/v1/update?sync=1", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"events":[{"from":%d,"to":%d}]}`, i, 5-i)))
+			strings.NewReader(`{"events":[{`+ev+`}]}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +309,7 @@ func TestIngestAndStoreMetrics(t *testing.T) {
 		}
 	}
 	// The apply stage's split is a family of its own — the stage family
-	// keeps exactly its four members. Three INC batches are three Bennett
+	// keeps exactly its four members. Three toggles are three Bennett
 	// updates: delta and update observed, order and factorize registered
 	// and empty.
 	for part, want := range map[string]float64{"delta": 3, "update": 3, "order": 0, "factorize": 0} {

@@ -634,7 +634,7 @@ func TestSymmetricSingularUpdate(t *testing.T) {
 // caches after each of its writers — construction, factorization, both
 // update paths, Reset, Clone and AssembleStatic — on a symmetric and an
 // unsymmetric structure; and the dynamic container's after
-// NewDynamicFactors, the cross path, Clone, AssembleDynamic, InsertL,
+// NewDynamicFactors, the cross path, Clone, InsertL,
 // InsertU, Rank1 and the rank-1 path.
 func TestMirroredIsThePredicate(t *testing.T) {
 	rng := xrand.New(4717)
@@ -698,14 +698,6 @@ func TestMirroredIsThePredicate(t *testing.T) {
 			t.Fatalf("dynamic %s: Mirrored %v, predicate %v, want %v", label, d.Mirrored(), mirrored(d), want)
 		}
 	}
-	assemble := func(d *lu.DynamicFactors) *lu.DynamicFactors {
-		t.Helper()
-		a, err := lu.AssembleDynamic(d.Dim(), slices.Clone(d.Nodes), slices.Clone(d.LHead), slices.Clone(d.UHead), slices.Clone(d.D), d.Inserts, d.ScanSteps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
 	d := ownFactors(t, mats[0])
 	checkD("new", d, true)
 	// A symmetric pair outside the lists: the cross at its column splices
@@ -739,7 +731,6 @@ func TestMirroredIsThePredicate(t *testing.T) {
 		t.Fatal("the cross update spliced nothing")
 	}
 	checkD("clone", d.Clone().(*lu.DynamicFactors), true)
-	checkD("assembled", assemble(d), true)
 	// A value at a position both lists hold: InsertL breaks the mirror,
 	// InsertU with the same bits restores it; a new position likewise.
 	i, j := -1, -1
@@ -754,7 +745,6 @@ func TestMirroredIsThePredicate(t *testing.T) {
 	d.InsertL(i, j, 0.125)
 	checkD("InsertL overwrite", d, false)
 	checkD("clone of unmirrored", d.Clone().(*lu.DynamicFactors), false)
-	checkD("assembled unmirrored", assemble(d), false)
 	d.InsertU(j, i, 0.125)
 	checkD("InsertU overwrite", d, true)
 	fresh := -1

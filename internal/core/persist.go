@@ -11,20 +11,21 @@ import (
 )
 
 // This file is the durability face of the streaming engine: ExportState
-// captures everything a Stream needs to resume exactly where it was —
-// graph, factors, ordering, cluster-tracker state, the previous matrix,
-// and every counter — and RestoreStream rebuilds a live Stream from it.
+// captures everything a BF or CLUDE Stream needs to resume exactly
+// where it was — graph, factors, ordering, cluster-tracker state, the
+// previous matrix, and every counter — and RestoreStream rebuilds a
+// live Stream from it.
 // Restored-then-replayed streams are bit-identical to uninterrupted
 // ones (the store package's kill-point property test pins this down),
 // which is what makes snapshot + WAL-tail recovery exact rather than
 // merely approximate.
 
-// StreamState is the complete serializable state of a Stream at some
-// point in its life. All reference-typed fields are either deep copies
-// (the factor containers, which the live stream mutates in place) or
-// immutable values safe to share (graph snapshot, patterns, matrices,
-// orderings), so an exported state stays valid while the source stream
-// keeps committing batches.
+// StreamState is the complete serializable state of a BF or CLUDE
+// Stream at some point in its life. All reference-typed fields are
+// either deep copies (the factor container, which the live stream
+// mutates in place) or immutable values safe to share (graph snapshot,
+// patterns, matrices, orderings), so an exported state stays valid
+// while the source stream keeps committing batches.
 type StreamState struct {
 	Algorithm Algorithm
 	Alpha     float64
@@ -33,14 +34,12 @@ type StreamState struct {
 
 	// Graph is the live edge set at export time.
 	Graph *graph.Graph
-	// Tracker is the α-membership state (nil for BF/INC).
+	// Tracker is the α-membership state (nil for BF).
 	Tracker *cluster.TrackerState
 	// Ord is the current ordering O = (P, Q).
 	Ord sparse.Ordering
-	// Static holds the factor values for BF/CLUDE (nil otherwise);
-	// Dyn the linked-list container for INC/CINC (nil otherwise).
+	// Static holds the factor values.
 	Static *lu.StaticFactors
-	Dyn    *lu.DynamicFactors
 	// Prev is the matrix the factors belong to, in the current ordering:
 	// the deriver's matrix of Graph under Ord (a failed batch is taken
 	// back whole, so the two never part). The live stream does not hold
@@ -49,51 +48,67 @@ type StreamState struct {
 	// and goes on from Graph.
 	Prev *sparse.CSR
 	// StructUnion is the union pattern the CLUDE USSP container was
-	// built from (nil for other strategies).
+	// built from (nil for BF).
 	StructUnion *sparse.Pattern
 
-	Stats                        StreamStats
-	RetiredInserts, RetiredScans int
+	Stats StreamStats
+}
+
+// checkpointable reports whether a stream of alg can be exported and
+// restored. INC and CINC maintain linked-list factors, which have no
+// checkpoint format: only the static container of BF and CLUDE does.
+func checkpointable(alg Algorithm) error {
+	switch alg {
+	case BF, CLUDE:
+		return nil
+	case INC, CINC:
+		return fmt.Errorf("core: %s streams cannot be checkpointed (only BF and CLUDE keep the static factors a checkpoint holds)", alg)
+	default:
+		return fmt.Errorf("core: unknown streaming algorithm %q", alg)
+	}
 }
 
 // ExportState deep-copies the stream's resumable state under the read
-// lock. The factor containers are cloned (they are updated in place by
-// the next batch); everything else is immutable and shared. Exporting
+// lock. The factor container is cloned (it is updated in place by the
+// next batch); everything else is immutable and shared. Exporting
 // costs one factor clone — the same price as a history base pin — and
-// one derivation of the matrix.
+// one derivation of the matrix. An INC or CINC stream returns an error.
 func (s *Stream) ExportState() (*StreamState, error) {
+	if err := checkpointable(s.cfg.Algorithm); err != nil {
+		return nil, err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.c.solver == nil {
 		return nil, errors.New("core: stream has no published state to export")
 	}
+	st := s.stateLocked()
+	st.Static = s.c.static.Clone().(*lu.StaticFactors)
+	return st, nil
+}
+
+// stateLocked is the export without the factors; s.mu is held.
+func (s *Stream) stateLocked() *StreamState {
 	st := &StreamState{
-		Algorithm:      s.cfg.Algorithm,
-		Alpha:          s.cfg.Alpha,
-		Version:        s.version,
-		Seq:            s.seq,
-		Graph:          s.builder.Graph(),
-		Ord:            s.c.ord,
-		Prev:           s.current().PermuteInv(s.c.ord, s.c.colInv),
-		StructUnion:    s.structUnion,
-		Stats:          s.stats,
-		RetiredInserts: s.retiredIns,
-		RetiredScans:   s.retiredScan,
+		Algorithm:   s.cfg.Algorithm,
+		Alpha:       s.cfg.Alpha,
+		Version:     s.version,
+		Seq:         s.seq,
+		Graph:       s.builder.Graph(),
+		Ord:         s.c.ord,
+		Prev:        s.current().PermuteInv(s.c.ord, s.c.colInv),
+		StructUnion: s.structUnion,
+		Stats:       s.stats,
 	}
 	if s.tracker != nil {
 		st.Tracker = s.tracker.State()
 	}
-	if s.c.dyn != nil {
-		st.Dyn = s.c.dyn.Clone().(*lu.DynamicFactors)
-	} else {
-		st.Static = s.c.static.Clone().(*lu.StaticFactors)
-	}
-	return st, nil
+	return st
 }
 
 // RestoreStream rebuilds a live stream from an exported state. The
-// config must agree with the state on algorithm and (for CINC/CLUDE)
-// alpha — factors maintained under one strategy cannot be resumed under
+// config must agree with the state on algorithm and (for CLUDE) alpha —
+// factors maintained under one strategy cannot be resumed under
 // another — and must carry the same Derive the original stream used:
 // determinism of the deriver is what makes WAL replay exact. Initial is
 // ignored (the state's graph is the initial state). OnPublish fires
@@ -106,7 +121,10 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 	if cfg.Algorithm != st.Algorithm {
 		return nil, fmt.Errorf("core: restoring %s state under %s", st.Algorithm, cfg.Algorithm)
 	}
-	needsTracker := st.Algorithm == CINC || st.Algorithm == CLUDE
+	if err := checkpointable(st.Algorithm); err != nil {
+		return nil, err
+	}
+	needsTracker := st.Algorithm == CLUDE
 	if needsTracker && cfg.Alpha != st.Alpha {
 		return nil, fmt.Errorf("core: restoring alpha=%v state under alpha=%v", st.Alpha, cfg.Alpha)
 	}
@@ -120,6 +138,15 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 	if st.Prev == nil || st.Prev.N() != n {
 		return nil, errors.New("core: stream state previous matrix missing or mis-sized")
 	}
+	if st.Static == nil {
+		return nil, fmt.Errorf("core: %s state has no static factors", st.Algorithm)
+	}
+	if st.Algorithm == CLUDE && st.StructUnion == nil {
+		return nil, errors.New("core: CLUDE state has no structure union")
+	}
+	if st.Static.Dim() != n {
+		return nil, fmt.Errorf("core: %s factors dimension %d for n=%d", st.Algorithm, st.Static.Dim(), n)
+	}
 	s := &Stream{
 		cfg:         cfg,
 		version:     st.Version,
@@ -128,8 +155,6 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		c:           newChain(st.Ord),
 		structUnion: st.StructUnion,
 		stats:       st.Stats,
-		retiredIns:  st.RetiredInserts,
-		retiredScan: st.RetiredScans,
 	}
 	if needsTracker {
 		if st.Tracker == nil {
@@ -141,28 +166,8 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		}
 		s.tracker = tr
 	}
-	var fac lu.Factors
-	switch st.Algorithm {
-	case INC, CINC:
-		if st.Dyn == nil {
-			return nil, fmt.Errorf("core: %s state has no dynamic factors", st.Algorithm)
-		}
-		s.c.dyn, fac = st.Dyn, st.Dyn
-	case BF, CLUDE:
-		if st.Static == nil {
-			return nil, fmt.Errorf("core: %s state has no static factors", st.Algorithm)
-		}
-		if st.Algorithm == CLUDE && st.StructUnion == nil {
-			return nil, errors.New("core: CLUDE state has no structure union")
-		}
-		s.c.static, fac = st.Static, st.Static
-	default:
-		return nil, fmt.Errorf("core: unknown streaming algorithm %q", st.Algorithm)
-	}
-	if fac.Dim() != n {
-		return nil, fmt.Errorf("core: %s factors dimension %d for n=%d", st.Algorithm, fac.Dim(), n)
-	}
-	s.c.solver = &lu.Solver{F: fac, O: st.Ord}
+	s.c.static = st.Static
+	s.c.solver = &lu.Solver{F: st.Static, O: st.Ord}
 	s.stats.Version = s.version
 	// The restored version's predecessor delta is unknowable in this
 	// process, so its history record is structural: delta chains restart

@@ -608,19 +608,6 @@ func (s *Stream) View(fn func(version uint64, sv *lu.Solver)) bool {
 	return true
 }
 
-// GraphSnapshot returns the latest published version together with an
-// immutable snapshot of the graph at that version (Builder.Graph copies
-// the list headers; the lists themselves are never written). Both are
-// read under the same lock, so
-// they are mutually consistent; callers may retain the graph
-// indefinitely (graph-backed measures key cached answers by the
-// returned version).
-func (s *Stream) GraphSnapshot() (uint64, *graph.Graph) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version, s.builder.Graph()
-}
-
 // Version returns the latest published version.
 func (s *Stream) Version() uint64 {
 	s.mu.RLock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -305,6 +306,49 @@ func TestStreamStatsAndLifecycle(t *testing.T) {
 	}
 	if _, err := NewStream(StreamConfig{Algorithm: CLUDE, Alpha: 2, Initial: initial, Derive: graph.RWRMatrix(0.85)}); err == nil {
 		t.Fatal("alpha out of range accepted")
+	}
+}
+
+// TestExportStateRefusesListFactors: an INC or CINC stream keeps
+// linked-list factors, which have no checkpoint format, so ExportState
+// errors naming the algorithm, and RestoreStream refuses a state that
+// claims one; a CLUDE stream exports and restores.
+func TestExportStateRefusesListFactors(t *testing.T) {
+	rng := xrand.New(43)
+	initial, batches := randomEventStream(rng, 30, 2, 6)
+	cfg := StreamConfig{Alpha: 0.9, Initial: initial, Derive: graph.RWRMatrix(0.85)}
+	for _, alg := range []Algorithm{INC, CINC} {
+		cfg.Algorithm = alg
+		s, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Apply(batches[0]); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.ExportState(); err == nil || !strings.Contains(err.Error(), string(alg)) {
+			t.Errorf("%s: ExportState returned %v, %v; want an error naming %s", alg, st, err, alg)
+		}
+		s.Close()
+	}
+	cfg.Algorithm = CLUDE
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := RestoreStream(cfg, st); err != nil {
+		t.Fatalf("CLUDE state: %v", err)
+	} else {
+		r.Close()
+	}
+	st.Algorithm, cfg.Algorithm = INC, INC
+	if _, err := RestoreStream(cfg, st); err == nil || !strings.Contains(err.Error(), "INC") {
+		t.Errorf("RestoreStream of an INC state: %v, want an error naming INC", err)
 	}
 }
 

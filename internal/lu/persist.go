@@ -5,11 +5,10 @@ import (
 	"slices"
 )
 
-// This file is the persistence face of the factor containers: the
+// This file is the persistence face of the static factor container: the
 // store codec serializes only the primary structure (L by columns, U by
-// rows, pivots, and — for the dynamic container — the node pool) and
-// the assembly functions here deterministically rebuild every derived
-// index (the static container's cross views), so a restored container is
+// rows, pivots) and AssembleStatic deterministically rebuilds every
+// derived index (the cross views), so a restored container is
 // field-for-field identical to the one that was written. Keeping the
 // derived indices out of the on-disk format halves snapshot size and
 // makes internal consistency a construction invariant instead of a
@@ -135,73 +134,4 @@ func checkTriangle(name string, n int, ptr, idx []int, vals int, lower bool) err
 		}
 	}
 	return nil
-}
-
-// AssembleDynamic rebuilds a DynamicFactors container from its node
-// pool, list heads, pivots and profiling counters, taking ownership of
-// the slices. Walking the lists counts their entries and validates
-// them, so assembling the fields of an existing container yields a
-// bit-identical copy. Corrupt input — dangling node references,
-// unsorted or out-of-range lists, cycles — returns an error.
-func AssembleDynamic(n int, nodes []ListNode, lHead, uHead []int, d []float64, inserts, scanSteps int) (*DynamicFactors, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("lu: negative dimension %d", n)
-	}
-	if len(lHead) != n || len(uHead) != n || len(d) != n {
-		return nil, fmt.Errorf("lu: head/pivot lengths (%d,%d,%d) for dimension %d", len(lHead), len(uHead), len(d), n)
-	}
-	dyn := &DynamicFactors{
-		n:     n,
-		Nodes: nodes,
-		LHead: lHead, UHead: uHead,
-		D:       d,
-		Inserts: inserts, ScanSteps: scanSteps,
-	}
-	// Every node belongs to exactly one list, so the total walk is
-	// bounded by the pool size; exceeding it means a cycle or shared
-	// tail and the input is rejected.
-	budget := len(nodes)
-	walk := func(head int, strictLower bool, major int) (int, error) {
-		count, prev := 0, -1
-		for cur := head; cur != -1; cur = nodes[cur].Next {
-			if cur < 0 || cur >= len(nodes) {
-				return 0, fmt.Errorf("lu: node reference %d outside pool of %d", cur, len(nodes))
-			}
-			if budget--; budget < 0 {
-				return 0, fmt.Errorf("lu: node lists reference more cells than the pool holds")
-			}
-			idx := nodes[cur].Idx
-			if idx < 0 || idx >= n {
-				return 0, fmt.Errorf("lu: list index %d outside [0,%d)", idx, n)
-			}
-			if strictLower && idx <= major {
-				return 0, fmt.Errorf("lu: L column %d holds non-lower row %d", major, idx)
-			}
-			if !strictLower && idx <= major {
-				return 0, fmt.Errorf("lu: U row %d holds non-upper column %d", major, idx)
-			}
-			if idx <= prev {
-				return 0, fmt.Errorf("lu: list of %d not strictly ascending", major)
-			}
-			prev = idx
-			count++
-		}
-		return count, nil
-	}
-	for j := 0; j < n; j++ {
-		rows, err := walk(lHead[j], true, j)
-		if err != nil {
-			return nil, err
-		}
-		dyn.lnnz += rows
-	}
-	for i := 0; i < n; i++ {
-		cols, err := walk(uHead[i], false, i)
-		if err != nil {
-			return nil, err
-		}
-		dyn.unnz += cols
-	}
-	dyn.RefreshMirror()
-	return dyn, nil
 }

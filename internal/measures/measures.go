@@ -1,10 +1,10 @@
-// Package measures computes the graph structural measures the paper
-// motivates — PageRank, Personalized PageRank (PPR), Random Walk with
-// Restart (RWR), SALSA, and Discounted Hitting Time (DHT) — through
-// the linear-system formulation A·x = b with A = I − d·W (paper §1).
-// Once A is LU-decomposed, every measure query is a forward/backward
-// substitution on the factors, which is the whole point of solving the
-// LUDEM problem.
+// Package measures computes the proximity measures the paper's serving
+// story rests on — PageRank, Personalized PageRank (PPR), Random Walk
+// with Restart (RWR) and top-k RWR — through the linear-system
+// formulation A·x = b with A = I − d·W (paper §1). Once A is
+// LU-decomposed, every measure query is a forward/backward substitution
+// on the factors, which is the whole point of solving the LUDEM
+// problem.
 //
 // The package also implements the approximation baselines the paper
 // compares against in §8: power iteration (PI) and Monte Carlo random
@@ -56,11 +56,9 @@ func NewEngineFromSolver(g *graph.Graph, d float64, s *lu.Solver) *Engine {
 }
 
 // NewSolverEngine wraps retained factors with no snapshot graph
-// attached. The solver-backed measures (RWR, PPR, PageRank) need only
-// the system dimension, so a serving layer that pins solvers — not
-// graphs — per snapshot can still answer them. Graph-dependent
-// measures (DHT, SALSA, …) are package functions taking the graph
-// explicitly and are unaffected.
+// attached. The measures (RWR, PPR, PageRank) need only the system
+// dimension, so a serving layer that pins solvers — not graphs — per
+// snapshot can still answer them.
 func NewSolverEngine(d float64, s *lu.Solver) *Engine {
 	return &Engine{D: d, Solver: s}
 }
@@ -94,105 +92,6 @@ func (e *Engine) PPR(seeds []int) []float64 {
 // to 1 before returning, the usual practical fix).
 func (e *Engine) PageRank() []float64 {
 	return e.solveOne(Query{Global: true})
-}
-
-// DHT returns the d-discounted hitting time from every node to target
-// t: h satisfies h(t) = 0 and h(v) = 1 + d·Σ_w P(v,w)·h(w) for v ≠ t
-// (paper ref. [14]). It is computed by solving a system on the same
-// factors via the rank-1 structure of the target constraint:
-// solving (I − d·Wᵀ_{-t}) h = 1_{-t} directly would need a different
-// matrix, so DHT assembles its own small system per target.
-func DHT(g *graph.Graph, d float64, t int) ([]float64, error) {
-	n := g.N()
-	c := sparse.NewCOO(n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 1)
-	}
-	for v := 0; v < n; v++ {
-		if v == t {
-			continue
-		}
-		out := g.OutNeighbors(v)
-		if len(out) == 0 {
-			continue
-		}
-		w := d / float64(len(out))
-		for _, x := range out {
-			if x != t {
-				// Row v: h(v) − d·Σ P(v,w)·h(w) = 1; transition into t
-				// contributes 0 because h(t) = 0.
-				c.Add(v, x, -w)
-			}
-		}
-	}
-	a := c.ToCSR()
-	s, err := lu.FactorizeOrdered(a, sparse.IdentityOrdering(n))
-	if err != nil {
-		return nil, err
-	}
-	b := make([]float64, n)
-	for i := range b {
-		if i != t {
-			b[i] = 1
-		}
-	}
-	h := s.Solve(b)
-	h[t] = 0
-	return h, nil
-}
-
-// SALSA returns damped SALSA authority scores: the stationary
-// distribution of the two-step authority chain (follow a link
-// backwards to a hub, then forwards to an authority), damped with
-// restart probability 1−d to keep the chain irreducible. The two-step
-// transition matrix M = W_c·W_r is materialized sparsely and the score
-// solves (I − d·M)·x = (1−d)/n·1.
-func SALSA(g *graph.Graph, d float64) ([]float64, error) {
-	n := g.N()
-	// W_r: row-normalized adjacency (hub step, backwards from
-	// authority to hub is modelled by the transpose structure below).
-	// Build column-normalized W (authority step) and row-normalized
-	// transpose (hub step) and multiply.
-	wc := sparse.NewCOO(n) // W_c(j,i) = 1/outdeg(i) for edge (i,j)
-	wr := sparse.NewCOO(n) // W_r(i,j) = 1/indeg(j)  for edge (i,j)
-	for i := 0; i < n; i++ {
-		out := g.OutNeighbors(i)
-		if len(out) == 0 {
-			continue
-		}
-		ow := 1 / float64(len(out))
-		for _, j := range out {
-			wc.Add(j, i, ow)
-			wr.Add(i, j, 1/float64(g.InDegree(j)))
-		}
-	}
-	m := wc.ToCSR().Mul(wr.ToCSR()) // authority-to-authority chain
-	c := sparse.NewCOO(n)
-	for i := 0; i < n; i++ {
-		c.Add(i, i, 1)
-	}
-	for i := 0; i < n; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			if vals[k] != 0 {
-				c.Add(i, j, -d*vals[k])
-			}
-		}
-	}
-	a := c.ToCSR()
-	s, err := lu.FactorizeOrdered(a, sparse.IdentityOrdering(n))
-	if err != nil {
-		return nil, err
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = (1 - d) / float64(n)
-	}
-	x := s.Solve(b)
-	if sum := sparse.Sum(x); sum > 0 {
-		sparse.Scale(x, 1/sum)
-	}
-	return x, nil
 }
 
 // PowerIterationRWR approximates the RWR vector from u by iterating

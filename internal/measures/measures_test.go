@@ -202,54 +202,6 @@ func TestSolveFreshGEMatchesEngine(t *testing.T) {
 	}
 }
 
-func TestDHTProperties(t *testing.T) {
-	g := testGraph(t)
-	target := 3
-	h, err := DHT(g, 0.9, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h[target] != 0 {
-		t.Errorf("h(target) = %v, want 0", h[target])
-	}
-	// Every non-target node has h ≥ 1 (at least one step).
-	for v, hv := range h {
-		if v != target && hv < 1-1e-9 {
-			t.Errorf("h(%d) = %v < 1", v, hv)
-		}
-	}
-	// A direct predecessor of the target should have smaller hitting
-	// time than the overall maximum.
-	maxH, pred := 0.0, -1
-	for v := range h {
-		if h[v] > maxH {
-			maxH = h[v]
-		}
-		if g.HasEdge(v, target) && pred == -1 {
-			pred = v
-		}
-	}
-	if pred >= 0 && h[pred] >= maxH {
-		t.Error("direct predecessor not closer than max")
-	}
-}
-
-func TestSALSAProperties(t *testing.T) {
-	g := testGraph(t)
-	x, err := SALSA(g, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sparse.Sum(x)-1) > 1e-9 {
-		t.Errorf("SALSA sum %v != 1", sparse.Sum(x))
-	}
-	for _, v := range x {
-		if v < -1e-12 {
-			t.Error("negative SALSA score")
-		}
-	}
-}
-
 func TestTopKAndRanks(t *testing.T) {
 	x := []float64{0.1, 0.5, 0.3, 0.5}
 	top := TopK(x, 2)

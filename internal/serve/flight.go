@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/trace"
 )
@@ -40,10 +39,6 @@ type task struct {
 	solver  *lu.Solver
 	snap    int
 	version uint64
-
-	// graph is the katz route's input (see graphs.go); solver-backed
-	// tasks leave it nil.
-	graph *graph.Graph
 
 	// hist marks a history-routed task (see history.go). When its
 	// solver is nil the worker materializes the version before solving

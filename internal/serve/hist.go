@@ -20,7 +20,7 @@ package serve
 //     groups tasks; the stage keeps its name because the committed
 //     benchmark reads clude_query_stage_seconds{stage="batch"}.
 //   - solve: one observation per task, covering the factor
-//     substitution (or the Katz factorization) and answer publication.
+//     substitution and answer publication.
 //
 // The end-to-end latency histogram (Stats.LatencyP*, exposed as
 // clude_query_latency_seconds) is observed separately in Query.

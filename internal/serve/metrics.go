@@ -48,7 +48,6 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 			func() float64 { return 0 })
 	}
 	cf("clude_dense_solves_total", "Cold solves answered through the dense substitution.", &e.denseSolves)
-	cf("clude_katz_solves_total", "Cold solves answered by the graph-backed Katz factorization.", &e.katzSolves)
 	cf("clude_snapshots_pinned_total", "Snapshot pins into the bounded store.", &e.pinCount)
 	cf("clude_snapshots_evicted_total", "Snapshot evictions from the bounded store.", &e.snapEvicted)
 	cf("clude_spill_writes_total", "Evicted snapshots spilled to disk.", &e.spillWrites)

@@ -50,12 +50,6 @@ const (
 	MeasurePPR      = "ppr"      // personalized PageRank over Sources
 	MeasurePageRank = "pagerank" // global PageRank
 	MeasureTopK     = "topk"     // top-K nodes of the RWR from Source
-	// MeasureKatz is Katz centrality, the graph-backed measure: it is
-	// answered from the snapshot's graph (AttachGraphs) by a dedicated
-	// factorization rather than from the pinned RWR factors. The Query's
-	// Damping field carries the Katz attenuation α (0 = the conventional
-	// 0.85/maxInDegree default).
-	MeasureKatz = "katz"
 )
 
 // Errors a Query can fail with. Validation problems (bad measure,
@@ -64,10 +58,6 @@ var (
 	ErrClosed          = errors.New("serve: engine closed")
 	ErrUnknownSnapshot = errors.New("serve: snapshot not retained")
 	ErrNoSnapshots     = errors.New("serve: no snapshots pinned yet")
-	// ErrNoGraphSource reports a graph-backed measure (katz) on an
-	// engine with no AttachGraphs source: the deployment cannot answer
-	// it, which callers should surface as a client error.
-	ErrNoGraphSource = errors.New("serve: no graph source attached (katz not served)")
 	// ErrOverloaded is the admission-control fast-fail: the bounded
 	// queue is full and the query was shed without waiting. Callers
 	// should back off and retry (cludeserve maps it to HTTP 429 with a
@@ -205,12 +195,10 @@ type Stats struct {
 	// /v1/traces/{trace_id}.
 	LatencyExemplars []LatencyExemplar `json:"latency_exemplars,omitempty"`
 
-	// Solve-path breakdown of the cold solves: DenseSolves counts the
-	// solver-backed ones (one substitution each), KatzSolves those
-	// answered through the graph-backed Katz factorization.
-	// DenseSolves + KatzSolves == ColdSolves.
+	// DenseSolves counts the cold solves answered by one substitution
+	// on the factors, which every cold solve is: DenseSolves ==
+	// ColdSolves.
 	DenseSolves int64 `json:"dense_solves"`
-	KatzSolves  int64 `json:"katz_solves"`
 
 	// QueryStages breaks the pipeline down per stage (resolve,
 	// coalesce, admit, batch, solve — see hist.go for exact stage
@@ -326,7 +314,7 @@ type Engine struct {
 	rejected, pinCount, snapEvicted atomic.Int64
 	cacheEvicted                    atomic.Int64
 	admitted, coalesced, shed       atomic.Int64
-	denseSolves, katzSolves         atomic.Int64
+	denseSolves                     atomic.Int64
 	lat                             metrics.Histogram
 	stages                          [numStages]metrics.Histogram
 
@@ -347,10 +335,6 @@ type Engine struct {
 	live        LiveSource
 	liveGen     uint64
 	liveQueries atomic.Int64
-
-	// Graph source for graph-backed measures (katz); see graphs.go.
-	// Guarded by mu like the live source.
-	graphs GraphSource
 
 	// Disk-spill state (see spill.go). spill is the directory, nil when
 	// spilling is off. spillMu guards the in-flight write queue and the
@@ -526,7 +510,6 @@ func (e *Engine) Stats() Stats {
 		LatencyP95us:     lat.QuantileUS(0.95),
 		LatencyP99us:     lat.QuantileUS(0.99),
 		DenseSolves:      e.denseSolves.Load(),
-		KatzSolves:       e.katzSolves.Load(),
 		SnapshotsSpilled: e.spillWrites.Load(),
 		SpillReloads:     e.spillLoads.Load(),
 		SpillErrors:      e.spillErrors.Load(),
@@ -738,12 +721,6 @@ func (e *Engine) await(ctx context.Context, t *task) (*Response, error) {
 // published version (live), so two queries coalesce only when they are
 // provably answerable by the same factors.
 func (e *Engine) resolve(q Query) (*task, error) {
-	if q.Measure == MeasureKatz {
-		// Graph-backed route: answered from the snapshot's graph, not
-		// the pinned factors, so the damping-compatibility rule below
-		// does not apply (Damping carries the Katz α instead).
-		return e.resolveKatz(q)
-	}
 	damping := q.Damping
 	if damping == 0 {
 		damping = e.cfg.Damping

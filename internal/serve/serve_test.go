@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -300,6 +301,29 @@ func TestQueryValidation(t *testing.T) {
 		if a.Scores[i] != b.Scores[i] {
 			t.Fatalf("permuted seeds changed answer at %d", i)
 		}
+	}
+}
+
+// TestKatzErrors: katz is not a measure the engine serves, so a katz
+// query fails validation as an unknown measure on every route — a
+// pinned snapshot, the latest pinned snapshot and an attached live
+// source — before it reaches a worker, and is booked as rejected.
+func TestKatzErrors(t *testing.T) {
+	eng, _, ref := pinnedEngine(t, Config{Workers: 1})
+	defer eng.Close()
+	ctx := context.Background()
+	check := func(route string, q Query) {
+		t.Helper()
+		if _, err := eng.Query(ctx, q); err == nil || !strings.Contains(err.Error(), `unknown measure "katz"`) {
+			t.Errorf("%s: got %v, want an unknown-measure error", route, err)
+		}
+	}
+	check("pinned", Query{Snapshot: 0, Measure: "katz"})
+	check("latest pinned", Query{Snapshot: -1, Measure: "katz", Damping: testDamping})
+	eng.AttachLive(newGatedLive(ref[0], 0))
+	check("live", Query{Snapshot: -1, Measure: "katz"})
+	if st := eng.Stats(); st.Rejected != 3 || st.ColdSolves != 0 || st.CacheMisses != 0 {
+		t.Errorf("rejected %d, cold solves %d, misses %d; want 3, 0, 0", st.Rejected, st.ColdSolves, st.CacheMisses)
 	}
 }
 

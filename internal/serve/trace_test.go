@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,5 +253,66 @@ func TestTracingWarmPathZeroAlloc(t *testing.T) {
 	on := measure(trace.New(trace.Config{Buffer: 64, Slow: time.Hour, Sample: 0}))
 	if on != off {
 		t.Fatalf("tracing-on warm path allocates %v/query, tracing-off %v: tracing must add zero", on, off)
+	}
+}
+
+// TestStageTracing drives queries through every pipeline stage and
+// checks the Stats exposure: resolve counts every query, admit/batch/
+// solve count the cold path, and coalesce counts followers.
+func TestStageTracing(t *testing.T) {
+	eng, _, _ := pinnedEngine(t, Config{Workers: 2})
+	defer eng.Close()
+	ctx := context.Background()
+
+	const N = 20
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Identical queries: one leads, the rest coalesce or hit.
+			if _, err := eng.Query(ctx, Query{Snapshot: 0, Measure: MeasureRWR, Source: 3}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := eng.Query(ctx, Query{Snapshot: 1, Measure: MeasurePageRank}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The worker observes the solve stage after it has released the
+	// group's waiters, so the last answer can return a moment earlier.
+	waitFor(t, func() bool { return eng.Stats().QueryStages["solve"].Count >= 2 }, "solve-stage observations")
+	st := eng.Stats()
+	stages := st.QueryStages
+	if stages == nil {
+		t.Fatal("Stats.QueryStages is nil")
+	}
+	for _, name := range stageNames {
+		if _, ok := stages[name]; !ok {
+			t.Fatalf("stage %q missing from Stats.QueryStages", name)
+		}
+	}
+	if got := stages["resolve"].Count; got != st.Queries {
+		t.Fatalf("resolve observed %d, want one per query (%d)", got, st.Queries)
+	}
+	// Two distinct flights reached the workers: N coalesced-or-cached
+	// queries share one, the pagerank is the other. Admit and batch see
+	// each dequeued task once; solve sees each dispatched group once.
+	if stages["admit"].Count < 2 || stages["admit"].Count != stages["batch"].Count {
+		t.Fatalf("admit/batch counts inconsistent: admit=%d batch=%d",
+			stages["admit"].Count, stages["batch"].Count)
+	}
+	if got := stages["solve"].Count; got < 2 || got > stages["admit"].Count {
+		t.Fatalf("solve observed %d dispatches, want within [2, %d]", got, stages["admit"].Count)
+	}
+	if stages["coalesce"].Count != st.Coalesced {
+		t.Fatalf("coalesce observed %d, want one per coalesced query (%d)",
+			stages["coalesce"].Count, st.Coalesced)
+	}
+	if st.LatencyCount != st.Queries-st.Rejected {
+		t.Fatalf("latency observed %d, want one per answered query (%d)",
+			st.LatencyCount, st.Queries-st.Rejected)
 	}
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // The solve stage: each worker dequeues one task at a time and answers
-// it — a solver-backed query through one measures.Engine.Answer call,
-// that is one lu.Solver.SolveRHS, and a Katz query through its own
-// factorization. Compatible queued queries are not grouped: the only
-// shared work left, identical queries, already coalesces on the flight
-// key before admission.
+// it through one measures.Engine.Answer call, that is one
+// lu.Solver.SolveRHS on the task's factors. Compatible queued queries
+// are not grouped: the only shared work left, identical queries,
+// already coalesces on the flight key before admission.
 
 // worker owns one solver workspace (which also pools the dense scratch
 // of top-k answers), so a steady-state worker's per-query allocation is
@@ -51,8 +50,6 @@ func (e *Engine) serveTask(t *task, ws *lu.SolveWorkspace) {
 		e.serveLive(t, ws)
 	case t.hist && t.solver == nil:
 		e.serveHist(t, ws)
-	case t.q.Measure == MeasureKatz:
-		e.serveKatz(t)
 	default:
 		e.solveTask(t, t.solver, ws)
 	}
@@ -109,8 +106,8 @@ func (e *Engine) fallbackPinned(t *task, ws *lu.SolveWorkspace) {
 	e.solveTask(t, entry.s, ws)
 }
 
-// solveTask answers a solver-backed task against solver through one
-// Answer call and books it as a dense solve.
+// solveTask answers a task against solver through one Answer call and
+// books it as a dense solve.
 func (e *Engine) solveTask(t *task, solver *lu.Solver, ws *lu.SolveWorkspace) {
 	q := measures.Query{Seeds: t.seeds, Global: t.q.Measure == MeasurePageRank}
 	if t.q.Measure == MeasureTopK {

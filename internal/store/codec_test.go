@@ -67,37 +67,53 @@ func streamAfter(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]
 	return s
 }
 
-// TestFactorsRoundTripAcrossStrategies is the codec property test the
-// issue asks for: WriteFactors → ReadFactors must round-trip
-// bit-identically for the containers every strategy produces after a
-// randomized Bennett update sequence — StaticFactors for BF/CLUDE,
-// DynamicFactors (with live restructuring state) for INC/CINC.
+// encodeSolver is WriteSolver into a fresh buffer.
+func encodeSolver(t testing.TB, s *lu.Solver) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSolver(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// liveSolver runs a stream of alg over the batches and returns an
+// independent clone of its final solver.
+func liveSolver(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) *lu.Solver {
+	t.Helper()
+	s := streamAfter(t, alg, g0, batches)
+	defer s.Close()
+	var sv *lu.Solver
+	s.View(func(_ uint64, live *lu.Solver) { sv = live.Clone() })
+	return sv
+}
+
+// TestFactorsRoundTripAcrossStrategies: WriteSolver → ReadSolver
+// round-trips bit-identically the static factors both checkpointing
+// strategies (BF, CLUDE) hold after a randomized Bennett update
+// sequence, and refuses INC/CINC's linked lists, which have no format.
 func TestFactorsRoundTripAcrossStrategies(t *testing.T) {
 	rng := xrand.New(41)
 	g0 := randomGraph(36, 40, rng)
 	batches := randomBatches(36, 8, 6, rng)
 	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
-		s := streamAfter(t, alg, g0, batches)
-		state, err := s.ExportState()
-		s.Close()
-		if err != nil {
-			t.Fatalf("%s: ExportState: %v", alg, err)
-		}
-		var f lu.Factors
-		if state.Dyn != nil {
-			f = state.Dyn
-		} else {
-			f = state.Static
-		}
+		sv := liveSolver(t, alg, g0, batches)
 		var buf bytes.Buffer
-		if err := WriteFactors(&buf, f); err != nil {
-			t.Fatalf("%s: WriteFactors: %v", alg, err)
+		err := WriteSolver(&buf, sv)
+		if alg == core.INC || alg == core.CINC {
+			if err == nil {
+				t.Errorf("%s: WriteSolver encoded linked-list factors", alg)
+			}
+			continue
 		}
-		got, err := ReadFactors(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("%s: ReadFactors: %v", alg, err)
+			t.Fatalf("%s: WriteSolver: %v", alg, err)
 		}
-		if !reflect.DeepEqual(f, got) {
+		got, err := ReadSolver(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: ReadSolver: %v", alg, err)
+		}
+		if !reflect.DeepEqual(sv.F, got.F) || !reflect.DeepEqual(sv.O, got.O) {
 			t.Errorf("%s: factors did not round-trip bit-identically", alg)
 		}
 	}
@@ -106,27 +122,44 @@ func TestFactorsRoundTripAcrossStrategies(t *testing.T) {
 func TestFactorsCorruptionDetected(t *testing.T) {
 	rng := xrand.New(7)
 	g0 := randomGraph(24, 30, rng)
-	s := streamAfter(t, core.CLUDE, g0, nil)
-	state, err := s.ExportState()
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteFactors(&buf, state.Static); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeSolver(t, liveSolver(t, core.CLUDE, g0, nil))
 	// Flip one byte in the middle: either a structural failure or the
 	// checksum must catch it — silence is the only wrong answer.
 	data[len(data)/2] ^= 0x40
-	if _, err := ReadFactors(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupted factors frame was accepted")
+	if _, err := ReadSolver(bytes.NewReader(data)); err == nil {
+		t.Fatal("corrupted solver frame was accepted")
 	}
 	// Truncation likewise.
-	if _, err := ReadFactors(bytes.NewReader(data[:len(data)*2/3])); err == nil {
-		t.Fatal("truncated factors frame was accepted")
+	if _, err := ReadSolver(bytes.NewReader(data[:len(data)*2/3])); err == nil {
+		t.Fatal("truncated solver frame was accepted")
 	}
+}
+
+// withByte returns the sealed frame data with the byte at offset p — a
+// zero varint, such as the static factor-kind tag — set to b and the
+// checksum recomputed, so that byte is the only thing wrong with it.
+func withByte(t testing.TB, data []byte, p int, b byte) []byte {
+	t.Helper()
+	if data[p] != 0 {
+		t.Fatalf("byte %d is %d, not a zero varint", p, data[p])
+	}
+	payload := bytes.Clone(data[:len(data)-4])
+	payload[p] = b
+	return binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
+}
+
+// prefixLen is the length of what fill writes into a frame after its
+// header: the offset of the next field.
+func prefixLen(t testing.TB, magic string, fill func(c *cw)) int {
+	t.Helper()
+	var pre bytes.Buffer
+	c := newCW(&pre)
+	c.header(magic, codecVersion)
+	fill(c)
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return pre.Len()
 }
 
 // TestGraphRoundTrip: the graph body a checkpoint embeds rebuilds the
@@ -152,28 +185,34 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// stateFactorKindAt is the offset of the factor-kind tag in st's CLUD
+// frame.
+func stateFactorKindAt(t testing.TB, st *core.StreamState) int {
+	t.Helper()
+	return prefixLen(t, stateMagic, func(c *cw) {
+		c.str(string(st.Algorithm))
+		c.f64(st.Alpha)
+		c.u64(st.Version)
+		c.u64(st.Seq)
+		writeGraphBody(c, st.Graph)
+		writeTracker(c, st.Tracker)
+		writeOrdering(c, st.Ord)
+		c.bool(true)
+	})
+}
+
 func TestSolverRoundTripSolvesIdentically(t *testing.T) {
 	rng := xrand.New(13)
 	g0 := randomGraph(30, 35, rng)
-	for _, alg := range []core.Algorithm{core.CLUDE, core.CINC} {
-		s := streamAfter(t, alg, g0, randomBatches(30, 4, 5, rng))
-		var buf bytes.Buffer
-		var want []float64
-		b := make([]float64, 30)
-		b[3] = 0.15
-		s.View(func(_ uint64, sv *lu.Solver) {
-			if err := WriteSolver(&buf, sv); err != nil {
-				t.Fatalf("%s: WriteSolver: %v", alg, err)
-			}
-			want = sv.Solve(b)
-		})
-		s.Close()
-		sv, err := ReadSolver(bytes.NewReader(buf.Bytes()))
+	for _, alg := range []core.Algorithm{core.CLUDE, core.BF} {
+		want := liveSolver(t, alg, g0, randomBatches(30, 4, 5, rng))
+		sv, err := ReadSolver(bytes.NewReader(encodeSolver(t, want)))
 		if err != nil {
 			t.Fatalf("%s: ReadSolver: %v", alg, err)
 		}
-		got := sv.Solve(b)
-		if !reflect.DeepEqual(want, got) {
+		b := make([]float64, 30)
+		b[3] = 0.15
+		if !reflect.DeepEqual(want.Solve(b), sv.Solve(b)) {
 			t.Errorf("%s: restored solver's solution differs bit-wise", alg)
 		}
 	}
@@ -181,42 +220,38 @@ func TestSolverRoundTripSolvesIdentically(t *testing.T) {
 
 // FuzzReadSolver feeds arbitrary bytes to the CLUS decoder a spill
 // reload runs: it must never panic, and a frame it accepts must
-// re-encode to one that decodes to the same solver. The seeds, a static
-// (CLUDE) and a dynamic (CINC) solver, must round-trip bit for bit.
+// re-encode to one that decodes to the same solver. The seeds, a CLUDE
+// and a BF solver, must round-trip bit for bit; the same frames with
+// factor kind 1 (the linked-list kind the format no longer has) must
+// read as ErrCorrupt.
 func FuzzReadSolver(f *testing.F) {
-	encode := func(t testing.TB, s *lu.Solver) []byte {
-		var buf bytes.Buffer
-		if err := WriteSolver(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	rng := xrand.New(53)
 	g0 := randomGraph(12, 10, rng)
 	batches := randomBatches(12, 3, 3, rng)
-	for _, alg := range []core.Algorithm{core.CLUDE, core.CINC} {
-		s := streamAfter(f, alg, g0, batches)
-		var data []byte
-		s.View(func(_ uint64, sv *lu.Solver) {
-			data = encode(f, sv)
-			got, err := ReadSolver(bytes.NewReader(data))
-			if err != nil || !reflect.DeepEqual(got.F, sv.F) || !reflect.DeepEqual(got.O, sv.O) || !bytes.Equal(encode(f, got), data) {
-				f.Fatalf("%s: solver did not round-trip bit-identically (%v)", alg, err)
-			}
-		})
-		s.Close()
+	for _, alg := range []core.Algorithm{core.CLUDE, core.BF} {
+		sv := liveSolver(f, alg, g0, batches)
+		data := encodeSolver(f, sv)
+		got, err := ReadSolver(bytes.NewReader(data))
+		if err != nil || !reflect.DeepEqual(got.F, sv.F) || !reflect.DeepEqual(got.O, sv.O) || !bytes.Equal(encodeSolver(f, got), data) {
+			f.Fatalf("%s: solver did not round-trip bit-identically (%v)", alg, err)
+		}
+		kind1 := withByte(f, data, prefixLen(f, solverMagic, func(c *cw) { writeOrdering(c, sv.O) }), 1)
+		if _, err := ReadSolver(bytes.NewReader(kind1)); !errors.Is(err, ErrCorrupt) {
+			f.Fatalf("%s: a factor-kind-1 frame read as %v, want ErrCorrupt", alg, err)
+		}
 		flipped := bytes.Clone(data)
 		flipped[len(flipped)/2] ^= 0x10
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		f.Add(flipped)
+		f.Add(kind1)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSolver(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		again, err := ReadSolver(bytes.NewReader(encode(t, s)))
+		again, err := ReadSolver(bytes.NewReader(encodeSolver(t, s)))
 		if err != nil || !reflect.DeepEqual(again.F, s.F) || !reflect.DeepEqual(again.O, s.O) {
 			t.Fatalf("an accepted frame did not survive re-encoding (%v)", err)
 		}
@@ -229,7 +264,7 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	rng := xrand.New(17)
 	g0 := randomGraph(32, 38, rng)
 	batches := randomBatches(32, 6, 6, rng)
-	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
+	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
 		s := streamAfter(t, alg, g0, batches)
 		state, err := s.ExportState()
 		s.Close()
@@ -252,7 +287,7 @@ func TestStreamStateRoundTrip(t *testing.T) {
 
 func TestReadStreamStateRejectsCorruption(t *testing.T) {
 	rng := xrand.New(19)
-	s := streamAfter(t, core.CINC, randomGraph(20, 24, rng), randomBatches(20, 3, 4, rng))
+	s := streamAfter(t, core.CLUDE, randomGraph(20, 24, rng), randomBatches(20, 3, 4, rng))
 	state, err := s.ExportState()
 	s.Close()
 	if err != nil {
@@ -334,14 +369,16 @@ func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 
 // FuzzReadStreamState feeds arbitrary bytes to the CLUD decoder
 // recovery runs on every checkpoint: it must never panic, and a frame it
-// accepts must re-encode to the same bytes. The seeds are the four
-// algorithms' checkpoints, which must round-trip, and the hostile
-// vertex counts, which must not.
+// accepts must re-encode to the same bytes. The seeds are BF's and
+// CLUDE's checkpoints, which must round-trip; and the hostile vertex
+// counts, the same frames with factor kind 1 (the linked-list kind the
+// format no longer has) and with a nonzero retired linked-list counter,
+// which must not.
 func FuzzReadStreamState(f *testing.F) {
 	rng := xrand.New(59)
 	g0 := randomGraph(12, 10, rng)
 	batches := randomBatches(12, 3, 3, rng)
-	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
+	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
 		s := streamAfter(f, alg, g0, batches)
 		state, err := s.ExportState()
 		s.Close()
@@ -360,6 +397,16 @@ func FuzzReadStreamState(f *testing.F) {
 		}
 		if err != nil || !bytes.Equal(again.Bytes(), data) {
 			f.Fatalf("%s: checkpoint did not round-trip bit-identically (%v)", alg, err)
+		}
+		kind1 := withByte(f, data, stateFactorKindAt(f, state), 1)
+		// The last byte before the trailer is the second retired
+		// counter, a zero varint.
+		retired := withByte(f, data, len(data)-5, 2)
+		for name, bad := range map[string][]byte{"factor kind 1": kind1, "retired counter": retired} {
+			if !errors.Is(errorOf(f, bad), ErrCorrupt) {
+				f.Fatalf("%s: a checkpoint with a %s did not read as ErrCorrupt", alg, name)
+			}
+			f.Add(bad)
 		}
 		f.Add(data)
 		f.Add(data[:len(data)/2])
@@ -385,7 +432,7 @@ func FuzzReadStreamState(f *testing.F) {
 	})
 }
 
-func errorOf(t *testing.T, data []byte) error {
+func errorOf(t testing.TB, data []byte) error {
 	t.Helper()
 	_, err := ReadStreamState(bytes.NewReader(data))
 	return err

@@ -9,12 +9,13 @@
 // extends that economy across process lifetimes. Three layers:
 //
 //   - Codec (codec.go, factors.go, graphio.go, state.go): length- and
-//     checksum-framed binary encodings for lu.StaticFactors,
-//     lu.DynamicFactors, graph.Graph, sparse patterns/matrices/
-//     orderings, the cluster tracker, and the complete core.StreamState.
-//     Only primary structure is written; derived indices (factor cross
-//     views, column mirrors) are reassembled on read, so round trips
-//     are bit-identical by construction.
+//     checksum-framed binary encodings for solvers over
+//     lu.StaticFactors, graph.Graph, sparse patterns/matrices/
+//     orderings, the cluster tracker, and the complete core.StreamState
+//     of a BF or CLUDE stream (INC/CINC's linked lists have no format).
+//     Only primary structure is written; the factors' cross views are
+//     reassembled on read, so round trips are bit-identical by
+//     construction.
 //
 //   - Record log (wal.go): append-only CRC-framed records keyed by a
 //     monotone integer, in size-rotated segments whose torn tails are

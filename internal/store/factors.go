@@ -8,137 +8,72 @@ import (
 	"repro/internal/sparse"
 )
 
-// Factor, solver and sparse-container codecs. WriteFactors/ReadFactors
-// are the public round-trip for a single factor container; the
-// unexported helpers encode the sparse building blocks (patterns,
+// Solver and sparse-container codecs. The unexported helpers encode
+// the static factor container and the sparse building blocks (patterns,
 // matrices, permutations) into an already-open frame and are shared by
-// the stream-state codec.
+// the solver (CLUS) and stream-state (CLUD) codecs.
 
 const (
-	factorsMagic = "CLUF"
-	solverMagic  = "CLUS"
+	solverMagic = "CLUS"
 
-	// codecVersion is the one format version of the CLUF, CLUS and CLUD
+	// codecVersion is the one format version of the CLUS and CLUD
 	// frames: index arrays delta-coded (cw.intsDelta), permutations
 	// plain. Version 1 (every array plain) is refused.
 	codecVersion = 2
 
-	kindStatic  = 0
-	kindDynamic = 1
+	// kindStatic is the factor-kind tag in front of every container:
+	// the static container is the only kind, and any other tag is
+	// ErrCorrupt.
+	kindStatic = 0
 )
 
-// WriteFactors serializes a factor container — static or dynamic — as a
-// self-contained checksummed frame. Only primary structure is written;
-// the derived indices are reassembled on read (see lu.AssembleStatic /
-// lu.AssembleDynamic), which is what makes the round trip bit-identical
-// by construction rather than by trusting the input.
-func WriteFactors(w io.Writer, f lu.Factors) error {
-	c := newCW(w)
-	c.header(factorsMagic, codecVersion)
-	writeFactorsBody(c, f)
-	if c.err != nil {
-		return c.err
-	}
-	return c.seal()
-}
-
-// ReadFactors parses a WriteFactors frame back into a container of the
-// same concrete type.
-func ReadFactors(r io.Reader) (lu.Factors, error) {
-	c := newCR(r)
-	if err := c.expectHeader(factorsMagic, codecVersion); err != nil {
-		return nil, err
-	}
-	f := readFactorsBody(c)
-	if c.err != nil {
-		return nil, c.err
-	}
-	if err := c.verify(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// writeFactorsBody encodes the container into an open frame.
+// writeFactorsBody encodes the container into an open frame. Only
+// primary structure is written; lu.AssembleStatic rebuilds the cross
+// views on read, which is what makes the round trip bit-identical by
+// construction rather than by trusting the input. A container of any
+// other type is an error.
 func writeFactorsBody(c *cw, f lu.Factors) {
-	switch t := f.(type) {
-	case *lu.StaticFactors:
-		c.u64(kindStatic)
-		c.i64(int64(t.Dim()))
-		c.intsDelta(t.LColPtr)
-		c.intsDelta(t.LRowIdx)
-		c.floats(t.LVal)
-		c.intsDelta(t.URowPtr)
-		c.intsDelta(t.UColIdx)
-		c.floats(t.UVal)
-		c.floats(t.D)
-	case *lu.DynamicFactors:
-		c.u64(kindDynamic)
-		c.i64(int64(t.Dim()))
-		c.u64(uint64(len(t.Nodes)))
-		for _, nd := range t.Nodes {
-			c.i64(int64(nd.Idx))
-			c.f64(nd.Val)
-			c.i64(int64(nd.Next))
-		}
-		c.intsDelta(t.LHead)
-		c.intsDelta(t.UHead)
-		c.floats(t.D)
-		c.i64(int64(t.Inserts))
-		c.i64(int64(t.ScanSteps))
-	default:
+	t, ok := f.(*lu.StaticFactors)
+	if !ok {
 		if c.err == nil {
 			c.err = fmt.Errorf("store: unsupported factor container %T", f)
 		}
+		return
 	}
+	c.u64(kindStatic)
+	c.i64(int64(t.Dim()))
+	c.intsDelta(t.LColPtr)
+	c.intsDelta(t.LRowIdx)
+	c.floats(t.LVal)
+	c.intsDelta(t.URowPtr)
+	c.intsDelta(t.UColIdx)
+	c.floats(t.UVal)
+	c.floats(t.D)
 }
 
-// readFactorsBody decodes one container from an open frame.
-func readFactorsBody(c *cr) lu.Factors {
-	switch kind := c.u64(); kind {
-	case kindStatic:
-		n := c.intv()
-		lColPtr := c.intsDelta()
-		lRowIdx := c.intsDelta()
-		lVal := c.floats()
-		uRowPtr := c.intsDelta()
-		uColIdx := c.intsDelta()
-		uVal := c.floats()
-		d := c.floats()
-		if c.err != nil {
-			return nil
-		}
-		f, err := lu.AssembleStatic(n, lColPtr, lRowIdx, lVal, uRowPtr, uColIdx, uVal, d)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-			return nil
-		}
-		return f
-	case kindDynamic:
-		n := c.intv()
-		cnt := c.length(maxSliceLen)
-		nodes := make([]lu.ListNode, 0, min(cnt, preallocCap))
-		for i := 0; i < cnt && c.err == nil; i++ {
-			nodes = append(nodes, lu.ListNode{Idx: c.intv(), Val: c.f64(), Next: c.intv()})
-		}
-		lHead := c.intsDelta()
-		uHead := c.intsDelta()
-		d := c.floats()
-		inserts := c.intv()
-		scans := c.intv()
-		if c.err != nil {
-			return nil
-		}
-		f, err := lu.AssembleDynamic(n, nodes, lHead, uHead, d, inserts, scans)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-			return nil
-		}
-		return f
-	default:
+// readFactorsBody decodes one static container from an open frame.
+func readFactorsBody(c *cr) *lu.StaticFactors {
+	if kind := c.u64(); kind != kindStatic {
 		c.fail(fmt.Errorf("%w: unknown factor kind %d", ErrCorrupt, kind))
 		return nil
 	}
+	n := c.intv()
+	lColPtr := c.intsDelta()
+	lRowIdx := c.intsDelta()
+	lVal := c.floats()
+	uRowPtr := c.intsDelta()
+	uColIdx := c.intsDelta()
+	uVal := c.floats()
+	d := c.floats()
+	if c.err != nil {
+		return nil
+	}
+	f, err := lu.AssembleStatic(n, lColPtr, lRowIdx, lVal, uRowPtr, uColIdx, uVal, d)
+	if err != nil {
+		c.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
+		return nil
+	}
+	return f
 }
 
 // writePerm / readPerm encode a permutation (validated as a bijection

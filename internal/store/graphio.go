@@ -57,7 +57,7 @@ func readGraphBody(c *cr) graphBody {
 }
 
 // writeTracker / readTracker encode the α-membership state; nil is
-// legal (BF/INC streams have no tracker).
+// legal (a BF stream has no tracker).
 func writeTracker(c *cw, st *cluster.TrackerState) {
 	if st == nil {
 		c.bool(false)

@@ -269,7 +269,7 @@ func TestHistoryFileCompactionPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := st.OpenStream(core.StreamConfig{Algorithm: core.INC, Initial: g0, Derive: graph.RWRMatrix(0.85)})
+	s, _, err := st.OpenStream(core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestHistorySurvivesKillPointRecovery(t *testing.T) {
 	g0 := randomGraph(n, 34, rng)
 	batches := randomBatches(n, 8, 5, rng)
 
-	for _, alg := range []core.Algorithm{core.INC, core.CLUDE} {
+	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
 		want := recordHistory(t, alg, g0, batches)
 
 		for _, kill := range []int{0, 3, 5, len(batches)} {
@@ -467,23 +467,18 @@ func TestHistorySurvivesKillPointRecovery(t *testing.T) {
 	}
 }
 
-// factorBytes is a container's CLUF frame: equal frames are equal
-// factors, bit for bit.
-func factorBytes(t *testing.T, f lu.Factors) []byte {
+// solverBytes is the CLUS frame of factors f under ordering o: equal
+// frames are equal solvers, bit for bit.
+func solverBytes(t testing.TB, f lu.Factors, o sparse.Ordering) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteFactors(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeSolver(t, &lu.Solver{F: f, O: o})
 }
 
 // TestMixedTermsSurviveTheDurablePath: a symmetric walk matrix changes
 // as crosses — an edge renormalizes the rows and the columns of its
 // endpoints — so SplitTerms' minimum cover gives an undirected stream's
-// records row and column terms side by side. For the dynamic (INC) and
-// static (CLUDE) containers such records must survive what one-sided
-// ones do: the CLUH codec round-trips them; replaying them onto a clone
+// records row and column terms side by side. On CLUDE's factors such
+// records must survive what one-sided ones do: the CLUH codec round-trips them; replaying them onto a clone
 // of their chain's base reproduces every live version bit for bit; and a
 // kill at any point recovers the pre-kill state, seeds the same history
 // and continues to the uninterrupted run's final state.
@@ -513,16 +508,18 @@ func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
 		batches = append(batches, evs)
 	}
 
-	for _, alg := range []core.Algorithm{core.INC, core.CLUDE} {
+	for _, alg := range []core.Algorithm{core.CLUDE} {
 		cfg := core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85)}
 
-		// The live run: every record and every version's factors.
+		// The live run: every record and every version's solver.
 		var recs []bennett.VersionRecord
 		var live [][]byte
+		var ords []sparse.Ordering
 		liveCfg := cfg
 		liveCfg.OnPublish = func(sv *lu.Solver, rec bennett.VersionRecord) {
 			recs = append(recs, rec)
-			live = append(live, factorBytes(t, sv.F))
+			live = append(live, encodeSolver(t, sv))
+			ords = append(ords, sv.O)
 		}
 		s, err := core.NewStream(liveCfg)
 		if err != nil {
@@ -562,10 +559,11 @@ func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
 			}
 			log.Record(rec)
 			if rec.Structural {
-				var err error
-				if base, err = ReadFactors(bytes.NewReader(live[rec.Version])); err != nil {
+				sv, err := ReadSolver(bytes.NewReader(live[rec.Version]))
+				if err != nil {
 					t.Fatal(err)
 				}
+				base = sv.F
 				baseVer = rec.Version
 				continue
 			}
@@ -573,7 +571,7 @@ func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: materialize %d from %d: %v", alg, rec.Version, baseVer, err)
 			}
-			if !bytes.Equal(factorBytes(t, got), live[rec.Version]) {
+			if !bytes.Equal(solverBytes(t, got, ords[rec.Version]), live[rec.Version]) {
 				t.Errorf("%s: version %d materialized from %d differs from the live factors", alg, rec.Version, baseVer)
 			}
 		}
@@ -653,7 +651,7 @@ func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
 }
 
 // TestCodecV1BackCompat pins the retirement of format version 1 (the
-// plain-varint layout before delta coding): a CLUF, CLUS or CLUD frame
+// plain-varint layout before delta coding): a CLUS or CLUD frame
 // at version 1 is refused at its header with the "unsupported … format
 // version" error — never reported as corruption, never mis-parsed.
 func TestCodecV1BackCompat(t *testing.T) {
@@ -671,7 +669,6 @@ func TestCodecV1BackCompat(t *testing.T) {
 		write func(*bytes.Buffer) error
 		read  func(*bytes.Reader) error
 	}{
-		{factorsMagic, func(b *bytes.Buffer) error { return WriteFactors(b, state.Static) }, func(r *bytes.Reader) error { _, err := ReadFactors(r); return err }},
 		{solverMagic, func(b *bytes.Buffer) error { return WriteSolver(b, solver) }, func(r *bytes.Reader) error { _, err := ReadSolver(r); return err }},
 		{stateMagic, func(b *bytes.Buffer) error { return WriteStreamState(b, state) }, func(r *bytes.Reader) error { _, err := ReadStreamState(r); return err }},
 	} {

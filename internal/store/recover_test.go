@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func TestKillPointRecoveryExact(t *testing.T) {
 	batches := randomBatches(n, 10, 5, rng)
 	derive := graph.RWRMatrix(0.85)
 
-	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
+	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
 		cfg := core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: derive}
 
 		// Uninterrupted reference run: the probe solution per version.
@@ -215,6 +216,84 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	st2.Close()
 }
 
+// TestOpenStreamRefusesListFactors: the store checkpoints static
+// factors only, so opening an INC or CINC stream fails at open with an
+// error naming the algorithm; and a checkpoint whose factor kind is 1,
+// the linked-list kind the format no longer has, is corrupt, so
+// recovery skips it for the one before.
+func TestOpenStreamRefusesListFactors(t *testing.T) {
+	const n = 24
+	rng := xrand.New(37)
+	g0 := randomGraph(n, 28, rng)
+	batches := randomBatches(n, 4, 4, rng)
+	for _, alg := range []core.Algorithm{core.INC, core.CINC} {
+		st, err := Open(t.TempDir(), Options{Sync: SyncNone, SnapshotEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.OpenStream(core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}); err == nil || !strings.Contains(err.Error(), string(alg)) {
+			t.Errorf("%s: OpenStream returned %v, want an error naming %s", alg, err, alg)
+		}
+		st.Close()
+	}
+
+	cfg := core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	dir := t.TempDir()
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _, err := st.OpenStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, evs := range batches {
+		if _, err := s1.Apply(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newestState, err := s1.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := probe(t, s1, n)
+	s1.Close()
+	st.wal.Close()
+
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 2 {
+		t.Fatalf("want the initial and the newest snapshot on disk, got %d", len(snaps))
+	}
+	newest := snaps[len(snaps)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, withByte(t, data, stateFactorKindAt(t, newestState), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2, info, err := st2.OpenStream(cfg)
+	if err != nil {
+		t.Fatalf("reopen with a kind-1 newest snapshot: %v", err)
+	}
+	defer s2.Close()
+	if info.SnapshotsSkipped != 1 || !info.Recovered || info.SnapshotVersion != 0 || info.ReplayedBatches != len(batches) {
+		t.Errorf("recovery %+v: want the kind-1 snapshot skipped and every batch replayed over version 0", info)
+	}
+	if got := probe(t, s2, n); !reflect.DeepEqual(want, got) {
+		t.Error("recovery past the kind-1 snapshot solves differently from the pre-kill stream")
+	}
+}
+
 // TestOpenStreamColdStartReplaysPreSnapshotWAL covers the crash window
 // before the first checkpoint exists: WAL records over a fresh stream
 // must still be replayed exactly.
@@ -223,7 +302,7 @@ func TestOpenStreamColdStartReplaysPreSnapshotWAL(t *testing.T) {
 	rng := xrand.New(31)
 	g0 := randomGraph(n, 26, rng)
 	batches := randomBatches(n, 4, 4, rng)
-	cfg := core.StreamConfig{Algorithm: core.CINC, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	cfg := core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})

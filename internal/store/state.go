@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/lu"
 )
 
 // Stream-state (snapshot) codec: the complete core.StreamState as one
@@ -30,15 +29,9 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 	writeTracker(c, st.Tracker)
 	writeOrdering(c, st.Ord)
 
-	switch {
-	case st.Dyn != nil:
-		c.bool(true)
-		writeFactorsBody(c, st.Dyn)
-	case st.Static != nil:
-		c.bool(true)
+	c.bool(st.Static != nil)
+	if st.Static != nil {
 		writeFactorsBody(c, st.Static)
-	default:
-		c.bool(false)
 	}
 
 	writeCSR(c, st.Prev)
@@ -56,8 +49,10 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 	c.i64(int64(st.Stats.Bennett.Rank1Updates))
 	c.i64(int64(st.Stats.Bennett.StepsTouched))
 	c.i64(int64(st.Stats.Bennett.Dropped))
-	c.i64(int64(st.RetiredInserts))
-	c.i64(int64(st.RetiredScans))
+	// The retired linked-list counters of a format that also carried
+	// INC/CINC streams: a static stream has none, so both are 0.
+	c.i64(0)
+	c.i64(0)
 
 	if c.err != nil {
 		return c.err
@@ -83,12 +78,7 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	st.Ord = readOrdering(c)
 
 	if c.bool() && c.err == nil {
-		switch f := readFactorsBody(c).(type) {
-		case *lu.DynamicFactors:
-			st.Dyn = f
-		case *lu.StaticFactors:
-			st.Static = f
-		}
+		st.Static = readFactorsBody(c)
 	}
 
 	st.Prev = readCSR(c)
@@ -103,8 +93,9 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	st.Stats.Bennett.Rank1Updates = c.intv()
 	st.Stats.Bennett.StepsTouched = c.intv()
 	st.Stats.Bennett.Dropped = c.intv()
-	st.RetiredInserts = c.intv()
-	st.RetiredScans = c.intv()
+	if retiredIns, retiredScans := c.intv(), c.intv(); c.err == nil && (retiredIns != 0 || retiredScans != 0) {
+		c.fail(fmt.Errorf("%w: linked-list counters %d, %d in a static stream's checkpoint", ErrCorrupt, retiredIns, retiredScans))
+	}
 	st.Stats.Version = st.Version
 
 	if c.err != nil {

@@ -29,7 +29,7 @@ ADDR="127.0.0.1:${SMOKE_PORT:-18431}"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
 DATA="$WORK/data"
-SRV_FLAGS=(-stream -alg CLUDE -scale tiny -addr "$ADDR"
+SRV_FLAGS=(-stream -scale tiny -addr "$ADDR"
   -data-dir "$DATA" -fsync always -snapshot-every 4
   -batch 4 -flush-ms 50 -history-base 2 -trace-sample 1)
 PID=""

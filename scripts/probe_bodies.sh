@@ -105,7 +105,7 @@ halt
 
 # ---- streaming: growth (fresh edges), then toggles of the same edges ----
 log "streaming, -history-base 2"
-boot "$OUT/stream.log" -scale tiny -stream -alg CLUDE -batch 4 -flush-ms 50 -history-base 2
+boot "$OUT/stream.log" -scale tiny -stream -batch 4 -flush-ms 50 -history-base 2
 update() {
   probe "$1" -X POST "$BASE/v1/update?sync=1" -d "$2"
 }
