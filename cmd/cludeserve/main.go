@@ -4,8 +4,9 @@
 //
 // It runs in one of two modes:
 //
-//   - Offline (default): factor a pre-generated evolving matrix
-//     sequence with CLUDE, pin every snapshot's factors, and serve
+//   - Offline (default): factor a generated evolving matrix sequence
+//     with CLUDE, replayed from its first snapshot and per-step edge
+//     events, pin the snapshots' factors the store keeps, and serve
 //     snapshot-addressed queries.
 //   - Streaming (-stream): start from the sequence's first snapshot and
 //     maintain CLUDE's factors live. Edge updates arrive over POST
@@ -205,14 +206,11 @@ func main() {
 		}()
 	}
 
-	d, err := gen.ConfigsFor(gen.Scale(o.scale))
+	first, batches, err := dataset(gen.Scale(o.scale))
 	if err != nil {
 		fatal(err)
 	}
-	egs, err := gen.WikiSim(d.Wiki)
-	if err != nil {
-		fatal(err)
-	}
+	T := len(batches) + 1
 
 	// One registry serves every subsystem: the engine, stream and store
 	// re-register their live counters into it (api.New), and the stage
@@ -233,7 +231,7 @@ func main() {
 	}
 
 	scfg := serve.Config{
-		MaxSnapshots: snapshotBound(o.maxSnaps, egs.Len()),
+		MaxSnapshots: snapshotBound(o.maxSnaps, T),
 		Workers:      o.workers,
 		CacheSize:    o.cacheSize,
 		Damping:      damping,
@@ -274,9 +272,12 @@ func main() {
 	var stream *core.Stream
 	var batcher *core.Batcher
 	if o.streaming {
-		stream, batcher, err = startStream(eng, st, reg, tracer, egs, o)
+		stream, batcher, err = startStream(eng, st, reg, tracer, first, o)
 	} else {
-		err = factorOffline(eng, scfg, egs, o.alpha, o.factorW)
+		var seq *graph.DeltaSequence
+		if seq, err = graph.NewDeltaSequence(first, batches, graph.RWRMatrix(damping)); err == nil {
+			err = factorOffline(eng, scfg, seq, o.alpha, o.factorW)
+		}
 	}
 	if err != nil {
 		eng.Close()
@@ -376,6 +377,22 @@ func debugMux() *http.ServeMux {
 	return m
 }
 
+// dataset generates the server's Wiki sequence at scale and returns what
+// either mode reads of it: the first snapshot and the per-step event
+// batches (graph.DeltaBatches), T-1 of them. The snapshots themselves go
+// with the EGS when this returns.
+func dataset(scale gen.Scale) (*graph.Graph, [][]graph.EdgeEvent, error) {
+	d, err := gen.ConfigsFor(scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	egs, err := gen.WikiSim(d.Wiki)
+	if err != nil {
+		return nil, nil, err
+	}
+	return egs.Snapshots[0], graph.DeltaBatches(egs), nil
+}
+
 // snapshotBound resolves the -snapshots flag (0 = the whole sequence).
 func snapshotBound(flagVal, seqLen int) int {
 	if flagVal > 0 {
@@ -391,25 +408,28 @@ type pinStore interface {
 	Snapshots() []int
 }
 
-// factorOffline is the classic mode: run CLUDE over the materialized
-// sequence and pin every snapshot the store will keep. Without a spill
-// directory the store drops all but the last MaxSnapshots before the
-// listener opens, so the run is told to start there (core.Options.First):
-// the clusters that end before it are never decomposed, and only the
-// kept snapshots are cloned and pinned. With a spill directory every
-// snapshot is decomposed and pinned, and the evicted ones spill.
-func factorOffline(eng pinStore, scfg serve.Config, egs *graph.EGS, alpha float64, factorW int) error {
-	ems := graph.DeriveEMS(egs, graph.RWRMatrix(scfg.Damping))
-	slog.Info("factoring snapshots", "count", ems.Len(), "n", ems.N(), "alg", "CLUDE", "alpha", alpha)
+// factorOffline is the classic mode: run CLUDE over the sequence and pin
+// every snapshot the store will keep. Without a spill directory the
+// store drops all but the last MaxSnapshots before the listener opens,
+// so the run is told to start there (core.Options.First): the clusters
+// that end before it are never decomposed, and only the kept snapshots
+// are cloned and pinned. With a spill directory every snapshot is
+// decomposed and pinned, and the evicted ones spill. Either way the run
+// reads seq front to back once and keeps only the step deltas and the
+// starts of the clusters it decomposes, so set-up holds no whole
+// sequence of graphs or matrices.
+func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence, alpha float64, factorW int) error {
+	T := seq.Len()
+	slog.Info("factoring snapshots", "count", T, "n", seq.N(), "alg", "CLUDE", "alpha", alpha)
 	t0 := time.Now()
 	first := 0
 	if scfg.SpillDir == "" {
-		first = max(0, ems.Len()-scfg.MaxSnapshots)
+		first = max(0, T-scfg.MaxSnapshots)
 	}
 	// What each retained clone owns, and the index structure it shares
 	// with the rest of its cluster (counted once per cluster below).
-	owned, shared := make([]int64, ems.Len()), make([]int64, ems.Len())
-	res, err := core.Run(ems, core.CLUDE, core.Options{
+	owned, shared := make([]int64, T), make([]int64, T)
+	res, err := core.Run(seq, core.CLUDE, core.Options{
 		Alpha:   alpha,
 		Workers: factorW,
 		First:   first,
@@ -439,7 +459,7 @@ func factorOffline(eng pinStore, scfg serve.Config, egs *graph.EGS, alpha float6
 	decomposed := res.Clusters[cluster.Covering(res.Clusters, first):]
 	tm := res.Times
 	slog.Info("pinned snapshots", "count", len(pinned), "elapsed", time.Since(t0).Round(time.Millisecond),
-		"clusters", len(res.Clusters), "decomposed_clusters", len(decomposed), "decomposed_snapshots", ems.Len()-decomposed[0].Start,
+		"clusters", len(res.Clusters), "decomposed_clusters", len(decomposed), "decomposed_snapshots", T-decomposed[0].Start,
 		"cluster_ms", tm.Clustering.Milliseconds(), "order_ms", tm.Ordering.Milliseconds(),
 		"lu_ms", tm.FullLU.Milliseconds(), "bennett_ms", tm.Bennett.Milliseconds(), "retained_mb", retained>>20)
 	return nil
@@ -451,11 +471,11 @@ func factorOffline(eng pinStore, scfg serve.Config, egs *graph.EGS, alpha float6
 // layer's live source, and return the ingest batcher POST /v1/update
 // feeds. A fatal dataset mismatch aside, a recovered boot serves the
 // exact factors the crashed process last published.
-func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, egs *graph.EGS, o *options) (*core.Stream, *core.Batcher, error) {
+func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, first *graph.Graph, o *options) (*core.Stream, *core.Batcher, error) {
 	cfg := core.StreamConfig{
 		Algorithm: core.CLUDE,
 		Alpha:     o.alpha,
-		Initial:   egs.Snapshots[0],
+		Initial:   first,
 		Derive:    graph.RWRMatrix(damping),
 		OnBatch:   api.IngestHook(reg, tracer),
 	}

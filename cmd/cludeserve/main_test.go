@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -115,8 +116,9 @@ var pinnedLine = regexp.MustCompile(`msg="pinned snapshots" count=(\d+) .* clust
 // just the clusters that reach into the tail the store will still hold
 // when the listener opens, and says so in its log line; with a spill
 // directory every snapshot passes through the store, as before. Either
-// way the retained snapshots carry exactly the factor bits of a
-// keep-everything run and answer exactly what it answers.
+// way the retained snapshots, factored from the sequence replayed from
+// events, carry exactly the factor bits of a keep-everything run over
+// the derived EMS and answer exactly what it answers.
 func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 	d, err := gen.ConfigsFor(gen.Tiny)
 	if err != nil {
@@ -126,20 +128,29 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ems := graph.DeriveEMS(egs, graph.RWRMatrix(damping))
+	first, batches, err := dataset(gen.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := graph.NewDeltaSequence(first, batches, graph.RWRMatrix(damping))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Tiny plans two clusters, [0,7) and [7,10): keeping two snapshots
 	// skips the first and enters the second past its start.
-	T, keep := egs.Len(), 2
+	T, keep := seq.Len(), 2
 	var logged bytes.Buffer
 	defer slog.SetDefault(slog.Default())
 	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
 	// run returns the store and the log line's count, clusters,
 	// decomposed_clusters and decomposed_snapshots.
-	run := func(scfg serve.Config) (fingerprintStore, [4]int) {
+	run := func(scfg serve.Config, seq graph.Sequence) (fingerprintStore, [4]int) {
 		scfg.Damping, scfg.Workers = damping, 1
 		eng := fingerprintStore{serve.New(scfg), map[int]string{}}
 		t.Cleanup(eng.Close)
 		logged.Reset()
-		if err := factorOffline(eng, scfg, egs, 0.95, 1); err != nil {
+		if err := factorOffline(eng, scfg, seq, 0.95, 1); err != nil {
 			t.Fatal(err)
 		}
 		m := pinnedLine.FindStringSubmatch(logged.String())
@@ -152,9 +163,9 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 		}
 		return eng, nums
 	}
-	all, allLine := run(serve.Config{MaxSnapshots: T})
-	tail, tailLine := run(serve.Config{MaxSnapshots: keep})
-	spill, spillLine := run(serve.Config{MaxSnapshots: keep, SpillDir: t.TempDir()})
+	all, allLine := run(serve.Config{MaxSnapshots: T}, ems)
+	tail, tailLine := run(serve.Config{MaxSnapshots: keep}, seq)
+	spill, spillLine := run(serve.Config{MaxSnapshots: keep, SpillDir: t.TempDir()}, seq)
 
 	clusters := allLine[1]
 	if want := [4]int{T, clusters, clusters, T}; allLine != want || clusters < 2 {

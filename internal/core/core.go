@@ -123,29 +123,22 @@ type Result struct {
 	StructureSizes []int
 }
 
-// Run executes alg over the EMS.
-func Run(ems *graph.EMS, alg Algorithm, opt Options) (*Result, error) {
+// Run executes alg over the sequence, which it reads front to back once
+// while planning and holds no more of than the step deltas and the
+// matrices its chains decompose (see engine.go).
+func Run(seq graph.Sequence, alg Algorithm, opt Options) (*Result, error) {
 	switch alg {
 	case BF:
-		return execute(ems, alg, opt, bfPlanner{})
+		return execute(seq, alg, opt, bfPlanner{})
 	case INC:
-		return execute(ems, alg, opt, incPlanner{})
+		return execute(seq, alg, opt, incPlanner{})
 	case CINC:
-		return execute(ems, alg, opt, alphaPlanner{label: "CINC", alpha: opt.Alpha})
+		return execute(seq, alg, opt, alphaPlanner{label: "CINC", alpha: opt.Alpha})
 	case CLUDE:
-		return execute(ems, alg, opt, alphaPlanner{label: "CLUDE", alpha: opt.Alpha, useUnion: true})
+		return execute(seq, alg, opt, alphaPlanner{label: "CLUDE", alpha: opt.Alpha, useUnion: true})
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
-}
-
-// patterns extracts the sparsity patterns of the EMS.
-func patterns(ems *graph.EMS) []*sparse.Pattern {
-	ps := make([]*sparse.Pattern, ems.Len())
-	for i, a := range ems.Matrices {
-		ps[i] = a.Pattern()
-	}
-	return ps
 }
 
 // chain is one cluster's factor chain — the per-cluster scheme of §4
@@ -220,10 +213,10 @@ func (c *chain) refactor(a *sparse.CSR, ws *lu.Workspace) error {
 // clusters that ran (untimed; this is harness bookkeeping, not algorithm
 // work). A skipped cluster has no ordering to measure.
 func measureQuality(e *engine) []int {
-	out := make([]int, e.ems.Len())
+	out := make([]int, e.seq.Len())
 	for _, j := range e.jobs {
 		for i := j.cl.Start; i < j.cl.End; i++ {
-			out[i] = lu.SymbolicSize(e.ems.Matrices[i].Pattern(), e.orderings[j.idx])
+			out[i] = lu.SymbolicSize(e.seq.Matrix(i).Pattern(), e.orderings[j.idx])
 		}
 	}
 	return out

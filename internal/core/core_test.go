@@ -14,16 +14,28 @@ import (
 // smallEMS derives a directed RWR EMS from a small synthetic EGS.
 func smallEMS(t *testing.T) *graph.EMS {
 	t.Helper()
+	return graph.DeriveEMS(smallEGS(t), graph.RWRMatrix(0.85))
+}
+
+// smallEGS is smallEMS's graph sequence.
+func smallEGS(t *testing.T) *graph.EGS {
+	t.Helper()
 	cfg := gen.SyntheticConfig{V: 120, EP: 1100, D: 4, K: 4, DeltaE: 15, T: 12, Seed: 3}
 	egs, err := gen.Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graph.DeriveEMS(egs, graph.RWRMatrix(0.85))
+	return egs
 }
 
 // symmetricEMS derives a symmetric EMS for the QC tests.
 func symmetricEMS(t *testing.T) *graph.EMS {
+	t.Helper()
+	return graph.DeriveEMS(symmetricEGS(t), graph.SymmetricWalkMatrix(0.9))
+}
+
+// symmetricEGS is symmetricEMS's graph sequence.
+func symmetricEGS(t *testing.T) *graph.EGS {
 	t.Helper()
 	cfg := gen.DBLPConfig{
 		N: 100, T: 10, Communities: 2,
@@ -34,7 +46,18 @@ func symmetricEMS(t *testing.T) *graph.EMS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graph.DeriveEMS(egs, graph.SymmetricWalkMatrix(0.9))
+	return egs
+}
+
+// replayed is egs's matrix sequence under d, replayed from its first
+// snapshot and step events rather than derived whole.
+func replayed(t *testing.T, egs *graph.EGS, d graph.Deriver) *graph.DeltaSequence {
+	t.Helper()
+	seq, err := graph.NewDeltaSequence(egs.Snapshots[0], graph.DeltaBatches(egs), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
 }
 
 // checkSolutions verifies that the streamed solvers actually solve

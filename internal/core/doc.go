@@ -58,8 +58,10 @@
 //
 // # Streaming execution
 //
-// Run consumes a pre-materialized sequence; Stream (stream.go) consumes
-// a live feed of edge-delta batches — the deployment the paper
+// Run consumes a whole sequence known up front (a graph.Sequence, which
+// it reads front to back: a derived EMS, or a graph.DeltaSequence
+// replayed from recorded event batches); Stream (stream.go) consumes a
+// live feed of edge-delta batches — the deployment the paper
 // motivates. Each applied batch yields one factor version, maintained
 // by the same four strategies in online form (incremental α-cluster
 // tracking, evolving-union USSP for CLUDE) through the factor chain

@@ -36,6 +36,12 @@ import (
 // (snapshot order i = First..T-1) intact under any worker count.
 // Independence is also what Options.First rests on: a cluster nobody
 // will read is planned but never dispatched.
+//
+// The sequence is read front to back once, by the planner, which holds
+// the previous and the current matrix and keeps only the step deltas and
+// the matrices a chain decomposes: each run cluster's first member (for
+// BF, every matrix from First on). After planning, only a failed update
+// (chain.refactor) and MeasureQuality read it again.
 
 // job is one independent unit of engine work: a cluster of
 // consecutive matrices factored under one shared ordering.
@@ -48,28 +54,39 @@ type job struct {
 }
 
 // plan is a planner's output: the error-message label, the job list in
-// cluster order (jobs[k].cl.Start increasing, contiguous) and, for the
-// planners whose clusters step, deltas[i] = A_i − A_{i−1} in the original
-// indices (nil at i = 0 and for BF).
+// cluster order (jobs[k].cl.Start increasing, contiguous), the step
+// deltas of the planners whose clusters step — deltas[i] = A_i − A_{i−1}
+// in the original indices, nil at i = 0 and for BF — and starts[i] = A_i
+// for the first member of every cluster that ends past Options.First
+// (nil elsewhere).
 type plan struct {
 	label  string
 	jobs   []job
 	deltas [][]sparse.Entry
+	starts []*sparse.CSR
 }
 
-// stepDeltas diffs every pair of consecutive matrices once, in the
-// original indices, and keeps each step's value delta; visit, when
-// non-nil, sees each step's whole delta (the pattern delta included)
-// while it is current.
-func stepDeltas(ems *graph.EMS, visit func(i int, d *sparse.StepDelta)) [][]sparse.Entry {
-	deltas := make([][]sparse.Entry, ems.Len())
+// stepDeltas reads seq front to back once, holding only the previous and
+// the current matrix: it diffs every pair of consecutive matrices in the
+// original indices and keeps each step's value delta. visit, when
+// non-nil, sees every matrix as it is read with its step's whole delta
+// (the pattern delta included; nil at i = 0) while both are current.
+func stepDeltas(seq graph.Sequence, visit func(i int, a *sparse.CSR, d *sparse.StepDelta)) [][]sparse.Entry {
+	deltas := make([][]sparse.Entry, seq.Len())
 	var d sparse.StepDelta
-	for i := 1; i < ems.Len(); i++ {
-		d.Diff(ems.Matrices[i-1], ems.Matrices[i])
-		deltas[i] = slices.Clone(d.Entries)
-		if visit != nil {
-			visit(i, &d)
+	var prev *sparse.CSR
+	for i := range seq.Len() {
+		a := seq.Matrix(i)
+		var step *sparse.StepDelta
+		if i > 0 {
+			d.Diff(prev, a)
+			deltas[i] = slices.Clone(d.Entries)
+			step = &d
 		}
+		if visit != nil {
+			visit(i, a, step)
+		}
+		prev = a
 	}
 	return deltas
 }
@@ -84,11 +101,14 @@ type planner interface {
 type bfPlanner struct{}
 
 func (bfPlanner) plan(e *engine) (plan, error) {
-	jobs := make([]job, e.ems.Len())
-	for i := range jobs {
-		jobs[i] = job{idx: i, cl: cluster.Cluster{Start: i, End: i + 1}}
+	pl := plan{label: "BF", jobs: make([]job, e.seq.Len()), starts: make([]*sparse.CSR, e.seq.Len())}
+	for i := range pl.jobs {
+		pl.jobs[i] = job{idx: i, cl: cluster.Cluster{Start: i, End: i + 1}}
+		if i >= e.opt.First {
+			pl.starts[i] = e.seq.Matrix(i)
+		}
 	}
-	return plan{label: "BF", jobs: jobs}, nil
+	return pl, nil
 }
 
 // incPlanner plans INC: one cluster covering the whole EMS, ordered by
@@ -96,15 +116,23 @@ func (bfPlanner) plan(e *engine) (plan, error) {
 type incPlanner struct{}
 
 func (incPlanner) plan(e *engine) (plan, error) {
-	return plan{label: "INC", jobs: []job{
-		{cl: cluster.Cluster{Start: 0, End: e.ems.Len()}},
-	}, deltas: stepDeltas(e.ems, nil)}, nil
+	pl := plan{label: "INC", jobs: []job{
+		{cl: cluster.Cluster{Start: 0, End: e.seq.Len()}},
+	}, starts: make([]*sparse.CSR, e.seq.Len())}
+	pl.deltas = stepDeltas(e.seq, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
+		if i == 0 {
+			pl.starts[0] = a
+		}
+	})
+	return pl, nil
 }
 
 // alphaPlanner plans CINC (useUnion=false) and CLUDE (useUnion=true):
 // α-clusters, ordered by the first member or the cluster union. The
 // tracker admits each matrix by its step's pattern delta, so clustering
-// costs what changed, not two whole patterns per step.
+// costs what changed, not two whole patterns per step. A cluster's first
+// member is kept from the moment it opens the cluster until the cluster
+// closes at or before First.
 type alphaPlanner struct {
 	label    string
 	alpha    float64
@@ -112,19 +140,26 @@ type alphaPlanner struct {
 }
 
 func (p alphaPlanner) plan(e *engine) (plan, error) {
-	ms := e.ems.Matrices
 	tr := cluster.NewTracker(p.alpha)
-	pl := plan{label: p.label}
-	if len(ms) == 0 {
+	pl := plan{label: p.label, starts: make([]*sparse.CSR, e.seq.Len())}
+	if e.seq.Len() == 0 {
 		return pl, nil
 	}
 	finish := func(cl cluster.Cluster) {
+		if cl.End <= e.opt.First {
+			pl.starts[cl.Start] = nil // never decomposed
+		}
 		pl.jobs = append(pl.jobs, job{idx: len(pl.jobs), cl: cl, useUnion: p.useUnion})
 	}
-	tr.Admit(ms[0].Pattern())
-	pl.deltas = stepDeltas(e.ems, func(i int, d *sparse.StepDelta) {
-		if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, ms[i].Pattern) {
+	pl.deltas = stepDeltas(e.seq, func(i int, a *sparse.CSR, d *sparse.StepDelta) {
+		if i == 0 {
+			tr.Admit(a.Pattern())
+			pl.starts[0] = a
+			return
+		}
+		if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, a.Pattern) {
 			finish(cl)
+			pl.starts[i] = a // it opens the next cluster
 		}
 	})
 	finish(tr.Cluster())
@@ -143,7 +178,17 @@ type betaPlanner struct {
 }
 
 func (p betaPlanner) plan(e *engine) (plan, error) {
-	pats := patterns(e.ems)
+	pats := make([]*sparse.Pattern, e.seq.Len())
+	asym := -1
+	deltas := stepDeltas(e.seq, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
+		pats[i] = a.Pattern()
+		if asym < 0 && !a.IsSymmetric(1e-12) {
+			asym = i
+		}
+	})
+	if asym >= 0 {
+		return plan{}, fmt.Errorf("core: RunQC requires symmetric matrices (matrix %d is not)", asym)
+	}
 	var star func(i int, pat *sparse.Pattern) int
 	if p.star != nil {
 		star = cluster.StarTable(p.star)
@@ -154,11 +199,16 @@ func (p betaPlanner) plan(e *engine) (plan, error) {
 	} else {
 		qcs = cluster.BetaCINC(pats, p.beta, star)
 	}
-	jobs := make([]job, len(qcs))
+	// β-clusters are known only once every pattern is, so the starts of
+	// the clusters that run are read a second time.
+	pl := plan{label: p.label, jobs: make([]job, len(qcs)), deltas: deltas, starts: make([]*sparse.CSR, e.seq.Len())}
 	for i, qc := range qcs {
-		jobs[i] = job{idx: i, cl: qc.Cluster, useUnion: p.useUnion, hasOrd: true, ord: qc.Ordering}
+		pl.jobs[i] = job{idx: i, cl: qc.Cluster, useUnion: p.useUnion, hasOrd: true, ord: qc.Ordering}
+		if qc.Cluster.End > e.opt.First {
+			pl.starts[qc.Cluster.Start] = e.seq.Matrix(qc.Cluster.Start)
+		}
 	}
-	return plan{label: p.label, jobs: jobs, deltas: stepDeltas(e.ems, nil)}, nil
+	return pl, nil
 }
 
 // worker is the per-goroutine state of the pool: reusable scratch
@@ -198,7 +248,7 @@ func orderStage(e *engine, w *worker, st *jobState) error {
 		if st.job.useUnion {
 			r = order.Markowitz(st.job.cl.Union) // O∪ = O*(A∪), Alg. 3 line 2
 		} else {
-			r = order.Markowitz(e.ems.Matrices[st.job.cl.Start].Pattern()) // O1 = O*(A1)
+			r = order.Markowitz(e.starts[st.job.cl.Start].Pattern()) // O1 = O*(A1)
 		}
 		w.times.Ordering += time.Since(t0)
 		// The elimination that chose the pivots also produced the
@@ -214,7 +264,7 @@ func orderStage(e *engine, w *worker, st *jobState) error {
 }
 
 // factorStage opens the chain on the first cluster member — phase
-// t_d — then emits snapshot cl.Start.
+// t_d — and lets go of the member, then emits snapshot cl.Start.
 func factorStage(e *engine, w *worker, st *jobState) error {
 	cl := st.job.cl
 	t1 := time.Now()
@@ -227,9 +277,10 @@ func factorStage(e *engine, w *worker, st *jobState) error {
 	// INC/CINC maintain the linked-list container across the cluster;
 	// singleton clusters (and all of BF) never update, so the static
 	// container serves directly.
-	if err := st.chain.open(st.sym, e.ems.Matrices[cl.Start], !st.job.useUnion && cl.Len() > 1, &w.luWS); err != nil {
+	if err := st.chain.open(st.sym, e.starts[cl.Start], !st.job.useUnion && cl.Len() > 1, &w.luWS); err != nil {
 		return fmt.Errorf("core: %s cluster %d (matrix %d): %w", e.label, st.job.idx, cl.Start, err)
 	}
+	e.starts[cl.Start] = nil // this worker's own element
 	w.times.FullLU += time.Since(t1)
 	return e.emit(w, cl.Start, st.chain.solver)
 }
@@ -252,7 +303,7 @@ func updateStage(e *engine, w *worker, st *jobState) error {
 			// Robustness fallback (never triggered by paper-like
 			// workloads): refactorize from scratch in the same order.
 			t3 := time.Now()
-			if ferr := c.refactor(e.ems.Matrices[i], &w.luWS); ferr != nil {
+			if ferr := c.refactor(e.seq.Matrix(i), &w.luWS); ferr != nil {
 				return fmt.Errorf("core: %s matrix %d: update %v; refactorization %w", e.label, i, err, ferr)
 			}
 			w.refacts++
@@ -274,7 +325,7 @@ func updateStage(e *engine, w *worker, st *jobState) error {
 
 // engine executes a plan's jobs over a bounded worker pool.
 type engine struct {
-	ems     *graph.EMS
+	seq     graph.Sequence
 	opt     Options
 	label   string
 	workers int
@@ -284,6 +335,7 @@ type engine struct {
 
 	jobs        []job             // the clusters to run: the plan's, less those Options.First skips
 	deltas      [][]sparse.Entry  // the plan's step deltas, read-only
+	starts      []*sparse.CSR     // the plan's cluster starts; each dropped by the worker that opens it
 	orderings   []sparse.Ordering // per planned cluster, written by its owning worker
 	structSizes []int             // per planned cluster
 	sspOut      []int             // per matrix; non-nil only for BF
@@ -295,7 +347,7 @@ type engine struct {
 
 // newEngine resolves the worker count (Workers <= 0 → GOMAXPROCS) and
 // the cancellation context (nil → Background).
-func newEngine(ems *graph.EMS, opt Options) *engine {
+func newEngine(seq graph.Sequence, opt Options) *engine {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -304,7 +356,7 @@ func newEngine(ems *graph.EMS, opt Options) *engine {
 	if parent == nil {
 		parent = context.Background()
 	}
-	e := &engine{ems: ems, opt: opt, workers: workers}
+	e := &engine{seq: seq, opt: opt, workers: workers}
 	e.ctx, e.cancel = context.WithCancel(parent)
 	return e
 }
@@ -477,13 +529,13 @@ func (e *engine) emitLoop() {
 
 // execute is the shared driver behind Run and RunQC: plan (timed as
 // t_c), execute over the pool, then assemble the Result.
-func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, error) {
+func execute(seq graph.Sequence, alg Algorithm, opt Options, pl planner) (*Result, error) {
 	// First = 0 stays legal on an empty sequence: it means "everything".
-	if f := opt.First; f < 0 || (f > 0 && f >= ems.Len()) {
-		return nil, fmt.Errorf("core: Options.First %d outside [0, %d)", f, ems.Len())
+	if f := opt.First; f < 0 || (f > 0 && f >= seq.Len()) {
+		return nil, fmt.Errorf("core: Options.First %d outside [0, %d)", f, seq.Len())
 	}
-	res := &Result{Algorithm: alg, T: ems.Len()}
-	e := newEngine(ems, opt)
+	res := &Result{Algorithm: alg, T: seq.Len()}
+	e := newEngine(seq, opt)
 	defer e.cancel()
 
 	start := time.Now()
@@ -494,7 +546,7 @@ func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, e
 	}
 	res.Times.Clustering = time.Since(tc)
 
-	e.label, e.deltas = p.label, p.deltas
+	e.label, e.deltas, e.starts = p.label, p.deltas, p.starts
 	// Jobs come in cluster order, so the clusters that end at or before
 	// First are a prefix; the rest run exactly as they would have.
 	e.jobs = p.jobs
@@ -506,7 +558,7 @@ func execute(ems *graph.EMS, alg Algorithm, opt Options, pl planner) (*Result, e
 	if alg == BF {
 		// BF's orderings come with |s̃p(A_i*)| for free; it is the
 		// quality reference, so it always records them.
-		res.SSPSizes = make([]int, ems.Len())
+		res.SSPSizes = make([]int, seq.Len())
 		e.sspOut = res.SSPSizes
 	}
 

@@ -7,7 +7,7 @@ import (
 	"repro/internal/order"
 )
 
-// RunQC executes the LUDEM-QC variants of §5 on a symmetric EMS: alg
+// RunQC executes the LUDEM-QC variants of §5 on a symmetric sequence: alg
 // must be CINC or CLUDE, and beta is the quality requirement of
 // Definition 5 (every matrix's ordering must satisfy
 // ql(O_i, A_i) ≤ β, with ql measured against the fast symmetric
@@ -19,16 +19,15 @@ import (
 // Context and OnFactors behave exactly as in Run (see the package
 // documentation): β-clusters are factored concurrently and callbacks
 // still fire in snapshot order.
-func RunQC(ems *graph.EMS, alg Algorithm, beta float64, opt Options) (*Result, error) {
+//
+// The β-clustering needs every matrix's pattern at once, so RunQC holds
+// the patterns, and reads the starts of the clusters it decomposes a
+// second time.
+func RunQC(seq graph.Sequence, alg Algorithm, beta float64, opt Options) (*Result, error) {
 	if alg != CINC && alg != CLUDE {
 		return nil, fmt.Errorf("core: RunQC supports CINC and CLUDE, not %q", alg)
 	}
-	for i, a := range ems.Matrices {
-		if !a.IsSymmetric(1e-12) {
-			return nil, fmt.Errorf("core: RunQC requires symmetric matrices (matrix %d is not)", i)
-		}
-	}
-	return execute(ems, alg, opt, betaPlanner{
+	return execute(seq, alg, opt, betaPlanner{
 		label:    string(alg) + "-QC",
 		beta:     beta,
 		useUnion: alg == CLUDE,
@@ -40,10 +39,10 @@ func RunQC(ems *graph.EMS, alg Algorithm, beta float64, opt Options) (*Result, e
 // denominators of every quality-loss figure: Markowitz per matrix, as
 // BF does, so the integers are BF's SSPSizes. On a symmetric pattern
 // Markowitz takes the symmetric elimination of paper §3 on its own.
-func StarSizes(ems *graph.EMS) []int {
-	out := make([]int, ems.Len())
-	for i, a := range ems.Matrices {
-		out[i] = order.Markowitz(a.Pattern()).SSPSize
+func StarSizes(seq graph.Sequence) []int {
+	out := make([]int, seq.Len())
+	for i := range out {
+		out[i] = order.Markowitz(seq.Matrix(i).Pattern()).SSPSize
 	}
 	return out
 }

@@ -58,14 +58,9 @@ func DBLPSim(cfg DBLPConfig) (*graph.EGS, error) {
 	}
 	pubs := make([]int, n) // publication counts for preferential choice
 
-	type und struct{ u, v int }
-	edges := make(map[und]bool, cfg.N*4)
-	canon := func(u, v int) und {
-		if u > v {
-			u, v = v, u
-		}
-		return und{u, v}
-	}
+	// The builder is the edge set: each snapshot is one Builder.Graph,
+	// sharing every neighbour list the day left alone.
+	b := graph.NewBuilder(n, false)
 
 	// pickAuthor draws from community c proportionally to pubs+1.
 	pickAuthor := func(c int) int {
@@ -101,30 +96,21 @@ func DBLPSim(cfg DBLPConfig) (*graph.EGS, error) {
 		}
 		for i := 0; i < len(as); i++ {
 			for j := i + 1; j < len(as); j++ {
-				edges[canon(as[i], as[j])] = true
+				set(b, as[i], as[j], graph.EdgeInsert)
 			}
 		}
-	}
-
-	snapshot := func() *graph.Graph {
-		es := make([]graph.Edge, 0, len(edges))
-		for e := range edges {
-			es = append(es, graph.Edge{From: e.u, To: e.v})
-		}
-		// graph.New sorts and dedups per vertex; map order does not show.
-		return graph.New(n, false, es)
 	}
 
 	for p := 0; p < cfg.InitialPapers; p++ {
 		publish()
 	}
 	snaps := make([]*graph.Graph, 0, cfg.T)
-	snaps = append(snaps, snapshot())
+	snaps = append(snaps, b.Graph())
 	for day := 1; day < cfg.T; day++ {
 		for p := 0; p < cfg.PapersPerDay; p++ {
 			publish()
 		}
-		snaps = append(snaps, snapshot())
+		snaps = append(snaps, b.Graph())
 	}
 	return graph.NewEGS(snaps)
 }

@@ -1,7 +1,9 @@
 package gen
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -107,5 +109,59 @@ func TestGoldenDatasets(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprint("patent/", seed), pd.EGS, nil)
+	}
+}
+
+// goldenEGSBytes holds the sha256 of graph.WriteEGS's bytes per
+// generator and scale of TestGoldenEGSBytes.
+var goldenEGSBytes = map[string]string{
+	"wiki/tiny":       "94728980a53fefd15e4964204723cf4d50db69c13bc80b4becfd7a4b95cdb095",
+	"dblp/tiny":       "73a87954a0e60e67fd15dfe816fc478e660cbc7d88dd45e666cc00aeb4417d2d",
+	"synthetic/tiny":  "da9b53840fdd81892584e2c1d84491846cf9572cea334e5435e552fb74062c38",
+	"patent/tiny":     "de9465d59ccc62c170b963440e21df0e268ed05d999da091137d76e5157db044",
+	"wiki/small":      "22bf44a684a465dbbbada76c6e77b4233d6fe69679ec741f3b1789f94a7ea94b",
+	"dblp/small":      "0dcda024b01098b9505f00f74bb206b79300b90f0f8746b8155fcd83044fa0ae",
+	"synthetic/small": "ce9e84ef5f7ae975f20725e669077d3eb52f8c69b71d87e3b02e6b58c9f09043",
+	"patent/small":    "96989651e38aded67cb9c9a6464ea99bbfc9b592c5bab829f4a617b1445417b6",
+}
+
+// TestGoldenEGSBytes pins every generator's sequence, as the egs text
+// format writes it, at the tiny and small scales: however a generator
+// assembles its snapshots, the bytes it hands on must not move.
+func TestGoldenEGSBytes(t *testing.T) {
+	for _, s := range []Scale{Tiny, Small} {
+		c, err := ConfigsFor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wiki, err := WikiSim(c.Wiki)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dblp, err := DBLPSim(c.DBLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syn, err := Synthetic(c.Synthetic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat, err := PatentSim(c.Patent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []struct {
+			name string
+			egs  *graph.EGS
+		}{{"wiki", wiki}, {"dblp", dblp}, {"synthetic", syn}, {"patent", pat.EGS}} {
+			h := sha256.New()
+			if err := graph.WriteEGS(h, d.egs); err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s/%s", d.name, s)
+			if got := hex.EncodeToString(h.Sum(nil)); got != goldenEGSBytes[key] {
+				t.Errorf("%s: WriteEGS sha256 %s, golden %s", key, got, goldenEGSBytes[key])
+			}
+		}
 	}
 }

@@ -81,21 +81,21 @@ func Synthetic(cfg SyntheticConfig) (*graph.EGS, error) {
 	plus := cfg.K * cfg.DeltaE / (cfg.K + 1)
 	minus := cfg.DeltaE / (cfg.K + 1)
 
-	snapshot := func() *graph.Graph {
-		es := make([]graph.Edge, len(in))
-		for t, idx := range in {
-			es[t] = pool[idx]
-		}
-		return graph.New(cfg.V, false, es)
+	// The builder holds the current edges: each snapshot is one
+	// Builder.Graph, sharing every neighbour list the step left alone.
+	b := graph.NewBuilder(cfg.V, false)
+	for _, idx := range in {
+		set(b, pool[idx].From, pool[idx].To, graph.EdgeInsert)
 	}
 
 	snaps := make([]*graph.Graph, 0, cfg.T)
-	snaps = append(snaps, snapshot())
+	snaps = append(snaps, b.Graph())
 	for t := 1; t < cfg.T; t++ {
 		// Remove ∆E− random current edges (swap-delete).
 		for r := 0; r < minus && len(in) > 0; r++ {
 			p := rng.Intn(len(in))
 			inSet[in[p]] = false
+			set(b, pool[in[p]].From, pool[in[p]].To, graph.EdgeDelete)
 			in[p] = in[len(in)-1]
 			in = in[:len(in)-1]
 		}
@@ -106,11 +106,12 @@ func Synthetic(cfg SyntheticConfig) (*graph.EGS, error) {
 				if !inSet[idx] {
 					inSet[idx] = true
 					in = append(in, idx)
+					set(b, pool[idx].From, pool[idx].To, graph.EdgeInsert)
 					break
 				}
 			}
 		}
-		snaps = append(snaps, snapshot())
+		snaps = append(snaps, b.Graph())
 	}
 	return graph.NewEGS(snaps)
 }

@@ -49,21 +49,19 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 	n := cfg.N
 
 	type arc struct{ u, v int }
-	edges := make(map[arc]bool, cfg.FinalEdges)
+	// The builder is the edge set: each snapshot is one Builder.Graph,
+	// sharing every neighbour list the day left alone.
+	b := graph.NewBuilder(n, true)
 	inDeg := make([]int, n)
 	outDeg := make([]int, n)
 	var list []arc // insertion-ordered for random removal
 
 	addEdge := func(u, v int) bool {
-		if u == v {
+		if u == v || b.Has(u, v) {
 			return false
 		}
-		a := arc{u, v}
-		if edges[a] {
-			return false
-		}
-		edges[a] = true
-		list = append(list, a)
+		set(b, u, v, graph.EdgeInsert)
+		list = append(list, arc{u, v})
 		inDeg[v]++
 		outDeg[u]++
 		return true
@@ -88,7 +86,7 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 	// A faster urn would be nicer, but N is small; keep the simple scan
 	// honest and move on.
 
-	for len(edges) < cfg.InitialEdges {
+	for b.NumEdges() < cfg.InitialEdges {
 		u := rng.Intn(n)
 		if addEdge(u, prefTarget()) {
 			totalIn++
@@ -99,26 +97,17 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 	dailyAdd := int(dailyNet/(1-cfg.ChurnFrac) + 0.5)
 	dailyDel := dailyAdd - int(dailyNet+0.5)
 
-	snapshot := func() *graph.Graph {
-		es := make([]graph.Edge, 0, len(edges))
-		for a := range edges {
-			es = append(es, graph.Edge{From: a.u, To: a.v})
-		}
-		// graph.New sorts and dedups per vertex; map order does not show.
-		return graph.New(n, true, es)
-	}
-
 	removeRandom := func() {
 		for tries := 0; tries < 50 && len(list) > 0; tries++ {
 			p := rng.Intn(len(list))
 			a := list[p]
-			if !edges[a] {
+			if !b.Has(a.u, a.v) {
 				// Lazily compact tombstones.
 				list[p] = list[len(list)-1]
 				list = list[:len(list)-1]
 				continue
 			}
-			delete(edges, a)
+			set(b, a.u, a.v, graph.EdgeDelete)
 			inDeg[a.v]--
 			outDeg[a.u]--
 			totalIn--
@@ -138,7 +127,7 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 	}
 
 	snaps := make([]*graph.Graph, 0, cfg.T)
-	snaps = append(snaps, snapshot())
+	snaps = append(snaps, b.Graph())
 	for day := 1; day < cfg.T; day++ {
 		for a := 0; a < dailyAdd; a++ {
 			u := rng.Intn(n)
@@ -172,7 +161,16 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 				}
 			}
 		}
-		snaps = append(snaps, snapshot())
+		snaps = append(snaps, b.Graph())
 	}
 	return graph.NewEGS(snaps)
+}
+
+// set applies one edge event to a generator's builder. The generators
+// draw endpoints from [0, n) and use only insert and delete, which the
+// builder always accepts.
+func set(b *graph.Builder, u, v int, op graph.EdgeOp) {
+	if _, err := b.Apply(graph.EdgeEvent{From: u, To: v, Op: op}); err != nil {
+		panic(err)
+	}
 }

@@ -2,10 +2,14 @@ package graph_test
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sparse"
+	"repro/internal/xrand"
 )
 
 // FuzzReadDeltas hammers the egsdeltas text parser with hostile input:
@@ -122,6 +126,109 @@ func FuzzReadEGS(f *testing.F) {
 		}
 		if _, err := graph.ReadEGS(&out); err != nil {
 			t.Fatalf("re-parse of round-tripped input: %v", err)
+		}
+	})
+}
+
+// FuzzDeltaSequence holds the event-backed matrix sequence against a
+// reference that shares none of its machinery: an edge set kept in a
+// map, each step's snapshot built by New from it and derived whole. The
+// input picks a small graph (n ≤ 12, either kind, one of the derivers
+// that suit it), its first edges and up to eight event batches — no-op
+// inserts and deletes of absent edges, self-loops and both orientations
+// of an undirected pair included — and the matrices are read twice over
+// in shuffled orders: every read must equal the reference bit for bit.
+func FuzzDeltaSequence(f *testing.F) {
+	// n, kind, #first edges, the first edges, then (u, v, op) triples;
+	// an op byte ≡ 3 (mod 4) closes the batch.
+	f.Add([]byte{5, 0, 2, 0, 1, 2, 3, 1, 2, 0, 0, 1, 1, 3, 3, 3, 4, 4, 0, 0, 0, 3})
+	f.Add([]byte{6, 1, 3, 0, 1, 1, 2, 2, 3, 1, 0, 1, 5, 4, 0, 3, 3, 3, 2, 1, 2, 0, 1, 0, 4, 5, 2, 7, 1, 2})
+	f.Add([]byte{4, 3, 1, 3, 0, 0, 3, 0, 3, 1, 1, 1, 2, 2, 3, 3, 3, 2, 1, 1})
+	f.Add([]byte{12, 5, 0, 11, 0, 0, 0, 11, 0, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n, kind := 2+next()%11, next()
+		directed := kind&1 == 1
+		ders := []graph.Deriver{graph.RWRMatrix(0.85)}
+		if !directed {
+			ders = append(ders, graph.SymmetricWalkMatrix(0.85), graph.LaplacianMatrix(0.5))
+		}
+		d := ders[(kind>>1)%len(ders)]
+		seed := uint64(len(data))
+		for _, b := range data {
+			seed = seed*31 + uint64(b)
+		}
+
+		model := map[graph.Edge]bool{}
+		set := func(u, v int, present bool) {
+			if u == v {
+				return
+			}
+			if !directed && v < u {
+				u, v = v, u
+			}
+			if present {
+				model[graph.Edge{From: u, To: v}] = true
+			} else {
+				delete(model, graph.Edge{From: u, To: v})
+			}
+		}
+		snapshot := func() *graph.Graph {
+			es := make([]graph.Edge, 0, len(model))
+			for e := range model {
+				es = append(es, e)
+			}
+			return graph.New(n, directed, es)
+		}
+		var firstEdges []graph.Edge
+		for k := next() % 16; k > 0; k-- {
+			u, v := next()%n, next()%n
+			firstEdges = append(firstEdges, graph.Edge{From: u, To: v})
+			set(u, v, true)
+		}
+		want := []*sparse.CSR{graph.Derive(d, snapshot())}
+		var batches [][]graph.EdgeEvent
+		var batch []graph.EdgeEvent
+		for len(data) > 0 && len(batches) < 8 {
+			u, v, op := next()%n, next()%n, next()%4
+			if op == 3 {
+				batches = append(batches, batch)
+				want = append(want, graph.Derive(d, snapshot()))
+				batch = nil
+				continue
+			}
+			ev := graph.EdgeEvent{From: u, To: v, Op: graph.EdgeOp(op)}
+			batch = append(batch, ev)
+			set(u, v, ev.Op != graph.EdgeDelete)
+		}
+
+		seq, err := graph.NewDeltaSequence(graph.New(n, directed, firstEdges), batches, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Len() != len(want) {
+			t.Fatalf("%d matrices, want %d", seq.Len(), len(want))
+		}
+		rng := xrand.New(seed)
+		for _, i := range append(rng.Perm(seq.Len()), rng.Perm(seq.Len())...) {
+			got := seq.Matrix(i)
+			gp, gc, gv := got.Arrays()
+			wp, wc, wv := want[i].Arrays()
+			if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) {
+				t.Fatalf("matrix %d: pattern differs from the reference's", i)
+			}
+			for k := range gv {
+				if math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
+					t.Fatalf("matrix %d entry %d: %v, reference %v", i, k, gv[k], wv[k])
+				}
+			}
 		}
 	})
 }

@@ -181,8 +181,19 @@ func (laplacian) Dirty(g Adjacency, u, v int, mark func(int)) {
 	mark(v)
 }
 
-// EMS is an evolving matrix sequence: the image of an EGS under a
-// Deriver, M = {A1, …, AT}.
+// Sequence is an evolving matrix sequence M = {A1, …, AT} read one
+// matrix at a time, so a reader that goes front to back need hold no
+// more of it than it keeps. Matrix(i), for 0 ≤ i < Len(), returns A_i;
+// the caller must not modify it, and every call for the same i returns
+// the same bits. Implementations are safe for concurrent use.
+type Sequence interface {
+	Len() int
+	N() int
+	Matrix(i int) *sparse.CSR
+}
+
+// EMS is an evolving matrix sequence held whole: the image of an EGS
+// under a Deriver.
 type EMS struct {
 	Matrices []*sparse.CSR
 }
@@ -201,3 +212,6 @@ func (m *EMS) Len() int { return len(m.Matrices) }
 
 // N returns the shared dimension.
 func (m *EMS) N() int { return m.Matrices[0].N() }
+
+// Matrix returns A_i.
+func (m *EMS) Matrix(i int) *sparse.CSR { return m.Matrices[i] }

@@ -1,0 +1,131 @@
+package graph_test
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/sparse"
+	"repro/internal/xrand"
+)
+
+// sameBits reports whether a and b store the same entries with the same
+// value bits, and says where they first differ when they do not.
+func sameBits(a, b *sparse.CSR) error {
+	ap, ac, av := a.Arrays()
+	bp, bc, bv := b.Arrays()
+	if !slices.Equal(ap, bp) || !slices.Equal(ac, bc) {
+		return fmt.Errorf("patterns differ")
+	}
+	for k := range av {
+		if math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
+			return fmt.Errorf("entry %d is %v, want %v", k, av[k], bv[k])
+		}
+	}
+	return nil
+}
+
+// TestDeltaSequenceIsDeriveEMS: replayed from the first snapshot and
+// DeltaBatches, every generator's tiny sequence derives matrix for
+// matrix the bits DeriveEMS derives from the snapshots, read front to
+// back and read in a shuffled order that makes the builder replay.
+func TestDeltaSequenceIsDeriveEMS(t *testing.T) {
+	c, err := gen.ConfigsFor(gen.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiki, err := gen.WikiSim(c.Wiki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, err := gen.DBLPSim(c.DBLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := gen.Synthetic(c.Synthetic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := gen.PatentSim(c.Patent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct {
+		name string
+		egs  *graph.EGS
+		der  graph.Deriver
+	}{
+		{"wiki", wiki, graph.RWRMatrix(0.85)},
+		{"dblp", dblp, graph.SymmetricWalkMatrix(0.85)},
+		{"dblp/laplacian", dblp, graph.LaplacianMatrix(0.5)},
+		{"synthetic", syn, graph.RWRMatrix(0.85)},
+		{"patent", pat.EGS, graph.RWRMatrix(0.85)},
+	} {
+		ems := graph.DeriveEMS(d.egs, d.der)
+		seq, err := graph.NewDeltaSequence(d.egs.Snapshots[0], graph.DeltaBatches(d.egs), d.der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Len() != ems.Len() || seq.N() != ems.N() {
+			t.Fatalf("%s: %d matrices of order %d, want %d of order %d", d.name, seq.Len(), seq.N(), ems.Len(), ems.N())
+		}
+		forward := make([]int, seq.Len())
+		for i := range forward {
+			forward[i] = i
+		}
+		for name, order := range map[string][]int{"forward": forward, "shuffled": xrand.New(5).Perm(seq.Len())} {
+			for _, i := range order {
+				if err := sameBits(seq.Matrix(i), ems.Matrices[i]); err != nil {
+					t.Errorf("%s, %s reads: matrix %d: %v", d.name, name, i, err)
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaSequenceRejectsBadEvents: an event outside the first
+// snapshot's vertex range is refused when the sequence is made, not met
+// by a later Matrix call.
+func TestDeltaSequenceRejectsBadEvents(t *testing.T) {
+	g := graph.New(3, true, nil)
+	batches := [][]graph.EdgeEvent{{{From: 0, To: 1}}, {{From: 0, To: 3}}}
+	if _, err := graph.NewDeltaSequence(g, batches, graph.RWRMatrix(0.85)); err == nil {
+		t.Fatal("NewDeltaSequence accepted an event to vertex 3 of 3")
+	}
+}
+
+// TestDeltaSequenceConcurrentReads: goroutines reading one sequence at
+// once, each in its own shuffled order, all see DeriveEMS's bits.
+func TestDeltaSequenceConcurrentReads(t *testing.T) {
+	c, err := gen.ConfigsFor(gen.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	egs, err := gen.WikiSim(c.Wiki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	der := graph.RWRMatrix(0.85)
+	ems := graph.DeriveEMS(egs, der)
+	seq, err := graph.NewDeltaSequence(egs.Snapshots[0], graph.DeltaBatches(egs), der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range xrand.New(uint64(g)).Perm(seq.Len()) {
+				if err := sameBits(seq.Matrix(i), ems.Matrices[i]); err != nil {
+					t.Errorf("goroutine %d, matrix %d: %v", g, i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -185,49 +185,6 @@ func (m *CSR) MulVec(x []float64) []float64 {
 	return y
 }
 
-// Mul computes the sparse matrix product A·B (classic Gustavson
-// row-by-row SpGEMM with a dense accumulator).
-func (m *CSR) Mul(b *CSR) *CSR {
-	if m.n != b.n {
-		panic("sparse: Mul dimension mismatch")
-	}
-	n := m.n
-	acc := make([]float64, n)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	rowPtr := make([]int, n+1)
-	var colIdx []int
-	var vals []float64
-	rowCols := make([]int, 0, 64)
-	for i := 0; i < n; i++ {
-		rowCols = rowCols[:0]
-		alo, ahi := m.rowPtr[i], m.rowPtr[i+1]
-		for ka := alo; ka < ahi; ka++ {
-			k := m.colIdx[ka]
-			av := m.vals[ka]
-			blo, bhi := b.rowPtr[k], b.rowPtr[k+1]
-			for kb := blo; kb < bhi; kb++ {
-				j := b.colIdx[kb]
-				if mark[j] != i {
-					mark[j] = i
-					acc[j] = 0
-					rowCols = append(rowCols, j)
-				}
-				acc[j] += av * b.vals[kb]
-			}
-		}
-		sort.Ints(rowCols)
-		for _, j := range rowCols {
-			colIdx = append(colIdx, j)
-			vals = append(vals, acc[j])
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	return &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-}
-
 // Scale returns s·A as a new matrix sharing the pattern storage.
 func (m *CSR) Scale(s float64) *CSR {
 	vals := make([]float64, len(m.vals))

@@ -177,26 +177,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulAgainstDense(t *testing.T) {
-	rng := xrand.New(12)
-	n := 18
-	a := randomCSR(rng, n, 60)
-	b := randomCSR(rng, n, 60)
-	got := a.Mul(b).Dense()
-	da, db := a.Dense(), b.Dense()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			for k := 0; k < n; k++ {
-				want += da[i][k] * db[k][j]
-			}
-			if math.Abs(got[i][j]-want) > 1e-10 {
-				t.Fatalf("Mul(%d,%d) = %v, want %v", i, j, got[i][j], want)
-			}
-		}
-	}
-}
-
 func TestAddSub(t *testing.T) {
 	rng := xrand.New(13)
 	n := 20
