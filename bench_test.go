@@ -491,7 +491,7 @@ func benchStream(b *testing.B) (s *core.Stream, pool []graph.EdgeEvent, fresh fu
 	}
 	g0 := egs.Snapshots[0]
 	s, err = core.NewStream(core.StreamConfig{
-		Algorithm: core.CLUDE, Alpha: 0.95, Initial: g0, Derive: graph.RWRMatrix(0.85),
+		Alpha: 0.95, Initial: g0, Derive: graph.RWRMatrix(0.85),
 	})
 	if err != nil {
 		b.Fatal(err)

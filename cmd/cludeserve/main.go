@@ -9,7 +9,9 @@
 //     events, pin the snapshots' factors the store keeps, and serve
 //     snapshot-addressed queries.
 //   - Streaming (-stream): start from the sequence's first snapshot and
-//     maintain CLUDE's factors live. Edge updates arrive over POST
+//     maintain CLUDE's factors live (core.Stream maintains CLUDE and
+//     nothing else; -alg accepts CLUDE only and stays so that existing
+//     command lines parse). Edge updates arrive over POST
 //     /v1/update, are grouped into versioned batches, and each
 //     committed batch is hot-published into the serving layer without
 //     copying the factors (see docs/STREAMING.md). Latest-state queries
@@ -473,11 +475,10 @@ func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence, alpha fl
 // exact factors the crashed process last published.
 func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, first *graph.Graph, o *options) (*core.Stream, *core.Batcher, error) {
 	cfg := core.StreamConfig{
-		Algorithm: core.CLUDE,
-		Alpha:     o.alpha,
-		Initial:   first,
-		Derive:    graph.RWRMatrix(damping),
-		OnBatch:   api.IngestHook(reg, tracer),
+		Alpha:   o.alpha,
+		Initial: first,
+		Derive:  graph.RWRMatrix(damping),
+		OnBatch: api.IngestHook(reg, tracer),
 	}
 	if o.histBase > 0 {
 		// Delta-compressed history: bases pin every histBase versions,
@@ -525,7 +526,7 @@ func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, trac
 		retention = fmt.Sprintf("history base every %d", o.histBase)
 	}
 	slog.Info("streaming",
-		"alg", string(cfg.Algorithm), "n", stream.N(),
+		"alg", "CLUDE", "n", stream.N(),
 		"boot", time.Since(t0).Round(time.Millisecond),
 		"batch", o.batchSize, "linger_ms", o.flushMS, "retention", retention)
 	return stream, stream.NewBatcher(o.batchSize, time.Duration(o.flushMS)*time.Millisecond), nil

@@ -23,10 +23,9 @@ func liveServer(t *testing.T) (*httptest.Server, *core.Stream, func()) {
 	})
 	reg := metrics.NewRegistry()
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.INC,
-		Initial:   g,
-		Derive:    graph.RWRMatrix(0.85),
-		OnBatch:   IngestHook(reg, nil),
+		Initial: g,
+		Derive:  graph.RWRMatrix(0.85),
+		OnBatch: IngestHook(reg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +400,6 @@ func TestSnapshotsHistoryListing(t *testing.T) {
 	eng := serve.New(serve.Config{Damping: 0.85, Workers: 1, HistoryBase: 3})
 	defer eng.Close()
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.INC,
 		Initial:   g,
 		Derive:    graph.RWRMatrix(0.85),
 		OnPublish: eng.HistoryHook(),
@@ -414,8 +412,15 @@ func TestSnapshotsHistoryListing(t *testing.T) {
 	srv := httptest.NewServer(New(Options{Engine: eng, Stream: stream}))
 	defer srv.Close()
 
+	// Each edge of the ring goes and comes back: the pattern stays
+	// inside the cluster union, so the versions between bases are
+	// Bennett deltas.
 	for i := 0; i < 7; i++ {
-		if _, err := stream.Apply([]graph.EdgeEvent{{From: i, To: (i + 3) % 8, Op: graph.EdgeInsert}}); err != nil {
+		op := graph.EdgeDelete
+		if i%2 == 1 {
+			op = graph.EdgeInsert
+		}
+		if _, err := stream.Apply([]graph.EdgeEvent{{From: i / 2, To: i/2 + 1, Op: op}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -206,10 +206,9 @@ func liveServerTuned(t *testing.T, workers, queue int) (*httptest.Server, *core.
 	})
 	reg := metrics.NewRegistry()
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.INC,
-		Initial:   g,
-		Derive:    graph.RWRMatrix(0.85),
-		OnBatch:   IngestHook(reg, nil),
+		Initial: g,
+		Derive:  graph.RWRMatrix(0.85),
+		OnBatch: IngestHook(reg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,11 +244,10 @@ func TestIngestAndStoreMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream, _, err := st.OpenStream(core.StreamConfig{
-		Algorithm: core.CLUDE,
-		Alpha:     0.9,
-		Initial:   g,
-		Derive:    graph.RWRMatrix(0.85),
-		OnBatch:   IngestHook(reg, nil),
+		Alpha:   0.9,
+		Initial: g,
+		Derive:  graph.RWRMatrix(0.85),
+		OnBatch: IngestHook(reg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,9 @@ func tracedServer(t *testing.T) (*httptest.Server, *trace.Tracer, func()) {
 	})
 	reg := metrics.NewRegistry()
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.INC,
-		Initial:   g,
-		Derive:    graph.RWRMatrix(0.85),
-		OnBatch:   IngestHook(reg, tc),
+		Initial: g,
+		Derive:  graph.RWRMatrix(0.85),
+		OnBatch: IngestHook(reg, tc),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,10 +224,9 @@ func TestIngestTraceKeepsFailedBatches(t *testing.T) {
 	tc := trace.New(trace.Config{Buffer: 16, Sample: 0})
 	g := graph.New(4, false, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.INC,
-		Initial:   g,
-		Derive:    graph.RWRMatrix(0.85),
-		OnBatch:   IngestHook(metrics.NewRegistry(), tc),
+		Initial: g,
+		Derive:  graph.RWRMatrix(0.85),
+		OnBatch: IngestHook(metrics.NewRegistry(), tc),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func History(d Datasets) ([]*Table, error) {
 		structural int
 	)
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.CLUDE, Alpha: 0.95,
+		Alpha:   0.95,
 		Initial: graph.New(n, true, es),
 		Derive:  graph.RWRMatrix(d.Damping),
 		OnPublish: func(s *lu.Solver, rec bennett.VersionRecord) {

@@ -63,9 +63,9 @@
 // replayed from recorded event batches); Stream (stream.go) consumes a
 // live feed of edge-delta batches — the deployment the paper
 // motivates. Each applied batch yields one factor version, maintained
-// by the same four strategies in online form (incremental α-cluster
-// tracking, evolving-union USSP for CLUDE) through the factor chain
-// Run's clusters use (core.go), and hot-published by
+// by CLUDE in online form (incremental α-cluster tracking, a USSP built
+// from the evolving union) through the factor chain Run's clusters use
+// (core.go), and hot-published by
 // reference under a reader/writer lock instead of cloned: a serving
 // layer reads the current factors in place via View (see
 // serve.Engine.AttachLive). Batcher groups a raw event feed into

@@ -29,7 +29,7 @@ func TestStreamBennettDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	g0 := egs.Snapshots[0]
-	s, err := NewStream(StreamConfig{Algorithm: CLUDE, Alpha: 0.95, Initial: g0, Derive: graph.RWRMatrix(0.85)})
+	s, err := NewStream(StreamConfig{Alpha: 0.95, Initial: g0, Derive: graph.RWRMatrix(0.85)})
 	if err != nil {
 		t.Fatal(err)
 	}

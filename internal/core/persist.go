@@ -11,22 +11,23 @@ import (
 )
 
 // This file is the durability face of the streaming engine: ExportState
-// captures everything a BF or CLUDE Stream needs to resume exactly
-// where it was — graph, factors, ordering, cluster-tracker state, the
-// previous matrix, and every counter — and RestoreStream rebuilds a
-// live Stream from it.
+// captures everything a Stream needs to resume exactly where it was —
+// graph, factors, ordering, cluster-tracker state, the previous matrix,
+// and every counter — and RestoreStream rebuilds a live Stream from it.
 // Restored-then-replayed streams are bit-identical to uninterrupted
 // ones (the store package's kill-point property test pins this down),
 // which is what makes snapshot + WAL-tail recovery exact rather than
 // merely approximate.
 
-// StreamState is the complete serializable state of a BF or CLUDE
-// Stream at some point in its life. All reference-typed fields are
-// either deep copies (the factor container, which the live stream
-// mutates in place) or immutable values safe to share (graph snapshot,
-// patterns, matrices, orderings), so an exported state stays valid
-// while the source stream keeps committing batches.
+// StreamState is the complete serializable state of a Stream at some
+// point in its life. All reference-typed fields are either deep copies
+// (the factor container, which the live stream mutates in place) or
+// immutable values safe to share (graph snapshot, patterns, matrices,
+// orderings), so an exported state stays valid while the source stream
+// keeps committing batches.
 type StreamState struct {
+	// Algorithm names the strategy that maintained the factors: CLUDE,
+	// the only one a Stream runs and RestoreStream accepts.
 	Algorithm Algorithm
 	Alpha     float64
 	Version   uint64
@@ -34,7 +35,7 @@ type StreamState struct {
 
 	// Graph is the live edge set at export time.
 	Graph *graph.Graph
-	// Tracker is the α-membership state (nil for BF).
+	// Tracker is the α-membership state.
 	Tracker *cluster.TrackerState
 	// Ord is the current ordering O = (P, Q).
 	Ord sparse.Ordering
@@ -47,85 +48,56 @@ type StreamState struct {
 	// materializes it for the export; a restored stream checks its shape
 	// and goes on from Graph.
 	Prev *sparse.CSR
-	// StructUnion is the union pattern the CLUDE USSP container was
-	// built from (nil for BF).
+	// StructUnion is the union pattern the USSP container was built
+	// from.
 	StructUnion *sparse.Pattern
 
 	Stats StreamStats
-}
-
-// checkpointable reports whether a stream of alg can be exported and
-// restored. INC and CINC maintain linked-list factors, which have no
-// checkpoint format: only the static container of BF and CLUDE does.
-func checkpointable(alg Algorithm) error {
-	switch alg {
-	case BF, CLUDE:
-		return nil
-	case INC, CINC:
-		return fmt.Errorf("core: %s streams cannot be checkpointed (only BF and CLUDE keep the static factors a checkpoint holds)", alg)
-	default:
-		return fmt.Errorf("core: unknown streaming algorithm %q", alg)
-	}
 }
 
 // ExportState deep-copies the stream's resumable state under the read
 // lock. The factor container is cloned (it is updated in place by the
 // next batch); everything else is immutable and shared. Exporting
 // costs one factor clone — the same price as a history base pin — and
-// one derivation of the matrix. An INC or CINC stream returns an error.
+// one derivation of the matrix.
 func (s *Stream) ExportState() (*StreamState, error) {
-	if err := checkpointable(s.cfg.Algorithm); err != nil {
-		return nil, err
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.c.solver == nil {
 		return nil, errors.New("core: stream has no published state to export")
 	}
-	st := s.stateLocked()
-	st.Static = s.c.static.Clone().(*lu.StaticFactors)
-	return st, nil
-}
-
-// stateLocked is the export without the factors; s.mu is held.
-func (s *Stream) stateLocked() *StreamState {
-	st := &StreamState{
-		Algorithm:   s.cfg.Algorithm,
+	return &StreamState{
+		Algorithm:   CLUDE,
 		Alpha:       s.cfg.Alpha,
 		Version:     s.version,
 		Seq:         s.seq,
 		Graph:       s.builder.Graph(),
+		Tracker:     s.tracker.State(),
 		Ord:         s.c.ord,
+		Static:      s.c.static.Clone().(*lu.StaticFactors),
 		Prev:        s.current().PermuteInv(s.c.ord, s.c.colInv),
 		StructUnion: s.structUnion,
 		Stats:       s.stats,
-	}
-	if s.tracker != nil {
-		st.Tracker = s.tracker.State()
-	}
-	return st
+	}, nil
 }
 
 // RestoreStream rebuilds a live stream from an exported state. The
-// config must agree with the state on algorithm and (for CLUDE) alpha —
-// factors maintained under one strategy cannot be resumed under
-// another — and must carry the same Derive the original stream used:
-// determinism of the deriver is what makes WAL replay exact. Initial is
-// ignored (the state's graph is the initial state). OnPublish fires
-// once for the restored version before RestoreStream returns, mirroring
-// NewStream's version-0 publish.
+// state must be CLUDE's — factors maintained under another strategy
+// cannot be resumed by this one, so any other algorithm is an error
+// that names it — and the config must agree with it on alpha and carry
+// the same Derive the original stream used: determinism of the deriver
+// is what makes WAL replay exact. Initial is ignored (the state's graph
+// is the initial state). OnPublish fires once for the restored version
+// before RestoreStream returns, mirroring NewStream's version-0
+// publish.
 func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 	if cfg.Derive == nil {
 		return nil, errors.New("core: RestoreStream needs Derive")
 	}
-	if cfg.Algorithm != st.Algorithm {
-		return nil, fmt.Errorf("core: restoring %s state under %s", st.Algorithm, cfg.Algorithm)
+	if st.Algorithm != CLUDE {
+		return nil, fmt.Errorf("core: restoring %s state: a stream maintains CLUDE only", st.Algorithm)
 	}
-	if err := checkpointable(st.Algorithm); err != nil {
-		return nil, err
-	}
-	needsTracker := st.Algorithm == CLUDE
-	if needsTracker && cfg.Alpha != st.Alpha {
+	if cfg.Alpha != st.Alpha {
 		return nil, fmt.Errorf("core: restoring alpha=%v state under alpha=%v", st.Alpha, cfg.Alpha)
 	}
 	if st.Graph == nil {
@@ -139,32 +111,30 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		return nil, errors.New("core: stream state previous matrix missing or mis-sized")
 	}
 	if st.Static == nil {
-		return nil, fmt.Errorf("core: %s state has no static factors", st.Algorithm)
+		return nil, errors.New("core: CLUDE state has no static factors")
 	}
-	if st.Algorithm == CLUDE && st.StructUnion == nil {
+	if st.StructUnion == nil {
 		return nil, errors.New("core: CLUDE state has no structure union")
 	}
 	if st.Static.Dim() != n {
-		return nil, fmt.Errorf("core: %s factors dimension %d for n=%d", st.Algorithm, st.Static.Dim(), n)
+		return nil, fmt.Errorf("core: CLUDE factors dimension %d for n=%d", st.Static.Dim(), n)
+	}
+	if st.Tracker == nil {
+		return nil, errors.New("core: CLUDE state has no tracker")
+	}
+	tr, err := cluster.RestoreTracker(st.Tracker)
+	if err != nil {
+		return nil, err
 	}
 	s := &Stream{
 		cfg:         cfg,
 		version:     st.Version,
 		seq:         st.Seq,
 		builder:     graph.NewBuilderFrom(st.Graph),
+		tracker:     tr,
 		c:           newChain(st.Ord),
 		structUnion: st.StructUnion,
 		stats:       st.Stats,
-	}
-	if needsTracker {
-		if st.Tracker == nil {
-			return nil, fmt.Errorf("core: %s state has no tracker", st.Algorithm)
-		}
-		tr, err := cluster.RestoreTracker(st.Tracker)
-		if err != nil {
-			return nil, err
-		}
-		s.tracker = tr
 	}
 	s.c.static = st.Static
 	s.c.solver = &lu.Solver{F: st.Static, O: st.Ord}

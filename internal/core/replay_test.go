@@ -11,7 +11,7 @@ import (
 // ReplayOptions configures Replay, mirroring the Options fields that
 // make sense for the sequential streaming engine.
 type ReplayOptions struct {
-	// Alpha is the α-clustering threshold for CINC/CLUDE.
+	// Alpha is CLUDE's α-clustering threshold.
 	Alpha float64
 	// OnFactors receives every version in order, i = 0..T-1, with the
 	// same validity contract as Options.OnFactors.
@@ -28,8 +28,8 @@ type ReplayOptions struct {
 // identical code path (the bit-for-bit equivalence property stream_test
 // pins down, and the replay/* golden hashes). OnFactors fires strictly
 // in snapshot order.
-func Replay(egs *graph.EGS, derive graph.Deriver, alg Algorithm, opt ReplayOptions) (StreamStats, error) {
-	cfg := StreamConfig{Algorithm: alg, Alpha: opt.Alpha, Initial: egs.Snapshots[0], Derive: derive}
+func Replay(egs *graph.EGS, derive graph.Deriver, opt ReplayOptions) (StreamStats, error) {
+	cfg := StreamConfig{Alpha: opt.Alpha, Initial: egs.Snapshots[0], Derive: derive}
 	if opt.OnFactors != nil {
 		cfg.OnPublish = func(sv *lu.Solver, rec bennett.VersionRecord) {
 			if opt.RetainFactors {

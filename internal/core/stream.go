@@ -24,9 +24,9 @@ import (
 // reference (freeze-on-publish under a reader/writer lock) instead of
 // deep-cloned, so the update loop never pays an O(nnz) copy per batch.
 //
-//	edge events ──▶ Batcher ──▶ Stream.Apply ──▶ strategy step ──▶ publish
-//	                (grouping)   (graph.Builder,   (Bennett update      (version++,
-//	                              dirty columns)    or cluster restart)  live view)
+//	edge events ──▶ Batcher ──▶ Stream.Apply ──▶ CLUDE step ──▶ publish
+//	                (grouping)   (graph.Builder,   (Bennett update  (version++,
+//	                              dirty columns)    or rebuild)      live view)
 //
 // A batch costs what it changed: the builder reports the edges that
 // really changed, the deriver names the matrix columns they dirty, and
@@ -36,22 +36,17 @@ import (
 // of the builder's graph in the current ordering, which is why a batch
 // whose step fails is taken back whole (graph, tracker, counters).
 //
-// The four strategies are re-expressed online:
-//
-//   - BF re-orders and re-factorizes every version (the baseline).
-//   - INC keeps one dynamic container for the whole stream, ordered by
-//     the initial matrix, advanced by Bennett updates.
-//   - CINC tracks α-cluster membership incrementally (cluster.Tracker);
-//     while a batch's matrix extends the cluster the dynamic container
-//     absorbs the delta, otherwise a fresh cluster opens.
-//   - CLUDE additionally maintains a static USSP container built from
-//     the *running* cluster union. A member whose pattern stays inside
-//     the union at the last (re)build updates in place (Theorem 1
-//     guarantees coverage); a member that grows the union triggers a
-//     structure rebuild from the grown union (counted in
-//     StreamStats.StructRebuilds). This is the online face of CLUDE:
-//     the offline variant orders by the retrospective union of a closed
-//     cluster, which a live engine cannot know.
+// The stream maintains CLUDE in its online form. α-cluster membership
+// is tracked incrementally (cluster.Tracker): a batch whose matrix falls
+// below the threshold opens a fresh cluster. Within a cluster one static
+// USSP container, built from the *running* cluster union, holds the
+// factors. A member whose pattern stays inside the union at the last
+// (re)build updates in place by Bennett (Theorem 1 guarantees
+// coverage); a member that grows the union triggers a structure rebuild
+// from the grown union (counted in StreamStats.StructRebuilds). The
+// offline CLUDE of Run orders by the retrospective union of a closed
+// cluster, which a live engine cannot know. The paper's baselines (BF,
+// INC, CINC) run in Run only.
 
 // ErrStreamClosed reports an Apply on a closed stream.
 var ErrStreamClosed = errors.New("core: stream closed")
@@ -63,9 +58,7 @@ var ErrReplayGap = errors.New("core: replay gap")
 
 // StreamConfig configures a live streaming engine.
 type StreamConfig struct {
-	// Algorithm is the maintenance strategy (BF, INC, CINC or CLUDE).
-	Algorithm Algorithm
-	// Alpha is the α-clustering threshold for CINC/CLUDE.
+	// Alpha is CLUDE's α-clustering threshold, in [0, 1].
 	Alpha float64
 	// Initial is the version-0 graph the stream starts from (required;
 	// use an edgeless graph to start cold).
@@ -175,7 +168,7 @@ type StreamStats struct {
 	Batches       int    `json:"batches"`
 	Events        int    `json:"events"`
 	EventsApplied int    `json:"events_applied"` // events that changed the edge set
-	Clusters      int    `json:"clusters"`       // clusters opened (BF: one per version)
+	Clusters      int    `json:"clusters"`       // clusters opened
 	// StructRebuilds counts CLUDE structure rebuilds forced by cluster
 	// members growing the running union past the current USSP.
 	StructRebuilds int `json:"struct_rebuilds"`
@@ -183,9 +176,7 @@ type StreamStats struct {
 	// updates answered by a full refactorization in the same ordering).
 	Refactorizations int `json:"refactorizations"`
 
-	Bennett          bennett.Stats `json:"-"`
-	DynamicInserts   int           `json:"dynamic_inserts"`
-	DynamicScanSteps int           `json:"dynamic_scan_steps"`
+	Bennett bennett.Stats `json:"-"`
 }
 
 // Stream maintains LU factors of a deriver's matrix over a live edge
@@ -201,10 +192,10 @@ type Stream struct {
 	version uint64
 	seq     uint64 // validated batches consumed (the WAL sequence number)
 	builder *graph.Builder
-	tracker *cluster.Tracker // CINC/CLUDE membership
+	tracker *cluster.Tracker // α-cluster membership
 
-	c           chain           // the current cluster's (BF: version's) factor chain
-	structUnion *sparse.Pattern // CLUDE: union the current USSP was built from
+	c           chain           // the current cluster's factor chain
+	structUnion *sparse.Pattern // union the current USSP was built from
 
 	luWS  lu.Workspace
 	benWS bennett.Workspace
@@ -225,42 +216,31 @@ type Stream struct {
 	stepTerms      []bennett.Rank1Term
 	stepStructural bool
 
-	stats                   StreamStats
-	retiredIns, retiredScan int // counters of retired dynamic containers
+	stats StreamStats
 }
 
 // NewStream factors the initial graph (version 0) and returns a ready
 // stream. Version 0 is published before NewStream returns.
 func NewStream(cfg StreamConfig) (*Stream, error) {
-	switch cfg.Algorithm {
-	case BF, INC, CINC, CLUDE:
-	default:
-		return nil, fmt.Errorf("core: unknown streaming algorithm %q", cfg.Algorithm)
-	}
 	if cfg.Initial == nil || cfg.Derive == nil {
 		return nil, errors.New("core: StreamConfig needs Initial and Derive")
 	}
-	s := &Stream{cfg: cfg, builder: graph.NewBuilderFrom(cfg.Initial)}
-	if cfg.Algorithm == CINC || cfg.Algorithm == CLUDE {
-		if cfg.Alpha < 0 || cfg.Alpha > 1 {
-			return nil, fmt.Errorf("core: alpha %v outside [0,1]", cfg.Alpha)
-		}
-		s.tracker = cluster.NewTracker(cfg.Alpha)
+	if cfg.Alpha < 0 || cfg.Alpha > 1 {
+		return nil, fmt.Errorf("core: alpha %v outside [0,1]", cfg.Alpha)
 	}
+	s := &Stream{cfg: cfg, builder: graph.NewBuilderFrom(cfg.Initial), tracker: cluster.NewTracker(cfg.Alpha)}
 	a := graph.Derive(cfg.Derive, cfg.Initial)
-	if s.tracker != nil {
-		s.tracker.Admit(a.Pattern())
-	}
+	s.tracker.Admit(a.Pattern())
 	s.stats.Clusters = 1
 	if err := s.rebuild(a, a.Pattern()); err != nil {
-		return nil, fmt.Errorf("core: %s initial factorization: %w", cfg.Algorithm, err)
+		return nil, fmt.Errorf("core: CLUDE initial factorization: %w", err)
 	}
 	s.publishLocked()
 	return s, nil
 }
 
 // Apply commits one delta batch: the events advance the live graph, the
-// strategy brings the factors to the new state, and the result is
+// CLUDE step brings the factors to the new state, and the result is
 // published as the next version. A failed batch (malformed events or an
 // unrecoverable factorization error) leaves the version, the graph and
 // every counter but the sequence number unchanged.
@@ -345,27 +325,21 @@ func (s *Stream) applyLocked(events []graph.EdgeEvent, logIt bool) (v uint64, er
 	stage("validate")
 	if logIt && s.cfg.LogBatch != nil {
 		if err := s.cfg.LogBatch(s.seq+1, events); err != nil {
-			return 0, fmt.Errorf("core: %s batch log: %w", s.cfg.Algorithm, err)
+			return 0, fmt.Errorf("core: CLUDE batch log: %w", err)
 		}
 		stage("log")
 	}
 	s.seq++
 	s.lapT0 = t0
 	applied, _ := s.builder.ApplyBatch(events) // already validated
-	stats := s.stats
-	var admitted *cluster.TrackerState
-	if s.tracker != nil {
-		admitted = s.tracker.State()
-	}
+	stats, admitted := s.stats, s.tracker.State()
 	if err := s.step(); err != nil {
 		// Atomic failure: the factors still belong to the graph the batch
 		// started from, so everything else goes back to it. The sequence
 		// number stays consumed — WAL replay meets the same failure.
 		s.builder.Undo()
 		s.stats = stats
-		if s.tracker != nil {
-			s.tracker.Restore(admitted)
-		}
+		s.tracker.Restore(admitted)
 		return 0, err
 	}
 	s.stats.Batches++
@@ -402,18 +376,11 @@ func (s *Stream) lap(part string) {
 // rebuild, a refactorization and an export need whole.
 func (s *Stream) current() *sparse.CSR { return graph.Derive(s.cfg.Derive, s.builder) }
 
-// step routes the batch the builder just applied through the configured
-// strategy.
+// step brings the factors to the batch the builder just applied: a
+// Bennett update inside the current USSP, or a rebuild when the batch
+// opens a cluster or grows the union past the USSP.
 func (s *Stream) step() error {
-	if s.cfg.Algorithm == BF {
-		s.stats.Clusters++
-		cur := s.current()
-		return s.rebuild(cur, cur.Pattern())
-	}
 	d := s.batchDelta()
-	if s.cfg.Algorithm == INC {
-		return s.update(d.entries)
-	}
 	var cur *sparse.CSR // materialized only when the batch opens a cluster
 	member := func() *sparse.Pattern {
 		cur = s.current()
@@ -424,7 +391,7 @@ func (s *Stream) step() error {
 		s.stats.Clusters++
 		return s.rebuild(cur, cur.Pattern())
 	}
-	if s.cfg.Algorithm == CLUDE && !d.addedWithin(s.structUnion) {
+	if !d.addedWithin(s.structUnion) {
 		// The member grew the cluster union past the USSP the static
 		// container was built from (the previous member was inside it, so
 		// the added positions decide): re-derive the ordering from the
@@ -516,8 +483,9 @@ func (d *deltaScratch) addedWithin(p *sparse.Pattern) bool {
 	return true
 }
 
-// rebuild opens a fresh chain for cur: ordering from pat (cur's own
-// pattern, or the running cluster union for CLUDE), the container from
+// rebuild opens a fresh chain for cur: ordering from pat (the running
+// cluster union, which is cur's own pattern when a cluster opens), the
+// container from
 // the structure that ordering's elimination produced, full numeric
 // decomposition, and a fresh Solver (the old one stays valid for
 // retained clones but is never mutated again). Nothing of the stream
@@ -527,18 +495,11 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 	r := order.Markowitz(pat)
 	s.lap(PartOrder)
 	next := newChain(r.Ordering)
-	if err := next.open(r.Symbolic, cur, s.cfg.Algorithm == INC || s.cfg.Algorithm == CINC, &s.luWS); err != nil {
-		return fmt.Errorf("core: %s version %d: %w", s.cfg.Algorithm, s.version+1, err)
+	if err := next.open(r.Symbolic, cur, false, &s.luWS); err != nil {
+		return fmt.Errorf("core: CLUDE version %d: %w", s.version+1, err)
 	}
 	s.stepStructural, s.stepTerms = true, nil
-	if s.cfg.Algorithm == CLUDE {
-		s.structUnion = pat
-	}
-	if s.c.dyn != nil {
-		// Fold the retired lists' restructuring counters into the totals.
-		s.retiredIns += s.c.dyn.Inserts
-		s.retiredScan += s.c.dyn.ScanSteps
-	}
+	s.structUnion = pat
 	s.c = next
 	s.lap(PartFactorize)
 	return nil
@@ -571,9 +532,9 @@ func (s *Stream) update(delta []sparse.Entry) error {
 	// lives in it: refill it from the matrix the batch started from.
 	s.rebased = true
 	if rerr := s.c.refactor(graph.Derive(s.cfg.Derive, s.builder.Before()), &s.luWS); rerr != nil {
-		return fmt.Errorf("core: %s version %d: update %v; refactorization %v; restoring version %d: %w", s.cfg.Algorithm, s.version+1, err, ferr, s.version, rerr)
+		return fmt.Errorf("core: CLUDE version %d: update %v; refactorization %v; restoring version %d: %w", s.version+1, err, ferr, s.version, rerr)
 	}
-	return fmt.Errorf("core: %s version %d: update %v; refactorization %w", s.cfg.Algorithm, s.version+1, err, ferr)
+	return fmt.Errorf("core: CLUDE version %d: update %v; refactorization %w", s.version+1, err, ferr)
 }
 
 // publishLocked fires OnPublish for the current version. Callers hold
@@ -622,14 +583,7 @@ func (s *Stream) N() int { return s.builder.N() }
 func (s *Stream) Stats() StreamStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := s.stats
-	st.DynamicInserts = s.retiredIns
-	st.DynamicScanSteps = s.retiredScan
-	if s.c.dyn != nil {
-		st.DynamicInserts += s.c.dyn.Inserts
-		st.DynamicScanSteps += s.c.dyn.ScanSteps
-	}
-	return st
+	return s.stats
 }
 
 // Close marks the stream closed: further Apply calls fail with

@@ -33,9 +33,8 @@ func TestStreamStageHook(t *testing.T) {
 	counts := map[string]int{}
 	logged := 0
 	s, err := NewStream(StreamConfig{
-		Algorithm: INC,
-		Initial:   initial,
-		Derive:    graph.RWRMatrix(0.85),
+		Initial: initial,
+		Derive:  graph.RWRMatrix(0.85),
 		LogBatch: func(seq uint64, events []graph.EdgeEvent) error {
 			logged++
 			return nil
@@ -107,7 +106,7 @@ func TestStreamApplySplit(t *testing.T) {
 		}
 	}
 	s, err := NewStream(StreamConfig{
-		Algorithm: CLUDE, Alpha: 0.5, Initial: initial,
+		Alpha: 0.5, Initial: initial,
 		Derive: sentinelDeriver{graph.RWRMatrix(0.85), sentinel, gate},
 		OnBatch: func(bt BatchTrace) {
 			// The parts split the apply stage: list them in its place, or
@@ -159,7 +158,7 @@ func TestStreamApplySplit(t *testing.T) {
 // version 0 inside NewStream and for the restored version inside
 // RestoreStream, then once per published version, under the write lock,
 // with rec.Version equal to the version Apply (or ReplayBatch) goes on
-// to return; a batch that fails — at validation or in its strategy step —
+// to return; a batch that fails — at validation or in its CLUDE step —
 // and a replayed record the state already covers fire nothing.
 func TestStreamPublishHook(t *testing.T) {
 	initial, batches := randomEventStream(xrand.New(61), 60, 3, 8)
@@ -200,7 +199,7 @@ func TestStreamPublishHook(t *testing.T) {
 	var s *Stream
 	var recs []bennett.VersionRecord
 	cfg := StreamConfig{
-		Algorithm: CLUDE, Alpha: 0.5, Initial: initial,
+		Alpha: 0.5, Initial: initial,
 		Derive:    sentinelDeriver{graph.RWRMatrix(0.85), fresh, gate},
 		OnPublish: hook(&s, &recs),
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -60,25 +59,25 @@ func materialize(t *testing.T, initial *graph.Graph, batches [][]graph.EdgeEvent
 
 // captureStream runs a direct stream over the batches, retaining a
 // clone of every published version.
-func captureStream(t *testing.T, alg Algorithm, alpha float64, initial *graph.Graph, d graph.Deriver, batches [][]graph.EdgeEvent) []*lu.Solver {
+func captureStream(t *testing.T, alpha float64, initial *graph.Graph, d graph.Deriver, batches [][]graph.EdgeEvent) []*lu.Solver {
 	t.Helper()
 	var got []*lu.Solver
 	s, err := NewStream(StreamConfig{
-		Algorithm: alg, Alpha: alpha, Initial: initial, Derive: d,
+		Alpha: alpha, Initial: initial, Derive: d,
 		OnPublish: func(sv *lu.Solver, rec bennett.VersionRecord) {
 			if int(rec.Version) != len(got) {
-				t.Errorf("%s: version %d published out of order (have %d)", alg, rec.Version, len(got))
+				t.Errorf("version %d published out of order (have %d)", rec.Version, len(got))
 			}
 			got = append(got, sv.Clone())
 		},
 	})
 	if err != nil {
-		t.Fatalf("%s: %v", alg, err)
+		t.Fatal(err)
 	}
 	defer s.Close()
 	for i, evs := range batches {
 		if _, err := s.Apply(evs); err != nil {
-			t.Fatalf("%s: batch %d: %v", alg, i, err)
+			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
 	return got
@@ -136,105 +135,47 @@ func expectSameStatic(t *testing.T, label string, a, b *lu.Solver) {
 }
 
 // TestStreamReplayEquivalence is the headline property of the refactor:
-// streaming N delta batches produces, for every version and all four
-// strategies, factors bit-identical to running the offline sequence
-// pipeline (Replay over the materialized snapshots) — the live feed and
-// the snapshot adapter are the same computation.
+// streaming N delta batches produces, for every version, factors
+// bit-identical to running the offline sequence pipeline (Replay over
+// the materialized snapshots) — the live feed and the snapshot adapter
+// are the same computation.
 func TestStreamReplayEquivalence(t *testing.T) {
 	rng := xrand.New(17)
 	initial, batches := randomEventStream(rng, 100, 14, 12)
 	egs := materialize(t, initial, batches)
 	d := graph.RWRMatrix(0.85)
 
-	for _, alg := range []Algorithm{BF, INC, CINC, CLUDE} {
-		streamed := captureStream(t, alg, 0.9, initial, d, batches)
+	streamed := captureStream(t, 0.9, initial, d, batches)
 
-		offline := make([]*lu.Solver, 0, egs.Len())
-		if _, err := Replay(egs, d, alg, ReplayOptions{
-			Alpha: 0.9, RetainFactors: true,
-			OnFactors: func(i int, s *lu.Solver) {
-				if i != len(offline) {
-					t.Errorf("%s: replay emitted %d out of order", alg, i)
-				}
-				offline = append(offline, s)
-			},
-		}); err != nil {
-			t.Fatalf("%s replay: %v", alg, err)
-		}
-
-		if len(streamed) != egs.Len() || len(offline) != egs.Len() {
-			t.Fatalf("%s: %d streamed / %d replayed versions, want %d", alg, len(streamed), len(offline), egs.Len())
-		}
-		cmp := xrand.New(5)
-		for v := range streamed {
-			label := string(alg) + " version " + itoa(v)
-			expectSameStatic(t, label, streamed[v], offline[v])
-			expectSameSolve(t, label, streamed[v], offline[v], cmp)
-		}
+	offline := make([]*lu.Solver, 0, egs.Len())
+	if _, err := Replay(egs, d, ReplayOptions{
+		Alpha: 0.9, RetainFactors: true,
+		OnFactors: func(i int, s *lu.Solver) {
+			if i != len(offline) {
+				t.Errorf("replay emitted %d out of order", i)
+			}
+			offline = append(offline, s)
+		},
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
-}
 
-// TestStreamMatchesOfflineEngine cross-checks the streaming engine
-// against the original cluster-parallel pipeline: for the strategies
-// whose offline form is already online-computable (BF's per-matrix
-// restart, INC's single chain, CINC's greedy α-clusters + dynamic
-// container) the published factors must be bit-identical to core.Run's
-// retained emissions. CLUDE is excluded by design — its offline
-// ordering uses the retrospective cluster union, which no live engine
-// can know — and is covered by the replay equivalence plus the residual
-// check below.
-func TestStreamMatchesOfflineEngine(t *testing.T) {
-	initial, batches := randomEventStream(xrand.New(23), 90, 10, 10)
-	expectStreamMatchesRun(t, initial, batches, 0.9, 7)
-}
-
-// FuzzStreamMatchesRun is TestStreamMatchesOfflineEngine over generated
-// streams (n ≤ 40, ≤ 8 batches of ≤ 16 events, any α): a Stream fed the
-// batches and a Run over the materialized sequence hold the same factor
-// chains.
-func FuzzStreamMatchesRun(f *testing.F) {
-	f.Add(uint64(23), uint8(30), uint8(7), uint8(10), uint8(90))
-	f.Add(uint64(1), uint8(3), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(77), uint8(38), uint8(7), uint8(15), uint8(100))
-	f.Fuzz(func(t *testing.T, seed uint64, n, batches, perBatch, alpha uint8) {
-		initial, evs := randomEventStream(xrand.New(seed), 2+int(n)%39, 1+int(batches)%8, 1+int(perBatch)%16)
-		expectStreamMatchesRun(t, initial, evs, float64(alpha%101)/100, seed)
-	})
-}
-
-// expectStreamMatchesRun holds, for BF, INC and CINC, every version a
-// Stream publishes over the batches against Run's snapshot of the
-// materialized sequence: their solves of random right-hand sides (drawn
-// from cmpSeed) must agree bit for bit.
-func expectStreamMatchesRun(t *testing.T, initial *graph.Graph, batches [][]graph.EdgeEvent, alpha float64, cmpSeed uint64) {
-	t.Helper()
-	d := graph.RWRMatrix(0.85)
-	ems := graph.DeriveEMS(materialize(t, initial, batches), d)
-	for _, alg := range []Algorithm{BF, INC, CINC} {
-		streamed := captureStream(t, alg, alpha, initial, d, batches)
-
-		retained := make([]*lu.Solver, ems.Len())
-		if _, err := Run(ems, alg, Options{
-			Alpha:     alpha,
-			OnFactors: func(i int, s *lu.Solver) { retained[i] = s.Clone() },
-		}); err != nil {
-			t.Fatalf("%s run: %v", alg, err)
-		}
-		if len(streamed) != ems.Len() {
-			t.Fatalf("%s: %d versions streamed, want %d", alg, len(streamed), ems.Len())
-		}
-
-		cmp := xrand.New(cmpSeed)
-		for v := range streamed {
-			expectSameSolve(t, string(alg)+" vs offline, version "+itoa(v), streamed[v], retained[v], cmp)
-		}
+	if len(streamed) != egs.Len() || len(offline) != egs.Len() {
+		t.Fatalf("%d streamed / %d replayed versions, want %d", len(streamed), len(offline), egs.Len())
+	}
+	cmp := xrand.New(5)
+	for v := range streamed {
+		label := "version " + itoa(v)
+		expectSameStatic(t, label, streamed[v], offline[v])
+		expectSameSolve(t, label, streamed[v], offline[v], cmp)
 	}
 }
 
 // TestStreamCLUDEFactorsCorrect holds every streamed CLUDE version
 // against its own matrix: the published factors must solve A_v·x = b.
-// (The orderings legitimately differ from offline CLUDE's; correctness
-// of the factorization is what must survive USSP growth and rebuilds.)
+// (The orderings legitimately differ from offline CLUDE's, which orders
+// a cluster by its retrospective union; correctness of the
+// factorization is what must survive USSP growth and rebuilds.)
 func TestStreamCLUDEFactorsCorrect(t *testing.T) {
 	rng := xrand.New(31)
 	initial, batches := randomEventStream(rng, 80, 12, 14)
@@ -242,7 +183,7 @@ func TestStreamCLUDEFactorsCorrect(t *testing.T) {
 	d := graph.RWRMatrix(0.85)
 	ems := graph.DeriveEMS(egs, d)
 
-	streamed := captureStream(t, CLUDE, 0.9, initial, d, batches)
+	streamed := captureStream(t, 0.9, initial, d, batches)
 	n := ems.N()
 	b := make([]float64, n)
 	for i := range b {
@@ -262,7 +203,7 @@ func TestStreamCLUDEFactorsCorrect(t *testing.T) {
 func TestStreamStatsAndLifecycle(t *testing.T) {
 	rng := xrand.New(41)
 	initial, batches := randomEventStream(rng, 60, 6, 8)
-	s, err := NewStream(StreamConfig{Algorithm: CINC, Alpha: 0.9, Initial: initial, Derive: graph.RWRMatrix(0.85)})
+	s, err := NewStream(StreamConfig{Alpha: 0.9, Initial: initial, Derive: graph.RWRMatrix(0.85)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,57 +239,11 @@ func TestStreamStatsAndLifecycle(t *testing.T) {
 	}
 
 	// Config validation.
-	if _, err := NewStream(StreamConfig{Algorithm: "nope", Initial: initial, Derive: graph.RWRMatrix(0.85)}); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if _, err := NewStream(StreamConfig{Algorithm: INC}); err == nil {
+	if _, err := NewStream(StreamConfig{}); err == nil {
 		t.Fatal("missing Initial/Derive accepted")
 	}
-	if _, err := NewStream(StreamConfig{Algorithm: CLUDE, Alpha: 2, Initial: initial, Derive: graph.RWRMatrix(0.85)}); err == nil {
+	if _, err := NewStream(StreamConfig{Alpha: 2, Initial: initial, Derive: graph.RWRMatrix(0.85)}); err == nil {
 		t.Fatal("alpha out of range accepted")
-	}
-}
-
-// TestExportStateRefusesListFactors: an INC or CINC stream keeps
-// linked-list factors, which have no checkpoint format, so ExportState
-// errors naming the algorithm, and RestoreStream refuses a state that
-// claims one; a CLUDE stream exports and restores.
-func TestExportStateRefusesListFactors(t *testing.T) {
-	rng := xrand.New(43)
-	initial, batches := randomEventStream(rng, 30, 2, 6)
-	cfg := StreamConfig{Alpha: 0.9, Initial: initial, Derive: graph.RWRMatrix(0.85)}
-	for _, alg := range []Algorithm{INC, CINC} {
-		cfg.Algorithm = alg
-		s, err := NewStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Apply(batches[0]); err != nil {
-			t.Fatal(err)
-		}
-		if st, err := s.ExportState(); err == nil || !strings.Contains(err.Error(), string(alg)) {
-			t.Errorf("%s: ExportState returned %v, %v; want an error naming %s", alg, st, err, alg)
-		}
-		s.Close()
-	}
-	cfg.Algorithm = CLUDE
-	s, err := NewStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	st, err := s.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, err := RestoreStream(cfg, st); err != nil {
-		t.Fatalf("CLUDE state: %v", err)
-	} else {
-		r.Close()
-	}
-	st.Algorithm, cfg.Algorithm = INC, INC
-	if _, err := RestoreStream(cfg, st); err == nil || !strings.Contains(err.Error(), "INC") {
-		t.Errorf("RestoreStream of an INC state: %v, want an error naming INC", err)
 	}
 }
 
@@ -357,7 +252,7 @@ func TestExportStateRefusesListFactors(t *testing.T) {
 func TestBatcherGroupsAndDrains(t *testing.T) {
 	rng := xrand.New(53)
 	initial, batches := randomEventStream(rng, 50, 4, 10)
-	s, err := NewStream(StreamConfig{Algorithm: INC, Initial: initial, Derive: graph.RWRMatrix(0.85)})
+	s, err := NewStream(StreamConfig{Initial: initial, Derive: graph.RWRMatrix(0.85)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +298,7 @@ func TestBatcherGroupsAndDrains(t *testing.T) {
 func TestBatcherLingerFlush(t *testing.T) {
 	rng := xrand.New(61)
 	initial, _ := randomEventStream(rng, 40, 1, 1)
-	s, err := NewStream(StreamConfig{Algorithm: INC, Initial: initial, Derive: graph.RWRMatrix(0.85)})
+	s, err := NewStream(StreamConfig{Initial: initial, Derive: graph.RWRMatrix(0.85)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,8 @@ func ExampleEngine_AttachLive() {
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
 	})
 	stream, err := core.NewStream(core.StreamConfig{
-		Algorithm: core.INC,
-		Initial:   g0,
-		Derive:    graph.RWRMatrix(0.85),
+		Initial: g0,
+		Derive:  graph.RWRMatrix(0.85),
 	})
 	if err != nil {
 		panic(err)
@@ -39,7 +38,7 @@ func ExampleEngine_AttachLive() {
 	fmt.Printf("version %d live=%v top-2 from node 0: %v\n", resp.Version, resp.Live, resp.Nodes)
 
 	// One committed batch later, the same query sees the new graph.
-	if _, err := stream.Apply([]graph.EdgeEvent{{From: 0, To: 4, Op: graph.EdgeInsert}}); err != nil {
+	if _, err := stream.Apply([]graph.EdgeEvent{{From: 0, To: 3, Op: graph.EdgeInsert}}); err != nil {
 		panic(err)
 	}
 	resp, err = eng.Query(context.Background(), q)
@@ -50,5 +49,5 @@ func ExampleEngine_AttachLive() {
 
 	// Output:
 	// version 0 live=true top-2 from node 0: [1 0]
-	// version 1 live=true top-2 from node 0: [0 1]
+	// version 1 live=true top-2 from node 0: [0 3]
 }

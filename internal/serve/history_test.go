@@ -17,11 +17,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// historyStream drives a random event stream of the given strategy
-// into eng's history hook, retaining an independent reference clone of
+// historyStream drives a random event stream into eng's history hook, retaining an independent reference clone of
 // every published version. It returns the final version (all batches
 // applied, stream closed).
-func historyStream(t *testing.T, alg core.Algorithm, eng *Engine, nBatches int) (map[uint64]*lu.Solver, uint64) {
+func historyStream(t *testing.T, eng *Engine, nBatches int) (map[uint64]*lu.Solver, uint64) {
 	t.Helper()
 	rng := xrand.New(99)
 	n := 90
@@ -32,7 +31,7 @@ func historyStream(t *testing.T, alg core.Algorithm, eng *Engine, nBatches int) 
 	ref := make(map[uint64]*lu.Solver)
 	record := eng.HistoryHook()
 	s, err := core.NewStream(core.StreamConfig{
-		Algorithm: alg, Alpha: 0.9,
+		Alpha:   0.9,
 		Initial: graph.New(n, true, es),
 		Derive:  graph.RWRMatrix(testDamping),
 		OnPublish: func(sv *lu.Solver, rec bennett.VersionRecord) {
@@ -45,8 +44,8 @@ func historyStream(t *testing.T, alg core.Algorithm, eng *Engine, nBatches int) 
 	}
 	defer s.Close()
 	// Events toggle edges from the initial pool, so the pattern stays
-	// inside the cluster union: CLUDE (and CINC) take the Bennett path
-	// and publish replayable non-structural versions, which is what the
+	// inside the cluster union: CLUDE takes the Bennett path and
+	// publishes replayable non-structural versions, which is what the
 	// history layer exists to compress.
 	for b := 0; b < nBatches; b++ {
 		evs := make([]graph.EdgeEvent, 8)
@@ -67,55 +66,52 @@ func historyStream(t *testing.T, alg core.Algorithm, eng *Engine, nBatches int) 
 
 // TestHistoryServesEveryVersionBitIdentical is the tentpole's
 // acceptance gate at the serving layer: with base+delta retention
-// (HistoryBase=4) every published version of every strategy stays
+// (HistoryBase=4) every published version of the CLUDE stream stays
 // queryable, and each answer is bit-identical to a cold solve of a
 // full clone taken when the version was published.
 func TestHistoryServesEveryVersionBitIdentical(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
-		t.Run(string(alg), func(t *testing.T) {
-			eng := New(Config{Workers: 2, HistoryBase: 4, Damping: testDamping})
-			defer eng.Close()
-			ref, last := historyStream(t, alg, eng, 20)
-			for v := uint64(0); v <= last; v++ {
-				rs, ok := ref[v]
-				if !ok {
-					t.Fatalf("no reference clone for version %d", v)
+	t.Run("CLUDE", func(t *testing.T) {
+		eng := New(Config{Workers: 2, HistoryBase: 4, Damping: testDamping})
+		defer eng.Close()
+		ref, last := historyStream(t, eng, 20)
+		for v := uint64(0); v <= last; v++ {
+			rs, ok := ref[v]
+			if !ok {
+				t.Fatalf("no reference clone for version %d", v)
+			}
+			for _, q := range []Query{
+				{Snapshot: int(v), Measure: MeasureRWR, Source: int(v) % 17},
+				{Snapshot: int(v), Measure: MeasureTopK, Source: 3, K: 5},
+			} {
+				resp, err := eng.Query(context.Background(), q)
+				if err != nil {
+					t.Fatalf("version %d %s: %v", v, q.Measure, err)
 				}
-				for _, q := range []Query{
-					{Snapshot: int(v), Measure: MeasureRWR, Source: int(v) % 17},
-					{Snapshot: int(v), Measure: MeasureTopK, Source: 3, K: 5},
-				} {
-					resp, err := eng.Query(context.Background(), q)
-					if err != nil {
-						t.Fatalf("version %d %s: %v", v, q.Measure, err)
-					}
-					_, want := coldAnswer(q, rs)
-					if !reflect.DeepEqual(want, resp.Scores) {
-						t.Errorf("version %d %s: history answer differs from cold solve", v, q.Measure)
-					}
+				_, want := coldAnswer(q, rs)
+				if !reflect.DeepEqual(want, resp.Scores) {
+					t.Errorf("version %d %s: history answer differs from cold solve", v, q.Measure)
 				}
 			}
-			st := eng.Stats()
-			if !st.HistoryEnabled {
-				t.Error("stats say history disabled")
-			}
-			if st.HistoryBasePins == 0 {
-				t.Error("no base pins recorded")
-			}
-			// Incremental strategies publish non-structural versions, so
-			// some must have been materialized by replay. (BF rebuilds
-			// every batch: every version is a base, nothing to replay.)
-			if alg != core.BF && st.HistoryMaterializations == 0 {
-				t.Error("no materializations despite non-base versions")
-			}
-			if st.HistoryRequests < st.HistoryMaterializations {
-				t.Errorf("requests %d < materializations %d", st.HistoryRequests, st.HistoryMaterializations)
-			}
-			if st.HistoryVersions == 0 || st.HistoryLogBytes == 0 {
-				t.Errorf("empty history log: versions=%d bytes=%d", st.HistoryVersions, st.HistoryLogBytes)
-			}
-		})
-	}
+		}
+		st := eng.Stats()
+		if !st.HistoryEnabled {
+			t.Error("stats say history disabled")
+		}
+		if st.HistoryBasePins == 0 {
+			t.Error("no base pins recorded")
+		}
+		// The stream publishes non-structural versions, so some must have
+		// been materialized by replay.
+		if st.HistoryMaterializations == 0 {
+			t.Error("no materializations despite non-base versions")
+		}
+		if st.HistoryRequests < st.HistoryMaterializations {
+			t.Errorf("requests %d < materializations %d", st.HistoryRequests, st.HistoryMaterializations)
+		}
+		if st.HistoryVersions == 0 || st.HistoryLogBytes == 0 {
+			t.Errorf("empty history log: versions=%d bytes=%d", st.HistoryVersions, st.HistoryLogBytes)
+		}
+	})
 }
 
 // TestHistorySpilledBaseReload is the spill+history interaction
@@ -128,7 +124,7 @@ func TestHistorySpilledBaseReload(t *testing.T) {
 	dir := t.TempDir()
 	eng := New(Config{Workers: 1, HistoryBase: 4, MaxSnapshots: 2, SpillDir: dir, Damping: testDamping})
 	defer eng.Close()
-	ref, last := historyStream(t, core.CLUDE, eng, 24)
+	ref, last := historyStream(t, eng, 24)
 
 	// Find a non-base version whose base is no longer pinned in RAM.
 	pinned := make(map[int]bool)
@@ -176,7 +172,7 @@ func TestHistorySpilledBaseReload(t *testing.T) {
 func TestHistoryMaterializationSingleFlight(t *testing.T) {
 	eng := New(Config{Workers: 4, HistoryBase: 8, Damping: testDamping})
 	defer eng.Close()
-	ref, last := historyStream(t, core.CLUDE, eng, 16)
+	ref, last := historyStream(t, eng, 16)
 
 	pinned := make(map[int]bool)
 	for _, s := range eng.Snapshots() {
@@ -237,7 +233,7 @@ func TestHistoryMaterializationSingleFlight(t *testing.T) {
 func TestHistoryBudgetEviction(t *testing.T) {
 	eng := New(Config{Workers: 1, HistoryBase: 8, HistoryBudgetBytes: 1, Damping: testDamping})
 	defer eng.Close()
-	ref, last := historyStream(t, core.CLUDE, eng, 16)
+	ref, last := historyStream(t, eng, 16)
 
 	pinned := make(map[int]bool)
 	for _, s := range eng.Snapshots() {
@@ -283,7 +279,7 @@ func TestHistoryBudgetEviction(t *testing.T) {
 func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
 	eng := New(Config{Workers: 1, HistoryBase: 8, Damping: testDamping})
 	defer eng.Close()
-	_, last := historyStream(t, core.CLUDE, eng, 24)
+	_, last := historyStream(t, eng, 24)
 
 	pinned := make(map[int]bool)
 	for _, s := range eng.Snapshots() {
@@ -331,7 +327,7 @@ func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
 	// resident, and with it — being the last of its base — the structure.
 	tight := New(Config{Workers: 1, HistoryBase: 8, HistoryBudgetBytes: 1, Damping: testDamping})
 	defer tight.Close()
-	historyStream(t, core.CLUDE, tight, 24) // the same seeded stream, so the same versions
+	historyStream(t, tight, 24) // the same seeded stream, so the same versions
 	for _, v := range served {
 		if _, err := tight.Query(context.Background(), Query{Snapshot: int(v), Measure: MeasureRWR, Source: 2}); err != nil {
 			t.Fatalf("tight budget, version %d: %v", v, err)
@@ -353,7 +349,7 @@ func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
 func TestHistoryVersionsListing(t *testing.T) {
 	eng := New(Config{Workers: 1, HistoryBase: 4, Damping: testDamping})
 	defer eng.Close()
-	_, last := historyStream(t, core.CLUDE, eng, 12)
+	_, last := historyStream(t, eng, 12)
 
 	infos := eng.HistoryVersions()
 	if len(infos) == 0 {
@@ -398,7 +394,7 @@ func TestHistoryVersionsListing(t *testing.T) {
 func TestHistoryEvictedResidentStaysValid(t *testing.T) {
 	eng := New(Config{Workers: 1, HistoryBase: 8, HistoryBudgetBytes: 1, Damping: testDamping})
 	defer eng.Close()
-	ref, last := historyStream(t, core.CLUDE, eng, 16)
+	ref, last := historyStream(t, eng, 16)
 
 	pinned := make(map[int]bool)
 	for _, s := range eng.Snapshots() {
@@ -456,7 +452,7 @@ func TestHistoryLogTrimsWithBaseRetention(t *testing.T) {
 		}
 		floorMu.Unlock()
 	})
-	_, last := historyStream(t, core.CLUDE, eng, 32)
+	_, last := historyStream(t, eng, 32)
 
 	lo, hi, ok := eng.HistoryLog().Bounds()
 	if !ok {
@@ -529,7 +525,7 @@ func TestHistorySpilledVersionDirectReload(t *testing.T) {
 	dir := t.TempDir()
 	eng := New(Config{Workers: 1, HistoryBase: 4, MaxSnapshots: 2, SpillDir: dir, Damping: testDamping})
 	defer eng.Close()
-	ref, last := historyStream(t, core.CLUDE, eng, 24)
+	ref, last := historyStream(t, eng, 24)
 	waitSpilled(t, eng, 1)
 
 	pinned := make(map[int]bool)

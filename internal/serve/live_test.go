@@ -14,10 +14,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// liveStreamAlg builds a small random event stream and a streaming
-// engine of the given strategy over it (not yet advanced past
-// version 0).
-func liveStreamAlg(t *testing.T, alg core.Algorithm, nBatches int, onPublish func(*lu.Solver, bennett.VersionRecord)) (*core.Stream, [][]graph.EdgeEvent) {
+// liveStreamN builds a small random event stream and a streaming
+// engine over it (not yet advanced past version 0). Without toggle the
+// events draw fresh edges, which grow the cluster union and force
+// structure rebuilds; with toggle they only delete and re-insert edges
+// of the initial graph, so the pattern stays inside the union and the
+// versions are Bennett updates.
+func liveStreamN(t *testing.T, nBatches int, toggle bool, onPublish func(*lu.Solver, bennett.VersionRecord)) (*core.Stream, [][]graph.EdgeEvent) {
 	t.Helper()
 	rng := xrand.New(77)
 	n := 120
@@ -34,12 +37,17 @@ func liveStreamAlg(t *testing.T, alg core.Algorithm, nBatches int, onPublish fun
 			if rng.Intn(10) < 3 {
 				op = graph.EdgeDelete
 			}
-			evs[k] = graph.EdgeEvent{From: rng.Intn(n), To: rng.Intn(n), Op: op}
+			from, to := rng.Intn(n), rng.Intn(n)
+			if toggle {
+				e := es[rng.Intn(len(es))]
+				from, to = e.From, e.To
+			}
+			evs[k] = graph.EdgeEvent{From: from, To: to, Op: op}
 		}
 		batches[b] = evs
 	}
 	s, err := core.NewStream(core.StreamConfig{
-		Algorithm: alg, Alpha: 0.9,
+		Alpha:   0.9,
 		Initial: initial, Derive: graph.RWRMatrix(testDamping),
 		OnPublish: onPublish,
 	})
@@ -49,27 +57,27 @@ func liveStreamAlg(t *testing.T, alg core.Algorithm, nBatches int, onPublish fun
 	return s, batches
 }
 
-// liveStream is liveStreamAlg with the CLUDE default most tests use.
+// liveStream is liveStreamN with the growth stream most tests use.
 func liveStream(t *testing.T, onPublish func(*lu.Solver, bennett.VersionRecord)) (*core.Stream, [][]graph.EdgeEvent) {
 	t.Helper()
-	return liveStreamAlg(t, core.CLUDE, 24, onPublish)
+	return liveStreamN(t, 24, false, onPublish)
 }
 
 // TestLiveServingDuringIngestion is the streaming serve stress test,
-// run for every maintenance strategy: query workers hammer the latest
-// state while batches commit concurrently. Every answer must be
+// run over a growth stream (every version a fresh solver) and a toggle
+// stream (the factors updated in place): query workers hammer the
+// latest state while batches commit concurrently. Every answer must be
 // internally consistent (computed from exactly one published version),
 // and after ingestion quiesces the engine's answers must be
 // bit-identical to a cold solve of the final factors. Run under -race
 // this also proves the publish-lock protocol.
 func TestLiveServingDuringIngestion(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
-		t.Run(string(alg), func(t *testing.T) { liveServingStress(t, alg) })
-	}
+	t.Run("growth", func(t *testing.T) { liveServingStress(t, false) })
+	t.Run("toggle", func(t *testing.T) { liveServingStress(t, true) })
 }
 
-func liveServingStress(t *testing.T, alg core.Algorithm) {
-	stream, batches := liveStreamAlg(t, alg, 12, nil)
+func liveServingStress(t *testing.T, toggle bool) {
+	stream, batches := liveStreamN(t, 12, toggle, nil)
 	defer stream.Close()
 	eng := New(Config{Workers: 4, CacheSize: 256, Damping: testDamping})
 	defer eng.Close()
@@ -203,10 +211,10 @@ func TestLiveCheckpointsFeedPinnedStore(t *testing.T) {
 	const every = 6
 	eng := New(Config{Workers: 2, CacheSize: 64, Damping: testDamping, HistoryBase: every})
 	defer eng.Close()
-	// INC keeps one container for the whole stream, so the versions
-	// between bases are Bennett deltas (CLUDE would rebuild on this
-	// stream's fresh edges and pin every version as a structural base).
-	stream, batches := liveStreamAlg(t, core.INC, 24, eng.HistoryHook())
+	// The toggle stream stays inside the cluster union, so the versions
+	// between bases are Bennett deltas (the growth stream's fresh edges
+	// would rebuild and pin every version as a structural base).
+	stream, batches := liveStreamN(t, 24, true, eng.HistoryHook())
 	defer stream.Close()
 	eng.AttachLive(stream)
 

@@ -221,7 +221,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 	}
 
 	cfg := core.StreamConfig{
-		Algorithm: core.CLUDE, Alpha: 0.9,
+		Alpha:   0.9,
 		Initial: graph.New(6, false, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 3, To: 4}}),
 		Derive:  graph.RWRMatrix(testDamping),
 	}

@@ -14,24 +14,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the 1-norm (sum of absolute values) of x.
-func Norm1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // NormInfDiff returns max_i |a[i] − b[i]|, the usual convergence and
 // accuracy metric for iterative solvers and factor-update tests.
 func NormInfDiff(a, b []float64) float64 {

@@ -46,22 +46,21 @@ func randomBatches(n, batchCount, batchSize int, rng *xrand.Rand) [][]graph.Edge
 	return out
 }
 
-// streamAfter runs a stream of the given algorithm over the batches and
-// returns it (caller closes).
-func streamAfter(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.Stream {
+// streamAfter runs a stream over the batches and returns it (caller
+// closes).
+func streamAfter(t testing.TB, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.Stream {
 	t.Helper()
 	s, err := core.NewStream(core.StreamConfig{
-		Algorithm: alg,
-		Alpha:     0.9,
-		Initial:   g0,
-		Derive:    graph.RWRMatrix(0.85),
+		Alpha:   0.9,
+		Initial: g0,
+		Derive:  graph.RWRMatrix(0.85),
 	})
 	if err != nil {
-		t.Fatalf("%s: NewStream: %v", alg, err)
+		t.Fatalf("NewStream: %v", err)
 	}
 	for i, evs := range batches {
 		if _, err := s.Apply(evs); err != nil {
-			t.Fatalf("%s: batch %d: %v", alg, i, err)
+			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
 	return s
@@ -77,27 +76,67 @@ func encodeSolver(t testing.TB, s *lu.Solver) []byte {
 	return buf.Bytes()
 }
 
-// liveSolver runs a stream of alg over the batches and returns an
-// independent clone of its final solver.
-func liveSolver(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) *lu.Solver {
+// liveSolver runs a stream over the batches and returns an independent
+// clone of its final solver.
+func liveSolver(t testing.TB, g0 *graph.Graph, batches [][]graph.EdgeEvent) *lu.Solver {
 	t.Helper()
-	s := streamAfter(t, alg, g0, batches)
+	s := streamAfter(t, g0, batches)
 	defer s.Close()
 	var sv *lu.Solver
 	s.View(func(_ uint64, live *lu.Solver) { sv = live.Clone() })
 	return sv
 }
 
+// runSolver runs core.Run's alg over g0 and the graphs the batches lead
+// to, and returns an independent clone of the last one's solver.
+func runSolver(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) *lu.Solver {
+	t.Helper()
+	snaps := []*graph.Graph{g0}
+	b := graph.NewBuilderFrom(g0)
+	for _, evs := range batches {
+		if _, err := b.ApplyBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, b.Graph())
+	}
+	egs, err := graph.NewEGS(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sv *lu.Solver
+	if _, err := core.Run(graph.DeriveEMS(egs, graph.RWRMatrix(0.85)), alg, core.Options{
+		Alpha: 0.9, Workers: 1,
+		OnFactors: func(i int, s *lu.Solver) {
+			if i == egs.Len()-1 {
+				sv = s.Clone()
+			}
+		},
+	}); err != nil {
+		t.Fatalf("%s: %v", alg, err)
+	}
+	return sv
+}
+
+// bfCheckpoint is st in the form a BF stream checkpointed before the
+// stream became CLUDE-only: the static factors with no tracker and no
+// structure union. The codec still reads it, so that recovery can
+// refuse it by name.
+func bfCheckpoint(st *core.StreamState) *core.StreamState {
+	bf := *st
+	bf.Algorithm, bf.Tracker, bf.StructUnion = core.BF, nil, nil
+	return &bf
+}
+
 // TestFactorsRoundTripAcrossStrategies: WriteSolver → ReadSolver
-// round-trips bit-identically the static factors both checkpointing
-// strategies (BF, CLUDE) hold after a randomized Bennett update
-// sequence, and refuses INC/CINC's linked lists, which have no format.
+// round-trips bit-identically the static factors BF's and CLUDE's runs
+// hold after a randomized Bennett update sequence, and refuses
+// INC/CINC's linked lists, which have no format.
 func TestFactorsRoundTripAcrossStrategies(t *testing.T) {
 	rng := xrand.New(41)
 	g0 := randomGraph(36, 40, rng)
 	batches := randomBatches(36, 8, 6, rng)
 	for _, alg := range []core.Algorithm{core.BF, core.INC, core.CINC, core.CLUDE} {
-		sv := liveSolver(t, alg, g0, batches)
+		sv := runSolver(t, alg, g0, batches)
 		var buf bytes.Buffer
 		err := WriteSolver(&buf, sv)
 		if alg == core.INC || alg == core.CINC {
@@ -122,7 +161,7 @@ func TestFactorsRoundTripAcrossStrategies(t *testing.T) {
 func TestFactorsCorruptionDetected(t *testing.T) {
 	rng := xrand.New(7)
 	g0 := randomGraph(24, 30, rng)
-	data := encodeSolver(t, liveSolver(t, core.CLUDE, g0, nil))
+	data := encodeSolver(t, liveSolver(t, g0, nil))
 	// Flip one byte in the middle: either a structural failure or the
 	// checksum must catch it — silence is the only wrong answer.
 	data[len(data)/2] ^= 0x40
@@ -204,16 +243,20 @@ func stateFactorKindAt(t testing.TB, st *core.StreamState) int {
 func TestSolverRoundTripSolvesIdentically(t *testing.T) {
 	rng := xrand.New(13)
 	g0 := randomGraph(30, 35, rng)
-	for _, alg := range []core.Algorithm{core.CLUDE, core.BF} {
-		want := liveSolver(t, alg, g0, randomBatches(30, 4, 5, rng))
-		sv, err := ReadSolver(bytes.NewReader(encodeSolver(t, want)))
+	live := liveSolver(t, g0, randomBatches(30, 4, 5, rng))
+	bf := runSolver(t, core.BF, g0, randomBatches(30, 4, 5, rng))
+	for _, c := range []struct {
+		name string
+		want *lu.Solver
+	}{{"CLUDE stream", live}, {"BF run", bf}} {
+		sv, err := ReadSolver(bytes.NewReader(encodeSolver(t, c.want)))
 		if err != nil {
-			t.Fatalf("%s: ReadSolver: %v", alg, err)
+			t.Fatalf("%s: ReadSolver: %v", c.name, err)
 		}
 		b := make([]float64, 30)
 		b[3] = 0.15
-		if !reflect.DeepEqual(want.Solve(b), sv.Solve(b)) {
-			t.Errorf("%s: restored solver's solution differs bit-wise", alg)
+		if !reflect.DeepEqual(c.want.Solve(b), sv.Solve(b)) {
+			t.Errorf("%s: restored solver's solution differs bit-wise", c.name)
 		}
 	}
 }
@@ -221,23 +264,23 @@ func TestSolverRoundTripSolvesIdentically(t *testing.T) {
 // FuzzReadSolver feeds arbitrary bytes to the CLUS decoder a spill
 // reload runs: it must never panic, and a frame it accepts must
 // re-encode to one that decodes to the same solver. The seeds, a CLUDE
-// and a BF solver, must round-trip bit for bit; the same frames with
+// stream's and a BF run's solver, must round-trip bit for bit; the same
+// frames with
 // factor kind 1 (the linked-list kind the format no longer has) must
 // read as ErrCorrupt.
 func FuzzReadSolver(f *testing.F) {
 	rng := xrand.New(53)
 	g0 := randomGraph(12, 10, rng)
 	batches := randomBatches(12, 3, 3, rng)
-	for _, alg := range []core.Algorithm{core.CLUDE, core.BF} {
-		sv := liveSolver(f, alg, g0, batches)
+	for _, sv := range []*lu.Solver{liveSolver(f, g0, batches), runSolver(f, core.BF, g0, batches)} {
 		data := encodeSolver(f, sv)
 		got, err := ReadSolver(bytes.NewReader(data))
 		if err != nil || !reflect.DeepEqual(got.F, sv.F) || !reflect.DeepEqual(got.O, sv.O) || !bytes.Equal(encodeSolver(f, got), data) {
-			f.Fatalf("%s: solver did not round-trip bit-identically (%v)", alg, err)
+			f.Fatalf("solver did not round-trip bit-identically (%v)", err)
 		}
 		kind1 := withByte(f, data, prefixLen(f, solverMagic, func(c *cw) { writeOrdering(c, sv.O) }), 1)
 		if _, err := ReadSolver(bytes.NewReader(kind1)); !errors.Is(err, ErrCorrupt) {
-			f.Fatalf("%s: a factor-kind-1 frame read as %v, want ErrCorrupt", alg, err)
+			f.Fatalf("a factor-kind-1 frame read as %v, want ErrCorrupt", err)
 		}
 		flipped := bytes.Clone(data)
 		flipped[len(flipped)/2] ^= 0x10
@@ -259,35 +302,37 @@ func FuzzReadSolver(f *testing.F) {
 }
 
 // TestStreamStateRoundTrip pins the full-snapshot codec: every field of
-// the exported state, counters included, survives the disk format.
+// the exported state, counters included, survives the disk format — and
+// so does the BF form an older binary wrote, which recovery must read
+// to refuse it.
 func TestStreamStateRoundTrip(t *testing.T) {
 	rng := xrand.New(17)
 	g0 := randomGraph(32, 38, rng)
 	batches := randomBatches(32, 6, 6, rng)
-	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
-		s := streamAfter(t, alg, g0, batches)
-		state, err := s.ExportState()
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+	s := streamAfter(t, g0, batches)
+	state, err := s.ExportState()
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*core.StreamState{state, bfCheckpoint(state)} {
 		var buf bytes.Buffer
-		if err := WriteStreamState(&buf, state); err != nil {
-			t.Fatalf("%s: WriteStreamState: %v", alg, err)
+		if err := WriteStreamState(&buf, st); err != nil {
+			t.Fatalf("%s: WriteStreamState: %v", st.Algorithm, err)
 		}
 		got, err := ReadStreamState(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("%s: ReadStreamState: %v", alg, err)
+			t.Fatalf("%s: ReadStreamState: %v", st.Algorithm, err)
 		}
-		if !reflect.DeepEqual(state, got) {
-			t.Errorf("%s: stream state did not round-trip identically", alg)
+		if !reflect.DeepEqual(st, got) {
+			t.Errorf("%s: stream state did not round-trip identically", st.Algorithm)
 		}
 	}
 }
 
 func TestReadStreamStateRejectsCorruption(t *testing.T) {
 	rng := xrand.New(19)
-	s := streamAfter(t, core.CLUDE, randomGraph(20, 24, rng), randomBatches(20, 3, 4, rng))
+	s := streamAfter(t, randomGraph(20, 24, rng), randomBatches(20, 3, 4, rng))
 	state, err := s.ExportState()
 	s.Close()
 	if err != nil {
@@ -350,7 +395,7 @@ func hostileVertexCount(t testing.TB, data []byte, st *core.StreamState, tail bo
 // built, so recovery can fall back to an older checkpoint.
 func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 	rng := xrand.New(23)
-	s := streamAfter(t, core.CLUDE, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
+	s := streamAfter(t, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
 	state, err := s.ExportState()
 	s.Close()
 	if err != nil {
@@ -369,8 +414,9 @@ func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 
 // FuzzReadStreamState feeds arbitrary bytes to the CLUD decoder
 // recovery runs on every checkpoint: it must never panic, and a frame it
-// accepts must re-encode to the same bytes. The seeds are BF's and
-// CLUDE's checkpoints, which must round-trip; and the hostile vertex
+// accepts must re-encode to the same bytes. The seeds are a CLUDE
+// checkpoint and its older BF form, which must round-trip; and the
+// hostile vertex
 // counts, the same frames with factor kind 1 (the linked-list kind the
 // format no longer has) and with a nonzero retired linked-list counter,
 // which must not.
@@ -378,13 +424,14 @@ func FuzzReadStreamState(f *testing.F) {
 	rng := xrand.New(59)
 	g0 := randomGraph(12, 10, rng)
 	batches := randomBatches(12, 3, 3, rng)
-	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
-		s := streamAfter(f, alg, g0, batches)
-		state, err := s.ExportState()
-		s.Close()
-		if err != nil {
-			f.Fatal(err)
-		}
+	s := streamAfter(f, g0, batches)
+	clude, err := s.ExportState()
+	s.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, state := range []*core.StreamState{bfCheckpoint(clude), clude} {
+		alg := state.Algorithm
 		var buf bytes.Buffer
 		if err := WriteStreamState(&buf, state); err != nil {
 			f.Fatal(err)

@@ -12,7 +12,7 @@
 //     checksum-framed binary encodings for solvers over
 //     lu.StaticFactors, graph.Graph, sparse patterns/matrices/
 //     orderings, the cluster tracker, and the complete core.StreamState
-//     of a BF or CLUDE stream (INC/CINC's linked lists have no format).
+//     of a CLUDE stream (INC/CINC's linked lists have no format).
 //     Only primary structure is written; the factors' cross views are
 //     reassembled on read, so round trips are bit-identical by
 //     construction.

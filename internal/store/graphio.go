@@ -57,7 +57,8 @@ func readGraphBody(c *cr) graphBody {
 }
 
 // writeTracker / readTracker encode the α-membership state; nil is
-// legal (a BF stream has no tracker).
+// legal (a BF stream's checkpoint, written by an older binary, has no
+// tracker: it must read back so that recovery can refuse it by name).
 func writeTracker(c *cw, st *cluster.TrackerState) {
 	if st == nil {
 		c.bool(false)

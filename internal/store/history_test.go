@@ -20,11 +20,11 @@ import (
 
 // recordHistory runs a stream and collects every OnPublish record — the
 // live-run truth the sidecar tests compare against.
-func recordHistory(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) []bennett.VersionRecord {
+func recordHistory(t *testing.T, g0 *graph.Graph, batches [][]graph.EdgeEvent) []bennett.VersionRecord {
 	t.Helper()
 	var recs []bennett.VersionRecord
 	s, err := core.NewStream(core.StreamConfig{
-		Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
+		Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
 		OnPublish: func(_ *lu.Solver, rec bennett.VersionRecord) { recs = append(recs, rec) },
 	})
 	if err != nil {
@@ -269,7 +269,7 @@ func TestHistoryFileCompactionPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := st.OpenStream(core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)})
+	s, _, err := st.OpenStream(core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,80 +390,78 @@ func TestHistorySurvivesKillPointRecovery(t *testing.T) {
 	g0 := randomGraph(n, 34, rng)
 	batches := randomBatches(n, 8, 5, rng)
 
-	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
-		want := recordHistory(t, alg, g0, batches)
+	want := recordHistory(t, g0, batches)
 
-		for _, kill := range []int{0, 3, 5, len(batches)} {
-			dir := t.TempDir()
-			st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true})
-			if err != nil {
+	for _, kill := range []int{0, 3, 5, len(batches)} {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+		s1, _, err := st.OpenStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < kill; i++ {
+			if _, err := s1.Apply(batches[i]); err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
-			s1, _, err := st.OpenStream(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < kill; i++ {
-				if _, err := s1.Apply(batches[i]); err != nil {
+			if i == kill/2 {
+				if err := st.Snapshot(); err != nil {
 					t.Fatal(err)
 				}
-				if i == kill/2 {
-					if err := st.Snapshot(); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
-			// SIGKILL: no Close — the sidecar tail past the last page
-			// flush may be torn, which the recovery accounting below
-			// tolerates by construction (WAL replay regenerates it).
-			s1.Close()
-			st.wal.Close()
-			if st.hist != nil {
-				st.hist.Close()
-			}
-
-			st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Seed-then-open, the order cludeserve uses: scanned records
-			// first, replay-refired ones on top.
-			got := append([]bennett.VersionRecord(nil), st2.LoadHistory()...)
-			seeded := len(got)
-			cfg2 := cfg
-			cfg2.OnPublish = func(_ *lu.Solver, rec bennett.VersionRecord) {
-				for len(got) > 0 && got[len(got)-1].Version >= rec.Version {
-					got = got[:len(got)-1] // replay overwrites, like HistoryLog.Record
-				}
-				got = append(got, rec)
-			}
-			s2, _, err := st2.OpenStream(cfg2)
-			if err != nil {
-				t.Fatalf("%s kill=%d: reopen: %v", alg, kill, err)
-			}
-			// The restored stream publishes its snapshot version as a
-			// structural record (a clean chain restart); everything else
-			// must match the live run exactly.
-			wantHere := append([]bennett.VersionRecord(nil), want[:kill+1]...)
-			if len(got) != len(wantHere) {
-				t.Fatalf("%s kill=%d: %d records after recovery (%d seeded), want %d", alg, kill, len(got), seeded, len(wantHere))
-			}
-			for i := range wantHere {
-				w, g := wantHere[i], got[i]
-				if g.Version != w.Version {
-					t.Fatalf("%s kill=%d: record %d version %d, want %d", alg, kill, i, g.Version, w.Version)
-				}
-				if g.Structural && !w.Structural {
-					continue // snapshot-restart record: conservative, never wrong
-				}
-				if !reflect.DeepEqual(w, g) {
-					t.Errorf("%s kill=%d: record for version %d differs from live run", alg, kill, w.Version)
-				}
-			}
-			s2.Close()
-			st2.Close()
 		}
+		// SIGKILL: no Close — the sidecar tail past the last page
+		// flush may be torn, which the recovery accounting below
+		// tolerates by construction (WAL replay regenerates it).
+		s1.Close()
+		st.wal.Close()
+		if st.hist != nil {
+			st.hist.Close()
+		}
+
+		st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seed-then-open, the order cludeserve uses: scanned records
+		// first, replay-refired ones on top.
+		got := append([]bennett.VersionRecord(nil), st2.LoadHistory()...)
+		seeded := len(got)
+		cfg2 := cfg
+		cfg2.OnPublish = func(_ *lu.Solver, rec bennett.VersionRecord) {
+			for len(got) > 0 && got[len(got)-1].Version >= rec.Version {
+				got = got[:len(got)-1] // replay overwrites, like HistoryLog.Record
+			}
+			got = append(got, rec)
+		}
+		s2, _, err := st2.OpenStream(cfg2)
+		if err != nil {
+			t.Fatalf("kill=%d: reopen: %v", kill, err)
+		}
+		// The restored stream publishes its snapshot version as a
+		// structural record (a clean chain restart); everything else
+		// must match the live run exactly.
+		wantHere := append([]bennett.VersionRecord(nil), want[:kill+1]...)
+		if len(got) != len(wantHere) {
+			t.Fatalf("kill=%d: %d records after recovery (%d seeded), want %d", kill, len(got), seeded, len(wantHere))
+		}
+		for i := range wantHere {
+			w, g := wantHere[i], got[i]
+			if g.Version != w.Version {
+				t.Fatalf("kill=%d: record %d version %d, want %d", kill, i, g.Version, w.Version)
+			}
+			if g.Structural && !w.Structural {
+				continue // snapshot-restart record: conservative, never wrong
+			}
+			if !reflect.DeepEqual(w, g) {
+				t.Errorf("kill=%d: record for version %d differs from live run", kill, w.Version)
+			}
+		}
+		s2.Close()
+		st2.Close()
 	}
 }
 
@@ -508,144 +506,142 @@ func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
 		batches = append(batches, evs)
 	}
 
-	for _, alg := range []core.Algorithm{core.CLUDE} {
-		cfg := core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85)}
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85)}
 
-		// The live run: every record and every version's solver.
-		var recs []bennett.VersionRecord
-		var live [][]byte
-		var ords []sparse.Ordering
-		liveCfg := cfg
-		liveCfg.OnPublish = func(sv *lu.Solver, rec bennett.VersionRecord) {
-			recs = append(recs, rec)
-			live = append(live, encodeSolver(t, sv))
-			ords = append(ords, sv.O)
+	// The live run: every record and every version's solver.
+	var recs []bennett.VersionRecord
+	var live [][]byte
+	var ords []sparse.Ordering
+	liveCfg := cfg
+	liveCfg.OnPublish = func(sv *lu.Solver, rec bennett.VersionRecord) {
+		recs = append(recs, rec)
+		live = append(live, encodeSolver(t, sv))
+		ords = append(ords, sv.O)
+	}
+	s, err := core.NewStream(liveCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []*core.StreamState
+	for i, evs := range batches {
+		if _, err := s.Apply(evs); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
 		}
-		s, err := core.NewStream(liveCfg)
+		st, err := s.ExportState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var states []*core.StreamState
-		for i, evs := range batches {
-			if _, err := s.Apply(evs); err != nil {
-				t.Fatalf("%s batch %d: %v", alg, i, err)
-			}
-			st, err := s.ExportState()
+		states = append(states, st)
+	}
+	s.Close()
+
+	// Mixed records exist, round-trip through the codec, and replay.
+	mixed := 0
+	log := bennett.NewHistoryLog()
+	var mw bennett.MaterializeWorkspace
+	var base lu.Factors
+	baseVer := uint64(0)
+	for _, rec := range recs {
+		var rows, cols bool
+		for _, tm := range rec.Terms {
+			rows, cols = rows || !tm.ByCol, cols || tm.ByCol
+		}
+		if rows && cols {
+			mixed++
+		}
+		var buf bytes.Buffer
+		encodeHistoryRecord(&buf, rec)
+		if got, err := decodeHistoryRecord(buf.Bytes()); err != nil || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("version %d: CLUH record did not round-trip (%v)", rec.Version, err)
+		}
+		log.Record(rec)
+		if rec.Structural {
+			sv, err := ReadSolver(bytes.NewReader(live[rec.Version]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			states = append(states, st)
+			base = sv.F
+			baseVer = rec.Version
+			continue
 		}
-		s.Close()
+		got, err := mw.Materialize(base, log, baseVer, rec.Version, nil)
+		if err != nil {
+			t.Fatalf("materialize %d from %d: %v", rec.Version, baseVer, err)
+		}
+		if !bytes.Equal(solverBytes(t, got, ords[rec.Version]), live[rec.Version]) {
+			t.Errorf("version %d materialized from %d differs from the live factors", rec.Version, baseVer)
+		}
+	}
+	if mixed < 4 {
+		t.Fatalf("%d of %d records mix row and column terms, want at least 4", mixed, len(recs))
+	}
 
-		// Mixed records exist, round-trip through the codec, and replay.
-		mixed := 0
-		log := bennett.NewHistoryLog()
-		var mw bennett.MaterializeWorkspace
-		var base lu.Factors
-		baseVer := uint64(0)
-		for _, rec := range recs {
-			var rows, cols bool
-			for _, tm := range rec.Terms {
-				rows, cols = rows || !tm.ByCol, cols || tm.ByCol
+	for _, kill := range []int{2, 5, len(batches)} {
+		dir := t.TempDir()
+		opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true}
+		st, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, _, err := st.OpenStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < kill; i++ {
+			if _, err := s1.Apply(batches[i]); err != nil {
+				t.Fatal(err)
 			}
-			if rows && cols {
-				mixed++
-			}
-			var buf bytes.Buffer
-			encodeHistoryRecord(&buf, rec)
-			if got, err := decodeHistoryRecord(buf.Bytes()); err != nil || !reflect.DeepEqual(got, rec) {
-				t.Fatalf("%s version %d: CLUH record did not round-trip (%v)", alg, rec.Version, err)
-			}
-			log.Record(rec)
-			if rec.Structural {
-				sv, err := ReadSolver(bytes.NewReader(live[rec.Version]))
-				if err != nil {
+			if i == kill/2 {
+				if err := st.Snapshot(); err != nil {
 					t.Fatal(err)
 				}
-				base = sv.F
-				baseVer = rec.Version
-				continue
-			}
-			got, err := mw.Materialize(base, log, baseVer, rec.Version, nil)
-			if err != nil {
-				t.Fatalf("%s: materialize %d from %d: %v", alg, rec.Version, baseVer, err)
-			}
-			if !bytes.Equal(solverBytes(t, got, ords[rec.Version]), live[rec.Version]) {
-				t.Errorf("%s: version %d materialized from %d differs from the live factors", alg, rec.Version, baseVer)
 			}
 		}
-		if mixed < 4 {
-			t.Fatalf("%s: %d of %d records mix row and column terms, want at least 4", alg, mixed, len(recs))
+		// SIGKILL: no Close, no final snapshot.
+		s1.Close()
+		st.wal.Close()
+		st.hist.Close()
+
+		st2, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		for _, kill := range []int{2, 5, len(batches)} {
-			dir := t.TempDir()
-			opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, History: true}
-			st, err := Open(dir, opt)
-			if err != nil {
-				t.Fatal(err)
+		got := append([]bennett.VersionRecord(nil), st2.LoadHistory()...)
+		cfg2 := cfg
+		cfg2.OnPublish = func(_ *lu.Solver, rec bennett.VersionRecord) {
+			for len(got) > 0 && got[len(got)-1].Version >= rec.Version {
+				got = got[:len(got)-1]
 			}
-			s1, _, err := st.OpenStream(cfg)
-			if err != nil {
-				t.Fatal(err)
+			got = append(got, rec)
+		}
+		s2, info, err := st2.OpenStream(cfg2)
+		if err != nil {
+			t.Fatalf("kill=%d: reopen: %v", kill, err)
+		}
+		at := fmt.Sprintf("kill=%d", kill)
+		if state, err := s2.ExportState(); err != nil || !info.Recovered || !reflect.DeepEqual(state, states[kill-1]) {
+			t.Fatalf("%s: recovered state differs from the pre-kill state (recovered %v, %v)", at, info.Recovered, err)
+		}
+		for i := kill; i < len(batches); i++ {
+			if _, err := s2.Apply(batches[i]); err != nil {
+				t.Fatalf("%s: batch %d after recovery: %v", at, i, err)
 			}
-			for i := 0; i < kill; i++ {
-				if _, err := s1.Apply(batches[i]); err != nil {
-					t.Fatal(err)
-				}
-				if i == kill/2 {
-					if err := st.Snapshot(); err != nil {
-						t.Fatal(err)
-					}
-				}
+		}
+		if state, _ := s2.ExportState(); !reflect.DeepEqual(state, states[len(states)-1]) {
+			t.Errorf("%s: continuation diverged from the uninterrupted run", at)
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("%s: %d records after recovery and continuation, want %d", at, len(got), len(recs))
+		}
+		for i, rec := range recs {
+			// The restored snapshot version republishes as structural.
+			if !(got[i].Structural && !rec.Structural && got[i].Version == rec.Version) && !reflect.DeepEqual(got[i], rec) {
+				t.Errorf("%s: record for version %d differs from the live run", at, rec.Version)
 			}
-			// SIGKILL: no Close, no final snapshot.
-			s1.Close()
-			st.wal.Close()
-			st.hist.Close()
-
-			st2, err := Open(dir, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]bennett.VersionRecord(nil), st2.LoadHistory()...)
-			cfg2 := cfg
-			cfg2.OnPublish = func(_ *lu.Solver, rec bennett.VersionRecord) {
-				for len(got) > 0 && got[len(got)-1].Version >= rec.Version {
-					got = got[:len(got)-1]
-				}
-				got = append(got, rec)
-			}
-			s2, info, err := st2.OpenStream(cfg2)
-			if err != nil {
-				t.Fatalf("%s kill=%d: reopen: %v", alg, kill, err)
-			}
-			at := fmt.Sprintf("%s kill=%d", alg, kill)
-			if state, err := s2.ExportState(); err != nil || !info.Recovered || !reflect.DeepEqual(state, states[kill-1]) {
-				t.Fatalf("%s: recovered state differs from the pre-kill state (recovered %v, %v)", at, info.Recovered, err)
-			}
-			for i := kill; i < len(batches); i++ {
-				if _, err := s2.Apply(batches[i]); err != nil {
-					t.Fatalf("%s: batch %d after recovery: %v", at, i, err)
-				}
-			}
-			if state, _ := s2.ExportState(); !reflect.DeepEqual(state, states[len(states)-1]) {
-				t.Errorf("%s: continuation diverged from the uninterrupted run", at)
-			}
-			if len(got) != len(recs) {
-				t.Fatalf("%s: %d records after recovery and continuation, want %d", at, len(got), len(recs))
-			}
-			for i, rec := range recs {
-				// The restored snapshot version republishes as structural.
-				if !(got[i].Structural && !rec.Structural && got[i].Version == rec.Version) && !reflect.DeepEqual(got[i], rec) {
-					t.Errorf("%s: record for version %d differs from the live run", at, rec.Version)
-				}
-			}
-			s2.Close()
-			if err := st2.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		s2.Close()
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -657,7 +653,7 @@ func TestMixedTermsSurviveTheDurablePath(t *testing.T) {
 func TestCodecV1BackCompat(t *testing.T) {
 	rng := xrand.New(89)
 	g0 := randomGraph(30, 30, rng)
-	s := streamAfter(t, core.CLUDE, g0, randomBatches(30, 6, 5, rng))
+	s := streamAfter(t, g0, randomBatches(30, 6, 5, rng))
 	defer s.Close()
 	state, err := s.ExportState()
 	if err != nil {

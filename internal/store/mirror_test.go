@@ -39,18 +39,10 @@ func TestSymmetricStreamReplaysMirrored(t *testing.T) {
 		batches = append(batches, evs)
 	}
 
-	replaysMirrored(t, core.CLUDE, g0, batches)
-}
-
-// replaysMirrored runs one algorithm's stream over the batches and holds
-// every version's factors, history replay and store round trip to each
-// other, bit for bit and mirror bit included.
-func replaysMirrored(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches [][]graph.EdgeEvent) {
-	t.Helper()
 	var recs []bennett.VersionRecord
 	live := map[uint64]*lu.Solver{}
 	s, err := core.NewStream(core.StreamConfig{
-		Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85),
+		Alpha: 0.9, Initial: g0, Derive: graph.SymmetricWalkMatrix(0.85),
 		OnPublish: func(sv *lu.Solver, rec bennett.VersionRecord) {
 			recs = append(recs, rec)
 			live[rec.Version] = sv.Clone()
@@ -61,7 +53,7 @@ func replaysMirrored(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches 
 	}
 	for i, evs := range batches {
 		if _, err := s.Apply(evs); err != nil {
-			t.Fatalf("%s batch %d: %v", alg, i, err)
+			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
 	s.Close()
@@ -83,10 +75,10 @@ func replaysMirrored(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches 
 		want := live[rec.Version]
 		wantBytes := encodeSolver(t, want)
 		if !want.F.(*lu.StaticFactors).Mirrored() {
-			t.Fatalf("%s version %d: the live factors are not their own transpose", alg, rec.Version)
+			t.Fatalf("version %d: the live factors are not their own transpose", rec.Version)
 		}
 		if got := roundTrip(want); !got.Mirrored() || !bytes.Equal(solverBytes(t, got, want.O), wantBytes) {
-			t.Fatalf("%s version %d: the store round trip lost the factors or their mirror (Mirrored %v)", alg, rec.Version, got.Mirrored())
+			t.Fatalf("version %d: the store round trip lost the factors or their mirror (Mirrored %v)", rec.Version, got.Mirrored())
 		}
 		if rec.Structural {
 			base, baseVer = roundTrip(want), rec.Version
@@ -95,20 +87,20 @@ func replaysMirrored(t *testing.T, alg core.Algorithm, g0 *graph.Graph, batches 
 		updates++
 		got, err := mw.Materialize(base, log, baseVer, rec.Version, nil)
 		if err != nil {
-			t.Fatalf("%s: materialize %d from %d: %v", alg, rec.Version, baseVer, err)
+			t.Fatalf("materialize %d from %d: %v", rec.Version, baseVer, err)
 		}
 		if !bytes.Equal(solverBytes(t, got, want.O), wantBytes) {
-			t.Errorf("%s version %d replayed from %d differs from the live factors", alg, rec.Version, baseVer)
+			t.Errorf("version %d replayed from %d differs from the live factors", rec.Version, baseVer)
 		}
 		prev := roundTrip(live[rec.Version-1])
 		if err := new(bennett.Workspace).ApplyTerms(prev, rec.Terms, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(solverBytes(t, prev, want.O), wantBytes) {
-			t.Errorf("%s version %d: the decoded version %d advanced by its terms differs from the live factors", alg, rec.Version, rec.Version-1)
+			t.Errorf("version %d: the decoded version %d advanced by its terms differs from the live factors", rec.Version, rec.Version-1)
 		}
 	}
 	if updates < len(batches)/2 {
-		t.Fatalf("%s: %d of %d versions were Bennett updates: the symmetric path barely ran", alg, updates, len(recs))
+		t.Fatalf("%d of %d versions were Bennett updates: the symmetric path barely ran", updates, len(recs))
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,8 +28,8 @@ func probe(t *testing.T, s *core.Stream, n int) []float64 {
 	return x
 }
 
-// TestKillPointRecoveryExact is the acceptance property: for every
-// strategy and every kill point in a batch sequence, abandoning the
+// TestKillPointRecoveryExact is the acceptance property: for every kill
+// point in a batch sequence, abandoning the
 // process state (as SIGKILL would) and recovering from disk must yield
 // a stream whose complete exported state — factors, graph, tracker,
 // counters — is identical to the abandoned one's, and whose future
@@ -40,98 +41,96 @@ func TestKillPointRecoveryExact(t *testing.T) {
 	batches := randomBatches(n, 10, 5, rng)
 	derive := graph.RWRMatrix(0.85)
 
-	for _, alg := range []core.Algorithm{core.BF, core.CLUDE} {
-		cfg := core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: derive}
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: derive}
 
-		// Uninterrupted reference run: the probe solution per version.
-		ref := streamAfter(t, alg, g0, batches)
-		refFinal := probe(t, ref, n)
-		refFinalState, err := ref.ExportState()
-		ref.Close()
+	// Uninterrupted reference run: the probe solution per version.
+	ref := streamAfter(t, g0, batches)
+	refFinal := probe(t, ref, n)
+	refFinalState, err := ref.ExportState()
+	ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, kill := range []int{0, 1, 4, 7, len(batches)} {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s1, info, err := st.OpenStream(cfg)
+		if err != nil {
+			t.Fatalf("kill=%d: OpenStream: %v", kill, err)
+		}
+		if info.Recovered {
+			t.Fatalf("kill=%d: fresh directory reported a recovery", kill)
+		}
+		for i := 0; i < kill; i++ {
+			if _, err := s1.Apply(batches[i]); err != nil {
+				t.Fatalf("kill=%d: batch %d: %v", kill, i, err)
+			}
+			if i == kill/2 {
+				// A mid-stream checkpoint, so recovery exercises
+				// snapshot + WAL-tail rather than pure replay.
+				if err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wantState, err := s1.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := probe(t, s1, n)
+		// SIGKILL: no Close, no final snapshot — the disk holds only
+		// what the WAL (fsync always) and past checkpoints captured.
+		s1.Close()
+		st.wal.Close()
 
-		for _, kill := range []int{0, 1, 4, 7, len(batches)} {
-			dir := t.TempDir()
-			st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
+		st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, rinfo, err := st2.OpenStream(cfg)
+		if err != nil {
+			t.Fatalf("kill=%d: reopen: %v", kill, err)
+		}
+		if !rinfo.Recovered {
+			t.Fatalf("kill=%d: reopen cold-started over an existing snapshot", kill)
+		}
+		if rinfo.Version != wantState.Version {
+			t.Fatalf("kill=%d: recovered version %d, want %d", kill, rinfo.Version, wantState.Version)
+		}
+		gotState, err := s2.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantState, gotState) {
+			t.Errorf("kill=%d: recovered state differs from pre-kill state", kill)
+		}
+		if got := probe(t, s2, n); !reflect.DeepEqual(want, got) {
+			t.Errorf("kill=%d: recovered solve differs bit-wise from pre-kill solve", kill)
+		}
+		// The recovered stream must continue exactly like the
+		// uninterrupted run.
+		for i := kill; i < len(batches); i++ {
+			if _, err := s2.Apply(batches[i]); err != nil {
+				t.Fatalf("kill=%d: post-recovery batch %d: %v", kill, i, err)
 			}
-			s1, info, err := st.OpenStream(cfg)
-			if err != nil {
-				t.Fatalf("%s kill=%d: OpenStream: %v", alg, kill, err)
-			}
-			if info.Recovered {
-				t.Fatalf("%s kill=%d: fresh directory reported a recovery", alg, kill)
-			}
-			for i := 0; i < kill; i++ {
-				if _, err := s1.Apply(batches[i]); err != nil {
-					t.Fatalf("%s kill=%d: batch %d: %v", alg, kill, i, err)
-				}
-				if i == kill/2 {
-					// A mid-stream checkpoint, so recovery exercises
-					// snapshot + WAL-tail rather than pure replay.
-					if err := st.Snapshot(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			wantState, err := s1.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := probe(t, s1, n)
-			// SIGKILL: no Close, no final snapshot — the disk holds only
-			// what the WAL (fsync always) and past checkpoints captured.
-			s1.Close()
-			st.wal.Close()
-
-			st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, rinfo, err := st2.OpenStream(cfg)
-			if err != nil {
-				t.Fatalf("%s kill=%d: reopen: %v", alg, kill, err)
-			}
-			if !rinfo.Recovered {
-				t.Fatalf("%s kill=%d: reopen cold-started over an existing snapshot", alg, kill)
-			}
-			if rinfo.Version != wantState.Version {
-				t.Fatalf("%s kill=%d: recovered version %d, want %d", alg, kill, rinfo.Version, wantState.Version)
-			}
-			gotState, err := s2.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(wantState, gotState) {
-				t.Errorf("%s kill=%d: recovered state differs from pre-kill state", alg, kill)
-			}
-			if got := probe(t, s2, n); !reflect.DeepEqual(want, got) {
-				t.Errorf("%s kill=%d: recovered solve differs bit-wise from pre-kill solve", alg, kill)
-			}
-			// The recovered stream must continue exactly like the
-			// uninterrupted run.
-			for i := kill; i < len(batches); i++ {
-				if _, err := s2.Apply(batches[i]); err != nil {
-					t.Fatalf("%s kill=%d: post-recovery batch %d: %v", alg, kill, i, err)
-				}
-			}
-			if got := probe(t, s2, n); !reflect.DeepEqual(refFinal, got) {
-				t.Errorf("%s kill=%d: post-recovery continuation diverged from uninterrupted run", alg, kill)
-			}
-			finalState, err := s2.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(refFinalState, finalState) {
-				t.Errorf("%s kill=%d: final state diverged from uninterrupted run", alg, kill)
-			}
-			s2.Close()
-			if err := st2.Close(); err != nil {
-				t.Errorf("%s kill=%d: store close: %v", alg, kill, err)
-			}
+		}
+		if got := probe(t, s2, n); !reflect.DeepEqual(refFinal, got) {
+			t.Errorf("kill=%d: post-recovery continuation diverged from uninterrupted run", kill)
+		}
+		finalState, err := s2.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(refFinalState, finalState) {
+			t.Errorf("kill=%d: final state diverged from uninterrupted run", kill)
+		}
+		s2.Close()
+		if err := st2.Close(); err != nil {
+			t.Errorf("kill=%d: store close: %v", kill, err)
 		}
 	}
 }
@@ -144,7 +143,7 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	rng := xrand.New(29)
 	g0 := randomGraph(n, 34, rng)
 	batches := randomBatches(n, 8, 5, rng)
-	cfg := core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4})
@@ -216,28 +215,15 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	st2.Close()
 }
 
-// TestOpenStreamRefusesListFactors: the store checkpoints static
-// factors only, so opening an INC or CINC stream fails at open with an
-// error naming the algorithm; and a checkpoint whose factor kind is 1,
-// the linked-list kind the format no longer has, is corrupt, so
+// TestOpenStreamRefusesListFactors: a checkpoint whose factor kind is
+// 1, the linked-list kind the format no longer has, is corrupt, so
 // recovery skips it for the one before.
 func TestOpenStreamRefusesListFactors(t *testing.T) {
 	const n = 24
 	rng := xrand.New(37)
 	g0 := randomGraph(n, 28, rng)
 	batches := randomBatches(n, 4, 4, rng)
-	for _, alg := range []core.Algorithm{core.INC, core.CINC} {
-		st, err := Open(t.TempDir(), Options{Sync: SyncNone, SnapshotEvery: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := st.OpenStream(core.StreamConfig{Algorithm: alg, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}); err == nil || !strings.Contains(err.Error(), string(alg)) {
-			t.Errorf("%s: OpenStream returned %v, want an error naming %s", alg, err, alg)
-		}
-		st.Close()
-	}
-
-	cfg := core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 	dir := t.TempDir()
 	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
 	st, err := Open(dir, opt)
@@ -294,6 +280,87 @@ func TestOpenStreamRefusesListFactors(t *testing.T) {
 	}
 }
 
+// TestOpenStreamRefusesForeignCheckpoint: a checkpoint that names any
+// algorithm but CLUDE — a BF stream's, as an older binary wrote it —
+// fails the boot with an error naming that algorithm. It is not
+// corrupt, so recovery neither skips it for the CLUDE checkpoint before
+// it nor cold-starts over it.
+func TestOpenStreamRefusesForeignCheckpoint(t *testing.T) {
+	const n = 24
+	rng := xrand.New(37)
+	g0 := randomGraph(n, 28, rng)
+	batches := randomBatches(n, 4, 4, rng)
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	dir := t.TempDir()
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _, err := st.OpenStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, evs := range batches {
+		if _, err := s1.Apply(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	state, err := s1.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	st.wal.Close()
+
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 2 {
+		t.Fatalf("want the initial and the newest snapshot on disk, got %d", len(snaps))
+	}
+	var buf bytes.Buffer
+	if err := WriteStreamState(&buf, bfCheckpoint(state)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps[1], buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(snaps))
+	for i, p := range snaps {
+		if before[i], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2, info, err := st2.OpenStream(cfg)
+	if err == nil {
+		s2.Close()
+		t.Fatalf("OpenStream over a BF checkpoint booted at version %d", info.Version)
+	}
+	if !strings.Contains(err.Error(), "BF") {
+		t.Errorf("OpenStream over a BF checkpoint: %v, want an error naming BF", err)
+	}
+	if info.SnapshotsSkipped != 0 || info.Recovered {
+		t.Errorf("recovery %+v: the BF checkpoint was skipped or an older one restored", info)
+	}
+	after, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if !reflect.DeepEqual(snaps, after) {
+		t.Fatalf("snapshots %v after the refused boot, want %v", after, snaps)
+	}
+	for i, p := range after {
+		if data, err := os.ReadFile(p); err != nil || !bytes.Equal(data, before[i]) {
+			t.Errorf("%s changed under the refused boot (%v)", p, err)
+		}
+	}
+}
+
 // TestOpenStreamColdStartReplaysPreSnapshotWAL covers the crash window
 // before the first checkpoint exists: WAL records over a fresh stream
 // must still be replayed exactly.
@@ -302,7 +369,7 @@ func TestOpenStreamColdStartReplaysPreSnapshotWAL(t *testing.T) {
 	rng := xrand.New(31)
 	g0 := randomGraph(n, 26, rng)
 	batches := randomBatches(n, 4, 4, rng)
-	cfg := core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20})
@@ -374,7 +441,7 @@ func TestOpenStreamPublishOrder(t *testing.T) {
 	}
 	published := 0
 	cfg := core.StreamConfig{
-		Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
+		Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
 		OnPublish: func(_ *lu.Solver, rec bennett.VersionRecord) {
 			if rec.Version != uint64(published) {
 				t.Errorf("hook saw version %d, want %d", rec.Version, published)
@@ -418,7 +485,7 @@ func TestSnapshotCadenceByVersion(t *testing.T) {
 	rng := xrand.New(43)
 	g0 := randomGraph(n, 34, rng)
 	batches := randomBatches(n, 23, 4, rng)
-	cfg := core.StreamConfig{Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 	opt := Options{Sync: SyncNone, SnapshotEvery: every, KeepSnapshots: 100}
 	dir := t.TempDir()
 

@@ -35,7 +35,7 @@ func TestStoreStageHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream, _, err := st.OpenStream(core.StreamConfig{
-		Algorithm: core.CLUDE, Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
+		Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85),
 	})
 	if err != nil {
 		t.Fatal(err)

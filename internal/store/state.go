@@ -50,7 +50,7 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 	c.i64(int64(st.Stats.Bennett.StepsTouched))
 	c.i64(int64(st.Stats.Bennett.Dropped))
 	// The retired linked-list counters of a format that also carried
-	// INC/CINC streams: a static stream has none, so both are 0.
+	// INC/CINC streams: a CLUDE stream has none, so both are 0.
 	c.i64(0)
 	c.i64(0)
 

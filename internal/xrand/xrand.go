@@ -82,11 +82,6 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Exp returns an exponentially distributed float64 with rate 1.
-func (r *Rand) Exp() float64 {
-	return -math.Log(1 - r.Float64())
-}
-
 // Zipf returns a value in [0, n) drawn from a truncated Zipf-like
 // distribution with exponent s (s > 0): P(k) proportional to 1/(k+1)^s.
 // It uses inverse-CDF sampling over a precomputed table when n is

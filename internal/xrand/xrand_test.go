@@ -114,22 +114,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(12)
-	const n = 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exp()
-		if v < 0 {
-			t.Fatal("negative exponential draw")
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Errorf("exponential mean %v", mean)
-	}
-}
-
 func TestZipfRangeAndSkew(t *testing.T) {
 	r := New(13)
 	const n = 20000
