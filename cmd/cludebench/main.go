@@ -10,8 +10,10 @@
 //	cludebench -list
 //
 // Every experiment prints one or more aligned text tables carrying the
-// same series the corresponding paper figure plots; EXPERIMENTS.md
-// records a captured run next to the paper's reported numbers.
+// same series the corresponding paper figure plots. Captured readings
+// live in docs/PERFORMANCE.md for now; no file yet records a run next
+// to the paper's reported numbers (ROADMAP item 4 is to write one,
+// docs/EXPERIMENTS.md).
 package main
 
 import (

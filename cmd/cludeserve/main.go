@@ -156,7 +156,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", 0, "query pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.factorW, "factor-workers", 0, "offline factorization pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cacheSize, "cache", 4096, "LRU result-cache entries")
-	fs.IntVar(&o.maxSnaps, "snapshots", 0, "snapshot store bound (0 = retain the whole sequence)")
+	fs.IntVar(&o.maxSnaps, "snapshots", 0, "snapshot store bound (0 = the -scale dataset's length: offline, the whole sequence; with -stream, the same count bounds the pinned history bases)")
 	fs.IntVar(&o.queueLen, "queue", 0, "admission queue depth; a full queue sheds with HTTP 429 (0 = 8x workers)")
 	fs.DurationVar(&o.queryTO, "query-timeout", 0, "per-query deadline covering queue wait and solve (0 = none)")
 
@@ -232,24 +232,7 @@ func main() {
 		})
 	}
 
-	scfg := serve.Config{
-		MaxSnapshots: snapshotBound(o.maxSnaps, T),
-		Workers:      o.workers,
-		CacheSize:    o.cacheSize,
-		Damping:      damping,
-		QueueDepth:   o.queueLen,
-		QueryTimeout: o.queryTO,
-		Tracer:       tracer,
-	}
-	if o.streaming {
-		scfg.HistoryBase = o.histBase
-		scfg.HistoryBudgetBytes = o.histBudget
-	}
-	if o.dataDir != "" {
-		// Evicted pinned snapshots spill to disk instead of vanishing,
-		// in both modes.
-		scfg.SpillDir = filepath.Join(o.dataDir, "spill")
-	}
+	scfg := engineConfig(o, T, tracer)
 	eng := serve.New(scfg)
 
 	var st *store.Store
@@ -393,6 +376,32 @@ func dataset(scale gen.Scale) (*graph.Graph, [][]graph.EdgeEvent, error) {
 		return nil, nil, err
 	}
 	return egs.Snapshots[0], graph.DeltaBatches(egs), nil
+}
+
+// engineConfig is the serving engine's configuration from the options
+// and the length T of the -scale dataset. Stream mode reuses T: there
+// -snapshots 0 bounds the pinned history bases by the offline dataset's
+// length (250 at -scale medium), not by anything the stream measures.
+func engineConfig(o *options, T int, tracer *trace.Tracer) serve.Config {
+	scfg := serve.Config{
+		MaxSnapshots: snapshotBound(o.maxSnaps, T),
+		Workers:      o.workers,
+		CacheSize:    o.cacheSize,
+		Damping:      damping,
+		QueueDepth:   o.queueLen,
+		QueryTimeout: o.queryTO,
+		Tracer:       tracer,
+	}
+	if o.streaming {
+		scfg.HistoryBase = o.histBase
+		scfg.HistoryBudgetBytes = o.histBudget
+	}
+	if o.dataDir != "" {
+		// Evicted pinned snapshots spill to disk instead of vanishing,
+		// in both modes.
+		scfg.SpillDir = filepath.Join(o.dataDir, "spill")
+	}
+	return scfg
 }
 
 // snapshotBound resolves the -snapshots flag (0 = the whole sequence).

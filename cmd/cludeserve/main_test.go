@@ -248,6 +248,48 @@ func TestAlgFlagAcceptsCLUDEOnly(t *testing.T) {
 	}
 }
 
+// TestStreamSnapshotsZeroIsTheDatasetLength pins what -snapshots 0
+// means in stream mode: the same T as offline, the length of the -scale
+// dataset the stream starts from (10 at tiny, 250 at medium), so it
+// bounds the pinned history bases by the offline sequence's length. The
+// flag's -h text says so. A positive value is taken as given.
+func TestStreamSnapshotsZeroIsTheDatasetLength(t *testing.T) {
+	first, batches, err := dataset(gen.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	medium, err := gen.ConfigsFor(gen.Medium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := len(batches) + 1
+	if first == nil || tiny != 10 || medium.Wiki.T != 250 {
+		t.Fatalf("dataset lengths %d (tiny) and %d (medium), want 10 and 250", tiny, medium.Wiki.T)
+	}
+	for _, c := range []struct {
+		args []string
+		T    int
+		want int
+	}{
+		{[]string{"-stream", "-history-base", "2"}, tiny, tiny},
+		{[]string{"-stream", "-snapshots", "0"}, medium.Wiki.T, 250},
+		{nil, medium.Wiki.T, 250},
+		{[]string{"-stream", "-snapshots", "7"}, medium.Wiki.T, 7},
+	} {
+		fs, o := newFlagSet()
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := engineConfig(o, c.T, nil).MaxSnapshots; got != c.want {
+			t.Errorf("%q over a %d-snapshot dataset: snapshot bound %d, want %d", c.args, c.T, got, c.want)
+		}
+	}
+	fs, _ := newFlagSet()
+	if usage := fs.Lookup("snapshots").Usage; !strings.Contains(usage, "-stream") || !strings.Contains(usage, "dataset's length") {
+		t.Errorf("-snapshots usage %q does not say what 0 means with -stream", usage)
+	}
+}
+
 // commandArgs returns the argument lists that follow "cludeserve" in
 // text: the program name must stand alone (after a space, a slash or
 // the start) and be followed by a flag. The list ends at a shell

@@ -11,19 +11,17 @@ import (
 )
 
 // staticBitEqual is exact (bitwise) equality of two static containers:
-// every structural array and every value array, no tolerance. This is
-// the currency of the history property — materialized factors must be
-// indistinguishable from the retained full clone.
+// every primary index array and every value array, no tolerance. This
+// is the currency of the history property — materialized factors must
+// be indistinguishable from the retained full clone. The cross views
+// are left out: they are derived from the primary arrays, and only a
+// container a symmetric walk or a factorization wrote has built them.
 func staticBitEqual(a, b *lu.StaticFactors) bool {
 	return a.Dim() == b.Dim() &&
 		slices.Equal(a.LColPtr, b.LColPtr) && slices.Equal(a.LRowIdx, b.LRowIdx) &&
 		slices.Equal(a.LVal, b.LVal) &&
 		slices.Equal(a.URowPtr, b.URowPtr) && slices.Equal(a.UColIdx, b.UColIdx) &&
-		slices.Equal(a.UVal, b.UVal) && slices.Equal(a.D, b.D) &&
-		slices.Equal(a.LRowPtr, b.LRowPtr) && slices.Equal(a.LRowCols, b.LRowCols) &&
-		slices.Equal(a.LRowPos, b.LRowPos) &&
-		slices.Equal(a.UColPtr, b.UColPtr) && slices.Equal(a.UColRows, b.UColRows) &&
-		slices.Equal(a.UColPos, b.UColPos)
+		slices.Equal(a.UVal, b.UVal) && slices.Equal(a.D, b.D)
 }
 
 // dynamicBitEqual additionally pins the node-pool layout: replayed

@@ -275,6 +275,7 @@ func (c *crossStatic) pivots() []float64 { return c.f.D }
 
 func (c *crossStatic) begin(x, n int) {
 	f := c.f
+	f.EnsureCrossViews() // a clone holds none; the walk owns f
 	xlo, xhi := f.LRowPtr[x], f.LRowPtr[x+1]
 	c.xpos = f.LRowPos[xlo:xhi]
 	c.cur = newCursor(f.LRowCols[xlo:xhi], n)

@@ -12,20 +12,22 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestStaticCloneSharesStructureOwnsValues: every index array of a clone
-// is the original's very array, every value array is a copy.
+// TestStaticCloneSharesStructureOwnsValues: every primary index array
+// of a clone is the original's very array, every value array is a copy,
+// and the clone holds no cross views.
 func TestStaticCloneSharesStructureOwnsValues(t *testing.T) {
 	f := newBennettPair(t, 71).static
 	c := f.Clone().(*lu.StaticFactors)
 	for name, pair := range map[string][2][]int{
 		"LColPtr": {f.LColPtr, c.LColPtr}, "LRowIdx": {f.LRowIdx, c.LRowIdx},
 		"URowPtr": {f.URowPtr, c.URowPtr}, "UColIdx": {f.UColIdx, c.UColIdx},
-		"LRowPtr": {f.LRowPtr, c.LRowPtr}, "LRowCols": {f.LRowCols, c.LRowCols}, "LRowPos": {f.LRowPos, c.LRowPos},
-		"UColPtr": {f.UColPtr, c.UColPtr}, "UColRows": {f.UColRows, c.UColRows}, "UColPos": {f.UColPos, c.UColPos},
 	} {
 		if len(pair[0]) == 0 || len(pair[0]) != len(pair[1]) || &pair[0][0] != &pair[1][0] {
 			t.Errorf("%s: the clone does not share the original's array", name)
 		}
+	}
+	if name, ok := noCrossViews(c); !ok {
+		t.Errorf("%s: the clone holds a cross view", name)
 	}
 	for name, pair := range map[string][2][]float64{
 		"LVal": {f.LVal, c.LVal}, "UVal": {f.UVal, c.UVal}, "D": {f.D, c.D},
@@ -40,9 +42,8 @@ func TestStaticCloneSharesStructureOwnsValues(t *testing.T) {
 		}
 	}
 	owned, shared := lu.MemBytes(c)
-	if wantShared := int64(8 * (len(c.LColPtr) + len(c.LRowIdx) + len(c.URowPtr) + len(c.UColIdx) +
-		len(c.LRowPtr) + len(c.LRowCols) + len(c.LRowPos) + len(c.UColPtr) + len(c.UColRows) + len(c.UColPos))); shared != wantShared {
-		t.Errorf("shared bytes %d, want the ten index arrays' %d", shared, wantShared)
+	if wantShared := int64(8 * (len(c.LColPtr) + len(c.LRowIdx) + len(c.URowPtr) + len(c.UColIdx))); shared != wantShared {
+		t.Errorf("shared bytes %d, want the four primary index arrays' %d", shared, wantShared)
 	}
 	if min := int64(8 * (len(c.LVal) + len(c.UVal) + len(c.D))); owned < min || owned > min+128 {
 		t.Errorf("owned bytes %d, want the three value arrays' %d plus a header", owned, min)

@@ -34,6 +34,9 @@
 //   - StaticFactors: all index structure frozen up front from a
 //     symbolic pattern (possibly a cluster-wide USSP as in CLUDE);
 //     numeric phases and incremental updates only touch value arrays.
+//     Its cross views (L by rows, U by columns) belong to the container
+//     that is written: a clone or a decoded copy holds none and builds
+//     them on demand (EnsureCrossViews).
 //   - DynamicFactors: per-column (L) and per-row (U) sorted
 //     singly-linked adjacency lists, the structure the paper attributes
 //     to the traditional incremental algorithm (INC/CINC); incremental

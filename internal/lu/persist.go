@@ -7,19 +7,21 @@ import (
 
 // This file is the persistence face of the static factor container: the
 // store codec serializes only the primary structure (L by columns, U by
-// rows, pivots) and AssembleStatic deterministically rebuilds every
-// derived index (the cross views), so a restored container is
-// field-for-field identical to the one that was written. Keeping the
-// derived indices out of the on-disk format halves snapshot size and
-// makes internal consistency a construction invariant instead of a
-// trusted input.
+// rows, pivots), and AssembleStatic rebuilds a container from exactly
+// those arrays after checking them. Nothing derived is on disk: the
+// cross views are built on demand by whoever refactorizes or runs the
+// symmetric Bennett walk on the container (EnsureCrossViews), so a
+// restored checkpoint or a reloaded spill pays no O(nnz) pass for views
+// a solve never reads. Keeping them out of the format halves snapshot
+// size and makes internal consistency a construction invariant instead
+// of a trusted input.
 
 // AssembleStatic rebuilds a StaticFactors container from its primary
-// structure, taking ownership of the slices. The cross views (L by
-// rows, U by columns) are derived exactly as NewStaticFactors derives
-// them, so assembling the primary arrays of an existing container
-// yields a bit-identical copy. Corrupt input (indices out of range,
-// unsorted columns, mismatched lengths) returns an error.
+// structure, taking ownership of the slices. Like a Clone it holds no
+// cross views, so assembling the primary arrays of an existing container
+// yields a copy equal to its Clone field for field. Corrupt input
+// (indices out of range, unsorted columns, mismatched lengths) returns
+// an error.
 func AssembleStatic(n int, lColPtr, lRowIdx []int, lVal []float64, uRowPtr, uColIdx []int, uVal, d []float64) (*StaticFactors, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("lu: negative dimension %d", n)
@@ -38,55 +40,6 @@ func AssembleStatic(n int, lColPtr, lRowIdx []int, lVal []float64, uRowPtr, uCol
 		LColPtr: lColPtr, LRowIdx: lRowIdx, LVal: lVal,
 		URowPtr: uRowPtr, UColIdx: uColIdx, UVal: uVal,
 		D: d,
-	}
-
-	// Cross view of L by row. Scanning columns in ascending order emits
-	// each row's columns ascending, matching NewStaticFactors (which
-	// scans the per-row symbolic patterns, also ascending).
-	lnnz := len(lRowIdx)
-	f.LRowPtr = make([]int, n+1)
-	for _, i := range lRowIdx {
-		f.LRowPtr[i+1]++
-	}
-	for i := 0; i < n; i++ {
-		f.LRowPtr[i+1] += f.LRowPtr[i]
-	}
-	f.LRowCols = make([]int, lnnz)
-	f.LRowPos = make([]int, lnnz)
-	next := make([]int, n)
-	copy(next, f.LRowPtr[:n])
-	for j := 0; j < n; j++ {
-		for p := lColPtr[j]; p < lColPtr[j+1]; p++ {
-			i := lRowIdx[p]
-			w := next[i]
-			f.LRowCols[w] = j
-			f.LRowPos[w] = p
-			next[i]++
-		}
-	}
-
-	// Cross view of U by column, scanning rows ascending — identical to
-	// the construction in NewStaticFactors.
-	unnz := len(uColIdx)
-	f.UColPtr = make([]int, n+1)
-	for _, j := range uColIdx {
-		f.UColPtr[j+1]++
-	}
-	for j := 0; j < n; j++ {
-		f.UColPtr[j+1] += f.UColPtr[j]
-	}
-	f.UColRows = make([]int, unnz)
-	f.UColPos = make([]int, unnz)
-	next2 := make([]int, n)
-	copy(next2, f.UColPtr[:n])
-	for i := 0; i < n; i++ {
-		for p := uRowPtr[i]; p < uRowPtr[i+1]; p++ {
-			j := uColIdx[p]
-			w := next2[j]
-			f.UColRows[w] = i
-			f.UColPos[w] = p
-			next2[j]++
-		}
 	}
 	f.symStruct = slices.Equal(lColPtr, uRowPtr) && slices.Equal(lRowIdx, uColIdx)
 	f.RefreshMirror()

@@ -18,16 +18,18 @@ const PivotTolerance = 1e-12
 // StaticFactors stores A = L·D·U with all index structure frozen at
 // construction time from a symbolic pattern. L is strictly lower
 // triangular stored by columns; U is strictly upper triangular stored
-// by rows; D is the dense pivot vector. Cross views (L by rows, U by
-// columns) index into the same value arrays so the Crout factorization
-// can stream both orientations without searching.
+// by rows; D is the dense pivot vector. These primary arrays are all a
+// solve reads. The cross views (L by rows, U by columns) index into the
+// same value arrays so the Crout factorization and the symmetric
+// Bennett walk can stream the other orientation without searching; they
+// are built on demand (EnsureCrossViews) and left out of every copy.
 //
 // This is the CLUDE container: constructed once per cluster from the
 // universal symbolic sparsity pattern (USSP), then refilled numerically
 // for each matrix in the cluster, with Bennett updates touching values
 // only. The structure never changes after NewStaticFactors, which is
-// what lets clones share it (see Clone): the index arrays below are
-// read-only for everyone, the receiver included.
+// what lets clones share it (see Clone): the primary index arrays below
+// are read-only for everyone, the receiver included.
 type StaticFactors struct {
 	n int
 
@@ -45,7 +47,8 @@ type StaticFactors struct {
 	D []float64
 
 	// Cross view of L by row: for row i, columns LRowCols[...] with
-	// LRowPos pointing into LVal.
+	// LRowPos pointing into LVal. Like the view of U below, nil on a
+	// Clone or an AssembleStatic until EnsureCrossViews.
 	LRowPtr  []int
 	LRowCols []int
 	LRowPos  []int
@@ -66,86 +69,93 @@ type StaticFactors struct {
 }
 
 // NewStaticFactors allocates a factor container whose structure is the
-// symbolic pattern s. Values start at zero.
+// symbolic pattern s, cross views included. Values start at zero.
 func NewStaticFactors(s *SymbolicLU) *StaticFactors {
 	n := s.N()
 	f := &StaticFactors{n: n, D: make([]float64, n)}
 
-	// L by column from the per-row lower patterns.
-	colCnt := make([]int, n+1)
-	lnnz := 0
+	// L by column from the per-row lower patterns. A row-major scan
+	// emits rows in increasing order per column, so each column comes
+	// out sorted.
+	f.LColPtr = make([]int, n+1)
 	for i := 0; i < n; i++ {
 		for _, j := range s.LRow(i) {
-			colCnt[j+1]++
-			lnnz++
+			f.LColPtr[j+1]++
 		}
 	}
 	for j := 0; j < n; j++ {
-		colCnt[j+1] += colCnt[j]
+		f.LColPtr[j+1] += f.LColPtr[j]
 	}
-	f.LColPtr = colCnt
-	f.LRowIdx = make([]int, lnnz)
-	f.LVal = make([]float64, lnnz)
+	f.LRowIdx = make([]int, f.LColPtr[n])
+	f.LVal = make([]float64, f.LColPtr[n])
 	next := make([]int, n)
 	copy(next, f.LColPtr[:n])
-	// Row-major scan of lrows emits rows in increasing order per
-	// column, so each column comes out sorted.
-	f.LRowPtr = make([]int, n+1)
-	f.LRowCols = make([]int, lnnz)
-	f.LRowPos = make([]int, lnnz)
-	w := 0
 	for i := 0; i < n; i++ {
-		f.LRowPtr[i] = w
 		for _, j := range s.LRow(i) {
-			p := next[j]
-			f.LRowIdx[p] = i
+			f.LRowIdx[next[j]] = i
 			next[j]++
-			f.LRowCols[w] = j
-			f.LRowPos[w] = p
-			w++
 		}
 	}
-	f.LRowPtr[n] = w
 
 	// U by row directly from the per-row upper patterns.
-	unnz := 0
 	f.URowPtr = make([]int, n+1)
 	for i := 0; i < n; i++ {
-		f.URowPtr[i] = unnz
-		unnz += len(s.URow(i))
+		f.URowPtr[i+1] = f.URowPtr[i] + len(s.URow(i))
 	}
-	f.URowPtr[n] = unnz
-	f.UColIdx = make([]int, unnz)
-	f.UVal = make([]float64, unnz)
-	colCnt2 := make([]int, n+1)
-	w = 0
+	f.UColIdx = make([]int, 0, f.URowPtr[n])
 	for i := 0; i < n; i++ {
-		for _, j := range s.URow(i) {
-			f.UColIdx[w] = j
-			colCnt2[j+1]++
-			w++
-		}
+		f.UColIdx = append(f.UColIdx, s.URow(i)...)
 	}
-	for j := 0; j < n; j++ {
-		colCnt2[j+1] += colCnt2[j]
-	}
-	f.UColPtr = colCnt2
-	f.UColRows = make([]int, unnz)
-	f.UColPos = make([]int, unnz)
-	next2 := make([]int, n)
-	copy(next2, f.UColPtr[:n])
-	for i := 0; i < n; i++ {
-		for k := f.URowPtr[i]; k < f.URowPtr[i+1]; k++ {
-			j := f.UColIdx[k]
-			p := next2[j]
-			f.UColRows[p] = i
-			f.UColPos[p] = k
-			next2[j]++
-		}
-	}
+	f.UVal = make([]float64, f.URowPtr[n])
+
 	f.symStruct = slices.Equal(f.LColPtr, f.URowPtr) && slices.Equal(f.LRowIdx, f.UColIdx)
 	f.mirror = f.symStruct
+	f.EnsureCrossViews()
 	return f
+}
+
+// EnsureCrossViews builds the cross views (L by row, U by column) from
+// the primary arrays if the container has none. Clone and AssembleStatic
+// leave them out, since a solve, the directed Bennett update and the
+// codec read only the primary arrays; Crout factorization and the
+// symmetric Bennett walk call this first. It writes the container, so
+// only its exclusive owner may call it: the live container of a stream
+// or a run, or a fresh materialization — never a retained or shared one.
+//
+// Scanning the columns of L (the rows of U) in ascending order emits
+// every row's columns (every column's rows) ascending.
+func (f *StaticFactors) EnsureCrossViews() {
+	if f.LRowPtr != nil {
+		return
+	}
+	f.LRowPtr, f.LRowCols, f.LRowPos = transpose(f.n, f.LColPtr, f.LRowIdx)
+	f.UColPtr, f.UColRows, f.UColPos = transpose(f.n, f.URowPtr, f.UColIdx)
+}
+
+// transpose returns the other orientation of the compressed n×n
+// structure ptr/idx: for each minor index, the major indices that hold
+// it (ascending) and their positions in idx.
+func transpose(n int, ptr, idx []int) (tPtr, tIdx, tPos []int) {
+	tPtr = make([]int, n+1)
+	for _, i := range idx {
+		tPtr[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		tPtr[i+1] += tPtr[i]
+	}
+	tIdx = make([]int, len(idx))
+	tPos = make([]int, len(idx))
+	next := make([]int, n)
+	copy(next, tPtr[:n])
+	for j := 0; j < n; j++ {
+		lo := ptr[j]
+		for k, i := range idx[lo:ptr[j+1]] {
+			w := next[i]
+			next[i] = w + 1
+			tIdx[w], tPos[w] = j, lo+k
+		}
+	}
+	return tPtr, tIdx, tPos
 }
 
 // Mirrored reports whether the factors are their own transpose bit for
@@ -175,13 +185,18 @@ func sameBits(a, b []float64) bool {
 func (f *StaticFactors) Dim() int { return f.n }
 
 // Clone returns a container with its own values (LVal, UVal, D) that
-// shares the receiver's index structure. Nothing writes an index array
-// after NewStaticFactors / AssembleStatic — factorizations and Bennett
-// updates touch values only — so the clone shares no mutable state, and
-// a cluster's retained snapshots hold the USSP structure once between
-// them, as the paper's one-structure-per-cluster argument has it.
+// shares the receiver's primary index structure. Nothing writes a
+// primary index array after NewStaticFactors / AssembleStatic —
+// factorizations and Bennett updates touch values only — so the clone
+// shares no mutable state, and a cluster's retained snapshots hold the
+// USSP structure once between them, as the paper's
+// one-structure-per-cluster argument has it. The clone has no cross
+// views: what is retained is solved, not refactorized, and a clone that
+// is written builds its own (EnsureCrossViews).
 func (f *StaticFactors) Clone() Factors {
 	c := *f
+	c.LRowPtr, c.LRowCols, c.LRowPos = nil, nil, nil
+	c.UColPtr, c.UColRows, c.UColPos = nil, nil, nil
 	c.LVal = append([]float64(nil), f.LVal...)
 	c.UVal = append([]float64(nil), f.UVal...)
 	c.D = append([]float64(nil), f.D...)
@@ -343,6 +358,7 @@ func (f *StaticFactors) FactorizeWith(a *sparse.CSR, ws *Workspace) error {
 	if a.N() != f.n {
 		return fmt.Errorf("lu: matrix dimension %d does not match structure %d", a.N(), f.n)
 	}
+	f.EnsureCrossViews()
 	ws.columns(a)
 	if f.mirrorable(a, ws) {
 		return f.factorizeMirrored(ws)

@@ -28,13 +28,18 @@ import (
 //
 // Memory economy: a depth-D history at base spacing S retains D/S
 // clones plus D delta records (each a few sparse vectors), instead of
-// D clones. A static clone owns its values and shares the index
+// D clones. A static clone owns its values and shares the primary index
 // structure with every other clone of the same structural run, so what
 // shrinks by roughly S× is the values — the structure is paid once per
 // structural version either way — while every version stays queryable.
-// Replay depth (at most S−1) is the latency price, paid only on
-// materialization misses; the history benchmark (internal/bench
-// "history") measures both sides of the trade.
+// That structure is the primary arrays alone: a clone, like a container
+// reloaded from spill, holds no cross views (they are built on demand
+// by whoever writes a container, and a retained one is never written),
+// so a base of a run the stream has since rebuilt past keeps about a
+// third of the index bytes its live container had. Replay depth (at
+// most S−1) is the latency price, paid only on materialization misses;
+// the history benchmark (internal/bench "history") measures both sides
+// of the trade.
 
 // defaultHistoryBudget bounds materialized-solver residency when
 // Config.HistoryBudgetBytes is unset.

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +23,14 @@ import (
 // every published version. It returns the final version (all batches
 // applied, stream closed).
 func historyStream(t *testing.T, eng *Engine, nBatches int) (map[uint64]*lu.Solver, uint64) {
+	return historyStreamOf(t, eng, nBatches, true)
+}
+
+// historyStreamOf is historyStream on a directed graph through
+// graph.RWRMatrix, or on an undirected one through
+// graph.SymmetricWalkMatrix, whose factors mirror themselves so that
+// every update and every replay takes bennett's symmetric walk.
+func historyStreamOf(t *testing.T, eng *Engine, nBatches int, directed bool) (map[uint64]*lu.Solver, uint64) {
 	t.Helper()
 	rng := xrand.New(99)
 	n := 90
@@ -28,12 +38,16 @@ func historyStream(t *testing.T, eng *Engine, nBatches int) (map[uint64]*lu.Solv
 	for k := 0; k < 4*n; k++ {
 		es = append(es, graph.Edge{From: rng.Intn(n), To: rng.Intn(n)})
 	}
+	derive := graph.RWRMatrix(testDamping)
+	if !directed {
+		derive = graph.SymmetricWalkMatrix(testDamping)
+	}
 	ref := make(map[uint64]*lu.Solver)
 	record := eng.HistoryHook()
 	s, err := core.NewStream(core.StreamConfig{
 		Alpha:   0.9,
-		Initial: graph.New(n, true, es),
-		Derive:  graph.RWRMatrix(testDamping),
+		Initial: graph.New(n, directed, es),
+		Derive:  derive,
 		OnPublish: func(sv *lu.Solver, rec bennett.VersionRecord) {
 			record(sv, rec)
 			ref[rec.Version] = sv.Clone()
@@ -275,7 +289,9 @@ func TestHistoryBudgetEviction(t *testing.T) {
 // currency) means now that a materialized static container shares its
 // base's index structure: every resident pays for the values it owns,
 // each base's structure is charged once while any of its versions is
-// resident, and evicting the last of them gives both back.
+// resident, and evicting the last of them gives both back. The
+// structure charged is the primary one alone: a resident replayed by
+// the directed update holds no cross views.
 func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
 	eng := New(Config{Workers: 1, HistoryBase: 8, Damping: testDamping})
 	defer eng.Close()
@@ -306,6 +322,13 @@ func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
 		owned, shared := lu.MemBytes(r.s.F)
 		if shared == 0 || owned == 0 {
 			t.Fatalf("version %d: owned %d shared %d bytes; a static resident has both", v, owned, shared)
+		}
+		f := r.s.F.(*lu.StaticFactors)
+		if f.LRowPtr != nil || f.UColPtr != nil {
+			t.Fatalf("version %d: the resident holds cross views", v)
+		}
+		if primary := int64(8 * (len(f.LColPtr) + len(f.LRowIdx) + len(f.URowPtr) + len(f.UColIdx))); shared != primary {
+			t.Fatalf("version %d: shared %d bytes, want the primary structure's %d", v, shared, primary)
 		}
 		want += owned
 		if perBase[b]++; perBase[b] == 1 {
@@ -341,6 +364,84 @@ func TestHistoryResidentBytesChargeStructureOncePerBase(t *testing.T) {
 			t.Fatalf("tight budget, version %d: %d residents, %d structures, %d bytes; want 1, 1, %d", v, residents, structures, got, owned+shared)
 		}
 	}
+}
+
+// TestHistoryMirroredStreamMaterializesBitIdentical drives a stream
+// whose factors mirror themselves (graph.SymmetricWalkMatrix on an
+// undirected graph) into the history, in RAM and with a two-snapshot
+// bound that spills the bases to disk. Every version's factors — a base
+// pinned, a base reloaded from spill, or a version replayed by the
+// symmetric walk from either — equal a clone taken at publish bit for
+// bit, and answer as it does. A retained base holds no cross views; a
+// replayed version builds its own, on its own container.
+func TestHistoryMirroredStreamMaterializesBitIdentical(t *testing.T) {
+	for _, spill := range []bool{false, true} {
+		cfg := Config{Workers: 1, HistoryBase: 4, Damping: testDamping}
+		if spill {
+			cfg.MaxSnapshots, cfg.SpillDir = 2, t.TempDir()
+		}
+		eng := New(cfg)
+		ref, last := historyStreamOf(t, eng, 20, false)
+		if spill {
+			waitSpilled(t, eng, 1)
+		}
+		replayed, walked := 0, 0
+		for v := uint64(0); v <= last; v++ {
+			want := ref[v].F.(*lu.StaticFactors)
+			if !want.Mirrored() {
+				t.Fatalf("spill=%v version %d: the published factors do not mirror themselves", spill, v)
+			}
+			var s *lu.Solver
+			var err error
+			if eng.isRetainedBase(v) {
+				s, err = eng.historyBaseSolver(int(v))
+				if err == nil && s.F.(*lu.StaticFactors).LRowPtr != nil {
+					t.Fatalf("spill=%v version %d: the retained base holds cross views", spill, v)
+				}
+			} else {
+				s, err = eng.historySolver(v)
+				replayed++
+			}
+			if err != nil {
+				t.Fatalf("spill=%v version %d: %v", spill, v, err)
+			}
+			if s.F.(*lu.StaticFactors).LRowPtr != nil {
+				walked++ // built by the symmetric walk on the replay's container
+			}
+			got := s.F.(*lu.StaticFactors)
+			if !sameStaticBits(got, want) || !got.Mirrored() {
+				t.Fatalf("spill=%v version %d: materialized factors differ from the clone taken at publish", spill, v)
+			}
+			q := Query{Snapshot: int(v), Measure: MeasureRWR, Source: int(v) % 17}
+			resp, err := eng.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("spill=%v version %d: %v", spill, v, err)
+			}
+			if _, wantScores := coldAnswer(q, ref[v]); !reflect.DeepEqual(wantScores, resp.Scores) {
+				t.Errorf("spill=%v version %d: history answer differs from cold solve", spill, v)
+			}
+		}
+		st := eng.Stats()
+		if replayed == 0 || walked == 0 || st.HistoryMaterializations == 0 {
+			t.Errorf("spill=%v: %d versions replayed, %d by the symmetric walk (%d materializations)", spill, replayed, walked, st.HistoryMaterializations)
+		}
+		if spill && st.SpillReloads == 0 {
+			t.Error("no base was reloaded from spill")
+		}
+		eng.Close()
+	}
+}
+
+// sameStaticBits reports whether two static containers hold the same
+// primary structure and the same values in every bit.
+func sameStaticBits(a, b *lu.StaticFactors) bool {
+	bits := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	return a.Dim() == b.Dim() &&
+		slices.Equal(a.LColPtr, b.LColPtr) && slices.Equal(a.LRowIdx, b.LRowIdx) &&
+		slices.Equal(a.URowPtr, b.URowPtr) && slices.Equal(a.UColIdx, b.UColIdx) &&
+		bits(a.LVal, b.LVal) && bits(a.UVal, b.UVal) && bits(a.D, b.D)
 }
 
 // TestHistoryVersionsListing checks the /v1/snapshots view: bases are

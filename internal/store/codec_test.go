@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -261,13 +264,68 @@ func TestSolverRoundTripSolvesIdentically(t *testing.T) {
 	}
 }
 
+// lazyCrossViews holds a decoded container to what the codec promises
+// of the cross views: it decodes none, and a writer that builds them on
+// a clone (lu's EnsureCrossViews) gets L by row and U by column exactly
+// as sorting the primary arrays' entries lists them, while the clone
+// still solves bit for bit as the decoded container does.
+func lazyCrossViews(t testing.TB, s *lu.Solver) {
+	t.Helper()
+	f := s.F.(*lu.StaticFactors)
+	if f.LRowPtr != nil || f.LRowCols != nil || f.LRowPos != nil || f.UColPtr != nil || f.UColRows != nil || f.UColPos != nil {
+		t.Fatal("a decoded container holds cross views")
+	}
+	c := f.Clone().(*lu.StaticFactors)
+	c.EnsureCrossViews()
+	n := f.Dim()
+	// scan lists every (minor, major, position) of the compressed
+	// structure ptr/idx sorted by minor index, then major: the other
+	// orientation, by a sort rather than a counting pass.
+	scan := func(ptr, idx []int) (tPtr, tIdx, tPos []int) {
+		type entry struct{ k, j, p int }
+		var es []entry
+		for j := 0; j < n; j++ {
+			for p := ptr[j]; p < ptr[j+1]; p++ {
+				es = append(es, entry{idx[p], j, p})
+			}
+		}
+		slices.SortFunc(es, func(a, b entry) int { return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.j, b.j)) })
+		tPtr = make([]int, n+1)
+		for _, e := range es {
+			tPtr[e.k+1]++
+			tIdx, tPos = append(tIdx, e.j), append(tPos, e.p)
+		}
+		for k := 0; k < n; k++ {
+			tPtr[k+1] += tPtr[k]
+		}
+		return tPtr, tIdx, tPos
+	}
+	lp, lc, lpos := scan(f.LColPtr, f.LRowIdx)
+	up, ur, upos := scan(f.URowPtr, f.UColIdx)
+	for k, pair := range [6][2][]int{{c.LRowPtr, lp}, {c.LRowCols, lc}, {c.LRowPos, lpos}, {c.UColPtr, up}, {c.UColRows, ur}, {c.UColPos, upos}} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("cross view %d built on demand is %v, a dense scan lists %v", k, pair[0], pair[1])
+		}
+	}
+	want, got := make([]float64, n), make([]float64, n)
+	for i := range want {
+		want[i] = float64(i%7) - 3
+		got[i] = want[i]
+	}
+	f.SolveInPlace(want)
+	c.SolveInPlace(got)
+	if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+		t.Fatal("building the cross views moved the solution")
+	}
+}
+
 // FuzzReadSolver feeds arbitrary bytes to the CLUS decoder a spill
 // reload runs: it must never panic, and a frame it accepts must
-// re-encode to one that decodes to the same solver. The seeds, a CLUDE
+// re-encode to one that decodes to the same solver and hold no cross
+// views until a writer builds them (lazyCrossViews). The seeds, a CLUDE
 // stream's and a BF run's solver, must round-trip bit for bit; the same
-// frames with
-// factor kind 1 (the linked-list kind the format no longer has) must
-// read as ErrCorrupt.
+// frames with factor kind 1 (the linked-list kind the format no longer
+// has) must read as ErrCorrupt.
 func FuzzReadSolver(f *testing.F) {
 	rng := xrand.New(53)
 	g0 := randomGraph(12, 10, rng)
@@ -278,6 +336,7 @@ func FuzzReadSolver(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(got.F, sv.F) || !reflect.DeepEqual(got.O, sv.O) || !bytes.Equal(encodeSolver(f, got), data) {
 			f.Fatalf("solver did not round-trip bit-identically (%v)", err)
 		}
+		lazyCrossViews(f, got)
 		kind1 := withByte(f, data, prefixLen(f, solverMagic, func(c *cw) { writeOrdering(c, sv.O) }), 1)
 		if _, err := ReadSolver(bytes.NewReader(kind1)); !errors.Is(err, ErrCorrupt) {
 			f.Fatalf("a factor-kind-1 frame read as %v, want ErrCorrupt", err)
@@ -298,6 +357,7 @@ func FuzzReadSolver(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again.F, s.F) || !reflect.DeepEqual(again.O, s.O) {
 			t.Fatalf("an accepted frame did not survive re-encoding (%v)", err)
 		}
+		lazyCrossViews(t, s)
 	})
 }
 

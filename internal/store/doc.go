@@ -13,9 +13,10 @@
 //     lu.StaticFactors, graph.Graph, sparse patterns/matrices/
 //     orderings, the cluster tracker, and the complete core.StreamState
 //     of a CLUDE stream (INC/CINC's linked lists have no format).
-//     Only primary structure is written; the factors' cross views are
-//     reassembled on read, so round trips are bit-identical by
-//     construction.
+//     Only primary structure is written, and a container is rebuilt
+//     from exactly those arrays, so round trips are bit-identical by
+//     construction; the factors' cross views are built on demand by
+//     whoever writes the container later.
 //
 //   - Record log (wal.go): append-only CRC-framed records keyed by a
 //     monotone integer, in size-rotated segments whose torn tails are

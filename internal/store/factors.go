@@ -28,10 +28,11 @@ const (
 )
 
 // writeFactorsBody encodes the container into an open frame. Only
-// primary structure is written; lu.AssembleStatic rebuilds the cross
-// views on read, which is what makes the round trip bit-identical by
-// construction rather than by trusting the input. A container of any
-// other type is an error.
+// primary structure is written, and lu.AssembleStatic rebuilds the
+// container from exactly those arrays, which is what makes the round
+// trip bit-identical by construction rather than by trusting the
+// input; the cross views are built on demand by whoever writes the
+// container later. A container of any other type is an error.
 func writeFactorsBody(c *cw, f lu.Factors) {
 	t, ok := f.(*lu.StaticFactors)
 	if !ok {
