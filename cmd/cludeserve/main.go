@@ -21,16 +21,16 @@
 //     full clone, and any version in between is materialized on demand
 //     by replaying its recorded Bennett rank-1 deltas from the nearest
 //     base — bit-identical factors at a fraction of the resident
-//     bytes. -history-budget bounds the bytes the LRU of materialized
-//     versions may hold; /v1/snapshots marks each answerable version
-//     "resident" or "materializable". Without it (the default) a
-//     streamed version is answerable only while it is the head.
+//     bytes. The LRU of materialized versions holds at most 64 MiB;
+//     /v1/snapshots marks each answerable version "resident" or
+//     "materializable". Without it (the default) a streamed version is
+//     answerable only while it is the head.
 //
 // Usage:
 //
-//	cludeserve -addr :8080 -scale small -alpha 0.95
+//	cludeserve -addr :8080 -scale small
 //	cludeserve -stream -batch 64 -flush-ms 200
-//	cludeserve -stream -history-base 16 -history-budget 268435456
+//	cludeserve -stream -history-base 16
 //	cludeserve -stream -data-dir /var/lib/clude -fsync always -snapshot-every 32
 //
 // With -data-dir the streaming engine is durable: every ingest batch is
@@ -57,8 +57,8 @@
 // Request-scoped tracing (docs/OBSERVABILITY.md) is on by default:
 // every query gets a W3C-traceparent-compatible trace threaded through
 // the whole pipeline, and tail-based retention keeps errors, queries
-// slower than -slow-query-ms, and a -trace-sample fraction of the rest
-// in a -trace-buffer ring served at /v1/traces and /v1/traces/{id}.
+// slower than 20 ms, and a -trace-sample fraction of the rest in a
+// -trace-buffer ring served at /v1/traces and /v1/traces/{id}.
 // Slow traces additionally emit a rate-limited WARN log line carrying
 // the trace id. -debug-addr starts a second, private listener with
 // pprof and expvar; it never shares the public mux. -log-format=json
@@ -67,10 +67,15 @@
 // The query path is the admission-controlled pipeline of
 // docs/SERVING.md: identical concurrent queries coalesce into one
 // solve, every other admitted query is one substitution on CLUDE's
-// maintained factors, and when the bounded queue (-queue) is full the
-// server sheds load immediately with HTTP 429 and a Retry-After header
-// instead of letting the backlog grow. A -query-timeout bounds each
-// query's time in the pipeline.
+// maintained factors, and when the bounded queue (8 per worker, one
+// worker per GOMAXPROCS) is full the server sheds load immediately with
+// HTTP 429 and a Retry-After header instead of letting the backlog
+// grow. A client that hangs up or times out cancels its own query.
+//
+// The server factors and serves one dataset at the paper's α = 0.95 and
+// d = 0.85; the query pool, the offline factorization pool, the result
+// cache (4096 entries) and the history LRU take the serving engine's
+// defaults (docs/SERVING.md, "Flags").
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains
 // in-flight queries and the ingest queue, and only then shuts the
@@ -114,31 +119,31 @@ var version = "dev"
 // and the measures it answers (the paper's 0.85).
 const damping = 0.85
 
+// alpha is CLUDE's clustering threshold α, offline and streaming (the
+// paper's 0.95).
+const alpha = 0.95
+
+// slowQuery is the tracer's slow threshold: every query trace at least
+// this slow is retained and (rate-limitedly) logged.
+const slowQuery = 20 * time.Millisecond
+
 // options holds every command-line setting of cludeserve.
 type options struct {
-	addr      string
-	scale     string
-	alpha     float64
-	workers   int
-	factorW   int
-	cacheSize int
-	maxSnaps  int
-	queueLen  int
-	queryTO   time.Duration
+	addr     string
+	scale    string
+	maxSnaps int
 
-	streaming  bool
-	algName    string
-	batchSize  int
-	flushMS    int
-	histBase   int
-	histBudget int64
+	streaming bool
+	algName   string
+	batchSize int
+	flushMS   int
+	histBase  int
 
 	dataDir   string
 	fsyncMode string
 	snapEvery uint64
 
 	traceBuf    int
-	slowQueryMS int
 	traceSample float64
 	debugAddr   string
 	logFormat   string
@@ -147,32 +152,25 @@ type options struct {
 // defineFlags registers cludeserve's flags on fs and returns the
 // options they fill once fs is parsed. The solve route has no flag:
 // every query is one substitution on the factors (docs/SERVING.md,
-// "Solve routes").
+// "Solve routes"). docs/SERVING.md's flag table lists each flag, its
+// default and what sets it.
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.scale, "scale", "small", "dataset scale: tiny | small | medium | paper")
-	fs.Float64Var(&o.alpha, "alpha", 0.95, "CLUDE clustering threshold")
-	fs.IntVar(&o.workers, "workers", 0, "query pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.factorW, "factor-workers", 0, "offline factorization pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.cacheSize, "cache", 4096, "LRU result-cache entries")
 	fs.IntVar(&o.maxSnaps, "snapshots", 0, "snapshot store bound (0 = the -scale dataset's length: offline, the whole sequence; with -stream, the same count bounds the pinned history bases)")
-	fs.IntVar(&o.queueLen, "queue", 0, "admission queue depth; a full queue sheds with HTTP 429 (0 = 8x workers)")
-	fs.DurationVar(&o.queryTO, "query-timeout", 0, "per-query deadline covering queue wait and solve (0 = none)")
 
 	fs.BoolVar(&o.streaming, "stream", false, "streaming mode: live edge-delta ingestion via POST /v1/update")
 	fs.StringVar(&o.algName, "alg", "CLUDE", "streaming maintenance strategy: CLUDE only, the one the server streams; kept so that existing command lines parse")
 	fs.IntVar(&o.batchSize, "batch", 64, "streaming: events per ingest batch")
 	fs.IntVar(&o.flushMS, "flush-ms", 200, "streaming: max linger before a partial batch commits (0 = size-only)")
 	fs.IntVar(&o.histBase, "history-base", 0, "streaming: delta-compressed history — pin a base clone every k versions and serve the versions between them by Bennett delta replay (0 = keep no past version)")
-	fs.Int64Var(&o.histBudget, "history-budget", 0, "streaming: byte budget for LRU-cached materialized history versions (0 = 64 MiB default)")
 
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: WAL + factor snapshots (streaming), snapshot spill (both modes); empty = memory only")
 	fs.StringVar(&o.fsyncMode, "fsync", "always", "WAL fsync policy: always | none")
 	fs.Uint64Var(&o.snapEvery, "snapshot-every", 32, "streaming: background factor snapshot every k versions")
 
 	fs.IntVar(&o.traceBuf, "trace-buffer", 256, "retained-trace ring size; 0 disables tracing entirely")
-	fs.IntVar(&o.slowQueryMS, "slow-query-ms", 20, "retain (and rate-limitedly log) every trace at least this slow; 0 disables slow retention")
 	fs.Float64Var(&o.traceSample, "trace-sample", 0.001, "fraction of healthy, fast traces to retain anyway [0,1]")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "opt-in debug listener (pprof + expvar), kept off the public mux; empty = disabled")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text | json")
@@ -226,7 +224,7 @@ func main() {
 	if o.traceBuf > 0 {
 		tracer = trace.New(trace.Config{
 			Buffer:   o.traceBuf,
-			Slow:     time.Duration(o.slowQueryMS) * time.Millisecond,
+			Slow:     slowQuery,
 			Sample:   o.traceSample,
 			OnRetain: slowQueryLogger(time.Second),
 		})
@@ -261,7 +259,7 @@ func main() {
 	} else {
 		var seq *graph.DeltaSequence
 		if seq, err = graph.NewDeltaSequence(first, batches, graph.RWRMatrix(damping)); err == nil {
-			err = factorOffline(eng, scfg, seq, o.alpha, o.factorW)
+			err = factorOffline(eng, scfg, seq)
 		}
 	}
 	if err != nil {
@@ -385,16 +383,11 @@ func dataset(scale gen.Scale) (*graph.Graph, [][]graph.EdgeEvent, error) {
 func engineConfig(o *options, T int, tracer *trace.Tracer) serve.Config {
 	scfg := serve.Config{
 		MaxSnapshots: snapshotBound(o.maxSnaps, T),
-		Workers:      o.workers,
-		CacheSize:    o.cacheSize,
 		Damping:      damping,
-		QueueDepth:   o.queueLen,
-		QueryTimeout: o.queryTO,
 		Tracer:       tracer,
 	}
 	if o.streaming {
 		scfg.HistoryBase = o.histBase
-		scfg.HistoryBudgetBytes = o.histBudget
 	}
 	if o.dataDir != "" {
 		// Evicted pinned snapshots spill to disk instead of vanishing,
@@ -428,8 +421,8 @@ type pinStore interface {
 // decomposed and pinned, and the evicted ones spill. Either way the run
 // reads seq front to back once and keeps only the step deltas and the
 // starts of the clusters it decomposes, so set-up holds no whole
-// sequence of graphs or matrices.
-func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence, alpha float64, factorW int) error {
+// sequence of graphs or matrices. The run's pool is GOMAXPROCS wide.
+func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence) error {
 	T := seq.Len()
 	slog.Info("factoring snapshots", "count", T, "n", seq.N(), "alg", "CLUDE", "alpha", alpha)
 	t0 := time.Now()
@@ -441,9 +434,8 @@ func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence, alpha fl
 	// with the rest of its cluster (counted once per cluster below).
 	owned, shared := make([]int64, T), make([]int64, T)
 	res, err := core.Run(seq, core.CLUDE, core.Options{
-		Alpha:   alpha,
-		Workers: factorW,
-		First:   first,
+		Alpha: alpha,
+		First: first,
 		OnFactors: func(i int, s *lu.Solver) {
 			// The run updates s in place for the next snapshot; the store
 			// keeps a clone (values only: a cluster shares its structure).
@@ -484,7 +476,7 @@ func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence, alpha fl
 // exact factors the crashed process last published.
 func startStream(eng *serve.Engine, st *store.Store, reg *metrics.Registry, tracer *trace.Tracer, first *graph.Graph, o *options) (*core.Stream, *core.Batcher, error) {
 	cfg := core.StreamConfig{
-		Alpha:   o.alpha,
+		Alpha:   alpha,
 		Initial: first,
 		Derive:  graph.RWRMatrix(damping),
 		OnBatch: api.IngestHook(reg, tracer),

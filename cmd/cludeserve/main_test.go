@@ -66,15 +66,20 @@ func TestBenchmarkPinnedFlagsParse(t *testing.T) {
 	}
 }
 
-// TestRouteKnobFlagsAreGone: the solve route is the solver's decision
-// and a streamed version is kept one way (-history-base); the three
-// flags that used to steer the first and the one that was the second
-// way must be rejected as unknown, and the flag count stays what the
-// docs say.
+// TestRouteKnobFlagsAreGone: the solve route is the solver's decision,
+// a streamed version is kept one way (-history-base), and a knob nothing
+// sets is the default it always was. The three flags that used to steer
+// the first, the one that was the second way and the eight that became
+// constants or serve.New's defaults must be rejected as unknown, and
+// the flag count stays what the docs say.
 func TestRouteKnobFlagsAreGone(t *testing.T) {
-	// Spelled in pieces so a grep for the retired names finds only the
-	// changelog.
-	for _, words := range [][]string{{"sparse", "frac"}, {"solve", "batch"}, {"panel", "min", "width"}, {"checkpoint"}} {
+	// Spelled in pieces so a grep for the retired names finds the
+	// changelog and the docs, not this test.
+	for _, words := range [][]string{
+		{"sparse", "frac"}, {"solve", "batch"}, {"panel", "min", "width"}, {"checkpoint"},
+		{"alpha"}, {"workers"}, {"factor", "workers"}, {"cache"}, {"queue"},
+		{"query", "timeout"}, {"history", "budget"}, {"slow", "query", "ms"},
+	} {
 		name := strings.Join(words, "-")
 		fs, _ := newFlagSet()
 		err := fs.Parse([]string{"-" + name, "1"})
@@ -85,8 +90,8 @@ func TestRouteKnobFlagsAreGone(t *testing.T) {
 	fs, _ := newFlagSet()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 23 {
-		t.Errorf("cludeserve defines %d flags, want 23", n)
+	if n != 15 {
+		t.Errorf("cludeserve defines %d flags, want 15", n)
 	}
 }
 
@@ -150,7 +155,7 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 		eng := fingerprintStore{serve.New(scfg), map[int]string{}}
 		t.Cleanup(eng.Close)
 		logged.Reset()
-		if err := factorOffline(eng, scfg, seq, 0.95, 1); err != nil {
+		if err := factorOffline(eng, scfg, seq); err != nil {
 			t.Fatal(err)
 		}
 		m := pinnedLine.FindStringSubmatch(logged.String())
@@ -358,12 +363,12 @@ func checkFlags(fs *flag.FlagSet, args []string) error {
 }
 
 // TestDocCommandLinesParse runs every cludeserve command line the docs,
-// the README and the scripts quote through the flag set: each flag
-// must exist and an -alg must be one the server accepts. Markdown is
-// read from its code blocks and inline code spans, with "\" line
-// continuations joined; the scripts pass their server flags through
-// SRV_FLAGS=(...) (crash_recovery_smoke.sh) and boot <log> <flags...>
-// (probe_bodies.sh).
+// the README, the benchmark's README (read only) and the scripts quote
+// through the flag set: each flag must exist and an -alg must be one
+// the server accepts. Markdown is read from its code blocks and inline
+// code spans, with "\" line continuations joined; the scripts pass
+// their server flags through SRV_FLAGS=(...) (crash_recovery_smoke.sh)
+// and boot <log> <flags...> (probe_bodies.sh).
 func TestDocCommandLinesParse(t *testing.T) {
 	root := filepath.Join("..", "..")
 	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
@@ -379,13 +384,17 @@ func TestDocCommandLinesParse(t *testing.T) {
 	bootLine := regexp.MustCompile(`(?m)^boot \S+ (.*)$`)
 	found := map[string]int{}
 	check := func(file string, args []string) {
-		found[filepath.Base(file)]++
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found[filepath.ToSlash(rel)]++
 		fs, _ := newFlagSet()
 		if err := checkFlags(fs, args); err != nil {
 			t.Errorf("%s: cludeserve %s: %v", file, strings.Join(args, " "), err)
 		}
 	}
-	for _, file := range append(docs, filepath.Join(root, "README.md")) {
+	for _, file := range append(docs, filepath.Join(root, "README.md"), filepath.Join(root, "benchmark", "README.md")) {
 		raw, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -428,10 +437,51 @@ func TestDocCommandLinesParse(t *testing.T) {
 			check(file, args)
 		}
 	}
-	for _, file := range []string{"README.md", "SERVING.md", "STREAMING.md", "PERSISTENCE.md", "crash_recovery_smoke.sh", "probe_bodies.sh"} {
+	for _, file := range []string{
+		"README.md", "benchmark/README.md", "docs/SERVING.md", "docs/STREAMING.md", "docs/PERSISTENCE.md",
+		"scripts/crash_recovery_smoke.sh", "scripts/probe_bodies.sh",
+	} {
 		if found[file] == 0 {
 			t.Errorf("no cludeserve command line found in %s: the extraction no longer sees it", file)
 		}
 	}
 	t.Logf("checked command lines per file: %v", found)
+}
+
+// TestFlagTableMatchesDefineFlags: the flag table in docs/SERVING.md
+// ("### Flags") names exactly the flags defineFlags registers, so a
+// flag cannot be added or removed without the table saying who sets it.
+func TestFlagTableMatchesDefineFlags(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "SERVING.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n### Flags\n")
+	if !ok {
+		t.Fatal("docs/SERVING.md has no \"### Flags\" section")
+	}
+	if end := strings.Index(section, "\n#"); end >= 0 {
+		section = section[:end]
+	}
+	row := regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|")
+	documented := map[string]bool{}
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		if documented[m[1]] {
+			t.Errorf("the table lists -%s twice", m[1])
+		}
+		documented[m[1]] = true
+	}
+	fs, _ := newFlagSet()
+	defined := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) {
+		defined[f.Name] = true
+		if !documented[f.Name] {
+			t.Errorf("-%s is defined but missing from the flag table", f.Name)
+		}
+	})
+	for name := range documented {
+		if !defined[name] {
+			t.Errorf("the flag table lists -%s, which cludeserve does not define", name)
+		}
+	}
 }

@@ -72,7 +72,7 @@ type Config struct {
 	MaxSnapshots int
 	// Workers is the query pool size. <= 0 means runtime.GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the LRU result cache (entries). <= 0 means 1024.
+	// CacheSize bounds the LRU result cache (entries). <= 0 means 4096.
 	CacheSize int
 	// Damping is the restart parameter baked into the pinned factors
 	// (A = I − d·W). Queries may omit it (0) or must match it: the
@@ -83,9 +83,6 @@ type Config struct {
 	// immediately with ErrOverloaded — the engine never builds a
 	// backlog deeper than this. <= 0 means 8×Workers.
 	QueueDepth int
-	// QueryTimeout, when positive, is a per-request deadline applied
-	// to every Query on top of the caller's context.
-	QueryTimeout time.Duration
 	// SpillDir, when non-empty, turns eviction from the bounded
 	// snapshot store into disk spilling: evicted snapshots are written
 	// there (see internal/store's solver codec) and transparently
@@ -380,7 +377,7 @@ func New(cfg Config) *Engine {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 1024
+		cfg.CacheSize = 4096
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8 * cfg.Workers
@@ -457,17 +454,6 @@ func (e *Engine) Pin(i int, s *lu.Solver) {
 	e.handleEvicted(evicted)
 }
 
-// OnFactors adapts Pin to the core.Options.OnFactors signature: it
-// pins a clone of each snapshot's solver, the engine's own factors
-// being updated in place after the callback:
-//
-//	core.Run(ems, core.CLUDE, core.Options{
-//		Alpha: 0.95, OnFactors: eng.OnFactors(),
-//	})
-func (e *Engine) OnFactors() func(i int, s *lu.Solver) {
-	return func(i int, s *lu.Solver) { e.Pin(i, s.Clone()) }
-}
-
 // Snapshots returns the retained snapshot indices in ascending order.
 func (e *Engine) Snapshots() []int {
 	e.mu.RLock()
@@ -535,9 +521,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // Query answers q, blocking until the answer is computed (or shared
-// from an identical in-flight query), the context is cancelled, the
-// per-request deadline expires, the admission queue sheds the query,
-// or the engine closes. The caller owns the returned Scores and Nodes.
+// from an identical in-flight query), the context is cancelled or its
+// deadline passes, the admission queue sheds the query, or the engine
+// closes. The caller owns the returned Scores and Nodes.
 func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
 	resp, err := e.QueryShared(ctx, q)
 	if err != nil {
@@ -560,11 +546,6 @@ func (e *Engine) Query(ctx context.Context, q Query) (*Response, error) {
 // vector at all.
 func (e *Engine) QueryShared(ctx context.Context, q Query) (*Response, error) {
 	e.queries.Add(1)
-	if e.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-		defer cancel()
-	}
 	// The latency clock read doubles as the trace's root start: on this
 	// path a time.Now costs as much as the rest of a span, so tracing
 	// shares every timestamp serve already takes.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -216,6 +217,28 @@ func TestQueryCancellation(t *testing.T) {
 			t.Fatalf("racing cancel returned %v", err)
 		}
 		<-done
+	}
+}
+
+// TestNewDefaults pins what a zero Config sizes: cludeserve sets only
+// the damping, the snapshot bound and the history base, so these are
+// the pool, queue, cache and history budget the server runs with.
+func TestNewDefaults(t *testing.T) {
+	eng := New(Config{Damping: testDamping})
+	defer eng.Close()
+	st := eng.Stats()
+	workers := runtime.GOMAXPROCS(0)
+	if st.Workers != workers {
+		t.Errorf("workers = %d, want GOMAXPROCS = %d", st.Workers, workers)
+	}
+	if got := cap(eng.queue); got != 8*workers {
+		t.Errorf("queue capacity = %d, want 8×%d workers", got, workers)
+	}
+	if eng.cache.cap != 4096 {
+		t.Errorf("cache capacity = %d entries, want 4096", eng.cache.cap)
+	}
+	if st.HistoryBudgetBytes != 64<<20 {
+		t.Errorf("history_budget_bytes = %d, want 64 MiB", st.HistoryBudgetBytes)
 	}
 }
 

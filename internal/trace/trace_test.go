@@ -87,10 +87,9 @@ func TestRetentionPolicy(t *testing.T) {
 		t.Fatalf("error trace data: %+v %v", td, ok)
 	}
 
-	// Slow: always retained.
-	tr := tc.Start("q", SpanContext{})
-	time.Sleep(12 * time.Millisecond)
-	out = tr.Finish(nil)
+	// Slow: always retained. The trace is backdated past the threshold
+	// rather than slept through, so the host's scheduler cannot move it.
+	out = tc.StartAt("q", SpanContext{}, time.Now().Add(-12*time.Millisecond)).Finish(nil)
 	if !out.Retained || out.Reason != ReasonSlow {
 		t.Fatalf("slow trace: %+v", out)
 	}
