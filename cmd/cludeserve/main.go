@@ -416,12 +416,14 @@ type pinStore interface {
 // every snapshot the store will keep. Without a spill directory the
 // store drops all but the last MaxSnapshots before the listener opens,
 // so the run is told to start there (core.Options.First): the clusters
-// that end before it are never decomposed, and only the kept snapshots
-// are cloned and pinned. With a spill directory every snapshot is
-// decomposed and pinned, and the evicted ones spill. Either way the run
-// reads seq front to back once and keeps only the step deltas and the
-// starts of the clusters it decomposes, so set-up holds no whole
-// sequence of graphs or matrices. The run's pool is GOMAXPROCS wide.
+// that end before it are never decomposed, the cluster that straddles
+// it opens its chain at the first kept snapshot (CLUDE's USSP holds the
+// fill of every member), and only the kept snapshots are cloned and
+// pinned. With a spill directory every snapshot is decomposed and
+// pinned, and the evicted ones spill. Either way the run reads seq front
+// to back once and keeps only the step deltas its chains apply and the
+// matrices they open at, so set-up holds no whole sequence of graphs or
+// matrices. The run's pool is GOMAXPROCS wide.
 func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence) error {
 	T := seq.Len()
 	slog.Info("factoring snapshots", "count", T, "n", seq.N(), "alg", "CLUDE", "alpha", alpha)
@@ -458,11 +460,12 @@ func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence) error {
 		}
 	}
 	// clusters is what the planner made of the whole sequence; the
-	// decomposed_* pair is what the phase times were spent on.
-	decomposed := res.Clusters[cluster.Covering(res.Clusters, first):]
+	// decomposed_* pair is what the phase times were spent on: CLUDE's
+	// chains open at First, opened_at, and at every later cluster start.
+	decomposed := len(res.Clusters) - cluster.Covering(res.Clusters, first)
 	tm := res.Times
 	slog.Info("pinned snapshots", "count", len(pinned), "elapsed", time.Since(t0).Round(time.Millisecond),
-		"clusters", len(res.Clusters), "decomposed_clusters", len(decomposed), "decomposed_snapshots", T-decomposed[0].Start,
+		"clusters", len(res.Clusters), "decomposed_clusters", decomposed, "decomposed_snapshots", T-first, "opened_at", first,
 		"cluster_ms", tm.Clustering.Milliseconds(), "order_ms", tm.Ordering.Milliseconds(),
 		"lu_ms", tm.FullLU.Milliseconds(), "bennett_ms", tm.Bennett.Milliseconds(), "retained_mb", retained>>20)
 	return nil

@@ -43,11 +43,19 @@ type Options struct {
 	// each has its own ordering, USSP and Bennett chain — so a cluster
 	// that ends at or before First is planned (Result.Clusters is the
 	// whole sequence's, and every later cluster is what it would have
-	// been) but never ordered, decomposed or updated; a cluster that
-	// straddles First runs its chain from its own start, as the factors
-	// of its later members require. OnFactors fires for i = First..T-1,
-	// bit-identical to the same snapshots of a First = 0 run. INC is one
-	// cluster, so it skips nothing. Outside [0, T) is an error.
+	// been) but never ordered, decomposed or updated. Under CLUDE and
+	// CLUDE-QC the cluster that straddles First opens its chain at First:
+	// its ordering and USSP are the whole cluster's union's, which by
+	// Theorem 1 hold every member's fill, so A_First is decomposed in
+	// them directly and the snapshots of that cluster carry the exact LU
+	// of A_First plus fewer Bennett steps, agreeing with a First = 0
+	// run's to rounding; every later cluster is bit-identical to it.
+	// Under BF, INC, CINC and CINC-QC, whose ordering or structure comes
+	// from a cluster's first member, the straddled cluster runs its chain
+	// from its own start, and every snapshot from First on is
+	// bit-identical to a First = 0 run's. INC is one cluster, so it
+	// skips nothing. OnFactors fires for i = First..T-1. Outside [0, T)
+	// is an error.
 	First int
 	// OnFactors, when non-nil, is invoked once per matrix index with a
 	// solver whose factors are current for that matrix, strictly in
@@ -103,7 +111,9 @@ type Result struct {
 	// Times is the per-phase breakdown; Wall is the timed total. Times
 	// (clustering aside, which always covers the whole sequence),
 	// Refactorizations, Bennett and the Dynamic counters cover the
-	// clusters that ran: all of them unless Options.First skipped some.
+	// chains that ran, from the member each opened at: all of them from
+	// their starts unless Options.First skipped some (or, under union
+	// ordering, opened the straddled one at First).
 	Times PhaseTimes
 	Wall  time.Duration
 

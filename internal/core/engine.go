@@ -22,8 +22,9 @@ import (
 //	planner      →  jobs (one per cluster; t_c)
 //	orderStage   →  the cluster's ordering and, with it, its symbolic
 //	                structure (t_M); starts the chain
-//	factorStage  →  chain.open: full LU of the first member (t_d;
-//	                symbolic too when the ordering was given, not computed)
+//	factorStage  →  chain.open: full LU of the member the chain opens at
+//	                (t_d; symbolic too when the ordering was given, not
+//	                computed)
 //	updateStage  →  chain.apply across the rest of the cluster (t_B), and
 //	                chain.refactor where an update fails (t_d)
 //
@@ -35,13 +36,18 @@ import (
 // pool; an ordered-emission stage keeps the OnFactors callback contract
 // (snapshot order i = First..T-1) intact under any worker count.
 // Independence is also what Options.First rests on: a cluster nobody
-// will read is planned but never dispatched.
+// will read is planned but never dispatched. A chain opens at its
+// cluster's first member, except under union ordering (CLUDE and
+// CLUDE-QC), where it opens at the first member anybody reads: by
+// Theorem 1 every member's fill under O∪ lies inside the USSP, so the
+// member at First decomposes in the cluster's static structure as
+// directly as the first one does (job.open).
 //
 // The sequence is read front to back once, by the planner, which holds
-// the previous and the current matrix and keeps only the step deltas and
-// the matrices a chain decomposes: each run cluster's first member (for
-// BF, every matrix from First on). After planning, only a failed update
-// (chain.refactor) and MeasureQuality read it again.
+// the previous and the current matrix and keeps only the step deltas a
+// chain applies and the matrices a chain decomposes: the member each run
+// cluster opens at (for BF, every matrix from First on). After planning,
+// only a failed update (chain.refactor) and MeasureQuality read it again.
 
 // job is one independent unit of engine work: a cluster of
 // consecutive matrices factored under one shared ordering.
@@ -53,12 +59,25 @@ type job struct {
 	ord      sparse.Ordering
 }
 
+// open is the matrix j's chain decomposes in full when the caller reads
+// from first on: the cluster's first member, or under union ordering the
+// first member anybody reads. The USSP of O∪ covers every member's fill
+// (Theorem 1), so A_first decomposes in the structure A_Start would; an
+// ordering or structure taken from the opening member (BF, INC, CINC)
+// pins the chain to the start.
+func (j job) open(first int) int {
+	if j.useUnion {
+		return max(j.cl.Start, first)
+	}
+	return j.cl.Start
+}
+
 // plan is a planner's output: the error-message label, the job list in
 // cluster order (jobs[k].cl.Start increasing, contiguous), the step
 // deltas of the planners whose clusters step — deltas[i] = A_i − A_{i−1}
-// in the original indices, nil at i = 0 and for BF — and starts[i] = A_i
-// for the first member of every cluster that ends past Options.First
-// (nil elsewhere).
+// in the original indices, nil at i = 0, for BF and where no chain
+// applies it — and starts[i] = A_i for the member every cluster that
+// ends past Options.First opens at (job.open; nil elsewhere).
 type plan struct {
 	label  string
 	jobs   []job
@@ -68,10 +87,11 @@ type plan struct {
 
 // stepDeltas reads seq front to back once, holding only the previous and
 // the current matrix: it diffs every pair of consecutive matrices in the
-// original indices and keeps each step's value delta. visit, when
-// non-nil, sees every matrix as it is read with its step's whole delta
-// (the pattern delta included; nil at i = 0) while both are current.
-func stepDeltas(seq graph.Sequence, visit func(i int, a *sparse.CSR, d *sparse.StepDelta)) [][]sparse.Entry {
+// original indices and keeps the value delta of each step from keepFrom
+// on, the steps a chain may apply. visit, when non-nil, sees every
+// matrix as it is read with its step's whole delta (the pattern delta
+// included; nil at i = 0) while both are current.
+func stepDeltas(seq graph.Sequence, keepFrom int, visit func(i int, a *sparse.CSR, d *sparse.StepDelta)) [][]sparse.Entry {
 	deltas := make([][]sparse.Entry, seq.Len())
 	var d sparse.StepDelta
 	var prev *sparse.CSR
@@ -80,7 +100,9 @@ func stepDeltas(seq graph.Sequence, visit func(i int, a *sparse.CSR, d *sparse.S
 		var step *sparse.StepDelta
 		if i > 0 {
 			d.Diff(prev, a)
-			deltas[i] = slices.Clone(d.Entries)
+			if i >= keepFrom {
+				deltas[i] = slices.Clone(d.Entries)
+			}
 			step = &d
 		}
 		if visit != nil {
@@ -119,7 +141,7 @@ func (incPlanner) plan(e *engine) (plan, error) {
 	pl := plan{label: "INC", jobs: []job{
 		{cl: cluster.Cluster{Start: 0, End: e.seq.Len()}},
 	}, starts: make([]*sparse.CSR, e.seq.Len())}
-	pl.deltas = stepDeltas(e.seq, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
+	pl.deltas = stepDeltas(e.seq, 1, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
 		if i == 0 {
 			pl.starts[0] = a
 		}
@@ -130,9 +152,11 @@ func (incPlanner) plan(e *engine) (plan, error) {
 // alphaPlanner plans CINC (useUnion=false) and CLUDE (useUnion=true):
 // α-clusters, ordered by the first member or the cluster union. The
 // tracker admits each matrix by its step's pattern delta, so clustering
-// costs what changed, not two whole patterns per step. A cluster's first
-// member is kept from the moment it opens the cluster until the cluster
-// closes at or before First.
+// costs what changed, not two whole patterns per step. Under CINC a
+// cluster's first member is kept from the moment it opens the cluster
+// until the cluster closes at or before First. Under CLUDE the chains
+// open at First and at every later cluster start (job.open), so only
+// those matrices are kept, and only the steps after First.
 type alphaPlanner struct {
 	label    string
 	alpha    float64
@@ -145,21 +169,24 @@ func (p alphaPlanner) plan(e *engine) (plan, error) {
 	if e.seq.Len() == 0 {
 		return pl, nil
 	}
+	// No chain applies a step at or before the earliest point one opens
+	// at, a cluster's start at 0.
+	first := e.opt.First
+	keepFrom := job{useUnion: p.useUnion}.open(first) + 1
 	finish := func(cl cluster.Cluster) {
-		if cl.End <= e.opt.First {
+		if cl.End <= first {
 			pl.starts[cl.Start] = nil // never decomposed
 		}
 		pl.jobs = append(pl.jobs, job{idx: len(pl.jobs), cl: cl, useUnion: p.useUnion})
 	}
-	pl.deltas = stepDeltas(e.seq, func(i int, a *sparse.CSR, d *sparse.StepDelta) {
+	pl.deltas = stepDeltas(e.seq, keepFrom, func(i int, a *sparse.CSR, d *sparse.StepDelta) {
 		if i == 0 {
 			tr.Admit(a.Pattern())
-			pl.starts[0] = a
-			return
+		} else if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, a.Pattern) {
+			finish(cl) // a opens the next cluster
 		}
-		if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, a.Pattern) {
-			finish(cl)
-			pl.starts[i] = a // it opens the next cluster
+		if (job{cl: tr.Cluster(), useUnion: p.useUnion}).open(first) == i {
+			pl.starts[i] = a // the chain of a's cluster opens at a
 		}
 	})
 	finish(tr.Cluster())
@@ -180,7 +207,8 @@ type betaPlanner struct {
 func (p betaPlanner) plan(e *engine) (plan, error) {
 	pats := make([]*sparse.Pattern, e.seq.Len())
 	asym := -1
-	deltas := stepDeltas(e.seq, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
+	keepFrom := job{useUnion: p.useUnion}.open(e.opt.First) + 1 // as in alphaPlanner
+	deltas := stepDeltas(e.seq, keepFrom, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
 		pats[i] = a.Pattern()
 		if asym < 0 && !a.IsSymmetric(1e-12) {
 			asym = i
@@ -199,14 +227,16 @@ func (p betaPlanner) plan(e *engine) (plan, error) {
 	} else {
 		qcs = cluster.BetaCINC(pats, p.beta, star)
 	}
-	// β-clusters are known only once every pattern is, so the starts of
-	// the clusters that run are read a second time.
+	// β-clusters are known only once every pattern is, so the matrices
+	// the chains that run open at are read a second time.
 	pl := plan{label: p.label, jobs: make([]job, len(qcs)), deltas: deltas, starts: make([]*sparse.CSR, e.seq.Len())}
 	for i, qc := range qcs {
-		pl.jobs[i] = job{idx: i, cl: qc.Cluster, useUnion: p.useUnion, hasOrd: true, ord: qc.Ordering}
+		j := job{idx: i, cl: qc.Cluster, useUnion: p.useUnion, hasOrd: true, ord: qc.Ordering}
 		if qc.Cluster.End > e.opt.First {
-			pl.starts[qc.Cluster.Start] = e.seq.Matrix(qc.Cluster.Start)
+			open := j.open(e.opt.First)
+			pl.starts[open] = e.seq.Matrix(open)
 		}
+		pl.jobs[i] = j
 	}
 	return pl, nil
 }
@@ -263,10 +293,10 @@ func orderStage(e *engine, w *worker, st *jobState) error {
 	return e.ctx.Err()
 }
 
-// factorStage opens the chain on the first cluster member — phase
-// t_d — and lets go of the member, then emits snapshot cl.Start.
+// factorStage opens the chain on the member job.open names — phase
+// t_d — and lets go of the member, then emits its snapshot.
 func factorStage(e *engine, w *worker, st *jobState) error {
-	cl := st.job.cl
+	cl, open := st.job.cl, st.job.open(e.opt.First)
 	t1 := time.Now()
 	if st.sym == nil && st.job.useUnion {
 		// Symbolic decomposition of A∪^{O∪} gives the USSP; the static
@@ -277,21 +307,22 @@ func factorStage(e *engine, w *worker, st *jobState) error {
 	// INC/CINC maintain the linked-list container across the cluster;
 	// singleton clusters (and all of BF) never update, so the static
 	// container serves directly.
-	if err := st.chain.open(st.sym, e.starts[cl.Start], !st.job.useUnion && cl.Len() > 1, &w.luWS); err != nil {
-		return fmt.Errorf("core: %s cluster %d (matrix %d): %w", e.label, st.job.idx, cl.Start, err)
+	if err := st.chain.open(st.sym, e.starts[open], !st.job.useUnion && cl.Len() > 1, &w.luWS); err != nil {
+		return fmt.Errorf("core: %s cluster %d (matrix %d): %w", e.label, st.job.idx, open, err)
 	}
-	e.starts[cl.Start] = nil // this worker's own element
+	e.starts[open] = nil // this worker's own element
 	w.times.FullLU += time.Since(t1)
-	return e.emit(w, cl.Start, st.chain.solver)
+	return e.emit(w, open, st.chain.solver)
 }
 
-// updateStage walks the rest of the cluster with Bennett updates —
-// phase t_B — emitting every snapshot, then records the cluster's
-// structural bookkeeping. A step moves only the planner's ∆A into the
-// cluster ordering; a whole matrix is permuted only to refactorize.
+// updateStage walks the rest of the cluster, from the member after the
+// one the chain opened at, with Bennett updates — phase t_B — emitting
+// every snapshot, then records the cluster's structural bookkeeping. A
+// step moves only the planner's ∆A into the cluster ordering; a whole
+// matrix is permuted only to refactorize.
 func updateStage(e *engine, w *worker, st *jobState) error {
 	cl, c := st.job.cl, &st.chain
-	for i := cl.Start + 1; i < cl.End; i++ {
+	for i := st.job.open(e.opt.First) + 1; i < cl.End; i++ {
 		if err := e.ctx.Err(); err != nil {
 			return err
 		}
@@ -335,7 +366,7 @@ type engine struct {
 
 	jobs        []job             // the clusters to run: the plan's, less those Options.First skips
 	deltas      [][]sparse.Entry  // the plan's step deltas, read-only
-	starts      []*sparse.CSR     // the plan's cluster starts; each dropped by the worker that opens it
+	starts      []*sparse.CSR     // the plan's chain openers; each dropped by the worker that opens it
 	orderings   []sparse.Ordering // per planned cluster, written by its owning worker
 	structSizes []int             // per planned cluster
 	sspOut      []int             // per matrix; non-nil only for BF
@@ -368,7 +399,7 @@ func (e *engine) fail(err error) {
 }
 
 // runJob drives one cluster through its chain: order, decompose the
-// first member, update the rest.
+// member it opens at, update the rest.
 func (e *engine) runJob(w *worker, j job) error {
 	st := &jobState{job: j}
 	if err := orderStage(e, w, st); err != nil {
@@ -479,10 +510,11 @@ type emitReq struct {
 func (r emitReq) Less(o emitReq) bool { return r.i < o.i }
 
 // emit delivers snapshot i to the OnFactors callback in snapshot
-// order. With no callback, or below Options.First (the head of the
-// cluster that straddles it), it is only a cancellation check; with one
-// worker the callback fires inline (the sequential path produces
-// snapshots in order by construction).
+// order. With no callback, or below Options.First (the head of an
+// INC, CINC or CINC-QC cluster that straddles it: a union-ordered chain
+// opens at First), it is only a cancellation check; with one worker the
+// callback fires inline (the sequential path produces snapshots in
+// order by construction).
 func (e *engine) emit(w *worker, i int, s *lu.Solver) error {
 	if e.opt.OnFactors == nil || i < e.opt.First {
 		return e.ctx.Err()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/lu"
+	"repro/internal/order"
 	"repro/internal/sparse"
 )
 
@@ -26,6 +29,14 @@ type firstCase struct {
 	ems   *graph.EMS
 	delta graph.Sequence
 	run   func(graph.Sequence, Options) (*Result, error)
+	// source is the RWR source of the right-hand side every emitted
+	// solver solves: the densest row of the first matrix, so the solve
+	// reaches past the source itself.
+	source int
+	// unionOrds, for the union-ordered entry points (CLUDE, CLUDE-QC),
+	// returns each planned cluster's O∪ from public calls; nil for the
+	// entry points whose chains open at their cluster's start.
+	unionOrds func(t *testing.T, clusters []cluster.Cluster) []sparse.Ordering
 }
 
 func firstCases(t *testing.T) []firstCase {
@@ -35,65 +46,196 @@ func firstCases(t *testing.T) []firstCase {
 	directedDelta, symmetricDelta := replayed(t, directedEGS, walk), replayed(t, symmetricEGS, sym)
 	var cases []firstCase
 	for _, alg := range []Algorithm{BF, INC, CINC, CLUDE} {
-		cases = append(cases, firstCase{string(alg), directed, directedDelta, func(seq graph.Sequence, o Options) (*Result, error) {
+		c := firstCase{name: string(alg), ems: directed, delta: directedDelta, source: densestRow(directed.Matrices[0]), run: func(seq graph.Sequence, o Options) (*Result, error) {
 			o.Alpha = 0.95
 			return Run(seq, alg, o)
-		}})
+		}}
+		if alg == CLUDE {
+			c.unionOrds = func(_ *testing.T, clusters []cluster.Cluster) []sparse.Ordering {
+				ords := make([]sparse.Ordering, len(clusters))
+				for k, cl := range clusters {
+					ords[k] = order.Markowitz(cl.Union).Ordering
+				}
+				return ords
+			}
+		}
+		cases = append(cases, c)
 	}
 	for _, alg := range []Algorithm{CINC, CLUDE} {
-		cases = append(cases, firstCase{string(alg) + "-QC", symmetric, symmetricDelta, func(seq graph.Sequence, o Options) (*Result, error) {
+		c := firstCase{name: string(alg) + "-QC", ems: symmetric, delta: symmetricDelta, source: densestRow(symmetric.Matrices[0]), run: func(seq graph.Sequence, o Options) (*Result, error) {
 			return RunQC(seq, alg, 0.1, o)
-		}})
+		}}
+		if alg == CLUDE {
+			// β-clustering orders as it clusters, so O∪ is its output.
+			c.unionOrds = func(t *testing.T, clusters []cluster.Cluster) []sparse.Ordering {
+				pats := make([]*sparse.Pattern, symmetric.Len())
+				for i, a := range symmetric.Matrices {
+					pats[i] = a.Pattern()
+				}
+				qcs := cluster.BetaCLUDE(pats, 0.1, nil)
+				ords := make([]sparse.Ordering, len(qcs))
+				for k, qc := range qcs {
+					if k >= len(clusters) || qc.Cluster.Start != clusters[k].Start || qc.Cluster.End != clusters[k].End {
+						t.Fatalf("BetaCLUDE planned %v, the run %v", qc.Cluster, clusters)
+					}
+					ords[k] = qc.Ordering
+				}
+				return ords
+			}
+		}
+		cases = append(cases, c)
 	}
 	return cases
 }
 
-// snapshotHashes runs c over seq and returns the indices OnFactors fired
-// for, in firing order, with the golden hash of each emitted solver.
-func snapshotHashes(c firstCase, seq graph.Sequence, o Options) ([]int, map[int]uint64, *Result, error) {
-	var seen []int
-	hashes := map[int]uint64{}
+// densestRow is the row of a that stores the most entries.
+func densestRow(a *sparse.CSR) int {
+	best, most := 0, -1
+	for i := range a.N() {
+		if cols, _ := a.Row(i); len(cols) > most {
+			best, most = i, len(cols)
+		}
+	}
+	return best
+}
+
+// emitted is what OnFactors was handed in one run: the indices in firing
+// order, the golden hash of each solver and its solve of rwrRHS.
+type emitted struct {
+	seen   []int
+	hashes map[int]uint64
+	x      map[int][]float64
+}
+
+// rwrRHS is RWR's right-hand side for source u, (1 − c)·e_u.
+func rwrRHS(n, u int) []float64 { return sparse.Basis(n, u, 0.15) }
+
+// emissions runs c over seq and records what OnFactors was handed.
+func emissions(c firstCase, seq graph.Sequence, o Options) (emitted, *Result, error) {
+	em := emitted{hashes: map[int]uint64{}, x: map[int][]float64{}}
 	o.OnFactors = func(i int, s *lu.Solver) {
 		h := fnv.New64a()
 		hashSolver(h, s)
-		seen = append(seen, i)
-		hashes[i] = h.Sum64()
+		em.seen = append(em.seen, i)
+		em.hashes[i] = h.Sum64()
+		em.x[i] = s.Solve(rwrRHS(seq.N(), c.source))
 	}
 	res, err := c.run(seq, o)
-	return seen, hashes, res, err
+	return em, res, err
 }
 
-// chainTerms counts the rank-1 terms of cluster cl's Bennett chain. A
-// delta splits along its thinner dimension, and a permutation changes
-// neither dimension's count, so the count needs no ordering.
-func chainTerms(ems *graph.EMS, cl cluster.Cluster) int {
+// chainTerms counts the rank-1 terms of cluster cl's Bennett chain from
+// member open on. A delta splits along its thinner dimension, and a
+// permutation changes neither dimension's count, so the count needs no
+// ordering.
+func chainTerms(ems *graph.EMS, cl cluster.Cluster, open int) int {
 	n := 0
-	for i := cl.Start + 1; i < cl.End; i++ {
+	for i := open + 1; i < cl.End; i++ {
 		n += len(bennett.SplitTerms(sparse.Delta(ems.Matrices[i-1], ems.Matrices[i])))
 	}
 	return n
 }
 
+// refChain is cluster cl's union-ordered chain opened at member open,
+// built from public calls alone: the static structure of the USSP of
+// cl's union under ord, a full decomposition of A_open in it (Theorem 1:
+// it holds every member's fill), then one bennett.ApplyTerms per step.
+// It records the golden hash of the solver at every member from open on
+// and returns the rank-1 terms it applied.
+func refChain(t *testing.T, ems *graph.EMS, cl cluster.Cluster, ord sparse.Ordering, open int, hashes map[int]uint64) int {
+	t.Helper()
+	colInv := ord.Col.Inverse()
+	static := lu.NewStaticFactors(lu.Symbolic(cl.Union.Permute(ord)))
+	prev := ems.Matrices[open].PermuteInv(ord, colInv)
+	if err := static.FactorizeWith(prev, &lu.Workspace{}); err != nil {
+		t.Fatalf("reference chain of %v opened at %d: %v", cl, open, err)
+	}
+	s := &lu.Solver{F: static, O: ord}
+	var ws bennett.Workspace
+	var st bennett.Stats
+	for i := open; i < cl.End; i++ {
+		if i > open {
+			cur := ems.Matrices[i].PermuteInv(ord, colInv)
+			if err := ws.ApplyTerms(static, bennett.SplitTerms(sparse.Delta(prev, cur)), &st); err != nil {
+				t.Fatalf("reference chain of %v, step %d: %v", cl, i, err)
+			}
+			prev = cur
+		}
+		h := fnv.New64a()
+		hashSolver(h, s)
+		hashes[i] = h.Sum64()
+	}
+	return st.Rank1Updates
+}
+
+// normInf is ‖x‖∞.
+func normInf(x []float64) float64 {
+	return sparse.NormInfDiff(x, make([]float64, len(x)))
+}
+
+// scaledResidual is the normwise backward error of x as a solution of
+// a·x = b: ‖a·x − b‖∞ / (‖a‖∞‖x‖∞ + ‖b‖∞).
+func scaledResidual(a *sparse.CSR, x, b []float64) float64 {
+	normA := 0.0
+	for i := range a.N() {
+		_, vals := a.Row(i)
+		row := 0.0
+		for _, v := range vals {
+			row += math.Abs(v)
+		}
+		normA = max(normA, row)
+	}
+	return sparse.NormInfDiff(a.MulVec(x), b) / (normA*normInf(x) + normInf(b))
+}
+
+// The bounds below were fixed before the test first ran. A union chain
+// opened at First computes the exact LU of A_First rather than Bennett's
+// walk up to it, so its factors move by rounding from the First = 0
+// run's; agreeBound bounds that move in the solve of rwrRHS, relative in
+// the ∞-norm. residualBound bounds the scaled residual of that solve at
+// First and at T−1, in every run.
+const (
+	agreeBound    = 1e-13
+	residualBound = 1e-13
+)
+
+// firstReadings are the largest values one case read against the two
+// bounds: the agreement with the First = 0 run, and the scaled residuals
+// at First and T−1 of the runs with First > 0 and of the First = 0 run.
+type firstReadings struct {
+	agree, residual, fullResidual float64
+}
+
 // TestFirstDecomposesOnlyTheTail is Options.First's contract, for every
 // engine entry point, both execution paths and both kinds of sequence:
-// OnFactors fires for exactly First..T-1 in order with the very factor
-// bits of the full run over the EMS, the plan is that run's, and the
-// clusters that end at or before First leave no trace — no structure
-// size, no SSP size, no Bennett term.
+// OnFactors fires for exactly First..T-1 in order, the plan is the full
+// run's, and the clusters that end at or before First leave no trace —
+// no structure size, no SSP size, no Bennett term. The chains of BF,
+// INC, CINC and CINC-QC open at their cluster's start, so every emitted
+// factor carries the bits of the full run over the EMS. CLUDE's and
+// CLUDE-QC's open at max(start, First): every emitted factor carries the
+// bits of refChain opened there, their Bennett terms are that chain's,
+// and their solves agree with the full run's within agreeBound. A First
+// inside a CLUDE-QC cluster is where the β planner must fetch A_First,
+// not the cluster's start, for the chain to open on.
 func TestFirstDecomposesOnlyTheTail(t *testing.T) {
 	for _, c := range firstCases(t) {
 		T := c.ems.Len()
-		_, fullHashes, full, err := snapshotHashes(c, c.ems, Options{Workers: 1, MeasureQuality: true})
+		fullEm, full, err := emissions(c, c.ems, Options{Workers: 1, MeasureQuality: true})
 		if err != nil {
 			t.Fatalf("%s full run: %v", c.name, err)
 		}
 		total := 0
 		for _, cl := range full.Clusters {
-			total += chainTerms(c.ems, cl)
+			total += chainTerms(c.ems, cl, cl.Start)
 		}
 		if full.Bennett.Rank1Updates != total || full.Refactorizations != 0 {
 			t.Fatalf("%s full run: %d rank-1 updates and %d refactorizations, want the chains' %d terms and none",
 				c.name, full.Bennett.Rank1Updates, full.Refactorizations, total)
+		}
+		var ords []sparse.Ordering
+		if c.unionOrds != nil {
+			ords = c.unionOrds(t, full.Clusters)
 		}
 
 		// 0, T-1 and, for the last two clusters, the first index and one
@@ -114,16 +256,44 @@ func TestFirstDecomposesOnlyTheTail(t *testing.T) {
 			t.Fatalf("%s: clusters %v leave First no cluster to skip before entering one past its start", c.name, full.Clusters)
 		}
 
+		var read firstReadings
 		for first := range firsts {
+			// What every run from first on must emit, and the rank-1
+			// terms its chains apply.
+			want, terms := fullEm.hashes, 0
+			if ords != nil {
+				want = map[int]uint64{}
+			}
+			for ci, cl := range full.Clusters {
+				if cl.End <= first {
+					continue
+				}
+				if ords == nil {
+					terms += chainTerms(c.ems, cl, cl.Start)
+					continue
+				}
+				open := max(cl.Start, first)
+				n := refChain(t, c.ems, cl, ords[ci], open, want)
+				if n != chainTerms(c.ems, cl, open) {
+					t.Fatalf("%s: reference chain of %v from %d applied %d terms, want %d", c.name, cl, open, n, chainTerms(c.ems, cl, open))
+				}
+				terms += n
+			}
+			if first == 0 && !maps.Equal(want, fullEm.hashes) {
+				t.Fatalf("%s: the reference chains opened at their starts do not carry the full run's bits", c.name)
+			}
 			for _, sq := range []struct {
 				kind string
 				seq  graph.Sequence
 			}{{"EMS", c.ems}, {"replayed", c.delta}} {
 				for _, workers := range []int{1, 4} {
-					firstRun(t, c, sq.kind, sq.seq, first, workers, full, fullHashes)
+					r := firstRun(t, c, sq.kind, sq.seq, first, workers, full, fullEm, want, terms)
+					read.agree, read.residual, read.fullResidual = max(read.agree, r.agree), max(read.residual, r.residual), max(read.fullResidual, r.fullResidual)
 				}
 			}
 		}
+		t.Logf("%s: largest relative move from the First = 0 run %.3g (bound %g); largest scaled residual at First and T-1 %.3g, the First = 0 run's at the same snapshots %.3g (bound %g)",
+			c.name, read.agree, agreeBound, read.residual, read.fullResidual, residualBound)
 
 		// Cancelled from the first callback of a run that enters a cluster
 		// past its start: the context's error, and still nothing below
@@ -153,35 +323,49 @@ func TestFirstDecomposesOnlyTheTail(t *testing.T) {
 }
 
 // firstRun runs c over seq from first on with the given workers and
-// holds it to the full run's emissions, plan and counters.
-func firstRun(t *testing.T, c firstCase, kind string, seq graph.Sequence, first, workers int, full *Result, fullHashes map[int]uint64) {
+// holds it to the hashes want, the full run's plan and sizes, the rank-1
+// terms of the chains that run, agreeBound and residualBound. It returns
+// what it read against the bounds.
+func firstRun(t *testing.T, c firstCase, kind string, seq graph.Sequence, first, workers int, full *Result, fullEm emitted, want map[int]uint64, terms int) firstReadings {
 	t.Helper()
 	T := seq.Len()
-	seen, hashes, res, err := snapshotHashes(c, seq, Options{Workers: workers, MeasureQuality: true, First: first})
+	em, res, err := emissions(c, seq, Options{Workers: workers, MeasureQuality: true, First: first})
 	if err != nil {
 		t.Fatalf("%s %s First=%d w=%d: %v", c.name, kind, first, workers, err)
 	}
-	if len(seen) != T-first {
-		t.Fatalf("%s %s First=%d w=%d: OnFactors fired for %v, want %d..%d", c.name, kind, first, workers, seen, first, T-1)
+	if len(em.seen) != T-first {
+		t.Fatalf("%s %s First=%d w=%d: OnFactors fired for %v, want %d..%d", c.name, kind, first, workers, em.seen, first, T-1)
 	}
-	for k, i := range seen {
+	var read firstReadings
+	for k, i := range em.seen {
 		if i != first+k {
-			t.Fatalf("%s %s First=%d w=%d: OnFactors fired for %v, want %d..%d in order", c.name, kind, first, workers, seen, first, T-1)
+			t.Fatalf("%s %s First=%d w=%d: OnFactors fired for %v, want %d..%d in order", c.name, kind, first, workers, em.seen, first, T-1)
 		}
-		if hashes[i] != fullHashes[i] {
-			t.Errorf("%s %s First=%d w=%d: snapshot %d hashes %#x, %#x in the full run", c.name, kind, first, workers, i, hashes[i], fullHashes[i])
+		if em.hashes[i] != want[i] {
+			t.Errorf("%s %s First=%d w=%d: snapshot %d hashes %#x, want %#x", c.name, kind, first, workers, i, em.hashes[i], want[i])
 		}
+		rel := sparse.NormInfDiff(em.x[i], fullEm.x[i]) / normInf(fullEm.x[i])
+		if rel > agreeBound {
+			t.Errorf("%s %s First=%d w=%d: snapshot %d solves %.3g from the First = 0 run, relative; bound %g", c.name, kind, first, workers, i, rel, agreeBound)
+		}
+		read.agree = max(read.agree, rel)
+	}
+	for _, i := range []int{first, T - 1} {
+		a := c.ems.Matrices[i]
+		b := rwrRHS(a.N(), c.source)
+		r, fr := scaledResidual(a, em.x[i], b), scaledResidual(a, fullEm.x[i], b)
+		if c.unionOrds != nil && (r > residualBound || fr > residualBound) {
+			t.Errorf("%s %s First=%d w=%d: snapshot %d scaled residual %.3g (First = 0 run %.3g); bound %g", c.name, kind, first, workers, i, r, fr, residualBound)
+		}
+		read.residual, read.fullResidual = max(read.residual, r), max(read.fullResidual, fr)
 	}
 	if !reflect.DeepEqual(res.Clusters, full.Clusters) {
 		t.Errorf("%s %s First=%d w=%d: clusters %v, full run %v", c.name, kind, first, workers, res.Clusters, full.Clusters)
 	}
-	terms := 0
 	for ci, cl := range full.Clusters {
 		wantSize := full.StructureSizes[ci]
 		if cl.End <= first {
 			wantSize = 0
-		} else {
-			terms += chainTerms(c.ems, cl)
 		}
 		if res.StructureSizes[ci] != wantSize {
 			t.Errorf("%s %s First=%d w=%d: cluster %d %v structure size %d, want %d", c.name, kind, first, workers, ci, cl, res.StructureSizes[ci], wantSize)
@@ -200,6 +384,7 @@ func firstRun(t *testing.T, c firstCase, kind string, seq graph.Sequence, first,
 		t.Errorf("%s %s First=%d w=%d: %d rank-1 updates and %d refactorizations, want the executed chains' %d terms and none",
 			c.name, kind, first, workers, res.Bennett.Rank1Updates, res.Refactorizations, terms)
 	}
+	return read
 }
 
 // TestFirstOutOfRangeRejected: a First outside [0, T) is an error that
@@ -279,4 +464,55 @@ func ascending(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// TestUnionPlanKeepsWhatItsChainsRead pins what a plan holds under union
+// ordering with First inside a cluster: the matrices kept are exactly
+// A_First and the starts of the clusters after it, and no step delta at
+// or before First is kept, since no chain applies one. CINC's plan keeps
+// the straddled cluster's start and every step from the first on.
+func TestUnionPlanKeepsWhatItsChainsRead(t *testing.T) {
+	directed, symmetric := smallEMS(t), symmetricEMS(t)
+	for _, c := range []struct {
+		name  string
+		seq   *graph.EMS
+		union bool
+		pl    planner
+	}{
+		{"CINC", directed, false, alphaPlanner{label: "CINC", alpha: 0.95}},
+		{"CLUDE", directed, true, alphaPlanner{label: "CLUDE", alpha: 0.95, useUnion: true}},
+		{"CLUDE-QC", symmetric, true, betaPlanner{label: "CLUDE-QC", beta: 0.1, useUnion: true}},
+	} {
+		full, err := c.pl.plan(newEngine(c.seq, Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.jobs) < 3 || full.jobs[len(full.jobs)-2].cl.Len() < 2 {
+			t.Fatalf("%s: %d clusters leave First no cluster to skip before entering one past its start", c.name, len(full.jobs))
+		}
+		straddled, last := full.jobs[len(full.jobs)-2].cl, full.jobs[len(full.jobs)-1].cl
+		first := straddled.Start + 1
+		pl, err := c.pl.plan(newEngine(c.seq, Options{First: first}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, keepFrom := straddled.Start, 1
+		if c.union {
+			open, keepFrom = first, first+1
+		}
+		for i, a := range pl.starts {
+			if want := i == open || i == last.Start; (a != nil) != want {
+				t.Errorf("%s First=%d: matrix %d kept %v, want %v", c.name, first, i, a != nil, want)
+			}
+		}
+		for i, d := range pl.deltas {
+			want := full.deltas[i]
+			if i < keepFrom {
+				want = nil
+			}
+			if !slices.Equal(d, want) {
+				t.Errorf("%s First=%d: step %d keeps %d delta entries, want %d", c.name, first, i, len(d), len(want))
+			}
+		}
+	}
 }

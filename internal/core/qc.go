@@ -21,8 +21,7 @@ import (
 // still fire in snapshot order.
 //
 // The β-clustering needs every matrix's pattern at once, so RunQC holds
-// the patterns, and reads the starts of the clusters it decomposes a
-// second time.
+// the patterns, and reads the matrices its chains open at a second time.
 func RunQC(seq graph.Sequence, alg Algorithm, beta float64, opt Options) (*Result, error) {
 	if alg != CINC && alg != CLUDE {
 		return nil, fmt.Errorf("core: RunQC supports CINC and CLUDE, not %q", alg)

@@ -4,9 +4,9 @@
 #   scripts/probe_bodies.sh <cludeserve-binary> <out-dir>
 #
 # boots the given binary twice at -scale tiny — offline with a
-# -snapshots bound small enough that the LUDEM run skips a cluster
-# (core.Options.First), then with -stream and delta-compressed history —
-# issues one fixed list of rwr / topk / ppr / pagerank probes against
+# -snapshots bound small enough that the LUDEM run skips a cluster and
+# opens the next one's chain past its start (core.Options.First), then
+# with -stream and delta-compressed history — issues one fixed list of rwr / topk / ppr / pagerank probes against
 # retained snapshots, the latest one, history versions and versions that
 # must answer 404, and writes "<probe> <status> <sha256 of the body>"
 # lines to <out-dir>/bodies.sha256. Nothing in a body depends on time or
@@ -94,6 +94,17 @@ if [[ "$line" =~ \ clusters=([0-9]+)\ decomposed_clusters=([0-9]+)\  ]]; then
   log "decomposed ${BASH_REMATCH[2]} of ${BASH_REMATCH[1]} clusters"
 else
   log "this binary's log line has no decomposed_clusters (it predates Options.First): it decomposed every cluster"
+fi
+# The straddled cluster's chain opens at the first kept snapshot, T - 2.
+if [[ "$line" =~ \ opened_at=([0-9]+)\  ]]; then
+  T=$(grep 'msg="factoring snapshots"' "$OUT/offline.log" | sed -E 's/.* count=([0-9]+) .*/\1/')
+  if [ "${BASH_REMATCH[1]}" -ne $((T - 2)) ]; then
+    log "FAIL: the straddled cluster opened at snapshot ${BASH_REMATCH[1]}, want $((T - 2)) of $T"
+    exit 1
+  fi
+  log "opened the straddled cluster at snapshot ${BASH_REMATCH[1]} of $T"
+else
+  log "this binary's log line has no opened_at: it opened the straddled cluster at its start"
 fi
 probe offline/snapshots "$BASE/v1/snapshots"
 measures offline/8 "&snapshot=8"
