@@ -545,6 +545,32 @@ func BenchmarkKernelStreamToggle(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSequenceSteps reads every step of the medium Wiki
+// sequence replayed from its generator's events, the sequence offline
+// cludeserve factors: Step(1..T-1) front to back, what core.Run's
+// planner reads of it (a whole matrix only where a cluster or a chain
+// opens). One op is the 249 steps; building the sequence is untimed.
+func BenchmarkKernelSequenceSteps(b *testing.B) {
+	first, batches, err := gen.WikiEvents(gen.DefaultWikiConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d sparse.StepDelta
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seq, err := graph.NewDeltaSequence(first, batches, graph.RWRMatrix(0.85))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for t := 1; t < seq.Len(); t++ {
+			seq.Step(t, &d)
+		}
+	}
+}
+
 // BenchmarkKernelStreamGrowth times one growth batch: sixteen edges the
 // cluster union has never held, so the stream re-orders the grown union
 // and refactorizes — one elimination, one container, one decomposition.

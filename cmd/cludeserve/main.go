@@ -206,10 +206,12 @@ func main() {
 		}()
 	}
 
+	tgen := time.Now()
 	first, batches, err := dataset(gen.Scale(o.scale))
 	if err != nil {
 		fatal(err)
 	}
+	generated := time.Since(tgen)
 	T := len(batches) + 1
 
 	// One registry serves every subsystem: the engine, stream and store
@@ -259,7 +261,7 @@ func main() {
 	} else {
 		var seq *graph.DeltaSequence
 		if seq, err = graph.NewDeltaSequence(first, batches, graph.RWRMatrix(damping)); err == nil {
-			err = factorOffline(eng, scfg, seq)
+			err = factorOffline(eng, scfg, seq, generated)
 		}
 	}
 	if err != nil {
@@ -360,20 +362,16 @@ func debugMux() *http.ServeMux {
 	return m
 }
 
-// dataset generates the server's Wiki sequence at scale and returns what
-// either mode reads of it: the first snapshot and the per-step event
-// batches (graph.DeltaBatches), T-1 of them. The snapshots themselves go
-// with the EGS when this returns.
+// dataset generates the server's Wiki sequence at scale as the events
+// the generator applies (gen.WikiEvents): the first snapshot and the
+// per-step event batches, T-1 of them, which is all either mode reads.
+// No other snapshot is ever built.
 func dataset(scale gen.Scale) (*graph.Graph, [][]graph.EdgeEvent, error) {
 	d, err := gen.ConfigsFor(scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	egs, err := gen.WikiSim(d.Wiki)
-	if err != nil {
-		return nil, nil, err
-	}
-	return egs.Snapshots[0], graph.DeltaBatches(egs), nil
+	return gen.WikiEvents(d.Wiki)
 }
 
 // engineConfig is the serving engine's configuration from the options
@@ -420,13 +418,17 @@ type pinStore interface {
 // it opens its chain at the first kept snapshot (CLUDE's USSP holds the
 // fill of every member), and only the kept snapshots are cloned and
 // pinned. With a spill directory every snapshot is decomposed and
-// pinned, and the evicted ones spill. Either way the run reads seq front
-// to back once and keeps only the step deltas its chains apply and the
-// matrices they open at, so set-up holds no whole sequence of graphs or
-// matrices. The run's pool is GOMAXPROCS wide.
-func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence) error {
+// pinned, and the evicted ones spill. Either way the run reads seq's
+// steps front to back once, each in the work of what it changed, derives
+// a matrix whole only where a cluster or a chain opens, and keeps only
+// the step deltas its chains apply and the matrices they open at, so
+// set-up holds no whole sequence of graphs or matrices. The run's pool
+// is GOMAXPROCS wide. generated is how long the dataset took to
+// generate: the first log line reports it, so that boot set-up splits
+// into generate_ms and the "pinned snapshots" elapsed.
+func factorOffline(eng pinStore, scfg serve.Config, seq graph.Sequence, generated time.Duration) error {
 	T := seq.Len()
-	slog.Info("factoring snapshots", "count", T, "n", seq.N(), "alg", "CLUDE", "alpha", alpha)
+	slog.Info("factoring snapshots", "count", T, "n", seq.N(), "alg", "CLUDE", "alpha", alpha, "generate_ms", generated.Milliseconds())
 	t0 := time.Now()
 	first := 0
 	if scfg.SpillDir == "" {

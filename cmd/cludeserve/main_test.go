@@ -169,7 +169,7 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 		eng := fingerprintStore{serve.New(scfg), map[int]string{}}
 		t.Cleanup(eng.Close)
 		logged.Reset()
-		if err := factorOffline(eng, scfg, seq); err != nil {
+		if err := factorOffline(eng, scfg, seq, 0); err != nil {
 			t.Fatal(err)
 		}
 		m := pinnedLine.FindStringSubmatch(logged.String())

@@ -43,11 +43,15 @@ import (
 // member at First decomposes in the cluster's static structure as
 // directly as the first one does (job.open).
 //
-// The sequence is read front to back once, by the planner, which holds
-// the previous and the current matrix and keeps only the step deltas a
-// chain applies and the matrices a chain decomposes: the member each run
-// cluster opens at (for BF, every matrix from First on). After planning,
-// only a failed update (chain.refactor) and MeasureQuality read it again.
+// The sequence is read front to back once, by the planner, one step at
+// a time (graph.Sequence.Step: what changed, in the work of the change)
+// and a whole matrix only where the planner needs one: the first, each
+// member that opens a cluster (the Tracker admits the others by their
+// pattern delta), each member a chain opens at (for BF, every matrix
+// from First on), and under β-clustering every pattern. It keeps only
+// the step deltas a chain applies and the matrices a chain decomposes.
+// After planning, only a failed update (chain.refactor) and
+// MeasureQuality read the sequence again.
 
 // job is one independent unit of engine work: a cluster of
 // consecutive matrices factored under one shared ordering.
@@ -85,30 +89,34 @@ type plan struct {
 	starts []*sparse.CSR
 }
 
-// stepDeltas reads seq front to back once, holding only the previous and
-// the current matrix: it diffs every pair of consecutive matrices in the
-// original indices and keeps the value delta of each step from keepFrom
-// on, the steps a chain may apply. visit, when non-nil, sees every
-// matrix as it is read with its step's whole delta (the pattern delta
-// included; nil at i = 0) while both are current.
-func stepDeltas(seq graph.Sequence, keepFrom int, visit func(i int, a *sparse.CSR, d *sparse.StepDelta)) [][]sparse.Entry {
+// stepDeltas reads seq's steps front to back once (Sequence.Step) and
+// keeps the value delta of each step from keepFrom on, the steps a chain
+// may apply. visit, when non-nil, sees every index i with its step's
+// whole delta (the pattern delta included; nil at i = 0) while it is
+// current, and with matrix, which reads A_i whole: the only whole-matrix
+// read stepDeltas makes, at most once per index and only when visit
+// calls it.
+func stepDeltas(seq graph.Sequence, keepFrom int, visit func(i int, d *sparse.StepDelta, matrix func() *sparse.CSR)) [][]sparse.Entry {
 	deltas := make([][]sparse.Entry, seq.Len())
 	var d sparse.StepDelta
-	var prev *sparse.CSR
 	for i := range seq.Len() {
-		a := seq.Matrix(i)
 		var step *sparse.StepDelta
 		if i > 0 {
-			d.Diff(prev, a)
+			seq.Step(i, &d)
 			if i >= keepFrom {
 				deltas[i] = slices.Clone(d.Entries)
 			}
 			step = &d
 		}
 		if visit != nil {
-			visit(i, a, step)
+			var a *sparse.CSR
+			visit(i, step, func() *sparse.CSR {
+				if a == nil {
+					a = seq.Matrix(i)
+				}
+				return a
+			})
 		}
-		prev = a
 	}
 	return deltas
 }
@@ -141,18 +149,18 @@ func (incPlanner) plan(e *engine) (plan, error) {
 	pl := plan{label: "INC", jobs: []job{
 		{cl: cluster.Cluster{Start: 0, End: e.seq.Len()}},
 	}, starts: make([]*sparse.CSR, e.seq.Len())}
-	pl.deltas = stepDeltas(e.seq, 1, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
-		if i == 0 {
-			pl.starts[0] = a
-		}
-	})
+	if e.seq.Len() > 0 {
+		pl.starts[0] = e.seq.Matrix(0)
+	}
+	pl.deltas = stepDeltas(e.seq, 1, nil)
 	return pl, nil
 }
 
 // alphaPlanner plans CINC (useUnion=false) and CLUDE (useUnion=true):
 // α-clusters, ordered by the first member or the cluster union. The
 // tracker admits each matrix by its step's pattern delta, so clustering
-// costs what changed, not two whole patterns per step. Under CINC a
+// costs what changed, not two whole patterns per step, and a matrix is
+// read whole only to open a cluster or a chain. Under CINC a
 // cluster's first member is kept from the moment it opens the cluster
 // until the cluster closes at or before First. Under CLUDE the chains
 // open at First and at every later cluster start (job.open), so only
@@ -179,14 +187,15 @@ func (p alphaPlanner) plan(e *engine) (plan, error) {
 		}
 		pl.jobs = append(pl.jobs, job{idx: len(pl.jobs), cl: cl, useUnion: p.useUnion})
 	}
-	pl.deltas = stepDeltas(e.seq, keepFrom, func(i int, a *sparse.CSR, d *sparse.StepDelta) {
+	pl.deltas = stepDeltas(e.seq, keepFrom, func(i int, d *sparse.StepDelta, matrix func() *sparse.CSR) {
+		member := func() *sparse.Pattern { return matrix().Pattern() }
 		if i == 0 {
-			tr.Admit(a.Pattern())
-		} else if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, a.Pattern) {
-			finish(cl) // a opens the next cluster
+			tr.Admit(member())
+		} else if cl := tr.Cluster(); !tr.AdmitDelta(d.Added, d.Removed, member) {
+			finish(cl) // A_i opens the next cluster
 		}
 		if (job{cl: tr.Cluster(), useUnion: p.useUnion}).open(first) == i {
-			pl.starts[i] = a // the chain of a's cluster opens at a
+			pl.starts[i] = matrix() // the chain of A_i's cluster opens at A_i
 		}
 	})
 	finish(tr.Cluster())
@@ -208,7 +217,8 @@ func (p betaPlanner) plan(e *engine) (plan, error) {
 	pats := make([]*sparse.Pattern, e.seq.Len())
 	asym := -1
 	keepFrom := job{useUnion: p.useUnion}.open(e.opt.First) + 1 // as in alphaPlanner
-	deltas := stepDeltas(e.seq, keepFrom, func(i int, a *sparse.CSR, _ *sparse.StepDelta) {
+	deltas := stepDeltas(e.seq, keepFrom, func(i int, _ *sparse.StepDelta, matrix func() *sparse.CSR) {
+		a := matrix()
 		pats[i] = a.Pattern()
 		if asym < 0 && !a.IsSymmetric(1e-12) {
 			asym = i

@@ -37,6 +37,10 @@ type firstCase struct {
 	// returns each planned cluster's O∪ from public calls; nil for the
 	// entry points whose chains open at their cluster's start.
 	unionOrds func(t *testing.T, clusters []cluster.Cluster) []sparse.Ordering
+	// residualBound, when nonzero, bounds the scaled residual of the
+	// solve of rwrRHS at First and T−1 in every run; elsewhere it is
+	// logged only.
+	residualBound float64
 }
 
 func firstCases(t *testing.T) []firstCase {
@@ -50,7 +54,11 @@ func firstCases(t *testing.T) []firstCase {
 			o.Alpha = 0.95
 			return Run(seq, alg, o)
 		}}
+		if alg == INC {
+			c.residualBound = incResidualBound
+		}
 		if alg == CLUDE {
+			c.residualBound = residualBound
 			c.unionOrds = func(_ *testing.T, clusters []cluster.Cluster) []sparse.Ordering {
 				ords := make([]sparse.Ordering, len(clusters))
 				for k, cl := range clusters {
@@ -66,6 +74,7 @@ func firstCases(t *testing.T) []firstCase {
 			return RunQC(seq, alg, 0.1, o)
 		}}
 		if alg == CLUDE {
+			c.residualBound = residualBound
 			// β-clustering orders as it clusters, so O∪ is its output.
 			c.unionOrds = func(t *testing.T, clusters []cluster.Cluster) []sparse.Ordering {
 				pats := make([]*sparse.Pattern, symmetric.Len())
@@ -194,9 +203,15 @@ func scaledResidual(a *sparse.CSR, x, b []float64) float64 {
 // run's; agreeBound bounds that move in the solve of rwrRHS, relative in
 // the ∞-norm. residualBound bounds the scaled residual of that solve at
 // First and at T−1, in every run.
+// incResidualBound bounds the same residual under INC, whose one chain
+// runs the whole sequence on the dynamic linked lists and leaves out
+// the list fill they do not splice (Stats.Dropped): 100× under the 1e-9
+// at which the LUDEM benchmark cross-checks INC's answers. INC read
+// 8.8e-13 when it was fixed.
 const (
-	agreeBound    = 1e-13
-	residualBound = 1e-13
+	agreeBound       = 1e-13
+	residualBound    = 1e-13
+	incResidualBound = 1e-10
 )
 
 // firstReadings are the largest values one case read against the two
@@ -292,8 +307,15 @@ func TestFirstDecomposesOnlyTheTail(t *testing.T) {
 				}
 			}
 		}
+		bound := residualBound
+		if c.residualBound > 0 {
+			bound = c.residualBound
+		}
 		t.Logf("%s: largest relative move from the First = 0 run %.3g (bound %g); largest scaled residual at First and T-1 %.3g, the First = 0 run's at the same snapshots %.3g (bound %g)",
-			c.name, read.agree, agreeBound, read.residual, read.fullResidual, residualBound)
+			c.name, read.agree, agreeBound, read.residual, read.fullResidual, bound)
+		if c.name == "INC" {
+			t.Logf("INC: list fill left out of the First = 0 run (Bennett.Dropped) %d", full.Bennett.Dropped)
+		}
 
 		// Cancelled from the first callback of a run that enters a cluster
 		// past its start: the context's error, and still nothing below
@@ -324,7 +346,7 @@ func TestFirstDecomposesOnlyTheTail(t *testing.T) {
 
 // firstRun runs c over seq from first on with the given workers and
 // holds it to the hashes want, the full run's plan and sizes, the rank-1
-// terms of the chains that run, agreeBound and residualBound. It returns
+// terms of the chains that run, agreeBound and c.residualBound. It returns
 // what it read against the bounds.
 func firstRun(t *testing.T, c firstCase, kind string, seq graph.Sequence, first, workers int, full *Result, fullEm emitted, want map[int]uint64, terms int) firstReadings {
 	t.Helper()
@@ -354,8 +376,8 @@ func firstRun(t *testing.T, c firstCase, kind string, seq graph.Sequence, first,
 		a := c.ems.Matrices[i]
 		b := rwrRHS(a.N(), c.source)
 		r, fr := scaledResidual(a, em.x[i], b), scaledResidual(a, fullEm.x[i], b)
-		if c.unionOrds != nil && (r > residualBound || fr > residualBound) {
-			t.Errorf("%s %s First=%d w=%d: snapshot %d scaled residual %.3g (First = 0 run %.3g); bound %g", c.name, kind, first, workers, i, r, fr, residualBound)
+		if c.residualBound > 0 && (r > c.residualBound || fr > c.residualBound) {
+			t.Errorf("%s %s First=%d w=%d: snapshot %d scaled residual %.3g (First = 0 run %.3g); bound %g", c.name, kind, first, workers, i, r, fr, c.residualBound)
 		}
 		read.residual, read.fullResidual = max(read.residual, r), max(read.fullResidual, fr)
 	}
@@ -405,26 +427,43 @@ func TestFirstOutOfRangeRejected(t *testing.T) {
 	}
 }
 
-// countingSequence records every matrix read, in order.
+// seqRead is one read of a sequence: a step, or a whole matrix.
+type seqRead struct {
+	i    int
+	step bool
+}
+
+// countingSequence records every read, in order.
 type countingSequence struct {
 	graph.Sequence
 	mu    sync.Mutex
-	reads []int
+	reads []seqRead
+}
+
+func (s *countingSequence) record(r seqRead) {
+	s.mu.Lock()
+	s.reads = append(s.reads, r)
+	s.mu.Unlock()
 }
 
 func (s *countingSequence) Matrix(i int) *sparse.CSR {
-	s.mu.Lock()
-	s.reads = append(s.reads, i)
-	s.mu.Unlock()
+	s.record(seqRead{i: i})
 	return s.Sequence.Matrix(i)
 }
 
-// TestRunReadsTheSequenceOnce pins what Run holds of a sequence without
+func (s *countingSequence) Step(i int, d *sparse.StepDelta) {
+	s.record(seqRead{i: i, step: true})
+	s.Sequence.Step(i, d)
+}
+
+// TestRunReadsTheSequenceOnce pins what Run reads of a sequence without
 // measuring memory: under CLUDE and CINC with First inside the last
-// cluster (and a whole cluster before it), the planner reads every
-// matrix exactly once, front to back, and after it nothing may be read
-// but the start of a cluster that is decomposed — nothing below the
-// start of the cluster that covers First.
+// cluster (and a whole cluster before it), the planner reads the steps
+// 1..T-1 once each, ascending, and a matrix whole exactly where it
+// opens a cluster or a chain — A_0, every later cluster's start and,
+// under CLUDE, A_First — right after that matrix's step. After it,
+// nothing is read but the start of a cluster that is decomposed —
+// nothing below the start of the cluster that covers First, and no step.
 func TestRunReadsTheSequenceOnce(t *testing.T) {
 	egs := smallEGS(t)
 	for _, alg := range []Algorithm{CINC, CLUDE} {
@@ -438,32 +477,31 @@ func TestRunReadsTheSequenceOnce(t *testing.T) {
 		}
 		first := last.Start + 1
 		cover := cluster.Covering(full.Clusters, first)
+		var planning []seqRead
+		for i := range full.T {
+			if i > 0 {
+				planning = append(planning, seqRead{i: i, step: true})
+			}
+			if full.Clusters[cluster.Covering(full.Clusters, i)].Start == i || (alg == CLUDE && i == first) {
+				planning = append(planning, seqRead{i: i})
+			}
+		}
 		for _, workers := range []int{1, 4} {
 			seq := &countingSequence{Sequence: replayed(t, egs, graph.RWRMatrix(0.85))}
 			if _, err := Run(seq, alg, Options{Alpha: 0.95, Workers: workers, First: first}); err != nil {
 				t.Fatal(err)
 			}
-			T := seq.Len()
-			if len(seq.reads) < T || !slices.Equal(seq.reads[:T], ascending(T)) {
-				t.Fatalf("%s w=%d: reads %v, want 0..%d once each before anything else", alg, workers, seq.reads, T-1)
+			if len(seq.reads) < len(planning) || !slices.Equal(seq.reads[:len(planning)], planning) {
+				t.Fatalf("%s w=%d: reads %v, want %v before anything else", alg, workers, seq.reads, planning)
 			}
-			for _, i := range seq.reads[T:] {
-				ci := cluster.Covering(full.Clusters, i)
-				if ci < cover || full.Clusters[ci].Start != i {
-					t.Errorf("%s w=%d: read matrix %d after planning, which starts no cluster from %v on", alg, workers, i, full.Clusters[cover])
+			for _, r := range seq.reads[len(planning):] {
+				ci := cluster.Covering(full.Clusters, r.i)
+				if r.step || ci < cover || full.Clusters[ci].Start != r.i {
+					t.Errorf("%s w=%d: read %+v after planning, which is no start of a cluster from %v on", alg, workers, r, full.Clusters[cover])
 				}
 			}
 		}
 	}
-}
-
-// ascending returns 0, 1, …, n-1.
-func ascending(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // TestUnionPlanKeepsWhatItsChainsRead pins what a plan holds under union

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -197,11 +195,13 @@ type Stream struct {
 	c           chain           // the current cluster's factor chain
 	structUnion *sparse.Pattern // union the current USSP was built from
 
-	luWS  lu.Workspace
-	benWS bennett.Workspace
-	delta deltaScratch
-	bt    BatchTrace // the batch being traced (OnBatch only)
-	lapT0 time.Time  // start of the apply part being timed (OnBatch only)
+	luWS     lu.Workspace
+	benWS    bennett.Workspace
+	delta    sparse.StepDelta     // the batch's ∆A, unpermuted (graph.BatchDelta)
+	deltaWS  graph.DeltaWorkspace // its scratch
+	permuted []sparse.Entry       // ∆A in the current ordering
+	bt       BatchTrace           // the batch being traced (OnBatch only)
+	lapT0    time.Time            // start of the apply part being timed (OnBatch only)
 
 	// rebased marks factors refilled outside a published step (a failed
 	// batch's recovery): they are no longer the previous record's values
@@ -380,18 +380,19 @@ func (s *Stream) current() *sparse.CSR { return graph.Derive(s.cfg.Derive, s.bui
 // Bennett update inside the current USSP, or a rebuild when the batch
 // opens a cluster or grows the union past the USSP.
 func (s *Stream) step() error {
-	d := s.batchDelta()
+	d := &s.delta
+	graph.BatchDelta(d, s.cfg.Derive, s.builder, &s.deltaWS)
 	var cur *sparse.CSR // materialized only when the batch opens a cluster
 	member := func() *sparse.Pattern {
 		cur = s.current()
 		return cur.Pattern()
 	}
-	if !s.tracker.AdmitDelta(d.added, d.removed, member) {
+	if !s.tracker.AdmitDelta(d.Added, d.Removed, member) {
 		// A fresh cluster's union is its first member.
 		s.stats.Clusters++
 		return s.rebuild(cur, cur.Pattern())
 	}
-	if !d.addedWithin(s.structUnion) {
+	if !addedWithin(d.Added, s.structUnion) {
 		// The member grew the cluster union past the USSP the static
 		// container was built from (the previous member was inside it, so
 		// the added positions decide): re-derive the ordering from the
@@ -399,83 +400,13 @@ func (s *Stream) step() error {
 		s.stats.StructRebuilds++
 		return s.rebuild(s.current(), s.tracker.Union())
 	}
-	return s.update(d.entries)
-}
-
-// deltaScratch holds one batch's ∆A and the buffers it is computed in,
-// reused from batch to batch.
-type deltaScratch struct {
-	// entries is ∆A in the current ordering, row-major — what
-	// sparse.Delta of the two whole matrices would list.
-	entries []sparse.Entry
-	// added and removed are the positions (unpermuted) that entered and
-	// left the matrix pattern.
-	added, removed []sparse.Coord
-
-	dirty   []int
-	isDirty []bool
-	rows    [2][]int
-	vals    [2][]float64
-}
-
-// batchDelta computes ∆A of the batch the builder just applied: the
-// deriver names the columns the changed edges dirty, and each is
-// evaluated on the graph before and after the batch and diffed entry by
-// entry, with sparse.Delta's arithmetic. The result is valid until the
-// next batch.
-func (s *Stream) batchDelta() *deltaScratch {
-	d, b, derive := &s.delta, s.builder, s.cfg.Derive
-	if d.isDirty == nil {
-		d.isDirty = make([]bool, b.N())
-	}
-	d.entries, d.added, d.removed, d.dirty = d.entries[:0], d.added[:0], d.removed[:0], d.dirty[:0]
-	mark := func(col int) {
-		if !d.isDirty[col] {
-			d.isDirty[col] = true
-			d.dirty = append(d.dirty, col)
-		}
-	}
-	for _, ev := range b.Changed() {
-		derive.Dirty(b, ev.From, ev.To, mark)
-	}
-	before := b.Before()
-	for _, col := range d.dirty {
-		d.isDirty[col] = false
-		d.rows[0], d.vals[0] = derive.Column(before, col, d.rows[0][:0], d.vals[0][:0])
-		d.rows[1], d.vals[1] = derive.Column(b, col, d.rows[1][:0], d.vals[1][:0])
-		or, ov, nr, nv := d.rows[0], d.vals[0], d.rows[1], d.vals[1]
-		pc := s.c.colInv[col]
-		emit := func(row int, v float64) {
-			if v != 0 {
-				d.entries = append(d.entries, sparse.Entry{Row: s.c.rowInv[row], Col: pc, Val: v})
-			}
-		}
-		for ko, kn := 0, 0; ko < len(or) || kn < len(nr); {
-			switch {
-			case kn >= len(nr) || (ko < len(or) && or[ko] < nr[kn]):
-				d.removed = append(d.removed, sparse.Coord{Row: or[ko], Col: col})
-				emit(or[ko], -ov[ko])
-				ko++
-			case ko >= len(or) || nr[kn] < or[ko]:
-				d.added = append(d.added, sparse.Coord{Row: nr[kn], Col: col})
-				emit(nr[kn], nv[kn])
-				kn++
-			default:
-				emit(or[ko], nv[kn]-ov[ko])
-				ko++
-				kn++
-			}
-		}
-	}
-	slices.SortFunc(d.entries, func(a, b sparse.Entry) int {
-		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
-	})
-	return d
+	s.permuted = sparse.PermuteEntries(s.permuted[:0], d.Entries, s.c.rowInv, s.c.colInv)
+	return s.update(s.permuted)
 }
 
 // addedWithin reports whether every added position lies in p.
-func (d *deltaScratch) addedWithin(p *sparse.Pattern) bool {
-	for _, c := range d.added {
+func addedWithin(added []sparse.Coord, p *sparse.Pattern) bool {
+	for _, c := range added {
 		if !p.Has(c.Row, c.Col) {
 			return false
 		}

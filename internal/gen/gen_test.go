@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -106,6 +108,87 @@ func TestWikiSimShape(t *testing.T) {
 	}
 	if mes := egs.AvgSuccessiveMES(); mes < 0.97 {
 		t.Errorf("avg successive mes %.4f, want > 0.97 (paper: 0.9988)", mes)
+	}
+}
+
+// TestWikiEventsReplayWikiSim: at tiny and small, the matrix sequence
+// replayed from WikiEvents' first graph and daily batches is
+// DeriveEMS(WikiSim)'s bit for bit, with T-1 batches of events that
+// each change the edge set where they stand.
+func TestWikiEventsReplayWikiSim(t *testing.T) {
+	for _, scale := range []Scale{Tiny, Small} {
+		c, err := ConfigsFor(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		egs, err := WikiSim(c.Wiki)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, batches, err := WikiEvents(c.Wiki)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batches) != c.Wiki.T-1 {
+			t.Fatalf("%s: %d batches, want %d", scale, len(batches), c.Wiki.T-1)
+		}
+		b := graph.NewBuilderFrom(first)
+		for day, batch := range batches {
+			if n, err := b.ApplyBatch(batch); err != nil || n != len(batch) {
+				t.Fatalf("%s: batch %d changed %d of its %d events (%v), want every one", scale, day, n, len(batch), err)
+			}
+		}
+		d := graph.RWRMatrix(0.85)
+		ems := graph.DeriveEMS(egs, d)
+		seq, err := graph.NewDeltaSequence(first, batches, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Len() != ems.Len() {
+			t.Fatalf("%s: %d matrices, want %d", scale, seq.Len(), ems.Len())
+		}
+		for i := range seq.Len() {
+			gp, gc, gv := seq.Matrix(i).Arrays()
+			wp, wc, wv := ems.Matrices[i].Arrays()
+			if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) {
+				t.Fatalf("%s: matrix %d: pattern differs from DeriveEMS(WikiSim)'s", scale, i)
+			}
+			for k := range gv {
+				if math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
+					t.Fatalf("%s: matrix %d entry %d is %v, want %v", scale, i, k, gv[k], wv[k])
+				}
+			}
+		}
+	}
+}
+
+// TestUrnFindIsTheScan: the Fenwick urn finds the item a linear scan
+// subtracting the weights from t stops at, for every t, as weights move.
+func TestUrnFindIsTheScan(t *testing.T) {
+	rng := xrand.New(3)
+	for _, n := range []int{1, 2, 7, 64, 100} {
+		w, u := make([]int, n), newUrn(n)
+		for round := 0; round < 50; round++ {
+			v, d := rng.Intn(n), rng.Intn(5)
+			if round%3 == 2 && w[v] > 0 {
+				d = -w[v] // emptying a weight, as a page losing its in-links
+			}
+			w[v] += d
+			u.add(v, d)
+			total := 0
+			for _, x := range w {
+				total += x
+			}
+			for r := 0; r < total; r++ {
+				want, rest := 0, r
+				for rest -= w[want]; rest >= 0; rest -= w[want] {
+					want++
+				}
+				if got := u.find(r); got != want {
+					t.Fatalf("n=%d weights %v: find(%d) = %d, the scan stops at %d", n, w, r, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
@@ -33,8 +34,9 @@ func DefaultWikiConfig() WikiConfig {
 	}
 }
 
-// WikiSim generates a directed hyperlink EGS: pages acquire links by
-// preferential attachment (popular pages attract more in-links, which
+// WikiSim generates a directed hyperlink EGS: the WikiEvents process
+// replayed through a Builder, one snapshot per day. Pages acquire links
+// by preferential attachment (popular pages attract more in-links, which
 // is what produces the power-law in-degree of the web), links grow
 // roughly linearly from InitialEdges to FinalEdges with a small churn
 // of deletions, and occasional "events" reproduce the key moments of
@@ -42,28 +44,57 @@ func DefaultWikiConfig() WikiConfig {
 // high-profile pages, or a high-profile page bulk-adds out-links
 // (diluting its PageRank contribution).
 func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
+	first, batches, err := WikiEvents(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Each snapshot is one Builder.Graph, sharing every neighbour list
+	// the day left alone.
+	b := graph.NewBuilderFrom(first)
+	snaps := make([]*graph.Graph, 0, cfg.T)
+	snaps = append(snaps, first)
+	for _, batch := range batches {
+		if _, err := b.ApplyBatch(batch); err != nil {
+			return nil, err
+		}
+		snaps = append(snaps, b.Graph())
+	}
+	return graph.NewEGS(snaps)
+}
+
+// WikiEvents runs WikiSim's process and returns it as an event stream:
+// the day-1 graph and, for each later day, the edge events that day
+// applied, in the order it applied them (T-1 batches). Every event
+// changes the edge set where it stands, so replaying the batches from
+// first through a Builder passes through exactly WikiSim's snapshots.
+func WikiEvents(cfg WikiConfig) (*graph.Graph, [][]graph.EdgeEvent, error) {
 	if cfg.N < 10 || cfg.T < 1 || cfg.InitialEdges < 1 || cfg.FinalEdges < cfg.InitialEdges {
-		return nil, fmt.Errorf("gen: bad wiki config %+v", cfg)
+		return nil, nil, fmt.Errorf("gen: bad wiki config %+v", cfg)
 	}
 	rng := xrand.New(cfg.Seed)
 	n := cfg.N
 
 	type arc struct{ u, v int }
-	// The builder is the edge set: each snapshot is one Builder.Graph,
-	// sharing every neighbour list the day left alone.
+	// The builder is the edge set; day is the batch of events the current
+	// day has applied to it.
 	b := graph.NewBuilder(n, true)
+	var day []graph.EdgeEvent
+	apply := func(u, v int, op graph.EdgeOp) {
+		set(b, u, v, op)
+		day = append(day, graph.EdgeEvent{From: u, To: v, Op: op})
+	}
 	inDeg := make([]int, n)
-	outDeg := make([]int, n)
-	var list []arc // insertion-ordered for random removal
+	pref := newUrn(n) // inDeg again, as prefix sums
+	var list []arc    // insertion-ordered for random removal
 
 	addEdge := func(u, v int) bool {
 		if u == v || b.Has(u, v) {
 			return false
 		}
-		set(b, u, v, graph.EdgeInsert)
+		apply(u, v, graph.EdgeInsert)
 		list = append(list, arc{u, v})
 		inDeg[v]++
-		outDeg[u]++
+		pref.add(v, 1)
 		return true
 	}
 	// prefTarget picks a page proportionally to (in-degree + 1), the
@@ -74,17 +105,8 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 		if t < n {
 			return t // the +1 smoothing: uniform component
 		}
-		t -= n
-		for v := 0; v < n; v++ {
-			t -= inDeg[v]
-			if t < 0 {
-				return v
-			}
-		}
-		return n - 1
+		return pref.find(t - n) // totalIn is the sum of inDeg
 	}
-	// A faster urn would be nicer, but N is small; keep the simple scan
-	// honest and move on.
 
 	for b.NumEdges() < cfg.InitialEdges {
 		u := rng.Intn(n)
@@ -107,9 +129,9 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 				list = list[:len(list)-1]
 				continue
 			}
-			set(b, a.u, a.v, graph.EdgeDelete)
+			apply(a.u, a.v, graph.EdgeDelete)
 			inDeg[a.v]--
-			outDeg[a.u]--
+			pref.add(a.v, -1)
 			totalIn--
 			list[p] = list[len(list)-1]
 			list = list[:len(list)-1]
@@ -126,9 +148,10 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 		return idx[:k]
 	}
 
-	snaps := make([]*graph.Graph, 0, cfg.T)
-	snaps = append(snaps, b.Graph())
-	for day := 1; day < cfg.T; day++ {
+	first := b.Graph() // day 1's events are in it, not in a batch
+	batches := make([][]graph.EdgeEvent, 0, cfg.T-1)
+	for range cfg.T - 1 {
+		day = nil
 		for a := 0; a < dailyAdd; a++ {
 			u := rng.Intn(n)
 			if addEdge(u, prefTarget()) {
@@ -161,9 +184,37 @@ func WikiSim(cfg WikiConfig) (*graph.EGS, error) {
 				}
 			}
 		}
-		snaps = append(snaps, b.Graph())
+		batches = append(batches, day)
 	}
-	return graph.NewEGS(snaps)
+	return first, batches, nil
+}
+
+// urn holds non-negative weights w[0..n) as a Fenwick tree, so that
+// changing a weight and finding the item a uniform draw from [0, Σw)
+// lands on both take O(log n).
+type urn []int // urn[k], 1-based: the sum of w over (k − k&−k, k]
+
+func newUrn(n int) urn { return make(urn, n+1) }
+
+// add changes w[v] by d.
+func (u urn) add(v, d int) {
+	for k := v + 1; k < len(u); k += k & -k {
+		u[k] += d
+	}
+}
+
+// find returns the smallest v with w[0] + … + w[v] > t, for
+// 0 ≤ t < Σw: the item that a scan subtracting w[0], w[1], … from t
+// would stop at.
+func (u urn) find(t int) int {
+	k := 0
+	for step := 1 << (bits.Len(uint(len(u)-1)) - 1); step > 0; step >>= 1 {
+		if next := k + step; next < len(u) && u[next] <= t {
+			k = next
+			t -= u[next]
+		}
+	}
+	return k
 }
 
 // set applies one edge event to a generator's builder. The generators

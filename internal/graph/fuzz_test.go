@@ -137,7 +137,10 @@ func FuzzReadEGS(f *testing.F) {
 // that suit it), its first edges and up to eight event batches — no-op
 // inserts and deletes of absent edges, self-loops and both orientations
 // of an undirected pair included — and the matrices are read twice over
-// in shuffled orders: every read must equal the reference bit for bit.
+// in shuffled orders, each read followed by a step from a shuffled order
+// of its own: every matrix must equal the reference bit for bit, and
+// every Step(i) must fill what Diff of the reference's A_{i−1} and A_i
+// fills, entry for entry with Added and Removed.
 func FuzzDeltaSequence(f *testing.F) {
 	// n, kind, #first edges, the first edges, then (u, v, op) triples;
 	// an op byte ≡ 3 (mod 4) closes the batch.
@@ -217,7 +220,16 @@ func FuzzDeltaSequence(f *testing.F) {
 			t.Fatalf("%d matrices, want %d", seq.Len(), len(want))
 		}
 		rng := xrand.New(seed)
-		for _, i := range append(rng.Perm(seq.Len()), rng.Perm(seq.Len())...) {
+		steps := append(rng.Perm(seq.Len()), rng.Perm(seq.Len())...)
+		var step, ref sparse.StepDelta
+		for k, i := range append(rng.Perm(seq.Len()), rng.Perm(seq.Len())...) {
+			if j := steps[k]; j > 0 {
+				seq.Step(j, &step)
+				ref.Diff(want[j-1], want[j])
+				if err := sameStep(&step, &ref); err != nil {
+					t.Fatalf("step %d: %v", j, err)
+				}
+			}
 			got := seq.Matrix(i)
 			gp, gc, gv := got.Arrays()
 			wp, wc, wv := want[i].Arrays()

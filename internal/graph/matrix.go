@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -63,6 +64,80 @@ func Derive(d Deriver, g Adjacency) *sparse.CSR {
 		panic(fmt.Sprintf("graph: deriver broke the Column contract: %v", err))
 	}
 	return at.Transpose()
+}
+
+// DeltaWorkspace is BatchDelta's scratch, reused from call to call. Its
+// zero value is ready; one workspace serves one caller at a time.
+type DeltaWorkspace struct {
+	dirty   []int
+	isDirty []bool
+	rows    [2][]int
+	vals    [2][]float64
+}
+
+// BatchDelta fills out with what d's matrix of b gained from the batch
+// b last applied: exactly what out.Diff(Derive(d, b.Before()),
+// Derive(d, b)) fills in — the same entries in row-major order, the same
+// Added and Removed, positions of explicit zeros included — in the work
+// of the columns the batch's changed edges dirty. Each is evaluated
+// before and after the batch and the two are diffed entry by entry with
+// Diff's arithmetic, so the values carry its bits.
+func BatchDelta(out *sparse.StepDelta, d Deriver, b *Builder, ws *DeltaWorkspace) {
+	if len(ws.isDirty) != b.N() {
+		ws.isDirty = make([]bool, b.N())
+	}
+	out.Entries, out.Added, out.Removed, ws.dirty = out.Entries[:0], out.Added[:0], out.Removed[:0], ws.dirty[:0]
+	mark := func(col int) {
+		if !ws.isDirty[col] {
+			ws.isDirty[col] = true
+			ws.dirty = append(ws.dirty, col)
+		}
+	}
+	for _, ev := range b.Changed() {
+		d.Dirty(b, ev.From, ev.To, mark)
+	}
+	before := b.Before()
+	for _, col := range ws.dirty {
+		ws.isDirty[col] = false
+		ws.rows[0], ws.vals[0] = d.Column(before, col, ws.rows[0][:0], ws.vals[0][:0])
+		ws.rows[1], ws.vals[1] = d.Column(b, col, ws.rows[1][:0], ws.vals[1][:0])
+		or, ov, nr, nv := ws.rows[0], ws.vals[0], ws.rows[1], ws.vals[1]
+		for ko, kn := 0, 0; ko < len(or) || kn < len(nr); {
+			switch {
+			case kn >= len(nr) || (ko < len(or) && or[ko] < nr[kn]):
+				out.Removed = append(out.Removed, sparse.Coord{Row: or[ko], Col: col})
+				if ov[ko] != 0 {
+					out.Entries = append(out.Entries, sparse.Entry{Row: or[ko], Col: col, Val: -ov[ko]})
+				}
+				ko++
+			case ko >= len(or) || nr[kn] < or[ko]:
+				out.Added = append(out.Added, sparse.Coord{Row: nr[kn], Col: col})
+				if nv[kn] != 0 {
+					out.Entries = append(out.Entries, sparse.Entry{Row: nr[kn], Col: col, Val: nv[kn]})
+				}
+				kn++
+			default:
+				if v := nv[kn] - ov[ko]; v != 0 {
+					out.Entries = append(out.Entries, sparse.Entry{Row: or[ko], Col: col, Val: v})
+				}
+				ko++
+				kn++
+			}
+		}
+	}
+	slices.SortFunc(out.Entries, func(a, b sparse.Entry) int { return rowMajor(a.Row, a.Col, b.Row, b.Col) })
+	byPosition := func(a, b sparse.Coord) int { return rowMajor(a.Row, a.Col, b.Row, b.Col) }
+	slices.SortFunc(out.Added, byPosition)
+	slices.SortFunc(out.Removed, byPosition)
+}
+
+// rowMajor compares positions (r1, c1) and (r2, c2) in row-major order.
+// Indices are non-negative ints, so differences cannot overflow.
+func rowMajor(r1, c1, r2, c2 int) int {
+	if r1 != r2 {
+		return r1 - r2
+	}
+	return c1 - c2
 }
 
 // column appends one column whose off-diagonal entries sit on the
@@ -182,14 +257,19 @@ func (laplacian) Dirty(g Adjacency, u, v int, mark func(int)) {
 }
 
 // Sequence is an evolving matrix sequence M = {A1, …, AT} read one
-// matrix at a time, so a reader that goes front to back need hold no
-// more of it than it keeps. Matrix(i), for 0 ≤ i < Len(), returns A_i;
-// the caller must not modify it, and every call for the same i returns
-// the same bits. Implementations are safe for concurrent use.
+// matrix, or one step, at a time, so a reader that goes front to back
+// need hold no more of it than it keeps. Matrix(i), for 0 ≤ i < Len(),
+// returns A_i; the caller must not modify it, and every call for the
+// same i returns the same bits. Step(i, d), for 1 ≤ i < Len(), fills d
+// with A_i − A_{i−1} exactly as d.Diff(Matrix(i−1), Matrix(i)) would —
+// the same entries in row-major order, the same Added and Removed — so
+// a reader that needs only what changed never pays for a whole matrix.
+// Implementations are safe for concurrent use.
 type Sequence interface {
 	Len() int
 	N() int
 	Matrix(i int) *sparse.CSR
+	Step(i int, d *sparse.StepDelta)
 }
 
 // EMS is an evolving matrix sequence held whole: the image of an EGS
@@ -215,3 +295,6 @@ func (m *EMS) N() int { return m.Matrices[0].N() }
 
 // Matrix returns A_i.
 func (m *EMS) Matrix(i int) *sparse.CSR { return m.Matrices[i] }
+
+// Step fills d with A_i − A_{i−1}, diffing the two matrices it holds.
+func (m *EMS) Step(i int, d *sparse.StepDelta) { d.Diff(m.Matrices[i-1], m.Matrices[i]) }

@@ -8,23 +8,28 @@ import (
 )
 
 // DeltaSequence is the matrix sequence of an event stream: the first
-// snapshot, the per-step event batches that carry it forward
-// (DeltaBatches' shape) and a Deriver. It holds no snapshot but the
-// first and no matrix at all: Matrix(i) advances one Builder to step i
-// and derives A_i there, replaying from the first snapshot when i lies
-// behind the builder. A Builder's state derives bit for bit like the
-// snapshot with its edge set, so the matrices are DeriveEMS's.
+// snapshot, the per-step event batches that carry it forward and a
+// Deriver. It holds no snapshot but the first and no matrix at all: one
+// Builder advances through the batches, Matrix(i) derives A_i whole
+// where the builder stands at step i, and Step(i) diffs only the
+// columns batch i−1 dirtied (BatchDelta), so a step costs what it
+// changed. A Builder's state derives bit for bit like the snapshot with
+// its edge set, so the matrices are DeriveEMS's and the steps are Diff's
+// of them. A batch may list any events that lead one state to the next:
+// the generator's own events (gen.WikiEvents) or a diff of two
+// snapshots (DeltaBatches).
 //
 // Reading front to back applies every batch once; each earlier index
-// costs a replay from the start.
+// replays the batches from the first snapshot.
 type DeltaSequence struct {
 	first   *Graph
 	batches [][]EdgeEvent
 	d       Deriver
 
-	mu sync.Mutex // guards b and at: Matrix may be called concurrently
+	mu sync.Mutex // guards b, at and ws: Matrix and Step may be called concurrently
 	b  *Builder
-	at int // the step b stands at
+	at int // the step b stands at, reached by applying batch at−1 last
+	ws DeltaWorkspace
 }
 
 // NewDeltaSequence returns the sequence of len(batches)+1 matrices that
@@ -55,6 +60,26 @@ func (s *DeltaSequence) Matrix(i int) *sparse.CSR {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.advance(i)
+	return Derive(s.d, s.b)
+}
+
+// Step fills d with A_i − A_{i−1} from the columns batch i−1 dirties:
+// the builder stands at step i with that batch as its last, so its
+// journal holds both sides of the step.
+func (s *DeltaSequence) Step(i int, d *sparse.StepDelta) {
+	if i < 1 || i >= s.Len() {
+		panic(fmt.Sprintf("graph: step %d outside [1, %d)", i, s.Len()))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advance(i)
+	BatchDelta(d, s.d, s.b, &s.ws)
+}
+
+// advance brings the builder to step i, replaying from the first
+// snapshot when i lies behind it. Callers hold mu.
+func (s *DeltaSequence) advance(i int) {
 	if i < s.at {
 		s.b, s.at = NewBuilderFrom(s.first), 0
 	}
@@ -63,5 +88,4 @@ func (s *DeltaSequence) Matrix(i int) *sparse.CSR {
 			panic(err) // NewDeltaSequence checked every event
 		}
 	}
-	return Derive(s.d, s.b)
 }

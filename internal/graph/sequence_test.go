@@ -87,6 +87,140 @@ func TestDeltaSequenceIsDeriveEMS(t *testing.T) {
 	}
 }
 
+// sameStep reports whether got holds want's entries — positions and
+// value bits, in order — and want's Added and Removed lists, and says
+// where they first differ when it does not.
+func sameStep(got, want *sparse.StepDelta) error {
+	if len(got.Entries) != len(want.Entries) {
+		return fmt.Errorf("%d entries, want %d", len(got.Entries), len(want.Entries))
+	}
+	for k, w := range want.Entries {
+		g := got.Entries[k]
+		if g.Row != w.Row || g.Col != w.Col || math.Float64bits(g.Val) != math.Float64bits(w.Val) {
+			return fmt.Errorf("entry %d is %+v, want %+v", k, g, w)
+		}
+	}
+	if !slices.Equal(got.Added, want.Added) {
+		return fmt.Errorf("added %v, want %v", got.Added, want.Added)
+	}
+	if !slices.Equal(got.Removed, want.Removed) {
+		return fmt.Errorf("removed %v, want %v", got.Removed, want.Removed)
+	}
+	return nil
+}
+
+// TestDeltaSequenceStepIsDiff is Sequence.Step's contract for the
+// event-backed sequence: for every generator's tiny sequence under
+// RWRMatrix and, on the undirected ones, SymmetricWalkMatrix and
+// LaplacianMatrix — replayed from DeltaBatches and, for Wiki, from the
+// generator's own events, which may touch an edge twice in a day —
+// Step(i) fills exactly what Diff(Matrix(i−1), Matrix(i)) of DeriveEMS
+// does, entry for entry with Added and Removed, whether the steps are
+// read front to back, shuffled, back to front (every read replays) or
+// between whole-matrix reads that move the builder.
+func TestDeltaSequenceStepIsDiff(t *testing.T) {
+	c, err := gen.ConfigsFor(gen.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiki, err := gen.WikiSim(c.Wiki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wikiFirst, wikiEvents, err := gen.WikiEvents(c.Wiki)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, err := gen.DBLPSim(c.DBLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := gen.Synthetic(c.Synthetic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := gen.PatentSim(c.Patent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, sym, lap := graph.RWRMatrix(0.85), graph.SymmetricWalkMatrix(0.85), graph.LaplacianMatrix(0.5)
+	type source struct {
+		name    string
+		egs     *graph.EGS
+		first   *graph.Graph
+		batches [][]graph.EdgeEvent
+	}
+	diffed := func(name string, egs *graph.EGS) source {
+		return source{name, egs, egs.Snapshots[0], graph.DeltaBatches(egs)}
+	}
+	for _, d := range []struct {
+		src  source
+		ders []graph.Deriver
+	}{
+		{diffed("wiki", wiki), []graph.Deriver{walk}},
+		{source{"wiki/events", wiki, wikiFirst, wikiEvents}, []graph.Deriver{walk}},
+		{diffed("dblp", dblp), []graph.Deriver{walk, sym, lap}},
+		{diffed("synthetic", syn), []graph.Deriver{walk, sym, lap}},
+		{diffed("patent", pat.EGS), []graph.Deriver{walk}},
+	} {
+		for k, der := range d.ders {
+			name := fmt.Sprintf("%s/%d", d.src.name, k)
+			ems := graph.DeriveEMS(d.src.egs, der)
+			seq, err := graph.NewDeltaSequence(d.src.first, d.src.batches, der)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]sparse.StepDelta, ems.Len())
+			for i := 1; i < ems.Len(); i++ {
+				want[i].Diff(ems.Matrices[i-1], ems.Matrices[i])
+			}
+			steps := make([]int, 0, seq.Len()-1)
+			for i := 1; i < seq.Len(); i++ {
+				steps = append(steps, i)
+			}
+			rng := xrand.New(9)
+			shuffled := func() []int {
+				sh := slices.Clone(steps)
+				rng.Shuffle(sh)
+				return sh
+			}
+			backward := slices.Clone(steps)
+			slices.Reverse(backward)
+			var got sparse.StepDelta
+			for _, o := range []struct {
+				name  string
+				steps []int
+				whole bool // read a random matrix whole before each step
+			}{
+				{"forward", steps, false},
+				{"shuffled", shuffled(), false},
+				{"backward", backward, false},
+				{"between matrices", shuffled(), true},
+			} {
+				for _, i := range o.steps {
+					if o.whole {
+						j := rng.Intn(seq.Len())
+						if err := sameBits(seq.Matrix(j), ems.Matrices[j]); err != nil {
+							t.Errorf("%s, %s reads: matrix %d: %v", name, o.name, j, err)
+						}
+					}
+					seq.Step(i, &got)
+					if err := sameStep(&got, &want[i]); err != nil {
+						t.Errorf("%s, %s reads: step %d: %v", name, o.name, i, err)
+					}
+				}
+			}
+			// The EMS's own Step is the Diff it is held to.
+			for i := 1; i < ems.Len(); i++ {
+				ems.Step(i, &got)
+				if err := sameStep(&got, &want[i]); err != nil {
+					t.Errorf("%s: EMS step %d: %v", name, i, err)
+				}
+			}
+		}
+	}
+}
+
 // TestDeltaSequenceRejectsBadEvents: an event outside the first
 // snapshot's vertex range is refused when the sequence is made, not met
 // by a later Matrix call.
