@@ -572,9 +572,12 @@ func BenchmarkKernelSequenceSteps(b *testing.B) {
 }
 
 // BenchmarkKernelStreamGrowth times one growth batch: sixteen edges the
-// cluster union has never held, so the stream re-orders the grown union
-// and refactorizes — one elimination, one container, one decomposition.
-// The union keeps growing, so compare runs at equal -benchtime Nx.
+// cluster union has never held. Within the kept-order bound the stream
+// grows the structure in its ordering, builds the larger container,
+// moves the factors in and applies the batch by Bennett; past it, it
+// re-orders the grown union and refactorizes — one elimination, one
+// container, one decomposition. The union keeps growing and the two
+// paths alternate, so compare runs at equal -benchtime Nx.
 func BenchmarkKernelStreamGrowth(b *testing.B) {
 	s, _, fresh := benchStream(b)
 	defer s.Close()

@@ -207,12 +207,11 @@ func main() {
 	}
 
 	tgen := time.Now()
-	first, batches, err := dataset(gen.Scale(o.scale))
+	first, batches, T, err := dataset(gen.Scale(o.scale), o.streaming)
 	if err != nil {
 		fatal(err)
 	}
 	generated := time.Since(tgen)
-	T := len(batches) + 1
 
 	// One registry serves every subsystem: the engine, stream and store
 	// re-register their live counters into it (api.New), and the stage
@@ -364,14 +363,22 @@ func debugMux() *http.ServeMux {
 
 // dataset generates the server's Wiki sequence at scale as the events
 // the generator applies (gen.WikiEvents): the first snapshot and the
-// per-step event batches, T-1 of them, which is all either mode reads.
-// No other snapshot is ever built.
-func dataset(scale gen.Scale) (*graph.Graph, [][]graph.EdgeEvent, error) {
+// per-step event batches, T-1 of them, with the sequence's length T.
+// No other snapshot is ever built. Stream mode reads only the first
+// snapshot, so there the generator runs day 1 alone (the same graph:
+// later days draw after it) and no batch is returned; T is still the
+// configured length, which -snapshots 0 resolves to.
+func dataset(scale gen.Scale, streaming bool) (*graph.Graph, [][]graph.EdgeEvent, int, error) {
 	d, err := gen.ConfigsFor(scale)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return gen.WikiEvents(d.Wiki)
+	T := d.Wiki.T
+	if streaming {
+		d.Wiki.T = 1
+	}
+	first, batches, err := gen.WikiEvents(d.Wiki)
+	return first, batches, T, err
 }
 
 // engineConfig is the serving engine's configuration from the options

@@ -148,7 +148,7 @@ func TestFactorOfflineClonesOnlyWhatIsKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	ems := graph.DeriveEMS(egs, graph.RWRMatrix(damping))
-	first, batches, err := dataset(gen.Tiny)
+	first, batches, _, err := dataset(gen.Tiny, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,13 +296,35 @@ func TestAlgFlagAcceptsCLUDEOnly(t *testing.T) {
 	}
 }
 
+// TestStreamDatasetIsDayOne pins stream mode's dataset to the offline
+// one's first snapshot: generating day 1 alone gives the same graph,
+// edge for edge, at every scale the server runs, and the same length T.
+func TestStreamDatasetIsDayOne(t *testing.T) {
+	for _, scale := range []gen.Scale{gen.Tiny, gen.Small, gen.Medium} {
+		full, batches, T, err := dataset(scale, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		day1, none, streamT, err := dataset(scale, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(none) != 0 || streamT != T || T != len(batches)+1 {
+			t.Fatalf("%s: stream dataset has %d batches and T=%d; offline %d batches and T=%d", scale, len(none), streamT, len(batches), T)
+		}
+		if full.N() != day1.N() || full.Directed() != day1.Directed() || !slices.Equal(full.Edges(), day1.Edges()) {
+			t.Fatalf("%s: the day-1 graph (%d edges) differs from the offline dataset's first snapshot (%d edges)", scale, day1.NumEdges(), full.NumEdges())
+		}
+	}
+}
+
 // TestStreamSnapshotsZeroIsTheDatasetLength pins what -snapshots 0
 // means in stream mode: the same T as offline, the length of the -scale
 // dataset the stream starts from (10 at tiny, 250 at medium), so it
 // bounds the pinned history bases by the offline sequence's length. The
 // flag's -h text says so. A positive value is taken as given.
 func TestStreamSnapshotsZeroIsTheDatasetLength(t *testing.T) {
-	first, batches, err := dataset(gen.Tiny)
+	first, batches, tiny, err := dataset(gen.Tiny, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +332,7 @@ func TestStreamSnapshotsZeroIsTheDatasetLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := len(batches) + 1
-	if first == nil || tiny != 10 || medium.Wiki.T != 250 {
+	if first == nil || len(batches) != 0 || tiny != 10 || medium.Wiki.T != 250 {
 		t.Fatalf("dataset lengths %d (tiny) and %d (medium), want 10 and 250", tiny, medium.Wiki.T)
 	}
 	for _, c := range []struct {

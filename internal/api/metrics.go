@@ -31,8 +31,10 @@ func registerStreamMetrics(r *metrics.Registry, s *core.Stream) {
 		func(st core.StreamStats) float64 { return float64(st.EventsApplied) })
 	cf("clude_stream_clusters_total", "Clusters opened by the maintenance strategy.",
 		func(st core.StreamStats) float64 { return float64(st.Clusters) })
-	cf("clude_stream_struct_rebuilds_total", "CLUDE structure rebuilds forced by the cluster union outgrowing the USSP.",
+	cf("clude_stream_struct_rebuilds_total", "CLUDE fresh re-orderings: the cluster union outgrew the USSP past the kept-order fill bound.",
 		func(st core.StreamStats) float64 { return float64(st.StructRebuilds) })
+	cf("clude_stream_kept_growths_total", "Batches that grew the cluster union within the kept-order fill bound: structure grown in the kept ordering, factors moved, Bennett update.",
+		func(st core.StreamStats) float64 { return float64(st.KeptGrowths) })
 	cf("clude_stream_refactorizations_total", "Numerical fallbacks: failed Bennett updates answered by a full refactorization.",
 		func(st core.StreamStats) float64 { return float64(st.Refactorizations) })
 }
@@ -74,14 +76,18 @@ func registerStoreMetrics(r *metrics.Registry, st *store.Store) {
 }
 
 // IngestHook registers the ingest pipeline's stage histograms
-// (clude_ingest_stage_seconds{stage=validate|log|apply|publish}) and
-// the apply stage's own split
+// (clude_ingest_stage_seconds{stage=validate|log|apply|publish}), the
+// apply stage's own split
 // (clude_ingest_apply_seconds{part=delta|update|order|factorize}: what a
 // batch spent before touching the factors, in the Bennett update, in
 // the ordering and in the full decomposition — a toggle batch has the
-// first two, a growth batch all but update; the parts of a batch add up
-// to its apply stage) and returns the core.StreamConfig.OnBatch hook
-// feeding both from each batch's BatchTrace. With a tracer it also
+// first two, a rebuild all but update, a kept-order growth all four;
+// the parts of a batch add up to its apply stage) and the kept-order
+// fill ratio of every batch that grew the union and kept its ordering
+// (clude_stream_kept_order_fill_ratio, buckets at tenths of
+// core.KeptOrderBeta up to its bound), and returns the
+// core.StreamConfig.OnBatch hook feeding them from each batch's
+// BatchTrace. With a tracer it also
 // synthesizes one trace per consumed batch: the root is backdated to
 // the batch's start (so slow-threshold retention judges the real commit
 // latency), the validate/log/apply/publish stages become contiguous
@@ -91,13 +97,23 @@ func IngestHook(r *metrics.Registry, tc *trace.Tracer) func(core.BatchTrace) {
 	hists := stageHistograms(r, "clude_ingest_stage_seconds",
 		"Per-stage durations of the ingest pipeline: validate, log (WAL append hook), apply (graph + factor step), publish.",
 		[]string{"validate", "log", "apply", "publish"})
-	const help = "The apply stage's split per batch: delta (graph mutation, dirty-column diff, cluster admission; on a rebuild, materializing the matrix), update (Bennett rank-1 terms), order (Markowitz with its symbolic structure), factorize (container + full decomposition)."
+	const help = "The apply stage's split per batch: delta (graph mutation, dirty-column diff, cluster admission; on a rebuild, materializing the matrix), update (Bennett rank-1 terms), order (Markowitz with its symbolic structure, or the kept ordering's incremental closure), factorize (container + full decomposition, or the grown container with the factors moved in)."
 	for name, part := range map[string]string{
 		core.PartDelta: "delta", core.PartUpdate: "update", core.PartOrder: "order", core.PartFactorize: "factorize",
 	} {
 		hists[name] = r.Histogram("clude_ingest_apply_seconds", help, metrics.Labels{"part": part})
 	}
+	bounds := make([]float64, 11)
+	for k := range bounds {
+		bounds[k] = 1 + core.KeptOrderBeta*float64(k)/10
+	}
+	fill := r.ValueHistogram("clude_stream_kept_order_fill_ratio",
+		"Per batch that grew the cluster union and kept its ordering: the grown structure's size over the size at the last fresh ordering (never above 1 + beta).",
+		nil, bounds...)
 	return func(bt core.BatchTrace) {
+		if bt.FillRatio > 0 {
+			fill.Observe(bt.FillRatio)
+		}
 		for _, s := range bt.Stages {
 			if h := hists[s.Name]; h != nil {
 				h.Observe(s.D)

@@ -333,3 +333,64 @@ func TestIngestAndStoreMetrics(t *testing.T) {
 		t.Fatalf("snapshot stage count %v, want >= 1", got)
 	}
 }
+
+// TestKeptGrowthMetrics: batches that grow the cluster union feed the
+// kept-growth counter and the fill-ratio histogram in the exposition
+// and the stream block of /v1/stats alike, and no observed ratio passes
+// 1 + core.KeptOrderBeta (the +Inf bucket holds no more than the last
+// bound's).
+func TestKeptGrowthMetrics(t *testing.T) {
+	rng := xrand.New(41)
+	const n = 80
+	var es []graph.Edge
+	for len(es) < 3*n {
+		es = append(es, graph.Edge{From: rng.Intn(n), To: rng.Intn(n)})
+	}
+	g := graph.New(n, true, es)
+	reg := metrics.NewRegistry()
+	stream, err := core.NewStream(core.StreamConfig{Alpha: 0.5, Initial: g, Derive: graph.RWRMatrix(0.85), OnBatch: IngestHook(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := serve.New(serve.Config{Damping: 0.85, Workers: 1})
+	eng.AttachLive(stream)
+	srv := httptest.NewServer(New(Options{Engine: eng, Stream: stream, Batcher: stream.NewBatcher(4, 0), Registry: reg}))
+	defer func() {
+		srv.Close()
+		stream.Close()
+		eng.Close()
+	}()
+	for k := 0; k < 24; k++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		resp, err := http.Post(srv.URL+"/v1/update?sync=1", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"events":[{"from":%d,"to":%d,"op":"insert"}]}`, u, v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	st := stream.Stats()
+	if st.KeptGrowths == 0 || st.StructRebuilds == 0 {
+		t.Fatalf("24 growth batches: %d kept, %d rebuilt; the test wants both", st.KeptGrowths, st.StructRebuilds)
+	}
+	m := scrape(t, srv.URL)
+	top := fmt.Sprintf(`clude_stream_kept_order_fill_ratio_bucket{le="%v"}`, 1+core.KeptOrderBeta)
+	if kept := float64(st.KeptGrowths); m["clude_stream_kept_growths_total"] != kept ||
+		m["clude_stream_kept_order_fill_ratio_count"] != kept || m[top] != kept ||
+		m[`clude_stream_kept_order_fill_ratio_bucket{le="+Inf"}`] != kept {
+		t.Fatalf("%d kept growths: counter %v, histogram count %v, %s %v", st.KeptGrowths,
+			m["clude_stream_kept_growths_total"], m["clude_stream_kept_order_fill_ratio_count"], top, m[top])
+	}
+	if m["clude_stream_struct_rebuilds_total"] != float64(st.StructRebuilds) {
+		t.Fatalf("clude_stream_struct_rebuilds_total = %v, stats %d", m["clude_stream_struct_rebuilds_total"], st.StructRebuilds)
+	}
+	_, body := getJSON(t, srv.URL+"/v1/stats")
+	block := body["stream"].(map[string]interface{})
+	if block["kept_growths"] != float64(st.KeptGrowths) || block["fill"] != float64(st.Fill) || block["ref_fill"] != float64(st.RefFill) {
+		t.Fatalf("/v1/stats stream block %v, stats %+v", block, st)
+	}
+	if float64(st.Fill) > (1+core.KeptOrderBeta)*float64(st.RefFill) {
+		t.Fatalf("fill %d over reference %d", st.Fill, st.RefFill)
+	}
+}

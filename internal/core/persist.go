@@ -122,6 +122,9 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 	if st.Tracker == nil {
 		return nil, errors.New("core: CLUDE state has no tracker")
 	}
+	if st.Stats.RefFill < 1 {
+		return nil, fmt.Errorf("core: CLUDE state has reference fill %d", st.Stats.RefFill)
+	}
 	tr, err := cluster.RestoreTracker(st.Tracker)
 	if err != nil {
 		return nil, err

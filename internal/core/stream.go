@@ -38,13 +38,18 @@ import (
 // is tracked incrementally (cluster.Tracker): a batch whose matrix falls
 // below the threshold opens a fresh cluster. Within a cluster one static
 // USSP container, built from the *running* cluster union, holds the
-// factors. A member whose pattern stays inside the union at the last
-// (re)build updates in place by Bennett (Theorem 1 guarantees
-// coverage); a member that grows the union triggers a structure rebuild
-// from the grown union (counted in StreamStats.StructRebuilds). The
-// offline CLUDE of Run orders by the retrospective union of a closed
-// cluster, which a live engine cannot know. The paper's baselines (BF,
-// INC, CINC) run in Run only.
+// factors. A member whose pattern stays inside the union the container
+// was built from updates in place by Bennett (Theorem 1 guarantees
+// coverage). A member that grows the union keeps the cluster's ordering
+// while the grown union's fill stays within (1 + KeptOrderBeta) of the
+// fill at the last fresh ordering — LUDEM-QC's β rule with the last
+// fresh ordering's fill as its reference: the symbolic structure grows
+// by an incremental closure, the factors move into the larger container
+// unchanged and ∆A is applied by Bennett (StreamStats.KeptGrowths).
+// Past the bound the grown union is re-ordered and refactorized
+// (StreamStats.StructRebuilds). The offline CLUDE of Run orders by the
+// retrospective union of a closed cluster, which a live engine cannot
+// know. The paper's baselines (BF, INC, CINC) run in Run only.
 
 // ErrStreamClosed reports an Apply on a closed stream.
 var ErrStreamClosed = errors.New("core: stream closed")
@@ -104,6 +109,15 @@ type StreamConfig struct {
 	OnBatch func(bt BatchTrace)
 }
 
+// KeptOrderBeta is the β of the stream's kept-order rule: a batch that
+// grows the cluster union keeps the cluster's ordering while the grown
+// union's symbolic size stays within (1 + KeptOrderBeta) of the size at
+// the last fresh ordering (StreamStats.RefFill). It was set by
+// measurement, against the exact rule (a fresh ordering of every grown
+// union) and the rebuilds each β saves: docs/PERFORMANCE.md, "Kept
+// ordering through growth".
+const KeptOrderBeta = 0.1
+
 // The parts of the apply stage, as BatchTrace.Parts names them.
 const (
 	// PartDelta is everything before the factors are touched: the graph
@@ -112,10 +126,13 @@ const (
 	PartDelta = "apply/delta"
 	// PartUpdate is the Bennett update.
 	PartUpdate = "apply/update"
-	// PartOrder is the ordering with its symbolic structure.
+	// PartOrder is the ordering with its symbolic structure: Markowitz on
+	// a rebuild, the incremental closure and the β rule on a batch that
+	// grows the union.
 	PartOrder = "apply/order"
 	// PartFactorize is building the container and the full numeric
-	// decomposition.
+	// decomposition — on a kept-order growth, building the grown
+	// container and moving the factors into it.
 	PartFactorize = "apply/factorize"
 )
 
@@ -153,11 +170,17 @@ type BatchTrace struct {
 	// the strategy step) and "publish" (version bump + OnPublish).
 	Stages [4]StageSample
 	// Parts splits the apply stage into the parts the batch went through,
-	// in order: PartDelta, then PartUpdate or PartOrder + PartFactorize
-	// (a failed update that refactorizes has all but PartOrder). They
-	// add up to "apply" — on a batch whose step failed, to what of it
-	// ran.
-	Parts [3]StageSample
+	// in order: PartDelta, then PartUpdate (a toggle), PartOrder +
+	// PartFactorize (a rebuild) or PartOrder + PartFactorize + PartUpdate
+	// (a kept-order growth; PartOrder + PartUpdate when its new positions
+	// fell on fill). A failed update that refactorizes adds its time to
+	// PartFactorize, appending it if the batch had none. They add up to
+	// "apply" — on a batch whose step failed, to what of it ran.
+	Parts [4]StageSample
+	// FillRatio is, on a batch that grew the union and kept the
+	// ordering, the grown structure's size over StreamStats.RefFill
+	// (never above 1 + KeptOrderBeta); 0 on every other batch.
+	FillRatio float64
 }
 
 // StreamStats is a point-in-time snapshot of a stream's counters.
@@ -167,12 +190,23 @@ type StreamStats struct {
 	Events        int    `json:"events"`
 	EventsApplied int    `json:"events_applied"` // events that changed the edge set
 	Clusters      int    `json:"clusters"`       // clusters opened
-	// StructRebuilds counts CLUDE structure rebuilds forced by cluster
-	// members growing the running union past the current USSP.
+	// StructRebuilds counts fresh orderings of a grown union: cluster
+	// members growing the running union past the current USSP whose
+	// kept-order fill broke the β rule.
 	StructRebuilds int `json:"struct_rebuilds"`
+	// KeptGrowths counts members that grew the union and kept the
+	// cluster's ordering: grown structure, factors moved, Bennett update.
+	KeptGrowths int `json:"kept_growths"`
 	// Refactorizations counts numerical fallbacks (failed Bennett
 	// updates answered by a full refactorization in the same ordering).
 	Refactorizations int `json:"refactorizations"`
+	// RefFill is the container's symbolic size |s̃p| at the cluster's
+	// last fresh ordering: the β rule keeps an ordering while the grown
+	// size ≤ (1 + KeptOrderBeta)·RefFill. Fill is the current
+	// container's size, read off it by Stats (0 in a StreamState, which
+	// holds the container itself).
+	RefFill int `json:"ref_fill"`
+	Fill    int `json:"fill"`
 
 	Bennett bennett.Stats `json:"-"`
 }
@@ -200,6 +234,7 @@ type Stream struct {
 	delta    sparse.StepDelta     // the batch's ∆A, unpermuted (graph.BatchDelta)
 	deltaWS  graph.DeltaWorkspace // its scratch
 	permuted []sparse.Entry       // ∆A in the current ordering
+	grown    []sparse.Coord       // a growth's new positions in the current ordering
 	bt       BatchTrace           // the batch being traced (OnBatch only)
 	lapT0    time.Time            // start of the apply part being timed (OnBatch only)
 
@@ -355,7 +390,8 @@ func (s *Stream) applyLocked(events []graph.EdgeEvent, logIt bool) (v uint64, er
 }
 
 // lap records the time since the previous lap (or the apply stage's
-// start) as the batch's next part of the apply split. Version 0 is not
+// start) as the batch's next part of the apply split, or adds it to the
+// part of that name if the batch already has one. Version 0 is not
 // a batch: its rebuild runs before any lap clock was started and
 // records nothing.
 func (s *Stream) lap(part string) {
@@ -364,8 +400,8 @@ func (s *Stream) lap(part string) {
 	}
 	now := time.Now()
 	for i := range s.bt.Parts {
-		if s.bt.Parts[i].Name == "" {
-			s.bt.Parts[i] = StageSample{Name: part, D: now.Sub(s.lapT0)}
+		if p := &s.bt.Parts[i]; p.Name == "" || p.Name == part {
+			p.Name, p.D = part, p.D+now.Sub(s.lapT0)
 			break
 		}
 	}
@@ -377,8 +413,9 @@ func (s *Stream) lap(part string) {
 func (s *Stream) current() *sparse.CSR { return graph.Derive(s.cfg.Derive, s.builder) }
 
 // step brings the factors to the batch the builder just applied: a
-// Bennett update inside the current USSP, or a rebuild when the batch
-// opens a cluster or grows the union past the USSP.
+// Bennett update inside the current USSP, a kept-order growth when the
+// batch grows the union within the β rule, or a rebuild when the batch
+// opens a cluster or grows the union past the rule.
 func (s *Stream) step() error {
 	d := &s.delta
 	graph.BatchDelta(d, s.cfg.Derive, s.builder, &s.deltaWS)
@@ -392,16 +429,20 @@ func (s *Stream) step() error {
 		s.stats.Clusters++
 		return s.rebuild(cur, cur.Pattern())
 	}
-	if !addedWithin(d.Added, s.structUnion) {
-		// The member grew the cluster union past the USSP the static
-		// container was built from (the previous member was inside it, so
-		// the added positions decide): re-derive the ordering from the
-		// grown union and refactorize into the larger structure.
-		s.stats.StructRebuilds++
-		return s.rebuild(s.current(), s.tracker.Union())
-	}
 	s.permuted = sparse.PermuteEntries(s.permuted[:0], d.Entries, s.c.rowInv, s.c.colInv)
-	return s.update(s.permuted)
+	if addedWithin(d.Added, s.structUnion) {
+		return s.update(s.permuted)
+	}
+	// The member grew the cluster union past the USSP the static
+	// container was built from (the previous member was inside it, so
+	// the added positions decide): grow the structure in the kept
+	// ordering, or re-derive the ordering from the grown union and
+	// refactorize into the larger structure.
+	if kept, err := s.grow(d.Added); kept {
+		return err
+	}
+	s.stats.StructRebuilds++
+	return s.rebuild(s.current(), s.tracker.Union())
 }
 
 // addedWithin reports whether every added position lies in p.
@@ -432,7 +473,76 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 	s.stepStructural, s.stepTerms = true, nil
 	s.structUnion = pat
 	s.c = next
+	s.stats.RefFill = next.static.Size()
 	s.lap(PartFactorize)
+	return nil
+}
+
+// grow is the kept-order growth: the batch's added positions (original
+// indices; those already in the union the container was built from add
+// nothing) grow the container's structure by an incremental closure in
+// the chain's ordering, and if the grown size passes the β rule, ∆A
+// (s.permuted) is applied by Bennett — in a container of the grown
+// structure (growInto), or in the live one if the closure already held
+// every new position. It reports false, having changed nothing, when
+// the rule fails; once kept, the step's outcome is the error.
+func (s *Stream) grow(added []sparse.Coord) (bool, error) {
+	s.lap(PartDelta)
+	coords := s.grown[:0]
+	for _, c := range added {
+		if !s.structUnion.Has(c.Row, c.Col) {
+			coords = append(coords, sparse.Coord{Row: s.c.rowInv[c.Row], Col: s.c.colInv[c.Col]})
+		}
+	}
+	s.grown = coords
+	sym := s.c.static.Structure().Grow(coords)
+	size := sym.Size()
+	ratio := float64(size) / float64(s.stats.RefFill)
+	s.lap(PartOrder)
+	if ratio > 1+KeptOrderBeta {
+		return false, nil
+	}
+	var err error
+	if size == s.c.static.Size() {
+		// The new positions fell on fill: the live container takes the
+		// batch as it takes a toggle.
+		err = s.update(s.permuted)
+	} else {
+		err = s.growInto(sym)
+	}
+	if err != nil {
+		return true, err
+	}
+	s.structUnion = s.tracker.Union()
+	s.stats.KeptGrowths++
+	s.bt.FillRatio = ratio
+	return true, nil
+}
+
+// growInto moves the factors into a container of the grown structure
+// sym and applies ∆A there by Bennett, refactorizing in it when the
+// update fails. The live container is never written, so a step that
+// fails leaves it as it was, and a new Solver is published (retained
+// clones keep the old one).
+func (s *Stream) growInto(sym *lu.SymbolicLU) error {
+	next := s.c
+	next.static = s.c.static.Grown(sym)
+	next.solver = &lu.Solver{F: next.static, O: next.ord}
+	s.lap(PartFactorize)
+	err := next.apply(bennett.SplitTerms(s.permuted), &s.benWS, &s.stats.Bennett)
+	s.lap(PartUpdate)
+	// The history replays a record's terms onto the previous version's
+	// factors, whose structure this version no longer has.
+	s.stepStructural, s.stepTerms = true, nil
+	if err != nil {
+		s.stats.Refactorizations++
+		ferr := next.refactor(s.current(), &s.luWS)
+		s.lap(PartFactorize)
+		if ferr != nil {
+			return fmt.Errorf("core: CLUDE version %d: update %v; refactorization %w", s.version+1, err, ferr)
+		}
+	}
+	s.c = next
 	return nil
 }
 
@@ -450,8 +560,16 @@ func (s *Stream) update(delta []sparse.Entry) error {
 	if err == nil {
 		return nil
 	}
-	// Numerical fallback: the published values come from a full
-	// refactorization, not the rank-1 algebra — no replayable delta.
+	return s.refill(err)
+}
+
+// refill is the numerical fallback of a Bennett update err that failed
+// on the live container: the published values come from a full
+// refactorization in the same ordering, not the rank-1 algebra — no
+// replayable delta. If that fails too, the container, which the
+// published version lives in, is refilled from the matrix the batch
+// started from and the step fails.
+func (s *Stream) refill(err error) error {
 	s.stepStructural, s.stepTerms = true, nil
 	s.stats.Refactorizations++
 	ferr := s.c.refactor(s.current(), &s.luWS)
@@ -459,8 +577,6 @@ func (s *Stream) update(delta []sparse.Entry) error {
 	if ferr == nil {
 		return nil
 	}
-	// Both left the container half-written, and the published version
-	// lives in it: refill it from the matrix the batch started from.
 	s.rebased = true
 	if rerr := s.c.refactor(graph.Derive(s.cfg.Derive, s.builder.Before()), &s.luWS); rerr != nil {
 		return fmt.Errorf("core: CLUDE version %d: update %v; refactorization %v; restoring version %d: %w", s.version+1, err, ferr, s.version, rerr)
@@ -514,7 +630,9 @@ func (s *Stream) N() int { return s.builder.N() }
 func (s *Stream) Stats() StreamStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.stats
+	st := s.stats
+	st.Fill = s.c.static.Size()
+	return st
 }
 
 // Close marks the stream closed: further Apply calls fail with

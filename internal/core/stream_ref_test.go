@@ -22,7 +22,9 @@ import (
 // previous one (sparse.Delta), admits its full pattern, and builds
 // structures with a second elimination (lu.Symbolic of the permuted
 // union). It is what Stream.step/rebuild/update did before a batch cost
-// what it changed.
+// what it changed. A batch that grows the union decides the β rule on
+// lu.Symbolic of the whole grown union in the kept ordering, not on an
+// incremental closure, and moves the factors by position lookups.
 type refStream struct {
 	derive  graph.Deriver
 	builder *graph.Builder
@@ -69,8 +71,16 @@ func (r *refStream) apply(events []graph.EdgeEvent) error {
 		r.stats.Clusters++
 		err = r.rebuild(cur, r.tracker.Union())
 	case !pat.Subset(r.structUnion):
-		r.stats.StructRebuilds++
-		err = r.rebuild(cur, r.tracker.Union())
+		union := r.tracker.Union()
+		sym := lu.Symbolic(union.Permute(r.ord))
+		if float64(sym.Size())/float64(r.stats.RefFill) > 1+KeptOrderBeta {
+			r.stats.StructRebuilds++
+			err = r.rebuild(cur, union)
+			break
+		}
+		r.stats.KeptGrowths++
+		r.structUnion = union
+		err = r.keep(cur, sym)
 	default:
 		err = r.update(cur)
 	}
@@ -92,6 +102,40 @@ func (r *refStream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 	}
 	r.solver = &lu.Solver{F: r.static, O: r.ord}
 	r.prev = first
+	r.stats.Fill = r.static.Size()
+	r.stats.RefFill = r.stats.Fill
+	return nil
+}
+
+// keep moves the factors into a container of sym, value by value, when
+// sym is larger than the current structure, and updates them to cur.
+func (r *refStream) keep(cur *sparse.CSR, sym *lu.SymbolicLU) error {
+	grew := sym.Size() != r.static.Size()
+	if grew {
+		old := r.static
+		r.static = lu.NewStaticFactors(sym)
+		n := old.Dim()
+		copy(r.static.D, old.D)
+		for j := 0; j < n; j++ {
+			for p := r.static.LColPtr[j]; p < r.static.LColPtr[j+1]; p++ {
+				r.static.LVal[p] = old.LAt(r.static.LRowIdx[p], j)
+			}
+		}
+		for i := 0; i < n; i++ {
+			for p := r.static.URowPtr[i]; p < r.static.URowPtr[i+1]; p++ {
+				r.static.UVal[p] = old.UAt(i, r.static.UColIdx[p])
+			}
+		}
+		r.static.RefreshMirror()
+		r.solver = &lu.Solver{F: r.static, O: r.ord}
+		r.stats.Fill = sym.Size()
+	}
+	if err := r.update(cur); err != nil {
+		return err
+	}
+	if grew {
+		r.structural, r.terms = true, nil
+	}
 	return nil
 }
 
@@ -242,8 +286,8 @@ func TestStreamMatchesWholeMatrixReference(t *testing.T) {
 			rng := xrand.New(uint64(40 + len(name)))
 			initial, batches := mixedEventStream(rng, 40, dv.directed, 44)
 			st := expectStreamMatchesReference(t, name, initial, batches, dv.d, alpha)
-			if st.StructRebuilds == 0 {
-				t.Fatalf("%s: stream never grew past its USSP", name)
+			if st.StructRebuilds == 0 || st.KeptGrowths == 0 {
+				t.Fatalf("%s: %d rebuilds and %d kept growths: the stream must grow past its USSP both ways", name, st.StructRebuilds, st.KeptGrowths)
 			}
 			if alpha == 0.97 && st.Clusters < 2 {
 				t.Fatalf("%s: stream never restarted a cluster", name)
@@ -378,42 +422,110 @@ func (d sentinelDeriver) Dirty(g graph.Adjacency, u, v int, mark func(int)) {
 	}
 }
 
+// keptEdge returns an edge the graph lacks after the prior batches
+// whose insertion, into an RWR stream over initial at alpha that has
+// applied them, is a kept-order growth whose closure grows the
+// structure (grows) or falls on fill (!grows). Each candidate is tried
+// on a stream of its own.
+func keptEdge(t *testing.T, initial *graph.Graph, alpha float64, prior [][]graph.EdgeEvent, grows bool) graph.Edge {
+	t.Helper()
+	open := func() *Stream {
+		s, err := NewStream(StreamConfig{Alpha: alpha, Initial: initial, Derive: graph.RWRMatrix(0.85)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range prior {
+			if _, err := s.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	g := open().builder.Graph()
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			if u == v || g.HasEdge(u, v) {
+				continue
+			}
+			s := open()
+			before := s.Stats()
+			_, err := s.Apply([]graph.EdgeEvent{{From: u, To: v, Op: graph.EdgeInsert}})
+			after := s.Stats()
+			s.Close()
+			if err == nil && after.KeptGrowths == before.KeptGrowths+1 && (after.Fill > before.Fill) == grows {
+				return graph.Edge{From: u, To: v}
+			}
+		}
+	}
+	t.Fatalf("no edge is a kept-order growth with grows=%v", grows)
+	return graph.Edge{}
+}
+
 // TestFailedBatchIsAtomic: a batch whose CLUDE step fails leaves the
 // stream where a stream that never saw it stands — graph, exported Prev,
 // tracker, counters — and the next batch lands on the same factors. Only
 // the sequence number remembers it, so WAL replay meets the same
-// failure. Where the failing step was a Bennett update the container is
-// refilled from the pre-batch matrix, so there the next factors agree to
-// rounding and the next record is structural instead of a delta.
+// failure. The failing step is a kept-order growth into a grown
+// container (the update and the refactorization both fail there, and it
+// is dropped), a rebuild, a kept-order growth that fell on fill, or a
+// Bennett update inside the USSP; the first two never touch the live
+// container. Where the failing step was an update on the live container
+// it is refilled from the pre-batch matrix, so there the next factors
+// agree to rounding and the next record is structural instead of a
+// delta.
 func TestFailedBatchIsAtomic(t *testing.T) {
 	rng := xrand.New(61)
 	initial, batches := randomEventStream(rng, 60, 3, 8)
 	// The sentinel is either an edge the graph has never held (past the
-	// USSP, so the failing step is a rebuild) or one the first
-	// batch deletes and the bad batch brings back (inside the USSP: the
+	// USSP, so the failing step grows the union) or one the first batch
+	// deletes and the bad batch brings back (inside the USSP: the
 	// failing step is an update).
 	fresh := graph.Edge{From: 7, To: 11}
 	for initial.HasEdge(fresh.From, fresh.To) {
 		fresh.To++
 	}
 	returning, gate := initial.Edges()[0], initial.Edges()[1]
+	// Every absent edge out of the first six vertices: more growth than
+	// one ordering keeps within the bound.
+	var burst []graph.EdgeEvent
+	for u := 0; u < 6; u++ {
+		for v := 0; v < initial.N(); v++ {
+			if e := (graph.Edge{From: u, To: v}); u != v && !initial.HasEdge(u, v) && e != fresh && e != gate {
+				burst = append(burst, graph.EdgeEvent{From: u, To: v, Op: graph.EdgeInsert})
+			}
+		}
+	}
+	first := append([]graph.EdgeEvent{{From: returning.From, To: returning.To, Op: graph.EdgeDelete}}, batches[0]...)
+	// The gate's deletion adds no position, so the sentinel alone decides
+	// the failing batch's path.
+	withoutGate := [][]graph.EdgeEvent{first, {{From: gate.From, To: gate.To, Op: graph.EdgeDelete}}}
 	for _, tc := range []struct {
 		name     string
 		sentinel graph.Edge
-		exact    bool // the failing step never touched the live container
+		extra    []graph.EdgeEvent
+		path     []string // the failing batch's apply parts
+		exact    bool     // the failing step never touched the live container
 	}{
-		{"fresh", fresh, true},
-		{"returning", returning, false},
+		{"kept growth", keptEdge(t, initial, 0.5, withoutGate, true), nil, []string{PartDelta, PartOrder, PartFactorize, PartUpdate}, true},
+		{"rebuild", fresh, burst, []string{PartDelta, PartOrder}, true},
+		{"kept on fill", keptEdge(t, initial, 0.5, withoutGate, false), nil, []string{PartDelta, PartOrder, PartUpdate, PartFactorize}, false},
+		{"update", returning, nil, []string{PartDelta, PartUpdate, PartFactorize}, false},
 	} {
 		d := sentinelDeriver{graph.RWRMatrix(0.85), tc.sentinel, gate}
-		first := append([]graph.EdgeEvent{{From: returning.From, To: returning.To, Op: graph.EdgeDelete}}, batches[0]...)
-		bad := append(slices.Clone(batches[1]),
+		bad := append(slices.Clone(tc.extra),
 			graph.EdgeEvent{From: tc.sentinel.From, To: tc.sentinel.To, Op: graph.EdgeInsert},
 			graph.EdgeEvent{From: gate.From, To: gate.To, Op: graph.EdgeDelete})
+		var parts []string
 		open := func(rec *bennett.VersionRecord) *Stream {
 			s, err := NewStream(StreamConfig{
 				Alpha: 0.5, Initial: initial, Derive: d,
 				OnPublish: func(_ *lu.Solver, r bennett.VersionRecord) { *rec = r },
+				OnBatch: func(bt BatchTrace) {
+					parts = parts[:0]
+					for _, p := range samples(bt.Parts[:]) {
+						parts = append(parts, p.Name)
+					}
+				},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -428,6 +540,9 @@ func TestFailedBatchIsAtomic(t *testing.T) {
 
 		if v, err := a.Apply(bad); err == nil {
 			t.Fatalf("%s: singular batch published version %d", tc.name, v)
+		}
+		if !slices.Equal(parts, tc.path) {
+			t.Fatalf("%s: the failing batch ran %v, want %v", tc.name, parts, tc.path)
 		}
 		if a.Seq() != b.Seq()+1 || a.Version() != b.Version() {
 			t.Fatalf("%s: seq %d version %d after the failure, clean stream at seq %d version %d", tc.name, a.Seq(), a.Version(), b.Seq(), b.Version())

@@ -83,21 +83,37 @@ func TestStreamStageHook(t *testing.T) {
 
 // TestStreamApplySplit pins the apply stage's split as BatchTrace.Parts
 // reports it: a batch inside the cluster and the USSP is PartDelta +
-// PartUpdate, a batch that grows the union is PartDelta + PartOrder +
-// PartFactorize, a batch whose rebuild fails reports the parts it ran
-// and neither apply nor publish, the parts never exceed the apply stage
-// they split, and version 0 reports nothing.
+// PartUpdate, a batch that grows the union within the β rule is
+// PartDelta + PartOrder + PartFactorize + PartUpdate, or PartDelta +
+// PartOrder + PartUpdate when its positions fell on fill, with its fill
+// ratio in (0, 1 + KeptOrderBeta], one that grows it past the rule is
+// PartDelta + PartOrder + PartFactorize with no ratio, a batch whose
+// step fails reports the parts it ran and neither apply nor publish,
+// the parts never exceed the apply stage they split, and version 0
+// reports nothing.
 func TestStreamApplySplit(t *testing.T) {
 	initial, _ := randomEventStream(xrand.New(3), 30, 0, 0)
 	e, gate := initial.Edges()[0], initial.Edges()[1]
-	fresh, sentinel := graph.Edge{From: 1, To: 2}, graph.Edge{From: 4, To: 7}
-	for initial.HasEdge(fresh.From, fresh.To) {
-		fresh.To++
-	}
+	sentinel := graph.Edge{From: 4, To: 7}
 	for initial.HasEdge(sentinel.From, sentinel.To) {
 		sentinel.To++
 	}
+	toggle := []graph.EdgeEvent{{From: e.From, To: e.To, Op: graph.EdgeDelete}}
+	grown := keptEdge(t, initial, 0.3, [][]graph.EdgeEvent{toggle}, true)
+	grownBatch := []graph.EdgeEvent{{From: grown.From, To: grown.To, Op: graph.EdgeInsert}}
+	onFill := keptEdge(t, initial, 0.3, [][]graph.EdgeEvent{toggle, grownBatch}, false)
+	// Every absent edge from the first eight vertices but the sentinel:
+	// far past what one ordering keeps within the bound.
+	var burst []graph.EdgeEvent
+	for u := 0; u < 8; u++ {
+		for v := 0; v < initial.N(); v++ {
+			if e := (graph.Edge{From: u, To: v}); u != v && !initial.HasEdge(u, v) && e != sentinel && e != grown && e != onFill {
+				burst = append(burst, graph.EdgeEvent{From: u, To: v, Op: graph.EdgeInsert})
+			}
+		}
+	}
 	var seen []string
+	var ratio float64
 	total := map[string]time.Duration{}
 	add := func(ss []StageSample) {
 		for _, st := range ss {
@@ -106,7 +122,7 @@ func TestStreamApplySplit(t *testing.T) {
 		}
 	}
 	s, err := NewStream(StreamConfig{
-		Alpha: 0.5, Initial: initial,
+		Alpha: 0.3, Initial: initial,
 		Derive: sentinelDeriver{graph.RWRMatrix(0.85), sentinel, gate},
 		OnBatch: func(bt BatchTrace) {
 			// The parts split the apply stage: list them in its place, or
@@ -121,6 +137,7 @@ func TestStreamApplySplit(t *testing.T) {
 			add(stages[:at])
 			add(samples(bt.Parts[:]))
 			add(stages[at:])
+			ratio = bt.FillRatio
 		},
 	})
 	if err != nil {
@@ -134,13 +151,17 @@ func TestStreamApplySplit(t *testing.T) {
 		name string
 		evs  []graph.EdgeEvent
 		want []string
+		kept bool
 	}{
-		{"toggle", []graph.EdgeEvent{{From: e.From, To: e.To, Op: graph.EdgeDelete}}, []string{"validate", PartDelta, PartUpdate, "apply", "publish"}},
-		{"growth", []graph.EdgeEvent{{From: fresh.From, To: fresh.To, Op: graph.EdgeInsert}}, []string{"validate", PartDelta, PartOrder, PartFactorize, "apply", "publish"}},
-		{"singular", []graph.EdgeEvent{{From: sentinel.From, To: sentinel.To, Op: graph.EdgeInsert}, {From: gate.From, To: gate.To, Op: graph.EdgeDelete}}, []string{"validate", PartDelta, PartOrder}},
+		{"toggle", toggle, []string{"validate", PartDelta, PartUpdate, "apply", "publish"}, false},
+		{"kept growth", grownBatch, []string{"validate", PartDelta, PartOrder, PartFactorize, PartUpdate, "apply", "publish"}, true},
+		{"kept on fill", []graph.EdgeEvent{{From: onFill.From, To: onFill.To, Op: graph.EdgeInsert}}, []string{"validate", PartDelta, PartOrder, PartUpdate, "apply", "publish"}, true},
+		{"rebuild", burst, []string{"validate", PartDelta, PartOrder, PartFactorize, "apply", "publish"}, false},
+		{"singular", []graph.EdgeEvent{{From: sentinel.From, To: sentinel.To, Op: graph.EdgeInsert}, {From: gate.From, To: gate.To, Op: graph.EdgeDelete}}, []string{"validate", PartDelta, PartOrder, PartUpdate, PartFactorize}, false},
 	} {
 		seen = seen[:0]
 		clear(total)
+		before := s.Stats()
 		_, err := s.Apply(tc.evs)
 		if (err != nil) != (tc.name == "singular") {
 			t.Fatalf("%s batch: error %v", tc.name, err)
@@ -150,6 +171,16 @@ func TestStreamApplySplit(t *testing.T) {
 		}
 		if parts := total[PartDelta] + total[PartUpdate] + total[PartOrder] + total[PartFactorize]; err == nil && parts > total["apply"] {
 			t.Fatalf("%s batch: parts add up to %v, more than apply's %v", tc.name, parts, total["apply"])
+		}
+		if kept := ratio > 0 && ratio <= 1+KeptOrderBeta; kept != tc.kept {
+			t.Fatalf("%s batch: fill ratio %v", tc.name, ratio)
+		}
+		after := s.Stats()
+		if tc.name == "rebuild" && after.StructRebuilds != before.StructRebuilds+1 {
+			t.Fatalf("rebuild batch: %d rebuilds before, %d after", before.StructRebuilds, after.StructRebuilds)
+		}
+		if tc.kept && (after.KeptGrowths != before.KeptGrowths+1 || after.StructRebuilds != before.StructRebuilds) {
+			t.Fatalf("kept growth batch: stats %+v before, %+v after", before, after)
 		}
 	}
 }

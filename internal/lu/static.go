@@ -76,25 +76,37 @@ func NewStaticFactors(s *SymbolicLU) *StaticFactors {
 
 	// L by column from the per-row lower patterns. A row-major scan
 	// emits rows in increasing order per column, so each column comes
-	// out sorted.
+	// out sorted. The rows it scans are L's row view as they stand
+	// (sorted), and where each entry lands is its LRowPos: the cross view
+	// of L falls out of the same pass.
 	f.LColPtr = make([]int, n+1)
+	f.LRowPtr = make([]int, n+1)
 	for i := 0; i < n; i++ {
-		for _, j := range s.LRow(i) {
+		row := s.LRow(i)
+		f.LRowPtr[i+1] = f.LRowPtr[i] + len(row)
+		for _, j := range row {
 			f.LColPtr[j+1]++
 		}
 	}
 	for j := 0; j < n; j++ {
 		f.LColPtr[j+1] += f.LColPtr[j]
 	}
-	f.LRowIdx = make([]int, f.LColPtr[n])
-	f.LVal = make([]float64, f.LColPtr[n])
+	nl := f.LColPtr[n]
+	f.LRowIdx = make([]int, nl)
+	f.LVal = make([]float64, nl)
+	f.LRowCols = make([]int, 0, nl)
+	f.LRowPos = make([]int, nl)
 	next := make([]int, n)
 	copy(next, f.LColPtr[:n])
 	for i := 0; i < n; i++ {
-		for _, j := range s.LRow(i) {
+		row := s.LRow(i)
+		pos := f.LRowPos[f.LRowPtr[i]:f.LRowPtr[i+1]]
+		for q, j := range row {
 			f.LRowIdx[next[j]] = i
+			pos[q] = next[j]
 			next[j]++
 		}
+		f.LRowCols = append(f.LRowCols, row...)
 	}
 
 	// U by row directly from the per-row upper patterns.
@@ -110,7 +122,7 @@ func NewStaticFactors(s *SymbolicLU) *StaticFactors {
 
 	f.symStruct = slices.Equal(f.LColPtr, f.URowPtr) && slices.Equal(f.LRowIdx, f.UColIdx)
 	f.mirror = f.symStruct
-	f.EnsureCrossViews()
+	f.UColPtr, f.UColRows, f.UColPos = transpose(n, f.URowPtr, f.UColIdx)
 	return f
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -426,7 +427,7 @@ func hostileVertexCount(t testing.TB, data []byte, st *core.StreamState, tail bo
 	t.Helper()
 	var pre bytes.Buffer
 	c := newCW(&pre)
-	c.header(stateMagic, codecVersion)
+	c.header(stateMagic, stateVersion)
 	c.str(string(st.Algorithm))
 	c.f64(st.Alpha)
 	c.u64(st.Version)
@@ -478,8 +479,10 @@ func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 // checkpoint and its older BF form, which must round-trip; and the
 // hostile vertex
 // counts, the same frames with factor kind 1 (the linked-list kind the
-// format no longer has) and with a nonzero retired linked-list counter,
-// which must not.
+// format no longer has), with a nonzero retired linked-list counter and
+// with a zero reference fill, which must not; and the same frames
+// labelled version 2, the layout before the kept-order fields, which
+// must be refused as an unsupported version.
 func FuzzReadStreamState(f *testing.F) {
 	rng := xrand.New(59)
 	g0 := randomGraph(12, 10, rng)
@@ -506,15 +509,29 @@ func FuzzReadStreamState(f *testing.F) {
 			f.Fatalf("%s: checkpoint did not round-trip bit-identically (%v)", alg, err)
 		}
 		kind1 := withByte(f, data, stateFactorKindAt(f, state), 1)
-		// The last byte before the trailer is the second retired
-		// counter, a zero varint.
-		retired := withByte(f, data, len(data)-5, 2)
-		for name, bad := range map[string][]byte{"factor kind 1": kind1, "retired counter": retired} {
+		// Before the trailer come the second retired counter, a zero
+		// varint, and version 3's two fields.
+		var v [binary.MaxVarintLen64]byte
+		tail := binary.PutVarint(v[:], int64(state.Stats.KeptGrowths)) + binary.PutVarint(v[:], int64(state.Stats.RefFill))
+		retired := withByte(f, data, len(data)-5-tail, 2)
+		zeroRef := *state
+		zeroRef.Stats.RefFill = 0
+		var zbuf bytes.Buffer
+		if err := WriteStreamState(&zbuf, &zeroRef); err != nil {
+			f.Fatal(err)
+		}
+		for name, bad := range map[string][]byte{"factor kind 1": kind1, "retired counter": retired, "zero reference fill": zbuf.Bytes()} {
 			if !errors.Is(errorOf(f, bad), ErrCorrupt) {
 				f.Fatalf("%s: a checkpoint with a %s did not read as ErrCorrupt", alg, name)
 			}
 			f.Add(bad)
 		}
+		v2 := bytes.Clone(data)
+		v2[len(stateMagic)] = 2
+		if err := errorOf(f, v2); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported CLUD format version 2") {
+			f.Fatalf("%s: a version 2 checkpoint read as %v, want the unsupported-version refusal", alg, err)
+		}
+		f.Add(v2)
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		if alg == core.CLUDE {

@@ -16,9 +16,11 @@ import (
 const (
 	solverMagic = "CLUS"
 
-	// codecVersion is the one format version of the CLUS and CLUD
-	// frames: index arrays delta-coded (cw.intsDelta), permutations
-	// plain. Version 1 (every array plain) is refused.
+	// codecVersion is the CLUS frame's format version, and the layout
+	// of the containers both frames embed: index arrays delta-coded
+	// (cw.intsDelta), permutations plain. Version 1 (every array plain)
+	// is refused. The CLUD frame numbers its own versions
+	// (stateVersion).
 	codecVersion = 2
 
 	// kindStatic is the factor-kind tag in front of every container:

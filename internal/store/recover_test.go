@@ -33,7 +33,11 @@ func probe(t *testing.T, s *core.Stream, n int) []float64 {
 // process state (as SIGKILL would) and recovering from disk must yield
 // a stream whose complete exported state — factors, graph, tracker,
 // counters — is identical to the abandoned one's, and whose future
-// evolution matches an uninterrupted run bit for bit.
+// evolution matches an uninterrupted run bit for bit. The batches grow
+// the cluster union both within the kept-order bound and past it, and
+// the WAL tails of the kill points at 4, 7 and 10 replay kept-order
+// growths: the rule's decisions must come out the same from the
+// checkpointed reference fill.
 func TestKillPointRecoveryExact(t *testing.T) {
 	const n = 34
 	rng := xrand.New(23)
@@ -43,8 +47,24 @@ func TestKillPointRecoveryExact(t *testing.T) {
 
 	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: derive}
 
-	// Uninterrupted reference run: the probe solution per version.
-	ref := streamAfter(t, g0, batches)
+	// Uninterrupted reference run: the probe solution per version, and
+	// the kept-order growths after each batch.
+	ref := streamAfter(t, g0, nil)
+	kept := make([]int, len(batches))
+	for i, b := range batches {
+		if _, err := ref.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		kept[i] = ref.Stats().KeptGrowths
+	}
+	for _, kill := range []int{4, 7, len(batches)} {
+		if kept[kill-1] == kept[kill/2] {
+			t.Fatalf("kill=%d: no kept-order growth in the WAL tail after the checkpoint at batch %d", kill, kill/2)
+		}
+	}
+	if ref.Stats().StructRebuilds == 0 {
+		t.Fatal("no batch grew the union past the kept-order bound")
+	}
 	refFinal := probe(t, ref, n)
 	refFinalState, err := ref.ExportState()
 	ref.Close()

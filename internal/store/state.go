@@ -15,10 +15,17 @@ import (
 
 const stateMagic = "CLUD"
 
+// stateVersion is the CLUD frame's format version, which moves apart
+// from the CLUS frame's codecVersion. Version 3 appends the stream's
+// kept-order counter and reference fill to version 2's layout; a
+// version 2 frame, which lacks the reference the kept-order rule
+// decides on, is refused like any other.
+const stateVersion = 3
+
 // WriteStreamState serializes a complete stream checkpoint.
 func WriteStreamState(w io.Writer, st *core.StreamState) error {
 	c := newCW(w)
-	c.header(stateMagic, codecVersion)
+	c.header(stateMagic, stateVersion)
 
 	c.str(string(st.Algorithm))
 	c.f64(st.Alpha)
@@ -53,6 +60,9 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 	// INC/CINC streams: a CLUDE stream has none, so both are 0.
 	c.i64(0)
 	c.i64(0)
+	// Version 3: the kept-order growths and the β rule's reference.
+	c.i64(int64(st.Stats.KeptGrowths))
+	c.i64(int64(st.Stats.RefFill))
 
 	if c.err != nil {
 		return c.err
@@ -64,7 +74,7 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 // ready for core.RestoreStream.
 func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	c := newCR(r)
-	if err := c.expectHeader(stateMagic, codecVersion); err != nil {
+	if err := c.expectHeader(stateMagic, stateVersion); err != nil {
 		return nil, err
 	}
 	st := &core.StreamState{
@@ -95,6 +105,10 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	st.Stats.Bennett.Dropped = c.intv()
 	if retiredIns, retiredScans := c.intv(), c.intv(); c.err == nil && (retiredIns != 0 || retiredScans != 0) {
 		c.fail(fmt.Errorf("%w: linked-list counters %d, %d in a static stream's checkpoint", ErrCorrupt, retiredIns, retiredScans))
+	}
+	st.Stats.KeptGrowths = c.intv()
+	if st.Stats.RefFill = c.intv(); c.err == nil && st.Stats.RefFill < 1 {
+		c.fail(fmt.Errorf("%w: reference fill %d", ErrCorrupt, st.Stats.RefFill))
 	}
 	st.Stats.Version = st.Version
 
