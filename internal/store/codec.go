@@ -306,25 +306,30 @@ func (c *cw) header(magic string, version byte) {
 	c.bytes([]byte{version})
 }
 
-// expectHeader validates the frame prologue. A frame carries exactly
-// one format version per magic; any other is refused, so a binary fails
-// loudly on files it cannot read instead of mis-parsing them.
-func (c *cr) expectHeader(magic string, version byte) error {
+// expectHeader validates the frame prologue and returns its version. A
+// magic is read at the versions oldest through newest; any other is
+// refused, so a binary fails loudly on files it cannot read instead of
+// mis-parsing them.
+func (c *cr) expectHeader(magic string, oldest, newest byte) (byte, error) {
 	got := make([]byte, len(magic))
 	c.bytes(got)
 	if c.err != nil {
-		return c.err
+		return 0, c.err
 	}
 	if string(got) != magic {
-		return fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, got, magic)
+		return 0, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, got, magic)
 	}
 	var v [1]byte
 	c.bytes(v[:])
 	if c.err != nil {
-		return c.err
+		return 0, c.err
 	}
-	if v[0] != version {
-		return fmt.Errorf("store: unsupported %s format version %d (this binary reads %d)", magic, v[0], version)
+	if v[0] < oldest || v[0] > newest {
+		reads := fmt.Sprint(newest)
+		if oldest != newest {
+			reads = fmt.Sprintf("%d to %d", oldest, newest)
+		}
+		return 0, fmt.Errorf("store: unsupported %s format version %d (this binary reads %s)", magic, v[0], reads)
 	}
-	return nil
+	return v[0], nil
 }

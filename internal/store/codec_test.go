@@ -9,7 +9,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -475,14 +474,17 @@ func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 
 // FuzzReadStreamState feeds arbitrary bytes to the CLUD decoder
 // recovery runs on every checkpoint: it must never panic, and a frame it
-// accepts must re-encode to the same bytes. The seeds are a CLUDE
+// accepts must re-encode, in its own version's layout, to the same
+// bytes; a version 2 frame must read with no kept growth and its
+// container's size as the reference fill. The seeds are a CLUDE
 // checkpoint and its older BF form, which must round-trip; and the
 // hostile vertex
 // counts, the same frames with factor kind 1 (the linked-list kind the
 // format no longer has), with a nonzero retired linked-list counter and
-// with a zero reference fill, which must not; and the same frames
-// labelled version 2, the layout before the kept-order fields, which
-// must be refused as an unsupported version.
+// with a zero reference fill, which must not; and the same states in
+// version 2's layout (before the kept-order fields), which must read
+// with no kept growth and the container's size as the reference fill,
+// while version 3 bytes relabelled version 2 are corrupt.
 func FuzzReadStreamState(f *testing.F) {
 	rng := xrand.New(59)
 	g0 := randomGraph(12, 10, rng)
@@ -526,12 +528,26 @@ func FuzzReadStreamState(f *testing.F) {
 			}
 			f.Add(bad)
 		}
-		v2 := bytes.Clone(data)
-		v2[len(stateMagic)] = 2
-		if err := errorOf(f, v2); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported CLUD format version 2") {
-			f.Fatalf("%s: a version 2 checkpoint read as %v, want the unsupported-version refusal", alg, err)
+		relabelled := bytes.Clone(data)
+		relabelled[len(stateMagic)] = 2
+		if !errors.Is(errorOf(f, relabelled), ErrCorrupt) {
+			f.Fatalf("%s: version 3 bytes labelled version 2 did not read as ErrCorrupt", alg)
 		}
-		f.Add(v2)
+		f.Add(relabelled)
+		var v2 bytes.Buffer
+		if err := writeStreamState(&v2, state, 2); err != nil {
+			f.Fatal(err)
+		}
+		old, err := ReadStreamState(bytes.NewReader(v2.Bytes()))
+		if err != nil {
+			f.Fatalf("%s: a version 2 checkpoint was refused: %v", alg, err)
+		}
+		want := *state
+		want.Stats.KeptGrowths, want.Stats.RefFill = 0, state.Static.Size()
+		if !reflect.DeepEqual(old, &want) {
+			f.Fatalf("%s: a version 2 checkpoint read as another state", alg)
+		}
+		f.Add(v2.Bytes())
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		if alg == core.CLUDE {
@@ -544,8 +560,12 @@ func FuzzReadStreamState(f *testing.F) {
 		if err != nil {
 			return
 		}
+		version := data[len(stateMagic)]
+		if version == 2 && (st.Stats.KeptGrowths != 0 || st.Static != nil && st.Stats.RefFill != st.Static.Size()) {
+			t.Fatalf("a version 2 frame read as %d kept growths over a reference fill of %d", st.Stats.KeptGrowths, st.Stats.RefFill)
+		}
 		var buf bytes.Buffer
-		if err := WriteStreamState(&buf, st); err != nil {
+		if err := writeStreamState(&buf, st, version); err != nil {
 			t.Fatalf("an accepted frame does not re-encode: %v", err)
 		}
 		// The reader stops at the trailer; bytes after it are not the

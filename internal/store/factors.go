@@ -188,7 +188,7 @@ func WriteSolver(w io.Writer, s *lu.Solver) error {
 // ReadSolver parses a WriteSolver frame.
 func ReadSolver(r io.Reader) (*lu.Solver, error) {
 	c := newCR(r)
-	if err := c.expectHeader(solverMagic, codecVersion); err != nil {
+	if _, err := c.expectHeader(solverMagic, codecVersion, codecVersion); err != nil {
 		return nil, err
 	}
 	o := readOrdering(c)

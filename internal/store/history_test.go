@@ -674,7 +674,7 @@ func TestCodecV1BackCompat(t *testing.T) {
 		}
 		data := buf.Bytes()
 		if err := c.read(bytes.NewReader(data)); err != nil {
-			t.Fatalf("%s: version %d frame refused: %v", c.magic, codecVersion, err)
+			t.Fatalf("%s: current frame refused: %v", c.magic, err)
 		}
 		data[len(c.magic)] = 1
 		err := c.read(bytes.NewReader(data))

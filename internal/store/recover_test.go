@@ -155,6 +155,140 @@ func TestKillPointRecoveryExact(t *testing.T) {
 	}
 }
 
+// TestOpenStreamRecoversVersion2Checkpoint opens a data directory as a
+// binary without the kept-order rule leaves it: every checkpoint a
+// version 2 CLUD frame, and the WAL truncated through the older one, so
+// its first record is past seq 1 and a cold start could not replay it.
+// Recovery must load the newest checkpoint, derive its reference fill,
+// replay the tail with kept-order growths among it, and reach the
+// uninterrupted run's state bit for bit, less the kept growths counted
+// before the checkpoint, which a version 2 frame does not carry.
+func TestOpenStreamRecoversVersion2Checkpoint(t *testing.T) {
+	const n = 34
+	rng := xrand.New(41)
+	g0 := randomGraph(n, 40, rng)
+	batches := randomBatches(n, 10, 5, rng)
+	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+
+	// The newest checkpoint stands where the container is its cluster's
+	// last fresh ordering, as every container of the older binary is,
+	// and both a kept-order growth and a growth past the bound follow
+	// it, so a reference fill off either way changes a decision.
+	ref := streamAfter(t, g0, nil)
+	stats := make([]core.StreamStats, len(batches))
+	for i, b := range batches {
+		if _, err := ref.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = ref.Stats()
+	}
+	last := stats[len(batches)-1]
+	ckpt := -1
+	for i := 1; i < len(batches)-1 && ckpt < 0; i++ {
+		if stats[i].Fill == stats[i].RefFill && last.KeptGrowths > stats[i].KeptGrowths && last.StructRebuilds > stats[i].StructRebuilds {
+			ckpt = i
+		}
+	}
+	if ckpt < 0 {
+		t.Fatal("no batch leaves a freshly ordered container with a kept-order growth and a rebuild after it")
+	}
+	refFinal := probe(t, ref, n)
+	want, err := ref.ExportState()
+	ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Stats.KeptGrowths -= stats[ckpt].KeptGrowths
+
+	dir := t.TempDir()
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, SegmentBytes: 1}
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _, err := st.OpenStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		if _, err := s1.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || i == ckpt {
+			if err := st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s1.Close()
+	st.wal.Close()
+	var first uint64
+	if err := st.wal.Replay(0, func(seq uint64, _ []graph.EdgeEvent) error {
+		if first == 0 {
+			first = seq
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if first <= 1 {
+		t.Fatalf("the WAL still starts at seq %d: the checkpoints did not truncate it", first)
+	}
+
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 2 {
+		t.Fatalf("%d checkpoints on disk, want 2", len(snaps))
+	}
+	for _, path := range snaps {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := ReadStreamState(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v2 bytes.Buffer
+		if err := writeStreamState(&v2, state, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, info, err := st2.OpenStream(cfg)
+	if err != nil {
+		t.Fatalf("reopen over version 2 checkpoints: %v", err)
+	}
+	defer st2.Close()
+	defer s2.Close()
+	if !info.Recovered || info.SnapshotsSkipped != 0 || info.SnapshotVersion != uint64(ckpt+1) {
+		t.Fatalf("recovery %+v, want the version 2 checkpoint at version %d", info, ckpt+1)
+	}
+	if info.ReplayedBatches != len(batches)-1-ckpt || info.ReplayErrors != 0 {
+		t.Fatalf("replayed %d batches (%d errors), want %d", info.ReplayedBatches, info.ReplayErrors, len(batches)-1-ckpt)
+	}
+	if k := s2.Stats().KeptGrowths; k != want.Stats.KeptGrowths {
+		t.Fatalf("the WAL tail replayed %d kept-order growths, the live run %d", k, want.Stats.KeptGrowths)
+	}
+	got, err := s2.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("recovery from a version 2 checkpoint did not reach the live run's state")
+	}
+	if !reflect.DeepEqual(refFinal, probe(t, s2, n)) {
+		t.Error("recovery from a version 2 checkpoint solves differently from the live run")
+	}
+}
+
 // TestRecoverFallsBackOnCorruptSnapshot pins the satellite requirement:
 // a corrupt (truncated) newest snapshot must not abort recovery — the
 // previous snapshot plus a longer WAL replay reaches the same state.

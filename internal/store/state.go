@@ -17,15 +17,26 @@ const stateMagic = "CLUD"
 
 // stateVersion is the CLUD frame's format version, which moves apart
 // from the CLUS frame's codecVersion. Version 3 appends the stream's
-// kept-order counter and reference fill to version 2's layout; a
-// version 2 frame, which lacks the reference the kept-order rule
-// decides on, is refused like any other.
-const stateVersion = 3
+// kept-order counter and reference fill to version 2's layout.
+// Version 2 frames, which every checkpoint of a binary without the
+// kept-order rule is, are still read (ReadStreamState derives the two
+// fields); older ones are refused.
+const (
+	stateVersion       = 3
+	oldestStateVersion = 2
+)
 
 // WriteStreamState serializes a complete stream checkpoint.
 func WriteStreamState(w io.Writer, st *core.StreamState) error {
+	return writeStreamState(w, st, stateVersion)
+}
+
+// writeStreamState writes st in the layout of the given version, which
+// is stateVersion or, to pin what ReadStreamState makes of an older
+// binary's checkpoints, version 2 (no kept-order fields).
+func writeStreamState(w io.Writer, st *core.StreamState, version byte) error {
 	c := newCW(w)
-	c.header(stateMagic, stateVersion)
+	c.header(stateMagic, version)
 
 	c.str(string(st.Algorithm))
 	c.f64(st.Alpha)
@@ -61,8 +72,10 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 	c.i64(0)
 	c.i64(0)
 	// Version 3: the kept-order growths and the β rule's reference.
-	c.i64(int64(st.Stats.KeptGrowths))
-	c.i64(int64(st.Stats.RefFill))
+	if version >= 3 {
+		c.i64(int64(st.Stats.KeptGrowths))
+		c.i64(int64(st.Stats.RefFill))
+	}
 
 	if c.err != nil {
 		return c.err
@@ -71,10 +84,16 @@ func WriteStreamState(w io.Writer, st *core.StreamState) error {
 }
 
 // ReadStreamState parses a WriteStreamState frame back into a state
-// ready for core.RestoreStream.
+// ready for core.RestoreStream. A version 2 frame comes from a binary
+// that re-ordered on every growth batch, so its stream kept no growth
+// and its container is the one its cluster's last fresh ordering built:
+// KeptGrowths is 0 and RefFill the container's size, exactly what the
+// kept-order rule would have recorded, and WAL replay from it decides
+// as a stream running this binary from that state would.
 func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	c := newCR(r)
-	if err := c.expectHeader(stateMagic, stateVersion); err != nil {
+	version, err := c.expectHeader(stateMagic, oldestStateVersion, stateVersion)
+	if err != nil {
 		return nil, err
 	}
 	st := &core.StreamState{
@@ -106,9 +125,14 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	if retiredIns, retiredScans := c.intv(), c.intv(); c.err == nil && (retiredIns != 0 || retiredScans != 0) {
 		c.fail(fmt.Errorf("%w: linked-list counters %d, %d in a static stream's checkpoint", ErrCorrupt, retiredIns, retiredScans))
 	}
-	st.Stats.KeptGrowths = c.intv()
-	if st.Stats.RefFill = c.intv(); c.err == nil && st.Stats.RefFill < 1 {
-		c.fail(fmt.Errorf("%w: reference fill %d", ErrCorrupt, st.Stats.RefFill))
+	switch {
+	case version >= 3:
+		st.Stats.KeptGrowths = c.intv()
+		if st.Stats.RefFill = c.intv(); c.err == nil && st.Stats.RefFill < 1 {
+			c.fail(fmt.Errorf("%w: reference fill %d", ErrCorrupt, st.Stats.RefFill))
+		}
+	case st.Static != nil:
+		st.Stats.RefFill = st.Static.Size()
 	}
 	st.Stats.Version = st.Version
 
