@@ -372,6 +372,17 @@ func expectStreamMatchesReference(t *testing.T, name string, initial *graph.Grap
 		if !st.StructUnion.Equal(ref.structUnion) {
 			t.Fatalf("%s: structure union differs", at)
 		}
+		// One copy of each fact: the tracker's union is the union the
+		// container was built from, and its count is the cluster count.
+		if !s.tracker.Union().Equal(ref.structUnion) {
+			t.Fatalf("%s: tracker union differs from the reference's structure union", at)
+		}
+		if s.tracker.Clusters() != s.Stats().Clusters {
+			t.Fatalf("%s: tracker counts %d clusters, stats %d", at, s.tracker.Clusters(), s.Stats().Clusters)
+		}
+		if !st.StructUnion.Equal(st.Tracker.Union) {
+			t.Fatalf("%s: exported structure union differs from the exported tracker union", at)
+		}
 		if v == len(batches)/2 {
 			rcfg := cfg
 			rcfg.OnPublish = nil
