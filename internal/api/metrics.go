@@ -82,10 +82,7 @@ func registerStoreMetrics(r *metrics.Registry, st *store.Store) {
 // batch spent before touching the factors, in the Bennett update, in
 // the ordering and in the full decomposition — a toggle batch has the
 // first two, a rebuild all but update, a kept-order growth all four;
-// the parts of a batch add up to its apply stage) and the kept-order
-// fill ratio of every batch that grew the union and kept its ordering
-// (clude_stream_kept_order_fill_ratio, buckets at tenths of
-// core.KeptOrderBeta up to its bound), and returns the
+// the parts of a batch add up to its apply stage), and returns the
 // core.StreamConfig.OnBatch hook feeding them from each batch's
 // BatchTrace. With a tracer it also
 // synthesizes one trace per consumed batch: the root is backdated to
@@ -103,17 +100,7 @@ func IngestHook(r *metrics.Registry, tc *trace.Tracer) func(core.BatchTrace) {
 	} {
 		hists[name] = r.Histogram("clude_ingest_apply_seconds", help, metrics.Labels{"part": part})
 	}
-	bounds := make([]float64, 11)
-	for k := range bounds {
-		bounds[k] = 1 + core.KeptOrderBeta*float64(k)/10
-	}
-	fill := r.ValueHistogram("clude_stream_kept_order_fill_ratio",
-		"Per batch that grew the cluster union and kept its ordering: the grown structure's size over the size at the last fresh ordering (never above 1 + beta).",
-		nil, bounds...)
 	return func(bt core.BatchTrace) {
-		if bt.FillRatio > 0 {
-			fill.Observe(bt.FillRatio)
-		}
 		for _, s := range bt.Stages {
 			if h := hists[s.Name]; h != nil {
 				h.Observe(s.D)

@@ -160,7 +160,7 @@ func (t *Tracker) Restore(st *TrackerState) {
 // restored tracker the same future patterns as the original yields
 // identical admission decisions.
 func RestoreTracker(st *TrackerState) (*Tracker, error) {
-	if st.Alpha < 0 || st.Alpha > 1 {
+	if !(st.Alpha >= 0 && st.Alpha <= 1) {
 		return nil, fmt.Errorf("cluster: alpha %v outside [0,1]", st.Alpha)
 	}
 	if (st.Inter == nil) != (st.Union == nil) {

@@ -12,45 +12,36 @@ import (
 
 // This file is the durability face of the streaming engine: ExportState
 // captures everything a Stream needs to resume exactly where it was —
-// graph, factors, ordering, cluster-tracker state, the previous matrix,
-// and every counter — and RestoreStream rebuilds a live Stream from it.
-// Restored-then-replayed streams are bit-identical to uninterrupted
-// ones (the store package's kill-point property test pins this down),
-// which is what makes snapshot + WAL-tail recovery exact rather than
-// merely approximate.
+// graph, factors, ordering, cluster-tracker state and every counter —
+// and RestoreStream rebuilds a live Stream from it. Each fact is held
+// once: α, the cluster count and the union the container was built from
+// are the tracker's, and the matrix the factors belong to is the
+// deriver's of the graph. Restored-then-replayed streams are
+// bit-identical to uninterrupted ones (the store package's kill-point
+// property test pins this down), which is what makes snapshot +
+// WAL-tail recovery exact rather than merely approximate.
 
 // StreamState is the complete serializable state of a Stream at some
 // point in its life. All reference-typed fields are either deep copies
 // (the factor container, which the live stream mutates in place) or
-// immutable values safe to share (graph snapshot, patterns, matrices,
-// orderings), so an exported state stays valid while the source stream
-// keeps committing batches.
+// immutable values safe to share (graph snapshot, patterns, orderings),
+// so an exported state stays valid while the source stream keeps
+// committing batches.
 type StreamState struct {
-	// Algorithm names the strategy that maintained the factors: CLUDE,
-	// the only one a Stream runs and RestoreStream accepts.
-	Algorithm Algorithm
-	Alpha     float64
-	Version   uint64
-	Seq       uint64
+	Version uint64
+	Seq     uint64
 
 	// Graph is the live edge set at export time.
 	Graph *graph.Graph
-	// Tracker is the α-membership state.
+	// Tracker is the α-membership state: α, the cluster count, and the
+	// current cluster's bounds, whose union the container was built from.
 	Tracker *cluster.TrackerState
 	// Ord is the current ordering O = (P, Q).
 	Ord sparse.Ordering
-	// Static holds the factor values.
+	// Static holds the factor values: the factors of the deriver's
+	// matrix of Graph under Ord (a failed batch is taken back whole, so
+	// the two never part).
 	Static *lu.StaticFactors
-	// Prev is the matrix the factors belong to, in the current ordering:
-	// the deriver's matrix of Graph under Ord (a failed batch is taken
-	// back whole, so the two never part). The live stream does not hold
-	// it — a batch's delta comes from the columns it dirtied — and
-	// materializes it for the export; a restored stream checks its shape
-	// and goes on from Graph.
-	Prev *sparse.CSR
-	// StructUnion is the union pattern the USSP container was built
-	// from.
-	StructUnion *sparse.Pattern
 
 	Stats StreamStats
 }
@@ -58,8 +49,7 @@ type StreamState struct {
 // ExportState deep-copies the stream's resumable state under the read
 // lock. The factor container is cloned (it is updated in place by the
 // next batch); everything else is immutable and shared. Exporting
-// costs one factor clone — the same price as a history base pin — and
-// one derivation of the matrix.
+// costs one factor clone — the same price as a history base pin.
 func (s *Stream) ExportState() (*StreamState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -67,38 +57,26 @@ func (s *Stream) ExportState() (*StreamState, error) {
 		return nil, errors.New("core: stream has no published state to export")
 	}
 	return &StreamState{
-		Algorithm:   CLUDE,
-		Alpha:       s.cfg.Alpha,
-		Version:     s.version,
-		Seq:         s.seq,
-		Graph:       s.builder.Graph(),
-		Tracker:     s.tracker.State(),
-		Ord:         s.c.ord,
-		Static:      s.c.static.Clone().(*lu.StaticFactors),
-		Prev:        s.current().PermuteInv(s.c.ord, s.c.colInv),
-		StructUnion: s.structUnion,
-		Stats:       s.stats,
+		Version: s.version,
+		Seq:     s.seq,
+		Graph:   s.builder.Graph(),
+		Tracker: s.tracker.State(),
+		Ord:     s.c.ord,
+		Static:  s.c.static.Clone().(*lu.StaticFactors),
+		Stats:   s.stats,
 	}, nil
 }
 
 // RestoreStream rebuilds a live stream from an exported state. The
-// state must be CLUDE's — factors maintained under another strategy
-// cannot be resumed by this one, so any other algorithm is an error
-// that names it — and the config must agree with it on alpha and carry
-// the same Derive the original stream used: determinism of the deriver
-// is what makes WAL replay exact. Initial is ignored (the state's graph
-// is the initial state). OnPublish fires once for the restored version
+// config must agree with the state's tracker on alpha and carry the
+// same Derive the original stream used: determinism of the deriver is
+// what makes WAL replay exact. Initial is ignored (the state's graph is
+// the initial state). OnPublish fires once for the restored version
 // before RestoreStream returns, mirroring NewStream's version-0
 // publish.
 func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 	if cfg.Derive == nil {
 		return nil, errors.New("core: RestoreStream needs Derive")
-	}
-	if st.Algorithm != CLUDE {
-		return nil, fmt.Errorf("core: restoring %s state: a stream maintains CLUDE only", st.Algorithm)
-	}
-	if cfg.Alpha != st.Alpha {
-		return nil, fmt.Errorf("core: restoring alpha=%v state under alpha=%v", st.Alpha, cfg.Alpha)
 	}
 	if st.Graph == nil {
 		return nil, errors.New("core: stream state has no graph")
@@ -107,20 +85,22 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 	if !st.Ord.Valid() || st.Ord.N() != n {
 		return nil, fmt.Errorf("core: stream state ordering invalid for n=%d", n)
 	}
-	if st.Prev == nil || st.Prev.N() != n {
-		return nil, errors.New("core: stream state previous matrix missing or mis-sized")
-	}
 	if st.Static == nil {
 		return nil, errors.New("core: CLUDE state has no static factors")
-	}
-	if st.StructUnion == nil {
-		return nil, errors.New("core: CLUDE state has no structure union")
 	}
 	if st.Static.Dim() != n {
 		return nil, fmt.Errorf("core: CLUDE factors dimension %d for n=%d", st.Static.Dim(), n)
 	}
 	if st.Tracker == nil {
 		return nil, errors.New("core: CLUDE state has no tracker")
+	}
+	if cfg.Alpha != st.Tracker.Alpha {
+		return nil, fmt.Errorf("core: restoring alpha=%v state under alpha=%v", st.Tracker.Alpha, cfg.Alpha)
+	}
+	for _, p := range []*sparse.Pattern{st.Tracker.Inter, st.Tracker.Union} {
+		if p == nil || p.N() != n {
+			return nil, fmt.Errorf("core: CLUDE tracker patterns missing or not %d×%d", n, n)
+		}
 	}
 	if st.Stats.RefFill < 1 {
 		return nil, fmt.Errorf("core: CLUDE state has reference fill %d", st.Stats.RefFill)
@@ -130,14 +110,13 @@ func RestoreStream(cfg StreamConfig, st *StreamState) (*Stream, error) {
 		return nil, err
 	}
 	s := &Stream{
-		cfg:         cfg,
-		version:     st.Version,
-		seq:         st.Seq,
-		builder:     graph.NewBuilderFrom(st.Graph),
-		tracker:     tr,
-		c:           newChain(st.Ord),
-		structUnion: st.StructUnion,
-		stats:       st.Stats,
+		cfg:     cfg,
+		version: st.Version,
+		seq:     st.Seq,
+		builder: graph.NewBuilderFrom(st.Graph),
+		tracker: tr,
+		c:       newChain(st.Ord),
+		stats:   st.Stats,
 	}
 	s.c.static = st.Static
 	s.c.solver = &lu.Solver{F: st.Static, O: st.Ord}

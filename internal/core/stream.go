@@ -177,10 +177,6 @@ type BatchTrace struct {
 	// PartFactorize, appending it if the batch had none. They add up to
 	// "apply" — on a batch whose step failed, to what of it ran.
 	Parts [4]StageSample
-	// FillRatio is, on a batch that grew the union and kept the
-	// ordering, the grown structure's size over StreamStats.RefFill
-	// (never above 1 + KeptOrderBeta); 0 on every other batch.
-	FillRatio float64
 }
 
 // StreamStats is a point-in-time snapshot of a stream's counters.
@@ -189,7 +185,9 @@ type StreamStats struct {
 	Batches       int    `json:"batches"`
 	Events        int    `json:"events"`
 	EventsApplied int    `json:"events_applied"` // events that changed the edge set
-	Clusters      int    `json:"clusters"`       // clusters opened
+	// Clusters counts the clusters opened: the tracker's count, read off
+	// it by Stats (0 in a StreamState, which holds the tracker).
+	Clusters int `json:"clusters"`
 	// StructRebuilds counts fresh orderings of a grown union: cluster
 	// members growing the running union past the current USSP whose
 	// kept-order fill broke the β rule.
@@ -224,10 +222,13 @@ type Stream struct {
 	version uint64
 	seq     uint64 // validated batches consumed (the WAL sequence number)
 	builder *graph.Builder
-	tracker *cluster.Tracker // α-cluster membership
+	// tracker is the α-cluster membership, and its union the one the
+	// current container was built from: a batch either stays inside it,
+	// grows it into the container, or rebuilds the container from the
+	// grown union.
+	tracker *cluster.Tracker
 
-	c           chain           // the current cluster's factor chain
-	structUnion *sparse.Pattern // union the current USSP was built from
+	c chain // the current cluster's factor chain
 
 	luWS     lu.Workspace
 	benWS    bennett.Workspace
@@ -266,7 +267,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	s := &Stream{cfg: cfg, builder: graph.NewBuilderFrom(cfg.Initial), tracker: cluster.NewTracker(cfg.Alpha)}
 	a := graph.Derive(cfg.Derive, cfg.Initial)
 	s.tracker.Admit(a.Pattern())
-	s.stats.Clusters = 1
 	if err := s.rebuild(a, a.Pattern()); err != nil {
 		return nil, fmt.Errorf("core: CLUDE initial factorization: %w", err)
 	}
@@ -409,7 +409,7 @@ func (s *Stream) lap(part string) {
 }
 
 // current materializes the matrix of the builder's graph — what only a
-// rebuild, a refactorization and an export need whole.
+// rebuild and a refactorization need whole.
 func (s *Stream) current() *sparse.CSR { return graph.Derive(s.cfg.Derive, s.builder) }
 
 // step brings the factors to the batch the builder just applied: a
@@ -424,13 +424,15 @@ func (s *Stream) step() error {
 		cur = s.current()
 		return cur.Pattern()
 	}
+	// Patterns are immutable: admission replaces the union, so this is
+	// the union the container was built from.
+	built := s.tracker.Union()
 	if !s.tracker.AdmitDelta(d.Added, d.Removed, member) {
 		// A fresh cluster's union is its first member.
-		s.stats.Clusters++
 		return s.rebuild(cur, cur.Pattern())
 	}
 	s.permuted = sparse.PermuteEntries(s.permuted[:0], d.Entries, s.c.rowInv, s.c.colInv)
-	if addedWithin(d.Added, s.structUnion) {
+	if addedWithin(d.Added, built) {
 		return s.update(s.permuted)
 	}
 	// The member grew the cluster union past the USSP the static
@@ -438,7 +440,7 @@ func (s *Stream) step() error {
 	// the added positions decide): grow the structure in the kept
 	// ordering, or re-derive the ordering from the grown union and
 	// refactorize into the larger structure.
-	if kept, err := s.grow(d.Added); kept {
+	if kept, err := s.grow(d.Added, built); kept {
 		return err
 	}
 	s.stats.StructRebuilds++
@@ -471,7 +473,6 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 		return fmt.Errorf("core: CLUDE version %d: %w", s.version+1, err)
 	}
 	s.stepStructural, s.stepTerms = true, nil
-	s.structUnion = pat
 	s.c = next
 	s.stats.RefFill = next.static.Size()
 	s.lap(PartFactorize)
@@ -479,27 +480,26 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 }
 
 // grow is the kept-order growth: the batch's added positions (original
-// indices; those already in the union the container was built from add
-// nothing) grow the container's structure by an incremental closure in
+// indices; those already in built, the union the container was built
+// from, add nothing) grow the container's structure by an incremental closure in
 // the chain's ordering, and if the grown size passes the β rule, ∆A
 // (s.permuted) is applied by Bennett — in a container of the grown
 // structure (growInto), or in the live one if the closure already held
 // every new position. It reports false, having changed nothing, when
 // the rule fails; once kept, the step's outcome is the error.
-func (s *Stream) grow(added []sparse.Coord) (bool, error) {
+func (s *Stream) grow(added []sparse.Coord, built *sparse.Pattern) (bool, error) {
 	s.lap(PartDelta)
 	coords := s.grown[:0]
 	for _, c := range added {
-		if !s.structUnion.Has(c.Row, c.Col) {
+		if !built.Has(c.Row, c.Col) {
 			coords = append(coords, sparse.Coord{Row: s.c.rowInv[c.Row], Col: s.c.colInv[c.Col]})
 		}
 	}
 	s.grown = coords
 	sym := s.c.static.Structure().Grow(coords)
 	size := sym.Size()
-	ratio := float64(size) / float64(s.stats.RefFill)
 	s.lap(PartOrder)
-	if ratio > 1+KeptOrderBeta {
+	if float64(size)/float64(s.stats.RefFill) > 1+KeptOrderBeta {
 		return false, nil
 	}
 	var err error
@@ -513,9 +513,7 @@ func (s *Stream) grow(added []sparse.Coord) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	s.structUnion = s.tracker.Union()
 	s.stats.KeptGrowths++
-	s.bt.FillRatio = ratio
 	return true, nil
 }
 
@@ -631,6 +629,7 @@ func (s *Stream) Stats() StreamStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
+	st.Clusters = s.tracker.Clusters()
 	st.Fill = s.c.static.Size()
 	return st
 }

@@ -318,8 +318,9 @@ func FuzzStreamMatchesReference(f *testing.F) {
 // expectStreamMatchesReference feeds the batches to a Stream and to the
 // whole-matrix reference and holds, for every version, the history
 // record (structural flag and every term: Key, ByCol, every bit of W),
-// the admission outcome and counters, the factor hash, the tracker, and
-// the exported graph, Prev and structure union to the reference's. A
+// the admission outcome and counters, the factor hash, the tracker, the
+// exported graph, the matrix it and the exported ordering give, and the
+// exported tracker's union to the reference's structure union. A
 // stream restored from an export halfway through must arrive at the
 // same factors and counters. It returns the final counters.
 func expectStreamMatchesReference(t *testing.T, name string, initial *graph.Graph, batches [][]graph.EdgeEvent, d graph.Deriver, alpha float64) StreamStats {
@@ -366,22 +367,19 @@ func expectStreamMatchesReference(t *testing.T, name string, initial *graph.Grap
 			t.Fatalf("%s: tracker state differs from full-pattern admission", at)
 		}
 		st := exportState(t, s)
-		if !sameMatrix(st.Prev, ref.prev) || !sameGraph(st.Graph, ref.builder.Graph()) {
-			t.Fatalf("%s: exported Prev/Graph differ from the reference", at)
+		if !sameGraph(st.Graph, ref.builder.Graph()) {
+			t.Fatalf("%s: exported graph differs from the reference", at)
 		}
-		if !st.StructUnion.Equal(ref.structUnion) {
-			t.Fatalf("%s: structure union differs", at)
+		if !sameMatrix(graph.Derive(d, st.Graph).PermuteInv(st.Ord, st.Ord.Col.Inverse()), ref.prev) {
+			t.Fatalf("%s: exported graph and ordering do not give the reference's permuted matrix", at)
 		}
 		// One copy of each fact: the tracker's union is the union the
 		// container was built from, and its count is the cluster count.
-		if !s.tracker.Union().Equal(ref.structUnion) {
+		if !s.tracker.Union().Equal(ref.structUnion) || !st.Tracker.Union.Equal(ref.structUnion) {
 			t.Fatalf("%s: tracker union differs from the reference's structure union", at)
 		}
 		if s.tracker.Clusters() != s.Stats().Clusters {
 			t.Fatalf("%s: tracker counts %d clusters, stats %d", at, s.tracker.Clusters(), s.Stats().Clusters)
-		}
-		if !st.StructUnion.Equal(st.Tracker.Union) {
-			t.Fatalf("%s: exported structure union differs from the exported tracker union", at)
 		}
 		if v == len(batches)/2 {
 			rcfg := cfg
@@ -473,8 +471,8 @@ func keptEdge(t *testing.T, initial *graph.Graph, alpha float64, prior [][]graph
 }
 
 // TestFailedBatchIsAtomic: a batch whose CLUDE step fails leaves the
-// stream where a stream that never saw it stands — graph, exported Prev,
-// tracker, counters — and the next batch lands on the same factors. Only
+// stream where a stream that never saw it stands — graph, exported
+// ordering, tracker, counters — and the next batch lands on the same factors. Only
 // the sequence number remembers it, so WAL replay meets the same
 // failure. The failing step is a kept-order growth into a grown
 // container (the update and the refactorization both fail there, and it
@@ -564,8 +562,8 @@ func TestFailedBatchIsAtomic(t *testing.T) {
 			if !sameGraph(sa.Graph, sb.Graph) {
 				t.Fatalf("%s %s: graphs differ", tc.name, when)
 			}
-			if !sameMatrix(sa.Prev, sb.Prev) {
-				t.Fatalf("%s %s: exported Prev differs", tc.name, when)
+			if !slices.Equal(sa.Ord.Row, sb.Ord.Row) || !slices.Equal(sa.Ord.Col, sb.Ord.Col) {
+				t.Fatalf("%s %s: exported orderings differ", tc.name, when)
 			}
 			if sa.Tracker.Start != sb.Tracker.Start || sa.Tracker.End != sb.Tracker.End || sa.Tracker.Clusters != sb.Tracker.Clusters ||
 				!sa.Tracker.Inter.Equal(sb.Tracker.Inter) || !sa.Tracker.Union.Equal(sb.Tracker.Union) {

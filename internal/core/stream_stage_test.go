@@ -85,9 +85,9 @@ func TestStreamStageHook(t *testing.T) {
 // reports it: a batch inside the cluster and the USSP is PartDelta +
 // PartUpdate, a batch that grows the union within the β rule is
 // PartDelta + PartOrder + PartFactorize + PartUpdate, or PartDelta +
-// PartOrder + PartUpdate when its positions fell on fill, with its fill
-// ratio in (0, 1 + KeptOrderBeta], one that grows it past the rule is
-// PartDelta + PartOrder + PartFactorize with no ratio, a batch whose
+// PartOrder + PartUpdate when its positions fell on fill, and counts
+// one kept growth, one that grows it past the rule is PartDelta +
+// PartOrder + PartFactorize and counts one rebuild, a batch whose
 // step fails reports the parts it ran and neither apply nor publish,
 // the parts never exceed the apply stage they split, and version 0
 // reports nothing.
@@ -113,7 +113,6 @@ func TestStreamApplySplit(t *testing.T) {
 		}
 	}
 	var seen []string
-	var ratio float64
 	total := map[string]time.Duration{}
 	add := func(ss []StageSample) {
 		for _, st := range ss {
@@ -137,7 +136,6 @@ func TestStreamApplySplit(t *testing.T) {
 			add(stages[:at])
 			add(samples(bt.Parts[:]))
 			add(stages[at:])
-			ratio = bt.FillRatio
 		},
 	})
 	if err != nil {
@@ -172,15 +170,12 @@ func TestStreamApplySplit(t *testing.T) {
 		if parts := total[PartDelta] + total[PartUpdate] + total[PartOrder] + total[PartFactorize]; err == nil && parts > total["apply"] {
 			t.Fatalf("%s batch: parts add up to %v, more than apply's %v", tc.name, parts, total["apply"])
 		}
-		if kept := ratio > 0 && ratio <= 1+KeptOrderBeta; kept != tc.kept {
-			t.Fatalf("%s batch: fill ratio %v", tc.name, ratio)
-		}
 		after := s.Stats()
 		if tc.name == "rebuild" && after.StructRebuilds != before.StructRebuilds+1 {
 			t.Fatalf("rebuild batch: %d rebuilds before, %d after", before.StructRebuilds, after.StructRebuilds)
 		}
-		if tc.kept && (after.KeptGrowths != before.KeptGrowths+1 || after.StructRebuilds != before.StructRebuilds) {
-			t.Fatalf("kept growth batch: stats %+v before, %+v after", before, after)
+		if kept := after.KeptGrowths == before.KeptGrowths+1; kept != tc.kept || kept && after.StructRebuilds != before.StructRebuilds {
+			t.Fatalf("%s batch: stats %+v before, %+v after", tc.name, before, after)
 		}
 	}
 }

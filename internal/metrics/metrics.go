@@ -143,53 +143,6 @@ func (s HistogramSnapshot) QuantileUS(p float64) float64 {
 	return s.Quantile(p) * 1e6
 }
 
-// A ValueHistogram counts unitless observations (a ratio, a count)
-// into fixed buckets: bucket b holds the values above bound b−1 and at
-// most bound b, and one more bucket holds everything above the last
-// bound. Observe is lock-free. Registry.ValueHistogram builds one.
-type ValueHistogram struct {
-	bounds  []float64
-	buckets []atomic.Int64 // len(bounds)+1
-	sum     atomic.Uint64  // float64 bits
-}
-
-// Observe records one value.
-func (h *ValueHistogram) Observe(v float64) {
-	b := 0
-	for b < len(h.bounds) && v > h.bounds[b] {
-		b++
-	}
-	h.buckets[b].Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Snapshot reads the histogram, with ValueSnapshot.Counts cumulative as
-// Prometheus buckets are: Counts[b] is the number of values at most
-// Bounds[b], and Total the number of all.
-func (h *ValueHistogram) Snapshot() ValueSnapshot {
-	s := ValueSnapshot{Bounds: h.bounds, Counts: make([]int64, len(h.bounds)), Sum: math.Float64frombits(h.sum.Load())}
-	for b := range h.buckets {
-		s.Total += h.buckets[b].Load()
-		if b < len(s.Counts) {
-			s.Counts[b] = s.Total
-		}
-	}
-	return s
-}
-
-// ValueSnapshot is a point-in-time copy of a ValueHistogram.
-type ValueSnapshot struct {
-	Bounds []float64
-	Counts []int64
-	Total  int64
-	Sum    float64
-}
-
 // bucketUpperSeconds is bucket b's upper bound, 2^b ns, in seconds.
 func bucketUpperSeconds(b int) float64 {
 	return float64(uint64(1)<<uint(b)) / 1e9

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -241,33 +240,5 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 	wg.Wait()
 	if c.Value() != h.Snapshot().Total {
 		t.Fatalf("counter %d != histogram total %d", c.Value(), h.Snapshot().Total)
-	}
-}
-
-// TestValueHistogram: values land in the first bucket whose bound they
-// do not exceed (a value on a bound counts under it), the exposition's
-// buckets are cumulative over every bound with +Inf the total, and the
-// sum is the values' sum.
-func TestValueHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.ValueHistogram("ratio", "A ratio.", nil, 1, 1.05, 1.1)
-	for _, v := range []float64{1, 1.02, 1.05, 1.07, 1.3} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if !slices.Equal(s.Counts, []int64{1, 3, 4}) || s.Total != 5 || math.Abs(s.Sum-5.44) > 1e-12 {
-		t.Fatalf("snapshot %+v", s)
-	}
-	var b strings.Builder
-	if err := r.Expose(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		`ratio_bucket{le="1"} 1`, `ratio_bucket{le="1.05"} 3`, `ratio_bucket{le="1.1"} 4`,
-		`ratio_bucket{le="+Inf"} 5`, `ratio_count 5`, "# TYPE ratio histogram",
-	} {
-		if !strings.Contains(b.String(), line+"\n") {
-			t.Errorf("exposition lacks %q:\n%s", line, b.String())
-		}
 	}
 }

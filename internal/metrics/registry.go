@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ContentType is the HTTP Content-Type of the exposition format
@@ -48,7 +47,6 @@ type series struct {
 	fn      func() float64           // counterfunc / gaugefunc
 	hist    *Histogram               // registered histogram
 	histFn  func() HistogramSnapshot // func-backed histogram
-	values  *ValueHistogram          // registered value histogram
 }
 
 // Counter registers and returns a new counter series.
@@ -88,14 +86,6 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 // and the exposition.
 func (r *Registry) RegisterHistogram(name, help string, labels Labels, h *Histogram) {
 	r.register(name, help, "histogram", labels, &series{hist: h})
-}
-
-// ValueHistogram registers and returns a new value histogram series
-// over the ascending upper bounds.
-func (r *Registry) ValueHistogram(name, help string, labels Labels, bounds ...float64) *ValueHistogram {
-	h := &ValueHistogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
-	r.register(name, help, "histogram", labels, &series{values: h})
-	return h
 }
 
 // HistogramFunc registers a histogram series collected from fn at
@@ -194,14 +184,6 @@ func writeSeries(b *strings.Builder, f *family, s *series) {
 		writeHistogram(b, f.name, s.labels, s.hist.Snapshot())
 	case s.histFn != nil:
 		writeHistogram(b, f.name, s.labels, s.histFn())
-	case s.values != nil:
-		v := s.values.Snapshot()
-		for i, le := range v.Bounds {
-			writeSample(b, f.name+"_bucket", addLabel(s.labels, "le", formatFloat(le)), float64(v.Counts[i]))
-		}
-		writeSample(b, f.name+"_bucket", addLabel(s.labels, "le", "+Inf"), float64(v.Total))
-		writeSample(b, f.name+"_sum", s.labels, v.Sum)
-		writeSample(b, f.name+"_count", s.labels, float64(v.Total))
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lu"
@@ -120,16 +122,6 @@ func runSolver(t testing.TB, alg core.Algorithm, g0 *graph.Graph, batches [][]gr
 	return sv
 }
 
-// bfCheckpoint is st in the form a BF stream checkpointed before the
-// stream became CLUDE-only: the static factors with no tracker and no
-// structure union. The codec still reads it, so that recovery can
-// refuse it by name.
-func bfCheckpoint(st *core.StreamState) *core.StreamState {
-	bf := *st
-	bf.Algorithm, bf.Tracker, bf.StructUnion = core.BF, nil, nil
-	return &bf
-}
-
 // TestFactorsRoundTripAcrossStrategies: WriteSolver → ReadSolver
 // round-trips bit-identically the static factors BF's and CLUDE's runs
 // hold after a randomized Bennett update sequence, and refuses
@@ -232,14 +224,11 @@ func TestGraphRoundTrip(t *testing.T) {
 func stateFactorKindAt(t testing.TB, st *core.StreamState) int {
 	t.Helper()
 	return prefixLen(t, stateMagic, func(c *cw) {
-		c.str(string(st.Algorithm))
-		c.f64(st.Alpha)
 		c.u64(st.Version)
 		c.u64(st.Seq)
 		writeGraphBody(c, st.Graph)
-		writeTracker(c, st.Tracker)
+		writeTrackerBody(c, st.Tracker)
 		writeOrdering(c, st.Ord)
-		c.bool(true)
 	})
 }
 
@@ -362,9 +351,11 @@ func FuzzReadSolver(f *testing.F) {
 }
 
 // TestStreamStateRoundTrip pins the full-snapshot codec: every field of
-// the exported state, counters included, survives the disk format — and
-// so does the BF form an older binary wrote, which recovery must read
-// to refuse it.
+// the exported state, counters included, survives the disk format; the
+// same state in version 2's and version 3's layouts reads to it too
+// (version 2 with no kept growth and the container's size as the
+// reference fill); and the BF form an older binary wrote is refused by
+// name, not as corruption.
 func TestStreamStateRoundTrip(t *testing.T) {
 	rng := xrand.New(17)
 	g0 := randomGraph(32, 38, rng)
@@ -375,17 +366,31 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []*core.StreamState{state, bfCheckpoint(state)} {
-		var buf bytes.Buffer
-		if err := WriteStreamState(&buf, st); err != nil {
-			t.Fatalf("%s: WriteStreamState: %v", st.Algorithm, err)
+	var buf bytes.Buffer
+	if err := WriteStreamState(&buf, state); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadStreamState(bytes.NewReader(buf.Bytes())); err != nil || !reflect.DeepEqual(state, got) {
+		t.Fatalf("stream state did not round-trip identically (%v)", err)
+	}
+	for _, version := range []byte{2, 3} {
+		var old bytes.Buffer
+		if err := writeOldStreamState(&old, state, version, core.CLUDE); err != nil {
+			t.Fatal(err)
 		}
-		got, err := ReadStreamState(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: ReadStreamState: %v", st.Algorithm, err)
+		want := *state
+		if version == 2 {
+			want.Stats.KeptGrowths, want.Stats.RefFill = 0, state.Static.Size()
 		}
-		if !reflect.DeepEqual(st, got) {
-			t.Errorf("%s: stream state did not round-trip identically", st.Algorithm)
+		if got, err := ReadStreamState(bytes.NewReader(old.Bytes())); err != nil || !reflect.DeepEqual(&want, got) {
+			t.Errorf("a version %d checkpoint read as another state (%v)", version, err)
+		}
+		old.Reset()
+		if err := writeOldStreamState(&old, state, version, core.BF); err != nil {
+			t.Fatal(err)
+		}
+		if err := errorOf(t, old.Bytes()); !errors.Is(err, errForeignCheckpoint) || !strings.Contains(err.Error(), "BF") {
+			t.Errorf("a version %d BF checkpoint read as %v, want a refusal naming BF", version, err)
 		}
 	}
 }
@@ -427,8 +432,6 @@ func hostileVertexCount(t testing.TB, data []byte, st *core.StreamState, tail bo
 	var pre bytes.Buffer
 	c := newCW(&pre)
 	c.header(stateMagic, stateVersion)
-	c.str(string(st.Algorithm))
-	c.f64(st.Alpha)
 	c.u64(st.Version)
 	c.u64(st.Seq)
 	if err := c.w.Flush(); err != nil {
@@ -472,107 +475,193 @@ func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 	}
 }
 
+// stateAfter is the exported state of a stream run over the batches.
+func stateAfter(t testing.TB, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.StreamState {
+	t.Helper()
+	s := streamAfter(t, g0, batches)
+	defer s.Close()
+	st, err := s.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// encodeState is a checkpoint of st in the layout of the given version,
+// under the CLUDE name before version 4.
+func encodeState(t testing.TB, st *core.StreamState, version byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := WriteStreamState(&buf, st)
+	if version < stateVersion {
+		buf.Reset()
+		err = writeOldStreamState(&buf, st, version, core.CLUDE)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// misSized returns big with its tracker's patterns, or with container
+// its factor container, taken from small, a stream's state over fewer
+// vertices: a frame of it seals and parses, but holds a pattern that is
+// not n×n for its graph's n.
+func misSized(big, small *core.StreamState, container bool) *core.StreamState {
+	bad := *big
+	if container {
+		bad.Static = small.Static
+		return &bad
+	}
+	tr := *big.Tracker
+	tr.Inter, tr.Union = small.Tracker.Inter, small.Tracker.Union
+	bad.Tracker = &tr
+	return &bad
+}
+
+// TestReadStreamStateRejectsMisSizedPatterns: a sealed checkpoint of a
+// 16-vertex graph whose tracker patterns (in versions 2 and 3, its
+// structure union too) or factor container are 8×8 is corrupt, in every
+// layout, so recovery falls back to an older checkpoint; a stream
+// restored from one would index past the patterns on its first batch.
+// RestoreStream refuses such a state too.
+func TestReadStreamStateRejectsMisSizedPatterns(t *testing.T) {
+	rng := xrand.New(67)
+	big := stateAfter(t, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
+	small := stateAfter(t, randomGraph(8, 10, rng), randomBatches(8, 2, 3, rng))
+	cfg := core.StreamConfig{Alpha: 0.9, Derive: graph.RWRMatrix(0.85)}
+	for _, container := range []bool{false, true} {
+		bad := misSized(big, small, container)
+		for _, version := range []byte{2, 3, stateVersion} {
+			if err := errorOf(t, encodeState(t, bad, version)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("container=%v: a version %d frame with 8×8 patterns under a 16-vertex graph read as %v, want ErrCorrupt", container, version, err)
+			}
+		}
+		if s, err := core.RestoreStream(cfg, bad); err == nil {
+			s.Close()
+			t.Errorf("container=%v: RestoreStream accepted 8×8 patterns under a 16-vertex graph", container)
+		}
+	}
+}
+
 // FuzzReadStreamState feeds arbitrary bytes to the CLUD decoder
-// recovery runs on every checkpoint: it must never panic, and a frame it
-// accepts must re-encode, in its own version's layout, to the same
-// bytes; a version 2 frame must read with no kept growth and its
-// container's size as the reference fill. The seeds are a CLUDE
-// checkpoint and its older BF form, which must round-trip; and the
-// hostile vertex
-// counts, the same frames with factor kind 1 (the linked-list kind the
-// format no longer has), with a nonzero retired linked-list counter and
-// with a zero reference fill, which must not; and the same states in
-// version 2's layout (before the kept-order fields), which must read
-// with no kept growth and the container's size as the reference fill,
-// while version 3 bytes relabelled version 2 are corrupt.
+// recovery runs on every checkpoint: it must never panic; a version 4
+// frame it accepts must re-encode to the same bytes, and a version 2 or
+// 3 frame must read to the same state as its version 4 re-encoding; and
+// an accepted frame must restore, under its own α, to a stream that
+// applies a batch without panicking. The seeds are a checkpoint in the
+// three layouts, which must read; the hostile vertex counts; and frames
+// that must not read: with factor kind 1 (the linked-list kind the
+// format no longer has), a zero reference fill, a 12-vertex stream's
+// tracker patterns or container under a 16-vertex graph, version 4
+// bytes labelled
+// version 3, and older frames whose extra fields contradict the
+// tracker (a nonzero retired counter, another structure union, α or
+// cluster count) or that name BF.
 func FuzzReadStreamState(f *testing.F) {
 	rng := xrand.New(59)
-	g0 := randomGraph(12, 10, rng)
-	batches := randomBatches(12, 3, 3, rng)
-	s := streamAfter(f, g0, batches)
-	clude, err := s.ExportState()
-	s.Close()
-	if err != nil {
+	state := stateAfter(f, randomGraph(12, 10, rng), randomBatches(12, 3, 3, rng))
+	data := encodeState(f, state, stateVersion)
+	for _, version := range []byte{2, 3, stateVersion} {
+		old := encodeState(f, state, version)
+		got, err := ReadStreamState(bytes.NewReader(old))
+		want := *state
+		if version == 2 {
+			want.Stats.KeptGrowths, want.Stats.RefFill = 0, state.Static.Size()
+		}
+		if err != nil || !reflect.DeepEqual(got, &want) {
+			f.Fatalf("a version %d checkpoint read as another state (%v)", version, err)
+		}
+		f.Add(old)
+	}
+	f.Add(data[:len(data)/2])
+	f.Add(hostileVertexCount(f, data, state, true))
+	f.Add(hostileVertexCount(f, data, state, false))
+
+	corrupt := map[string][]byte{"factor kind 1": withByte(f, data, stateFactorKindAt(f, state), 1)}
+	zeroRef := *state
+	zeroRef.Stats.RefFill = 0
+	corrupt["zero reference fill"] = encodeState(f, &zeroRef, stateVersion)
+	big := stateAfter(f, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
+	corrupt["smaller graph's tracker patterns"] = encodeState(f, misSized(big, state, false), stateVersion)
+	corrupt["smaller graph's container"] = encodeState(f, misSized(big, state, true), stateVersion)
+	relabelled := bytes.Clone(data)
+	relabelled[len(stateMagic)] = 3
+	corrupt["version 4 layout"] = relabelled
+	// The second retired counter, a zero varint, stands before version
+	// 3's two fields and the trailer.
+	v3 := encodeState(f, state, 3)
+	var v [binary.MaxVarintLen64]byte
+	tail := binary.PutVarint(v[:], int64(state.Stats.KeptGrowths)) + binary.PutVarint(v[:], int64(state.Stats.RefFill))
+	corrupt["retired counter"] = withByte(f, v3, len(v3)-5-tail, 2)
+	other := stateAfter(f, randomGraph(12, 14, rng), randomBatches(12, 3, 3, rng))
+	for name, edit := range map[string]func(tr *cluster.TrackerState){
+		"structure union": func(tr *cluster.TrackerState) { tr.Union = other.Tracker.Union },
+		"alpha":           func(tr *cluster.TrackerState) { tr.Alpha = 0.5 },
+		"cluster count":   func(tr *cluster.TrackerState) { tr.Clusters++ },
+	} {
+		// The old layout restates the tracker: one side of it edited.
+		tr := *state.Tracker
+		edit(&tr)
+		var buf bytes.Buffer
+		c := newCW(&buf)
+		writeTrackerBody(c, &tr)
+		if err := c.w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		var orig bytes.Buffer
+		c = newCW(&orig)
+		writeTrackerBody(c, state.Tracker)
+		if err := c.w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		at := bytes.Index(v3, orig.Bytes())
+		payload := slices.Concat(v3[:at], buf.Bytes(), v3[at+orig.Len():len(v3)-4])
+		corrupt[name] = binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
+	}
+	for name, bad := range corrupt {
+		if !errors.Is(errorOf(f, bad), ErrCorrupt) {
+			f.Fatalf("a checkpoint with a %s did not read as ErrCorrupt", name)
+		}
+		f.Add(bad)
+	}
+	var bf bytes.Buffer
+	if err := writeOldStreamState(&bf, state, 2, core.BF); err != nil {
 		f.Fatal(err)
 	}
-	for _, state := range []*core.StreamState{bfCheckpoint(clude), clude} {
-		alg := state.Algorithm
-		var buf bytes.Buffer
-		if err := WriteStreamState(&buf, state); err != nil {
-			f.Fatal(err)
-		}
-		data := buf.Bytes()
-		got, err := ReadStreamState(bytes.NewReader(data))
-		var again bytes.Buffer
-		if err == nil {
-			err = WriteStreamState(&again, got)
-		}
-		if err != nil || !bytes.Equal(again.Bytes(), data) {
-			f.Fatalf("%s: checkpoint did not round-trip bit-identically (%v)", alg, err)
-		}
-		kind1 := withByte(f, data, stateFactorKindAt(f, state), 1)
-		// Before the trailer come the second retired counter, a zero
-		// varint, and version 3's two fields.
-		var v [binary.MaxVarintLen64]byte
-		tail := binary.PutVarint(v[:], int64(state.Stats.KeptGrowths)) + binary.PutVarint(v[:], int64(state.Stats.RefFill))
-		retired := withByte(f, data, len(data)-5-tail, 2)
-		zeroRef := *state
-		zeroRef.Stats.RefFill = 0
-		var zbuf bytes.Buffer
-		if err := WriteStreamState(&zbuf, &zeroRef); err != nil {
-			f.Fatal(err)
-		}
-		for name, bad := range map[string][]byte{"factor kind 1": kind1, "retired counter": retired, "zero reference fill": zbuf.Bytes()} {
-			if !errors.Is(errorOf(f, bad), ErrCorrupt) {
-				f.Fatalf("%s: a checkpoint with a %s did not read as ErrCorrupt", alg, name)
-			}
-			f.Add(bad)
-		}
-		relabelled := bytes.Clone(data)
-		relabelled[len(stateMagic)] = 2
-		if !errors.Is(errorOf(f, relabelled), ErrCorrupt) {
-			f.Fatalf("%s: version 3 bytes labelled version 2 did not read as ErrCorrupt", alg)
-		}
-		f.Add(relabelled)
-		var v2 bytes.Buffer
-		if err := writeStreamState(&v2, state, 2); err != nil {
-			f.Fatal(err)
-		}
-		old, err := ReadStreamState(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			f.Fatalf("%s: a version 2 checkpoint was refused: %v", alg, err)
-		}
-		want := *state
-		want.Stats.KeptGrowths, want.Stats.RefFill = 0, state.Static.Size()
-		if !reflect.DeepEqual(old, &want) {
-			f.Fatalf("%s: a version 2 checkpoint read as another state", alg)
-		}
-		f.Add(v2.Bytes())
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		if alg == core.CLUDE {
-			f.Add(hostileVertexCount(f, data, state, true))
-			f.Add(hostileVertexCount(f, data, state, false))
-		}
+	if !errors.Is(errorOf(f, bf.Bytes()), errForeignCheckpoint) {
+		f.Fatal("a BF checkpoint was not refused by name")
 	}
+	f.Add(bf.Bytes())
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := ReadStreamState(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		version := data[len(stateMagic)]
-		if version == 2 && (st.Stats.KeptGrowths != 0 || st.Static != nil && st.Stats.RefFill != st.Static.Size()) {
-			t.Fatalf("a version 2 frame read as %d kept growths over a reference fill of %d", st.Stats.KeptGrowths, st.Stats.RefFill)
-		}
 		var buf bytes.Buffer
-		if err := writeStreamState(&buf, st, version); err != nil {
+		if err := WriteStreamState(&buf, st); err != nil {
 			t.Fatalf("an accepted frame does not re-encode: %v", err)
 		}
-		// The reader stops at the trailer; bytes after it are not the
-		// frame's.
-		if !bytes.HasPrefix(data, buf.Bytes()) {
-			t.Fatalf("an accepted frame re-encodes to different bytes")
+		if data[len(stateMagic)] == stateVersion {
+			// The reader stops at the trailer; bytes after it are not
+			// the frame's.
+			if !bytes.HasPrefix(data, buf.Bytes()) {
+				t.Fatal("an accepted frame re-encodes to different bytes")
+			}
+		} else if again, err := ReadStreamState(&buf); err != nil || !reflect.DeepEqual(again, st) {
+			t.Fatalf("a version %d frame reads to another state than its version %d re-encoding (%v)", data[len(stateMagic)], stateVersion, err)
 		}
+		s, err := core.RestoreStream(core.StreamConfig{Alpha: st.Tracker.Alpha, Derive: graph.RWRMatrix(0.85)}, st)
+		if err != nil {
+			t.Fatalf("an accepted frame does not restore: %v", err)
+		}
+		defer s.Close()
+		var batch []graph.EdgeEvent
+		if n := st.Graph.N(); n > 1 {
+			batch = []graph.EdgeEvent{{From: 0, To: n - 1, Op: graph.EdgeInsert}, {From: n - 1, To: n / 2, Op: graph.EdgeDelete}}
+		}
+		s.Apply(batch) // a numerical failure is an outcome; a panic is not
 	})
 }
 

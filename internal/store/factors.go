@@ -139,20 +139,8 @@ func readPattern(c *cr) *sparse.Pattern {
 	return p
 }
 
-// writeCSR / readCSR encode a sparse matrix; nil is legal.
-func writeCSR(c *cw, m *sparse.CSR) {
-	if m == nil {
-		c.bool(false)
-		return
-	}
-	c.bool(true)
-	rowPtr, colIdx, vals := m.Arrays()
-	c.i64(int64(m.N()))
-	c.intsDelta(rowPtr)
-	c.intsDelta(colIdx)
-	c.floats(vals)
-}
-
+// readCSR decodes a sparse matrix (nil is legal): the permuted matrix
+// of a version 2 or 3 CLUD frame, whose writer is oldstate_test.go's.
 func readCSR(c *cr) *sparse.CSR {
 	if !c.bool() || c.err != nil {
 		return nil

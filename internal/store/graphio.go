@@ -56,15 +56,8 @@ func readGraphBody(c *cr) graphBody {
 	return graphBody{n: n, directed: directed, edges: edges}
 }
 
-// writeTracker / readTracker encode the α-membership state; nil is
-// legal (a BF stream's checkpoint, written by an older binary, has no
-// tracker: it must read back so that recovery can refuse it by name).
-func writeTracker(c *cw, st *cluster.TrackerState) {
-	if st == nil {
-		c.bool(false)
-		return
-	}
-	c.bool(true)
+// writeTrackerBody / readTrackerBody encode the α-membership state.
+func writeTrackerBody(c *cw, st *cluster.TrackerState) {
 	c.f64(st.Alpha)
 	c.i64(int64(st.Start))
 	c.i64(int64(st.End))
@@ -73,10 +66,7 @@ func writeTracker(c *cw, st *cluster.TrackerState) {
 	writePattern(c, st.Union)
 }
 
-func readTracker(c *cr) *cluster.TrackerState {
-	if !c.bool() || c.err != nil {
-		return nil
-	}
+func readTrackerBody(c *cr) *cluster.TrackerState {
 	st := &cluster.TrackerState{
 		Alpha:    c.f64(),
 		Start:    c.intv(),

@@ -164,6 +164,18 @@ func TestKillPointRecoveryExact(t *testing.T) {
 // uninterrupted run's state bit for bit, less the kept growths counted
 // before the checkpoint, which a version 2 frame does not carry.
 func TestOpenStreamRecoversVersion2Checkpoint(t *testing.T) {
+	expectRecoversOldCheckpoint(t, 2)
+}
+
+// TestOpenStreamRecoversVersion3Checkpoint is its twin over the data
+// directory the kept-order binary before version 4 leaves: version 3
+// frames, which carry the kept growths and the reference fill, so
+// recovery reaches the uninterrupted run's state bit for bit.
+func TestOpenStreamRecoversVersion3Checkpoint(t *testing.T) {
+	expectRecoversOldCheckpoint(t, 3)
+}
+
+func expectRecoversOldCheckpoint(t *testing.T, version byte) {
 	const n = 34
 	rng := xrand.New(41)
 	g0 := randomGraph(n, 40, rng)
@@ -198,7 +210,9 @@ func TestOpenStreamRecoversVersion2Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Stats.KeptGrowths -= stats[ckpt].KeptGrowths
+	if version == 2 {
+		want.Stats.KeptGrowths -= stats[ckpt].KeptGrowths
+	}
 
 	dir := t.TempDir()
 	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, SegmentBytes: 1}
@@ -249,11 +263,11 @@ func TestOpenStreamRecoversVersion2Checkpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v2 bytes.Buffer
-		if err := writeStreamState(&v2, state, 2); err != nil {
+		var old bytes.Buffer
+		if err := writeOldStreamState(&old, state, version, core.CLUDE); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,12 +278,12 @@ func TestOpenStreamRecoversVersion2Checkpoint(t *testing.T) {
 	}
 	s2, info, err := st2.OpenStream(cfg)
 	if err != nil {
-		t.Fatalf("reopen over version 2 checkpoints: %v", err)
+		t.Fatalf("reopen over version %d checkpoints: %v", version, err)
 	}
 	defer st2.Close()
 	defer s2.Close()
 	if !info.Recovered || info.SnapshotsSkipped != 0 || info.SnapshotVersion != uint64(ckpt+1) {
-		t.Fatalf("recovery %+v, want the version 2 checkpoint at version %d", info, ckpt+1)
+		t.Fatalf("recovery %+v, want the version %d checkpoint at version %d", info, version, ckpt+1)
 	}
 	if info.ReplayedBatches != len(batches)-1-ckpt || info.ReplayErrors != 0 {
 		t.Fatalf("replayed %d batches (%d errors), want %d", info.ReplayedBatches, info.ReplayErrors, len(batches)-1-ckpt)
@@ -282,10 +296,10 @@ func TestOpenStreamRecoversVersion2Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("recovery from a version 2 checkpoint did not reach the live run's state")
+		t.Errorf("recovery from a version %d checkpoint did not reach the live run's state", version)
 	}
 	if !reflect.DeepEqual(refFinal, probe(t, s2, n)) {
-		t.Error("recovery from a version 2 checkpoint solves differently from the live run")
+		t.Errorf("recovery from a version %d checkpoint solves differently from the live run", version)
 	}
 }
 
@@ -475,7 +489,7 @@ func TestOpenStreamRefusesForeignCheckpoint(t *testing.T) {
 		t.Fatalf("want the initial and the newest snapshot on disk, got %d", len(snaps))
 	}
 	var buf bytes.Buffer
-	if err := WriteStreamState(&buf, bfCheckpoint(state)); err != nil {
+	if err := writeOldStreamState(&buf, state, 2, core.BF); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(snaps[1], buf.Bytes(), 0o644); err != nil {

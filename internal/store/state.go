@@ -1,11 +1,14 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 // Stream-state (snapshot) codec: the complete core.StreamState as one
@@ -16,44 +19,39 @@ import (
 const stateMagic = "CLUD"
 
 // stateVersion is the CLUD frame's format version, which moves apart
-// from the CLUS frame's codecVersion. Version 3 appends the stream's
-// kept-order counter and reference fill to version 2's layout.
-// Version 2 frames, which every checkpoint of a binary without the
-// kept-order rule is, are still read (ReadStreamState derives the two
-// fields); older ones are refused.
+// from the CLUS frame's codecVersion. Version 4 holds each fact of the
+// stream once: the tracker carries α, the cluster count and the union
+// the container was built from, and the matrix the factors belong to is
+// derived from the graph. Versions 2 and 3 are still read: they also
+// carry the algorithm's name, α, the tracker's and the factors' presence
+// flags, the permuted matrix, the structure union, the cluster count
+// and two retired counters, which ReadStreamState checks against the
+// tracker and drops; version 2 also lacks version 3's kept-order
+// fields. Older ones are refused.
 const (
-	stateVersion       = 3
+	stateVersion       = 4
 	oldestStateVersion = 2
 )
 
+// errForeignCheckpoint reports a version 2 or 3 checkpoint of a stream
+// that maintained another algorithm than CLUDE (BF, as an older binary
+// wrote it). It is not corrupt, so recovery fails the boot on it rather
+// than skipping it for an older checkpoint or cold-starting over it.
+var errForeignCheckpoint = errors.New("a stream maintains CLUDE only")
+
 // WriteStreamState serializes a complete stream checkpoint.
 func WriteStreamState(w io.Writer, st *core.StreamState) error {
-	return writeStreamState(w, st, stateVersion)
-}
-
-// writeStreamState writes st in the layout of the given version, which
-// is stateVersion or, to pin what ReadStreamState makes of an older
-// binary's checkpoints, version 2 (no kept-order fields).
-func writeStreamState(w io.Writer, st *core.StreamState, version byte) error {
+	if st.Graph == nil || st.Tracker == nil || st.Static == nil {
+		return errors.New("store: a stream checkpoint needs a graph, a tracker and factors")
+	}
 	c := newCW(w)
-	c.header(stateMagic, version)
-
-	c.str(string(st.Algorithm))
-	c.f64(st.Alpha)
+	c.header(stateMagic, stateVersion)
 	c.u64(st.Version)
 	c.u64(st.Seq)
-
 	writeGraphBody(c, st.Graph)
-	writeTracker(c, st.Tracker)
+	writeTrackerBody(c, st.Tracker)
 	writeOrdering(c, st.Ord)
-
-	c.bool(st.Static != nil)
-	if st.Static != nil {
-		writeFactorsBody(c, st.Static)
-	}
-
-	writeCSR(c, st.Prev)
-	writePattern(c, st.StructUnion)
+	writeFactorsBody(c, st.Static)
 
 	// Counters, individually: StreamStats excludes the Bennett block
 	// from JSON, so the layout is positional (a new field appends under
@@ -61,21 +59,13 @@ func writeStreamState(w io.Writer, st *core.StreamState, version byte) error {
 	c.i64(int64(st.Stats.Batches))
 	c.i64(int64(st.Stats.Events))
 	c.i64(int64(st.Stats.EventsApplied))
-	c.i64(int64(st.Stats.Clusters))
 	c.i64(int64(st.Stats.StructRebuilds))
 	c.i64(int64(st.Stats.Refactorizations))
 	c.i64(int64(st.Stats.Bennett.Rank1Updates))
 	c.i64(int64(st.Stats.Bennett.StepsTouched))
 	c.i64(int64(st.Stats.Bennett.Dropped))
-	// The retired linked-list counters of a format that also carried
-	// INC/CINC streams: a CLUDE stream has none, so both are 0.
-	c.i64(0)
-	c.i64(0)
-	// Version 3: the kept-order growths and the β rule's reference.
-	if version >= 3 {
-		c.i64(int64(st.Stats.KeptGrowths))
-		c.i64(int64(st.Stats.RefFill))
-	}
+	c.i64(int64(st.Stats.KeptGrowths))
+	c.i64(int64(st.Stats.RefFill))
 
 	if c.err != nil {
 		return c.err
@@ -83,54 +73,79 @@ func writeStreamState(w io.Writer, st *core.StreamState, version byte) error {
 	return c.seal()
 }
 
-// ReadStreamState parses a WriteStreamState frame back into a state
-// ready for core.RestoreStream. A version 2 frame comes from a binary
-// that re-ordered on every growth batch, so its stream kept no growth
-// and its container is the one its cluster's last fresh ordering built:
-// KeptGrowths is 0 and RefFill the container's size, exactly what the
-// kept-order rule would have recorded, and WAL replay from it decides
-// as a stream running this binary from that state would.
+// oldFields are what a version 2 or 3 frame carries beside a version 4
+// one's: each restates the tracker, the graph or a constant.
+type oldFields struct {
+	algorithm string
+	alpha     float64
+	prev      *sparse.CSR
+	union     *sparse.Pattern
+	clusters  int
+}
+
+// ReadStreamState parses a checkpoint back into a state ready for
+// core.RestoreStream. Every pattern and the container must be n×n for
+// the graph's n, or the frame is ErrCorrupt: a stream restored from it
+// would index past them on its first batch.
+//
+// A version 2 or 3 frame reads to the state its version 4 re-encoding
+// does. Its extra fields must agree with the tracker — the structure
+// union is the tracker's union, α and the cluster count are the
+// tracker's, the algorithm is CLUDE and the retired counters are 0 —
+// and its permuted matrix must be n×n; a frame that contradicts itself
+// is ErrCorrupt, and one of another algorithm is refused by name. A
+// version 2 frame comes from a binary that re-ordered on every growth
+// batch, so its stream kept no growth and its container is the one its
+// cluster's last fresh ordering built: KeptGrowths is 0 and RefFill the
+// container's size, exactly what the kept-order rule would have
+// recorded, and WAL replay from it decides as a stream running this
+// binary from that state would.
 func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	c := newCR(r)
 	version, err := c.expectHeader(stateMagic, oldestStateVersion, stateVersion)
 	if err != nil {
 		return nil, err
 	}
-	st := &core.StreamState{
-		Algorithm: core.Algorithm(c.str(64)),
-		Alpha:     c.f64(),
-		Version:   c.u64(),
-		Seq:       c.u64(),
+	old := version < 4
+	var of oldFields
+	if old {
+		of.algorithm, of.alpha = c.str(64), c.f64()
 	}
+	st := &core.StreamState{Version: c.u64(), Seq: c.u64()}
 	gb := readGraphBody(c)
-	st.Tracker = readTracker(c)
+	if !old || c.bool() {
+		st.Tracker = readTrackerBody(c)
+	}
 	st.Ord = readOrdering(c)
-
-	if c.bool() && c.err == nil {
+	if !old || c.bool() {
 		st.Static = readFactorsBody(c)
 	}
-
-	st.Prev = readCSR(c)
-	st.StructUnion = readPattern(c)
+	if old {
+		of.prev, of.union = readCSR(c), readPattern(c)
+	}
 
 	st.Stats.Batches = c.intv()
 	st.Stats.Events = c.intv()
 	st.Stats.EventsApplied = c.intv()
-	st.Stats.Clusters = c.intv()
+	if old {
+		of.clusters = c.intv()
+	}
 	st.Stats.StructRebuilds = c.intv()
 	st.Stats.Refactorizations = c.intv()
 	st.Stats.Bennett.Rank1Updates = c.intv()
 	st.Stats.Bennett.StepsTouched = c.intv()
 	st.Stats.Bennett.Dropped = c.intv()
-	if retiredIns, retiredScans := c.intv(), c.intv(); c.err == nil && (retiredIns != 0 || retiredScans != 0) {
-		c.fail(fmt.Errorf("%w: linked-list counters %d, %d in a static stream's checkpoint", ErrCorrupt, retiredIns, retiredScans))
+	if old {
+		// The linked-list counters of a format that also carried INC/CINC
+		// streams: a static stream has none.
+		if retiredIns, retiredScans := c.intv(), c.intv(); c.err == nil && (retiredIns != 0 || retiredScans != 0) {
+			c.fail(fmt.Errorf("%w: linked-list counters %d, %d in a static stream's checkpoint", ErrCorrupt, retiredIns, retiredScans))
+		}
 	}
 	switch {
 	case version >= 3:
 		st.Stats.KeptGrowths = c.intv()
-		if st.Stats.RefFill = c.intv(); c.err == nil && st.Stats.RefFill < 1 {
-			c.fail(fmt.Errorf("%w: reference fill %d", ErrCorrupt, st.Stats.RefFill))
-		}
+		st.Stats.RefFill = c.intv()
 	case st.Static != nil:
 		st.Stats.RefFill = st.Static.Size()
 	}
@@ -142,11 +157,63 @@ func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	if err := c.verify(); err != nil {
 		return nil, err
 	}
+	if old && of.algorithm != string(core.CLUDE) {
+		return nil, fmt.Errorf("store: checkpoint of a %s stream: %w", of.algorithm, errForeignCheckpoint)
+	}
 	// The ordering's length is proven by its bytes; the vertex count
 	// is not, until it matches.
-	if gb.n != len(st.Ord.Row) {
-		return nil, fmt.Errorf("%w: graph of %d vertices under an ordering of %d", ErrCorrupt, gb.n, len(st.Ord.Row))
+	n := len(st.Ord.Row)
+	if gb.n != n {
+		return nil, fmt.Errorf("%w: graph of %d vertices under an ordering of %d", ErrCorrupt, gb.n, n)
+	}
+	if err := consistent(st, n); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if old {
+		if err := of.agree(st, n); err != nil {
+			return nil, fmt.Errorf("%w: version %d checkpoint: %v", ErrCorrupt, version, err)
+		}
 	}
 	st.Graph = graph.New(gb.n, gb.directed, gb.edges)
 	return st, nil
+}
+
+// consistent checks that a decoded state can be restored and stream on:
+// the container and the tracker's patterns are n×n, the tracker's
+// counters are plausible and the reference fill is positive.
+func consistent(st *core.StreamState, n int) error {
+	if st.Static == nil || st.Static.Dim() != n {
+		return fmt.Errorf("no factor container of dimension %d", n)
+	}
+	if st.Tracker == nil {
+		return errors.New("no tracker")
+	}
+	for _, p := range []*sparse.Pattern{st.Tracker.Inter, st.Tracker.Union} {
+		if p == nil || p.N() != n {
+			return fmt.Errorf("tracker patterns missing or not %d×%d", n, n)
+		}
+	}
+	if _, err := cluster.RestoreTracker(st.Tracker); err != nil {
+		return err
+	}
+	if st.Stats.RefFill < 1 {
+		return fmt.Errorf("reference fill %d", st.Stats.RefFill)
+	}
+	return nil
+}
+
+// agree checks an older frame's extra fields against the state read
+// beside them.
+func (of *oldFields) agree(st *core.StreamState, n int) error {
+	switch {
+	case of.alpha != st.Tracker.Alpha:
+		return fmt.Errorf("alpha %v, tracker's %v", of.alpha, st.Tracker.Alpha)
+	case of.clusters != st.Tracker.Clusters:
+		return fmt.Errorf("%d clusters, tracker's %d", of.clusters, st.Tracker.Clusters)
+	case of.union == nil || !of.union.Equal(st.Tracker.Union):
+		return errors.New("structure union differs from the tracker's union")
+	case of.prev == nil || of.prev.N() != n:
+		return fmt.Errorf("permuted matrix missing or not %d×%d", n, n)
+	}
+	return nil
 }

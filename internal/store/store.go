@@ -406,7 +406,8 @@ var snapNames = Name{Prefix: "snap-", Suffix: ".snap"}
 // loadLatestState loads the newest snapshot that parses and passes its
 // checksum, falling back to older ones (counting the skips). A corrupt
 // newest snapshot — a crash mid-rename can in principle leave one — is
-// therefore harmless as long as one predecessor survives.
+// therefore harmless as long as one predecessor survives. A checkpoint
+// of another algorithm's stream is not skipped: it fails the boot.
 func (st *Store) loadLatestState() (*core.StreamState, int, error) {
 	seqs := st.snaps.Keys()
 	for i := len(seqs) - 1; i >= 0; i-- {
@@ -416,8 +417,8 @@ func (st *Store) loadLatestState() (*core.StreamState, int, error) {
 		}
 		state, err := ReadStreamState(f)
 		f.Close()
-		if err == nil {
-			return state, len(seqs) - 1 - i, nil
+		if err == nil || errors.Is(err, errForeignCheckpoint) {
+			return state, len(seqs) - 1 - i, err
 		}
 	}
 	return nil, len(seqs), errNoSnapshot

@@ -13,6 +13,14 @@
 # materializable on the recovered server with answers identical to the
 # pre-kill ones. This is the end-to-end, real-binary companion to
 # internal/store's kill-point property tests; CI runs it per PR.
+#
+# Usage: scripts/crash_recovery_smoke.sh [pre-kill-binary]
+# With a binary argument, the run before the kill uses that binary (an
+# older build, taking the same flags) and the restart this checkout's:
+# the upgrade leg. The restart must then read the older binary's
+# checkpoints (snapshots_skipped 0), recover warm at the pre-kill
+# version and answer identically, as after an upgrade in place.
+#
 # Before the restart it plants the temp files a kill -9 mid-write
 # leaves (beside the checkpoints and in the spill directory) and
 # asserts the restarted server removed them.
@@ -29,6 +37,7 @@ ADDR="127.0.0.1:${SMOKE_PORT:-18431}"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
 DATA="$WORK/data"
+PRE_BIN="${1:-}"
 SRV_FLAGS=(-stream -scale tiny -addr "$ADDR"
   -data-dir "$DATA" -fsync always -snapshot-every 4
   -batch 4 -flush-ms 50 -history-base 2 -trace-sample 1)
@@ -56,9 +65,10 @@ json() { python3 -c "import json,sys; d=json.load(sys.stdin); print(eval(sys.arg
 
 log "building cludeserve"
 go build -o "$WORK/cludeserve" ./cmd/cludeserve
+PRE_BIN="${PRE_BIN:-$WORK/cludeserve}"
 
-log "starting server ($DATA)"
-"$WORK/cludeserve" "${SRV_FLAGS[@]}" >"$WORK/server.log" 2>&1 &
+log "starting server ($PRE_BIN, $DATA)"
+"$PRE_BIN" "${SRV_FLAGS[@]}" >"$WORK/server.log" 2>&1 &
 PID=$!
 wait_up
 
@@ -105,12 +115,16 @@ fi
 
 POST_VERSION=$(curl -fsS "$BASE/v1/stats" | json "d['stream']['version']")
 RECOVERED=$(curl -fsS "$BASE/v1/stats" | json "d['store']['recovery']['recovered']")
+SKIPPED=$(curl -fsS "$BASE/v1/stats" | json "d['store']['recovery']['snapshots_skipped']")
 POST_SCORES=$(curl -fsS "$BASE/v1/query?measure=rwr&source=3" | json "d['scores']")
 POST_TOP=$(curl -fsS "$BASE/v1/query?measure=topk&source=3&k=5" | json "d['nodes']")
-log "post-restart: version=$POST_VERSION recovered=$RECOVERED"
+log "post-restart: version=$POST_VERSION recovered=$RECOVERED snapshots_skipped=$SKIPPED"
 
 if [ "$RECOVERED" != "True" ]; then
   log "FAIL: restart did not recover from snapshot+WAL"; FAIL=1
+fi
+if [ "$SKIPPED" != "0" ]; then
+  log "FAIL: restart skipped $SKIPPED checkpoints it could not read"; FAIL=1
 fi
 if [ "$POST_VERSION" != "$PRE_VERSION" ]; then
   log "FAIL: recovered version $POST_VERSION != pre-kill $PRE_VERSION"; FAIL=1
