@@ -481,12 +481,12 @@ func (s *Stream) rebuild(cur *sparse.CSR, pat *sparse.Pattern) error {
 
 // grow is the kept-order growth: the batch's added positions (original
 // indices; those already in built, the union the container was built
-// from, add nothing) grow the container's structure by an incremental closure in
-// the chain's ordering, and if the grown size passes the β rule, ∆A
-// (s.permuted) is applied by Bennett — in a container of the grown
-// structure (growInto), or in the live one if the closure already held
-// every new position. It reports false, having changed nothing, when
-// the rule fails; once kept, the step's outcome is the error.
+// from, add nothing) grow the container's structure by an incremental
+// closure in the chain's ordering, and if the grown size passes the β
+// rule, ∆A (s.permuted) is applied by Bennett — in a container of the
+// grown structure (growInto), or in the live one if the closure already
+// held every new position. It reports false, having changed nothing,
+// when the rule fails; once kept, the step's outcome is the error.
 func (s *Stream) grow(added []sparse.Coord, built *sparse.Pattern) (bool, error) {
 	s.lap(PartDelta)
 	coords := s.grown[:0]

@@ -472,12 +472,12 @@ func keptEdge(t *testing.T, initial *graph.Graph, alpha float64, prior [][]graph
 
 // TestFailedBatchIsAtomic: a batch whose CLUDE step fails leaves the
 // stream where a stream that never saw it stands — graph, exported
-// ordering, tracker, counters — and the next batch lands on the same factors. Only
-// the sequence number remembers it, so WAL replay meets the same
-// failure. The failing step is a kept-order growth into a grown
-// container (the update and the refactorization both fail there, and it
-// is dropped), a rebuild, a kept-order growth that fell on fill, or a
-// Bennett update inside the USSP; the first two never touch the live
+// ordering, tracker, counters — and the next batch lands on the same
+// factors. Only the sequence number remembers it, so WAL replay meets
+// the same failure. The failing step is a kept-order growth into a
+// grown container (the update and the refactorization both fail there,
+// and it is dropped), a rebuild, a kept-order growth that fell on fill,
+// or a Bennett update inside the USSP; the first two never touch the live
 // container. Where the failing step was an update on the live container
 // it is refilled from the pre-batch matrix, so there the next factors
 // agree to rounding and the next record is structural instead of a

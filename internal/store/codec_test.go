@@ -71,6 +71,18 @@ func streamAfter(t testing.TB, g0 *graph.Graph, batches [][]graph.EdgeEvent) *co
 	return s
 }
 
+// stateAfter is the exported state of a stream run over the batches.
+func stateAfter(t testing.TB, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.StreamState {
+	t.Helper()
+	s := streamAfter(t, g0, batches)
+	defer s.Close()
+	st, err := s.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // encodeSolver is WriteSolver into a fresh buffer.
 func encodeSolver(t testing.TB, s *lu.Solver) []byte {
 	t.Helper()
@@ -360,12 +372,7 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	rng := xrand.New(17)
 	g0 := randomGraph(32, 38, rng)
 	batches := randomBatches(32, 6, 6, rng)
-	s := streamAfter(t, g0, batches)
-	state, err := s.ExportState()
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := stateAfter(t, g0, batches)
 	var buf bytes.Buffer
 	if err := WriteStreamState(&buf, state); err != nil {
 		t.Fatal(err)
@@ -397,12 +404,7 @@ func TestStreamStateRoundTrip(t *testing.T) {
 
 func TestReadStreamStateRejectsCorruption(t *testing.T) {
 	rng := xrand.New(19)
-	s := streamAfter(t, randomGraph(20, 24, rng), randomBatches(20, 3, 4, rng))
-	state, err := s.ExportState()
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := stateAfter(t, randomGraph(20, 24, rng), randomBatches(20, 3, 4, rng))
 	var buf bytes.Buffer
 	if err := WriteStreamState(&buf, state); err != nil {
 		t.Fatal(err)
@@ -458,12 +460,7 @@ func hostileVertexCount(t testing.TB, data []byte, st *core.StreamState, tail bo
 // built, so recovery can fall back to an older checkpoint.
 func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 	rng := xrand.New(23)
-	s := streamAfter(t, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
-	state, err := s.ExportState()
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := stateAfter(t, randomGraph(16, 20, rng), randomBatches(16, 2, 3, rng))
 	var buf bytes.Buffer
 	if err := WriteStreamState(&buf, state); err != nil {
 		t.Fatal(err)
@@ -473,18 +470,6 @@ func TestReadStreamStateRejectsHostileVertexCount(t *testing.T) {
 			t.Errorf("tail=%v: a 2^40-vertex graph was not reported as ErrCorrupt", tail)
 		}
 	}
-}
-
-// stateAfter is the exported state of a stream run over the batches.
-func stateAfter(t testing.TB, g0 *graph.Graph, batches [][]graph.EdgeEvent) *core.StreamState {
-	t.Helper()
-	s := streamAfter(t, g0, batches)
-	defer s.Close()
-	st, err := s.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
 }
 
 // encodeState is a checkpoint of st in the layout of the given version,

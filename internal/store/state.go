@@ -20,14 +20,9 @@ const stateMagic = "CLUD"
 
 // stateVersion is the CLUD frame's format version, which moves apart
 // from the CLUS frame's codecVersion. Version 4 holds each fact of the
-// stream once: the tracker carries α, the cluster count and the union
-// the container was built from, and the matrix the factors belong to is
-// derived from the graph. Versions 2 and 3 are still read: they also
-// carry the algorithm's name, α, the tracker's and the factors' presence
-// flags, the permuted matrix, the structure union, the cluster count
-// and two retired counters, which ReadStreamState checks against the
-// tracker and drops; version 2 also lacks version 3's kept-order
-// fields. Older ones are refused.
+// stream once. Versions 2 and 3 also restate the tracker and the graph
+// (docs/PERSISTENCE.md lists how); they are still read, older ones
+// refused.
 const (
 	stateVersion       = 4
 	oldestStateVersion = 2
@@ -41,9 +36,6 @@ var errForeignCheckpoint = errors.New("a stream maintains CLUDE only")
 
 // WriteStreamState serializes a complete stream checkpoint.
 func WriteStreamState(w io.Writer, st *core.StreamState) error {
-	if st.Graph == nil || st.Tracker == nil || st.Static == nil {
-		return errors.New("store: a stream checkpoint needs a graph, a tracker and factors")
-	}
 	c := newCW(w)
 	c.header(stateMagic, stateVersion)
 	c.u64(st.Version)
@@ -89,17 +81,13 @@ type oldFields struct {
 // would index past them on its first batch.
 //
 // A version 2 or 3 frame reads to the state its version 4 re-encoding
-// does. Its extra fields must agree with the tracker — the structure
-// union is the tracker's union, α and the cluster count are the
-// tracker's, the algorithm is CLUDE and the retired counters are 0 —
-// and its permuted matrix must be n×n; a frame that contradicts itself
-// is ErrCorrupt, and one of another algorithm is refused by name. A
-// version 2 frame comes from a binary that re-ordered on every growth
+// does. Its extra fields must agree with the tracker and the graph, or
+// the frame is ErrCorrupt; one of another algorithm is refused by name.
+// A version 2 frame comes from a binary that re-ordered on every growth
 // batch, so its stream kept no growth and its container is the one its
 // cluster's last fresh ordering built: KeptGrowths is 0 and RefFill the
 // container's size, exactly what the kept-order rule would have
-// recorded, and WAL replay from it decides as a stream running this
-// binary from that state would.
+// recorded.
 func ReadStreamState(r io.Reader) (*core.StreamState, error) {
 	c := newCR(r)
 	version, err := c.expectHeader(stateMagic, oldestStateVersion, stateVersion)
