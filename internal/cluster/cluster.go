@@ -38,7 +38,8 @@ func (c Cluster) Members() []int {
 
 // Partition reports whether cs is a contiguous partition of [0, T) —
 // the invariant every clustering pass must maintain and the execution
-// engine's emission reordering relies on.
+// engine's callback turns rely on (one cluster's turn follows the
+// previous cluster's snapshots).
 func Partition(cs []Cluster, T int) bool {
 	at := 0
 	for _, c := range cs {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -29,15 +28,11 @@ type Options struct {
 	Alpha float64
 	// Workers bounds the worker pool that factors independent clusters
 	// concurrently. Zero (or negative) means runtime.GOMAXPROCS(0);
-	// one forces the sequential path. The pool never exceeds the
-	// number of clusters. See the package documentation for what
-	// Workers > 1 changes (and does not change) about callback
-	// ordering and phase times.
+	// one runs the clusters one after another on the same path. The
+	// pool never exceeds the number of clusters. See the package
+	// documentation for what Workers > 1 changes (and does not change)
+	// about callback ordering and phase times.
 	Workers int
-	// Context cancels a run in flight: workers observe cancellation
-	// between per-snapshot steps and Run returns the context's error.
-	// Nil means context.Background() (never cancelled).
-	Context context.Context
 	// First is the first matrix index the caller will read; zero means
 	// the whole sequence. The α-clusters of the paper are independent —
 	// each has its own ordering, USSP and Bennett chain — so a cluster

@@ -16,13 +16,12 @@
 // Clusters are factored independently — each is one factor chain: an
 // ordering, one full LU, Bennett updates, and a refactorization where
 // an update fails — so every algorithm runs its clusters on a bounded
-// worker pool. Options.Workers sets the pool size; the
-// default (Workers == 0) is runtime.GOMAXPROCS(0), and Workers == 1
-// selects the sequential path with no synchronization on the hot
-// path. Each worker keeps its own reusable scratch (the LU work
-// vector, the Bennett recurrence vectors, the per-cluster inverse
-// permutation), so worker count does not change allocation behavior
-// per cluster.
+// worker pool. Options.Workers sets the pool size; the default
+// (Workers == 0) is runtime.GOMAXPROCS(0), and Workers == 1 runs the
+// same code with one worker. Each worker keeps its own reusable scratch
+// (the LU work vector, the Bennett recurrence vectors, the per-cluster
+// inverse permutation), so worker count does not change allocation
+// behavior per cluster.
 //
 // # Callback ordering
 //
@@ -32,23 +31,25 @@
 // that end before it are never decomposed — they are independent of
 // the ones that are — while under CLUDE and CLUDE-QC the cluster that
 // straddles it opens its chain at First, which the cluster union's USSP
-// allows), for every worker count: out-of-order completions
-// are buffered in a min-heap (at most one pending emission per worker,
-// so memory stays bounded) and released in order by a single emitter
-// goroutine. Callbacks therefore never run concurrently with each
-// other, but with Workers > 1 they run on the emitter's goroutine, not
-// the caller's. A worker that has emitted snapshot i does not touch
-// its factors again until the callback returns, so the solver passed
-// to the callback is safe to use for the duration of the call — and
-// only for the duration of the call, exactly as in the sequential
-// path: a caller that keeps a snapshot clones it there.
+// allows), for every worker count. Each cluster waits for its turn:
+// its first callback waits until the previous cluster's worker is done
+// with it, and then the cluster's own worker calls OnFactors for each
+// of its snapshots. A later cluster still orders and decomposes while
+// an earlier one walks; its own walk starts after its first callback.
+// Callbacks therefore never run concurrently with each other, but they
+// run on the pool's goroutines, not the caller's. A worker that has
+// passed snapshot i to the callback does not touch its factors again
+// until the callback returns, so the solver is safe to use for the
+// duration of the call — and only for the duration of the call: a
+// caller that keeps a snapshot clones it there.
 //
-// # Cancellation
+// # Failure
 //
-// Options.Context threads cancellation through the pool: workers
-// observe it between per-snapshot steps, the emitter stops firing
-// callbacks, and Run/RunQC return the context's error. The first
-// factorization error likewise cancels all in-flight cluster work.
+// The first cluster that fails (a singular matrix its chain cannot
+// decompose) stops the run: every other cluster stops at its next step,
+// no further callback fires, and Run/RunQC return that cluster's error.
+// The callbacks that fired are the snapshots First..j-1 for some j at
+// or before the failed matrix.
 //
 // # Phase times
 //

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bennett"
@@ -33,8 +34,9 @@ import (
 // covering the whole sequence, CINC/CLUDE α-clusters, and the QC
 // variants β-clusters with their orderings already attached. Clusters
 // are mutually independent, so jobs are dispatched to a bounded worker
-// pool; an ordered-emission stage keeps the OnFactors callback contract
-// (snapshot order i = First..T-1) intact under any worker count.
+// pool; each job's callbacks wait for its turn, the previous job's end,
+// which keeps the OnFactors callback contract (snapshot order
+// i = First..T-1) intact under any worker count.
 // Independence is also what Options.First rests on: a cluster nobody
 // will read is planned but never dispatched. A chain opens at its
 // cluster's first member, except under union ordering (CLUDE and
@@ -265,15 +267,17 @@ type worker struct {
 	refacts int
 	dynIns  int
 	dynScan int
-
-	ack chan struct{} // emission acknowledgements (buffered 1)
 }
 
-// jobState threads one cluster through its three steps: the job, the
-// symbolic structure orderStage's elimination produced (nil when the
-// planner ordered) and the cluster's chain.
+// jobState threads one cluster through its three steps: the job, its
+// callback turn (closed once every earlier job is done), its own done
+// (the next job's turn), the symbolic structure orderStage's
+// elimination produced (nil when the planner ordered) and the cluster's
+// chain.
 type jobState struct {
 	job   job
+	turn  <-chan struct{}
+	done  chan struct{}
 	sym   *lu.SymbolicLU
 	chain chain
 }
@@ -300,7 +304,7 @@ func orderStage(e *engine, w *worker, st *jobState) error {
 	}
 	st.chain = newChain(ord)
 	e.orderings[st.job.idx] = ord
-	return e.ctx.Err()
+	return e.stopped()
 }
 
 // factorStage opens the chain on the member job.open names — phase
@@ -322,7 +326,7 @@ func factorStage(e *engine, w *worker, st *jobState) error {
 	}
 	e.starts[open] = nil // this worker's own element
 	w.times.FullLU += time.Since(t1)
-	return e.emit(w, open, st.chain.solver)
+	return e.emit(st, open)
 }
 
 // updateStage walks the rest of the cluster, from the member after the
@@ -333,7 +337,7 @@ func factorStage(e *engine, w *worker, st *jobState) error {
 func updateStage(e *engine, w *worker, st *jobState) error {
 	cl, c := st.job.cl, &st.chain
 	for i := st.job.open(e.opt.First) + 1; i < cl.End; i++ {
-		if err := e.ctx.Err(); err != nil {
+		if err := e.stopped(); err != nil {
 			return err
 		}
 		t2 := time.Now()
@@ -350,7 +354,7 @@ func updateStage(e *engine, w *worker, st *jobState) error {
 			w.refacts++
 			w.times.FullLU += time.Since(t3)
 		}
-		if err := e.emit(w, i, c.solver); err != nil {
+		if err := e.emit(st, i); err != nil {
 			return err
 		}
 	}
@@ -371,9 +375,6 @@ type engine struct {
 	label   string
 	workers int
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
 	jobs        []job             // the clusters to run: the plan's, less those Options.First skips
 	deltas      [][]sparse.Entry  // the plan's step deltas, read-only
 	starts      []*sparse.CSR     // the plan's chain openers; each dropped by the worker that opens it
@@ -381,37 +382,44 @@ type engine struct {
 	structSizes []int             // per planned cluster
 	sspOut      []int             // per matrix; non-nil only for BF
 
-	reqs    chan emitReq // nil when emission is inline (sequential or no callback)
 	errOnce sync.Once
 	err     error
+	failed  atomic.Bool // set once err is
 }
 
-// newEngine resolves the worker count (Workers <= 0 → GOMAXPROCS) and
-// the cancellation context (nil → Background).
+// errStopped ends a job early because another one failed; fail has
+// already recorded that job's error, which is what run returns.
+var errStopped = errors.New("core: stopped by an earlier failure")
+
+// newEngine resolves the worker count (Workers <= 0 → GOMAXPROCS).
 func newEngine(seq graph.Sequence, opt Options) *engine {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parent := opt.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	e := &engine{seq: seq, opt: opt, workers: workers}
-	e.ctx, e.cancel = context.WithCancel(parent)
-	return e
+	return &engine{seq: seq, opt: opt, workers: workers}
 }
 
-// fail records the first job error and cancels every other worker.
+// fail records the first job error and stops every other job at its
+// next stopped check.
 func (e *engine) fail(err error) {
-	e.errOnce.Do(func() { e.err = err })
-	e.cancel()
+	e.errOnce.Do(func() {
+		e.err = err
+		e.failed.Store(true)
+	})
+}
+
+// stopped is errStopped once a job has failed, nil before.
+func (e *engine) stopped() error {
+	if e.failed.Load() {
+		return errStopped
+	}
+	return nil
 }
 
 // runJob drives one cluster through its chain: order, decompose the
 // member it opens at, update the rest.
-func (e *engine) runJob(w *worker, j job) error {
-	st := &jobState{job: j}
+func (e *engine) runJob(w *worker, st *jobState) error {
 	if err := orderStage(e, w, st); err != nil {
 		return err
 	}
@@ -422,70 +430,52 @@ func (e *engine) runJob(w *worker, j job) error {
 }
 
 // run executes the job list and merges the worker-local counters into
-// res. It returns the first job error, or the context's error if the
-// run was cancelled from outside.
+// res. It returns the first job error.
+//
+// Jobs are dispatched in cluster order over an unbuffered channel, each
+// with its turn: the previous job's done, which the worker closes once
+// it is finished with that job, on success, error or skip alike. A job's
+// first callback waits for its turn, so callbacks fire in snapshot order
+// and never overlap, while a later cluster orders and decomposes ahead.
+// The lowest unfinished job's turn is always open, and some worker owns
+// it (a job is handed out only after every earlier one was), so the pool
+// cannot deadlock. After a failure workers keep draining the channel,
+// closing each job's done unrun, so the feeder never blocks.
 func (e *engine) run(res *Result) error {
-	nw := e.workers
-	if nw > len(e.jobs) {
-		nw = len(e.jobs)
-	}
+	nw := min(e.workers, len(e.jobs))
 	if nw < 1 {
 		nw = 1
 	}
 
-	// The ordered-emission stage is only needed when callbacks can be
-	// produced out of order — i.e. a real pool and a real callback.
-	var emitterWG sync.WaitGroup
-	if e.opt.OnFactors != nil && nw > 1 {
-		// Each worker has at most one emission in flight, so capacity
-		// nw bounds both the channel and the reorder heap.
-		e.reqs = make(chan emitReq, nw)
-		emitterWG.Add(1)
-		go func() {
-			defer emitterWG.Done()
-			e.emitLoop()
-		}()
-	}
-
-	// Jobs are dispatched in cluster order over an unbuffered channel.
-	// This guarantees the lowest incomplete cluster is always owned by
-	// some worker, which is what makes the ordered-emission stage
-	// deadlock-free: that owner's emissions are always next in line.
-	jobs := make(chan job)
+	jobs := make(chan *jobState)
 	var wg sync.WaitGroup
 	workers := make([]*worker, nw)
 	for wi := range workers {
-		w := &worker{ack: make(chan struct{}, 1)}
+		w := &worker{}
 		workers[wi] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				if e.ctx.Err() != nil {
-					return
+			for st := range jobs {
+				if e.stopped() == nil {
+					if err := e.runJob(w, st); err != nil {
+						e.fail(err)
+					}
 				}
-				if err := e.runJob(w, j); err != nil {
-					e.fail(err)
-					return
-				}
+				close(st.done)
 			}
 		}()
 	}
 
-feed:
+	turn := make(chan struct{})
+	close(turn)
 	for _, j := range e.jobs {
-		select {
-		case jobs <- j:
-		case <-e.ctx.Done():
-			break feed
-		}
+		st := &jobState{job: j, turn: turn, done: make(chan struct{})}
+		jobs <- st
+		turn = st.done
 	}
 	close(jobs)
 	wg.Wait()
-	if e.reqs != nil {
-		close(e.reqs)
-	}
-	emitterWG.Wait()
 
 	for _, w := range workers {
 		res.Times.Ordering += w.times.Ordering
@@ -496,77 +486,26 @@ feed:
 		res.DynamicInserts += w.dynIns
 		res.DynamicScanSteps += w.dynScan
 	}
-
-	if e.err != nil {
-		return e.err
-	}
-	if err := e.ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s cancelled: %w", e.label, err)
-	}
-	return nil
+	return e.err
 }
 
-// emitReq asks the emitter to fire OnFactors for snapshot i. The
-// worker blocks until the emitter acknowledges, because the factors
-// behind s are updated in place for the next snapshot the moment the
-// callback returns.
-type emitReq struct {
-	i   int
-	s   *lu.Solver
-	ack chan struct{}
-}
-
-// Less orders pending emissions by snapshot index (sparse.MinHeap).
-func (r emitReq) Less(o emitReq) bool { return r.i < o.i }
-
-// emit delivers snapshot i to the OnFactors callback in snapshot
-// order. With no callback, or below Options.First (the head of an
-// INC, CINC or CINC-QC cluster that straddles it: a union-ordered chain
-// opens at First), it is only a cancellation check; with one worker the
-// callback fires inline (the sequential path produces snapshots in
-// order by construction).
-func (e *engine) emit(w *worker, i int, s *lu.Solver) error {
+// emit delivers snapshot i, current in st's chain, to the OnFactors
+// callback on the job's own worker, once the job's turn has come. With
+// no callback, or below Options.First (the head of an INC, CINC or
+// CINC-QC cluster that straddles it: a union-ordered chain opens at
+// First), it is only a stopped check. The chain is not touched again
+// until the callback returns, because its factors are updated in place
+// for the next snapshot.
+func (e *engine) emit(st *jobState, i int) error {
 	if e.opt.OnFactors == nil || i < e.opt.First {
-		return e.ctx.Err()
+		return e.stopped()
 	}
-	if e.reqs == nil {
-		e.opt.OnFactors(i, s)
-		return e.ctx.Err()
+	<-st.turn
+	if err := e.stopped(); err != nil {
+		return err
 	}
-	select {
-	case e.reqs <- emitReq{i: i, s: s, ack: w.ack}:
-	case <-e.ctx.Done():
-		return e.ctx.Err()
-	}
-	select {
-	case <-w.ack:
-		return e.ctx.Err()
-	case <-e.ctx.Done():
-		return e.ctx.Err()
-	}
-}
-
-// emitLoop is the ordered-emission stage: it buffers out-of-order
-// emissions in a min-heap (bounded by the worker count — each worker
-// blocks on its previous emission) and fires the callback strictly in
-// snapshot order First..T-1 from this single goroutine.
-func (e *engine) emitLoop() {
-	next := e.opt.First
-	var pq sparse.MinHeap[emitReq]
-	for r := range e.reqs {
-		pq.Push(r)
-		for len(pq) > 0 && pq[0].i == next && e.ctx.Err() == nil {
-			t := pq.Pop()
-			e.opt.OnFactors(t.i, t.s)
-			next++
-			t.ack <- struct{}{}
-		}
-	}
-	// Cancelled run: release whoever is still parked (acks are
-	// buffered, so this never blocks even if the worker already left).
-	for len(pq) > 0 {
-		pq.Pop().ack <- struct{}{}
-	}
+	e.opt.OnFactors(i, st.chain.solver)
+	return nil
 }
 
 // execute is the shared driver behind Run and RunQC: plan (timed as
@@ -578,7 +517,6 @@ func execute(seq graph.Sequence, alg Algorithm, opt Options, pl planner) (*Resul
 	}
 	res := &Result{Algorithm: alg, T: seq.Len()}
 	e := newEngine(seq, opt)
-	defer e.cancel()
 
 	start := time.Now()
 	tc := time.Now()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"maps"
@@ -11,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bennett"
@@ -315,31 +312,6 @@ func TestFirstDecomposesOnlyTheTail(t *testing.T) {
 			c.name, read.agree, agreeBound, read.residual, read.fullResidual, bound)
 		if c.name == "INC" {
 			t.Logf("INC: list fill left out of the First = 0 run (Bennett.Dropped) %d", full.Bennett.Dropped)
-		}
-
-		// Cancelled from the first callback of a run that enters a cluster
-		// past its start: the context's error, and still nothing below
-		// First.
-		if mid < 0 {
-			continue
-		}
-		for _, workers := range []int{1, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			var fired, below atomic.Int32
-			_, err := c.run(c.ems, Options{Workers: workers, First: mid, Context: ctx, OnFactors: func(i int, s *lu.Solver) {
-				if i < mid {
-					below.Add(1)
-				}
-				fired.Add(1)
-				cancel()
-			}})
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s First=%d w=%d: cancelled run returned %v, want context.Canceled", c.name, mid, workers, err)
-			}
-			if below.Load() != 0 || fired.Load() == 0 {
-				t.Errorf("%s First=%d w=%d: %d callbacks, %d of them below First; want the one that cancels and none below", c.name, mid, workers, fired.Load(), below.Load())
-			}
 		}
 	}
 }

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"context"
-	"errors"
+	"fmt"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/sparse"
+	"repro/internal/xrand"
 )
 
 // TestParallelEmissionOrder is the engine's core contract: OnFactors
@@ -133,42 +134,71 @@ func TestParallelQCMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCancellationStopsRun cancels mid-stream and expects a prompt,
-// deadlock-free return carrying the context error.
-func TestCancellationStopsRun(t *testing.T) {
-	ems := smallEMS(t)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var fired atomic.Int32
-		_, err := Run(ems, CLUDE, Options{
-			Alpha:   0.95,
-			Workers: workers,
-			Context: ctx,
-			OnFactors: func(i int, s *lu.Solver) {
-				if fired.Add(1) == 2 {
-					cancel()
-				}
-			},
-		})
-		cancel()
-		if err == nil {
-			t.Fatalf("w=%d: cancelled run returned nil error", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("w=%d: error %v does not wrap context.Canceled", workers, err)
-		}
-		if got := fired.Load(); got >= int32(ems.Len()) {
-			t.Errorf("w=%d: cancellation did not stop emission (%d callbacks)", workers, got)
-		}
-	}
-}
-
 // TestParallelSingularSurfaced propagates a mid-cluster factorization
 // failure out of the pool without hanging the other workers.
 func TestParallelSingularSurfaced(t *testing.T) {
 	_, err := Run(singularEMS(), BF, Options{Workers: 3})
 	if err == nil {
 		t.Fatal("BF accepted a singular matrix under a worker pool")
+	}
+}
+
+// singularAtEMS builds T dominant matrices whose pattern gains one
+// off-diagonal entry every four steps, so the clustered algorithms plan
+// several clusters, except that matrix k repeats one row: exactly
+// singular, so its decomposition or update fails.
+func singularAtEMS(T, k int) *graph.EMS {
+	rng := xrand.New(5)
+	const n = 10
+	ems := &graph.EMS{}
+	for i := range T {
+		c := sparse.NewCOO(n)
+		for r := range n {
+			if i == k && (r == 3 || r == 4) {
+				c.Add(r, 3, 1)
+				c.Add(r, 4, 1)
+				continue
+			}
+			c.Add(r, r, 3+rng.Float64())
+			if r > 0 {
+				c.Add(r, r-1, -0.5)
+			}
+		}
+		for b := range i / 4 {
+			c.Add(b, n-1-b, 0.25)
+		}
+		ems.Matrices = append(ems.Matrices, c.ToCSR())
+	}
+	return ems
+}
+
+// TestParallelFailureEndsCallbacks runs a sequence whose middle member
+// is singular under a recording OnFactors: Run returns the error naming
+// that matrix, and the callbacks that fired are a contiguous, in-order
+// prefix that ends before it, for every worker count.
+func TestParallelFailureEndsCallbacks(t *testing.T) {
+	const T, k = 16, 9
+	ems := singularAtEMS(T, k)
+	for _, alg := range []Algorithm{BF, INC, CINC, CLUDE} {
+		for _, workers := range []int{1, 2, 4} {
+			var seen []int
+			_, err := Run(ems, alg, Options{Alpha: 0.95, Workers: workers, OnFactors: func(i int, _ *lu.Solver) {
+				seen = append(seen, i)
+			}})
+			if err == nil {
+				t.Fatalf("%s w=%d: a singular matrix %d was accepted", alg, workers, k)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("matrix %d)", k)) && !strings.Contains(msg, fmt.Sprintf("matrix %d:", k)) {
+				t.Errorf("%s w=%d: error %q does not name matrix %d", alg, workers, msg, k)
+			}
+			prefix := len(seen) <= k
+			for j, i := range seen {
+				prefix = prefix && i == j
+			}
+			if !prefix {
+				t.Errorf("%s w=%d: callbacks %v, want 0..j-1 for some j <= %d", alg, workers, seen, k)
+			}
+		}
 	}
 }
 

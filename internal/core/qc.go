@@ -15,8 +15,8 @@ import (
 //
 // The β-clustering pass necessarily interleaves clustering with
 // MinDegree ordering runs (Algorithms 4–5), so its full cost is
-// reported under Times.Clustering; Times.Ordering stays zero. Workers,
-// Context and OnFactors behave exactly as in Run (see the package
+// reported under Times.Clustering; Times.Ordering stays zero. Workers
+// and OnFactors behave exactly as in Run (see the package
 // documentation): β-clusters are factored concurrently and callbacks
 // still fire in snapshot order.
 //

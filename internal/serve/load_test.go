@@ -462,11 +462,11 @@ func TestBacklogBitIdentical(t *testing.T) {
 			}
 
 			// The wedging live query is one cold solve; the backlog is
-			// the other eight, every one dense.
+			// the other eight.
 			st := eng.Stats()
-			if backlog := st.ColdSolves - 1; backlog != int64(len(qs)) || st.DenseSolves != st.ColdSolves {
-				t.Fatalf("dense %d, cold %d: want the backlog's %d dense solves plus the wedge's one",
-					st.DenseSolves, st.ColdSolves, len(qs))
+			if backlog := st.ColdSolves - 1; backlog != int64(len(qs)) {
+				t.Fatalf("%d cold solves: want the backlog's %d plus the wedge's one",
+					st.ColdSolves, len(qs))
 			}
 
 			// The backlog's cache fills must serve repeats verbatim.

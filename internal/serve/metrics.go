@@ -47,7 +47,6 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 		r.CounterFunc(name, "Always 0: the solve route it counted is gone. Kept because the committed benchmark reads it and fails a run whose series disappears; a change to the benchmark retires it.", nil,
 			func() float64 { return 0 })
 	}
-	cf("clude_dense_solves_total", "Cold solves answered through the dense substitution.", &e.denseSolves)
 	cf("clude_snapshots_pinned_total", "Snapshot pins into the bounded store.", &e.pinCount)
 	cf("clude_snapshots_evicted_total", "Snapshot evictions from the bounded store.", &e.snapEvicted)
 	cf("clude_spill_writes_total", "Evicted snapshots spilled to disk.", &e.spillWrites)

@@ -57,11 +57,8 @@ func TestRouteCountersFollowTheReport(t *testing.T) {
 		before := eng.Stats()
 		eng.serveTask(tc.task, &ws)
 		after := eng.Stats()
-		if got := after.DenseSolves - before.DenseSolves; got != 1 {
-			t.Errorf("%s: %d dense solves, want 1", tc.name, got)
-		}
-		if after.DenseSolves != after.ColdSolves {
-			t.Errorf("%s: dense %d != cold %d", tc.name, after.DenseSolves, after.ColdSolves)
+		if got := after.ColdSolves - before.ColdSolves; got != 1 {
+			t.Errorf("%s: %d cold solves, want 1", tc.name, got)
 		}
 		// Every answer is the cold answer.
 		_, want := coldAnswer(tc.task.q, tc.task.solver)
@@ -131,8 +128,8 @@ func TestSolveTaskSteadyStateAllocs(t *testing.T) {
 			if limit := int64(tasks) * 3 / 2; !tc.live && allocs > limit {
 				t.Fatalf("%d tasks allocated %d times (limit %d): the workspace is churning", tasks, allocs, limit)
 			}
-			if st := eng.Stats(); st.DenseSolves != tasks+1 || st.ColdSolves != st.DenseSolves {
-				t.Fatalf("dense %d, cold %d: want %d of each", st.DenseSolves, st.ColdSolves, tasks+1)
+			if st := eng.Stats(); st.ColdSolves != tasks+1 {
+				t.Fatalf("%d cold solves, want %d", st.ColdSolves, tasks+1)
 			}
 		})
 	}

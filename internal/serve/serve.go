@@ -192,11 +192,6 @@ type Stats struct {
 	// /v1/traces/{trace_id}.
 	LatencyExemplars []LatencyExemplar `json:"latency_exemplars,omitempty"`
 
-	// DenseSolves counts the cold solves answered by one substitution
-	// on the factors, which every cold solve is: DenseSolves ==
-	// ColdSolves.
-	DenseSolves int64 `json:"dense_solves"`
-
 	// QueryStages breaks the pipeline down per stage (resolve,
 	// coalesce, admit, batch, solve — see hist.go for exact stage
 	// semantics), from the same histograms /metrics exposes as
@@ -311,7 +306,6 @@ type Engine struct {
 	rejected, pinCount, snapEvicted atomic.Int64
 	cacheEvicted                    atomic.Int64
 	admitted, coalesced, shed       atomic.Int64
-	denseSolves                     atomic.Int64
 	lat                             metrics.Histogram
 	stages                          [numStages]metrics.Histogram
 
@@ -495,7 +489,6 @@ func (e *Engine) Stats() Stats {
 		LatencyP50us:     lat.QuantileUS(0.50),
 		LatencyP95us:     lat.QuantileUS(0.95),
 		LatencyP99us:     lat.QuantileUS(0.99),
-		DenseSolves:      e.denseSolves.Load(),
 		SnapshotsSpilled: e.spillWrites.Load(),
 		SpillReloads:     e.spillLoads.Load(),
 		SpillErrors:      e.spillErrors.Load(),

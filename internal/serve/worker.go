@@ -106,15 +106,12 @@ func (e *Engine) fallbackPinned(t *task, ws *lu.SolveWorkspace) {
 	e.solveTask(t, entry.s, ws)
 }
 
-// solveTask answers a task against solver through one Answer call and
-// books it as a dense solve.
+// solveTask answers a task against solver through one Answer call.
 func (e *Engine) solveTask(t *task, solver *lu.Solver, ws *lu.SolveWorkspace) {
 	q := measures.Query{Seeds: t.seeds, Global: t.q.Measure == MeasurePageRank}
 	if t.q.Measure == MeasureTopK {
 		q.TopK = t.q.K
 	}
 	measures.NewSolverEngine(t.damping, solver).Answer(&q, ws)
-	e.denseSolves.Add(1)
-	t.solveSpan.SetString("path", "dense")
 	e.finish(t, answer{nodes: q.Nodes, scores: q.Scores}, nil)
 }

@@ -27,6 +27,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // store file. Recovery treats it as "this artifact does not exist".
 var ErrCorrupt = errors.New("store: corrupt data")
 
+// errUnsupportedVersion reports a frame at a format version this binary
+// does not read. It is not corruption: recovery fails the boot on an
+// intact frame that carries it rather than skipping it.
+var errUnsupportedVersion = errors.New("unsupported")
+
 // maxSliceLen bounds any single length field a codec reader accepts.
 const maxSliceLen = 1 << 31
 
@@ -329,7 +334,7 @@ func (c *cr) expectHeader(magic string, oldest, newest byte) (byte, error) {
 		if oldest != newest {
 			reads = fmt.Sprintf("%d to %d", oldest, newest)
 		}
-		return 0, fmt.Errorf("store: unsupported %s format version %d (this binary reads %s)", magic, v[0], reads)
+		return 0, fmt.Errorf("store: %w %s format version %d (this binary reads %s)", errUnsupportedVersion, magic, v[0], reads)
 	}
 	return v[0], nil
 }

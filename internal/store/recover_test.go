@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -526,6 +529,96 @@ func TestOpenStreamRefusesForeignCheckpoint(t *testing.T) {
 		if data, err := os.ReadFile(p); err != nil || !bytes.Equal(data, before[i]) {
 			t.Errorf("%s changed under the refused boot (%v)", p, err)
 		}
+	}
+}
+
+// TestOpenStreamRefusesUnsupportedVersion: an intact checkpoint at a
+// format version this binary does not read fails the boot with an error
+// naming the version, and leaves the directory as it was; the same
+// version byte without a resealed checksum is a damaged frame, skipped
+// for the checkpoint before it.
+func TestOpenStreamRefusesUnsupportedVersion(t *testing.T) {
+	const n = 24
+	future := byte(stateVersion + 1)
+	for _, reseal := range []bool{true, false} {
+		rng := xrand.New(41)
+		g0 := randomGraph(n, 28, rng)
+		cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
+		dir := t.TempDir()
+		opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
+		st, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, _, err := st.OpenStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, evs := range randomBatches(n, 4, 4, rng) {
+			if _, err := s1.Apply(evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		want := probe(t, s1, n)
+		s1.Close()
+		st.wal.Close()
+
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if len(snaps) != 2 {
+			t.Fatalf("want the initial and the newest snapshot on disk, got %d", len(snaps))
+		}
+		data, err := os.ReadFile(snaps[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Clone(data[:len(data)-4])
+		payload[len(stateMagic)] = future
+		trailer := data[len(data)-4:]
+		if reseal {
+			trailer = binary.LittleEndian.AppendUint32(nil, crc32.Checksum(payload, castagnoli))
+		}
+		planted := append(payload, trailer...)
+		if err := os.WriteFile(snaps[1], planted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		st2, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, info, err := st2.OpenStream(cfg)
+		if reseal {
+			if err == nil {
+				s2.Close()
+				st2.Close()
+				t.Fatalf("OpenStream over an intact version %d checkpoint booted at version %d", future, info.Version)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("format version %d", future)) {
+				t.Errorf("OpenStream over a version %d checkpoint: %v, want an error naming the version", future, err)
+			}
+			if info.SnapshotsSkipped != 0 || info.Recovered {
+				t.Errorf("recovery %+v: the version %d checkpoint was skipped or an older one restored", info, future)
+			}
+			if after, err := os.ReadFile(snaps[1]); err != nil || !bytes.Equal(after, planted) {
+				t.Errorf("%s changed under the refused boot (%v)", snaps[1], err)
+			}
+			st2.Close()
+			continue
+		}
+		if err != nil {
+			t.Fatalf("OpenStream over a checkpoint whose version byte was flipped: %v", err)
+		}
+		if info.SnapshotsSkipped != 1 || !info.Recovered {
+			t.Errorf("recovery %+v, want the damaged checkpoint skipped and the one before restored", info)
+		}
+		if got := probe(t, s2, n); !reflect.DeepEqual(want, got) {
+			t.Error("recovery past the damaged checkpoint solves differently from the live run")
+		}
+		s2.Close()
+		st2.Close()
 	}
 }
 

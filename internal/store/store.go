@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -407,21 +409,33 @@ var snapNames = Name{Prefix: "snap-", Suffix: ".snap"}
 // checksum, falling back to older ones (counting the skips). A corrupt
 // newest snapshot — a crash mid-rename can in principle leave one — is
 // therefore harmless as long as one predecessor survives. A checkpoint
-// of another algorithm's stream is not skipped: it fails the boot.
+// of another algorithm's stream is not skipped: it fails the boot, and
+// so does an intact checkpoint at a format version this binary does not
+// read (one whose checksum fails, the version byte included, is
+// corrupt and skipped).
 func (st *Store) loadLatestState() (*core.StreamState, int, error) {
 	seqs := st.snaps.Keys()
 	for i := len(seqs) - 1; i >= 0; i-- {
-		f, err := os.Open(st.snaps.Path(seqs[i]))
+		path := st.snaps.Path(seqs[i])
+		f, err := os.Open(path)
 		if err != nil {
 			continue
 		}
 		state, err := ReadStreamState(f)
 		f.Close()
-		if err == nil || errors.Is(err, errForeignCheckpoint) {
+		if err == nil || errors.Is(err, errForeignCheckpoint) || errors.Is(err, errUnsupportedVersion) && sealed(path) {
 			return state, len(seqs) - 1 - i, err
 		}
 	}
 	return nil, len(seqs), errNoSnapshot
+}
+
+// sealed reports whether the file at path is a whole frame: its last
+// four bytes are the CRC-32C of everything before them.
+func sealed(path string) bool {
+	data, err := os.ReadFile(path)
+	n := len(data) - 4
+	return err == nil && n >= 0 && binary.LittleEndian.Uint32(data[n:]) == crc32.Checksum(data[:n], castagnoli)
 }
 
 // Stats returns a snapshot of the store's counters.

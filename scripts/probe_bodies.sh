@@ -3,10 +3,12 @@
 #
 #   scripts/probe_bodies.sh <cludeserve-binary> <out-dir>
 #
-# boots the given binary twice at -scale tiny — offline with a
+# boots the given binary three times at -scale tiny — offline with a
 # -snapshots bound small enough that the LUDEM run skips a cluster and
-# opens the next one's chain past its start (core.Options.First), then
-# with -stream and delta-compressed history — issues one fixed list of rwr / topk / ppr / pagerank probes against
+# opens the next one's chain past its start (core.Options.First),
+# offline over the whole sequence, so the callbacks cross from one
+# cluster to the next, then with -stream and delta-compressed history —
+# issues one fixed list of rwr / topk / ppr / pagerank probes against
 # retained snapshots, the latest one, history versions and versions that
 # must answer 404, and writes "<probe> <status> <sha256 of the body>"
 # lines to <out-dir>/bodies.sha256. Nothing in a body depends on time or
@@ -112,6 +114,26 @@ measures offline/9 "&snapshot=9"
 measures offline/latest ""
 probe offline/not-retained "$BASE/v1/query?measure=rwr&source=3&snapshot=3"
 probe offline/beyond "$BASE/v1/query?measure=topk&source=5&k=10&snapshot=10"
+halt
+
+# ---- offline, whole sequence: both clusters decomposed ----
+log "offline, -snapshots 0"
+boot "$OUT/offline-all.log" -scale tiny -snapshots 0
+line=$(grep 'msg="pinned snapshots"' "$OUT/offline-all.log")
+if [[ "$line" =~ \ clusters=([0-9]+)\ decomposed_clusters=([0-9]+)\  ]]; then
+  if [ "${BASH_REMATCH[2]}" -ne "${BASH_REMATCH[1]}" ]; then
+    log "FAIL: ${BASH_REMATCH[2]} of ${BASH_REMATCH[1]} clusters decomposed; the boundary probes need them all"
+    exit 1
+  fi
+  log "decomposed all ${BASH_REMATCH[1]} clusters"
+else
+  log "this binary's log line has no decomposed_clusters (it predates Options.First): it decomposed every cluster"
+fi
+# Snapshot 6 ends the first cluster, 7 opens the second.
+for s in 6 7; do
+  probe "offline-all/$s/rwr" "$BASE/v1/query?measure=rwr&source=3&snapshot=$s"
+  probe "offline-all/$s/topk" "$BASE/v1/query?measure=topk&source=5&k=10&snapshot=$s"
+done
 halt
 
 # ---- streaming: growth (fresh edges), then toggles of the same edges ----
