@@ -10,8 +10,8 @@ import (
 )
 
 // Single-flight coalescing: identical concurrent queries — same
-// factors (snapshot + pin generation, or live source + attach
-// generation + published version), same measure, source, seeds, k and
+// factors (snapshot + pin generation, the live source's published
+// version, or a history version), same measure, source, seeds, k and
 // damping — share one solve and one cache fill. The flight key IS the
 // cache key, so the coalescing horizon is exactly the cache-coherence
 // horizon: two queries coalesce if and only if a cache entry written
@@ -29,13 +29,12 @@ type task struct {
 	fl        *flight
 	coalesced bool // joined an existing flight; awaits, never enqueues
 
-	// Route: either an attached live source (live, src, liveGen,
-	// version as resolved) or a pinned snapshot's solver. For live
-	// tasks the worker re-reads version/snap/prefix under the source's
-	// view at solve time; the resolve-time values only key the flight.
+	// Route: either the attached live source (live, src, version as
+	// resolved) or a pinned snapshot's solver. For live tasks the
+	// worker re-reads version/snap/prefix under the source's view at
+	// solve time; the resolve-time values only key the flight.
 	live    bool
 	src     LiveSource
-	liveGen uint64
 	solver  *lu.Solver
 	snap    int
 	version uint64
@@ -46,9 +45,6 @@ type task struct {
 	// time and flows like any pinned task.
 	hist bool
 
-	// keyed is false only on the spill-reload race fallback, whose
-	// answers have no stable generation: no cache entry, no coalescing.
-	keyed     bool
 	prefix    string // cache-key namespace (generation-stamped)
 	suffix    string // canonical query payload (keySuffix)
 	flightKey string
@@ -64,9 +60,10 @@ type task struct {
 	solveSpan *trace.Span
 }
 
-// canonicalize validates the query payload against dimension n and
-// derives the canonical seed set and the cache-key suffix.
-func (t *task) canonicalize(n int) error {
+// bind validates the query payload against dimension n, derives the
+// canonical seed set and the cache-key suffix, and keys the task under
+// the cache-key namespace prefix.
+func (t *task) bind(n int, prefix string) error {
 	q := t.q
 	switch q.Measure {
 	case MeasureRWR, MeasureTopK:
@@ -103,6 +100,8 @@ func (t *task) canonicalize(n int) error {
 		return fmt.Errorf("serve: unknown measure %q", q.Measure)
 	}
 	t.suffix = keySuffix(q.Measure, q.Source, t.seeds, q.K, t.damping)
+	t.prefix = prefix
+	t.flightKey = prefix + t.suffix
 	return nil
 }
 
@@ -126,7 +125,7 @@ type flight struct {
 
 func newFlight() *flight { return &flight{done: make(chan struct{})} }
 
-// joinFlight is the single-flight admission point for a keyed task.
+// joinFlight is the single-flight admission point for a task.
 // Under flightMu it either joins an existing flight for the key
 // (leader false), hits the cache (hit non-nil), or registers a new flight
 // with the caller as leader. The cache recheck happens under the same
@@ -163,20 +162,14 @@ func (e *Engine) finish(t *task, ans answer, err error) {
 	fl.snap, fl.version, fl.live = t.snap, t.version, t.live
 	if err == nil {
 		e.solves.Add(1)
-		if t.keyed {
-			// The flight's one cache miss, recorded by the leader; the
-			// followers count as hits when they pick the answer up.
-			e.misses.Add(1)
-		}
-		if t.prefix != "" {
-			e.cacheEvicted.Add(int64(e.cache.put(t.prefix+t.suffix, ans)))
-		}
+		// The flight's one cache miss, recorded by the leader; the
+		// followers count as hits when they pick the answer up.
+		e.misses.Add(1)
+		e.cacheEvicted.Add(int64(e.cache.put(t.prefix+t.suffix, ans)))
 	}
-	if t.flightKey != "" {
-		e.flightMu.Lock()
-		delete(e.flights, t.flightKey)
-		e.flightMu.Unlock()
-	}
+	e.flightMu.Lock()
+	delete(e.flights, t.flightKey)
+	e.flightMu.Unlock()
 	if t.tr != nil {
 		// Finish the trace before releasing the waiters: after done is
 		// closed nothing may touch the (recycled) handle, and the order

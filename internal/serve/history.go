@@ -311,14 +311,8 @@ func (e *Engine) resolveHistory(t *task, snap int) (routed bool, err error) {
 		h.mu.Unlock()
 		h.requests.Add(1)
 		h.hits.Add(1)
-		t.solver, t.snap = r.s, snap
-		if err := t.canonicalize(r.s.F.Dim()); err != nil {
-			return true, err
-		}
-		t.keyed, t.hist = true, true
-		t.prefix = histPrefix(v)
-		t.flightKey = t.prefix + t.suffix
-		return true, nil
+		t.solver, t.snap, t.hist = r.s, snap, true
+		return true, t.bind(r.s.F.Dim(), histPrefix(v))
 	}
 	h.mu.Unlock()
 	if e.isRetainedBase(v) {
@@ -336,14 +330,8 @@ func (e *Engine) resolveHistory(t *task, snap int) (routed bool, err error) {
 		return false, nil
 	}
 	h.requests.Add(1)
-	t.snap = snap
-	if err := t.canonicalize(n); err != nil {
-		return true, err
-	}
-	t.keyed, t.hist = true, true
-	t.prefix = histPrefix(v)
-	t.flightKey = t.prefix + t.suffix
-	return true, nil
+	t.snap, t.hist = snap, true
+	return true, t.bind(n, histPrefix(v))
 }
 
 // serveHist materializes (or joins the materialization of) the task's

@@ -27,29 +27,32 @@ import (
 // runs fn with the latest published version and its solver while
 // holding the source's read lock, guaranteeing the factors do not
 // advance during fn; it returns false (fn not called) when the source
-// has nothing published. core.Stream implements this.
+// has nothing published. Once a source has published it stays
+// published: a View that returned true is never followed by one that
+// returns false. core.Stream implements this, publishing from
+// construction on.
 type LiveSource interface {
 	View(fn func(version uint64, s *lu.Solver)) bool
 }
 
-// AttachLive routes latest-state queries (Snapshot < 0) to src. Attach
-// before serving traffic, or mid-flight: queries observe the source on
-// their next dispatch. Attaching nil detaches, restoring pure
-// pinned-store serving. Every attach bumps the live cache-key
-// generation, so a replacement source — whose version counter starts
-// over — can never be served answers cached from its predecessor.
+// AttachLive routes latest-state queries (Snapshot < 0) to src for the
+// engine's lifetime. Attach once, before serving traffic; a second
+// call panics. Cache keys carry the source's published version, so a
+// committed batch makes every cached live answer unreachable.
 func (e *Engine) AttachLive(src LiveSource) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.live != nil {
+		panic("serve: AttachLive called twice")
+	}
 	e.live = src
-	e.liveGen++
-	e.mu.Unlock()
 }
 
-// liveSource reads the attached source and its attach generation. The
-// lock is released before the caller touches the source (see the field
-// comment on lock ordering).
-func (e *Engine) liveSource() (LiveSource, uint64) {
+// liveSource reads the attached source. The lock is released before
+// the caller touches the source (see the field comment on lock
+// ordering).
+func (e *Engine) liveSource() LiveSource {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.live, e.liveGen
+	return e.live
 }

@@ -271,69 +271,25 @@ func TestLiveCheckpointsFeedPinnedStore(t *testing.T) {
 	}
 }
 
-// TestReattachInvalidatesLiveCache pins the attach-generation stamp:
-// after swapping in a different live source whose version counter
-// starts over at the same value, a repeated query must not be served
-// from the previous source's cache.
-func TestReattachInvalidatesLiveCache(t *testing.T) {
+// TestAttachLiveTwicePanics pins the attach-once contract: the engine
+// serves one live source for its lifetime, so a second attach is a
+// programming error, not a swap.
+func TestAttachLiveTwicePanics(t *testing.T) {
 	a, _ := liveStream(t, nil)
 	defer a.Close()
 	b, _ := liveStream(t, nil)
 	defer b.Close()
-	eng := New(Config{Workers: 1, CacheSize: 64, Damping: testDamping})
+	eng := New(Config{Workers: 1, Damping: testDamping})
 	defer eng.Close()
-
-	q := Query{Snapshot: -1, Measure: MeasureRWR, Source: 3}
 	eng.AttachLive(a)
-	if _, err := eng.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := eng.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.CacheHit {
-		t.Fatal("repeat query on one source did not hit the cache")
-	}
-	// b is at the same version (0) as a's cached answer.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second AttachLive did not panic")
+		}
+		resp, err := eng.Query(context.Background(), Query{Snapshot: -1, Measure: MeasureRWR, Source: 3})
+		if err != nil || !resp.Live {
+			t.Fatalf("after the refused attach: live=%v err=%v, want the first source's answer", resp != nil && resp.Live, err)
+		}
+	}()
 	eng.AttachLive(b)
-	swapped, err := eng.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swapped.CacheHit {
-		t.Fatal("swapped-in source served the previous source's cached answer")
-	}
-	if swapped.Version != 0 || !swapped.Live {
-		t.Fatalf("swapped answer live=%v version=%d, want live at 0", swapped.Live, swapped.Version)
-	}
-}
-
-// TestDetachLiveRestoresPinnedServing verifies AttachLive(nil) and the
-// fallback when a live source exists but the engine has pinned state.
-func TestDetachLiveRestoresPinnedServing(t *testing.T) {
-	stream, _ := liveStream(t, nil)
-	defer stream.Close()
-	eng := New(Config{Workers: 1, CacheSize: 16, Damping: testDamping})
-	defer eng.Close()
-	eng.AttachLive(stream)
-	var pinned *lu.Solver
-	stream.View(func(_ uint64, s *lu.Solver) { pinned = s.Clone() })
-	eng.Pin(0, pinned)
-
-	resp, err := eng.Query(context.Background(), Query{Snapshot: -1, Measure: MeasureRWR, Source: 2})
-	if err != nil || !resp.Live {
-		t.Fatalf("attached engine served live=%v err=%v", resp != nil && resp.Live, err)
-	}
-	eng.AttachLive(nil)
-	resp, err = eng.Query(context.Background(), Query{Snapshot: -1, Measure: MeasureRWR, Source: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Live {
-		t.Fatal("detached engine still serving live")
-	}
-	if st := eng.Stats(); st.LiveAttached {
-		t.Fatal("stats report a detached source")
-	}
 }

@@ -109,10 +109,11 @@ func sameAnswer(t *testing.T, tag string, resp *Response, nodes []int, scores []
 // result). Coalescing is forced, not hoped for: each round's leader
 // wedges a worker mid-solve on a gatedLive, every other query of the
 // round joins its flight, the cancelled ones abandon it, and only then
-// does the gate open.
+// does the gate open. An engine serves one live source for its
+// lifetime, so every round gets a fresh engine for its gated source.
 func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
-	eng, _, ref := pinnedEngine(t, Config{Workers: 2, CacheSize: 4096})
-	defer eng.Close()
+	pinned, _, ref := pinnedEngine(t, Config{})
+	pinned.Close()
 
 	const rounds, writers, cancels = 8, 24, 8
 	type result struct {
@@ -132,6 +133,7 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 			q.Measure, q.Sources = MeasurePPR, []int{r, 30 + r}
 		}
 		wantNodes, wantScores := coldAnswer(q, ref[snap])
+		eng := New(Config{Workers: 2, CacheSize: 4096, Damping: testDamping})
 		before := eng.Stats()                   // Stats reads the live source too: before attaching
 		g := newGatedLive(ref[snap].Clone(), 2) // call 1: leader resolve; call 2: worker solve
 		eng.AttachLive(g)
@@ -198,15 +200,16 @@ func TestCoalescingSoakExactlyOneSolve(t *testing.T) {
 			t.Fatalf("round %d: post-round probe missed the cache", r)
 		}
 		sameAnswer(t, "round probe", probe, wantNodes, wantScores)
-	}
 
-	st := eng.Stats()
-	if st.Admitted+st.Coalesced+st.Shed != st.Queries {
-		t.Fatalf("admission counters do not balance: admitted %d + coalesced %d + shed %d != queries %d",
-			st.Admitted, st.Coalesced, st.Shed, st.Queries)
-	}
-	if want := int64(rounds * (writers + cancels)); st.Coalesced != want {
-		t.Fatalf("%d coalesced queries, want %d", st.Coalesced, want)
+		st := eng.Stats()
+		eng.Close()
+		if st.Admitted+st.Coalesced+st.Shed != st.Queries {
+			t.Fatalf("round %d: admission counters do not balance: admitted %d + coalesced %d + shed %d != queries %d",
+				r, st.Admitted, st.Coalesced, st.Shed, st.Queries)
+		}
+		if want := int64(writers + cancels); st.Coalesced != want {
+			t.Fatalf("round %d: %d coalesced queries, want %d", r, st.Coalesced, want)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(e.cfg.Workers) })
 	r.GaugeFunc("clude_live_attached", "1 when a live factor source is attached and publishing.", nil,
 		func() float64 {
-			if src, _ := e.liveSource(); src != nil {
+			if src := e.liveSource(); src != nil {
 				return 1
 			}
 			return 0
@@ -79,7 +79,7 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("clude_live_version", "Latest published version of the attached live source.", nil,
 		func() float64 {
 			var v uint64
-			if src, _ := e.liveSource(); src != nil {
+			if src := e.liveSource(); src != nil {
 				src.View(func(version uint64, _ *lu.Solver) { v = version })
 			}
 			return float64(v)

@@ -14,9 +14,9 @@ import (
 // community engine's block-diagonal factors and the Wiki-like engine's
 // single blob.
 
-// rwrTask builds an unkeyed RWR task from source directly (no cache
-// fill, no flight table), the harness that drives the worker's serving
-// path without the queue.
+// rwrTask builds an RWR task from source directly, outside the flight
+// table and under the empty cache key, the harness that drives the
+// worker's serving path without the queue.
 func rwrTask(source int) *task {
 	t := &task{
 		q:          Query{Measure: MeasureRWR, Source: source},

@@ -316,15 +316,11 @@ type Engine struct {
 	tracer *trace.Tracer
 	latEx  metrics.Exemplars
 
-	// Live source (see live.go). Guarded by mu; read once per query and
-	// released before the source's lock is taken, so the lock orders
-	// "source → e.mu" (base pins from the publish hook) and
-	// "e.mu → source" never both occur. liveGen bumps on every
-	// AttachLive and stamps live cache keys, so a swapped-in source can
-	// never be served answers computed from its predecessor's factors
-	// (the live twin of the pinned store's pin generation).
+	// Live source (see live.go), attached once. Guarded by mu; read once
+	// per query and released before the source's lock is taken, so the
+	// lock orders "source → e.mu" (base pins from the publish hook) and
+	// "e.mu → source" never both occur.
 	live        LiveSource
-	liveGen     uint64
 	liveQueries atomic.Int64
 
 	// Disk-spill state (see spill.go). spill is the directory, nil when
@@ -414,14 +410,21 @@ func (e *Engine) Close() {
 // with its cached answers, so a snapshot is either fully served or
 // consistently ErrUnknownSnapshot — never a mix depending on which
 // query happened to be cached.
-func (e *Engine) Pin(i int, s *lu.Solver) {
+func (e *Engine) Pin(i int, s *lu.Solver) { e.pin(i, s) }
+
+// pin is Pin returning the generation it stamped, which a spill reload
+// keys its task under: should another pin evict the index at once, the
+// answer is filed under a generation no later resolve produces and
+// ages out of the LRU.
+func (e *Engine) pin(i int, s *lu.Solver) uint64 {
 	var evicted []evictedSnap
 	e.mu.Lock()
 	e.gen++
+	gen := e.gen
 	if _, ok := e.snaps[i]; !ok {
 		e.pinned = append(e.pinned, i)
 	}
-	e.snaps[i] = snapEntry{s: s, gen: e.gen}
+	e.snaps[i] = snapEntry{s: s, gen: gen}
 	if i > e.latest {
 		e.latest = i
 	}
@@ -446,6 +449,7 @@ func (e *Engine) Pin(i int, s *lu.Solver) {
 	e.mu.Unlock()
 	e.pinCount.Add(1)
 	e.handleEvicted(evicted)
+	return gen
 }
 
 // Snapshots returns the retained snapshot indices in ascending order.
@@ -504,7 +508,7 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	st.LatencyExemplars = e.LatencyExemplars()
-	if src, _ := e.liveSource(); src != nil {
+	if src := e.liveSource(); src != nil {
 		st.LiveAttached = true
 		st.LiveQueries = e.liveQueries.Load()
 		src.View(func(v uint64, _ *lu.Solver) { st.LiveVersion = v })
@@ -592,34 +596,28 @@ func (e *Engine) dispatch(ctx context.Context, q Query, tr *trace.Trace) (*Respo
 	}
 	t.tr = tr
 
-	if t.keyed {
-		fl, leader, hit := e.joinFlight(t)
-		if hit != nil {
-			e.admitted.Add(1)
-			e.hits.Add(1)
-			if t.live {
-				e.liveQueries.Add(1)
-			}
-			tr.Root().SetBool("cache_hit", true)
-			e.traceDone(tr, nil)
-			return respond(t.snap, q.Measure, t.damping, hit.ans, hit, t.version, t.live), nil
+	fl, leader, hit := e.joinFlight(t)
+	if hit != nil {
+		e.admitted.Add(1)
+		e.hits.Add(1)
+		if t.live {
+			e.liveQueries.Add(1)
 		}
-		t.fl = fl
-		if !leader {
-			// A follower's trace links to the leader's span instead of
-			// duplicating the solve: the follower records only its
-			// coalesce wait, and the link resolves to the trace that
-			// carries the solve's spans.
-			t.coalesced = true
-			e.coalesced.Add(1)
-			tr.Link(fl.lead)
-			tr.Root().SetBool("coalesced", true)
-			return e.await(ctx, t)
-		}
-	} else {
-		// Unkeyed (the spill-reload race fallback): no cache entry and
-		// no coalescing, but the flight still carries the answer back.
-		t.fl = newFlight()
+		tr.Root().SetBool("cache_hit", true)
+		e.traceDone(tr, nil)
+		return respond(t.snap, q.Measure, t.damping, hit.ans, hit, t.version, t.live), nil
+	}
+	t.fl = fl
+	if !leader {
+		// A follower's trace links to the leader's span instead of
+		// duplicating the solve: the follower records only its
+		// coalesce wait, and the link resolves to the trace that
+		// carries the solve's spans.
+		t.coalesced = true
+		e.coalesced.Add(1)
+		tr.Link(fl.lead)
+		tr.Root().SetBool("coalesced", true)
+		return e.await(ctx, t)
 	}
 
 	// Admission: a full queue sheds immediately — the caller gets
@@ -688,12 +686,12 @@ func (e *Engine) await(ctx context.Context, t *task) (*Response, error) {
 }
 
 // resolve validates q and binds it to its serving route — the attached
-// live source for latest-state queries when one is publishing, a
-// pinned snapshot's solver otherwise — and derives the cache/flight
-// key. Routing at submission is what makes coalescing sound: the key
-// carries the pin generation (pinned) or attach generation and
-// published version (live), so two queries coalesce only when they are
-// provably answerable by the same factors.
+// live source for latest-state queries, a pinned snapshot's solver
+// otherwise — and derives the cache/flight key. Routing at submission
+// is what makes coalescing sound: the key carries the pin generation
+// (pinned), the published version (live) or the version (history), so
+// two queries coalesce only when they are provably answerable by the
+// same factors.
 func (e *Engine) resolve(q Query) (*task, error) {
 	damping := q.Damping
 	if damping == 0 {
@@ -705,23 +703,13 @@ func (e *Engine) resolve(q Query) (*task, error) {
 	t := &task{q: q, damping: damping}
 
 	if q.Snapshot < 0 {
-		if src, gen := e.liveSource(); src != nil {
+		if src := e.liveSource(); src != nil {
 			var n int
-			viewed := src.View(func(version uint64, s *lu.Solver) {
-				t.version = version
-				n = s.F.Dim()
-			})
-			if viewed {
-				t.live, t.src, t.liveGen = true, src, gen
-				t.snap = int(t.version)
-				if err := t.canonicalize(n); err != nil {
-					return nil, err
-				}
-				t.keyed = true
-				t.prefix = livePrefix(gen, t.version)
-				t.flightKey = t.prefix + t.suffix
-				return t, nil
+			if !src.View(func(version uint64, s *lu.Solver) { t.version, n = version, s.F.Dim() }) {
+				return nil, ErrNoSnapshots
 			}
+			t.live, t.src, t.snap = true, src, int(t.version)
+			return t, t.bind(n, livePrefix(t.version))
 		}
 	}
 
@@ -740,37 +728,19 @@ func (e *Engine) resolve(q Query) (*task, error) {
 		// were evicted) but is reachable as base+delta — resident in the
 		// materialized LRU, or replayable by a worker.
 		if routed, herr := e.resolveHistory(t, snap); routed {
-			if herr != nil {
-				return nil, herr
-			}
-			return t, nil
+			return t, herr
 		}
 		// Transparent reload of a spilled snapshot: read it back,
-		// re-pin it (possibly spilling another cold snapshot), and
-		// serve. The re-lookup below picks up the fresh pin generation
-		// for the cache key; losing the race to an immediate re-evict
-		// just answers uncached from the loaded solver.
+		// re-pin it (possibly spilling another cold snapshot), and key
+		// the task under the generation that pin stamped.
 		sv, loaded := e.loadSpilled(snap)
 		if !loaded {
 			return nil, fmt.Errorf("%w: %d", ErrUnknownSnapshot, snap)
 		}
-		e.Pin(snap, sv)
-		e.mu.RLock()
-		entry, ok = e.snaps[snap]
-		e.mu.RUnlock()
-		if !ok {
-			t.solver, t.snap = sv, snap
-			return t, t.canonicalize(sv.F.Dim())
-		}
+		entry = snapEntry{s: sv, gen: e.pin(snap, sv)}
 	}
 	t.solver, t.snap = entry.s, snap
-	if err := t.canonicalize(entry.s.F.Dim()); err != nil {
-		return nil, err
-	}
-	t.keyed = true
-	t.prefix = pinnedPrefix(snap, entry.gen)
-	t.flightKey = t.prefix + t.suffix
-	return t, nil
+	return t, t.bind(entry.s.F.Dim(), pinnedPrefix(snap, entry.gen))
 }
 
 // respond builds a Response around the answer's own slices, which the
@@ -800,13 +770,12 @@ func pinnedPrefix(snap int, gen uint64) string {
 	return strconv.Itoa(snap) + "#" + strconv.FormatUint(gen, 10)
 }
 
-// livePrefix is the cache-key namespace of a live version, stamped with
-// the attach generation. It can never collide with a pinned prefix
-// (those start with a digit or '-'); within one attached source
-// versions are monotone, and across re-attaches the generation changes,
-// so stale live answers are unreachable and simply age out of the LRU.
-func livePrefix(gen, version uint64) string {
-	return "live#" + strconv.FormatUint(gen, 10) + "#" + strconv.FormatUint(version, 10)
+// livePrefix is the cache-key namespace of a live version. It can never
+// collide with a pinned prefix (those start with a digit or '-'); the
+// one attached source's versions are monotone, so stale live answers
+// are unreachable and simply age out of the LRU.
+func livePrefix(version uint64) string {
+	return "live#" + strconv.FormatUint(version, 10)
 }
 
 // keySuffix canonicalizes the query payload into the rest of the cache

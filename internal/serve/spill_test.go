@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +85,58 @@ func TestSpillEvictReload(t *testing.T) {
 	}
 	if !resp.CacheHit {
 		t.Error("repeat query after reload did not hit the cache")
+	}
+}
+
+// TestSpillReloadRaceKeysEveryAnswer races spill reloads against one
+// another's evictions: with room for one snapshot, goroutines query
+// spilled indices round-robin, so a reload is routinely evicted by the
+// next before its answer is filed. Every answer must be its own
+// index's cold solve bit for bit, and every answer is keyed — a cache
+// hit or the miss of the solve that made it — so CacheHits +
+// CacheMisses equals the answers given.
+func TestSpillReloadRaceKeysEveryAnswer(t *testing.T) {
+	eng, ems, ref := pinnedEngine(t, Config{MaxSnapshots: 1, Workers: 2, SpillDir: t.TempDir()})
+	defer eng.Close()
+	waitSpilled(t, eng, int64(ems.Len()-1))
+
+	const goroutines, perGoroutine, sources = 6, 48, 3
+	snaps := []int{0, 1, 2, 3}
+	want := make(map[int][][]float64, len(snaps))
+	for _, snap := range snaps {
+		for u := 0; u < sources; u++ {
+			_, scores := coldAnswer(Query{Measure: MeasureRWR, Source: u}, ref[snap])
+			want[snap] = append(want[snap], scores)
+		}
+	}
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				snap, u := snaps[(g+i)%len(snaps)], (g+i/len(snaps))%sources
+				resp, err := eng.Query(context.Background(), Query{Snapshot: snap, Measure: MeasureRWR, Source: u})
+				if err != nil {
+					t.Errorf("snapshot %d source %d: %v", snap, u, err)
+					return
+				}
+				if !reflect.DeepEqual(resp.Scores, want[snap][u]) {
+					t.Errorf("snapshot %d source %d: answer differs from its cold solve", snap, u)
+					return
+				}
+				answered.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	st := eng.Stats()
+	if st.SpillReloads < int64(len(snaps)) {
+		t.Fatalf("%d spill reloads: the race never ran", st.SpillReloads)
+	}
+	if n := answered.Load(); st.CacheHits+st.CacheMisses != n {
+		t.Fatalf("%d hits + %d misses != %d answers: an answer was served unkeyed", st.CacheHits, st.CacheMisses, n)
 	}
 }
 

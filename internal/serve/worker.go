@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/lu"
@@ -65,45 +64,14 @@ func (e *Engine) serveTask(t *task, ws *lu.SolveWorkspace) {
 func (e *Engine) serveLive(t *task, ws *lu.SolveWorkspace) {
 	viewed := t.src.View(func(version uint64, s *lu.Solver) {
 		t.version, t.snap = version, int(version)
-		t.prefix = livePrefix(t.liveGen, version)
+		t.prefix = livePrefix(version)
 		e.solveTask(t, s, ws)
 	})
 	if !viewed {
-		// The source was detached (or replaced by an empty one) after
-		// this query was routed; fall back to the pinned store, exactly
-		// as resolve would have.
-		e.fallbackPinned(t, ws)
-	}
-}
-
-// fallbackPinned rebinds a live-routed task to the latest pinned
-// snapshot after its source vanished mid-flight. The flight stays
-// registered under its live key (finish deregisters it); the answer is
-// cached under the pinned prefix it was computed for.
-func (e *Engine) fallbackPinned(t *task, ws *lu.SolveWorkspace) {
-	e.mu.RLock()
-	snap := e.latest
-	entry, ok := e.snaps[snap]
-	e.mu.RUnlock()
-	if snap < 0 {
+		// A source that breaks "once published, always published":
+		// fail the flight rather than leave its waiters hanging.
 		e.finish(t, answer{}, ErrNoSnapshots)
-		return
 	}
-	if !ok {
-		e.finish(t, answer{}, fmt.Errorf("%w: %d", ErrUnknownSnapshot, snap))
-		return
-	}
-	t.live, t.src = false, nil
-	t.snap, t.version = snap, 0
-	t.solver = entry.s
-	t.prefix = pinnedPrefix(snap, entry.gen)
-	// Revalidate: the payload was canonicalized against the live
-	// dimension, which need not match the pinned one.
-	if err := t.canonicalize(entry.s.F.Dim()); err != nil {
-		e.finish(t, answer{}, err)
-		return
-	}
-	e.solveTask(t, entry.s, ws)
 }
 
 // solveTask answers a task against solver through one Answer call.

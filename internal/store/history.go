@@ -15,7 +15,7 @@ import (
 // feeding the serving layer's delta-compressed history across restarts.
 // It is the second instance of the store's record log (wal.go):
 // history/hist-<version:016x>.seg segments, magic "CLUH", format 2,
-// keyed by version, rotated at Options.SegmentBytes and trimmed by
+// keyed by version, rotated at segmentBytes and trimmed by
 // dropping whole segments below the serving layer's retention floor.
 // The log is a cache of information the WAL can mostly regenerate —
 // losing its tail only shrinks the set of materializable old versions,

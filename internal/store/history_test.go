@@ -265,7 +265,8 @@ func TestHistoryFileCompactionPolicy(t *testing.T) {
 	g0 := randomGraph(n, 34, rng)
 	batches := randomBatches(n, 40, 5, rng)
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Sync: SyncNone, SnapshotEvery: 1 << 20, SegmentBytes: 256, History: true})
+	setSegmentBytes(t, 256)
+	st, err := Open(dir, Options{Sync: SyncNone, SnapshotEvery: 1 << 20, History: true})
 	if err != nil {
 		t.Fatal(err)
 	}

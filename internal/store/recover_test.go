@@ -218,7 +218,8 @@ func expectRecoversOldCheckpoint(t *testing.T, version byte) {
 	}
 
 	dir := t.TempDir()
-	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, SegmentBytes: 1}
+	setSegmentBytes(t, 1)
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20}
 	st, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +308,10 @@ func expectRecoversOldCheckpoint(t *testing.T, version byte) {
 }
 
 // TestRecoverFallsBackOnCorruptSnapshot pins the satellite requirement:
-// a corrupt (truncated) newest snapshot must not abort recovery — the
-// previous snapshot plus a longer WAL replay reaches the same state.
+// a corrupt newest snapshot must not abort recovery — the previous
+// snapshot plus a longer WAL replay reaches the same state. The newest
+// is corrupted two ways across two recoveries: truncated, then at full
+// length with one byte flipped, so its checksum fails.
 func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	const n = 30
 	rng := xrand.New(29)
@@ -317,7 +320,9 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4})
+	setKeepSnapshots(t, 4)
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20}
+	st, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +348,6 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	s1.Close()
 	st.wal.Close()
 
-	// Corrupt the newest snapshot two different ways across two
-	// recoveries: truncation, then a byte flip.
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 	if len(snaps) < 2 {
 		t.Fatalf("want >= 2 snapshots on disk, got %d", len(snaps))
@@ -354,36 +357,48 @@ func TestRecoverFallsBackOnCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest, data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 0x40
 
-	st2, err := Open(dir, Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, leg := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", data[:len(data)/3]},
+		{"byte flip", flipped},
+	} {
+		if err := os.WriteFile(newest, leg.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, info, err := st2.OpenStream(cfg)
+		if err != nil {
+			t.Fatalf("%s: reopen with corrupt newest snapshot: %v", leg.name, err)
+		}
+		if info.SnapshotsSkipped != 1 {
+			t.Errorf("%s: SnapshotsSkipped = %d, want 1", leg.name, info.SnapshotsSkipped)
+		}
+		if !info.Recovered {
+			t.Errorf("%s: fallback recovery not reported as recovered", leg.name)
+		}
+		gotState, err := s2.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantState, gotState) {
+			t.Errorf("%s: fallback recovery did not reach the pre-kill state", leg.name)
+		}
+		if got := probe(t, s2, n); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: fallback recovery solve differs from pre-kill solve", leg.name)
+		}
+		// Killed again: a clean Close would checkpoint the recovered
+		// state, and the next leg must find the same directory.
+		s2.Close()
+		st2.wal.Close()
 	}
-	s2, info, err := st2.OpenStream(cfg)
-	if err != nil {
-		t.Fatalf("reopen with corrupt newest snapshot: %v", err)
-	}
-	if info.SnapshotsSkipped != 1 {
-		t.Errorf("SnapshotsSkipped = %d, want 1", info.SnapshotsSkipped)
-	}
-	if !info.Recovered {
-		t.Error("fallback recovery not reported as recovered")
-	}
-	gotState, err := s2.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantState, gotState) {
-		t.Error("fallback recovery did not reach the pre-kill state")
-	}
-	if got := probe(t, s2, n); !reflect.DeepEqual(want, got) {
-		t.Error("fallback recovery solve differs from pre-kill solve")
-	}
-	s2.Close()
-	st2.Close()
 }
 
 // TestOpenStreamRefusesListFactors: a checkpoint whose factor kind is
@@ -396,7 +411,8 @@ func TestOpenStreamRefusesListFactors(t *testing.T) {
 	batches := randomBatches(n, 4, 4, rng)
 	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 	dir := t.TempDir()
-	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
+	setKeepSnapshots(t, 4)
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20}
 	st, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +479,8 @@ func TestOpenStreamRefusesForeignCheckpoint(t *testing.T) {
 	batches := randomBatches(n, 4, 4, rng)
 	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 	dir := t.TempDir()
-	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
+	setKeepSnapshots(t, 4)
+	opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20}
 	st, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -540,12 +557,13 @@ func TestOpenStreamRefusesForeignCheckpoint(t *testing.T) {
 func TestOpenStreamRefusesUnsupportedVersion(t *testing.T) {
 	const n = 24
 	future := byte(stateVersion + 1)
+	setKeepSnapshots(t, 4)
 	for _, reseal := range []bool{true, false} {
 		rng := xrand.New(41)
 		g0 := randomGraph(n, 28, rng)
 		cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
 		dir := t.TempDir()
-		opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20, KeepSnapshots: 4}
+		opt := Options{Sync: SyncAlways, SnapshotEvery: 1 << 20}
 		st, err := Open(dir, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -747,7 +765,8 @@ func TestSnapshotCadenceByVersion(t *testing.T) {
 	g0 := randomGraph(n, 34, rng)
 	batches := randomBatches(n, 23, 4, rng)
 	cfg := core.StreamConfig{Alpha: 0.9, Initial: g0, Derive: graph.RWRMatrix(0.85)}
-	opt := Options{Sync: SyncNone, SnapshotEvery: every, KeepSnapshots: 100}
+	setKeepSnapshots(t, 100)
+	opt := Options{Sync: SyncNone, SnapshotEvery: every}
 	dir := t.TempDir()
 
 	for run, kill := range []int{7, 14, len(batches)} {

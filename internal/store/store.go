@@ -25,12 +25,21 @@ import (
 // checkpoints in the background, and recovers crashed streams by
 // loading the newest valid snapshot and replaying the WAL tail.
 
+// keepSnapshots checkpoints survive each snapshot cycle (the
+// second-newest is the corruption fallback), and segmentBytes is the
+// rotation threshold of both record logs, the WAL and the history
+// sidecar. Variables only so a test can move them.
+var (
+	keepSnapshots       = 2
+	segmentBytes  int64 = defaultSegMax
+)
+
 // errNoSnapshot is loadLatestState's report of a directory holding no
 // usable snapshot: OpenStream cold-starts on it.
 var errNoSnapshot = errors.New("store: no usable snapshot")
 
 // Options configures a Store. The zero value is usable: fsync on every
-// batch, a snapshot at every 64th version, two snapshots retained.
+// batch, a snapshot at every 64th version.
 type Options struct {
 	// Sync is the WAL fsync policy (default SyncAlways).
 	Sync SyncPolicy
@@ -38,13 +47,6 @@ type Options struct {
 	// every version that is a positive multiple of it above the newest
 	// checkpoint's. 0 means 64.
 	SnapshotEvery uint64
-	// KeepSnapshots is how many snapshots to retain; older ones are
-	// deleted and the WAL truncated to the oldest survivor's coverage.
-	// < 2 means 2 (the second-newest is the corruption fallback).
-	KeepSnapshots int
-	// SegmentBytes is the segment rotation threshold of both record
-	// logs, the WAL and the history sidecar. <= 0 means 4 MiB.
-	SegmentBytes int64
 	// History enables the delta-record sidecar (history/): every
 	// published version's bennett.VersionRecord is appended, and
 	// LoadHistory returns the records found at open time so a serving
@@ -139,9 +141,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	if opt.SnapshotEvery == 0 {
 		opt.SnapshotEvery = 64
 	}
-	if opt.KeepSnapshots < 2 {
-		opt.KeepSnapshots = 2
-	}
 	snaps, err := OpenFiles(dir, snapNames)
 	if err != nil {
 		return nil, err
@@ -149,7 +148,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.Remove(filepath.Join(dir, "history.cluh")); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	wal, err := OpenWAL(filepath.Join(dir, "wal"), opt.Sync, opt.SegmentBytes)
+	wal, err := OpenWAL(filepath.Join(dir, "wal"), opt.Sync, segmentBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +160,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		done:   make(chan struct{}),
 	}
 	if opt.History {
-		st.hist, err = openHistory(filepath.Join(dir, "history"), opt.SegmentBytes)
+		st.hist, err = openHistory(filepath.Join(dir, "history"), segmentBytes)
 		if err != nil {
 			wal.Close()
 			return nil, err
@@ -369,9 +368,9 @@ func (st *Store) Snapshot() error {
 	st.snapsWritten++
 	st.mu.Unlock()
 
-	// Retention: newest KeepSnapshots survive; the WAL only needs to
+	// Retention: newest keepSnapshots survive; the WAL only needs to
 	// reach back to the oldest survivor.
-	if _, err := st.snaps.KeepNewest(st.opt.KeepSnapshots); err != nil {
+	if _, err := st.snaps.KeepNewest(keepSnapshots); err != nil {
 		return err
 	}
 	oldest, _ := st.snaps.Oldest()
